@@ -22,10 +22,11 @@
 //! over repeated steps with the spread recorded), and the replan
 //! demonstration (the planner re-planning from a measured profile vs. the
 //! analytic one, both plans timed on the engine). The recovery group
-//! measures checkpoint save/load latency (monolithic v2 and sharded v3
-//! full/delta saves plus the base+delta chain resume), the transactional
-//! supervisor's clean-step cost, the wall-clock overhead of a step that
-//! faults once and is retried, the supervisor's virtual-time MTTR, and
+//! measures checkpoint save/load latency (sharded full and delta saves
+//! plus the base+delta chain resume), the supervisor's clean-step cost,
+//! the wall-clock overhead of a step that faults once and is retried
+//! (split into the wasted attempt and the rewind), the supervisor's
+//! virtual-time MTTR, and
 //! the cost of a full elastic migration (replica death → replica drop →
 //! re-plan → rebuild through the delta-checkpoint chain). `--trace PATH`
 //! additionally exports the measured step as a Perfetto-loadable Chrome
@@ -46,12 +47,10 @@ use dapple_bench::validate::{
     calibrate_validation, replan_from_measured, Scenario, MAX_CALIBRATION_ROUNDS, MEASURE_ITERS,
 };
 use dapple_core::{DeviceId, Plan, StagePlan};
-use dapple_engine::checkpoint::{
-    state_to_bytes, v3_chain_to_state, v3_delta_to_bytes, v3_full_to_bytes,
-};
+use dapple_engine::checkpoint::{v3_chain_to_state, v3_delta_to_bytes, v3_full_to_bytes};
 use dapple_engine::{
     data, DataStream, EngineConfig, FaultKind, FaultPlan, MlpModel, Optimizer, Partition,
-    PipelineTrainer, RetryPolicy, Supervisor, Tensor, TrainLoop, TrainState,
+    PipelineTrainer, RecoveryEventKind, RetryPolicy, Supervisor, Tensor, TrainLoop, TrainState,
 };
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -466,40 +465,13 @@ fn recovery_benches(smoke: bool, out: &mut Vec<Record>, recovery_log: Option<&st
         .unwrap()
     };
 
-    // Checkpoint v2 serialization / resume latency on a warmed-up loop
-    // (Adam: the checkpoint carries two moment buffers per layer).
-    let mut lp = mk_loop();
-    lp.run(2).unwrap();
-    let bytes = lp.save_bytes();
-    let save_ns = time_ns_min(iters, || {
-        black_box(lp.save_bytes().len());
-    });
-    out.push(Record {
-        group: "recovery",
-        name: "checkpoint_v2_save".into(),
-        iters,
-        ns_per_iter: save_ns,
-        extra: vec![("bytes", bytes.len().to_string())],
-    });
-    let cfg = lp.config().clone();
-    let load_ns = time_ns_min(iters, || {
-        let restored = TrainLoop::resume_bytes(&bytes, cfg.clone()).unwrap();
-        black_box(restored.step());
-    });
-    out.push(Record {
-        group: "recovery",
-        name: "checkpoint_v2_load".into(),
-        iters,
-        ns_per_iter: load_ns,
-        extra: vec![("bytes", bytes.len().to_string())],
-    });
-
-    // Checkpoint v3: sharded saves with per-layer version counters. The
-    // full save writes every shard; the delta writes only the shards
-    // whose version advanced — here 2 of 16 layers (1/8 of the model),
-    // the regime delta checkpoints exist for. The time and byte ratios
-    // versus the monolithic v2 save of the same state land in the
-    // report so the diff barometer tracks them.
+    // Checkpoints: sharded saves with per-layer version counters (Adam:
+    // every shard carries two moment buffers). The full save writes
+    // every shard; the delta writes only the shards whose version
+    // advanced — here 2 of 16 layers (1/8 of the model), the regime
+    // delta checkpoints exist for. The delta's time and byte ratios
+    // versus the full save of the same state land in the report so the
+    // diff barometer tracks them.
     let deep_dims: Vec<usize> = if smoke {
         let mut d = vec![5];
         d.extend(std::iter::repeat_n(8, 15));
@@ -530,17 +502,6 @@ fn recovery_benches(smoke: bool, out: &mut Vec<Record>, recovery_log: Option<&st
     let mut versions = since.clone();
     versions[0] = 2;
     versions[n_shards / 2] = 2;
-    let v2_deep = state_to_bytes(&deep_state);
-    let v2_deep_ns = time_ns_min(iters, || {
-        black_box(state_to_bytes(&deep_state).len());
-    });
-    out.push(Record {
-        group: "recovery",
-        name: "checkpoint_v2_save_16layer".into(),
-        iters,
-        ns_per_iter: v2_deep_ns,
-        extra: vec![("bytes", v2_deep.len().to_string())],
-    });
     let full = v3_full_to_bytes(&deep_state, &partition, &since, 1);
     let full_ns = time_ns_min(iters, || {
         black_box(v3_full_to_bytes(&deep_state, &partition, &since, 1).len());
@@ -564,10 +525,7 @@ fn recovery_benches(smoke: bool, out: &mut Vec<Record>, recovery_log: Option<&st
         extra: vec![
             ("bytes", delta.len().to_string()),
             ("changed_shards", format!("\"2/{n_shards}\"")),
-            (
-                "speedup_vs_v2_full",
-                json_f64(v2_deep_ns / delta_ns.max(1.0)),
-            ),
+            ("speedup_vs_full", json_f64(full_ns / delta_ns.max(1.0))),
             (
                 "bytes_ratio_vs_full",
                 json_f64(delta.len() as f64 / full.len() as f64),
@@ -587,9 +545,8 @@ fn recovery_benches(smoke: bool, out: &mut Vec<Record>, recovery_log: Option<&st
         extra: vec![("chain_len", v3_chain.len().to_string())],
     });
 
-    // Transactional supervised step, never faulted: the price of the
-    // pre-step snapshot relative to a bare pipeline step is what the
-    // alloc-count tests keep at zero allocations.
+    // Supervised step, never faulted: the clean path pays no state
+    // copy, only the supervisor's bookkeeping on top of `try_step`.
     let mut sup = Supervisor::new(mk_loop(), RetryPolicy::default());
     let clean_ns = time_ns_min(iters, || {
         let s = sup.step_with(&mut |_, _| FaultPlan::new()).unwrap();
@@ -603,15 +560,24 @@ fn recovery_benches(smoke: bool, out: &mut Vec<Record>, recovery_log: Option<&st
         extra: vec![("retries", sup.metrics().retries.to_string())],
     });
 
-    // A step whose first attempt panics mid-pipeline and is replayed:
-    // rollback + retry, measured end to end.
+    // A step whose first attempt panics mid-pipeline and is replayed,
+    // measured end to end and split by cause: the supervisor asks for
+    // attempt 1's fault plan when attempt 0 is over, so the time between
+    // the two asks is the wasted attempt (its compute up to the panic,
+    // the join, the rewind and the retry bookkeeping); the rewind alone
+    // is what the loop itself timed.
     let mut sup = Supervisor::new(mk_loop(), RetryPolicy::default());
+    let mut attempt_0 = Instant::now();
+    let mut wasted_attempt_ns = f64::INFINITY;
     let recovered_ns = time_ns_min(iters, || {
         let s = sup
             .step_with(&mut |_, attempt| {
                 if attempt == 0 {
+                    attempt_0 = Instant::now();
                     FaultPlan::new().with_fault(1, 0, 3, FaultKind::Panic)
                 } else {
+                    wasted_attempt_ns =
+                        wasted_attempt_ns.min(attempt_0.elapsed().as_nanos() as f64);
                     FaultPlan::new()
                 }
             })
@@ -619,6 +585,15 @@ fn recovery_benches(smoke: bool, out: &mut Vec<Record>, recovery_log: Option<&st
         black_box(s.loss);
     });
     let m = sup.metrics();
+    let rollback_ns = sup
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            RecoveryEventKind::Rollback { ns } => Some(ns),
+            _ => None,
+        })
+        .min()
+        .unwrap_or(0);
     out.push(Record {
         group: "recovery",
         name: "supervised_step_recovered".into(),
@@ -629,6 +604,8 @@ fn recovery_benches(smoke: bool, out: &mut Vec<Record>, recovery_log: Option<&st
                 "overhead_pct",
                 json_f64((recovered_ns - clean_ns) / clean_ns.max(1.0) * 100.0),
             ),
+            ("wasted_attempt_ns", json_f64(wasted_attempt_ns)),
+            ("rollback_ns", rollback_ns.to_string()),
             ("retries", m.retries.to_string()),
             ("rollbacks", m.rollbacks.to_string()),
             ("mttr_virtual_us", json_f64(m.mttr_virtual_us)),

@@ -13,11 +13,10 @@
 
 use crate::topology::Cluster;
 use dapple_core::{DeviceId, MachineId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The three device-assignment policies (§IV-B, Fig. 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlacementPolicy {
     /// Allocate GPUs from a fresh (fully unoccupied) machine.
     FreshFirst,

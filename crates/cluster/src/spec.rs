@@ -1,10 +1,9 @@
 //! Device and link specifications.
 
 use dapple_core::Bytes;
-use serde::{Deserialize, Serialize};
 
 /// An accelerator's capabilities.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceSpec {
     /// Effective sustained fp32 throughput in FLOPs/s.
     pub flops: f64,
@@ -35,7 +34,7 @@ impl Default for DeviceSpec {
 }
 
 /// A point-to-point link class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interconnect {
     /// Unidirectional bandwidth in bytes/s.
     pub bandwidth: f64,

@@ -2,7 +2,6 @@
 
 use crate::spec::{DeviceSpec, Interconnect};
 use dapple_core::{DeviceId, MachineId};
-use serde::{Deserialize, Serialize};
 
 /// A homogeneous cluster: `machines[m]` devices on machine `m`, one device
 /// spec, one intra-machine link class and one inter-machine link class.
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// Device ids are assigned machine-major: machine 0 owns devices
 /// `0..machines[0]`, machine 1 the next `machines[1]`, and so on — the same
 /// numbering as the paper's Fig. 5.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     /// Descriptive name, e.g. `"Config-A (2x8)"`.
     pub name: String,

@@ -5,9 +5,10 @@
 //! by `chrome://tracing` and <https://ui.perfetto.dev>. The writer lives
 //! here so the two exporters cannot drift: each side lowers its own task
 //! records into [`ChromeEvent`]s and hands an iterator to
-//! [`chrome_trace_json`]. Written by hand — no JSON dependency — and
-//! escaped conservatively.
+//! [`chrome_trace_json`]. Written by hand — no JSON dependency — with
+//! strings escaped by [`crate::json::escape_into`].
 
+use crate::json::escape_into;
 use std::fmt::Write as _;
 
 /// A typed value inside an event's `"args"` object.
@@ -38,23 +39,6 @@ pub struct ChromeEvent {
     pub tid: usize,
     /// `"args"` entries, emitted in order. Empty means no `"args"` object.
     pub args: Vec<(&'static str, ChromeArg)>,
-}
-
-/// Escapes a string for inclusion inside a JSON string literal.
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
 }
 
 /// Serializes events as a Chrome Trace Event JSON array.

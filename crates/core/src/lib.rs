@@ -16,6 +16,8 @@
 //! * the shared Chrome Trace Event writer ([`chrome`]) and the
 //!   warmup/steady/tail phase decomposition ([`phase`]) used by both the
 //!   simulated and the measured timelines;
+//! * the one JSON parser and string escaper ([`json`]) every hand-written
+//!   emitter and every report reader goes through;
 //! * the zero-steady-state-allocation run-metrics registry and JSONL
 //!   [`metrics::RunLog`] the engine feeds each training step;
 //! * the workspace-wide error type [`DappleError`].
@@ -23,6 +25,7 @@
 pub mod chrome;
 pub mod error;
 pub mod ids;
+pub mod json;
 pub mod metrics;
 pub mod phase;
 pub mod plan;

@@ -12,12 +12,11 @@
 //!   devices and the second on `Q`.
 
 use crate::ids::DeviceId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Range;
 
 /// One pipeline stage: a contiguous layer range replicated over devices.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StagePlan {
     /// Half-open range of layer indices `[start, end)` assigned to the stage.
     pub layers: Range<usize>,
@@ -45,7 +44,7 @@ impl StagePlan {
 }
 
 /// Coarse classification of a plan, matching the paper's notation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanKind {
     /// Single stage replicated on all devices: pure data parallelism.
     DataParallel,
@@ -80,7 +79,7 @@ impl fmt::Display for PlanKind {
 /// assert_eq!(plan.split_notation(), "24 : 24");
 /// plan.validate(48, 16).unwrap();
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Plan {
     /// Pipeline stages in order. Never empty for a valid plan.
     pub stages: Vec<StagePlan>,

@@ -4,15 +4,12 @@
 //! constantly; dedicated newtypes keep units straight and give uniform
 //! formatting ("2.56 GB", "13.4 ms") in reports.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// A byte count (tensor size, memory footprint, traffic volume).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Bytes(pub u64);
 
 pub const KIB: u64 = 1024;
@@ -163,7 +160,7 @@ impl fmt::Display for Bytes {
 /// `f64` microseconds cover every scale this project needs (sub-microsecond
 /// link latencies up to multi-second training iterations) with plenty of
 /// precision, and keep the simulator's arithmetic branch-free.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct TimeUs(pub f64);
 
 impl TimeUs {

@@ -1,58 +1,47 @@
-//! Dependency-free binary checkpointing for engine models and full
-//! training state.
-//!
-//! Three tiny, versioned little-endian formats share one header:
+//! Dependency-free binary checkpointing of full training state: one
+//! versioned little-endian format, sharded per layer and delta-capable.
 //!
 //! ```text
-//! v1 (model only):
-//!   magic "DAPL" | version=1 u32 | n_layers u32 |
-//!     per layer: in u32 | out u32 | act u8 | weights f32* | bias f32*
-//!
-//! v2 (full training state):
-//!   magic "DAPL" | version=2 u32 | n_layers u32 | layers (as v1) |
-//!   opt u8 (0=SGD lr | 1=Momentum lr beta velocity* | 2=Adam lr b1 b2
-//!           eps t m* v*)  — state buffer lengths are implied by the
-//!           layer dims, so the format has no attacker-controlled sizes |
-//!   step u64 | data_seed u64 | data_cursor u64 | batch_samples u32 |
-//!   fnv1a64 u64 over every preceding byte
-//!
-//! v3 (sharded training state, delta-capable):
-//!   magic "DAPL" | version=3 u32 | kind u8 (0=full, 1=delta) |
-//!   save_id u64 | base_id u64 (the full save a delta builds on; equal
-//!     to save_id for a full save) |
-//!   step u64 | data_seed u64 | data_cursor u64 | batch_samples u32 |
-//!   n_stages u32 | per stage: start u32 | end u32 | replication u32
-//!     (the *active* partition — a checkpoint taken while degraded
-//!      restores the degraded pipeline, not the original one) |
-//!   n_layers u32 | per layer: in u32 | out u32 | act u8 |
-//!   opt u8 + scalars (0: lr | 1: lr beta | 2: lr b1 b2 eps t) |
-//!   n_shards u32 | header fnv1a64 u64 over every preceding byte |
-//!   per shard: layer u32 | version u64 |
-//!     payload f32*: weights, bias, then one optimizer buffer per
-//!       moment (velocity, or Adam m then v), each `num_params` long |
-//!     shard fnv1a64 u64 over the record (layer through payload)
+//! magic "DAPL" | version=3 u32 | kind u8 (0=full, 1=delta) |
+//! save_id u64 | base_id u64 (the full save a delta builds on; equal
+//!   to save_id for a full save) |
+//! step u64 | data_seed u64 | data_cursor u64 | batch_samples u32 |
+//! n_stages u32 | per stage: start u32 | end u32 | replication u32
+//!   (the *active* partition — a checkpoint taken while degraded
+//!    restores the degraded pipeline, not the original one) |
+//! n_layers u32 | per layer: in u32 | out u32 | act u8 |
+//! opt u8 + scalars (0: lr | 1: lr beta | 2: lr b1 b2 eps t) |
+//! n_shards u32 | header fnv1a64 u64 over every preceding byte |
+//! per shard: layer u32 | version u64 |
+//!   payload f32*: weights, bias, then one optimizer buffer per
+//!     moment (velocity, or Adam m then v), each `num_params` long |
+//!   shard fnv1a64 u64 over the record (layer through payload)
 //! ```
 //!
 //! Training through a pipeline is only trustworthy if the state can
 //! round-trip exactly, so encoding preserves every bit of every `f32` —
 //! including optimizer moments, whose loss would silently change the
-//! trajectory after a resume. v2 ends with an FNV-1a checksum so that a
-//! corrupted file is rejected as [`DappleError::InvalidConfig`] instead
-//! of resuming from silently-wrong weights. All size arithmetic on the
-//! read path is checked: a crafted header can never drive a huge
-//! allocation or an offset overflow (bounds are validated against the
-//! actual remaining bytes before any buffer is reserved).
+//! trajectory after a resume. Payload lengths are implied by the layer
+//! dims in the checksummed header, and all size arithmetic on the read
+//! path is checked: a crafted header can never drive a huge allocation
+//! or an offset overflow (bounds are validated against the bytes
+//! actually remaining before any buffer is reserved). A header carrying
+//! any other version — including the retired formats 1 and 2 — is
+//! rejected as unsupported before anything else is read.
 //!
-//! v3 splits the state into **per-layer shards** carrying monotonic
-//! version counters. [`v3_delta_to_bytes`] writes only the shards whose
-//! version advanced since the previous save — O(changed shards), not
-//! O(model) — and [`v3_chain_to_state`] merges a full base plus its
-//! delta chain back into a [`TrainState`]. Every shard carries its own
-//! checksum, so corruption is rejected with a structured
-//! [`DappleError::ShardCorrupt`] *naming the bad shard* instead of a
-//! whole-file error (the file-level checksum covers only the header).
-//! [`CheckpointStore`] layers a directory convention on top, with
-//! coordination-free GC of deltas obsoleted by a newer full save.
+//! The state is split into **per-layer shards** carrying monotonic
+//! version counters (PipeDream checkpoints per stage with no global
+//! coordination; this is that design at layer granularity).
+//! [`v3_full_to_bytes`] writes every shard; [`v3_delta_to_bytes`] writes
+//! only the shards whose version advanced since the previous save —
+//! O(changed shards), not O(model) — and [`v3_chain_to_state`] merges a
+//! full base plus its delta chain back into a [`TrainState`]. Every
+//! shard carries its own checksum, so corruption is rejected with a
+//! structured [`DappleError::ShardCorrupt`] *naming the bad shard*
+//! instead of a whole-file error (the file-level checksum covers only
+//! the header). [`CheckpointStore`] layers a directory convention on
+//! top, with coordination-free GC of deltas obsoleted by a newer full
+//! save.
 
 use crate::layer::{Activation, Dense};
 use crate::model::MlpModel;
@@ -63,11 +52,9 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"DAPL";
-const V1: u32 = 1;
-const V2: u32 = 2;
 const V3: u32 = 3;
 
-/// Upper bound accepted for `n_stages` on the v3 read path.
+/// Upper bound accepted for `n_stages` on the read path.
 const MAX_STAGES: usize = 1 << 16;
 
 /// Everything a training run needs to continue bit-identically: the
@@ -88,303 +75,6 @@ pub struct TrainState {
     /// Samples per global batch.
     pub batch_samples: u32,
 }
-
-/// Serializes a model to bytes (v1: weights only, kept for
-/// compatibility with pre-recovery checkpoints).
-pub fn to_bytes(model: &MlpModel) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + model.num_params() * 4);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&V1.to_le_bytes());
-    write_model(&mut out, model);
-    out
-}
-
-/// Serializes full training state to bytes (v2, checksummed).
-pub fn state_to_bytes(state: &TrainState) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32 + state.model.num_params() * 16);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&V2.to_le_bytes());
-    write_model(&mut out, &state.model);
-    match &state.optimizer {
-        Optimizer::Sgd { lr } => {
-            out.push(0);
-            out.extend_from_slice(&lr.to_le_bytes());
-        }
-        Optimizer::Momentum { lr, beta, velocity } => {
-            out.push(1);
-            out.extend_from_slice(&lr.to_le_bytes());
-            out.extend_from_slice(&beta.to_le_bytes());
-            write_bufs(&mut out, velocity);
-        }
-        Optimizer::Adam {
-            lr,
-            beta1,
-            beta2,
-            eps,
-            t,
-            m,
-            v,
-        } => {
-            out.push(2);
-            out.extend_from_slice(&lr.to_le_bytes());
-            out.extend_from_slice(&beta1.to_le_bytes());
-            out.extend_from_slice(&beta2.to_le_bytes());
-            out.extend_from_slice(&eps.to_le_bytes());
-            out.extend_from_slice(&t.to_le_bytes());
-            write_bufs(&mut out, m);
-            write_bufs(&mut out, v);
-        }
-    }
-    out.extend_from_slice(&state.step.to_le_bytes());
-    out.extend_from_slice(&state.data_seed.to_le_bytes());
-    out.extend_from_slice(&state.data_cursor.to_le_bytes());
-    out.extend_from_slice(&state.batch_samples.to_le_bytes());
-    let sum = fnv1a64(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
-    out
-}
-
-/// Reconstructs a model from bytes produced by [`to_bytes`] (v1) or
-/// [`state_to_bytes`] (v2 — the optimizer and cursors are dropped).
-pub fn from_bytes(bytes: &[u8]) -> Result<MlpModel> {
-    match read_version(bytes)? {
-        V1 => {
-            let mut cur = Cursor {
-                bytes,
-                pos: MAGIC.len() + 4,
-            };
-            let model = read_model(&mut cur)?;
-            if cur.pos != bytes.len() {
-                return Err(DappleError::InvalidConfig(format!(
-                    "trailing {} bytes in checkpoint",
-                    bytes.len() - cur.pos
-                )));
-            }
-            Ok(model)
-        }
-        _ => Ok(state_from_bytes(bytes)?.model),
-    }
-}
-
-/// Reconstructs full training state from bytes produced by
-/// [`state_to_bytes`]. v1 files are model-only and are rejected here —
-/// load them with [`from_bytes`] and rebuild the optimizer explicitly
-/// (the training trajectory after such a resume is *not* identical,
-/// which is exactly why v2 exists).
-pub fn state_from_bytes(bytes: &[u8]) -> Result<TrainState> {
-    match read_version(bytes)? {
-        V1 => Err(DappleError::InvalidConfig(
-            "v1 checkpoint carries no optimizer/cursor state; \
-             load it with from_bytes and rebuild the optimizer"
-                .into(),
-        )),
-        V3 => Ok(v3_chain_to_state(&[bytes])?.state),
-        _ => {
-            // Integrity first: a v2 file must checksum before any field
-            // is trusted.
-            if bytes.len() < MAGIC.len() + 4 + 8 {
-                return Err(DappleError::InvalidConfig("truncated checkpoint".into()));
-            }
-            let body = &bytes[..bytes.len() - 8];
-            let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8 bytes"));
-            let computed = fnv1a64(body);
-            if stored != computed {
-                return Err(DappleError::InvalidConfig(format!(
-                    "checkpoint checksum mismatch: stored {stored:#018x}, \
-                     computed {computed:#018x}"
-                )));
-            }
-            let mut cur = Cursor {
-                bytes: body,
-                pos: MAGIC.len() + 4,
-            };
-            let model = read_model(&mut cur)?;
-            let optimizer = read_optimizer(&mut cur, &model)?;
-            let step = cur.u64()?;
-            let data_seed = cur.u64()?;
-            let data_cursor = cur.u64()?;
-            let batch_samples = cur.u32()?;
-            if cur.pos != body.len() {
-                return Err(DappleError::InvalidConfig(format!(
-                    "trailing {} bytes in checkpoint",
-                    body.len() - cur.pos
-                )));
-            }
-            Ok(TrainState {
-                model,
-                optimizer,
-                step,
-                data_seed,
-                data_cursor,
-                batch_samples,
-            })
-        }
-    }
-}
-
-/// Validates the magic and returns the (supported) format version.
-fn read_version(bytes: &[u8]) -> Result<u32> {
-    let mut cur = Cursor { bytes, pos: 0 };
-    let magic = cur.take(4)?;
-    if magic != MAGIC {
-        return Err(DappleError::InvalidConfig("bad checkpoint magic".into()));
-    }
-    let version = cur.u32()?;
-    if version != V1 && version != V2 && version != V3 {
-        return Err(DappleError::InvalidConfig(format!(
-            "unsupported checkpoint version {version}"
-        )));
-    }
-    Ok(version)
-}
-
-/// Writes `n_layers` and the per-layer records (shared by v1 and v2).
-fn write_model(out: &mut Vec<u8>, model: &MlpModel) {
-    out.extend_from_slice(&(model.layers.len() as u32).to_le_bytes());
-    for layer in &model.layers {
-        out.extend_from_slice(&(layer.in_dim() as u32).to_le_bytes());
-        out.extend_from_slice(&(layer.out_dim() as u32).to_le_bytes());
-        out.push(match layer.act {
-            Activation::Identity => 0,
-            Activation::Relu => 1,
-            Activation::Tanh => 2,
-        });
-        for v in &layer.w.data {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for v in &layer.b {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-}
-
-/// Writes flat per-layer state buffers (lengths implied by layer dims).
-fn write_bufs(out: &mut Vec<u8>, bufs: &[Vec<f32>]) {
-    for buf in bufs {
-        for v in buf {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-}
-
-/// Reads the layer section. Every size computation is checked and
-/// validated against the bytes actually present *before* any buffer is
-/// reserved, so a crafted header cannot request a multi-GB allocation.
-fn read_model(cur: &mut Cursor<'_>) -> Result<MlpModel> {
-    let n_layers = cur.u32()? as usize;
-    if n_layers == 0 || n_layers > 1 << 20 {
-        return Err(DappleError::InvalidConfig(format!(
-            "implausible layer count {n_layers}"
-        )));
-    }
-    let mut layers = Vec::with_capacity(n_layers.min(1024));
-    for _ in 0..n_layers {
-        let in_dim = cur.u32()? as usize;
-        let out_dim = cur.u32()? as usize;
-        let act = match cur.u8()? {
-            0 => Activation::Identity,
-            1 => Activation::Relu,
-            2 => Activation::Tanh,
-            a => {
-                return Err(DappleError::InvalidConfig(format!(
-                    "unknown activation tag {a}"
-                )))
-            }
-        };
-        let n_w = checked_params(in_dim, out_dim)?;
-        // The payload must actually be present before reserving room
-        // for it — this is the total-size sanity bound.
-        let need = (n_w + out_dim)
-            .checked_mul(4)
-            .ok_or_else(|| DappleError::InvalidConfig("layer size overflows".into()))?;
-        if need > cur.remaining() {
-            return Err(DappleError::InvalidConfig(format!(
-                "layer claims {need} payload bytes, only {} remain",
-                cur.remaining()
-            )));
-        }
-        let mut w = Vec::with_capacity(n_w);
-        for _ in 0..n_w {
-            w.push(cur.f32()?);
-        }
-        let mut b = Vec::with_capacity(out_dim);
-        for _ in 0..out_dim {
-            b.push(cur.f32()?);
-        }
-        layers.push(Dense {
-            w: Tensor::from_vec(in_dim, out_dim, w),
-            b,
-            act,
-        });
-    }
-    Ok(MlpModel { layers })
-}
-
-/// `in_dim * out_dim` with overflow checking.
-fn checked_params(in_dim: usize, out_dim: usize) -> Result<usize> {
-    in_dim
-        .checked_mul(out_dim)
-        .ok_or_else(|| DappleError::InvalidConfig("layer dims overflow".into()))
-}
-
-/// Reads the v2 optimizer section; buffer lengths come from the
-/// already-validated model dims, never from the file.
-fn read_optimizer(cur: &mut Cursor<'_>, model: &MlpModel) -> Result<Optimizer> {
-    match cur.u8()? {
-        0 => Ok(Optimizer::Sgd { lr: cur.f32()? }),
-        1 => {
-            let lr = cur.f32()?;
-            let beta = cur.f32()?;
-            let velocity = read_bufs(cur, model)?;
-            Ok(Optimizer::Momentum { lr, beta, velocity })
-        }
-        2 => {
-            let lr = cur.f32()?;
-            let beta1 = cur.f32()?;
-            let beta2 = cur.f32()?;
-            let eps = cur.f32()?;
-            let t = cur.u64()?;
-            let m = read_bufs(cur, model)?;
-            let v = read_bufs(cur, model)?;
-            Ok(Optimizer::Adam {
-                lr,
-                beta1,
-                beta2,
-                eps,
-                t,
-                m,
-                v,
-            })
-        }
-        tag => Err(DappleError::InvalidConfig(format!(
-            "unknown optimizer tag {tag}"
-        ))),
-    }
-}
-
-/// Reads one flat state buffer per layer, sized like its parameters.
-fn read_bufs(cur: &mut Cursor<'_>, model: &MlpModel) -> Result<Vec<Vec<f32>>> {
-    let mut bufs = Vec::with_capacity(model.layers.len());
-    for layer in &model.layers {
-        let n = layer.num_params();
-        let need = n
-            .checked_mul(4)
-            .ok_or_else(|| DappleError::InvalidConfig("state size overflows".into()))?;
-        if need > cur.remaining() {
-            return Err(DappleError::InvalidConfig("truncated checkpoint".into()));
-        }
-        let mut buf = Vec::with_capacity(n);
-        for _ in 0..n {
-            buf.push(cur.f32()?);
-        }
-        bufs.push(buf);
-    }
-    Ok(bufs)
-}
-
-// ---------------------------------------------------------------------
-// v3: sharded, versioned, delta-capable checkpoints.
-// ---------------------------------------------------------------------
 
 /// Whether a v3 file carries the whole state or only changed shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -644,24 +334,8 @@ struct V3File {
 /// [`DappleError::InvalidConfig`]; shard corruption is a structured
 /// [`DappleError::ShardCorrupt`] naming the bad shard.
 fn parse_v3(bytes: &[u8]) -> Result<V3File> {
-    if read_version(bytes)? != V3 {
-        return Err(DappleError::InvalidConfig("not a v3 checkpoint".into()));
-    }
-    let mut cur = Cursor {
-        bytes,
-        pos: MAGIC.len() + 4,
-    };
-    let kind = match cur.u8()? {
-        0 => SaveKind::Full,
-        1 => SaveKind::Delta,
-        k => {
-            return Err(DappleError::InvalidConfig(format!(
-                "unknown v3 save kind {k}"
-            )))
-        }
-    };
-    let save_id = cur.u64()?;
-    let base_id = cur.u64()?;
+    let mut cur = Cursor { bytes, pos: 0 };
+    let (kind, save_id, base_id) = read_identity(&mut cur)?;
     if (kind == SaveKind::Full) != (save_id == base_id) {
         return Err(DappleError::InvalidConfig(format!(
             "v3 kind/base mismatch: kind {kind:?}, save_id {save_id}, base_id {base_id}"
@@ -712,7 +386,6 @@ fn parse_v3(bytes: &[u8]) -> Result<V3File> {
                 )))
             }
         };
-        checked_params(in_dim, out_dim)?;
         dims.push((in_dim, out_dim, act));
     }
     let partition = Partition {
@@ -776,13 +449,20 @@ fn parse_v3(bytes: &[u8]) -> Result<V3File> {
         }
         seen[layer] = true;
         let version = cur.u64()?;
+        // The payload length comes from header dims a crafted file
+        // controls: checked arithmetic, then bounded by the bytes that
+        // are actually there, before any buffer is reserved.
         let (in_dim, out_dim, _) = dims[layer];
-        let n_params = checked_params(in_dim, out_dim)? + out_dim;
-        let n_f32 = n_params * (1 + opt.num_bufs());
-        let need = n_f32
-            .checked_mul(4)
-            .and_then(|n| n.checked_add(8))
-            .ok_or_else(|| DappleError::InvalidConfig("shard size overflows".into()))?;
+        let n_params = in_dim
+            .checked_mul(out_dim)
+            .and_then(|n| n.checked_add(out_dim));
+        let need = n_params
+            .and_then(|n| n.checked_mul(1 + opt.num_bufs()))
+            .and_then(|n| n.checked_mul(4))
+            .and_then(|n| n.checked_add(8));
+        let (Some(n_params), Some(need)) = (n_params, need) else {
+            return Err(corrupt(layer, "shard size overflows".into()));
+        };
         if need > cur.remaining() {
             return Err(corrupt(
                 layer,
@@ -860,27 +540,18 @@ pub fn v3_chain_to_state<B: AsRef<[u8]>>(chain: &[B]) -> Result<ShardedState> {
     let Some((base_bytes, deltas)) = chain.split_first() else {
         return Err(DappleError::InvalidConfig("empty checkpoint chain".into()));
     };
-    let base = parse_v3(base_bytes.as_ref())?;
-    if base.kind != SaveKind::Full {
+    let mut newest = parse_v3(base_bytes.as_ref())?;
+    if newest.kind != SaveKind::Full {
         return Err(DappleError::InvalidConfig(
             "checkpoint chain must start with a full save".into(),
         ));
     }
-    let n_layers = base.dims.len();
-    let mut shards: Vec<V3Shard> = Vec::with_capacity(n_layers);
-    // A full save covers every layer exactly once; index by layer.
-    let mut by_layer: Vec<usize> = vec![usize::MAX; n_layers];
-    for shard in base.shards {
-        by_layer[shard.layer] = shards.len();
-        shards.push(shard);
-    }
-    let mut newest = V3File {
-        shards: Vec::new(),
-        ..base
-    };
-    let mut last_id = newest.save_id;
+    // A full save carries every layer exactly once (`parse_v3` checked),
+    // so sorted by layer the shards are indexed by it.
+    let mut shards = std::mem::take(&mut newest.shards);
+    shards.sort_by_key(|s| s.layer);
     for bytes in deltas {
-        let delta = parse_v3(bytes.as_ref())?;
+        let mut delta = parse_v3(bytes.as_ref())?;
         if delta.kind != SaveKind::Delta {
             return Err(DappleError::InvalidConfig(
                 "checkpoint chain has a second full save; start a new chain".into(),
@@ -892,10 +563,10 @@ pub fn v3_chain_to_state<B: AsRef<[u8]>>(chain: &[B]) -> Result<ShardedState> {
                 delta.save_id, delta.base_id, newest.base_id
             )));
         }
-        if delta.save_id <= last_id {
+        if delta.save_id <= newest.save_id {
             return Err(DappleError::InvalidConfig(format!(
-                "delta save ids must increase: {} after {last_id}",
-                delta.save_id
+                "delta save ids must increase: {} after {}",
+                delta.save_id, newest.save_id
             )));
         }
         if delta.dims != newest.dims {
@@ -908,23 +579,8 @@ pub fn v3_chain_to_state<B: AsRef<[u8]>>(chain: &[B]) -> Result<ShardedState> {
                 "delta optimizer kind differs from the chain base".into(),
             ));
         }
-        last_id = delta.save_id;
-        let V3File {
-            kind: _,
-            save_id,
-            base_id: _,
-            step,
-            data_seed,
-            data_cursor,
-            batch_samples,
-            partition,
-            dims: _,
-            opt,
-            shards: delta_shards,
-        } = delta;
-        for shard in delta_shards {
-            let slot = by_layer[shard.layer];
-            let current = &mut shards[slot];
+        for shard in std::mem::take(&mut delta.shards) {
+            let current = &mut shards[shard.layer];
             if shard.version < current.version {
                 return Err(DappleError::InvalidConfig(format!(
                     "shard for layer {} regressed from version {} to {}",
@@ -933,32 +589,17 @@ pub fn v3_chain_to_state<B: AsRef<[u8]>>(chain: &[B]) -> Result<ShardedState> {
             }
             *current = shard;
         }
-        newest.save_id = save_id;
-        newest.step = step;
-        newest.data_seed = data_seed;
-        newest.data_cursor = data_cursor;
-        newest.batch_samples = batch_samples;
-        newest.partition = partition;
-        newest.opt = opt;
+        // Everything but the shards comes from the newest file.
+        newest = delta;
     }
     // Assemble the model and optimizer from the merged shards.
+    let n_layers = newest.dims.len();
     let mut layers = Vec::with_capacity(n_layers);
     let mut versions = Vec::with_capacity(n_layers);
     let mut moment_bufs: Vec<Vec<Vec<f32>>> = (0..newest.opt.num_bufs())
         .map(|_| Vec::with_capacity(n_layers))
         .collect();
-    for (layer_idx, &(in_dim, out_dim, act)) in newest.dims.iter().enumerate() {
-        let slot = by_layer[layer_idx];
-        let shard = std::mem::replace(
-            &mut shards[slot],
-            V3Shard {
-                layer: 0,
-                version: 0,
-                w: Vec::new(),
-                b: Vec::new(),
-                bufs: Vec::new(),
-            },
-        );
+    for (&(in_dim, out_dim, act), shard) in newest.dims.iter().zip(shards) {
         versions.push(shard.version);
         layers.push(Dense {
             w: Tensor::from_vec(in_dim, out_dim, shard.w),
@@ -1009,17 +650,28 @@ pub fn v3_chain_to_state<B: AsRef<[u8]>>(chain: &[B]) -> Result<ShardedState> {
     })
 }
 
-/// Peeks the v3 identity of a file without parsing its body: returns
-/// `(kind, save_id, base_id)`. Errors on anything that is not a v3
-/// header — callers scanning a directory skip those files.
+/// Peeks the identity of a checkpoint file without parsing its body:
+/// returns `(kind, save_id, base_id)`. Errors on anything that does not
+/// start with a v3 header — callers scanning a directory skip those
+/// files.
 pub fn v3_peek(bytes: &[u8]) -> Result<(SaveKind, u64, u64)> {
-    if bytes.len() < 25 || read_version(bytes)? != V3 {
-        return Err(DappleError::InvalidConfig("not a v3 checkpoint".into()));
+    read_identity(&mut Cursor { bytes, pos: 0 })
+}
+
+/// Reads the fixed 25-byte head every checkpoint file starts with:
+/// magic, format version, save kind and the two save ids. Any version
+/// other than 3 is refused here, before a single field of the body is
+/// looked at.
+fn read_identity(cur: &mut Cursor<'_>) -> Result<(SaveKind, u64, u64)> {
+    if cur.take(MAGIC.len())? != MAGIC {
+        return Err(DappleError::InvalidConfig("bad checkpoint magic".into()));
     }
-    let mut cur = Cursor {
-        bytes,
-        pos: MAGIC.len() + 4,
-    };
+    let version = cur.u32()?;
+    if version != V3 {
+        return Err(DappleError::InvalidConfig(format!(
+            "unsupported checkpoint version {version}"
+        )));
+    }
     let kind = match cur.u8()? {
         0 => SaveKind::Full,
         1 => SaveKind::Delta,
@@ -1175,7 +827,7 @@ impl CheckpointStore {
     }
 }
 
-/// FNV-1a, 64-bit — dependency-free integrity check for v2 payloads.
+/// FNV-1a, 64-bit — dependency-free integrity check for headers and shards.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -1250,144 +902,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn round_trip_is_exact() {
-        let model = MlpModel::new(&[5, 9, 7, 3], 1234);
-        let bytes = to_bytes(&model);
-        let restored = from_bytes(&bytes).unwrap();
-        assert_eq!(model, restored);
-    }
-
-    #[test]
-    fn v2_round_trip_is_exact_for_all_optimizers() {
-        let model = MlpModel::new(&[5, 9, 3], 1234);
-        let (x, t) = data::regression_batch(16, 5, 3, 3);
-        let mks: [fn(&MlpModel) -> Optimizer; 3] = [
-            |_| Optimizer::sgd(0.1),
-            |m| Optimizer::momentum(0.1, 0.9, m),
-            |m| Optimizer::adam(0.01, m),
-        ];
-        for mk in mks {
-            let mut model = model.clone();
-            let mut opt = mk(&model);
-            // Train a little so the state buffers are non-trivial.
-            for _ in 0..4 {
-                let (_, grads) = model.reference_grads(&x, &t, 2);
-                opt.step(&mut model, &grads);
-            }
-            let state = state_with(opt, model);
-            let bytes = state_to_bytes(&state);
-            let restored = state_from_bytes(&bytes).unwrap();
-            assert_eq!(state, restored);
-            // The model is also extractable through the v1 entry point.
-            assert_eq!(from_bytes(&bytes).unwrap(), state.model);
-        }
-    }
-
-    #[test]
-    fn v1_files_still_load_but_carry_no_state() {
-        let model = MlpModel::new(&[4, 6, 2], 7);
-        let v1 = to_bytes(&model);
-        assert_eq!(from_bytes(&v1).unwrap(), model);
-        assert!(matches!(
-            state_from_bytes(&v1),
-            Err(DappleError::InvalidConfig(_))
-        ));
-    }
-
-    #[test]
-    fn rejects_bad_magic_and_truncation() {
-        let model = MlpModel::new(&[2, 2], 1);
-        let mut bytes = to_bytes(&model);
-        assert!(from_bytes(&bytes[..bytes.len() - 1]).is_err());
-        assert!(from_bytes(&bytes[..3]).is_err());
-        bytes[0] = b'X';
-        assert!(from_bytes(&bytes).is_err());
-    }
-
-    #[test]
-    fn rejects_trailing_garbage_and_bad_version() {
-        let model = MlpModel::new(&[2, 2], 1);
-        let mut bytes = to_bytes(&model);
-        bytes.push(0);
-        assert!(from_bytes(&bytes).is_err());
-        let mut bytes = to_bytes(&model);
-        bytes[4] = 99;
-        assert!(from_bytes(&bytes).is_err());
-    }
-
-    #[test]
-    fn rejects_unknown_activation() {
-        let model = MlpModel::new(&[2, 2], 1);
-        let mut bytes = to_bytes(&model);
-        // Activation tag of the first layer sits after magic+ver+count+dims.
-        bytes[4 + 4 + 4 + 8] = 7;
-        assert!(from_bytes(&bytes).is_err());
-    }
-
-    /// A crafted header claiming huge layer dims must be rejected by the
-    /// remaining-bytes bound before any large allocation is attempted —
-    /// this test would OOM or take minutes if `Vec::with_capacity` ran
-    /// on the attacker-controlled `in_dim * out_dim` product.
-    #[test]
-    fn adversarial_dims_rejected_before_allocation() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&V1.to_le_bytes());
-        bytes.extend_from_slice(&1u32.to_le_bytes()); // one layer
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // in_dim
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // out_dim
-        bytes.push(0); // activation
-        bytes.extend_from_slice(&[0u8; 64]); // far too few payload bytes
-        assert!(matches!(
-            from_bytes(&bytes),
-            Err(DappleError::InvalidConfig(_))
-        ));
-        // Same header under v2 (the checksum check fires first; append a
-        // valid checksum so the layer bound is what rejects it).
-        bytes[4..8].copy_from_slice(&V2.to_le_bytes());
-        let sum = fnv1a64(&bytes);
-        bytes.extend_from_slice(&sum.to_le_bytes());
-        assert!(matches!(
-            state_from_bytes(&bytes),
-            Err(DappleError::InvalidConfig(_))
-        ));
-    }
-
-    /// Every single-byte corruption of a v2 file must fail the checksum
-    /// (or an earlier structural check) — exhaustive over a small state.
-    #[test]
-    fn v2_detects_any_single_byte_corruption_exhaustively() {
-        let model = MlpModel::new(&[2, 3, 2], 5);
-        let opt = Optimizer::adam(0.01, &model);
-        let bytes = state_to_bytes(&state_with(opt, model));
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x01;
-            assert!(
-                matches!(state_from_bytes(&bad), Err(DappleError::InvalidConfig(_))),
-                "corruption at byte {i} was not rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn checkpoint_preserves_training_state() {
-        let mut model = MlpModel::new(&[4, 8, 2], 7);
-        let (x, t) = data::regression_batch(16, 4, 2, 7);
-        for _ in 0..5 {
-            model.reference_step(&x, &t, 2, 0.1);
-        }
-        let restored = from_bytes(&to_bytes(&model)).unwrap();
-        // Continuing training from the restored model is identical.
-        let mut a = model.clone();
-        let mut b = restored;
-        let la = a.reference_step(&x, &t, 2, 0.1).loss;
-        let lb = b.reference_step(&x, &t, 2, 0.1).loss;
-        assert_eq!(la, lb);
-        assert_eq!(a, b);
-    }
-
     fn part(bounds: &[Range<usize>], reps: &[usize]) -> Partition {
         Partition {
             stage_bounds: bounds.to_vec(),
@@ -1427,9 +941,6 @@ mod tests {
             assert_eq!(sharded.partition, partition);
             assert_eq!(sharded.versions, versions);
             assert_eq!(sharded.save_id, 42);
-            // v3 also loads through the generic entry points.
-            assert_eq!(state_from_bytes(&bytes).unwrap(), state);
-            assert_eq!(from_bytes(&bytes).unwrap(), state.model);
         }
     }
 
@@ -1489,7 +1000,6 @@ mod tests {
         let delta = v3_delta_to_bytes(&state, &partition, &v2s, &since, 11, 10);
         // A delta alone is not a resumable checkpoint.
         assert!(v3_chain_to_state(&[&delta]).is_err());
-        assert!(state_from_bytes(&delta).is_err());
         // A delta built on a different full save is rejected.
         let other = v3_full_to_bytes(&state, &partition, &versions, 20);
         assert!(v3_chain_to_state(&[&other, &delta]).is_err());
@@ -1550,6 +1060,112 @@ mod tests {
         }
     }
 
+    /// A small full save plus the offset of its header checksum, for
+    /// tests that patch a header field and must re-seal the header so
+    /// the field check — not the checksum — is what rejects the file.
+    fn small_full(optimizer: fn(&MlpModel) -> Optimizer) -> (Vec<u8>, usize) {
+        let model = MlpModel::new(&[2, 3, 2], 5);
+        let state = state_with(optimizer(&model), model);
+        let bytes = v3_full_to_bytes(&state, &part(&[0..2], &[1]), &[1, 1], 1);
+        let opt_len = match state.optimizer {
+            Optimizer::Sgd { .. } => 1 + 4,
+            Optimizer::Momentum { .. } => 1 + 8,
+            Optimizer::Adam { .. } => 1 + 16 + 8,
+        };
+        // two 9-byte layer records | opt | n_shards
+        (bytes, LAYER0 + 2 * 9 + opt_len + 4)
+    }
+
+    /// Offset of layer 0's `in u32 | out u32 | act u8` record: identity |
+    /// step, seed, cursor, batch | n_stages + 1 stage | n_layers.
+    const LAYER0: usize = 25 + 28 + (4 + 12) + 4;
+
+    fn reseal_header(bytes: &mut [u8], header_end: usize) {
+        let sum = fnv1a64(&bytes[..header_end]);
+        bytes[header_end..header_end + 8].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    #[test]
+    fn rejects_bad_magic_every_truncation_and_trailing_garbage() {
+        let (bytes, _) = small_full(|m| Optimizer::adam(0.01, m));
+        assert!(v3_chain_to_state(&[&bytes]).is_ok());
+        for len in 0..bytes.len() {
+            assert!(
+                v3_chain_to_state(&[&bytes[..len]]).is_err(),
+                "truncation to {len} bytes accepted"
+            );
+        }
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert!(v3_chain_to_state(&[&longer]).is_err());
+        let mut bad_magic = bytes;
+        bad_magic[0] = b'X';
+        assert!(v3_chain_to_state(&[&bad_magic]).is_err());
+        assert!(v3_peek(&bad_magic).is_err());
+    }
+
+    /// The retired formats (and any future one) are refused by version,
+    /// not handed to a parser: the error names the version whatever
+    /// follows the header.
+    #[test]
+    fn other_format_versions_are_unsupported_not_parsed() {
+        let (v3, _) = small_full(|_| Optimizer::sgd(0.1));
+        for version in [1u32, 2, 4, 99] {
+            for body in [&v3[8..], &[][..]] {
+                let mut bytes = Vec::from(*MAGIC);
+                bytes.extend_from_slice(&version.to_le_bytes());
+                bytes.extend_from_slice(body);
+                for got in [
+                    v3_chain_to_state(&[&bytes]).map(|_| ()),
+                    v3_peek(&bytes).map(|_| ()),
+                ] {
+                    assert_eq!(
+                        got,
+                        Err(DappleError::InvalidConfig(format!(
+                            "unsupported checkpoint version {version}"
+                        )))
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_unknown_activation() {
+        let (mut bytes, header_end) = small_full(|_| Optimizer::sgd(0.1));
+        bytes[LAYER0 + 8] = 7;
+        reseal_header(&mut bytes, header_end);
+        assert_eq!(
+            v3_chain_to_state(&[&bytes]),
+            Err(DappleError::InvalidConfig(
+                "unknown activation tag 7".into()
+            ))
+        );
+    }
+
+    /// A well-sealed header claiming huge layer dims must be rejected by
+    /// checked arithmetic and the remaining-bytes bound before any
+    /// allocation is attempted — this test would OOM, or overflow
+    /// `n_params * buffers`, if `Vec::with_capacity` ran on the
+    /// attacker-controlled `in_dim * out_dim` product.
+    #[test]
+    fn adversarial_dims_rejected_before_allocation() {
+        let mks: [fn(&MlpModel) -> Optimizer; 2] =
+            [|_| Optimizer::sgd(0.1), |m| Optimizer::adam(0.01, m)];
+        for mk in mks {
+            for dims in [[u32::MAX, u32::MAX], [1 << 15, 1 << 15]] {
+                let (mut bytes, header_end) = small_full(mk);
+                bytes[LAYER0..LAYER0 + 4].copy_from_slice(&dims[0].to_le_bytes());
+                bytes[LAYER0 + 4..LAYER0 + 8].copy_from_slice(&dims[1].to_le_bytes());
+                reseal_header(&mut bytes, header_end);
+                assert!(matches!(
+                    v3_chain_to_state(&[&bytes]),
+                    Err(DappleError::ShardCorrupt { layer: 0, .. })
+                ));
+            }
+        }
+    }
+
     #[test]
     fn checkpoint_store_saves_resumes_and_gcs() {
         let dir = std::env::temp_dir().join(format!(
@@ -1591,38 +1207,5 @@ mod tests {
         // Resume still lands on the newest full save.
         assert_eq!(store.resume().unwrap().save_id, 3);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The v1 test above only covers weights. With stateful optimizers a
-    /// v2 round-trip must also preserve momentum/Adam moments: continue
-    /// training on the original and the restored state and demand a
-    /// bit-identical trajectory (dropping the moments would visibly
-    /// diverge within a step or two).
-    #[test]
-    fn checkpoint_preserves_optimizer_state() {
-        let (x, t) = data::regression_batch(16, 4, 2, 7);
-        let mks: [fn(&MlpModel) -> Optimizer; 2] = [
-            |m| Optimizer::momentum(0.1, 0.9, m),
-            |m| Optimizer::adam(0.02, m),
-        ];
-        for mk in mks {
-            let mut model = MlpModel::new(&[4, 8, 2], 7);
-            let mut opt = mk(&model);
-            for _ in 0..5 {
-                let (_, grads) = model.reference_grads(&x, &t, 2);
-                opt.step(&mut model, &grads);
-            }
-            let state = state_with(opt, model);
-            let mut restored = state_from_bytes(&state_to_bytes(&state)).unwrap();
-            let mut orig = state.clone();
-            for _ in 0..3 {
-                for s in [&mut orig, &mut restored] {
-                    let (_, grads) = s.model.reference_grads(&x, &t, 2);
-                    s.optimizer.step(&mut s.model, &grads);
-                }
-                assert_eq!(orig.model, restored.model);
-                assert_eq!(orig.optimizer, restored.optimizer);
-            }
-        }
     }
 }

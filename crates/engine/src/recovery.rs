@@ -8,13 +8,17 @@
 //! closes the loop that fault *injection* (PR 1) opened:
 //!
 //! * [`TrainLoop`] drives a [`PipelineTrainer`] + [`Optimizer`] over a
-//!   deterministic [`DataStream`], and makes every step **transactional**:
-//!   model weights, optimizer state, the step counter and the data cursor
-//!   are snapshotted into reusable buffers before the step and restored
-//!   bit-exactly if anything fails — so a step that dies mid-flight
-//!   (including after the gradient AllReduce, in the optimizer apply
-//!   path) leaves no trace. Snapshots go through `clone_from`, so the
-//!   no-fault steady state allocates nothing for them after warmup.
+//!   deterministic [`DataStream`], and every step is **transactional by
+//!   construction**: DAPPLE is synchronous, so weights change exactly
+//!   once per step, after every micro-batch gradient has been
+//!   accumulated and AllReduced. The pipelined step borrows the model
+//!   shared (`PipelineTrainer::step_with_trace(&self)`), every injected
+//!   or real fault fires inside a worker, and the only mutation —
+//!   `Optimizer::step`, which cannot fail — runs after the step has
+//!   succeeded. A step that dies mid-flight has therefore touched
+//!   nothing but the data cursor, and rewinding that cursor is the
+//!   whole rollback; nothing is copied before or after a step. The
+//!   fault-matrix sweep in `tests/recovery.rs` pins the invariant.
 //! * [`Supervisor`] wraps the loop with a [`RetryPolicy`]: bounded
 //!   attempts, deterministic exponential backoff in **virtual time**
 //!   (recorded, never slept — tests stay fast and reproducible), and
@@ -25,9 +29,12 @@
 //!   gradient average is implicitly rescaled to the surviving replica
 //!   count, since every row is still processed exactly once), and the
 //!   reconfiguration is recorded as a [`RecoveryEventKind::ReplicaDropped`].
-//! * Checkpoint v2 ([`crate::checkpoint::state_to_bytes`]) carries the
-//!   full [`TrainState`]; [`TrainLoop::resume`] reproduces a trajectory
-//!   bit-identical to an uninterrupted run (asserted by the
+//! * Training state is kept exactly one way: live in the [`TrainLoop`],
+//!   serialized as a sharded checkpoint ([`crate::checkpoint`]).
+//!   [`TrainLoop::save`] writes a self-contained full save of the
+//!   current partition, the [`Supervisor`] a full save followed by
+//!   deltas; [`TrainLoop::resume_chain`] reads either and reproduces a
+//!   trajectory bit-identical to an uninterrupted run (asserted by the
 //!   kill-at-step-k proptests in `tests/recovery.rs`).
 //! * **Elastic recovery** ([`Supervisor::with_elastic`]) closes the
 //!   escalation ladder: *degraded → re-plan → migrate → full speed*.
@@ -36,7 +43,7 @@
 //!   elastic plan attached, the supervisor tracks which physical
 //!   devices the failures burned, asks the planner (via a replanner
 //!   callback, so the engine stays planner-agnostic) for a fresh plan
-//!   over the survivors, snapshots the loop through a **v3 delta
+//!   over the survivors, saves the loop through a **delta
 //!   checkpoint** ([`crate::checkpoint::v3_delta_to_bytes`]), tears the
 //!   old trainer down and rebuilds it in the re-planned shape — same
 //!   step, same data cursor, bit-identical weights. A stage that
@@ -62,6 +69,7 @@ use crate::pipeline::{EngineConfig, PipelineTrainer};
 use crate::runlog::RunRecorder;
 use crate::tensor::Tensor;
 use crate::trace::{RecoveryStepMetrics, StepMetrics, StepTrace};
+use dapple_core::json::escape_into;
 use dapple_core::{DappleError, DeviceId, Plan, Result};
 use std::time::Instant;
 
@@ -114,47 +122,6 @@ impl DataStream {
     }
 }
 
-/// Reusable pre-step snapshot: capture before, restore on failure.
-/// All copies go through `clone_from`, which reuses the existing
-/// allocations — after the first capture the transaction machinery
-/// performs no heap allocation on the no-fault path.
-#[derive(Debug)]
-struct TxSnapshot {
-    model: MlpModel,
-    optimizer: Optimizer,
-    step: u64,
-    cursor: u64,
-}
-
-impl TxSnapshot {
-    fn capture_into(slot: &mut Option<TxSnapshot>, loop_: &TrainLoopParts<'_>) {
-        match slot {
-            Some(tx) => {
-                tx.model.clone_from(loop_.model);
-                tx.optimizer.clone_from(loop_.optimizer);
-                tx.step = loop_.step;
-                tx.cursor = loop_.cursor;
-            }
-            None => {
-                *slot = Some(TxSnapshot {
-                    model: loop_.model.clone(),
-                    optimizer: loop_.optimizer.clone(),
-                    step: loop_.step,
-                    cursor: loop_.cursor,
-                });
-            }
-        }
-    }
-}
-
-/// Borrowed view of the mutable training state, for snapshotting.
-struct TrainLoopParts<'a> {
-    model: &'a MlpModel,
-    optimizer: &'a Optimizer,
-    step: u64,
-    cursor: u64,
-}
-
 /// A training loop with transactional steps and full-state
 /// checkpointing. See the module docs for the recovery story.
 pub struct TrainLoop {
@@ -162,7 +129,6 @@ pub struct TrainLoop {
     optimizer: Optimizer,
     data: DataStream,
     step: u64,
-    tx: Option<TxSnapshot>,
     /// Wall-clock cost of the most recent rollback, ns.
     last_rollback_ns: u64,
     /// Trace of the most recent *successful* step (tracing on only).
@@ -204,7 +170,6 @@ impl TrainLoop {
             optimizer,
             data: stream,
             step: 0,
-            tx: None,
             last_rollback_ns: 0,
             last_trace: None,
             recorder: None,
@@ -229,21 +194,17 @@ impl TrainLoop {
         Ok(lp)
     }
 
-    /// Resumes from checkpoint bytes of any version. For v3 files the
-    /// checkpointed partition **overrides** `cfg`'s stage bounds and
-    /// replication: a checkpoint taken while degraded resumes degraded,
-    /// not in the shape the caller remembers (see
-    /// [`TrainLoop::resume_chain`]).
+    /// Resumes from one self-contained (full) checkpoint file: a chain
+    /// of length one, see [`TrainLoop::resume_chain`].
     pub fn resume_bytes(bytes: &[u8], cfg: EngineConfig) -> Result<Self> {
-        if checkpoint::v3_peek(bytes).is_ok() {
-            return TrainLoop::resume_chain(&[bytes], cfg);
-        }
-        TrainLoop::from_state(checkpoint::state_from_bytes(bytes)?, cfg)
+        TrainLoop::resume_chain(&[bytes], cfg)
     }
 
-    /// Resumes from a v3 base + delta chain. The partition stored in the
-    /// newest file replaces `cfg.stage_bounds` / `cfg.replication`; all
-    /// other knobs (schedule, timeouts, NaN policy, ...) come from `cfg`.
+    /// Resumes from a full save + delta chain. The partition stored in
+    /// the newest file **overrides** `cfg.stage_bounds` /
+    /// `cfg.replication` — a checkpoint taken while degraded resumes
+    /// degraded, not in the shape the caller remembers; all other knobs
+    /// (schedule, timeouts, NaN policy, ...) come from `cfg`.
     pub fn resume_chain<B: AsRef<[u8]>>(chain: &[B], cfg: EngineConfig) -> Result<Self> {
         let sharded = checkpoint::v3_chain_to_state(chain)?;
         let mut cfg = cfg;
@@ -252,7 +213,7 @@ impl TrainLoop {
         TrainLoop::from_state(sharded.state, cfg)
     }
 
-    /// Resumes from a checkpoint file (any version).
+    /// Resumes from a full checkpoint file written by [`TrainLoop::save`].
     pub fn resume(path: &std::path::Path, cfg: EngineConfig) -> Result<Self> {
         let bytes = std::fs::read(path)
             .map_err(|e| DappleError::InvalidConfig(format!("cannot read checkpoint: {e}")))?;
@@ -349,12 +310,15 @@ impl TrainLoop {
         }
     }
 
-    /// Serializes the full state as v2 checkpoint bytes.
+    /// Serializes the full state as one self-contained checkpoint: a
+    /// full save of the current partition. Every step trains every
+    /// layer, so the step count is each shard's version and the save id.
     pub fn save_bytes(&self) -> Vec<u8> {
-        checkpoint::state_to_bytes(&self.state())
+        let versions = vec![self.step; self.trainer.model.layers.len()];
+        checkpoint::v3_full_to_bytes(&self.state(), &self.partition(), &versions, self.step)
     }
 
-    /// Writes a v2 checkpoint file.
+    /// Writes [`TrainLoop::save_bytes`] to a file.
     pub fn save(&self, path: &std::path::Path) -> Result<()> {
         std::fs::write(path, self.save_bytes())
             .map_err(|e| DappleError::InvalidConfig(format!("cannot write checkpoint: {e}")))
@@ -364,19 +328,13 @@ impl TrainLoop {
     ///
     /// All-or-nothing: on success the model, optimizer, step counter and
     /// data cursor advance together; on *any* failure every one of them
-    /// is restored bit-exactly to its pre-step value (so a retry re-reads
-    /// the same batch), and the error is returned untouched.
+    /// still holds its pre-step value (so a retry re-reads the same
+    /// batch), and the error is returned untouched.
+    // `step_with_trace(&self)` is what makes the step transactional: the
+    // model cannot change while the step can still fail.
     pub fn try_step(&mut self, faults: &FaultPlan) -> Result<StepStats> {
-        TxSnapshot::capture_into(
-            &mut self.tx,
-            &TrainLoopParts {
-                model: &self.trainer.model,
-                optimizer: &self.optimizer,
-                step: self.step,
-                cursor: self.data.cursor,
-            },
-        );
         let wall_t0 = self.recorder.as_ref().map(|_| Instant::now());
+        let cursor = self.data.cursor;
         let (x, t) = self.data.next_batch();
         let (result, trace) = self.trainer.step_with_trace(&x, &t, faults);
         match result {
@@ -405,23 +363,15 @@ impl TrainLoop {
                 })
             }
             Err(e) => {
+                // The batch draw is all a failed attempt did to the loop.
                 let t0 = Instant::now();
-                self.rollback();
+                self.data.cursor = cursor;
                 self.last_rollback_ns = t0.elapsed().as_nanos() as u64;
                 self.pending_recovery.retries += 1;
                 self.pending_recovery.rollback_ns += self.last_rollback_ns;
                 Err(e)
             }
         }
-    }
-
-    /// Restores the pre-step snapshot (model, optimizer, counters).
-    fn rollback(&mut self) {
-        let tx = self.tx.as_ref().expect("rollback without capture");
-        self.trainer.model.clone_from(&tx.model);
-        self.optimizer.clone_from(&tx.optimizer);
-        self.step = tx.step;
-        self.data.cursor = tx.cursor;
     }
 
     /// Runs `steps` fault-free transactional steps; returns the losses.
@@ -725,13 +675,6 @@ impl Supervisor {
         self.virtual_us
     }
 
-    /// The most recent in-memory checkpoint file (full or delta), if
-    /// any was taken. A delta alone is not resumable — see
-    /// [`Supervisor::checkpoint_chain`] for the whole chain.
-    pub fn last_checkpoint(&self) -> Option<&[u8]> {
-        self.ckpt_chain.last().map(Vec::as_slice)
-    }
-
     /// The current checkpoint generation: one v3 full save followed by
     /// its deltas, resumable via [`TrainLoop::resume_chain`].
     pub fn checkpoint_chain(&self) -> &[Vec<u8>] {
@@ -756,7 +699,6 @@ impl Supervisor {
         self.last_step_recovery = RecoveryStepMetrics::default();
         let mut attempt = 0usize;
         let mut total_attempts = 0usize;
-        let fail_at_virtual = self.virtual_us;
         loop {
             total_attempts += 1;
             let plan = self.prune_invalid(faults(step, attempt));
@@ -770,7 +712,6 @@ impl Supervisor {
                                 attempts: total_attempts,
                             },
                         });
-                        let _ = fail_at_virtual; // repair time = backoffs charged above
                     }
                     // Every layer trained this step; its shard is dirty.
                     for v in &mut self.versions {
@@ -952,9 +893,10 @@ impl Supervisor {
                 } => {
                     s.push_str(&format!(
                         "\"kind\": \"retry\", \"attempt\": {attempt}, \
-                         \"backoff_us\": {backoff_us}, \"error\": \"{}\"",
-                        json_escape(&error.to_string())
+                         \"backoff_us\": {backoff_us}, \"error\": \""
                     ));
+                    escape_into(&mut s, &error.to_string());
+                    s.push('"');
                 }
                 RecoveryEventKind::Recovered { attempts } => {
                     s.push_str(&format!(
@@ -985,12 +927,11 @@ impl Supervisor {
                     new_plan,
                     migration_us,
                 } => {
-                    s.push_str(&format!(
-                        "\"kind\": \"repartitioned\", \"old_plan\": \"{}\", \
-                         \"new_plan\": \"{}\", \"migration_us\": {migration_us}",
-                        json_escape(&old_plan.to_string()),
-                        json_escape(&new_plan.to_string())
-                    ));
+                    s.push_str("\"kind\": \"repartitioned\", \"old_plan\": \"");
+                    escape_into(&mut s, &old_plan.to_string());
+                    s.push_str("\", \"new_plan\": \"");
+                    escape_into(&mut s, &new_plan.to_string());
+                    s.push_str(&format!("\", \"migration_us\": {migration_us}"));
                 }
             }
             s.push_str(if i + 1 < self.events.len() {
@@ -1208,19 +1149,6 @@ fn error_coords(e: &DappleError) -> Option<(usize, usize)> {
     }
 }
 
-/// Minimal JSON string escaping for error messages.
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1253,29 +1181,6 @@ mod tests {
         let (xc, _) = c.next_batch();
         assert_eq!(xa2, xc);
         assert_eq!(c.cursor(), 2);
-    }
-
-    #[test]
-    fn failed_step_rolls_back_bit_exactly() {
-        let mut lp = mk_loop(|m| Optimizer::adam(0.01, m));
-        lp.run(2).unwrap();
-        let model_before = lp.model().clone();
-        let opt_before = lp.optimizer().clone();
-        let (step_before, cursor_before) = (lp.step(), lp.data().cursor());
-        let plan = FaultPlan::new().with_fault(1, 0, 3, FaultKind::Panic);
-        let err = lp.try_step(&plan).unwrap_err();
-        assert!(matches!(err, DappleError::WorkerPanicked { .. }));
-        assert_eq!(lp.model(), &model_before, "weights must roll back");
-        assert_eq!(lp.optimizer(), &opt_before, "optimizer must roll back");
-        assert_eq!(lp.step(), step_before);
-        assert_eq!(lp.data().cursor(), cursor_before, "batch must be replayed");
-        // The next clean step lands exactly where a never-faulted loop
-        // would.
-        let mut clean = mk_loop(|m| Optimizer::adam(0.01, m));
-        clean.run(3).unwrap();
-        lp.try_step(&FaultPlan::new()).unwrap();
-        assert_eq!(lp.model(), clean.model());
-        assert_eq!(lp.optimizer(), clean.optimizer());
     }
 
     #[test]
@@ -1428,13 +1333,5 @@ mod tests {
         assert!(json.contains("\"kind\": \"checkpoint_loaded\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn json_escape_handles_quotes_and_control_chars() {
-        assert_eq!(json_escape("a\"b"), "a\\\"b");
-        assert_eq!(json_escape("a\\b"), "a\\\\b");
-        assert_eq!(json_escape("a\nb"), "a\\nb");
-        assert_eq!(json_escape("a\u{1}b"), "a\\u0001b");
     }
 }

@@ -460,7 +460,8 @@ impl StepMetrics {
 pub struct RecoveryStepMetrics {
     /// Failed attempts that were retried.
     pub retries: usize,
-    /// Wall-clock time spent restoring pre-step snapshots, ns.
+    /// Wall-clock time spent rewinding failed attempts, ns (a rewind is
+    /// the data cursor only, so this can legitimately be 0).
     pub rollback_ns: u64,
     /// Wall-clock time serializing checkpoints after this step, ns.
     pub checkpoint_save_ns: u64,

@@ -2,11 +2,10 @@
 
 use crate::layer::Layer;
 use dapple_core::{Bytes, DappleError, Result};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Optimizer used to train a model; determines per-parameter state bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OptimizerKind {
     /// Plain SGD: weight + gradient (8 B/param).
     Sgd,
@@ -31,7 +30,7 @@ impl OptimizerKind {
 }
 
 /// A model: an ordered chain of layers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelGraph {
     /// Model name, e.g. `"BERT-48"`.
     pub name: String,
@@ -48,7 +47,6 @@ pub struct ModelGraph {
     /// This is the effect behind the paper's "large enough micro-batch size
     /// to ensure device efficiency" (§V-B2) and its preference for fewer
     /// pipeline stages.
-    #[serde(default)]
     pub saturation_samples: f64,
 }
 
@@ -127,7 +125,7 @@ impl ModelGraph {
 }
 
 /// A benchmark model plus the training configuration the paper uses for it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelSpec {
     /// The layer graph.
     pub graph: ModelGraph,

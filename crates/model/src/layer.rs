@@ -1,7 +1,6 @@
 //! A single model layer.
 
 use dapple_core::Bytes;
-use serde::{Deserialize, Serialize};
 
 use crate::FLOPS_PER_US;
 
@@ -10,7 +9,7 @@ use crate::FLOPS_PER_US;
 /// All per-sample quantities scale linearly with (micro-)batch size, which
 /// is the same assumption the DAPPLE profiler makes when it profiles at one
 /// batch size and plans at another.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Layer {
     /// Human-readable name, e.g. `"encoder_03"` or `"conv4_2"`.
     pub name: String,

@@ -3,11 +3,10 @@
 use dapple_cluster::DeviceSpec;
 use dapple_core::Bytes;
 use dapple_model::ModelGraph;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Execution statistics of one layer for one sample on one device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerProfile {
     /// Layer name (copied from the graph).
     pub name: String,
@@ -29,7 +28,7 @@ pub struct LayerProfile {
 /// an explicit sample count so callers can evaluate any micro-batch size
 /// from one profile (exactly how the paper profiles once and plans over a
 /// range of global batch sizes).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelProfile {
     /// Model name.
     pub name: String,

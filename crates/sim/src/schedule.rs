@@ -1,10 +1,9 @@
 //! Per-stage task orders for the pipeline schedules.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Warmup-depth policy for DAPPLE's early backward scheduling (§V-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KPolicy {
     /// `K_i = min(S - i, D)` — minimal warmup; best when the cross-stage
     /// communication-to-computation ratio (ACR) is small.
@@ -38,7 +37,7 @@ impl KPolicy {
 }
 
 /// A pipeline schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Schedule {
     /// GPipe: all forwards, then all backwards (in reverse micro-batch
     /// order, matching the LIFO activation stack of Fig. 3a).

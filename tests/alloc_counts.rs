@@ -15,7 +15,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Counts every heap allocation made by this test binary.
 struct CountingAlloc;
@@ -46,23 +46,53 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Serializes the measuring tests: the counter is process-global.
 static MEASURE_LOCK: Mutex<()> = Mutex::new(());
+
+/// Every test in this binary runs under this guard, measuring or not:
+/// the counter is process-global, so an engine step running beside a
+/// measured window lands in that window's count. The lock guards no
+/// data, so a test that failed while holding it leaves nothing to
+/// repair and the poison is dropped rather than cascaded.
+fn measure() -> MutexGuard<'static, ()> {
+    MEASURE_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Fewest allocations one call of `f` makes over `reps` calls. The lock
+/// keeps other tests out, but not the test harness: its own threads
+/// allocate when they report the previous test and spawn the next one,
+/// and blocking receives allocate wakeup tokens nondeterministically.
+/// Both only ever add, so the minimum is the deterministic floor.
+fn min_allocs(reps: usize, mut f: impl FnMut()) -> usize {
+    (0..reps)
+        .map(|_| {
+            let before = ALLOCS.load(Ordering::Relaxed);
+            f();
+            ALLOCS.load(Ordering::Relaxed) - before
+        })
+        .min()
+        .expect("at least one repetition")
+}
 
 /// Allocations performed by one `allreduce_sum` call on `n` ranks of
 /// `len` elements each (buffer construction excluded).
 fn ring_allocs(n: usize, len: usize) -> usize {
-    let mut bufs: Vec<Vec<f32>> = (0..n)
-        .map(|r| (0..len).map(|i| (r * 31 + i) as f32 * 0.25).collect())
+    const REPS: usize = 3;
+    let mut inputs: Vec<Vec<Vec<f32>>> = (0..REPS)
+        .map(|_| {
+            (0..n)
+                .map(|r| (0..len).map(|i| (r * 31 + i) as f32 * 0.25).collect())
+                .collect()
+        })
         .collect();
     let expect: Vec<f32> = (0..len)
         .map(|i| (0..n).map(|r| (r * 31 + i) as f32 * 0.25).sum())
         .collect();
-    let before = ALLOCS.load(Ordering::Relaxed);
-    dapple::collectives::allreduce_sum(&mut bufs);
-    let used = ALLOCS.load(Ordering::Relaxed) - before;
+    let mut fresh = inputs.iter_mut();
+    let used = min_allocs(REPS, || {
+        dapple::collectives::allreduce_sum(fresh.next().expect("one input per repetition"));
+    });
     // The measurement is only meaningful for a correct reduction.
-    for b in &bufs {
+    for b in inputs.iter().flatten() {
         for (got, want) in b.iter().zip(&expect) {
             assert!((got - want).abs() <= 1e-3 * want.abs().max(1.0));
         }
@@ -76,7 +106,7 @@ fn ring_allocs(n: usize, len: usize) -> usize {
 /// `2 n (n-1)` extra allocations.
 #[test]
 fn ring_allreduce_allocations_bounded_by_ranks() {
-    let _guard = MEASURE_LOCK.lock().unwrap();
+    let _guard = measure();
     let n = 16;
     // Warm up lazy allocator state (thread-local caches etc.).
     let _ = ring_allocs(n, 64);
@@ -92,7 +122,7 @@ fn ring_allreduce_allocations_bounded_by_ranks() {
 /// scratch buffer is preallocated at max-chunk capacity and never grows.
 #[test]
 fn ring_allreduce_allocations_independent_of_length() {
-    let _guard = MEASURE_LOCK.lock().unwrap();
+    let _guard = measure();
     let n = 8;
     let _ = ring_allocs(n, 64);
     let small = ring_allocs(n, 1024);
@@ -122,6 +152,7 @@ fn engine_step(micro_batches: usize, buffer_reuse: bool) -> dapple::engine::Step
 /// count unchanged while the hit count grows with the extra traffic.
 #[test]
 fn steady_state_pipeline_pool_misses_are_warmup_only() {
+    let _guard = measure();
     let few = engine_step(4, true);
     let many = engine_step(12, true);
     assert!(few.pool_hits > 0, "reuse path must actually reuse buffers");
@@ -142,15 +173,13 @@ fn steady_state_pipeline_pool_misses_are_warmup_only() {
 /// semantics: the free lists stay cold and every take is a miss.
 #[test]
 fn disabled_pool_never_hits() {
+    let _guard = measure();
     let out = engine_step(4, false);
     assert_eq!(out.pool_hits, 0);
     assert!(out.pool_misses > 0);
 }
 
-/// One single-stage pipelined step on a warmed trainer; returns the
-/// minimum allocation count over several steps (blocking receives
-/// allocate wakeup tokens nondeterministically; the minimum approaches
-/// the deterministic floor).
+/// Allocations of one single-stage pipelined step on a warmed trainer.
 #[allow(clippy::single_range_in_vec_init)] // a one-stage split really is vec![0..6]
 fn single_stage_step_allocs(micro_batches: usize) -> usize {
     use dapple::engine::{data, EngineConfig, FaultPlan, MlpModel, PipelineTrainer};
@@ -160,14 +189,9 @@ fn single_stage_step_allocs(micro_batches: usize) -> usize {
     let (x, t) = data::regression_batch(24, 5, 3, 9);
     let plan = FaultPlan::new();
     trainer.step_grads_with_faults(&x, &t, &plan).unwrap();
-    (0..5)
-        .map(|_| {
-            let before = ALLOCS.load(Ordering::Relaxed);
-            trainer.step_grads_with_faults(&x, &t, &plan).unwrap();
-            ALLOCS.load(Ordering::Relaxed) - before
-        })
-        .min()
-        .unwrap()
+    min_allocs(5, || {
+        trainer.step_grads_with_faults(&x, &t, &plan).unwrap();
+    })
 }
 
 /// The whole per-micro-batch compute path — forward chain, loss target
@@ -180,7 +204,7 @@ fn single_stage_step_allocs(micro_batches: usize) -> usize {
 /// extra allocations.
 #[test]
 fn steady_state_micro_batch_allocations_are_zero() {
-    let _guard = MEASURE_LOCK.lock().unwrap();
+    let _guard = measure();
     let few = single_stage_step_allocs(4);
     let many = single_stage_step_allocs(12);
     assert!(
@@ -199,19 +223,19 @@ fn span_recording_allocates_nothing() {
     use std::sync::Arc;
     use std::time::Instant;
 
-    let _guard = MEASURE_LOCK.lock().unwrap();
+    let _guard = measure();
     let ring = Arc::new(SpanRing::new(64));
     let writer = SpanWriter::new(Arc::clone(&ring), Instant::now());
-    let before = ALLOCS.load(Ordering::Relaxed);
-    // 50 in-capacity records, then 150 overflowing ones.
-    for i in 0..200u32 {
-        let t0 = writer.now_ns();
-        writer.record(SpanKind::Fw, i, 0, t0, writer.now_ns());
-    }
-    let used = ALLOCS.load(Ordering::Relaxed) - before;
+    // 64 in-capacity records, then overflowing ones.
+    let used = min_allocs(3, || {
+        for i in 0..200u32 {
+            let t0 = writer.now_ns();
+            writer.record(SpanKind::Fw, i, 0, t0, writer.now_ns());
+        }
+    });
     assert_eq!(used, 0, "span recording must not allocate");
     assert_eq!(ring.snapshot().len(), 64);
-    assert_eq!(ring.dropped(), 200 - 64);
+    assert_eq!(ring.dropped(), 3 * 200 - 64);
 }
 
 /// One pipelined step on a warmed trainer; returns its allocation count.
@@ -224,16 +248,9 @@ fn traced_step_allocs(micro_batches: usize, tracing: bool) -> usize {
     let (x, t) = data::regression_batch(24, 5, 3, 9);
     let plan = FaultPlan::new();
     trainer.step_grads_with_faults(&x, &t, &plan).unwrap();
-    // Blocking receives allocate wakeup tokens nondeterministically; the
-    // minimum over several steps approaches the deterministic floor.
-    (0..5)
-        .map(|_| {
-            let before = ALLOCS.load(Ordering::Relaxed);
-            trainer.step_grads_with_faults(&x, &t, &plan).unwrap();
-            ALLOCS.load(Ordering::Relaxed) - before
-        })
-        .min()
-        .unwrap()
+    min_allocs(5, || {
+        trainer.step_grads_with_faults(&x, &t, &plan).unwrap();
+    })
 }
 
 /// Steady-state run telemetry is allocation-free: registry updates are
@@ -249,7 +266,7 @@ fn metrics_recording_allocates_nothing_at_steady_state() {
         data, EngineConfig, FaultPlan, MlpModel, PipelineTrainer, RecoveryStepMetrics, RunRecorder,
     };
 
-    let _guard = MEASURE_LOCK.lock().unwrap();
+    let _guard = measure();
 
     // The registry alone: inc/set/observe are index writes.
     let mut reg = MetricsRegistry::new();
@@ -259,13 +276,13 @@ fn metrics_recording_allocates_nothing_at_steady_state() {
     reg.inc(steps, 1);
     reg.set(bubble, 0.25);
     reg.observe(step_ns, 1_000_000);
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for i in 0..1_000u64 {
-        reg.inc(steps, 1);
-        reg.set(bubble, i as f64 / 1000.0);
-        reg.observe(step_ns, 1_000 + i * 977_131);
-    }
-    let used = ALLOCS.load(Ordering::Relaxed) - before;
+    let used = min_allocs(3, || {
+        for i in 0..1_000u64 {
+            reg.inc(steps, 1);
+            reg.set(bubble, i as f64 / 1000.0);
+            reg.observe(step_ns, 1_000 + i * 977_131);
+        }
+    });
     assert_eq!(used, 0, "registry updates allocated {used} times");
 
     // The full recorder path, including the trace-derived fields. A real
@@ -294,22 +311,22 @@ fn metrics_recording_allocates_nothing_at_steady_state() {
     for step in 0..5u64 {
         rec.record_step(step, 0.5, 24, 1_000_000, 10, 2, &recovery, Some(&metrics));
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for step in 5..1_005u64 {
-        rec.record_step(
-            step,
-            0.5 + step as f32,
-            24,
-            1_000_000 + step * 997,
-            10,
-            2,
-            &recovery,
-            Some(&metrics),
-        );
-    }
-    let used = ALLOCS.load(Ordering::Relaxed) - before;
+    let used = min_allocs(3, || {
+        for step in 5..1_005u64 {
+            rec.record_step(
+                step,
+                0.5 + step as f32,
+                24,
+                1_000_000 + step * 997,
+                10,
+                2,
+                &recovery,
+                Some(&metrics),
+            );
+        }
+    });
     assert_eq!(used, 0, "steady-state record_step allocated {used} times");
-    assert_eq!(rec.records(), 1_005);
+    assert_eq!(rec.records(), 3_005);
     assert_eq!(rec.write_errors(), 0);
 }
 
@@ -320,7 +337,7 @@ fn metrics_recording_allocates_nothing_at_steady_state() {
 /// than scheduling noise.
 #[test]
 fn tracing_alloc_overhead_independent_of_micro_batches() {
-    let _guard = MEASURE_LOCK.lock().unwrap();
+    let _guard = measure();
     let delta_few = traced_step_allocs(4, true) as i64 - traced_step_allocs(4, false) as i64;
     let delta_many = traced_step_allocs(12, true) as i64 - traced_step_allocs(12, false) as i64;
     // m=12 records ~100 more spans than m=4; if recording allocated even

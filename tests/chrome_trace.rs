@@ -1,6 +1,5 @@
-//! The Chrome-trace export is real JSON. A minimal recursive-descent
-//! parser (shared with the runtime-trace tests, no dependencies) parses
-//! `to_chrome_trace` output from an actual simulation and checks that
+//! The Chrome-trace export is real JSON. The workspace parser
+//! (`dapple::core::json`) parses `to_chrome_trace` output from an actual simulation and checks that
 //! every simulated task appears as a complete-event object with the
 //! documented fields — and that every cross-stage transfer appears on
 //! *both* endpoint rows (a send slice on the sender, a recv-wait slice on
@@ -8,7 +7,7 @@
 
 mod common;
 
-use common::{Json, Parser};
+use common::{field, items, num, parse_json, text, Json};
 use dapple::cluster::Cluster;
 use dapple::core::{Bytes, DeviceId, Plan, StagePlan};
 use dapple::model::synthetic;
@@ -40,15 +39,10 @@ fn simulate(schedule: Schedule) -> SimResult {
 }
 
 /// Events whose slice starts at `ts` with the given name, as objects.
-fn events_named<'a>(
-    events: &'a [Json],
-    name: &str,
-    ts: f64,
-) -> Vec<&'a std::collections::BTreeMap<String, Json>> {
+fn events_named<'a>(events: &'a [Json], name: &str, ts: f64) -> Vec<&'a Json> {
     events
         .iter()
-        .map(Json::as_object)
-        .filter(|o| o["name"].as_str() == name && (o["ts"].as_f64() - ts).abs() < 1e-3)
+        .filter(|o| text(o, "name") == name && (num(o, "ts") - ts).abs() < 1e-3)
         .collect()
 }
 
@@ -60,10 +54,10 @@ fn chrome_trace_is_valid_json_covering_every_task() {
         Schedule::Dapple(KPolicy::PB),
     ] {
         let run = simulate(schedule);
-        let text = to_chrome_trace(&run);
-        let root = Parser::parse(&text)
-            .unwrap_or_else(|e| panic!("{schedule:?}: invalid JSON: {e}\n{text}"));
-        let events = root.as_array();
+        let trace = to_chrome_trace(&run);
+        let root = parse_json(&trace)
+            .unwrap_or_else(|e| panic!("{schedule:?}: invalid JSON: {e}\n{trace}"));
+        let events = items(&root);
 
         // Every comm task is rendered twice (send + recv-wait); everything
         // else exactly once.
@@ -79,20 +73,19 @@ fn chrome_trace_is_valid_json_covering_every_task() {
             "{schedule:?}: one event per task plus one extra per transfer"
         );
 
-        for event in events {
-            let obj = event.as_object();
+        for obj in events {
             for key in ["name", "cat", "ph", "ts", "dur", "pid", "tid"] {
                 assert!(
-                    obj.contains_key(key),
+                    obj.get(key).is_some(),
                     "{schedule:?}: missing {key:?} in {obj:?}"
                 );
             }
-            assert_eq!(obj["ph"].as_str(), "X", "complete events only");
-            assert!(!obj["name"].as_str().is_empty());
+            assert_eq!(text(obj, "ph"), "X", "complete events only");
+            assert!(!text(obj, "name").is_empty());
             assert!(
-                ["forward", "backward", "comm", "allreduce"].contains(&obj["cat"].as_str()),
+                ["forward", "backward", "comm", "allreduce"].contains(&text(obj, "cat")),
                 "{schedule:?}: unexpected cat {:?}",
-                obj["cat"].as_str()
+                text(obj, "cat")
             );
         }
 
@@ -109,16 +102,13 @@ fn chrome_trace_is_valid_json_covering_every_task() {
                         events_named(events, &format!("{letter}{}", task.micro), task.start_us);
                     let on_stage: Vec<_> = found
                         .iter()
-                        .filter(|o| o["pid"].as_f64() as usize == task.stage)
+                        .filter(|o| num(o, "pid") as usize == task.stage)
                         .collect();
                     assert_eq!(on_stage.len(), 1, "{schedule:?}: {task:?}");
                     let obj = on_stage[0];
-                    assert_eq!(obj["tid"].as_f64() as usize, 0);
-                    assert!((obj["dur"].as_f64() - dur).abs() < 1e-3);
-                    assert_eq!(
-                        obj["args"].as_object()["micro"].as_f64() as usize,
-                        task.micro
-                    );
+                    assert_eq!(num(obj, "tid") as usize, 0);
+                    assert!((num(obj, "dur") - dur).abs() < 1e-3);
+                    assert_eq!(num(field(obj, "args"), "micro") as usize, task.micro);
                 }
                 TaskKind::CommF | TaskKind::CommB => {
                     let (src, dst) = if task.kind == TaskKind::CommF {
@@ -133,45 +123,24 @@ fn chrome_trace_is_valid_json_covering_every_task() {
                         let found = events_named(events, &name, task.start_us);
                         let hit = found
                             .iter()
-                            .find(|o| o["pid"].as_f64() as usize == pid)
+                            .find(|o| num(o, "pid") as usize == pid)
                             .unwrap_or_else(|| {
                                 panic!("{schedule:?}: no {name:?} on pid {pid} for {task:?}")
                             });
-                        assert_eq!(hit["tid"].as_f64() as usize, 1, "comm row");
-                        assert!((hit["dur"].as_f64() - dur).abs() < 1e-3);
-                        let args = hit["args"].as_object();
-                        assert_eq!(args["micro"].as_f64() as u64, task.micro as u64);
-                        assert_eq!(args["bytes"].as_f64() as u64, task.bytes);
+                        assert_eq!(num(hit, "tid") as usize, 1, "comm row");
+                        assert!((num(hit, "dur") - dur).abs() < 1e-3);
+                        let args = field(hit, "args");
+                        assert_eq!(num(args, "micro") as u64, task.micro as u64);
+                        assert_eq!(num(args, "bytes") as u64, task.bytes);
                         assert!(task.bytes > 0, "transfers move real bytes");
                     }
                 }
                 TaskKind::AllReduce => {
                     let found = events_named(events, "AllReduce", task.start_us);
                     assert!(!found.is_empty(), "{schedule:?}: {task:?}");
-                    assert_eq!(
-                        found[0]["args"].as_object()["bytes"].as_f64() as u64,
-                        task.bytes
-                    );
+                    assert_eq!(num(field(found[0], "args"), "bytes") as u64, task.bytes);
                 }
             }
         }
     }
-}
-
-#[test]
-fn json_parser_rejects_malformed_input() {
-    for bad in [
-        "",
-        "[",
-        "[1,]",
-        "{\"a\":}",
-        "[1] trailing",
-        "{\"a\":1,\"a\":2}",
-        "\"unterminated",
-        "[01x]",
-    ] {
-        assert!(Parser::parse(bad).is_err(), "should reject {bad:?}");
-    }
-    let ok = Parser::parse("[{\"a\": [1, -2.5e3, true, null, \"x\\n\"]}]").unwrap();
-    assert_eq!(ok.as_array().len(), 1);
 }

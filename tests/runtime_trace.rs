@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::Parser;
+use common::{field, items, num, parse_json, text};
 use dapple::core::DappleError;
 use dapple::engine::{
     data, EngineConfig, FaultKind, FaultPlan, LossKind, MlpModel, NanPolicy, PipelineTrainer,
@@ -109,23 +109,21 @@ fn traced_step_exports_complete_parseable_timeline() {
 
     // The export is real JSON with the documented row layout.
     let json = trace.to_chrome_trace();
-    let root = Parser::parse(&json).unwrap_or_else(|e| panic!("invalid JSON: {e}\n{json}"));
-    let events = root.as_array();
+    let root = parse_json(&json).unwrap_or_else(|e| panic!("invalid JSON: {e}\n{json}"));
+    let events = items(&root);
     // 3 stages x 4 micro x (Fw + Bw) = 24 compute events at minimum, plus
     // comm spans.
     assert!(events.len() >= 24 + 16, "got {}", events.len());
-    for e in events {
-        let obj = e.as_object();
-        assert_eq!(obj["ph"].as_str(), "X");
-        assert!(obj["pid"].as_f64() as usize <= 3);
-        assert!(obj["args"].as_object().contains_key("replica"));
+    for obj in events {
+        assert_eq!(text(obj, "ph"), "X");
+        assert!(num(obj, "pid") as usize <= 3);
+        assert!(field(obj, "args").get("replica").is_some());
     }
     // Comm rows are odd tids; compute rows even.
     assert!(events
         .iter()
-        .map(|e| e.as_object())
-        .filter(|o| o["cat"].as_str() == "comm")
-        .all(|o| o["tid"].as_f64() as usize % 2 == 1));
+        .filter(|o| text(o, "cat") == "comm")
+        .all(|o| num(o, "tid") as usize % 2 == 1));
 
     // Metrics are internally consistent.
     let m = trace.metrics();
@@ -161,7 +159,7 @@ fn replicated_traced_step_records_allreduce() {
     assert_eq!(ar[0].stage, Some(0));
     assert!(ar[0].span.bytes > 0);
     let json = trace.to_chrome_trace();
-    Parser::parse(&json).unwrap_or_else(|e| panic!("invalid JSON: {e}"));
+    parse_json(&json).unwrap_or_else(|e| panic!("invalid JSON: {e}"));
     // Replica 1's compute row is tid 2; the AllReduce row sits past both
     // replica pairs at tid 4.
     assert!(json.contains(r#""tid":2"#));
@@ -201,7 +199,7 @@ fn faulted_step_drains_partial_trace() {
     }
     // And the partial timeline still exports as valid JSON.
     let json = trace.to_chrome_trace();
-    Parser::parse(&json).unwrap_or_else(|e| panic!("invalid JSON: {e}\n{json}"));
+    parse_json(&json).unwrap_or_else(|e| panic!("invalid JSON: {e}\n{json}"));
 }
 
 /// Metrics derived from a faulted partial trace are NaN-free: a stage
