@@ -1,5 +1,6 @@
 //! `dapple-bench` — machine-readable baseline for the per-iteration hot
-//! paths: ring AllReduce, the matmul variants used by `Dense` backward,
+//! paths: the engine's in-place replica reduce beside the ring AllReduce
+//! it is pinned against, the matmul variants used by `Dense` backward,
 //! and an end-to-end 1F1B pipeline step (with the engine's buffer-pool
 //! hit/miss counters).
 //!
@@ -34,7 +35,8 @@
 //! recovery-event log as JSON. `--gate-err-steady T` exits non-zero when
 //! the calibrated steady-phase error exceeds `T` (the CI regression
 //! gate). `--commit`/`--timestamp` stamp the report with a provenance
-//! header (plus the host triple) so `diff` can label its endpoints.
+//! header (plus the host triple and core count) so `diff` can label its
+//! endpoints.
 //! `--smoke` shrinks every shape so the whole run finishes in a couple of
 //! seconds — that mode exists for CI, not for comparing numbers.
 //!
@@ -150,6 +152,36 @@ fn ring_benches(smoke: bool, out: &mut Vec<Record>) {
                     "gib_per_s",
                     format!("{:.4}", bytes / ns * 1e9 / (1u64 << 30) as f64),
                 ),
+                ("method", "\"min_of_iters\"".to_string()),
+            ],
+        });
+
+        // The same payload through the engine's gradient sync: the
+        // in-place reduce in the ring's order. `gib_per_s` is defined as
+        // for the ring (payload over time) so the two series compare;
+        // one thread reads every rank's buffer, so `input_gib_per_s`
+        // (all bytes summed over time) is the number that should hold
+        // steady as ranks are added.
+        // A pass is microseconds at most: enough of them that the
+        // minimum is interference-free even in smoke mode.
+        let iters = iters.max(200);
+        let mut first = proto[0].clone();
+        let ns = time_ns_min(iters, || {
+            let rest: Vec<Vec<&[f32]>> = proto[1..].iter().map(|b| vec![b.as_slice()]).collect();
+            dapple_collectives::reduce_sum_in_place(&mut [first.as_mut_slice()], &rest);
+            black_box(first[0]);
+        });
+        let gib_per_s = |bytes: f64| format!("{:.4}", bytes / ns * 1e9 / (1u64 << 30) as f64);
+        out.push(Record {
+            group: "inplace_reduce",
+            name: format!("ranks{ranks}_len{len}"),
+            iters,
+            ns_per_iter: ns,
+            extra: vec![
+                ("ranks", ranks.to_string()),
+                ("elems", len.to_string()),
+                ("gib_per_s", gib_per_s(bytes)),
+                ("input_gib_per_s", gib_per_s(bytes * ranks as f64)),
                 ("method", "\"min_of_iters\"".to_string()),
             ],
         });
@@ -502,9 +534,9 @@ fn recovery_benches(smoke: bool, out: &mut Vec<Record>, recovery_log: Option<&st
     let mut versions = since.clone();
     versions[0] = 2;
     versions[n_shards / 2] = 2;
-    let full = v3_full_to_bytes(&deep_state, &partition, &since, 1);
+    let full = v3_full_to_bytes(deep_state.view(), &partition, &since, 1);
     let full_ns = time_ns_min(iters, || {
-        black_box(v3_full_to_bytes(&deep_state, &partition, &since, 1).len());
+        black_box(v3_full_to_bytes(deep_state.view(), &partition, &since, 1).len());
     });
     out.push(Record {
         group: "recovery",
@@ -513,9 +545,9 @@ fn recovery_benches(smoke: bool, out: &mut Vec<Record>, recovery_log: Option<&st
         ns_per_iter: full_ns,
         extra: vec![("bytes", full.len().to_string())],
     });
-    let delta = v3_delta_to_bytes(&deep_state, &partition, &versions, &since, 2, 1);
+    let delta = v3_delta_to_bytes(deep_state.view(), &partition, &versions, &since, 2, 1);
     let delta_ns = time_ns_min(iters, || {
-        black_box(v3_delta_to_bytes(&deep_state, &partition, &versions, &since, 2, 1).len());
+        black_box(v3_delta_to_bytes(deep_state.view(), &partition, &versions, &since, 2, 1).len());
     });
     out.push(Record {
         group: "recovery",
@@ -794,7 +826,7 @@ fn replan_benches(smoke: bool, out: &mut Vec<Record>) {
 /// Provenance stamped into the report header so `dapple-bench diff` can
 /// label its endpoints. Commit and timestamp come from the CLI (the
 /// binary has no git or clock-formatting dependency); the host triple is
-/// compiled in.
+/// compiled in and its core count read at run time.
 struct Provenance {
     commit: Option<String>,
     timestamp: Option<String>,
@@ -803,6 +835,12 @@ struct Provenance {
 impl Provenance {
     fn host() -> String {
         format!("{}-{}", std::env::consts::ARCH, std::env::consts::OS)
+    }
+
+    /// Cores the run could use (0 when the host will not say): every
+    /// multi-threaded series depends on it.
+    fn cores() -> usize {
+        std::thread::available_parallelism().map_or(0, usize::from)
     }
 }
 
@@ -817,10 +855,11 @@ fn render_json(mode: &str, provenance: &Provenance, records: &[Record]) -> Strin
     let _ = writeln!(s, "  \"mode\": \"{mode}\",");
     let _ = writeln!(
         s,
-        "  \"provenance\": {{\"commit\": {}, \"timestamp\": {}, \"host\": \"{}\"}},",
+        "  \"provenance\": {{\"commit\": {}, \"timestamp\": {}, \"host\": \"{}\", \"cores\": {}}},",
         opt(&provenance.commit),
         opt(&provenance.timestamp),
-        Provenance::host()
+        Provenance::host(),
+        Provenance::cores()
     );
     s.push_str("  \"results\": [\n");
     for (i, r) in records.iter().enumerate() {
@@ -930,7 +969,7 @@ fn main() {
 
     let mode = if smoke { "smoke" } else { "full" };
     let mut records = Vec::new();
-    eprintln!("[dapple-bench] ring allreduce ({mode})...");
+    eprintln!("[dapple-bench] ring allreduce and in-place reduce ({mode})...");
     ring_benches(smoke, &mut records);
     eprintln!("[dapple-bench] matmul variants ({mode})...");
     matmul_benches(smoke, &mut records);

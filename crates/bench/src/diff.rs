@@ -37,9 +37,10 @@ use std::fmt::Write as _;
 /// planner's cost model and the runtime's step loop are judged by, plus
 /// the recovery path — checkpoint saves and the supervised step run
 /// inside the training loop, so a regression there taxes every step).
-pub const HOT_PATH_GROUPS: [&str; 5] = [
+pub const HOT_PATH_GROUPS: [&str; 6] = [
     "matmul",
     "ring_allreduce",
+    "inplace_reduce",
     "pipeline_step",
     "trace_overhead",
     "recovery",

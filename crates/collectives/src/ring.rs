@@ -8,6 +8,12 @@
 //!
 //! Buffers of any length are supported, including lengths smaller than the
 //! rank count (chunks may be empty).
+//!
+//! Ranks that share an address space need none of the message passing:
+//! [`reduce_sum_in_place`] adds the buffers where they lie, in the ring's
+//! exact per-chunk rank order, so its result is bit-identical to
+//! [`allreduce_sum`]'s. The engine syncs replicated stages with it; the
+//! ring stays as the executable reference it is pinned against.
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 
@@ -110,6 +116,88 @@ pub fn allreduce_sum(buffers: &mut [Vec<f32>]) {
             });
         }
     });
+}
+
+/// Elements reduced per pass over the ranks: the running sums of one
+/// block stay in L1 while each rank's block streams through once.
+const REDUCE_BLOCK: usize = 1024;
+
+/// Sums `rest` into `first`, bit-identical to what [`allreduce_sum`]
+/// leaves in every buffer — without threads, channels or copies.
+///
+/// `first` is rank 0 and `rest[k - 1]` is rank `k`. Each rank's buffer is
+/// a list of segments (all ranks share the segment lengths) whose
+/// concatenation is the flat index space the ring would have chunked, so
+/// a gradient set kept as separate tensors reduces where it lies. Chunk
+/// `c` of [`chunk_bounds`] is summed as the ring's reduce-scatter does:
+/// starting from rank `c`'s values, each following rank in cyclic order
+/// adds its own to the running sum (the ring computes `own + incoming`;
+/// IEEE addition commutes, so the association is all that matters). Only
+/// `first` is written.
+///
+/// ```
+/// let (mut w, mut b) = (vec![1.0_f32, 2.0], vec![3.0_f32]);
+/// let (w1, b1) = (vec![10.0_f32, 20.0], vec![30.0_f32]);
+/// dapple_collectives::reduce_sum_in_place(
+///     &mut [w.as_mut_slice(), b.as_mut_slice()],
+///     &[vec![w1.as_slice(), b1.as_slice()]],
+/// );
+/// assert_eq!((w, b), (vec![11.0, 22.0], vec![33.0]));
+/// ```
+///
+/// # Panics
+///
+/// Panics when a rank's segment lengths differ from `first`'s.
+pub fn reduce_sum_in_place(first: &mut [&mut [f32]], rest: &[Vec<&[f32]>]) {
+    let n = rest.len() + 1;
+    if n == 1 {
+        return;
+    }
+    assert!(
+        rest.iter().all(|rank| {
+            rank.len() == first.len()
+                && rank
+                    .iter()
+                    .zip(first.iter())
+                    .all(|(a, b)| a.len() == b.len())
+        }),
+        "reduce buffers must share their segment lengths"
+    );
+    let len = first.iter().map(|seg| seg.len()).sum();
+    let bounds = chunk_bounds(len, n);
+    let mut tmp = [0.0f32; REDUCE_BLOCK];
+    let mut seg_start = 0usize;
+    for (si, dst) in first.iter_mut().enumerate() {
+        let seg_end = seg_start + dst.len();
+        for (c, chunk) in bounds.iter().enumerate() {
+            // The part of chunk `c` inside this segment, segment-local.
+            let lo = chunk.start.max(seg_start);
+            let hi = chunk.end.min(seg_end);
+            let mut at = lo.saturating_sub(seg_start);
+            let end = hi.saturating_sub(seg_start);
+            while at < end {
+                let block = at..end.min(at + REDUCE_BLOCK);
+                let sum = &mut tmp[..block.len()];
+                for step in 0..n {
+                    let rank = (c + step) % n;
+                    let own = match rank {
+                        0 => &dst[block.clone()],
+                        k => &rest[k - 1][si][block.clone()],
+                    };
+                    if step == 0 {
+                        sum.copy_from_slice(own);
+                    } else {
+                        for (acc, v) in sum.iter_mut().zip(own) {
+                            *acc += *v;
+                        }
+                    }
+                }
+                dst[block.clone()].copy_from_slice(sum);
+                at = block.end;
+            }
+        }
+        seg_start = seg_end;
+    }
 }
 
 /// In-place ring all-reduce (mean): sum followed by division by the rank

@@ -76,6 +76,38 @@ pub struct TrainState {
     pub batch_samples: u32,
 }
 
+impl TrainState {
+    /// This state, borrowed, as the writers take it.
+    pub fn view(&self) -> StateView<'_> {
+        StateView {
+            model: &self.model,
+            optimizer: &self.optimizer,
+            step: self.step,
+            data_seed: self.data_seed,
+            data_cursor: self.data_cursor,
+            batch_samples: self.batch_samples,
+        }
+    }
+}
+
+/// A [`TrainState`] by reference: what a save needs to read, without the
+/// model and optimizer moments being cloned to hand it over.
+#[derive(Debug, Clone, Copy)]
+pub struct StateView<'a> {
+    /// Model weights.
+    pub model: &'a MlpModel,
+    /// Optimizer with its persistent state buffers.
+    pub optimizer: &'a Optimizer,
+    /// Completed training steps.
+    pub step: u64,
+    /// Seed of the deterministic data stream.
+    pub data_seed: u64,
+    /// Batches already drawn from the data stream.
+    pub data_cursor: u64,
+    /// Samples per global batch.
+    pub batch_samples: u32,
+}
+
 /// Whether a v3 file carries the whole state or only changed shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SaveKind {
@@ -144,7 +176,7 @@ pub struct ShardedState {
 
 /// Serializes the full state as a self-contained v3 file (every shard).
 pub fn v3_full_to_bytes(
-    state: &TrainState,
+    state: StateView<'_>,
     partition: &Partition,
     versions: &[u64],
     save_id: u64,
@@ -156,7 +188,7 @@ pub fn v3_full_to_bytes(
 /// (`versions[i] > since[i]`) — O(changed shards), not O(model).
 /// `base_id` names the full save the delta builds on.
 pub fn v3_delta_to_bytes(
-    state: &TrainState,
+    state: StateView<'_>,
     partition: &Partition,
     versions: &[u64],
     since: &[u64],
@@ -168,24 +200,27 @@ pub fn v3_delta_to_bytes(
     })
 }
 
-/// Shared v3 writer; `include(layer)` selects the shards to emit.
+/// Shared v3 writer; `include(layer)` selects the shards to emit. The
+/// output is sized exactly once the header is down, so the shards — the
+/// model — are appended without a single regrowth.
 fn write_v3(
-    state: &TrainState,
+    state: StateView<'_>,
     partition: &Partition,
     versions: &[u64],
     save_id: u64,
     base_id: u64,
     include: &dyn Fn(usize) -> bool,
 ) -> Vec<u8> {
-    let n_layers = state.model.layers.len();
+    let layers = &state.model.layers;
     assert_eq!(
         versions.len(),
-        n_layers,
+        layers.len(),
         "one shard version per model layer"
     );
     let kind = if save_id == base_id { 0u8 } else { 1u8 };
-    let shard_layers: Vec<usize> = (0..n_layers).filter(|&i| include(i)).collect();
-    let mut out = Vec::with_capacity(128 + shard_layers.len() * 64);
+    let shard_layers: Vec<usize> = (0..layers.len()).filter(|&i| include(i)).collect();
+    // The header is a few hundred bytes; the shards are the model.
+    let mut out = Vec::with_capacity(256);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&V3.to_le_bytes());
     out.push(kind);
@@ -201,8 +236,8 @@ fn write_v3(
         out.extend_from_slice(&(r.end as u32).to_le_bytes());
         out.extend_from_slice(&(rep as u32).to_le_bytes());
     }
-    out.extend_from_slice(&(n_layers as u32).to_le_bytes());
-    for layer in &state.model.layers {
+    out.extend_from_slice(&(layers.len() as u32).to_le_bytes());
+    for layer in layers {
         out.extend_from_slice(&(layer.in_dim() as u32).to_le_bytes());
         out.extend_from_slice(&(layer.out_dim() as u32).to_le_bytes());
         out.push(match layer.act {
@@ -211,15 +246,17 @@ fn write_v3(
             Activation::Tanh => 2,
         });
     }
-    match &state.optimizer {
+    let opt_bufs = match state.optimizer {
         Optimizer::Sgd { lr } => {
             out.push(0);
             out.extend_from_slice(&lr.to_le_bytes());
+            0
         }
         Optimizer::Momentum { lr, beta, .. } => {
             out.push(1);
             out.extend_from_slice(&lr.to_le_bytes());
             out.extend_from_slice(&beta.to_le_bytes());
+            1
         }
         Optimizer::Adam {
             lr,
@@ -235,42 +272,48 @@ fn write_v3(
             out.extend_from_slice(&beta2.to_le_bytes());
             out.extend_from_slice(&eps.to_le_bytes());
             out.extend_from_slice(&t.to_le_bytes());
+            2
         }
-    }
+    };
     out.extend_from_slice(&(shard_layers.len() as u32).to_le_bytes());
     let header_sum = fnv1a64(&out);
     out.extend_from_slice(&header_sum.to_le_bytes());
+    // Per shard: layer, version, weights + bias and as many again per
+    // optimizer buffer, checksum.
+    let shards_len: usize = shard_layers
+        .iter()
+        .map(|&i| 4 + 8 + 4 * layers[i].num_params() * (1 + opt_bufs) + 8)
+        .sum();
+    out.reserve_exact(shards_len);
+    let end = out.len() + shards_len;
     for &i in &shard_layers {
         let record_start = out.len();
         out.extend_from_slice(&(i as u32).to_le_bytes());
         out.extend_from_slice(&versions[i].to_le_bytes());
-        let layer = &state.model.layers[i];
-        for v in &layer.w.data {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for v in &layer.b {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        match &state.optimizer {
+        put_f32s(&mut out, &layers[i].w.data);
+        put_f32s(&mut out, &layers[i].b);
+        match state.optimizer {
             Optimizer::Sgd { .. } => {}
-            Optimizer::Momentum { velocity, .. } => {
-                for v in &velocity[i] {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-            }
+            Optimizer::Momentum { velocity, .. } => put_f32s(&mut out, &velocity[i]),
             Optimizer::Adam { m, v, .. } => {
-                for x in &m[i] {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
-                for x in &v[i] {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
+                put_f32s(&mut out, &m[i]);
+                put_f32s(&mut out, &v[i]);
             }
         }
         let shard_sum = fnv1a64(&out[record_start..]);
         out.extend_from_slice(&shard_sum.to_le_bytes());
     }
+    debug_assert_eq!(out.len(), end, "shard sizing must be exact");
     out
+}
+
+/// Appends a tensor's values, little-endian, as one block.
+fn put_f32s(out: &mut Vec<u8>, vals: &[f32]) {
+    let start = out.len();
+    out.resize(start + 4 * vals.len(), 0);
+    for (dst, v) in out[start..].chunks_exact_mut(4).zip(vals) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
 }
 
 /// The optimizer header of a v3 file: hyper-parameters and global
@@ -719,7 +762,7 @@ impl CheckpointStore {
         versions: &[u64],
         save_id: u64,
     ) -> Result<(PathBuf, usize)> {
-        let bytes = v3_full_to_bytes(state, partition, versions, save_id);
+        let bytes = v3_full_to_bytes(state.view(), partition, versions, save_id);
         let path = self.dir.join(format!("full-{save_id:010}.dapl"));
         self.write(&path, &bytes)?;
         Ok((path, bytes.len()))
@@ -736,7 +779,7 @@ impl CheckpointStore {
         save_id: u64,
         base_id: u64,
     ) -> Result<(PathBuf, usize)> {
-        let bytes = v3_delta_to_bytes(state, partition, versions, since, save_id, base_id);
+        let bytes = v3_delta_to_bytes(state.view(), partition, versions, since, save_id, base_id);
         let path = self.dir.join(format!("delta-{save_id:010}.dapl"));
         self.write(&path, &bytes)?;
         Ok((path, bytes.len()))
@@ -935,7 +978,7 @@ mod tests {
             let mut state = state_with(mk(&model), model.clone());
             let mut versions = vec![3u64, 5];
             train_all(&mut state, &mut versions, 2);
-            let bytes = v3_full_to_bytes(&state, &partition, &versions, 42);
+            let bytes = v3_full_to_bytes(state.view(), &partition, &versions, 42);
             let sharded = v3_chain_to_state(&[&bytes]).unwrap();
             assert_eq!(sharded.state, state);
             assert_eq!(sharded.partition, partition);
@@ -952,7 +995,7 @@ mod tests {
         let mut versions = vec![1u64, 1];
         train_all(&mut state, &mut versions, 1);
         let since = versions.clone();
-        let base = v3_full_to_bytes(&state, &partition, &versions, 1);
+        let base = v3_full_to_bytes(state.view(), &partition, &versions, 1);
 
         // Mutate ONLY layer 1, bump only its version.
         let mut newer = state.clone();
@@ -962,7 +1005,7 @@ mod tests {
             *w += 0.25;
         }
         versions[1] += 1;
-        let delta = v3_delta_to_bytes(&newer, &partition, &versions, &since, 2, 1);
+        let delta = v3_delta_to_bytes(newer.view(), &partition, &versions, &since, 2, 1);
         // O(changed shards): layer 0 (5x9, the big one) is absent.
         assert!(
             delta.len() * 2 < base.len(),
@@ -982,7 +1025,7 @@ mod tests {
             *b -= 1.0;
         }
         versions[1] += 1;
-        let delta2 = v3_delta_to_bytes(&newest, &partition, &versions, &since, 3, 1);
+        let delta2 = v3_delta_to_bytes(newest.view(), &partition, &versions, &since, 3, 1);
         let merged = v3_chain_to_state(&[&base, &delta, &delta2]).unwrap();
         assert_eq!(merged.state, newest);
     }
@@ -993,15 +1036,15 @@ mod tests {
         let partition = part(&[0..2], &[1]);
         let state = state_with(Optimizer::sgd(0.1), model);
         let versions = vec![2u64, 2];
-        let base = v3_full_to_bytes(&state, &partition, &versions, 10);
+        let base = v3_full_to_bytes(state.view(), &partition, &versions, 10);
         let since = versions.clone();
         let mut v2s = versions.clone();
         v2s[0] += 1;
-        let delta = v3_delta_to_bytes(&state, &partition, &v2s, &since, 11, 10);
+        let delta = v3_delta_to_bytes(state.view(), &partition, &v2s, &since, 11, 10);
         // A delta alone is not a resumable checkpoint.
         assert!(v3_chain_to_state(&[&delta]).is_err());
         // A delta built on a different full save is rejected.
-        let other = v3_full_to_bytes(&state, &partition, &versions, 20);
+        let other = v3_full_to_bytes(state.view(), &partition, &versions, 20);
         assert!(v3_chain_to_state(&[&other, &delta]).is_err());
         // Save ids must increase along the chain.
         assert!(v3_chain_to_state(&[&base, &delta, &delta]).is_err());
@@ -1018,7 +1061,7 @@ mod tests {
         let mut state = state_with(Optimizer::adam(0.01, &model), model);
         let mut versions = vec![1u64, 1];
         train_all(&mut state, &mut versions, 1);
-        let bytes = v3_full_to_bytes(&state, &partition, &versions, 1);
+        let bytes = v3_full_to_bytes(state.view(), &partition, &versions, 1);
         // Flip one payload byte inside the SECOND shard. The header ends
         // at the header checksum; shard 0 record = 4 + 8 + payload + 8.
         let n0 = state.model.layers[0].num_params() * 3; // adam: w,b + m + v
@@ -1049,7 +1092,7 @@ mod tests {
         let partition = part(&[0..1, 1..2], &[1, 1]);
         let state = state_with(Optimizer::momentum(0.1, 0.9, &model), model);
         let versions = vec![1u64, 1];
-        let bytes = v3_full_to_bytes(&state, &partition, &versions, 1);
+        let bytes = v3_full_to_bytes(state.view(), &partition, &versions, 1);
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 0x01;
@@ -1066,7 +1109,7 @@ mod tests {
     fn small_full(optimizer: fn(&MlpModel) -> Optimizer) -> (Vec<u8>, usize) {
         let model = MlpModel::new(&[2, 3, 2], 5);
         let state = state_with(optimizer(&model), model);
-        let bytes = v3_full_to_bytes(&state, &part(&[0..2], &[1]), &[1, 1], 1);
+        let bytes = v3_full_to_bytes(state.view(), &part(&[0..2], &[1]), &[1, 1], 1);
         let opt_len = match state.optimizer {
             Optimizer::Sgd { .. } => 1 + 4,
             Optimizer::Momentum { .. } => 1 + 8,

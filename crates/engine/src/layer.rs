@@ -79,18 +79,27 @@ impl DenseGrads {
         }
     }
 
-    /// Flattens into a single vector (for AllReduce).
-    pub fn to_flat(&self) -> Vec<f32> {
-        let mut v = self.dw.data.clone();
-        v.extend_from_slice(&self.db);
-        v
+    /// The gradient values as `[dW, db]` — the one place that fixes the
+    /// flat order (weights, then bias) shared by the optimizer's moment
+    /// buffers, the checkpoint shards and the replica reduce.
+    pub fn segments(&self) -> [&[f32]; 2] {
+        [&self.dw.data, &self.db]
     }
 
-    /// Restores from a flat vector produced by [`DenseGrads::to_flat`].
-    pub fn from_flat(&mut self, flat: &[f32]) {
-        let nw = self.dw.data.len();
-        self.dw.data.copy_from_slice(&flat[..nw]);
-        self.db.copy_from_slice(&flat[nw..]);
+    /// [`DenseGrads::segments`], mutable.
+    pub fn segments_mut(&mut self) -> [&mut [f32]; 2] {
+        [&mut self.dw.data, &mut self.db]
+    }
+
+    /// Whether these gradients have `layer`'s shape.
+    pub(crate) fn fits(&self, layer: &Dense) -> bool {
+        (self.dw.rows, self.dw.cols, self.db.len()) == (layer.w.rows, layer.w.cols, layer.b.len())
+    }
+
+    /// Resets every value to zero, keeping the storage.
+    pub(crate) fn zero(&mut self) {
+        self.dw.data.fill(0.0);
+        self.db.fill(0.0);
     }
 }
 
@@ -292,20 +301,6 @@ mod tests {
         // The clipped unit contributes no gradient.
         assert_eq!(grads.dw.data, vec![2.0, 0.0]);
         assert_eq!(grads.db, vec![1.0, 0.0]);
-    }
-
-    #[test]
-    fn grads_flat_round_trip() {
-        let layer = Dense::new(3, 4, Activation::Identity, 1);
-        let x = Tensor::from_vec(2, 3, vec![1.0; 6]);
-        let y = layer.forward(&x);
-        let mut dy = y.clone();
-        let (_, grads) = layer.backward(&x, &y, &mut dy);
-        let flat = grads.to_flat();
-        assert_eq!(flat.len(), layer.num_params());
-        let mut restored = DenseGrads::zeros_like(&layer);
-        restored.from_flat(&flat);
-        assert_eq!(restored, grads);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! channels, micro-batch activations and gradients really flow across
 //! stage boundaries (with split/concat for replicated stages, Fig. 9),
 //! per-stage gradients really accumulate across micro-batches (Fig. 10),
-//! and replicas really synchronize with the threaded ring AllReduce from
-//! [`dapple-collectives`](dapple_collectives).
+//! and replicas really synchronize: their gradients are summed in place,
+//! in the ring AllReduce's order, by
+//! [`dapple-collectives`](dapple_collectives)' shared-memory reduce.
 //!
 //! The paper's central convergence claim — "all the pipeline latency
 //! optimizations give equivalent gradients when keeping global batch size
@@ -33,13 +34,13 @@ pub mod runlog;
 pub mod tensor;
 pub mod trace;
 
-pub use checkpoint::{CheckpointStore, Partition, SaveKind, ShardedState, TrainState};
+pub use checkpoint::{CheckpointStore, Partition, SaveKind, ShardedState, StateView, TrainState};
 pub use fault::{FaultKind, FaultPlan, NanPolicy};
 pub use layer::{Activation, Dense};
 pub use loss::LossKind;
 pub use model::{MlpModel, StepStats};
 pub use optim::Optimizer;
-pub use pipeline::{EngineConfig, PipelineTrainer, StepOutcome};
+pub use pipeline::{EngineConfig, PipelineTrainer, StepGrads, StepOutcome};
 pub use recovery::{
     DataStream, FaultClass, RecoveryEvent, RecoveryEventKind, RecoveryMetrics, Replanner,
     RetryPolicy, Supervisor, TrainLoop,

@@ -83,6 +83,9 @@ impl Optimizer {
     }
 
     /// Applies one update step to `model` from accumulated `grads`.
+    ///
+    /// State and weights are updated in one pass that reads the gradient
+    /// tensors where they lie and allocates nothing.
     pub fn step(&mut self, model: &mut MlpModel, grads: &[DenseGrads]) {
         assert_eq!(grads.len(), model.layers.len(), "grad/layer mismatch");
         match self {
@@ -91,13 +94,18 @@ impl Optimizer {
                 model.apply(grads, lr);
             }
             Optimizer::Momentum { lr, beta, velocity } => {
-                for (i, layer) in model.layers.iter_mut().enumerate() {
-                    let flat = grads[i].to_flat();
-                    let vel = &mut velocity[i];
-                    for (v, g) in vel.iter_mut().zip(&flat) {
-                        *v = *beta * *v + *g;
+                let (lr, beta) = (*lr, *beta);
+                let update = |p: &mut [f32], g: &[f32], vel: &mut [f32]| {
+                    for ((p, g), v) in p.iter_mut().zip(g).zip(vel) {
+                        *v = beta * *v + *g;
+                        *p -= lr * *v;
                     }
-                    apply_flat(layer, vel, *lr);
+                };
+                for ((layer, g), vel) in model.layers.iter_mut().zip(grads).zip(velocity) {
+                    let (vel_w, vel_b) = vel.split_at_mut(layer.w.data.len());
+                    let [gw, gb] = g.segments();
+                    update(&mut layer.w.data, gw, vel_w);
+                    update(&mut layer.b, gb, vel_b);
                 }
             }
             Optimizer::Adam {
@@ -110,23 +118,25 @@ impl Optimizer {
                 v,
             } => {
                 *t += 1;
+                let (lr, beta1, beta2, eps) = (*lr, *beta1, *beta2, *eps);
                 let bc1 = 1.0 - beta1.powi(*t as i32);
                 let bc2 = 1.0 - beta2.powi(*t as i32);
-                for (i, layer) in model.layers.iter_mut().enumerate() {
-                    let flat = grads[i].to_flat();
-                    let update: Vec<f32> = m[i]
-                        .iter_mut()
-                        .zip(v[i].iter_mut())
-                        .zip(&flat)
-                        .map(|((mi, vi), g)| {
-                            *mi = *beta1 * *mi + (1.0 - *beta1) * g;
-                            *vi = *beta2 * *vi + (1.0 - *beta2) * g * g;
-                            let mhat = *mi / bc1;
-                            let vhat = *vi / bc2;
-                            mhat / (vhat.sqrt() + *eps)
-                        })
-                        .collect();
-                    apply_flat(layer, &update, *lr);
+                let update = |p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32]| {
+                    for (((p, g), mi), vi) in p.iter_mut().zip(g).zip(m).zip(v) {
+                        *mi = beta1 * *mi + (1.0 - beta1) * g;
+                        *vi = beta2 * *vi + (1.0 - beta2) * g * g;
+                        let mhat = *mi / bc1;
+                        let vhat = *vi / bc2;
+                        *p -= lr * (mhat / (vhat.sqrt() + eps));
+                    }
+                };
+                for (((layer, g), m), v) in model.layers.iter_mut().zip(grads).zip(m).zip(v) {
+                    let nw = layer.w.data.len();
+                    let (mw, mb) = m.split_at_mut(nw);
+                    let (vw, vb) = v.split_at_mut(nw);
+                    let [gw, gb] = g.segments();
+                    update(&mut layer.w.data, gw, mw, vw);
+                    update(&mut layer.b, gb, mb, vb);
                 }
             }
         }
@@ -140,17 +150,6 @@ fn zeros_like(model: &MlpModel) -> Vec<Vec<f32>> {
         .iter()
         .map(|l| vec![0.0f32; l.num_params()])
         .collect()
-}
-
-/// Applies a flat update vector (weights then bias) to a layer.
-fn apply_flat(layer: &mut crate::layer::Dense, update: &[f32], lr: f32) {
-    let nw = layer.w.data.len();
-    for (w, u) in layer.w.data.iter_mut().zip(&update[..nw]) {
-        *w -= lr * u;
-    }
-    for (b, u) in layer.b.iter_mut().zip(&update[nw..]) {
-        *b -= lr * u;
-    }
 }
 
 #[cfg(test)]
@@ -225,6 +224,85 @@ mod tests {
         mom.step(&mut heavy, &grads);
         mom.step(&mut heavy, &grads);
         assert!(heavy.layers[0].w.data[0] < plain.layers[0].w.data[0]);
+    }
+
+    /// The fused in-place update computes, per element, exactly what the
+    /// flat formulation it replaced did (flatten the gradients, update
+    /// the moments, collect an update vector, apply it): same bits in the
+    /// weights and in the optimizer state, step after step.
+    #[test]
+    fn fused_update_matches_the_flat_formulation_bitwise() {
+        fn flat_step(opt: &mut Optimizer, model: &mut MlpModel, grads: &[DenseGrads]) {
+            for (i, layer) in model.layers.iter_mut().enumerate() {
+                let flat = grads[i].segments().concat();
+                let (update, lr): (Vec<f32>, f32) = match opt {
+                    Optimizer::Sgd { .. } => unreachable!("SGD keeps no state"),
+                    Optimizer::Momentum { lr, beta, velocity } => {
+                        for (v, g) in velocity[i].iter_mut().zip(&flat) {
+                            *v = *beta * *v + *g;
+                        }
+                        (velocity[i].clone(), *lr)
+                    }
+                    Optimizer::Adam {
+                        lr,
+                        beta1,
+                        beta2,
+                        eps,
+                        t,
+                        m,
+                        v,
+                    } => {
+                        if i == 0 {
+                            *t += 1;
+                        }
+                        let bc1 = 1.0 - beta1.powi(*t as i32);
+                        let bc2 = 1.0 - beta2.powi(*t as i32);
+                        let update = m[i]
+                            .iter_mut()
+                            .zip(v[i].iter_mut())
+                            .zip(&flat)
+                            .map(|((mi, vi), g)| {
+                                *mi = *beta1 * *mi + (1.0 - *beta1) * g;
+                                *vi = *beta2 * *vi + (1.0 - *beta2) * g * g;
+                                (*mi / bc1) / ((*vi / bc2).sqrt() + *eps)
+                            })
+                            .collect();
+                        (update, *lr)
+                    }
+                };
+                let nw = layer.w.data.len();
+                for (w, u) in layer.w.data.iter_mut().zip(&update[..nw]) {
+                    *w -= lr * u;
+                }
+                for (b, u) in layer.b.iter_mut().zip(&update[nw..]) {
+                    *b -= lr * u;
+                }
+            }
+        }
+
+        let (x, t) = data::regression_batch(16, 4, 2, 5);
+        let start = MlpModel::new(&[4, 9, 2], 5);
+        for make in [
+            (|m: &MlpModel| Optimizer::momentum(0.1, 0.9, m)) as fn(&MlpModel) -> Optimizer,
+            |m: &MlpModel| Optimizer::adam(0.02, m),
+        ] {
+            let (mut fused, mut flat) = (start.clone(), start.clone());
+            let (mut fused_opt, mut flat_opt) = (make(&start), make(&start));
+            for _ in 0..5 {
+                let (_, grads) = fused.reference_grads(&x, &t, 2);
+                fused_opt.step(&mut fused, &grads);
+                flat_step(&mut flat_opt, &mut flat, &grads);
+                let bits = |m: &MlpModel| -> Vec<u32> {
+                    m.layers
+                        .iter()
+                        .flat_map(|l| l.w.data.iter().chain(&l.b))
+                        .map(|v| v.to_bits())
+                        .collect()
+                };
+                assert_eq!(bits(&fused), bits(&flat));
+                assert_eq!(fused_opt, flat_opt, "moments and step counter");
+            }
+        }
     }
 
     #[test]

@@ -7,9 +7,25 @@
 //! then the backward drain. Activations and activation-gradients flow as
 //! real tensors; replicated stages split/concat micro-batches by rows
 //! (Fig. 8a / Fig. 9); per-stage gradients accumulate across micro-batches
-//! and are synchronized with the ring AllReduce before a single SGD apply
-//! (Fig. 10) — synchronous semantics, bit-compatible with full-batch
-//! training up to float reassociation.
+//! and are synchronized before a single optimizer apply (Fig. 10) —
+//! synchronous semantics, bit-compatible with full-batch training up to
+//! float reassociation.
+//!
+//! # Gradient sync
+//!
+//! Gradients stay in the buffers the backward kernels wrote them to.
+//! Every worker accumulates into persistent buffers the trainer owns
+//! ([`PipelineTrainer`]'s gradient slots, re-zeroed at step start). When
+//! a replicated stage's last backward retires, its replicas `1..r` hand
+//! their accumulators to replica 0 over a channel and replica 0 sums
+//! them in place with [`dapple_collectives::reduce_sum_in_place`] — the
+//! ring AllReduce's per-chunk rank order over the stage's `dW‖db`
+//! concatenation, so the bits are the ring's (pinned by
+//! `tests/determinism.rs`) — while earlier stages are still in their
+//! backward tail. Replica 0's accumulators then *move* into
+//! [`StepOutcome::grads`] and return to their slots when the caller
+//! drops the outcome: no flatten, no copy, no per-step allocation that
+//! scales with the model.
 //!
 //! # Failure semantics
 //!
@@ -18,7 +34,9 @@
 //! deadlock surfaces as [`DappleError::Stalled`], never a hang), worker
 //! panics are caught and reported as [`DappleError::WorkerPanicked`],
 //! and non-finite gradient contributions are detected per micro-batch
-//! before the AllReduce and handled per [`NanPolicy`]. On shutdown each
+//! before the replica reduce and handled per [`NanPolicy`]. The reducing
+//! replica's wait for its peers' gradients is bounded the same way. On
+//! shutdown each
 //! worker first drops its senders, then drains its receivers, so
 //! duplicated or trailing messages are caught deterministically as
 //! [`DappleError::ChannelProtocol`]. When several workers fail (one root
@@ -32,14 +50,16 @@ use crate::layer::{Dense, DenseGrads};
 use crate::loss::{loss_grad_into, LossKind};
 use crate::model::{MlpModel, StepStats};
 use crate::tensor::Tensor;
-use crate::trace::{SpanKind, SpanRing, SpanWriter, StepTrace, WorkerTrace};
+use crate::trace::{
+    CoordSpan, Span, SpanKind, SpanRing, SpanWriter, StepTrace, WorkerTrace, NO_MICRO,
+};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dapple_core::{DappleError, Plan, Result};
 use dapple_sim::schedule::{stage_order, Step};
 use dapple_sim::Schedule;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Configuration of a pipeline training run.
@@ -131,8 +151,12 @@ struct Msg {
 /// Per-worker output.
 struct WorkerOut {
     stage: usize,
-    replica: usize,
+    /// The stage's synchronized gradients on replica 0 (moved out of its
+    /// slot); empty on every other replica.
     grads: Vec<DenseGrads>,
+    /// The replica reduce, timed on the step clock (replica 0 of a
+    /// replicated stage, tracing on).
+    sync: Option<Span>,
     loss: f32,
     /// Micro-batches dropped under [`NanPolicy::SkipMicroBatch`].
     skipped: usize,
@@ -146,13 +170,13 @@ struct WorkerOut {
 
 /// The result of one pipelined gradient computation, including what the
 /// NaN policy did along the way.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct StepOutcome {
     /// Total loss over the global batch (minus any skipped micro-batches).
     pub loss: f32,
     /// Per-layer gradients, directly comparable with
     /// [`MlpModel::reference_grads`].
-    pub grads: Vec<DenseGrads>,
+    pub grads: StepGrads,
     /// Micro-batch contributions dropped by [`NanPolicy::SkipMicroBatch`],
     /// summed over stage replicas (each replica that detects the poison
     /// counts it once).
@@ -173,6 +197,89 @@ pub struct StepOutcome {
     pub trace: Option<StepTrace>,
 }
 
+/// One worker's persistent gradient buffers, each one [`DenseGrads`] per
+/// layer of the worker's stage (empty until the first step, or after the
+/// buffers left with a caller).
+#[derive(Default)]
+struct GradSlot {
+    /// The step's accumulator over micro-batches.
+    acc: Vec<DenseGrads>,
+    /// Per-micro-batch contribution scratch, overwritten by every
+    /// backward — kept apart from `acc` so a poisoned contribution can be
+    /// inspected before it contaminates the sum.
+    contrib: Vec<DenseGrads>,
+}
+
+/// Where a trainer's gradient buffers live between steps. Shared by the
+/// trainer and every [`StepGrads`] it has handed out, so gradients can
+/// find their way back without borrowing the trainer.
+struct GradHome {
+    /// One slot per stage replica, in spawn order.
+    slots: Vec<Mutex<GradSlot>>,
+    /// Per stage: the slot of its replica 0 and its layer count.
+    stages: Vec<(usize, usize)>,
+}
+
+/// Locks a buffer slot, clearing the poison a panicked worker left: the
+/// buffers behind these locks are replaced whole or re-initialized at
+/// step start, so no state a panic interrupts is ever read.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A step's per-layer gradients: the stage accumulators themselves, on
+/// loan from the trainer. Reads as a `[DenseGrads]`; dropping it returns
+/// the buffers for the next step to reuse.
+pub struct StepGrads {
+    grads: Vec<DenseGrads>,
+    home: Arc<GradHome>,
+}
+
+impl StepGrads {
+    /// Keeps the gradients for good. The trainer allocates fresh
+    /// accumulators on its next step.
+    pub fn into_vec(mut self) -> Vec<DenseGrads> {
+        std::mem::take(&mut self.grads)
+    }
+}
+
+impl std::ops::Deref for StepGrads {
+    type Target = [DenseGrads];
+
+    fn deref(&self) -> &[DenseGrads] {
+        &self.grads
+    }
+}
+
+impl<'a> IntoIterator for &'a StepGrads {
+    type Item = &'a DenseGrads;
+    type IntoIter = std::slice::Iter<'a, DenseGrads>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.grads.iter()
+    }
+}
+
+impl std::fmt::Debug for StepGrads {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.grads.fmt(f)
+    }
+}
+
+impl Drop for StepGrads {
+    fn drop(&mut self) {
+        if self.grads.is_empty() {
+            return;
+        }
+        let mut grads = self.grads.drain(..);
+        for &(slot, layers) in &self.home.stages {
+            let acc = &mut lock(&self.home.slots[slot]).acc;
+            acc.clear();
+            acc.extend(grads.by_ref().take(layers));
+        }
+    }
+}
+
 /// The pipeline trainer: a model plus its parallelization config.
 pub struct PipelineTrainer {
     /// The master copy of the model (updated after every step).
@@ -182,9 +289,16 @@ pub struct PipelineTrainer {
     /// spawn order. Owned here — not by the per-step workers — so the
     /// free lists survive across steps: after the first step every
     /// boundary take is a hit and steps allocate no boundary buffers at
-    /// all. (The old per-step pools re-paid the warmup misses on every
-    /// single step, which is why buffer reuse stopped being a win.)
+    /// all.
     pools: Vec<Mutex<TensorPool>>,
+    /// Per-worker gradient accumulators and contribution scratch, in the
+    /// same order. A worker holds its slot for the step and works on the
+    /// buffers in place; a stage's synchronized accumulators leave in
+    /// [`StepOutcome::grads`] and come back when it is dropped, so a
+    /// steady-state step allocates no gradient storage. Whatever a failed
+    /// attempt left behind is zeroed at the next step's start, and a slot
+    /// found empty or mis-shaped is rebuilt.
+    grad_home: Arc<GradHome>,
 }
 
 impl PipelineTrainer {
@@ -229,7 +343,27 @@ impl PipelineTrainer {
         let pools = (0..workers)
             .map(|_| Mutex::new(TensorPool::new(cfg.buffer_reuse)))
             .collect();
-        Ok(PipelineTrainer { model, cfg, pools })
+        let mut first_slot = 0usize;
+        let stages = cfg
+            .stage_bounds
+            .iter()
+            .zip(&cfg.replication)
+            .map(|(layers, &r)| {
+                let stage = (first_slot, layers.len());
+                first_slot += r;
+                stage
+            })
+            .collect();
+        let grad_home = Arc::new(GradHome {
+            slots: (0..workers).map(|_| Mutex::default()).collect(),
+            stages,
+        });
+        Ok(PipelineTrainer {
+            model,
+            cfg,
+            pools,
+            grad_home,
+        })
     }
 
     /// Config accessor.
@@ -239,10 +373,12 @@ impl PipelineTrainer {
 
     /// Computes full-batch gradients via the pipeline, without updating
     /// weights. Returns `(loss, per-layer grads)` — directly comparable
-    /// with [`MlpModel::reference_grads`].
+    /// with [`MlpModel::reference_grads`]. The gradients are the caller's
+    /// to keep ([`StepGrads::into_vec`]); loops that only read them should
+    /// use [`Self::step_grads_with_faults`], which lends them instead.
     pub fn step_grads(&self, x: &Tensor, target: &Tensor) -> Result<(f32, Vec<DenseGrads>)> {
         let out = self.step_grads_with_faults(x, target, &FaultPlan::new())?;
-        Ok((out.loss, out.grads))
+        Ok((out.loss, out.grads.into_vec()))
     }
 
     /// [`Self::step_grads`] under a fault-injection plan. With an empty
@@ -347,7 +483,27 @@ impl PipelineTrainer {
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for i in 0..s {
+                // A replicated stage's gradient rendezvous: replicas
+                // `1..r` send, replica 0 receives. The original sender
+                // goes out of scope with this iteration, so replica 0
+                // sees a disconnect as soon as every peer has sent or
+                // died.
+                let stage_slots = &self.grad_home.slots[self.grad_home.stages[i].0..];
+                let (grad_tx, mut grad_rx) = if self.cfg.replication[i] > 1 {
+                    let (tx, rx) = unbounded();
+                    (Some(tx), Some(rx))
+                } else {
+                    (None, None)
+                };
                 for p in 0..self.cfg.replication[i] {
+                    let sync = match (p, &grad_tx) {
+                        (_, None) => GradSync::Solo,
+                        (0, Some(_)) => GradSync::Reducer {
+                            rx: grad_rx.take().expect("one reducer per stage"),
+                            peer_slots: &stage_slots[..self.cfg.replication[i]],
+                        },
+                        (_, Some(tx)) => GradSync::Peer(tx.clone()),
+                    };
                     let layers = &self.model.layers[self.cfg.stage_bounds[i].clone()];
                     let my_rows = rows_of(i, p);
                     let script = stage_order(self.cfg.schedule, i, s, m, self.cfg.max_in_flight);
@@ -394,6 +550,8 @@ impl PipelineTrainer {
                         nan_policy: self.cfg.nan_policy,
                         recv_timeout: self.cfg.recv_timeout,
                         pool: &self.pools[handles.len()],
+                        grad_slot: &stage_slots[p],
+                        sync,
                         tracer,
                     };
                     handles.push(scope.spawn(move || {
@@ -452,61 +610,39 @@ impl PipelineTrainer {
         if let Some(err) = most_severe_error(&results) {
             return (Err(err), trace);
         }
-        let mut outs: Vec<WorkerOut> = results
+        let outs: Vec<WorkerOut> = results
             .into_iter()
             .map(|r| r.expect("no errors after aggregation"))
             .collect();
-
-        // Gradient sync: ring all-reduce across each stage's replicas
-        // (Fig. 10), then assemble per-layer global gradients.
+        // Spawn order is stage-major: stage `i` owns the next `r_i` outs,
+        // and its replica 0 carries the stage's synchronized accumulators.
         let mut loss = 0.0f32;
+        let mut first = 0usize;
+        for &r in &self.cfg.replication {
+            loss += outs[first..first + r].iter().map(|o| o.loss).sum::<f32>();
+            first += r;
+        }
         let skipped_micro_batches = outs.iter().map(|o| o.skipped).sum();
         let zeroed_values = outs.iter().map(|o| o.zeroed).sum();
         let pool_hits = outs.iter().map(|o| o.pool_hits).sum();
         let pool_misses = outs.iter().map(|o| o.pool_misses).sum();
-        let mut global: Vec<Option<DenseGrads>> =
-            (0..self.model.num_layers()).map(|_| None).collect();
-        for i in 0..s {
-            let mut replicas: Vec<&mut WorkerOut> =
-                outs.iter_mut().filter(|o| o.stage == i).collect();
-            replicas.sort_by_key(|o| o.replica);
-            loss += replicas.iter().map(|o| o.loss).sum::<f32>();
-            let mut flats: Vec<Vec<f32>> = replicas
-                .iter()
-                .map(|o| {
-                    o.grads
-                        .iter()
-                        .flat_map(|g| g.to_flat())
-                        .collect::<Vec<f32>>()
-                })
-                .collect();
-            // Time the ring AllReduce only when it actually synchronizes
-            // replicas — mirrors the simulator, which emits an AllReduce
-            // task only for replicated stages.
-            let ar_t0 = (trace.is_some() && flats.len() > 1).then(Instant::now);
-            dapple_collectives::allreduce_sum(&mut flats);
-            if let (Some(t0), Some(tr)) = (ar_t0, trace.as_mut()) {
-                let bytes = (flats[0].len() * std::mem::size_of::<f32>()) as u64;
-                tr.record_coord(Some(i), SpanKind::AllReduce, bytes, t0, Instant::now());
-            }
-            // Unflatten replica 0's reduced gradients into layer slots.
-            let mut offset = 0usize;
-            for layer_idx in self.cfg.stage_bounds[i].clone() {
-                let mut g = DenseGrads::zeros_like(&self.model.layers[layer_idx]);
-                let len = g.to_flat().len();
-                g.from_flat(&flats[0][offset..offset + len]);
-                offset += len;
-                global[layer_idx] = Some(g);
+        let mut grads = Vec::with_capacity(self.model.num_layers());
+        for out in outs {
+            grads.extend(out.grads);
+            if let (Some(span), Some(tr)) = (out.sync, trace.as_mut()) {
+                tr.coord.push(CoordSpan {
+                    stage: Some(out.stage),
+                    span,
+                });
             }
         }
-        let grads = global
-            .into_iter()
-            .map(|g| g.expect("every layer covered"))
-            .collect();
         (
             Ok(StepOutcome {
                 loss,
-                grads,
+                grads: StepGrads {
+                    grads,
+                    home: Arc::clone(&self.grad_home),
+                },
                 skipped_micro_batches,
                 zeroed_values,
                 pool_hits,
@@ -519,10 +655,10 @@ impl PipelineTrainer {
 
     /// One synchronous training step: pipeline gradients + SGD apply.
     pub fn train_step(&mut self, x: &Tensor, target: &Tensor) -> Result<StepStats> {
-        let (loss, grads) = self.step_grads(x, target)?;
-        self.model.apply(&grads, self.cfg.lr);
+        let out = self.step_grads_with_faults(x, target, &FaultPlan::new())?;
+        self.model.apply(&out.grads, self.cfg.lr);
         Ok(StepStats {
-            loss,
+            loss: out.loss,
             samples: x.rows,
         })
     }
@@ -559,10 +695,10 @@ impl PipelineTrainer {
         target: &Tensor,
         optimizer: &mut crate::optim::Optimizer,
     ) -> Result<StepStats> {
-        let (loss, grads) = self.step_grads(x, target)?;
-        optimizer.step(&mut self.model, &grads);
+        let out = self.step_grads_with_faults(x, target, &FaultPlan::new())?;
+        optimizer.step(&mut self.model, &out.grads);
         Ok(StepStats {
-            loss,
+            loss: out.loss,
             samples: x.rows,
         })
     }
@@ -638,8 +774,28 @@ struct Worker<'a> {
     /// only its own slot for the duration of the step — uncontended by
     /// construction.
     pool: &'a Mutex<TensorPool>,
+    /// This worker's persistent gradient buffers, held for the step like
+    /// the pool.
+    grad_slot: &'a Mutex<GradSlot>,
+    /// This worker's part in its stage's gradient sync.
+    sync: GradSync<'a>,
     /// Span recorder; `None` keeps the hot path timestamp-free.
     tracer: Option<SpanWriter>,
+}
+
+/// A worker's part in the gradient sync of its stage.
+enum GradSync<'a> {
+    /// Unreplicated stage: the accumulator already is the stage gradient.
+    Solo,
+    /// Replica 0 of a replicated stage: collects its peers' accumulators
+    /// and reduces them into its own.
+    Reducer {
+        rx: Receiver<(usize, Vec<DenseGrads>)>,
+        /// The stage's slots by replica, to return the peers' buffers to.
+        peer_slots: &'a [Mutex<GradSlot>],
+    },
+    /// Replicas `1..r`: hand `(replica, accumulator)` to replica 0.
+    Peer(Sender<(usize, Vec<DenseGrads>)>),
 }
 
 /// Stored state per in-flight micro-batch.
@@ -683,6 +839,10 @@ struct TensorPool {
     free: Vec<((usize, usize), Vec<Tensor>)>,
     hits: usize,
     misses: usize,
+    /// The worker thread's `matmul_nt` packing scratch between steps
+    /// (see [`crate::tensor::swap_nt_pack`]): threads are per step, the
+    /// scratch they grow to the stage's largest weight matrix is not.
+    nt_pack: Vec<f32>,
 }
 
 impl TensorPool {
@@ -692,6 +852,7 @@ impl TensorPool {
             free: Vec::new(),
             hits: 0,
             misses: 0,
+            nt_pack: Vec::new(),
         }
     }
 
@@ -792,12 +953,37 @@ impl Worker<'_> {
     }
 
     fn run(mut self) -> Result<WorkerOut> {
-        let mut grads: Vec<DenseGrads> = self.layers.iter().map(DenseGrads::zeros_like).collect();
-        // Per-micro-batch gradient scratch, allocated once per run and
-        // overwritten by every backward — dW/db no longer come back as
-        // fresh tensors per micro-batch (the steady-state allocation
-        // hole the pool never covered).
-        let mut contrib: Vec<DenseGrads> = self.layers.iter().map(DenseGrads::zeros_like).collect();
+        // A worker that panicked mid-step (injected faults) poisons its
+        // pool mutex; the pool's free lists are always structurally
+        // valid, so recovery just clears the poison and keeps going.
+        let mut pool_guard = lock(self.pool);
+        let pool = &mut *pool_guard;
+        pool.begin_step();
+        crate::tensor::swap_nt_pack(&mut pool.nt_pack);
+        let out = self.run_script(pool);
+        crate::tensor::swap_nt_pack(&mut pool.nt_pack);
+        out
+    }
+
+    /// The worker's step: its schedule script, then the gradient sync and
+    /// the shutdown checks.
+    fn run_script(&mut self, pool: &mut TensorPool) -> Result<WorkerOut> {
+        // The gradient buffers persist in the trainer's slot; the guard is
+        // held until they are handed on, so an attempt that fails or
+        // panics leaves them where the next step finds (and zeroes) them.
+        let mut slot_guard = lock(self.grad_slot);
+        let GradSlot {
+            acc: grads,
+            contrib,
+        } = &mut *slot_guard;
+        for bufs in [&mut *grads, &mut *contrib] {
+            let reusable = bufs.len() == self.layers.len()
+                && bufs.iter().zip(self.layers).all(|(g, l)| g.fits(l));
+            if !reusable {
+                *bufs = self.layers.iter().map(DenseGrads::zeros_like).collect();
+            }
+        }
+        grads.iter_mut().for_each(DenseGrads::zero);
         // Spare spines for the per-layer forward chains: each backward
         // drains its chain's tensors into the pool and parks the empty
         // Vec here for the next forward.
@@ -805,15 +991,6 @@ impl Worker<'_> {
         let mut loss = 0.0f32;
         let mut skipped = 0usize;
         let mut zeroed = 0usize;
-        // A worker that panicked mid-step (injected faults) poisons its
-        // pool mutex; the pool's free lists are always structurally
-        // valid, so recovery just clears the poison and keeps going.
-        let mut pool_guard = self
-            .pool
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let pool = &mut *pool_guard;
-        pool.begin_step();
         // At most one flight per in-progress micro-batch; sizing the map
         // up front keeps rehashing out of the step loop.
         let mut flights: HashMap<usize, Flight> = HashMap::with_capacity(self.script.len() / 2 + 1);
@@ -979,7 +1156,7 @@ impl Worker<'_> {
                     // inspected — and skipped or repaired — before it
                     // contaminates the accumulator.
                     let (dx, spent_gy) =
-                        backward_stage(self.layers, &input, &ys, dy, &mut contrib, pool);
+                        backward_stage(self.layers, &input, &ys, dy, contrib, pool);
                     // The last stage folds its loss computation into the
                     // backward span; upstream stages start at receipt.
                     self.rec(
@@ -1000,9 +1177,9 @@ impl Worker<'_> {
                         pool.put(y);
                     }
                     chain_spares.push(ys);
-                    let bad = count_non_finite(&contrib) + usize::from(!micro_loss.is_finite());
+                    let bad = count_non_finite(contrib) + usize::from(!micro_loss.is_finite());
                     if bad == 0 {
-                        merge_contribution(&mut grads, &contrib);
+                        merge_contribution(grads, contrib);
                         loss += micro_loss;
                     } else {
                         match self.nan_policy {
@@ -1015,8 +1192,8 @@ impl Worker<'_> {
                             }
                             NanPolicy::SkipMicroBatch => skipped += 1,
                             NanPolicy::ZeroAndWarn => {
-                                zeroed += zero_non_finite(&mut contrib);
-                                merge_contribution(&mut grads, &contrib);
+                                zeroed += zero_non_finite(contrib);
+                                merge_contribution(grads, contrib);
                                 if micro_loss.is_finite() {
                                     loss += micro_loss;
                                 } else {
@@ -1049,11 +1226,22 @@ impl Worker<'_> {
                 }
             }
         }
+        // The script is done, so nothing more will be sent: dropping the
+        // senders now lets peers draining their receivers see a prompt
+        // disconnect, before this worker waits on anything itself.
+        self.tx_f = None;
+        self.tx_b = None;
+        // Sync before the shutdown drain — the drain waits for the
+        // neighbouring stages to finish, the sync only for this stage's
+        // own replicas, so it overlaps the earlier stages' backward tail.
+        let grads = std::mem::take(grads);
+        drop(slot_guard);
+        let (grads, sync) = self.sync_grads(grads)?;
         self.shutdown(&buf_f, &buf_b)?;
         Ok(WorkerOut {
             stage: self.stage,
-            replica: self.replica,
             grads,
+            sync,
             loss,
             skipped,
             zeroed,
@@ -1062,18 +1250,83 @@ impl Worker<'_> {
         })
     }
 
-    /// Structured shutdown: drop this worker's senders *first* (so peers
-    /// draining their own receivers see a prompt disconnect rather than a
-    /// timeout), then verify nothing unexpected is left — a buffered or
-    /// trailing message at this point means a peer sent more than the
-    /// schedule allows (e.g. an injected duplicate).
+    /// This stage's gradient sync, run the moment its last backward has
+    /// retired. An unreplicated stage keeps its accumulator as is; in a
+    /// replicated one, replicas `1..r` hand theirs to replica 0, which
+    /// sums them into its own in the ring AllReduce's order and sends the
+    /// spent buffers home. Returns the stage's gradients (replica 0; empty
+    /// elsewhere) and, with tracing on, the reduce's span. Replica 0's
+    /// wait is bounded by `recv_timeout` and ends early when every peer
+    /// has either sent or died.
+    fn sync_grads(&mut self, mut acc: Vec<DenseGrads>) -> Result<(Vec<DenseGrads>, Option<Span>)> {
+        let closed = DappleError::ChannelClosed {
+            stage: self.stage,
+            replica: self.replica,
+            step: self.script.len(),
+        };
+        match std::mem::replace(&mut self.sync, GradSync::Solo) {
+            GradSync::Solo => Ok((acc, None)),
+            GradSync::Peer(tx) => {
+                tx.send((self.replica, acc)).map_err(|_| closed)?;
+                Ok((Vec::new(), None))
+            }
+            GradSync::Reducer { rx, peer_slots } => {
+                let mut peers = Vec::with_capacity(peer_slots.len() - 1);
+                let deadline = Instant::now() + self.recv_timeout;
+                while peers.len() + 1 < peer_slots.len() {
+                    let remaining = deadline.saturating_duration_since(Instant::now());
+                    match rx.recv_timeout(remaining) {
+                        Ok(peer) => peers.push(peer),
+                        Err(RecvTimeoutError::Timeout) => {
+                            return Err(DappleError::Stalled {
+                                stage: self.stage,
+                                replica: self.replica,
+                                step: self.script.len(),
+                            });
+                        }
+                        Err(RecvTimeoutError::Disconnected) => return Err(closed),
+                    }
+                }
+                // Rank order is replica order, whatever order they arrived in.
+                peers.sort_by_key(|(replica, _)| *replica);
+                let t0 = self.now_ns();
+                {
+                    let mut first: Vec<&mut [f32]> =
+                        acc.iter_mut().flat_map(DenseGrads::segments_mut).collect();
+                    let rest: Vec<Vec<&[f32]>> = peers
+                        .iter()
+                        .map(|(_, bufs)| bufs.iter().flat_map(DenseGrads::segments).collect())
+                        .collect();
+                    dapple_collectives::reduce_sum_in_place(&mut first, &rest);
+                }
+                let span = self.tracer.as_ref().map(|_| Span {
+                    kind: SpanKind::AllReduce,
+                    micro: NO_MICRO,
+                    bytes: acc
+                        .iter()
+                        .flat_map(DenseGrads::segments)
+                        .map(|seg| std::mem::size_of_val(seg) as u64)
+                        .sum(),
+                    start_ns: t0,
+                    end_ns: self.now_ns(),
+                });
+                for (replica, bufs) in peers {
+                    lock(&peer_slots[replica]).acc = bufs;
+                }
+                Ok((acc, span))
+            }
+        }
+    }
+
+    /// Structured shutdown, after the senders are gone: verify nothing
+    /// unexpected is left — a buffered or trailing message at this point
+    /// means a peer sent more than the schedule allows (e.g. an injected
+    /// duplicate).
     fn shutdown(
-        &mut self,
+        &self,
         buf_f: &HashMap<usize, Vec<Msg>>,
         buf_b: &HashMap<usize, Vec<Msg>>,
     ) -> Result<()> {
-        self.tx_f = None;
-        self.tx_b = None;
         for (side, buf) in [("forward", buf_f), ("backward", buf_b)] {
             if let Some((micro, parts)) = buf.iter().find(|(_, parts)| !parts.is_empty()) {
                 return Err(DappleError::ChannelProtocol {
@@ -1745,8 +1998,9 @@ mod tests {
         assert_eq!(out.skipped_micro_batches, 0);
         assert_eq!(out.zeroed_values, 0);
         for (a, b) in grads_a.iter().zip(&out.grads) {
-            let (fa, fb) = (a.to_flat(), b.to_flat());
-            assert!(fa.iter().zip(&fb).all(|(p, q)| p.to_bits() == q.to_bits()));
+            for (sa, sb) in a.segments().into_iter().zip(b.segments()) {
+                assert!(sa.iter().zip(sb).all(|(p, q)| p.to_bits() == q.to_bits()));
+            }
         }
     }
 

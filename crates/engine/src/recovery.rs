@@ -60,7 +60,7 @@
 //! folded into the step's [`StepMetrics`] so `dapple-bench` can report
 //! it in the BENCH json.
 
-use crate::checkpoint::{self, Partition, TrainState};
+use crate::checkpoint::{self, Partition, StateView, TrainState};
 use crate::data;
 use crate::fault::FaultPlan;
 use crate::model::{MlpModel, StepStats};
@@ -298,7 +298,20 @@ impl TrainLoop {
         }
     }
 
-    /// The full training state (cloned), ready for serialization.
+    /// The full training state, borrowed: what a save reads.
+    fn state_view(&self) -> StateView<'_> {
+        StateView {
+            model: &self.trainer.model,
+            optimizer: &self.optimizer,
+            step: self.step,
+            data_seed: self.data.seed,
+            data_cursor: self.data.cursor,
+            batch_samples: self.data.samples as u32,
+        }
+    }
+
+    /// The full training state (cloned), e.g. to rebuild a loop with
+    /// [`TrainLoop::from_state`]. Saves borrow it instead.
     pub fn state(&self) -> TrainState {
         TrainState {
             model: self.trainer.model.clone(),
@@ -315,7 +328,7 @@ impl TrainLoop {
     /// layer, so the step count is each shard's version and the save id.
     pub fn save_bytes(&self) -> Vec<u8> {
         let versions = vec![self.step; self.trainer.model.layers.len()];
-        checkpoint::v3_full_to_bytes(&self.state(), &self.partition(), &versions, self.step)
+        checkpoint::v3_full_to_bytes(self.state_view(), &self.partition(), &versions, self.step)
     }
 
     /// Writes [`TrainLoop::save_bytes`] to a file.
@@ -961,7 +974,7 @@ impl Supervisor {
     /// Unconditionally serializes the next v3 checkpoint in the chain.
     fn save_checkpoint(&mut self) {
         let t0 = Instant::now();
-        let state = self.train.state();
+        let state = self.train.state_view();
         let partition = self.train.partition();
         self.save_id += 1;
         let delta = !self.ckpt_chain.is_empty() && self.ckpt_chain.len() < FULL_SAVE_EVERY;
@@ -970,7 +983,7 @@ impl Supervisor {
                 .map(|(_, save_id, _)| save_id)
                 .expect("chain head is a valid v3 file");
             checkpoint::v3_delta_to_bytes(
-                &state,
+                state,
                 &partition,
                 &self.versions,
                 &self.saved_versions,
@@ -979,7 +992,7 @@ impl Supervisor {
             )
         } else {
             self.ckpt_chain.clear();
-            checkpoint::v3_full_to_bytes(&state, &partition, &self.versions, self.save_id)
+            checkpoint::v3_full_to_bytes(state, &partition, &self.versions, self.save_id)
         };
         let ns = t0.elapsed().as_nanos() as u64;
         self.train.charge_checkpoint_ns(ns, 0);

@@ -338,6 +338,15 @@ thread_local! {
     static NT_PACK: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
+/// Exchanges the calling thread's `matmul_nt` packing scratch with
+/// `buf`. A short-lived thread that repeats its predecessor's work (a
+/// pipeline stage worker, spawned per step) swaps the scratch that
+/// predecessor grew in at start and back out at exit, instead of growing
+/// a weight-matrix-sized buffer of its own every step.
+pub(crate) fn swap_nt_pack(buf: &mut Vec<f32>) {
+    NT_PACK.with(|cell| std::mem::swap(&mut *cell.borrow_mut(), buf));
+}
+
 /// Transposes `src` (`rows x cols`, row-major) into `dst[..cols * rows]`
 /// (`cols x rows`), growing `dst` as needed. Blocked so both the read
 /// and write sides stay within a few cache lines per pass; every element

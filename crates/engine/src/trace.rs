@@ -38,7 +38,8 @@ pub enum SpanKind {
     CommSend,
     /// Blocked waiting for boundary input (channel backpressure).
     CommRecvWait,
-    /// Ring AllReduce of a replicated stage's gradients.
+    /// The reduce of a replicated stage's gradients across its replicas
+    /// (the arithmetic only, not the wait for the replicas to arrive).
     AllReduce,
     /// The optimizer's weight update after gradient sync.
     OptimStep,
@@ -200,7 +201,8 @@ pub struct WorkerTrace {
     pub dropped: usize,
 }
 
-/// A coordinator-side span (gradient AllReduce, optimizer step).
+/// A stage- or model-level span (a stage's gradient AllReduce, timed by
+/// its reducing worker; the optimizer step).
 #[derive(Debug, Clone, Copy)]
 pub struct CoordSpan {
     /// Stage the span belongs to; `None` for whole-model spans.
@@ -214,7 +216,8 @@ pub struct CoordSpan {
 pub struct StepTrace {
     /// Per-worker spans, in spawn order (stage-major, replica-minor).
     pub workers: Vec<WorkerTrace>,
-    /// Coordinator spans (AllReduce per replicated stage, OptimStep).
+    /// Stage- and model-level spans (one AllReduce per replicated stage,
+    /// in stage order; OptimStep).
     pub coord: Vec<CoordSpan>,
     /// Replication factor per stage (fixes the Chrome `tid` layout).
     pub replication: Vec<usize>,

@@ -47,7 +47,7 @@ fn main() {
     };
     let mut pipe = PipelineTrainer::new(MlpModel::new(&dims, 7), straight).unwrap();
 
-    // Hybrid: first stage replicated 2-ways (split/concat + ring AllReduce).
+    // Hybrid: first stage replicated 2-ways (split/concat + in-worker replica reduce).
     let hybrid = EngineConfig {
         stage_bounds: vec![0..3, 3..6],
         replication: vec![2, 1],

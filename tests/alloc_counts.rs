@@ -12,6 +12,11 @@
 //! gradients all circulate through per-trainer free lists, so fresh
 //! allocations happen only during pipeline warmup and their count is
 //! independent of the number of micro-batches.
+//!
+//! A byte counter beside the call counter pins the gradient path: the
+//! accumulators, the replica reduce and the optimizer work in persistent
+//! buffers, so the bytes a steady-state training step allocates do not
+//! depend on how many parameters the model has.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -21,20 +26,25 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 struct CountingAlloc;
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+/// Bytes requested by those allocations (a `realloc` counts its new size).
+static BYTES: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -62,12 +72,17 @@ fn measure() -> MutexGuard<'static, ()> {
 /// allocate when they report the previous test and spawn the next one,
 /// and blocking receives allocate wakeup tokens nondeterministically.
 /// Both only ever add, so the minimum is the deterministic floor.
-fn min_allocs(reps: usize, mut f: impl FnMut()) -> usize {
+fn min_allocs(reps: usize, f: impl FnMut()) -> usize {
+    min_growth(&ALLOCS, reps, f)
+}
+
+/// [`min_allocs`] for any of the allocator's counters.
+fn min_growth(counter: &AtomicUsize, reps: usize, mut f: impl FnMut()) -> usize {
     (0..reps)
         .map(|_| {
-            let before = ALLOCS.load(Ordering::Relaxed);
+            let before = counter.load(Ordering::Relaxed);
             f();
-            ALLOCS.load(Ordering::Relaxed) - before
+            counter.load(Ordering::Relaxed) - before
         })
         .min()
         .expect("at least one repetition")
@@ -328,6 +343,61 @@ fn metrics_recording_allocates_nothing_at_steady_state() {
     assert_eq!(used, 0, "steady-state record_step allocated {used} times");
     assert_eq!(rec.records(), 3_005);
     assert_eq!(rec.write_errors(), 0);
+}
+
+/// Fewest bytes one steady-state `TrainLoop::try_step` allocates on a
+/// model with hidden layers `width` wide (batch, depth and the input and
+/// output widths are fixed, so only the parameter count varies).
+fn train_step_bytes(width: usize, hybrid: bool, adam: bool) -> usize {
+    use dapple::engine::{DataStream, EngineConfig, FaultPlan, MlpModel, Optimizer, TrainLoop};
+    let model = MlpModel::new(&[8, width, width, width, 4], 77);
+    let mut cfg = if hybrid {
+        EngineConfig::straight(vec![0..2, 2..4], 4, 0.05)
+    } else {
+        EngineConfig::straight(vec![0..1, 1..3, 3..4], 4, 0.05)
+    };
+    if hybrid {
+        cfg.replication = vec![2, 2];
+    }
+    let optimizer = if adam {
+        Optimizer::adam(0.01, &model)
+    } else {
+        Optimizer::sgd(0.05)
+    };
+    // 4 rows per micro-batch keeps every matmul under the kernels'
+    // parallel gate at both widths: no helper threads, whose spawns
+    // would differ between the two.
+    let mut lp = TrainLoop::new(model, cfg, optimizer, DataStream::new(5, 16, 8, 4)).unwrap();
+    let clean = FaultPlan::new();
+    for _ in 0..3 {
+        lp.try_step(&clean).expect("warm-up step");
+    }
+    min_growth(&BYTES, 5, || {
+        lp.try_step(&clean).expect("measured step");
+    })
+}
+
+/// The gradient path allocates nothing that scales with the model: a
+/// steady-state training step — SGD or Adam, straight pipeline or
+/// replicated stages — requests the same number of bytes for a model
+/// with 16x the parameters, up to a fixed slack for the nondeterministic
+/// small allocations of thread wake-ups. One parameter-sized buffer of
+/// the wide model would be 500 KiB.
+#[test]
+fn train_step_bytes_do_not_scale_with_parameters() {
+    let _guard = measure();
+    const SLACK: usize = 4096;
+    for hybrid in [false, true] {
+        for adam in [false, true] {
+            let narrow = train_step_bytes(64, hybrid, adam);
+            let wide = train_step_bytes(256, hybrid, adam);
+            assert!(
+                narrow.abs_diff(wide) <= SLACK,
+                "hybrid={hybrid} adam={adam}: a step allocates {narrow} bytes at width 64 \
+                 but {wide} at width 256"
+            );
+        }
+    }
 }
 
 /// Tracing's allocation overhead is a per-step constant — the rings and

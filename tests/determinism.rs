@@ -12,8 +12,11 @@
 //! pipeline's numerics cannot drift with `RAYON_NUM_THREADS` — CI runs
 //! this suite under both 1 thread and the default pool to pin that.
 
+use dapple::collectives::{allreduce_sum, reduce_sum_in_place};
+use dapple::engine::layer::DenseGrads;
+use dapple::engine::loss::loss_grad_into;
 use dapple::engine::{
-    data, EngineConfig, FaultPlan, LossKind, MlpModel, NanPolicy, PipelineTrainer,
+    data, EngineConfig, FaultPlan, LossKind, MlpModel, NanPolicy, PipelineTrainer, Tensor,
 };
 use dapple::sim::{KPolicy, Schedule};
 use proptest::prelude::*;
@@ -113,6 +116,231 @@ fn traced_runs_have_identical_event_order() {
     assert_eq!(a, b, "event order must not depend on thread timing");
 }
 
+/// Order-sensitive data: magnitudes that absorb and cancel, so summing
+/// the ranks in any association but the ring's changes the bits.
+fn rank_values(rank: usize, len: usize) -> Vec<f32> {
+    const PALETTE: [f32; 6] = [1e8, 1.0, -1e8, 3e-7, -0.75, 16_777_217.0];
+    let mut state = (rank as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (0..len)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            PALETTE[(state >> 33) as usize % PALETTE.len()]
+        })
+        .collect()
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The in-place ordered reduce is the ring AllReduce, bit for bit: for
+/// every rank count 1..=8 and lengths around the chunking edge cases
+/// (empty chunks, one element per chunk, a ragged last chunk, a large odd
+/// length), with the flat index space cut into segments at points that
+/// fall inside chunks, on chunk boundaries and on empty segments — the
+/// `dW`/`db` boundaries of a real gradient set.
+#[test]
+fn in_place_reduce_is_the_ring_bit_for_bit() {
+    let mut order_sensitive = false;
+    for n in 1..=8usize {
+        for len in [0, 1, n - 1, n, n + 1, 1_000_003] {
+            let ranks: Vec<Vec<f32>> = (0..n).map(|r| rank_values(r, len)).collect();
+            let mut ring = ranks.clone();
+            allreduce_sum(&mut ring);
+            if n >= 3 {
+                let naive: Vec<f32> = (0..len)
+                    .map(|j| ranks.iter().fold(0.0f32, |acc, b| acc + b[j]))
+                    .collect();
+                order_sensitive |= bits(&naive) != bits(&ring[0]);
+            }
+            let cuts: [&[usize]; 5] = [
+                &[],
+                &[len / 3],
+                &[len / n, len / n],
+                &[1.min(len), len / 2, len - len / 7],
+                &[0, len],
+            ];
+            for cuts in cuts {
+                let split = |buf: &[f32]| -> Vec<Vec<f32>> {
+                    let mut at = 0usize;
+                    let mut segs: Vec<Vec<f32>> = cuts
+                        .iter()
+                        .map(|&c| {
+                            let seg = buf[at..c.max(at)].to_vec();
+                            at = c.max(at);
+                            seg
+                        })
+                        .collect();
+                    segs.push(buf[at..].to_vec());
+                    segs
+                };
+                let mut first = split(&ranks[0]);
+                let rest: Vec<Vec<Vec<f32>>> = ranks[1..].iter().map(|b| split(b)).collect();
+                {
+                    let mut first: Vec<&mut [f32]> =
+                        first.iter_mut().map(Vec::as_mut_slice).collect();
+                    let rest: Vec<Vec<&[f32]>> = rest
+                        .iter()
+                        .map(|segs| segs.iter().map(Vec::as_slice).collect())
+                        .collect();
+                    reduce_sum_in_place(&mut first, &rest);
+                }
+                assert_eq!(
+                    bits(&first.concat()),
+                    bits(&ring[0]),
+                    "{n} ranks, length {len}, cuts {cuts:?}"
+                );
+            }
+        }
+    }
+    assert!(
+        order_sensitive,
+        "the data must tell the ring's order from rank order"
+    );
+}
+
+/// Micro-batch-local rows of replica `rep` out of `r` (the first
+/// `mb % r` replicas take one extra row) — the engine's split rule.
+fn replica_rows(mb: usize, r: usize, rep: usize) -> std::ops::Range<usize> {
+    let (w, rem) = (mb / r, mb % r);
+    let start = rep * w + rep.min(rem);
+    start..start + w + usize::from(rep < rem)
+}
+
+fn rows_of(t: &Tensor, rows: std::ops::Range<usize>) -> Tensor {
+    Tensor::from_vec(
+        rows.len(),
+        t.cols,
+        t.data[rows.start * t.cols..rows.end * t.cols].to_vec(),
+    )
+}
+
+/// What the engine's gradient sync used to be, kept as the reference the
+/// in-worker reduce is pinned against: every replica accumulates its row
+/// share of each micro-batch, then per stage the replicas' gradients are
+/// flattened (`dW‖db` per layer), ring-AllReduced, and replica 0's
+/// buffer is unflattened into layer slots.
+fn flatten_ring_unflatten(
+    model: &MlpModel,
+    x: &Tensor,
+    t: &Tensor,
+    cfg: &EngineConfig,
+) -> Vec<DenseGrads> {
+    let (n, m) = (x.rows, cfg.micro_batches);
+    let mb = n / m;
+    let zeros = |layers: &std::ops::Range<usize>| -> Vec<DenseGrads> {
+        model.layers[layers.clone()]
+            .iter()
+            .map(DenseGrads::zeros_like)
+            .collect()
+    };
+    // acc[stage][replica][layer within the stage]
+    let mut acc: Vec<Vec<Vec<DenseGrads>>> = cfg
+        .stage_bounds
+        .iter()
+        .zip(&cfg.replication)
+        .map(|(layers, &r)| (0..r).map(|_| zeros(layers)).collect())
+        .collect();
+    for u in 0..m {
+        let input = rows_of(x, u * mb..(u + 1) * mb);
+        let mut ys: Vec<Tensor> = Vec::new();
+        for layer in &model.layers {
+            let y = layer.forward(ys.last().unwrap_or(&input));
+            ys.push(y);
+        }
+        let pred = ys.last().unwrap();
+        let mut dy = Tensor::zeros(pred.rows, pred.cols);
+        loss_grad_into(
+            cfg.loss,
+            pred,
+            &rows_of(t, u * mb..(u + 1) * mb),
+            n,
+            &mut dy,
+        );
+        for (stage, layers) in cfg.stage_bounds.iter().enumerate().rev() {
+            for l in layers.clone().rev() {
+                let layer = &model.layers[l];
+                let layer_in = if l == 0 { &input } else { &ys[l - 1] };
+                for (rep, acc) in acc[stage].iter_mut().enumerate() {
+                    let rows = replica_rows(mb, cfg.replication[stage], rep);
+                    let mut dy_p = rows_of(&dy, rows.clone());
+                    let mut dx_p = Tensor::zeros(rows.len(), layer.in_dim());
+                    let mut contrib = DenseGrads::zeros_like(layer);
+                    layer.backward_grads_into(
+                        &rows_of(layer_in, rows.clone()),
+                        &rows_of(&ys[l], rows),
+                        &mut dy_p,
+                        &mut dx_p,
+                        &mut contrib,
+                    );
+                    acc[l - layers.start].accumulate(&contrib);
+                }
+                let mut dx = Tensor::zeros(dy.rows, layer.in_dim());
+                let mut unused = DenseGrads::zeros_like(layer);
+                layer.backward_grads_into(layer_in, &ys[l], &mut dy, &mut dx, &mut unused);
+                dy = dx;
+            }
+        }
+    }
+    let mut global = Vec::new();
+    for (stage, layers) in cfg.stage_bounds.iter().enumerate() {
+        let mut flats: Vec<Vec<f32>> = acc[stage]
+            .iter()
+            .map(|grads| grads.iter().flat_map(|g| g.segments().concat()).collect())
+            .collect();
+        allreduce_sum(&mut flats);
+        let mut offset = 0usize;
+        for layer in &model.layers[layers.clone()] {
+            let mut g = DenseGrads::zeros_like(layer);
+            for seg in g.segments_mut() {
+                seg.copy_from_slice(&flats[0][offset..offset + seg.len()]);
+                offset += seg.len();
+            }
+            global.push(g);
+        }
+    }
+    global
+}
+
+/// Engine level: replicated stages — three replicas, two replicated
+/// stages of different widths, and a row split that does not divide —
+/// produce exactly the gradients of the flatten → ring → unflatten
+/// assembly the in-worker reduce replaced.
+#[test]
+#[allow(clippy::single_range_in_vec_init)] // a one-stage split really is vec![0..6]
+fn replicated_gradients_match_the_ring_assembly() {
+    let shapes: [(Vec<std::ops::Range<usize>>, Vec<usize>, usize); 3] = [
+        (vec![0..6], vec![3], 4),
+        (vec![0..3, 3..6], vec![2, 3], 4),
+        (vec![0..3, 3..6], vec![5, 1], 4), // 6 rows over 5 replicas: 2,1,1,1,1
+    ];
+    for (stage_bounds, replication, micro_batches) in shapes {
+        let mut cfg = EngineConfig::straight(stage_bounds, micro_batches, 0.1);
+        cfg.replication = replication;
+        let model = MlpModel::new(&DIMS, 77);
+        let (x, t) = data::regression_batch(BATCH, DIMS[0], *DIMS.last().unwrap(), 2);
+        let reference = flatten_ring_unflatten(&model, &x, &t, &cfg);
+        let trainer = PipelineTrainer::new(model, cfg.clone()).unwrap();
+        // Twice: the second step runs on reused accumulators.
+        for _ in 0..2 {
+            let out = trainer
+                .step_grads_with_faults(&x, &t, &FaultPlan::new())
+                .unwrap();
+            assert_eq!(out.grads.len(), reference.len());
+            for (l, (got, want)) in out.grads.iter().zip(&reference).enumerate() {
+                assert_eq!(
+                    bits(&got.segments().concat()),
+                    bits(&want.segments().concat()),
+                    "replication {:?}, layer {l}",
+                    cfg.replication
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
     #[test]
@@ -148,9 +376,9 @@ proptest! {
         prop_assert_eq!(grads_a.len(), grads_b.len());
         prop_assert_eq!(grads_a.len(), empty.grads.len());
         for ((a, b), c) in grads_a.iter().zip(&grads_b).zip(&empty.grads) {
-            let fa = a.to_flat();
-            let fb = b.to_flat();
-            let fc = c.to_flat();
+            let fa = a.segments().concat();
+            let fb = b.segments().concat();
+            let fc = c.segments().concat();
             prop_assert_eq!(fa.len(), fb.len());
             for i in 0..fa.len() {
                 prop_assert_eq!(fa[i].to_bits(), fb[i].to_bits());
@@ -191,8 +419,8 @@ proptest! {
         prop_assert_eq!(b.pool_hits, 0);
         prop_assert_eq!(a.grads.len(), b.grads.len());
         for (ga, gb) in a.grads.iter().zip(&b.grads) {
-            let fa = ga.to_flat();
-            let fb = gb.to_flat();
+            let fa = ga.segments().concat();
+            let fb = gb.segments().concat();
             prop_assert_eq!(fa.len(), fb.len());
             for i in 0..fa.len() {
                 prop_assert_eq!(fa[i].to_bits(), fb[i].to_bits());

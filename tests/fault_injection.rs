@@ -185,7 +185,7 @@ fn skip_policy_drops_the_poisoned_micro_batch() {
     assert!(out.loss.is_finite());
     assert!(out.loss < clean.loss, "one micro-batch's loss is missing");
     for g in &out.grads {
-        assert!(g.to_flat().iter().all(|v| v.is_finite()));
+        assert!(g.segments().concat().iter().all(|v| v.is_finite()));
     }
 }
 
@@ -215,7 +215,7 @@ fn zero_policy_repairs_and_counts() {
     assert_eq!(out.skipped_micro_batches, 0);
     assert!(out.loss.is_finite());
     for g in &out.grads {
-        assert!(g.to_flat().iter().all(|v| v.is_finite()));
+        assert!(g.segments().concat().iter().all(|v| v.is_finite()));
     }
 }
 
@@ -241,6 +241,94 @@ fn faults_target_individual_replicas() {
         trainer.step_grads_with_faults(&x, &t, &bad),
         Err(DappleError::InvalidConfig(_))
     ));
+}
+
+/// The in-worker gradient rendezvous fails like a boundary channel: a
+/// fault at the *last* backward of replica 1 — the step right before it
+/// would hand its accumulator to the reducing replica 0 — surfaces as
+/// the fault's own structured error within the bounded wait (replica 0
+/// neither hangs nor masks the root cause), and the next clean step is
+/// bit-identical to a never-faulted trainer's: the persistent
+/// accumulators are re-zeroed, and buffers a failed attempt lost are
+/// rebuilt.
+#[test]
+fn faults_before_the_gradient_rendezvous_are_structured_and_leave_nothing_behind() {
+    let schedule = Schedule::Dapple(KPolicy::PA);
+    let (x, t) = data::regression_batch(24, 5, 3, 9);
+    for replication in [vec![2, 1], vec![2, 2]] {
+        let mut config = cfg();
+        config.stage_bounds = vec![0..3, 3..6];
+        config.replication = replication.clone();
+        let bits_of = |trainer: &PipelineTrainer| -> Vec<u32> {
+            let out = trainer
+                .step_grads_with_faults(&x, &t, &FaultPlan::new())
+                .expect("clean step");
+            std::iter::once(out.loss.to_bits())
+                .chain(
+                    out.grads
+                        .iter()
+                        .flat_map(|g| g.segments().concat())
+                        .map(f32::to_bits),
+                )
+                .collect()
+        };
+        let never_faulted = bits_of(&PipelineTrainer::new(model6(), config.clone()).unwrap());
+        let trainer = PipelineTrainer::new(model6(), config).unwrap();
+        // Warm the persistent buffers, so the faults hit reused ones.
+        assert_eq!(bits_of(&trainer), never_faulted);
+
+        for stage in (0..replication.len()).filter(|&s| replication[s] > 1) {
+            let script = stage_order(schedule, stage, replication.len(), MICRO, usize::MAX);
+            let last = script.len() - 1;
+            assert!(matches!(script[last], Step::Bw(_)));
+            for kind in [
+                FaultKind::Panic,
+                FaultKind::Stall(STALL),
+                FaultKind::NanGradient,
+            ] {
+                let ctx =
+                    format!("{kind:?} at stage {stage} replica 1, replication {replication:?}");
+                let plan = FaultPlan::new().with_fault(stage, 1, last, kind);
+                let started = Instant::now();
+                let err = trainer
+                    .step_grads_with_faults(&x, &t, &plan)
+                    .expect_err(&ctx);
+                assert!(
+                    started.elapsed() < Duration::from_secs(5),
+                    "{ctx}: took {:?}",
+                    started.elapsed()
+                );
+                match kind {
+                    FaultKind::Panic => assert!(
+                        matches!(
+                            err,
+                            DappleError::WorkerPanicked { stage: s, replica: 1, .. } if s == stage
+                        ),
+                        "{ctx}: got {err:?}"
+                    ),
+                    FaultKind::NanGradient => assert!(
+                        matches!(
+                            err,
+                            DappleError::NonFinite { stage: s, replica: 1, .. } if s == stage
+                        ),
+                        "{ctx}: got {err:?}"
+                    ),
+                    // The first stage's last backward sends no boundary
+                    // message, so plan validation rejects a stall there
+                    // as unobservable, as it always has.
+                    _ if stage == 0 => assert!(
+                        matches!(err, DappleError::InvalidConfig(_)),
+                        "{ctx}: got {err:?}"
+                    ),
+                    _ => assert!(
+                        matches!(err, DappleError::Stalled { .. }),
+                        "{ctx}: got {err:?}"
+                    ),
+                }
+                assert_eq!(bits_of(&trainer), never_faulted, "{ctx}: clean step after");
+            }
+        }
+    }
 }
 
 /// Seed matrix over the supervisor: for ≥32 sampled fault plans the

@@ -166,6 +166,77 @@ fn replicated_traced_step_records_allreduce() {
     assert!(json.contains(r#""name":"AllReduce","cat":"allreduce","ph":"X""#));
 }
 
+/// The replica reduce runs inside the stage's workers, as soon as that
+/// stage's last backward retires: on 2 stages x 2 replicas the last
+/// stage's AllReduce span starts while stage 0 is still in its backward
+/// tail. Exactly one span per replicated stage reaches `trace.coord`,
+/// sized to the stage's parameters; an unreplicated pipeline records none.
+#[test]
+fn replica_reduce_overlaps_the_backward_tail() {
+    // A heavy first stage and a one-layer head: stage 0's final backward
+    // outlasts the head's rendezvous by a wide margin.
+    let dims = [16usize, 128, 128, 128, 128, 4];
+    let stage_bounds = vec![0..4, 4..5];
+    let model = MlpModel::new(&dims, 7);
+    let (x, t) = data::regression_batch(64, dims[0], *dims.last().unwrap(), 9);
+    let all_reduces = |trace: &dapple::engine::StepTrace| -> Vec<(Option<usize>, u64, u64)> {
+        trace
+            .coord
+            .iter()
+            .filter(|c| c.span.kind == SpanKind::AllReduce)
+            .map(|c| (c.stage, c.span.bytes, c.span.start_ns))
+            .collect()
+    };
+
+    let mut cfg = traced_cfg(stage_bounds.clone(), 4);
+    cfg.replication = vec![2, 2];
+    let trainer = PipelineTrainer::new(model.clone(), cfg).unwrap();
+    let param_bytes = |layers: std::ops::Range<usize>| -> u64 {
+        model.layers[layers]
+            .iter()
+            .map(|l| 4 * l.num_params() as u64)
+            .sum()
+    };
+    // Thread scheduling decides any single step's timeline, so the
+    // overlap must show in one of a few steps — without it (a reduce
+    // gated on the join of all workers) it can show in none.
+    let mut overlapped = false;
+    for _ in 0..5 {
+        let out = trainer
+            .step_grads_with_faults(&x, &t, &FaultPlan::new())
+            .unwrap();
+        let trace = out.trace.expect("tracing on");
+        let ar = all_reduces(&trace);
+        assert_eq!(ar.len(), 2, "one AllReduce per replicated stage: {ar:?}");
+        for (stage, layers) in stage_bounds.iter().enumerate() {
+            assert_eq!(
+                (ar[stage].0, ar[stage].1),
+                (Some(stage), param_bytes(layers.clone()))
+            );
+        }
+        let stage0_last_bw_end = trace
+            .workers
+            .iter()
+            .filter(|w| w.stage == 0)
+            .flat_map(|w| &w.spans)
+            .filter(|s| s.kind == SpanKind::Bw)
+            .map(|s| s.end_ns)
+            .max()
+            .expect("stage 0 ran backwards");
+        overlapped |= ar[1].2 < stage0_last_bw_end;
+    }
+    assert!(
+        overlapped,
+        "the last stage's reduce never started before stage 0's final backward ended"
+    );
+
+    let straight = PipelineTrainer::new(model, traced_cfg(stage_bounds, 4)).unwrap();
+    let out = straight
+        .step_grads_with_faults(&x, &t, &FaultPlan::new())
+        .unwrap();
+    assert!(all_reduces(&out.trace.expect("tracing on")).is_empty());
+}
+
 /// A worker panic mid-step still yields a partial trace: the error
 /// surfaces as `WorkerPanicked`, and the spans recorded before the fault
 /// — including the whole warmup on the healthy upstream stage — survive.
