@@ -1,8 +1,9 @@
 //! `dapple-bench` — machine-readable baseline for the per-iteration hot
 //! paths: the engine's in-place replica reduce beside the ring AllReduce
 //! it is pinned against, the matmul variants used by `Dense` backward,
-//! and an end-to-end 1F1B pipeline step (with the engine's buffer-pool
-//! hit/miss counters).
+//! what a matmul pays around its kernel inside the pipeline (worker-pool
+//! dispatch, the `W^T` pack), and an end-to-end 1F1B pipeline step (with
+//! the engine's buffer-pool hit/miss counters).
 //!
 //! ```text
 //! cargo run --release -p dapple-bench --bin dapple-bench -- \
@@ -271,6 +272,88 @@ fn matmul_shape_benches(smoke: bool, out: &mut Vec<Record>) {
                 ("gflops", json_f64(flops / ns.max(1.0))),
             ],
         });
+    }
+}
+
+/// What a matmul inside the pipeline pays around its kernel: the cost of
+/// handing bands to the worker pool, and of packing `W^T`.
+///
+/// `par_for_each_2_bands_noop` is one empty two-band parallel call — post
+/// the job, wake a helper, drain — i.e. pure dispatch. The `matmul_*`
+/// records are the three products of one dense layer's forward/backward
+/// at `compute_wide`'s shape, 64 rows through a 512 x 512 layer (each
+/// 64·512·512 multiply-adds, all above the parallel gate): `nn` is
+/// `x W`, `tn` is `x^T dz`, `nt` is `dz W^T` packing per call, and
+/// `nt_packed` the same product against a `W^T` packed beforehand — what
+/// the pipeline runs from a step's second micro-batch on. The
+/// `pack_transpose_*` records are that pack alone, in GB/s of matrix
+/// packed. Minimum over iterations (a helper thread is involved, see
+/// [`time_ns_min`]).
+fn dispatch_benches(smoke: bool, out: &mut Vec<Record>) {
+    use rayon::prelude::*;
+    let iters: u32 = if smoke { 30 } else { 300 };
+    let mut push =
+        |name: &str, f: &mut dyn FnMut(), extra: &dyn Fn(f64) -> (&'static str, String)| {
+            let ns = time_ns_min(iters, f);
+            out.push(Record {
+                group: "dispatch",
+                name: name.to_string(),
+                iters,
+                ns_per_iter: ns,
+                extra: vec![extra(ns), ("method", "\"min_of_iters\"".to_string())],
+            });
+        };
+
+    let mut two_bands = [0u8; 2];
+    push(
+        "par_for_each_2_bands_noop",
+        &mut || {
+            two_bands.par_chunks_mut(1).enumerate().for_each(|band| {
+                black_box(band);
+            })
+        },
+        &|_| ("bands", "2".to_string()),
+    );
+
+    let (rows, width) = (64usize, 512usize);
+    let x = filled(rows, width, 5);
+    let dz = filled(rows, width, 6);
+    let w = filled(width, width, 7);
+    let mut wt = Tensor::zeros(0, 0);
+    w.transpose_into(&mut wt);
+    let mut y = Tensor::zeros(rows, width);
+    let mut dw = Tensor::zeros(width, width);
+    let flops = 2.0 * (rows * width * width) as f64;
+    let gflops = |ns: f64| ("gflops", json_f64(flops / ns.max(1.0)));
+    let shape = format!("{rows}x{width}x{width}");
+    push(
+        &format!("matmul_nn_{shape}"),
+        &mut || x.matmul_into(&w, black_box(&mut y)),
+        &gflops,
+    );
+    push(
+        &format!("matmul_tn_{shape}"),
+        &mut || x.matmul_tn_into(&dz, black_box(&mut dw)),
+        &gflops,
+    );
+    push(
+        &format!("matmul_nt_{shape}"),
+        &mut || dz.matmul_nt_into(&w, black_box(&mut y)),
+        &gflops,
+    );
+    push(
+        &format!("matmul_nt_packed_{shape}"),
+        &mut || dz.matmul_into(&wt, black_box(&mut y)),
+        &gflops,
+    );
+    for n in [512usize, 768] {
+        let w = filled(n, n, 8);
+        let bytes = (n * n * std::mem::size_of::<f32>()) as f64;
+        push(
+            &format!("pack_transpose_{n}x{n}"),
+            &mut || w.transpose_into(black_box(&mut wt)),
+            &|ns| ("gb_per_s", json_f64(bytes / ns.max(1.0))),
+        );
     }
 }
 
@@ -973,6 +1056,8 @@ fn main() {
     ring_benches(smoke, &mut records);
     eprintln!("[dapple-bench] matmul variants ({mode})...");
     matmul_benches(smoke, &mut records);
+    eprintln!("[dapple-bench] dispatch and packing ({mode})...");
+    dispatch_benches(smoke, &mut records);
     eprintln!("[dapple-bench] pipeline step ({mode})...");
     engine_benches(smoke, &mut records);
     eprintln!("[dapple-bench] tracing overhead ({mode})...");

@@ -36,9 +36,11 @@ use std::fmt::Write as _;
 /// Groups whose slowdown fails the diff (the per-iteration hot paths the
 /// planner's cost model and the runtime's step loop are judged by, plus
 /// the recovery path — checkpoint saves and the supervised step run
-/// inside the training loop, so a regression there taxes every step).
-pub const HOT_PATH_GROUPS: [&str; 6] = [
+/// inside the training loop, so a regression there taxes every step —
+/// and `dispatch`: what every in-pipeline matmul pays around its kernel).
+pub const HOT_PATH_GROUPS: [&str; 7] = [
     "matmul",
+    "dispatch",
     "ring_allreduce",
     "inplace_reduce",
     "pipeline_step",

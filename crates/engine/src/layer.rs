@@ -203,6 +203,30 @@ impl Dense {
         dy.matmul_nt_into(&self.w, dx);
     }
 
+    /// [`Dense::backward_grads_into`] against weights packed beforehand:
+    /// `wt` holds `W^T`, filled by `self.w.transpose_into(&mut wt)` since
+    /// the weights last changed. Bit-identical — `matmul_nt` is that pack
+    /// followed by this multiply — and the pack, which outweighs the
+    /// multiply on small micro-batches, is paid once for as many calls as
+    /// the weights stay put (in the pipeline: once per step).
+    pub fn backward_packed_into(
+        &self,
+        wt: &Tensor,
+        x: &Tensor,
+        y: &Tensor,
+        dy: &mut Tensor,
+        dx: &mut Tensor,
+        g: &mut DenseGrads,
+    ) {
+        assert_eq!(
+            (wt.rows, wt.cols),
+            (self.w.cols, self.w.rows),
+            "packed weights shape"
+        );
+        self.backward_params_into(x, y, dy, g);
+        dy.matmul_into(wt, dx);
+    }
+
     /// Shared head of the backward pass: turns `dy` into `dz` in place and
     /// produces the parameter gradients.
     fn backward_params(&self, x: &Tensor, y: &Tensor, dy: &mut Tensor) -> DenseGrads {

@@ -285,12 +285,12 @@ pub struct PipelineTrainer {
     /// The master copy of the model (updated after every step).
     pub model: MlpModel,
     cfg: EngineConfig,
-    /// Per-worker boundary-buffer pools, one slot per stage replica in
-    /// spawn order. Owned here — not by the per-step workers — so the
-    /// free lists survive across steps: after the first step every
-    /// boundary take is a hit and steps allocate no boundary buffers at
-    /// all.
-    pools: Vec<Mutex<TensorPool>>,
+    /// Per-worker scratch, one slot per stage replica in spawn order.
+    /// Owned here — not by the per-step workers — so the free lists and
+    /// the packed-weight buffers survive across steps: after the first
+    /// step every boundary take is a hit and steps allocate neither
+    /// boundary buffers nor packing space.
+    scratch: Vec<Mutex<WorkerScratch>>,
     /// Per-worker gradient accumulators and contribution scratch, in the
     /// same order. A worker holds its slot for the step and works on the
     /// buffers in place; a stage's synchronized accumulators leave in
@@ -340,8 +340,8 @@ impl PipelineTrainer {
             ));
         }
         let workers: usize = cfg.replication.iter().sum();
-        let pools = (0..workers)
-            .map(|_| Mutex::new(TensorPool::new(cfg.buffer_reuse)))
+        let scratch = (0..workers)
+            .map(|_| Mutex::new(WorkerScratch::new(cfg.buffer_reuse)))
             .collect();
         let mut first_slot = 0usize;
         let stages = cfg
@@ -361,7 +361,7 @@ impl PipelineTrainer {
         Ok(PipelineTrainer {
             model,
             cfg,
-            pools,
+            scratch,
             grad_home,
         })
     }
@@ -549,7 +549,7 @@ impl PipelineTrainer {
                         faults: faults.for_worker(i, p),
                         nan_policy: self.cfg.nan_policy,
                         recv_timeout: self.cfg.recv_timeout,
-                        pool: &self.pools[handles.len()],
+                        scratch: &self.scratch[handles.len()],
                         grad_slot: &stage_slots[p],
                         sync,
                         tracer,
@@ -769,11 +769,11 @@ struct Worker<'a> {
     faults: HashMap<usize, FaultKind>,
     nan_policy: NanPolicy,
     recv_timeout: Duration,
-    /// This worker's persistent boundary-buffer pool slot (owned by the
-    /// trainer so free lists survive across steps). Each worker locks
-    /// only its own slot for the duration of the step — uncontended by
-    /// construction.
-    pool: &'a Mutex<TensorPool>,
+    /// This worker's persistent scratch slot (owned by the trainer so
+    /// free lists and packing space survive across steps). Each worker
+    /// locks only its own slot for the duration of the step —
+    /// uncontended by construction.
+    scratch: &'a Mutex<WorkerScratch>,
     /// This worker's persistent gradient buffers, held for the step like
     /// the pool.
     grad_slot: &'a Mutex<GradSlot>,
@@ -839,10 +839,37 @@ struct TensorPool {
     free: Vec<((usize, usize), Vec<Tensor>)>,
     hits: usize,
     misses: usize,
-    /// The worker thread's `matmul_nt` packing scratch between steps
-    /// (see [`crate::tensor::swap_nt_pack`]): threads are per step, the
-    /// scratch they grow to the stage's largest weight matrix is not.
-    nt_pack: Vec<f32>,
+}
+
+/// What one worker keeps from step to step: its buffer pool and, beside
+/// it, one packed `W^T` per layer of its stage.
+///
+/// The backward pass multiplies every micro-batch's `dz` by the same
+/// `W^T`, and a step cannot change a weight (`step_with_trace` borrows
+/// the model shared), so each worker packs each of its layers once per
+/// step — at its first backward, inside that `Bw` span — and the other
+/// `M - 1` micro-batches reuse the pack. Nothing is trusted across
+/// steps but the storage: every step repacks, so an optimizer update, a
+/// restored checkpoint or a failed attempt cannot leave a stale pack
+/// behind.
+struct WorkerScratch {
+    pool: TensorPool,
+    /// `layers[i].w` transposed, valid from the step's first backward on.
+    packed: Vec<Tensor>,
+    /// Layers packed since the trainer was built.
+    #[cfg(test)]
+    packs: usize,
+}
+
+impl WorkerScratch {
+    fn new(buffer_reuse: bool) -> Self {
+        WorkerScratch {
+            pool: TensorPool::new(buffer_reuse),
+            packed: Vec::new(),
+            #[cfg(test)]
+            packs: 0,
+        }
+    }
 }
 
 impl TensorPool {
@@ -852,7 +879,6 @@ impl TensorPool {
             free: Vec::new(),
             hits: 0,
             misses: 0,
-            nt_pack: Vec::new(),
         }
     }
 
@@ -952,22 +978,23 @@ impl Worker<'_> {
         }
     }
 
-    fn run(mut self) -> Result<WorkerOut> {
-        // A worker that panicked mid-step (injected faults) poisons its
-        // pool mutex; the pool's free lists are always structurally
-        // valid, so recovery just clears the poison and keeps going.
-        let mut pool_guard = lock(self.pool);
-        let pool = &mut *pool_guard;
-        pool.begin_step();
-        crate::tensor::swap_nt_pack(&mut pool.nt_pack);
-        let out = self.run_script(pool);
-        crate::tensor::swap_nt_pack(&mut pool.nt_pack);
-        out
-    }
-
     /// The worker's step: its schedule script, then the gradient sync and
     /// the shutdown checks.
-    fn run_script(&mut self, pool: &mut TensorPool) -> Result<WorkerOut> {
+    fn run(mut self) -> Result<WorkerOut> {
+        // A worker that panicked mid-step (injected faults) poisons its
+        // scratch mutex; the free lists are always structurally valid and
+        // the packs are rebuilt every step, so recovery just clears the
+        // poison and keeps going.
+        let mut scratch_guard = lock(self.scratch);
+        let scratch = &mut *scratch_guard;
+        let pool = &mut scratch.pool;
+        pool.begin_step();
+        scratch
+            .packed
+            .resize_with(self.layers.len(), || Tensor::zeros(0, 0));
+        // Whether this step's first backward — the one that packs — is
+        // still to come.
+        let mut pack_pending = true;
         // The gradient buffers persist in the trainer's slot; the guard is
         // held until they are handed on, so an attempt that fails or
         // panics leaves them where the next step finds (and zeroes) them.
@@ -1155,8 +1182,24 @@ impl Worker<'_> {
                     // the run-long scratch) so a poisoned one can be
                     // inspected — and skipped or repaired — before it
                     // contaminates the accumulator.
-                    let (dx, spent_gy) =
-                        backward_stage(self.layers, &input, &ys, dy, contrib, pool);
+                    if std::mem::take(&mut pack_pending) {
+                        for (layer, wt) in self.layers.iter().zip(&mut scratch.packed) {
+                            layer.w.transpose_into(wt);
+                        }
+                        #[cfg(test)]
+                        {
+                            scratch.packs += self.layers.len();
+                        }
+                    }
+                    let (dx, spent_gy) = backward_stage(
+                        self.layers,
+                        &scratch.packed,
+                        &input,
+                        &ys,
+                        dy,
+                        contrib,
+                        pool,
+                    );
                     // The last stage folds its loss computation into the
                     // backward span; upstream stages start at receipt.
                     self.rec(
@@ -1601,7 +1644,7 @@ fn forward_stage(layers: &[Dense], input: &Tensor, ys: &mut Vec<Tensor>, pool: &
     }
 }
 
-/// Backward through a stage's layers.
+/// Backward through a stage's layers, against their packed `W^T`.
 ///
 /// Per-layer parameter gradients are written into `contrib` (run-long
 /// scratch, fully overwritten — dW/db allocate nothing per call).
@@ -1610,6 +1653,7 @@ fn forward_stage(layers: &[Dense], input: &Tensor, ys: &mut Vec<Tensor>, pool: &
 /// exactly the shape of this worker's outgoing boundary messages.
 fn backward_stage(
     layers: &[Dense],
+    packed: &[Tensor],
     input: &Tensor,
     ys: &[Tensor],
     gy: Tensor,
@@ -1630,7 +1674,7 @@ fn backward_stage(
         } else {
             Tensor::zeros(cur.rows, layers[i].in_dim())
         };
-        layers[i].backward_grads_into(x, &ys[i], &mut cur, &mut dx, &mut contrib[i]);
+        layers[i].backward_packed_into(&packed[i], x, &ys[i], &mut cur, &mut dx, &mut contrib[i]);
         let used = std::mem::replace(&mut cur, dx);
         if spent.is_none() {
             // The buffer `gy` arrived in: handed back to the caller, whose
@@ -1935,6 +1979,42 @@ mod tests {
             adam_last = adam_pipe.train_step_with(&x, &t, &mut adam).unwrap().loss;
         }
         assert!(adam_last < sgd_last, "adam {adam_last} vs sgd {sgd_last}");
+    }
+
+    /// `W^T` is packed once per layer per worker per step: the count is
+    /// the workers' layers — every replica packs its stage's layers —
+    /// whatever the micro-batch count, with and without re-computation.
+    #[test]
+    fn weights_are_packed_once_per_layer_per_worker_per_step() {
+        let (x, t) = data::regression_batch(48, 5, 3, 9);
+        let shapes: [(Vec<Range<usize>>, Vec<usize>); 2] = [
+            (vec![0..2, 2..4, 4..6], vec![1, 1, 1]),
+            (vec![0..3, 3..6], vec![2, 2]),
+        ];
+        for (stage_bounds, replication) in shapes {
+            let per_step: usize = stage_bounds
+                .iter()
+                .zip(&replication)
+                .map(|(layers, r)| layers.len() * r)
+                .sum();
+            for micro_batches in [2, 8] {
+                for recompute in [false, true] {
+                    let mut cfg = EngineConfig::straight(stage_bounds.clone(), micro_batches, 0.1);
+                    cfg.replication = replication.clone();
+                    cfg.recompute = recompute;
+                    let trainer = PipelineTrainer::new(model6(), cfg).unwrap();
+                    for step in 1..=3 {
+                        trainer.step_grads(&x, &t).unwrap();
+                        let packs: usize = trainer.scratch.iter().map(|s| lock(s).packs).sum();
+                        assert_eq!(
+                            packs,
+                            step * per_step,
+                            "{replication:?} m={micro_batches} rc={recompute} after step {step}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// A genuine worker bug (here: a shape fault in the loss computation)

@@ -2,7 +2,9 @@
 //!
 //! Deliberately small: dense matmul, transpose, row slicing/concat and
 //! element-wise helpers — everything an MLP pipeline needs, nothing more.
-//! Matmul parallelizes over row bands with rayon above a work threshold.
+//! Above a work threshold a matmul hands its row bands to the process-wide
+//! worker pool behind the rayon stub: the calling thread takes bands
+//! itself and parked helpers claim the rest, so no thread is created.
 //!
 //! # Canonical accumulation order (determinism contract, v2)
 //!
@@ -26,9 +28,11 @@
 //! Consequences: `matmul_tn(b)` is bit-identical to
 //! `transpose().matmul(b)` and `matmul_nt(b)` is bit-identical to
 //! `matmul(b.transpose())` — the transpose-free variants change memory
-//! traffic, never bits. (`matmul_nt` earns its fast path by packing a
-//! transposed copy of `rhs` into a reused thread-local scratch and
-//! running the plain kernel; packing is layout, not arithmetic.)
+//! traffic, never bits. (`matmul_nt` is two halves, both public: pack
+//! `rhs^T` with [`Tensor::transpose_into`], then run the plain kernel,
+//! [`Tensor::matmul_into`], against the packed copy. Packing is layout,
+//! not arithmetic, so a caller that multiplies by the same `rhs` many
+//! times packs once and keeps the bits.)
 //!
 //! Parallelism splits rows into contiguous bands; each output element is
 //! computed by exactly one thread with the order above, so banding (and
@@ -67,13 +71,15 @@ const BAND_ROWS: usize = 32;
 /// 16-wide vectors).
 const COL_TILE: usize = 32;
 
-/// Minimum multiply-add count (`n·k·m`) before a matmul dispatches
-/// rayon. The gate is on *work*, not output size: a skinny output with a
-/// huge inner dimension parallelizes, a large-but-trivial `k == 1`
-/// product does not pay thread dispatch.
+/// Minimum multiply-add count (`n·k·m`) before a matmul posts its bands
+/// to the worker pool. The gate is on *work*, not output size: a skinny
+/// output with a huge inner dimension parallelizes, a large-but-trivial
+/// `k == 1` product does not. What it amortises is posting a job and
+/// waking a parked helper (microseconds), not a thread spawn; below it
+/// the single-threaded kernel finishes before a helper would have woken.
 const PAR_MIN_MULS: usize = 2 * 1024 * 1024;
 
-/// Whether `n x k x m` of multiply-adds is worth thread dispatch.
+/// Whether `n x k x m` of multiply-adds is worth waking a helper.
 #[inline]
 fn par_worth_it(n: usize, k: usize, m: usize) -> bool {
     n.saturating_mul(k).saturating_mul(m) >= PAR_MIN_MULS
@@ -179,6 +185,16 @@ fn panel_width(rem: usize) -> usize {
 /// which tile computes it.
 fn nn_band(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize) {
     let rows = out.len() / m;
+    // The tiles index (and the AVX-512 ones read) on the strength of the
+    // shapes alone; a tensor whose `data` is shorter than its shape says
+    // stops here, with the numbers.
+    assert!(
+        a.len() >= rows * k && b.len() >= k * m,
+        "matmul band of {rows} rows: lhs holds {} values ({rows} x {k} needed), \
+         rhs holds {} ({k} x {m} needed)",
+        a.len(),
+        b.len()
+    );
     let mut j = 0;
     while j < m {
         let w = panel_width(m - j);
@@ -307,6 +323,14 @@ fn tn_row_tile(
 /// panel-outer structure as [`nn_band`].
 fn tn_band(a: &[f32], n: usize, i0: usize, b: &[f32], out: &mut [f32], k: usize, m: usize) {
     let rows = out.len() / m;
+    assert!(
+        i0 + rows <= n && a.len() >= k * n && b.len() >= k * m,
+        "matmul_tn band of rows {i0}..{}: lhs holds {} values ({k} x {n} needed), \
+         rhs holds {} ({k} x {m} needed)",
+        i0 + rows,
+        a.len(),
+        b.len()
+    );
     let mut j = 0;
     while j < m {
         let w = panel_width(m - j);
@@ -333,31 +357,19 @@ fn tn_band(a: &[f32], n: usize, i0: usize, b: &[f32], out: &mut [f32], k: usize,
 
 thread_local! {
     /// Scratch for `matmul_nt`'s packed `rhs^T` copy. Reused across
-    /// calls (grow-only), so the steady-state backward pass stays
-    /// allocation-free; contents are fully overwritten before use.
+    /// calls (grow-only), so repeated calls on one thread do not
+    /// allocate; contents are fully overwritten before use.
     static NT_PACK: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Exchanges the calling thread's `matmul_nt` packing scratch with
-/// `buf`. A short-lived thread that repeats its predecessor's work (a
-/// pipeline stage worker, spawned per step) swaps the scratch that
-/// predecessor grew in at start and back out at exit, instead of growing
-/// a weight-matrix-sized buffer of its own every step.
-pub(crate) fn swap_nt_pack(buf: &mut Vec<f32>) {
-    NT_PACK.with(|cell| std::mem::swap(&mut *cell.borrow_mut(), buf));
-}
-
-/// Transposes `src` (`rows x cols`, row-major) into `dst[..cols * rows]`
-/// (`cols x rows`), growing `dst` as needed. Blocked so both the read
-/// and write sides stay within a few cache lines per pass; every element
-/// of the destination prefix is overwritten, so recycled scratch needs
-/// no zeroing. Pure data movement — no arithmetic, no effect on bits.
-fn pack_transpose(src: &[f32], rows: usize, cols: usize, dst: &mut Vec<f32>) {
-    let need = src.len();
-    if dst.len() < need {
-        dst.resize(need, 0.0);
-    }
-    let d = &mut dst[..need];
+/// Transposes `src` (`rows x cols`, row-major) into `d` (`cols x rows`,
+/// the same length). Blocked so both the read and write sides stay within
+/// a few cache lines per pass; every element of `d` is overwritten, so
+/// recycled scratch needs no zeroing. Pure data movement — no arithmetic,
+/// no effect on bits.
+fn pack_transpose(src: &[f32], rows: usize, cols: usize, d: &mut [f32]) {
+    assert_eq!(src.len(), rows * cols, "pack_transpose source shape");
+    assert_eq!(d.len(), src.len(), "pack_transpose destination length");
     const BT: usize = 32;
     let mut r0 = 0;
     while r0 < rows {
@@ -477,6 +489,31 @@ mod simd {
         }
     }
 }
+
+/// `a (n x k) * b (k x m)` stored into `out (n x m)`: the kernel behind
+/// `matmul`, and behind `matmul_nt` once `b` is the packed `rhs^T`.
+/// Register-tiled stores (accumulators live in registers for the whole
+/// `k` loop and are written once), so `out`'s prior contents never
+/// matter. `k = 0` produces exact `0.0` — the empty chain.
+fn nn_store(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
+    if out.is_empty() {
+        return;
+    }
+    if k == 0 {
+        out.fill(0.0);
+        return;
+    }
+    if par_worth_it(n, k, m) {
+        out.par_chunks_mut(BAND_ROWS * m)
+            .enumerate()
+            .for_each(|(band, band_out)| {
+                nn_band(&a[band * BAND_ROWS * k..], b, band_out, k, m);
+            });
+    } else {
+        nn_band(a, b, out, k, m);
+    }
+}
+
 impl Tensor {
     /// Zero-filled tensor.
     pub fn zeros(rows: usize, cols: usize) -> Self {
@@ -517,7 +554,7 @@ impl Tensor {
         assert_eq!(self.cols, rhs.rows, "matmul inner dims");
         let (n, m) = (self.rows, rhs.cols);
         let mut out = vec![0.0f32; n * m];
-        self.matmul_store(rhs, &mut out);
+        nn_store(&self.data, &rhs.data, &mut out, n, self.cols, m);
         Tensor::from_vec(n, m, out)
     }
 
@@ -529,37 +566,14 @@ impl Tensor {
         assert_eq!(self.cols, rhs.rows, "matmul inner dims");
         assert_eq!(out.rows, self.rows, "matmul_into out rows");
         assert_eq!(out.cols, rhs.cols, "matmul_into out cols");
-        self.matmul_store(rhs, &mut out.data);
-    }
-
-    /// Kernel shared by `matmul`/`matmul_into`: register-tiled stores
-    /// (accumulators live in registers for the whole `k` loop and are
-    /// written once), so `out`'s prior contents never matter. `k = 0`
-    /// produces exact `0.0` — the empty chain.
-    fn matmul_store(&self, rhs: &Tensor, out: &mut [f32]) {
-        let (n, k, m) = (self.rows, self.cols, rhs.cols);
-        if out.is_empty() {
-            return;
-        }
-        if k == 0 {
-            out.fill(0.0);
-            return;
-        }
-        if par_worth_it(n, k, m) {
-            out.par_chunks_mut(BAND_ROWS * m)
-                .enumerate()
-                .for_each(|(band, band_out)| {
-                    nn_band(
-                        &self.data[band * BAND_ROWS * k..],
-                        &rhs.data,
-                        band_out,
-                        k,
-                        m,
-                    );
-                });
-        } else {
-            nn_band(&self.data, &rhs.data, out, k, m);
-        }
+        nn_store(
+            &self.data,
+            &rhs.data,
+            &mut out.data,
+            self.rows,
+            self.cols,
+            rhs.cols,
+        );
     }
 
     /// Transpose-free product `self^T (k x n) * rhs (k x m) -> (n x m)`.
@@ -614,14 +628,17 @@ impl Tensor {
     /// where `rhs` is `m x k`.
     ///
     /// Bit-identical to `self.matmul(&rhs.transpose())` — same
-    /// ascending fused chain per element — without allocating the
-    /// transposed copy: `rhs^T` is packed into a reused thread-local
-    /// scratch and fed to the plain matmul kernel. Computing NT
-    /// directly (both operands row-major, reducing along the SIMD axis)
-    /// re-streams all of `rhs` for every pair of output rows, which is
-    /// memory-bound ~4x slower than packing once; the pack is O(m·k)
-    /// against the O(n·m·k) multiply. This is the `dx = dz W^T` kernel
-    /// of the dense backward pass.
+    /// ascending fused chain per element — and computed the same way,
+    /// minus the allocation: `rhs^T` is packed into a reused thread-local
+    /// scratch (what [`Tensor::transpose_into`] does into a buffer of the
+    /// caller's) and fed to the kernel of [`Tensor::matmul_into`].
+    /// Computing NT directly (both operands row-major, reducing along the
+    /// SIMD axis) re-streams all of `rhs` for every pair of output rows,
+    /// which is memory-bound ~4x slower than packing once. The pack is
+    /// O(m·k) against the O(n·m·k) multiply, which is still most of the
+    /// call when `n` is small — a caller multiplying by one `rhs`
+    /// repeatedly (the `dx = dz W^T` of every micro-batch of a step)
+    /// should pack once with `transpose_into` and call `matmul_into`.
     pub fn matmul_nt(&self, rhs: &Tensor) -> Tensor {
         assert_eq!(self.cols, rhs.cols, "matmul_nt inner dims");
         let (n, m) = (self.rows, rhs.rows);
@@ -640,40 +657,39 @@ impl Tensor {
         self.matmul_nt_store(rhs, &mut out.data);
     }
 
-    /// Store kernel shared by `matmul_nt`/`matmul_nt_into`: packs
-    /// `rhs^T` into the thread-local scratch, then runs the [`nn_band`]
-    /// kernel against the packed matrix. Every element of `out` is
-    /// overwritten.
+    /// `matmul_nt`/`matmul_nt_into`: pack `rhs^T` into the thread-local
+    /// scratch, then [`nn_store`] against it.
     fn matmul_nt_store(&self, rhs: &Tensor, out: &mut [f32]) {
         let (n, k, m) = (self.rows, self.cols, rhs.rows);
-        if out.is_empty() {
-            return;
-        }
-        if k == 0 {
-            out.fill(0.0);
-            return;
-        }
         NT_PACK.with(|cell| {
             let mut buf = cell.borrow_mut();
-            pack_transpose(&rhs.data, m, k, &mut buf);
-            let bt = &buf[..k * m];
-            if par_worth_it(n, k, m) {
-                out.par_chunks_mut(BAND_ROWS * m)
-                    .enumerate()
-                    .for_each(|(band, band_out)| {
-                        nn_band(&self.data[band * BAND_ROWS * k..], bt, band_out, k, m);
-                    });
-            } else {
-                nn_band(&self.data, bt, out, k, m);
+            if buf.len() < k * m {
+                buf.resize(k * m, 0.0);
             }
+            let packed = &mut buf[..k * m];
+            pack_transpose(&rhs.data, m, k, packed);
+            nn_store(&self.data, packed, out, n, k, m);
         });
     }
 
     /// Transposed copy (cache-blocked).
     pub fn transpose(&self) -> Tensor {
-        let mut out = Vec::new();
-        pack_transpose(&self.data, self.rows, self.cols, &mut out);
-        Tensor::from_vec(self.cols, self.rows, out)
+        let mut out = Tensor::zeros(0, 0);
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// [`Tensor::transpose`] into a caller-provided tensor, which takes
+    /// the transposed shape; its storage is reused when it is already
+    /// that size (every element is overwritten). This is the packing half
+    /// of [`Tensor::matmul_nt`]: `a.matmul_into(&packed, out)` with
+    /// `packed` filled by `b.transpose_into(&mut packed)` is `matmul_nt`
+    /// bit for bit, and the pack can be kept for as long as `b` does not
+    /// change.
+    pub fn transpose_into(&self, out: &mut Tensor) {
+        out.data.resize(self.data.len(), 0.0);
+        pack_transpose(&self.data, self.rows, self.cols, &mut out.data);
+        (out.rows, out.cols) = (self.cols, self.rows);
     }
 
     /// Adds a bias row vector to every row.

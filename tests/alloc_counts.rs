@@ -241,8 +241,12 @@ fn span_recording_allocates_nothing() {
     let _guard = measure();
     let ring = Arc::new(SpanRing::new(64));
     let writer = SpanWriter::new(Arc::clone(&ring), Instant::now());
-    // 64 in-capacity records, then overflowing ones.
-    let used = min_allocs(3, || {
+    // 64 in-capacity records, then overflowing ones. Many short windows:
+    // this test usually starts the instant the previous one releases the
+    // measuring lock, while the harness is still reporting that one and
+    // spawning the next — a burst that can outlast a few 10 µs windows.
+    const REPS: usize = 50;
+    let used = min_allocs(REPS, || {
         for i in 0..200u32 {
             let t0 = writer.now_ns();
             writer.record(SpanKind::Fw, i, 0, t0, writer.now_ns());
@@ -250,7 +254,7 @@ fn span_recording_allocates_nothing() {
     });
     assert_eq!(used, 0, "span recording must not allocate");
     assert_eq!(ring.snapshot().len(), 64);
-    assert_eq!(ring.dropped(), 3 * 200 - 64);
+    assert_eq!(ring.dropped(), REPS * 200 - 64);
 }
 
 /// One pipelined step on a warmed trainer; returns its allocation count.
@@ -364,9 +368,12 @@ fn train_step_bytes(width: usize, hybrid: bool, adam: bool) -> usize {
     } else {
         Optimizer::sgd(0.05)
     };
-    // 4 rows per micro-batch keeps every matmul under the kernels'
-    // parallel gate at both widths: no helper threads, whose spawns
-    // would differ between the two.
+    // The packed `W^T` buffers are parameter-sized and persistent: the
+    // first step allocates them, the warm-up steps below absorb that, and
+    // every later step repacks into the same storage. (4 rows per
+    // micro-batch keeps every matmul under the kernels' parallel gate at
+    // both widths, so the worker pool's per-job allocation does not enter
+    // the comparison either.)
     let mut lp = TrainLoop::new(model, cfg, optimizer, DataStream::new(5, 16, 8, 4)).unwrap();
     let clean = FaultPlan::new();
     for _ in 0..3 {
@@ -377,12 +384,34 @@ fn train_step_bytes(width: usize, hybrid: bool, adam: bool) -> usize {
     })
 }
 
+/// A parallel matmul allocates O(1): the job it posts to the worker pool
+/// and nothing per band or per thread — helpers are parked threads that
+/// already exist, bands are claimed off a counter. 512 x 64 x 512 is 16
+/// bands; a per-band allocation would show as 16 or more.
+#[test]
+fn a_parallel_matmul_allocates_a_small_constant() {
+    use dapple::engine::Tensor;
+    let _guard = measure();
+    let a = Tensor::from_vec(512, 64, vec![0.5; 512 * 64]);
+    let b = Tensor::from_vec(64, 512, vec![0.25; 64 * 512]);
+    let mut out = Tensor::zeros(512, 512);
+    // Warm-up: starts the pool's helpers and grows its job list.
+    a.matmul_into(&b, &mut out);
+    let used = min_allocs(5, || a.matmul_into(&b, &mut out));
+    assert!(
+        used <= 2,
+        "an above-gate matmul_into made {used} allocations"
+    );
+    assert!(out.data.iter().all(|v| *v == 8.0));
+}
+
 /// The gradient path allocates nothing that scales with the model: a
 /// steady-state training step — SGD or Adam, straight pipeline or
 /// replicated stages — requests the same number of bytes for a model
 /// with 16x the parameters, up to a fixed slack for the nondeterministic
 /// small allocations of thread wake-ups. One parameter-sized buffer of
-/// the wide model would be 500 KiB.
+/// the wide model — a set of gradients, or of packed `W^T` — would be
+/// 500 KiB.
 #[test]
 fn train_step_bytes_do_not_scale_with_parameters() {
     let _guard = measure();

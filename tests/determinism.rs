@@ -10,13 +10,14 @@
 //! every matmul variant accumulates one ascending fused chain per output
 //! element regardless of tiling, SIMD width or thread count, so the
 //! pipeline's numerics cannot drift with `RAYON_NUM_THREADS` — CI runs
-//! this suite under both 1 thread and the default pool to pin that.
+//! this suite at pool sizes 1, 3, 8 and the default to pin that.
 
 use dapple::collectives::{allreduce_sum, reduce_sum_in_place};
 use dapple::engine::layer::DenseGrads;
 use dapple::engine::loss::loss_grad_into;
 use dapple::engine::{
-    data, EngineConfig, FaultPlan, LossKind, MlpModel, NanPolicy, PipelineTrainer, Tensor,
+    data, EngineConfig, FaultPlan, LossKind, MlpModel, NanPolicy, Optimizer, PipelineTrainer,
+    Tensor,
 };
 use dapple::sim::{KPolicy, Schedule};
 use proptest::prelude::*;
@@ -336,6 +337,56 @@ fn replicated_gradients_match_the_ring_assembly() {
                     "replication {:?}, layer {l}",
                     cfg.replication
                 );
+            }
+        }
+    }
+}
+
+/// The workers pack each layer's `W^T` once per step and reuse it for
+/// the step's other micro-batches; the reference above packs on every
+/// `backward_grads_into` call. Stepping both with the same optimizer for
+/// four steps — SGD and Adam, a straight pipeline and replicated stages —
+/// must leave bit-identical models after every step: a pack that
+/// survived an optimizer update would multiply step 2's gradients by step
+/// 1's weights and part the two trajectories there.
+#[test]
+fn packed_weights_never_outlive_an_optimizer_update() {
+    let shapes: [(Vec<std::ops::Range<usize>>, Vec<usize>); 2] = [
+        (vec![0..2, 2..4, 4..6], vec![1, 1, 1]),
+        (vec![0..3, 3..6], vec![2, 2]),
+    ];
+    let (x, t) = data::regression_batch(BATCH, DIMS[0], *DIMS.last().unwrap(), 4);
+    for (stage_bounds, replication) in shapes {
+        for adam in [false, true] {
+            let mut cfg = EngineConfig::straight(stage_bounds.clone(), 4, 0.1);
+            cfg.replication = replication.clone();
+            let mut reference = MlpModel::new(&DIMS, 77);
+            let mut trainer = PipelineTrainer::new(reference.clone(), cfg.clone()).unwrap();
+            let optimizer = |model: &MlpModel| {
+                if adam {
+                    Optimizer::adam(0.01, model)
+                } else {
+                    Optimizer::sgd(0.1)
+                }
+            };
+            let (mut ref_opt, mut opt) = (optimizer(&reference), optimizer(&reference));
+            for step in 0..4 {
+                let grads = flatten_ring_unflatten(&reference, &x, &t, &cfg);
+                ref_opt.step(&mut reference, &grads);
+                trainer.train_step_with(&x, &t, &mut opt).unwrap();
+                for (l, (got, want)) in trainer
+                    .model
+                    .layers
+                    .iter()
+                    .zip(&reference.layers)
+                    .enumerate()
+                {
+                    assert_eq!(
+                        (bits(&got.w.data), bits(&got.b)),
+                        (bits(&want.w.data), bits(&want.b)),
+                        "replication {replication:?}, adam {adam}, step {step}, layer {l}"
+                    );
+                }
             }
         }
     }

@@ -7,7 +7,7 @@
 //! afterwards (the failed step leaves the model untouched).
 
 use dapple::engine::{
-    data, EngineConfig, FaultKind, FaultPlan, MlpModel, NanPolicy, PipelineTrainer,
+    data, EngineConfig, FaultKind, FaultPlan, MlpModel, NanPolicy, PipelineTrainer, Tensor,
 };
 use dapple::sim::schedule::{stage_order, step_index_of, Step};
 use dapple::sim::{KPolicy, Schedule};
@@ -29,6 +29,21 @@ fn cfg() -> EngineConfig {
     let mut cfg = EngineConfig::straight(vec![0..2, 2..4, 4..6], MICRO, 0.1);
     cfg.recv_timeout = RECV_TIMEOUT;
     cfg
+}
+
+/// Loss and gradients of one clean step, as bits.
+fn clean_step_bits(trainer: &PipelineTrainer, x: &Tensor, t: &Tensor) -> Vec<u32> {
+    let out = trainer
+        .step_grads_with_faults(x, t, &FaultPlan::new())
+        .expect("clean step");
+    std::iter::once(out.loss.to_bits())
+        .chain(
+            out.grads
+                .iter()
+                .flat_map(|g| g.segments().concat())
+                .map(f32::to_bits),
+        )
+        .collect()
 }
 
 /// Whether `step` on `stage` sends a boundary message (forwards go
@@ -259,19 +274,7 @@ fn faults_before_the_gradient_rendezvous_are_structured_and_leave_nothing_behind
         let mut config = cfg();
         config.stage_bounds = vec![0..3, 3..6];
         config.replication = replication.clone();
-        let bits_of = |trainer: &PipelineTrainer| -> Vec<u32> {
-            let out = trainer
-                .step_grads_with_faults(&x, &t, &FaultPlan::new())
-                .expect("clean step");
-            std::iter::once(out.loss.to_bits())
-                .chain(
-                    out.grads
-                        .iter()
-                        .flat_map(|g| g.segments().concat())
-                        .map(f32::to_bits),
-                )
-                .collect()
-        };
+        let bits_of = |trainer: &PipelineTrainer| clean_step_bits(trainer, &x, &t);
         let never_faulted = bits_of(&PipelineTrainer::new(model6(), config.clone()).unwrap());
         let trainer = PipelineTrainer::new(model6(), config).unwrap();
         // Warm the persistent buffers, so the faults hit reused ones.
@@ -329,6 +332,98 @@ fn faults_before_the_gradient_rendezvous_are_structured_and_leave_nothing_behind
             }
         }
     }
+}
+
+/// A worker packs its layers' `W^T` at its first backward of a step. A
+/// fault injected exactly there — a panic, or a poisoned gradient that
+/// aborts the step — on a straight pipeline and on replicated stages,
+/// leaves nothing a later step could mistake for a valid pack: the next
+/// clean step is bit-identical to a never-faulted trainer's.
+#[test]
+fn faults_at_the_packing_backward_leave_nothing_behind() {
+    let schedule = Schedule::Dapple(KPolicy::PA);
+    let (x, t) = data::regression_batch(24, 5, 3, 9);
+    for (stage_bounds, replication) in [
+        (vec![0..2, 2..4, 4..6], vec![1, 1, 1]),
+        (vec![0..3, 3..6], vec![2, 2]),
+    ] {
+        let mut config = cfg();
+        config.stage_bounds = stage_bounds;
+        config.replication = replication.clone();
+        let stages = replication.len();
+        let never_faulted = clean_step_bits(
+            &PipelineTrainer::new(model6(), config.clone()).unwrap(),
+            &x,
+            &t,
+        );
+        let trainer = PipelineTrainer::new(model6(), config).unwrap();
+        // Warm the persistent buffers, so the faults hit reused ones.
+        assert_eq!(clean_step_bits(&trainer, &x, &t), never_faulted);
+        for stage in 0..stages {
+            let first_bw =
+                step_index_of(schedule, stage, stages, MICRO, usize::MAX, Step::Bw(0)).unwrap();
+            for replica in 0..replication[stage] {
+                for kind in [FaultKind::Panic, FaultKind::NanGradient] {
+                    let ctx =
+                        format!("{kind:?} at stage {stage} replica {replica} of {replication:?}");
+                    let plan = FaultPlan::new().with_fault(stage, replica, first_bw, kind);
+                    let err = trainer
+                        .step_grads_with_faults(&x, &t, &plan)
+                        .expect_err(&ctx);
+                    assert!(
+                        matches!(
+                            err,
+                            DappleError::WorkerPanicked { .. } | DappleError::NonFinite { .. }
+                        ),
+                        "{ctx}: got {err:?}"
+                    );
+                    assert_eq!(clean_step_bits(&trainer, &x, &t), never_faulted, "{ctx}");
+                }
+            }
+        }
+    }
+}
+
+/// A kernel assertion that fires inside a band of a parallel matmul, on
+/// whichever pool thread ran the band, reaches the user as the stage
+/// worker's `WorkerPanicked` with the kernel's own text — shapes and
+/// cause — and the pool and the trainer both survive it: with the weights
+/// repaired, the next step is bit-identical to a never-faulted trainer's.
+#[test]
+fn a_panic_inside_a_parallel_band_keeps_its_message() {
+    // 64-row micro-batches through a 256 x 256 layer: 4 Mi multiply-adds,
+    // above the kernels' parallel gate, two bands per forward.
+    let dims = [16usize, 256, 256, 8];
+    let mut config = EngineConfig::straight(vec![0..1, 1..3], 2, 0.1);
+    config.recv_timeout = Duration::from_secs(2);
+    let (x, t) = data::regression_batch(128, 16, 8, 5);
+    let never_faulted = clean_step_bits(
+        &PipelineTrainer::new(MlpModel::new(&dims, 3), config.clone()).unwrap(),
+        &x,
+        &t,
+    );
+
+    let mut trainer = PipelineTrainer::new(MlpModel::new(&dims, 3), config).unwrap();
+    // A weight tensor whose storage is shorter than its shape claims: the
+    // shape checks at the call pass, the band's own check does not.
+    let intact = trainer.model.layers[1].w.clone();
+    trainer.model.layers[1].w.data.truncate(256 * 255);
+    match trainer.step_grads(&x, &t) {
+        Err(DappleError::WorkerPanicked {
+            stage,
+            replica,
+            message,
+        }) => {
+            assert_eq!((stage, replica), (1, 0));
+            assert!(
+                message.contains("matmul band") && message.contains("256 x 256 needed"),
+                "the kernel's text must survive: {message}"
+            );
+        }
+        other => panic!("expected WorkerPanicked from stage 1, got {other:?}"),
+    }
+    trainer.model.layers[1].w = intact;
+    assert_eq!(clean_step_bits(&trainer, &x, &t), never_faulted);
 }
 
 /// Seed matrix over the supervisor: for ≥32 sampled fault plans the

@@ -1,20 +1,22 @@
 //! Pins the SIMD matmul kernels to the canonical accumulation order
 //! (crates/engine/src/tensor.rs module docs, determinism contract v2).
 //!
-//! Every variant — `matmul`, `matmul_tn`, `matmul_nt`, and their `_into`
-//! forms — must be *bit-identical* to an independent scalar reference
-//! implementing the documented order: one ascending fused
-//! (`f32::mul_add`) chain per output element, starting from `0.0`.
-//! Register tiling, column panels, ragged edges, the AVX-512 fast path
-//! and rayon row-banding are all implementation details that may never
-//! change a single bit.
+//! Every variant — `matmul`, `matmul_tn`, `matmul_nt`, their `_into`
+//! forms, and `matmul_nt`'s two halves used apart (`transpose_into`, then
+//! `matmul_into` against the kept pack) — must be *bit-identical* to an
+//! independent scalar reference implementing the documented order: one
+//! ascending fused (`f32::mul_add`) chain per output element, starting
+//! from `0.0`. Register tiling, column panels, ragged edges, the AVX-512
+//! fast path, packing and the worker pool's row-banding are all
+//! implementation details that may never change a single bit.
 //!
 //! Thread-count invariance is pinned the same way from two sides: the
 //! properties here cover shapes below and above the parallel work
-//! threshold, and CI runs this suite (and the determinism suite) a
-//! second time under `RAYON_NUM_THREADS=1` — since every result must
-//! equal the same scalar reference at any thread count, 1-thread and
-//! many-thread runs are transitively bit-identical.
+//! threshold, and CI runs this suite (and the determinism suite) again
+//! under `RAYON_NUM_THREADS` = 1, 3 and 8 — no helper, an odd pool, and
+//! more helpers than the host has cores or a matmul has bands. Since
+//! every result must equal the same scalar reference at any pool size,
+//! runs at different sizes are transitively bit-identical.
 
 use dapple::engine::Tensor;
 use proptest::prelude::*;
@@ -75,6 +77,16 @@ fn check_shape(n: usize, k: usize, m: usize, seed: u64) {
     dirty.data.fill(-1e30);
     a.matmul_nt_into(&bt, &mut dirty);
     assert_bits_eq(&dirty, &want, "matmul_nt_into");
+    // The two halves of `matmul_nt` used apart: pack once into a recycled
+    // buffer of some other shape, multiply against the pack twice.
+    let mut packed = Tensor::from_vec(3, 2, vec![f32::NAN; 6]);
+    bt.transpose_into(&mut packed);
+    assert_bits_eq(&packed, &b, "transpose_into");
+    for garbage in [f32::NAN, 7.5] {
+        dirty.data.fill(garbage);
+        a.matmul_into(&packed, &mut dirty);
+        assert_bits_eq(&dirty, &want, "packed multiply");
+    }
 }
 
 /// Shapes straddling every tile boundary: single row/column, exact
@@ -154,6 +166,71 @@ fn skinny_and_fat_shapes_match_reference() {
     check_shape(32, 4096, 24, 3); // deep k: above the gate despite the small output
     check_shape(96, 1, 96, 4); // trivial k: below the gate despite the large output
     check_shape(1, 512, 257, 5); // single-row activation against a wide layer
+}
+
+/// `a * b` computed one output row at a time: every sub-product is far
+/// below the parallel gate, so this is the single-threaded kernel's
+/// answer for operands whose full product goes through the pool.
+fn matmul_row_by_row(a: &Tensor, b: &Tensor) -> Tensor {
+    let rows: Vec<Tensor> = (0..a.rows)
+        .map(|r| a.slice_rows(r..r + 1).matmul(b))
+        .collect();
+    Tensor::concat_rows(&rows)
+}
+
+/// Several threads post jobs to the one worker pool at once: four
+/// callers, each 200 rounds of all three variants on its own above-gate
+/// shape, every result bit-identical to the single-threaded kernel on
+/// the same operands. The helpers are shared, the jobs queue, and
+/// nothing may deadlock — the bounded wait for the callers is the
+/// timeout.
+#[test]
+fn concurrent_callers_share_the_pool_without_changing_a_bit() {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let callers: Vec<_> = [
+        (160, 160, 160),
+        (64, 512, 96),
+        (40, 2048, 33),
+        (512, 64, 72),
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(t, (n, k, m))| {
+        let done = done_tx.clone();
+        std::thread::spawn(move || {
+            assert!(n * k * m >= 2 * 1024 * 1024, "shape must be above the gate");
+            let seed = 20 + t as u64;
+            let a = Tensor::from_vec(n, k, fill(1, seed, n * k));
+            let b = Tensor::from_vec(k, m, fill(2, seed, k * m));
+            let (at, bt) = (a.transpose(), b.transpose());
+            let want = matmul_row_by_row(&a, &b);
+            let mut out = Tensor::zeros(n, m);
+            for round in 0..200 {
+                a.matmul_into(&b, &mut out);
+                assert_bits_eq(&out, &want, &format!("caller {t} round {round} matmul"));
+                at.matmul_tn_into(&b, &mut out);
+                assert_bits_eq(&out, &want, &format!("caller {t} round {round} matmul_tn"));
+                a.matmul_nt_into(&bt, &mut out);
+                assert_bits_eq(&out, &want, &format!("caller {t} round {round} matmul_nt"));
+            }
+            done.send(t).expect("the test is still waiting");
+        })
+    })
+    .collect();
+    drop(done_tx);
+    for _ in 0..callers.len() {
+        // A caller that panicked drops its sender: a disconnect, not a
+        // timeout, and the join below reports its message.
+        match done_rx.recv_timeout(std::time::Duration::from_secs(120)) {
+            Ok(_) | Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {}
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("a caller is stuck in the pool after 120 s")
+            }
+        }
+    }
+    for caller in callers {
+        caller.join().expect("caller thread");
+    }
 }
 
 proptest! {
