@@ -1,9 +1,9 @@
 //! `dapple-bench` — machine-readable baseline for the per-iteration hot
-//! paths: the engine's in-place replica reduce beside the ring AllReduce
-//! it is pinned against, the matmul variants used by `Dense` backward,
-//! what a matmul pays around its kernel inside the pipeline (worker-pool
-//! dispatch, the `W^T` pack), and an end-to-end 1F1B pipeline step (with
-//! the engine's buffer-pool hit/miss counters).
+//! paths below the step: the engine's in-place replica reduce beside the
+//! ring AllReduce it is pinned against, the matmul variants used by
+//! `Dense` backward, and what a matmul pays around its kernel inside the
+//! pipeline (worker-pool dispatch, the `W^T` pack). What a whole step
+//! costs, supervised or not, is `benchmark/`'s to measure.
 //!
 //! ```text
 //! cargo run --release -p dapple-bench --bin dapple-bench -- \
@@ -14,7 +14,8 @@
 //!     [--md PATH] [--json PATH]
 //! ```
 //!
-//! Writes a hand-rolled JSON report (default `BENCH_7.json`): one record
+//! Writes a hand-rolled JSON report (default `dapple-bench.json`; the
+//! committed `BENCH_N.json` series is written only when named): one record
 //! per measurement with iteration count, wall time and, where it makes
 //! sense, derived throughput — plus the observability records from this
 //! repo's tracing subsystem: step-tracing overhead (on vs. off), measured
@@ -25,10 +26,7 @@
 //! demonstration (the planner re-planning from a measured profile vs. the
 //! analytic one, both plans timed on the engine). The recovery group
 //! measures checkpoint save/load latency (sharded full and delta saves
-//! plus the base+delta chain resume), the supervisor's clean-step cost,
-//! the wall-clock overhead of a step that faults once and is retried
-//! (split into the wasted attempt and the rewind), the supervisor's
-//! virtual-time MTTR, and
+//! plus the base+delta chain resume) and
 //! the cost of a full elastic migration (replica death → replica drop →
 //! re-plan → rebuild through the delta-checkpoint chain). `--trace PATH`
 //! additionally exports the measured step as a Perfetto-loadable Chrome
@@ -53,7 +51,7 @@ use dapple_core::{DeviceId, Plan, StagePlan};
 use dapple_engine::checkpoint::{v3_chain_to_state, v3_delta_to_bytes, v3_full_to_bytes};
 use dapple_engine::{
     data, DataStream, EngineConfig, FaultKind, FaultPlan, MlpModel, Optimizer, Partition,
-    PipelineTrainer, RecoveryEventKind, RetryPolicy, Supervisor, Tensor, TrainLoop, TrainState,
+    PipelineTrainer, RetryPolicy, Supervisor, Tensor, TrainLoop, TrainState,
 };
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -79,8 +77,7 @@ fn time_ns<F: FnMut()>(iters: u32, mut f: F) -> f64 {
     start.elapsed().as_nanos() as f64 / f64::from(iters)
 }
 
-/// Times `f` per iteration and reports the *minimum* — the same noise
-/// discipline `engine_benches` adopted after BENCH_4: on a shared host
+/// Times `f` per iteration and reports the *minimum*: on a shared host
 /// timing noise is strictly additive (preemption, steal time, cache
 /// pollution), so the fastest observed iteration is the best estimate
 /// of intrinsic cost. Use for multi-threaded measurements whose mean a
@@ -357,72 +354,6 @@ fn dispatch_benches(smoke: bool, out: &mut Vec<Record>) {
     }
 }
 
-/// The reuse-on/reuse-off comparison is *interleaved*: both trainers are
-/// built up front, then each round times one best-of-3 step per config in
-/// alternation and the per-config medians are reported. Back-to-back
-/// blocks (all reuse_on iterations, then all reuse_off) let slow drift in
-/// machine load masquerade as a config difference — which is exactly how
-/// BENCH_4 recorded the pooled path as a regression.
-fn engine_benches(smoke: bool, out: &mut Vec<Record>) {
-    // Full mode uses narrow layers with a large batch: per-step compute
-    // scales with width² but buffer traffic only with width, so narrow
-    // shapes are where buffer reuse is a measurable share of the step
-    // (wide shapes bury the allocator under matmul time).
-    let (dims, batch, rounds): (Vec<usize>, usize, u32) = if smoke {
-        (vec![5, 12, 10, 8, 8, 4, 3], 24, 3)
-    } else {
-        (vec![32, 64, 64, 64, 64, 64, 32], 4096, 14)
-    };
-    let (x, t) = data::regression_batch(batch, dims[0], *dims.last().unwrap(), 11);
-    let plan = FaultPlan::new();
-    let configs = [("reuse_on", true), ("reuse_off", false)];
-    let mut trainers = Vec::new();
-    let mut pool_counters = Vec::new();
-    for &(_, reuse) in &configs {
-        let mut cfg = EngineConfig::straight(vec![0..2, 2..4, 4..6], 4, 0.1);
-        cfg.buffer_reuse = reuse;
-        let trainer = PipelineTrainer::new(MlpModel::new(&dims, 3), cfg).unwrap();
-        // Two warmup steps: the first fills the persistent per-worker
-        // pools, the second reports steady-state hit/miss counters.
-        trainer.step_grads_with_faults(&x, &t, &plan).unwrap();
-        let warm = trainer.step_grads_with_faults(&x, &t, &plan).unwrap();
-        pool_counters.push((warm.pool_hits, warm.pool_misses));
-        trainers.push(trainer);
-    }
-    let mut samples: Vec<Vec<f64>> = vec![Vec::new(); configs.len()];
-    for _ in 0..rounds {
-        for (i, trainer) in trainers.iter().enumerate() {
-            let best = (0..3)
-                .map(|_| {
-                    let t0 = Instant::now();
-                    let out = trainer.step_grads_with_faults(&x, &t, &plan).unwrap();
-                    black_box(out.loss);
-                    t0.elapsed().as_nanos() as f64
-                })
-                .fold(f64::INFINITY, f64::min);
-            samples[i].push(best);
-        }
-    }
-    for (i, &(label, _)) in configs.iter().enumerate() {
-        // Minimum across rounds: timing noise on a shared host is strictly
-        // additive (scheduler preemption, cache pollution from neighbours),
-        // so the fastest observed step is the best estimate of the
-        // configuration's intrinsic cost.
-        let best = samples[i].iter().copied().fold(f64::INFINITY, f64::min);
-        out.push(Record {
-            group: "pipeline_step",
-            name: format!("straight3_m4_{label}"),
-            iters: rounds * 3,
-            ns_per_iter: best,
-            extra: vec![
-                ("pool_hits", pool_counters[i].0.to_string()),
-                ("pool_misses", pool_counters[i].1.to_string()),
-                ("method", "\"interleaved_min_best_of_3\"".to_string()),
-            ],
-        });
-    }
-}
-
 /// A float as a JSON value; non-finite becomes `null` (JSON has no Inf).
 fn json_f64(v: f64) -> String {
     if v.is_finite() {
@@ -436,10 +367,9 @@ fn json_f64(v: f64) -> String {
 /// timed with the tracing knob off and on.
 ///
 /// Both trainers are built up front and timed in *alternating*
-/// min-best-of-3 rounds, the same discipline `engine_benches` adopted
-/// after BENCH_4: overhead is a ratio of two ~20 ms timings, so a few
-/// percent of slow drift between a tracing_off block and a tracing_on
-/// block shows up multiplied — which is exactly how BENCH_5 recorded
+/// min-best-of-3 rounds: overhead is a ratio of two ~20 ms timings, so a
+/// few percent of slow drift between a tracing_off block and a
+/// tracing_on block shows up multiplied — which is exactly how BENCH_5 recorded
 /// 16.2% on a path whose real cost is ~100 clock reads per step
 /// (BENCH_3/4 sat at 1.4–2.3%). The minimum across rounds estimates
 /// each config's intrinsic cost because host noise is strictly additive.
@@ -460,7 +390,7 @@ fn tracing_overhead_shape(
         cfg.tracing = tracing;
         let trainer = PipelineTrainer::new(MlpModel::new(dims, 3), cfg).unwrap();
         // Warmup fills the persistent buffer pools and faults in code.
-        trainer.step_grads_with_faults(&x, &t, &plan).unwrap();
+        trainer.step_with_trace(&x, &t, &plan).0.unwrap();
         trainers.push(trainer);
     }
     let mut best = [f64::INFINITY; 2];
@@ -469,7 +399,7 @@ fn tracing_overhead_shape(
             let round_best = (0..3)
                 .map(|_| {
                     let t0 = Instant::now();
-                    let out = trainer.step_grads_with_faults(&x, &t, &plan).unwrap();
+                    let out = trainer.step_with_trace(&x, &t, &plan).0.unwrap();
                     black_box(out.loss);
                     t0.elapsed().as_nanos() as f64
                 })
@@ -479,8 +409,9 @@ fn tracing_overhead_shape(
     }
     // One extra traced step for the trace-derived extras (and `--trace`
     // export) — outside the timed region.
-    let outcome = trainers[1].step_grads_with_faults(&x, &t, &plan).unwrap();
-    let trace = outcome.trace.as_ref().expect("tracing enabled");
+    let (result, trace) = trainers[1].step_with_trace(&x, &t, &plan);
+    result.expect("traced step");
+    let trace = trace.expect("tracing enabled");
     for (i, &(label, tracing)) in configs.iter().enumerate() {
         let mut extra = vec![("method", "\"interleaved_min_best_of_3\"".to_string())];
         if tracing {
@@ -523,9 +454,8 @@ fn tracing_overhead_shape(
 /// Step-tracing overhead across the shapes the barometer tracks: the
 /// wide shape BENCH_3..5 recorded (`straight3_m4`, where the 16.2%
 /// methodology artifact appeared) and the narrow-layer/large-batch shape
-/// the pipeline_step bench moved to in PR 5, where per-step compute is
-/// small relative to orchestration and tracing cost is proportionally at
-/// its worst.
+/// (`narrow3_m4`), where per-step compute is small relative to
+/// orchestration and tracing cost is proportionally at its worst.
 fn tracing_overhead_benches(smoke: bool, out: &mut Vec<Record>, trace_path: Option<&str>) {
     if smoke {
         tracing_overhead_shape(
@@ -556,28 +486,14 @@ fn tracing_overhead_benches(smoke: bool, out: &mut Vec<Record>, trace_path: Opti
     );
 }
 
-/// Recovery costs: checkpoint save/load latency, the supervisor's
-/// clean-step baseline, the overhead of a step that faults once and is
-/// replayed, and the virtual-time MTTR the retry policy implies.
+/// Recovery costs nothing else covers: checkpoint save/load latency and
+/// the elastic-migration ladder. (What a supervised step costs, clean or
+/// retried, is `benchmark/`'s to measure, with a probe-normalised clock.)
 fn recovery_benches(smoke: bool, out: &mut Vec<Record>, recovery_log: Option<&str>) {
     let (dims, batch, iters): (Vec<usize>, usize, u32) = if smoke {
         (vec![5, 12, 10, 8, 8, 4, 3], 24, 5)
     } else {
         (vec![64, 256, 256, 256, 256, 128, 32], 128, 20)
-    };
-    let in_dim = dims[0];
-    let out_dim = *dims.last().unwrap();
-    let mk_loop = || {
-        let model = MlpModel::new(&dims, 3);
-        let optimizer = Optimizer::adam(0.01, &model);
-        let cfg = EngineConfig::straight(vec![0..2, 2..4, 4..6], 4, 0.1);
-        TrainLoop::new(
-            model,
-            cfg,
-            optimizer,
-            DataStream::new(11, batch, in_dim, out_dim),
-        )
-        .unwrap()
     };
 
     // Checkpoints: sharded saves with per-layer version counters (Adam:
@@ -660,73 +576,6 @@ fn recovery_benches(smoke: bool, out: &mut Vec<Record>, recovery_log: Option<&st
         extra: vec![("chain_len", v3_chain.len().to_string())],
     });
 
-    // Supervised step, never faulted: the clean path pays no state
-    // copy, only the supervisor's bookkeeping on top of `try_step`.
-    let mut sup = Supervisor::new(mk_loop(), RetryPolicy::default());
-    let clean_ns = time_ns_min(iters, || {
-        let s = sup.step_with(&mut |_, _| FaultPlan::new()).unwrap();
-        black_box(s.loss);
-    });
-    out.push(Record {
-        group: "recovery",
-        name: "supervised_step_clean".into(),
-        iters,
-        ns_per_iter: clean_ns,
-        extra: vec![("retries", sup.metrics().retries.to_string())],
-    });
-
-    // A step whose first attempt panics mid-pipeline and is replayed,
-    // measured end to end and split by cause: the supervisor asks for
-    // attempt 1's fault plan when attempt 0 is over, so the time between
-    // the two asks is the wasted attempt (its compute up to the panic,
-    // the join, the rewind and the retry bookkeeping); the rewind alone
-    // is what the loop itself timed.
-    let mut sup = Supervisor::new(mk_loop(), RetryPolicy::default());
-    let mut attempt_0 = Instant::now();
-    let mut wasted_attempt_ns = f64::INFINITY;
-    let recovered_ns = time_ns_min(iters, || {
-        let s = sup
-            .step_with(&mut |_, attempt| {
-                if attempt == 0 {
-                    attempt_0 = Instant::now();
-                    FaultPlan::new().with_fault(1, 0, 3, FaultKind::Panic)
-                } else {
-                    wasted_attempt_ns =
-                        wasted_attempt_ns.min(attempt_0.elapsed().as_nanos() as f64);
-                    FaultPlan::new()
-                }
-            })
-            .unwrap();
-        black_box(s.loss);
-    });
-    let m = sup.metrics();
-    let rollback_ns = sup
-        .events()
-        .iter()
-        .filter_map(|e| match e.kind {
-            RecoveryEventKind::Rollback { ns } => Some(ns),
-            _ => None,
-        })
-        .min()
-        .unwrap_or(0);
-    out.push(Record {
-        group: "recovery",
-        name: "supervised_step_recovered".into(),
-        iters,
-        ns_per_iter: recovered_ns,
-        extra: vec![
-            (
-                "overhead_pct",
-                json_f64((recovered_ns - clean_ns) / clean_ns.max(1.0) * 100.0),
-            ),
-            ("wasted_attempt_ns", json_f64(wasted_attempt_ns)),
-            ("rollback_ns", rollback_ns.to_string()),
-            ("retries", m.retries.to_string()),
-            ("rollbacks", m.rollbacks.to_string()),
-            ("mttr_virtual_us", json_f64(m.mttr_virtual_us)),
-        ],
-    });
-
     // The full escalation ladder, timed end to end: a transient fault is
     // retried, then a replica of the wide stage dies for good (retries
     // exhaust, the replica is dropped), a short degraded window runs,
@@ -745,7 +594,7 @@ fn recovery_benches(smoke: bool, out: &mut Vec<Record>, recovery_log: Option<&st
             model,
             cfg,
             optimizer,
-            DataStream::new(11, batch, in_dim, out_dim),
+            DataStream::new(11, batch, dims[0], *dims.last().unwrap()),
         )
         .unwrap()
     };
@@ -966,7 +815,7 @@ fn main() {
         std::process::exit(dapple_bench::diff::run_diff_cli(&args[1..]));
     }
     let mut smoke = false;
-    let mut out_path = "BENCH_7.json".to_string();
+    let mut out_path = "dapple-bench.json".to_string();
     let mut trace_path: Option<String> = None;
     let mut recovery_log: Option<String> = None;
     let mut gate_err_steady: Option<f64> = None;
@@ -1058,8 +907,6 @@ fn main() {
     matmul_benches(smoke, &mut records);
     eprintln!("[dapple-bench] dispatch and packing ({mode})...");
     dispatch_benches(smoke, &mut records);
-    eprintln!("[dapple-bench] pipeline step ({mode})...");
-    engine_benches(smoke, &mut records);
     eprintln!("[dapple-bench] tracing overhead ({mode})...");
     tracing_overhead_benches(smoke, &mut records, trace_path.as_deref());
     eprintln!("[dapple-bench] fault recovery ({mode})...");

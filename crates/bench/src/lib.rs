@@ -13,8 +13,7 @@
 //! ```
 //!
 //! Every experiment returns a [`Report`] (plain-text table plus CSV), and
-//! the binary writes CSVs under `reports/`. Criterion micro-benchmarks for
-//! the planner, simulator, collectives and engine live in `benches/`.
+//! the binary writes CSVs under `reports/`.
 
 pub mod ablations;
 pub mod common;

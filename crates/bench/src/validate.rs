@@ -409,10 +409,9 @@ pub fn measure(scenario: &Scenario, iters: usize) -> Measurement {
     }
     let mut traces: Vec<StepTrace> = Vec::with_capacity(iters);
     for _ in 0..iters {
-        let outcome = trainer
-            .step_grads_with_faults(&x, &t, &FaultPlan::new())
-            .expect("measured step");
-        traces.push(outcome.trace.expect("tracing was enabled"));
+        let (result, trace) = trainer.step_with_trace(&x, &t, &FaultPlan::new());
+        result.expect("measured step");
+        traces.push(trace.expect("tracing was enabled"));
     }
     let makespans_us: Vec<f64> = traces
         .iter()
@@ -508,7 +507,8 @@ fn within_tolerance(v: &Validation) -> bool {
 }
 
 /// The iterate loop: profile → predict → measure → calibrate → re-predict,
-/// until [`within_tolerance`] or `max_rounds` rounds.
+/// until the convergence test (`within_tolerance`) passes or `max_rounds`
+/// rounds.
 ///
 /// Each round feeds the pooled in-pipeline spans of the *measured* steps
 /// into a [`Calibrator`]; the next round's simulator runs on the corrected

@@ -20,4 +20,4 @@ pub mod ring;
 pub use cost::{
     allreduce_us, cross_stage_us, fit_affine, p2p_us, CommCalibration, SPLIT_CONCAT_OVERHEAD_US,
 };
-pub use ring::{allreduce_mean, allreduce_sum, reduce_sum_in_place};
+pub use ring::{allreduce_sum, reduce_sum_in_place};

@@ -129,7 +129,7 @@ const REDUCE_BLOCK: usize = 1024;
 /// a list of segments (all ranks share the segment lengths) whose
 /// concatenation is the flat index space the ring would have chunked, so
 /// a gradient set kept as separate tensors reduces where it lies. Chunk
-/// `c` of [`chunk_bounds`] is summed as the ring's reduce-scatter does:
+/// `c` of the ring's chunking (`chunk_bounds`) is summed as the ring's reduce-scatter does:
 /// starting from rank `c`'s values, each following rank in cyclic order
 /// adds its own to the running sum (the ring computes `own + incoming`;
 /// IEEE addition commutes, so the association is all that matters). Only
@@ -200,21 +200,6 @@ pub fn reduce_sum_in_place(first: &mut [&mut [f32]], rest: &[Vec<&[f32]>]) {
     }
 }
 
-/// In-place ring all-reduce (mean): sum followed by division by the rank
-/// count — the gradient-averaging step of synchronous data parallelism.
-pub fn allreduce_mean(buffers: &mut [Vec<f32>]) {
-    let n = buffers.len();
-    allreduce_sum(buffers);
-    if n > 1 {
-        let inv = 1.0 / n as f32;
-        for buf in buffers.iter_mut() {
-            for v in buf.iter_mut() {
-                *v *= inv;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,15 +246,6 @@ mod tests {
         allreduce_sum(&mut bufs);
         for b in &bufs {
             assert_eq!(*b, expect);
-        }
-    }
-
-    #[test]
-    fn mean_divides_by_rank_count() {
-        let mut bufs = vec![vec![2.0, 4.0], vec![4.0, 8.0], vec![6.0, 12.0]];
-        allreduce_mean(&mut bufs);
-        for b in &bufs {
-            assert_eq!(*b, vec![4.0, 8.0]);
         }
     }
 

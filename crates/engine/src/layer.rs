@@ -169,21 +169,6 @@ impl Dense {
         (dx, g)
     }
 
-    /// [`Dense::backward`] with the input gradient written into a
-    /// caller-provided buffer (recycled contents allowed — the `dx` kernel
-    /// stores, never accumulates). Bit-identical to `backward`.
-    pub fn backward_into(
-        &self,
-        x: &Tensor,
-        y: &Tensor,
-        dy: &mut Tensor,
-        dx: &mut Tensor,
-    ) -> DenseGrads {
-        let g = self.backward_params(x, y, dy);
-        dy.matmul_nt_into(&self.w, dx);
-        g
-    }
-
     /// Fully buffered backward: input gradient *and* parameter gradients
     /// land in caller-provided storage (`g` shaped by
     /// [`DenseGrads::zeros_like`]; recycled contents allowed — every

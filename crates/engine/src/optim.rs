@@ -73,7 +73,7 @@ impl Optimizer {
     }
 
     /// Persistent state bytes per fp32 parameter (weights included) —
-    /// matches [`dapple_model::OptimizerKind::bytes_per_param`]'s account.
+    /// matches `dapple_model::OptimizerKind::bytes_per_param`'s account.
     pub fn bytes_per_param(&self) -> u64 {
         match self {
             Optimizer::Sgd { .. } => 8,       // weight + grad

@@ -11,6 +11,12 @@
 //! synchronous semantics, bit-compatible with full-batch training up to
 //! float reassociation.
 //!
+//! A step has one entry point, [`PipelineTrainer::step_with_trace`]
+//! ([`PipelineTrainer::step_grads`] is its clean-plan convenience). It
+//! computes gradients and never touches the weights; an optimizer is
+//! applied by the caller — in the library, only by
+//! [`crate::recovery::TrainLoop::try_step`].
+//!
 //! # Gradient sync
 //!
 //! Gradients stay in the buffers the backward kernels wrote them to.
@@ -48,7 +54,7 @@
 use crate::fault::{FaultKind, FaultPlan, NanPolicy};
 use crate::layer::{Dense, DenseGrads};
 use crate::loss::{loss_grad_into, LossKind};
-use crate::model::{MlpModel, StepStats};
+use crate::model::MlpModel;
 use crate::tensor::Tensor;
 use crate::trace::{
     CoordSpan, Span, SpanKind, SpanRing, SpanWriter, StepTrace, WorkerTrace, NO_MICRO,
@@ -75,7 +81,9 @@ pub struct EngineConfig {
     pub micro_batches: usize,
     /// Re-compute activations during backward instead of storing them.
     pub recompute: bool,
-    /// SGD learning rate.
+    /// Never read by the engine: learning rates live in
+    /// [`crate::optim::Optimizer`]. Kept because [`Self::straight`] and
+    /// [`Self::from_plan`] take it positionally.
     pub lr: f32,
     /// Memory bound `D` on in-flight micro-batches per stage.
     pub max_in_flight: usize,
@@ -87,11 +95,6 @@ pub struct EngineConfig {
     /// What to do when a micro-batch's gradient contribution contains
     /// NaN/Inf values.
     pub nan_policy: NanPolicy,
-    /// Recycle boundary-message buffers through a per-worker free list
-    /// (zero steady-state allocations on sends). `false` restores the
-    /// seed allocation-per-message semantics; results are bit-identical
-    /// either way (see tests/determinism.rs).
-    pub buffer_reuse: bool,
     /// Record per-worker span traces ([`StepTrace`]) during the step.
     /// Off by default: with tracing off the hot path takes no timestamps
     /// and performs no extra allocations (asserted in
@@ -115,7 +118,6 @@ impl EngineConfig {
             loss: LossKind::Mse,
             recv_timeout: Duration::from_secs(5),
             nan_policy: NanPolicy::AbortStep,
-            buffer_reuse: true,
             tracing: false,
         }
     }
@@ -184,17 +186,14 @@ pub struct StepOutcome {
     /// Non-finite values replaced by [`NanPolicy::ZeroAndWarn`], summed
     /// over stage replicas.
     pub zeroed_values: usize,
-    /// Boundary buffers served from the per-worker free lists, summed
-    /// over all workers. Zero when [`EngineConfig::buffer_reuse`] is off.
+    /// Buffers served from the per-worker free lists, summed over all
+    /// workers.
     pub pool_hits: usize,
-    /// Boundary buffers that had to be freshly allocated, summed over
-    /// all workers. With reuse on, steady-state 1F1B misses only during
-    /// pipeline warmup — the count is independent of the number of
-    /// micro-batches (asserted in tests/alloc_counts.rs).
+    /// Buffers that had to be freshly allocated, summed over all workers.
+    /// Steady-state 1F1B misses only during pipeline warmup — the count is
+    /// independent of the number of micro-batches (asserted in
+    /// tests/alloc_counts.rs).
     pub pool_misses: usize,
-    /// The measured span timeline of this step when
-    /// [`EngineConfig::tracing`] is on; `None` otherwise.
-    pub trace: Option<StepTrace>,
 }
 
 /// One worker's persistent gradient buffers, each one [`DenseGrads`] per
@@ -340,9 +339,7 @@ impl PipelineTrainer {
             ));
         }
         let workers: usize = cfg.replication.iter().sum();
-        let scratch = (0..workers)
-            .map(|_| Mutex::new(WorkerScratch::new(cfg.buffer_reuse)))
-            .collect();
+        let scratch = (0..workers).map(|_| Mutex::default()).collect();
         let mut first_slot = 0usize;
         let stages = cfg
             .stage_bounds
@@ -371,40 +368,26 @@ impl PipelineTrainer {
         &self.cfg
     }
 
-    /// Computes full-batch gradients via the pipeline, without updating
-    /// weights. Returns `(loss, per-layer grads)` — directly comparable
-    /// with [`MlpModel::reference_grads`]. The gradients are the caller's
-    /// to keep ([`StepGrads::into_vec`]); loops that only read them should
-    /// use [`Self::step_grads_with_faults`], which lends them instead.
+    /// A clean [`Self::step_with_trace`] whose gradients are the caller's
+    /// to keep ([`StepGrads::into_vec`]): `(loss, per-layer grads)`,
+    /// directly comparable with [`MlpModel::reference_grads`].
     pub fn step_grads(&self, x: &Tensor, target: &Tensor) -> Result<(f32, Vec<DenseGrads>)> {
-        let out = self.step_grads_with_faults(x, target, &FaultPlan::new())?;
+        let out = self.step_with_trace(x, target, &FaultPlan::new()).0?;
         Ok((out.loss, out.grads.into_vec()))
     }
 
-    /// [`Self::step_grads`] under a fault-injection plan. With an empty
-    /// plan this is bit-identical to the plain path; with faults it
-    /// returns the structured error of the root cause (or, under a
-    /// lenient [`NanPolicy`], a [`StepOutcome`] describing what was
-    /// skipped or zeroed). The model is never modified here, so the
-    /// trainer remains usable after a failed step.
-    pub fn step_grads_with_faults(
-        &self,
-        x: &Tensor,
-        target: &Tensor,
-        faults: &FaultPlan,
-    ) -> Result<StepOutcome> {
-        let (result, trace) = self.step_with_trace(x, target, faults);
-        result.map(|mut out| {
-            out.trace = trace;
-            out
-        })
-    }
-
-    /// [`Self::step_grads_with_faults`] with the measured trace surfaced
-    /// separately, so a *failed* step still yields its partial timeline:
-    /// spans recorded before the failure survive in the per-worker rings
-    /// and are drained here regardless of the step's outcome. With
-    /// [`EngineConfig::tracing`] off the trace is always `None`.
+    /// The pipeline step: full-batch gradients under a fault-injection
+    /// plan, without updating weights. With faults it returns the
+    /// structured error of the root cause (or, under a lenient
+    /// [`NanPolicy`], a [`StepOutcome`] describing what was skipped or
+    /// zeroed); the model is borrowed shared, so the trainer remains
+    /// usable after a failed step.
+    ///
+    /// The measured trace sits outside the `Result` so a *failed* step
+    /// still yields its partial timeline: spans recorded before the
+    /// failure survive in the per-worker rings and are drained here
+    /// regardless of the step's outcome. With [`EngineConfig::tracing`]
+    /// off the trace is always `None`.
     pub fn step_with_trace(
         &self,
         x: &Tensor,
@@ -590,7 +573,7 @@ impl PipelineTrainer {
         let mut trace = self
             .cfg
             .tracing
-            .then(|| StepTrace::new(self.cfg.replication.clone(), epoch));
+            .then(|| StepTrace::new(self.cfg.replication.clone()));
         if let Some(tr) = trace.as_mut() {
             let mut k = 0usize;
             for i in 0..s {
@@ -647,60 +630,9 @@ impl PipelineTrainer {
                 zeroed_values,
                 pool_hits,
                 pool_misses,
-                trace: None,
             }),
             trace,
         )
-    }
-
-    /// One synchronous training step: pipeline gradients + SGD apply.
-    pub fn train_step(&mut self, x: &Tensor, target: &Tensor) -> Result<StepStats> {
-        let out = self.step_grads_with_faults(x, target, &FaultPlan::new())?;
-        self.model.apply(&out.grads, self.cfg.lr);
-        Ok(StepStats {
-            loss: out.loss,
-            samples: x.rows,
-        })
-    }
-
-    /// [`Self::train_step`] returning the step's measured trace, with the
-    /// optimizer apply recorded as an `OptimStep` span on the same clock.
-    /// The trace is `None` unless [`EngineConfig::tracing`] is on.
-    pub fn train_step_traced(
-        &mut self,
-        x: &Tensor,
-        target: &Tensor,
-    ) -> Result<(StepStats, Option<StepTrace>)> {
-        let (result, mut trace) = self.step_with_trace(x, target, &FaultPlan::new());
-        let out = result?;
-        let t0 = Instant::now();
-        self.model.apply(&out.grads, self.cfg.lr);
-        if let Some(tr) = trace.as_mut() {
-            tr.record_coord(None, SpanKind::OptimStep, 0, t0, Instant::now());
-        }
-        Ok((
-            StepStats {
-                loss: out.loss,
-                samples: x.rows,
-            },
-            trace,
-        ))
-    }
-
-    /// One synchronous training step under an explicit optimizer
-    /// (momentum, Adam, ...) instead of the config's plain-SGD rate.
-    pub fn train_step_with(
-        &mut self,
-        x: &Tensor,
-        target: &Tensor,
-        optimizer: &mut crate::optim::Optimizer,
-    ) -> Result<StepStats> {
-        let out = self.step_grads_with_faults(x, target, &FaultPlan::new())?;
-        optimizer.step(&mut self.model, &out.grads);
-        Ok(StepStats {
-            loss: out.loss,
-            samples: x.rows,
-        })
     }
 }
 
@@ -817,10 +749,8 @@ const POOL_CAP_PER_SHAPE: usize = 16;
 /// `take` hands out a recycled buffer when one is available (a *hit*)
 /// and falls back to a fresh allocation otherwise (a *miss*); `put`
 /// retires a spent tensor for reuse. Recycled contents are arbitrary:
-/// every take site must fully overwrite the buffer. With `enabled ==
-/// false`, every take allocates and every put drops — exactly the seed
-/// allocation-per-message semantics, kept selectable so the determinism
-/// suite can assert the two paths are bit-identical.
+/// every take site must fully overwrite the buffer (pinned against an
+/// allocate-per-tensor reference in tests/determinism.rs).
 ///
 /// The pool covers both the boundary messages and the compute path: the
 /// per-layer forward chain and the backward input-gradients draw from the
@@ -834,8 +764,8 @@ const POOL_CAP_PER_SHAPE: usize = 16;
 /// A worker sees only a handful of distinct shapes, so buckets live in
 /// a flat `Vec` scanned linearly — cheaper than hashing the shape key
 /// on every message, and lookups allocate nothing.
+#[derive(Default)]
 struct TensorPool {
-    enabled: bool,
     free: Vec<((usize, usize), Vec<Tensor>)>,
     hits: usize,
     misses: usize,
@@ -852,6 +782,7 @@ struct TensorPool {
 /// steps but the storage: every step repacks, so an optimizer update, a
 /// restored checkpoint or a failed attempt cannot leave a stale pack
 /// behind.
+#[derive(Default)]
 struct WorkerScratch {
     pool: TensorPool,
     /// `layers[i].w` transposed, valid from the step's first backward on.
@@ -861,38 +792,11 @@ struct WorkerScratch {
     packs: usize,
 }
 
-impl WorkerScratch {
-    fn new(buffer_reuse: bool) -> Self {
-        WorkerScratch {
-            pool: TensorPool::new(buffer_reuse),
-            packed: Vec::new(),
-            #[cfg(test)]
-            packs: 0,
-        }
-    }
-}
-
 impl TensorPool {
-    fn new(enabled: bool) -> Self {
-        TensorPool {
-            enabled,
-            free: Vec::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
     /// Resets the per-step hit/miss counters (the free lists persist).
     fn begin_step(&mut self) {
         self.hits = 0;
         self.misses = 0;
-    }
-
-    /// Whether recycling is on. Callers that have a cheaper non-pooled
-    /// path (e.g. an allocating kernel that skips the zero-fill a recycled
-    /// buffer needs) branch on this instead of paying `take`'s miss.
-    fn reuses(&self) -> bool {
-        self.enabled
     }
 
     /// A buffer of exactly `rows x cols`; contents are arbitrary.
@@ -912,9 +816,6 @@ impl TensorPool {
 
     /// Retires a spent tensor into the free list.
     fn put(&mut self, t: Tensor) {
-        if !self.enabled {
-            return;
-        }
         let shape = (t.rows, t.cols);
         let slot = match self.free.iter_mut().find(|(s, _)| *s == shape) {
             Some((_, list)) => list,
@@ -1629,17 +1530,10 @@ fn forward_stage(layers: &[Dense], input: &Tensor, ys: &mut Vec<Tensor>, pool: &
     ys.reserve(layers.len());
     for (i, layer) in layers.iter().enumerate() {
         let x = if i == 0 { input } else { &ys[i - 1] };
-        // With reuse on, the per-layer outputs come from the pool (the
-        // backward pass retires the whole chain, so steady-state forwards
-        // allocate nothing); with reuse off this is exactly the seed
-        // allocate-per-tensor path.
-        let y = if pool.reuses() {
-            let mut y = pool.take(x.rows, layer.out_dim());
-            layer.forward_into(x, &mut y);
-            y
-        } else {
-            layer.forward(x)
-        };
+        // The backward pass retires the whole chain into the pool, so
+        // steady-state forwards allocate nothing.
+        let mut y = pool.take(x.rows, layer.out_dim());
+        layer.forward_into(x, &mut y);
         ys.push(y);
     }
 }
@@ -1666,14 +1560,8 @@ fn backward_stage(
     let mut cur = gy;
     for i in (0..layers.len()).rev() {
         let x = if i == 0 { input } else { &ys[i - 1] };
-        // With reuse on, `dx` comes from the pool without zeroing (the
-        // kernel overwrites every element); with reuse off it is a fresh
-        // allocation, as in the seed path.
-        let mut dx = if pool.reuses() {
-            pool.take(cur.rows, layers[i].in_dim())
-        } else {
-            Tensor::zeros(cur.rows, layers[i].in_dim())
-        };
+        // Not zeroed: the kernel overwrites every element.
+        let mut dx = pool.take(cur.rows, layers[i].in_dim());
         layers[i].backward_packed_into(&packed[i], x, &ys[i], &mut cur, &mut dx, &mut contrib[i]);
         let used = std::mem::replace(&mut cur, dx);
         if spent.is_none() {
@@ -1724,6 +1612,7 @@ fn zero_non_finite(contrib: &mut [DenseGrads]) -> usize {
 mod tests {
     use super::*;
     use crate::data;
+    use crate::optim::Optimizer;
     use dapple_sim::{KPolicy, Schedule};
 
     fn grads_close(a: &[DenseGrads], b: &[DenseGrads], tol: f32) {
@@ -1748,6 +1637,14 @@ mod tests {
         MlpModel::new(&[5, 12, 10, 8, 8, 4, 3], 77)
     }
 
+    /// One clean training step, composed as `TrainLoop::try_step` does:
+    /// the pipeline step, then the optimizer on its gradients.
+    fn train(p: &mut PipelineTrainer, x: &Tensor, t: &Tensor, opt: &mut Optimizer) -> f32 {
+        let out = p.step_with_trace(x, t, &FaultPlan::new()).0.unwrap();
+        opt.step(&mut p.model, &out.grads);
+        out.loss
+    }
+
     /// Pipelined gradients equal sequential full-batch gradients — the
     /// paper's synchronous-equivalence claim — for every schedule and
     /// re-computation setting on a straight 3-stage pipeline.
@@ -1762,20 +1659,9 @@ mod tests {
             Schedule::Dapple(KPolicy::PB),
         ] {
             for recompute in [false, true] {
-                let cfg = EngineConfig {
-                    stage_bounds: vec![0..2, 2..4, 4..6],
-                    replication: vec![1, 1, 1],
-                    schedule,
-                    micro_batches: 4,
-                    recompute,
-                    lr: 0.1,
-                    max_in_flight: usize::MAX,
-                    loss: LossKind::Mse,
-                    recv_timeout: Duration::from_secs(5),
-                    nan_policy: NanPolicy::AbortStep,
-                    buffer_reuse: true,
-                    tracing: false,
-                };
+                let mut cfg = EngineConfig::straight(vec![0..2, 2..4, 4..6], 4, 0.1);
+                cfg.schedule = schedule;
+                cfg.recompute = recompute;
                 let trainer = PipelineTrainer::new(model.clone(), cfg).unwrap();
                 let (loss, grads) = trainer.step_grads(&x, &t).unwrap();
                 assert!(
@@ -1794,20 +1680,8 @@ mod tests {
         let model = model6();
         let (x, t) = data::regression_batch(24, 5, 3, 10);
         let (_, ref_grads) = model.reference_grads(&x, &t, 3);
-        let cfg = EngineConfig {
-            stage_bounds: vec![0..3, 3..6],
-            replication: vec![4, 2],
-            schedule: Schedule::Dapple(KPolicy::PA),
-            micro_batches: 3,
-            recompute: false,
-            lr: 0.1,
-            max_in_flight: usize::MAX,
-            loss: LossKind::Mse,
-            recv_timeout: Duration::from_secs(5),
-            nan_policy: NanPolicy::AbortStep,
-            buffer_reuse: true,
-            tracing: false,
-        };
+        let mut cfg = EngineConfig::straight(vec![0..3, 3..6], 3, 0.1);
+        cfg.replication = vec![4, 2];
         let trainer = PipelineTrainer::new(model, cfg).unwrap();
         let (_, grads) = trainer.step_grads(&x, &t).unwrap();
         grads_close(&grads, &ref_grads, 2e-4);
@@ -1821,20 +1695,10 @@ mod tests {
         let (x, t) = data::regression_batch(36, 5, 3, 11);
         let (_, ref_grads) = model.reference_grads(&x, &t, 3);
         for (r1, r2) in [(3usize, 2usize), (2, 3), (1, 4), (6, 1)] {
-            let cfg = EngineConfig {
-                stage_bounds: vec![0..3, 3..6],
-                replication: vec![r1, r2],
-                schedule: Schedule::Dapple(KPolicy::PB),
-                micro_batches: 3,
-                recompute: true,
-                lr: 0.1,
-                max_in_flight: usize::MAX,
-                loss: LossKind::Mse,
-                recv_timeout: Duration::from_secs(5),
-                nan_policy: NanPolicy::AbortStep,
-                buffer_reuse: true,
-                tracing: false,
-            };
+            let mut cfg = EngineConfig::straight(vec![0..3, 3..6], 3, 0.1);
+            cfg.replication = vec![r1, r2];
+            cfg.schedule = Schedule::Dapple(KPolicy::PB);
+            cfg.recompute = true;
             let trainer = PipelineTrainer::new(model.clone(), cfg).unwrap();
             let (_, grads) = trainer.step_grads(&x, &t).unwrap();
             grads_close(&grads, &ref_grads, 2e-4);
@@ -1848,11 +1712,12 @@ mod tests {
         let mut seq = model6();
         let cfg = EngineConfig::straight(vec![0..2, 2..4, 4..6], 4, 0.2);
         let mut pipe = PipelineTrainer::new(model6(), cfg).unwrap();
+        let mut sgd = Optimizer::sgd(0.2);
         let mut first = None;
         let mut last = (0.0, 0.0);
         for _ in 0..100 {
             let sl = seq.reference_step(&x, &t, 4, 0.2).loss;
-            let pl = pipe.train_step(&x, &t).unwrap().loss;
+            let pl = train(&mut pipe, &x, &t, &mut sgd);
             first.get_or_insert((sl, pl));
             last = (sl, pl);
             assert!(
@@ -1874,20 +1739,9 @@ mod tests {
         let model = model6();
         let (x, t) = data::regression_batch(24, 5, 3, 13);
         let (_, ref_grads) = model.reference_grads(&x, &t, 8);
-        let cfg = EngineConfig {
-            stage_bounds: vec![0..3, 3..6],
-            replication: vec![1, 1],
-            schedule: Schedule::Dapple(KPolicy::PB),
-            micro_batches: 8,
-            recompute: false,
-            lr: 0.1,
-            max_in_flight: 1,
-            loss: LossKind::Mse,
-            recv_timeout: Duration::from_secs(5),
-            nan_policy: NanPolicy::AbortStep,
-            buffer_reuse: true,
-            tracing: false,
-        };
+        let mut cfg = EngineConfig::straight(vec![0..3, 3..6], 8, 0.1);
+        cfg.schedule = Schedule::Dapple(KPolicy::PB);
+        cfg.max_in_flight = 1;
         let trainer = PipelineTrainer::new(model, cfg).unwrap();
         let (_, grads) = trainer.step_grads(&x, &t).unwrap();
         grads_close(&grads, &ref_grads, 1e-4);
@@ -1934,49 +1788,39 @@ mod tests {
             t.data[r * 4 + c] = 1.0;
         }
         let (ref_loss, ref_grads) = model.reference_grads_loss(&x, &t, 4, LossKind::SoftmaxXent);
-        let cfg = EngineConfig {
-            stage_bounds: vec![0..2, 2..4, 4..6],
-            replication: vec![2, 1, 1],
-            schedule: Schedule::Dapple(KPolicy::PB),
-            micro_batches: 4,
-            recompute: false,
-            lr: 0.5,
-            max_in_flight: usize::MAX,
-            loss: LossKind::SoftmaxXent,
-            recv_timeout: Duration::from_secs(5),
-            nan_policy: NanPolicy::AbortStep,
-            buffer_reuse: true,
-            tracing: false,
-        };
+        let mut cfg = EngineConfig::straight(vec![0..2, 2..4, 4..6], 4, 0.5);
+        cfg.replication = vec![2, 1, 1];
+        cfg.schedule = Schedule::Dapple(KPolicy::PB);
+        cfg.loss = LossKind::SoftmaxXent;
         let mut trainer = PipelineTrainer::new(model, cfg).unwrap();
         let (loss, grads) = trainer.step_grads(&x, &t).unwrap();
         assert!((loss - ref_loss).abs() < 1e-4 * ref_loss.max(1e-3));
         grads_close(&grads, &ref_grads, 2e-4);
         // And training actually learns the labels.
-        let first = trainer.train_step(&x, &t).unwrap().loss;
+        let mut sgd = Optimizer::sgd(0.5);
+        let first = train(&mut trainer, &x, &t, &mut sgd);
         let mut last = first;
         for _ in 0..300 {
-            last = trainer.train_step(&x, &t).unwrap().loss;
+            last = train(&mut trainer, &x, &t, &mut sgd);
         }
         assert!(last < 0.6 * first, "{first} -> {last}");
     }
 
-    /// Adam through the pipeline: train_step_with drives the optimizer on
-    /// pipeline gradients and converges faster than plain SGD here.
+    /// Adam on pipeline gradients converges faster than plain SGD here.
     #[test]
     fn pipeline_with_adam_optimizer() {
-        use crate::optim::Optimizer;
         let dims = [5usize, 16, 16, 3];
         let (x, t) = data::regression_batch(32, 5, 3, 17);
         let cfg = EngineConfig::straight(vec![0..1, 1..3], 4, 0.05);
         let mut sgd_pipe = PipelineTrainer::new(MlpModel::new(&dims, 5), cfg.clone()).unwrap();
         let mut adam_pipe = PipelineTrainer::new(MlpModel::new(&dims, 5), cfg).unwrap();
+        let mut sgd = Optimizer::sgd(0.05);
         let mut adam = Optimizer::adam(0.02, &adam_pipe.model);
         let mut sgd_last = 0.0;
         let mut adam_last = 0.0;
         for _ in 0..60 {
-            sgd_last = sgd_pipe.train_step(&x, &t).unwrap().loss;
-            adam_last = adam_pipe.train_step_with(&x, &t, &mut adam).unwrap().loss;
+            sgd_last = train(&mut sgd_pipe, &x, &t, &mut sgd);
+            adam_last = train(&mut adam_pipe, &x, &t, &mut adam);
         }
         assert!(adam_last < sgd_last, "adam {adam_last} vs sgd {sgd_last}");
     }
@@ -2044,10 +1888,10 @@ mod tests {
         let model = model6();
         let mut cfg = EngineConfig::straight(vec![0..2, 2..4, 4..6], 4, 0.1);
         cfg.recv_timeout = Duration::from_millis(500);
-        let mut trainer = PipelineTrainer::new(model, cfg).unwrap();
+        let trainer = PipelineTrainer::new(model, cfg).unwrap();
         let (x, t) = data::regression_batch(24, 5, 3, 9);
         let plan = FaultPlan::new().with_fault(1, 0, 2, FaultKind::Panic);
-        match trainer.step_grads_with_faults(&x, &t, &plan) {
+        match trainer.step_with_trace(&x, &t, &plan).0 {
             Err(DappleError::WorkerPanicked {
                 stage,
                 replica,
@@ -2059,11 +1903,11 @@ mod tests {
             other => panic!("expected WorkerPanicked, got {other:?}"),
         }
         // The model was not touched; a clean step still works.
-        trainer.train_step(&x, &t).unwrap();
+        trainer.step_grads(&x, &t).unwrap();
     }
 
-    /// An empty fault plan goes through the identical code path and
-    /// produces bit-identical results to the plain entry point.
+    /// An empty fault plan repairs nothing, and the convenience entry
+    /// point returns the step's own bits.
     #[test]
     fn empty_fault_plan_is_bit_identical() {
         let model = model6();
@@ -2072,7 +1916,8 @@ mod tests {
         let (x, t) = data::regression_batch(24, 5, 3, 9);
         let (loss_a, grads_a) = trainer.step_grads(&x, &t).unwrap();
         let out = trainer
-            .step_grads_with_faults(&x, &t, &FaultPlan::new())
+            .step_with_trace(&x, &t, &FaultPlan::new())
+            .0
             .unwrap();
         assert_eq!(loss_a.to_bits(), out.loss.to_bits());
         assert_eq!(out.skipped_micro_batches, 0);
@@ -2117,20 +1962,9 @@ mod tests {
         let model = model6();
         let (x, t) = data::regression_batch(24, 5, 3, 2);
         let (_, ref_grads) = model.reference_grads(&x, &t, 4);
-        let cfg = EngineConfig {
-            stage_bounds: vec![0..3, 3..6],
-            replication: vec![5, 1],
-            schedule: Schedule::GPipe,
-            micro_batches: 4,
-            recompute: false,
-            lr: 0.1,
-            max_in_flight: usize::MAX,
-            loss: LossKind::Mse,
-            recv_timeout: Duration::from_secs(5),
-            nan_policy: NanPolicy::AbortStep,
-            buffer_reuse: true,
-            tracing: false,
-        };
+        let mut cfg = EngineConfig::straight(vec![0..3, 3..6], 4, 0.1);
+        cfg.replication = vec![5, 1];
+        cfg.schedule = Schedule::GPipe;
         let trainer = PipelineTrainer::new(model, cfg).unwrap();
         let (_, grads) = trainer.step_grads(&x, &t).unwrap();
         grads_close(&grads, &ref_grads, 2e-4);
@@ -2141,20 +1975,9 @@ mod tests {
         // A replica with zero rows would contribute nothing and receive
         // nothing: r > mb stays a configuration error.
         let model = model6();
-        let cfg = EngineConfig {
-            stage_bounds: vec![0..3, 3..6],
-            replication: vec![7, 1],
-            schedule: Schedule::GPipe,
-            micro_batches: 4,
-            recompute: false,
-            lr: 0.1,
-            max_in_flight: usize::MAX,
-            loss: LossKind::Mse,
-            recv_timeout: Duration::from_secs(5),
-            nan_policy: NanPolicy::AbortStep,
-            buffer_reuse: true,
-            tracing: false,
-        };
+        let mut cfg = EngineConfig::straight(vec![0..3, 3..6], 4, 0.1);
+        cfg.replication = vec![7, 1];
+        cfg.schedule = Schedule::GPipe;
         let trainer = PipelineTrainer::new(model, cfg).unwrap();
         let (x, t) = data::regression_batch(24, 5, 3, 2); // mb = 6 < r = 7
         assert!(trainer.step_grads(&x, &t).is_err());

@@ -702,16 +702,9 @@ impl Tensor {
         }
     }
 
-    /// Column sums (used for bias gradients).
-    pub fn col_sums(&self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.cols];
-        self.col_sums_into(&mut out);
-        out
-    }
-
-    /// [`Tensor::col_sums`] into a caller-provided buffer (recycled
-    /// contents allowed — the buffer is reset first). Bit-identical to
-    /// `col_sums`: plain adds in ascending row order.
+    /// Column sums (the bias gradient) into a caller-provided buffer
+    /// (recycled contents allowed — the buffer is reset first): plain adds
+    /// in ascending row order.
     pub fn col_sums_into(&self, out: &mut [f32]) {
         assert_eq!(out.len(), self.cols, "col_sums_into length");
         out.fill(0.0);
@@ -748,18 +741,6 @@ impl Tensor {
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a += *b;
         }
-    }
-
-    /// Element-wise scale.
-    pub fn scale(&mut self, k: f32) {
-        for v in &mut self.data {
-            *v *= k;
-        }
-    }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 }
 
@@ -833,7 +814,9 @@ mod tests {
     fn bias_and_col_sums() {
         let mut a = Tensor::zeros(3, 2);
         a.add_bias(&[1.0, 2.0]);
-        assert_eq!(a.col_sums(), vec![3.0, 6.0]);
+        let mut sums = [0.0; 2];
+        a.col_sums_into(&mut sums);
+        assert_eq!(sums, [3.0, 6.0]);
     }
 
     #[test]
@@ -841,7 +824,7 @@ mod tests {
         let a = Tensor::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let mut dirty = vec![f32::NAN, 1e9, -7.0];
         a.col_sums_into(&mut dirty);
-        assert_eq!(dirty, a.col_sums());
+        assert_eq!(dirty, [5.0, 7.0, 9.0]);
     }
 
     #[test]

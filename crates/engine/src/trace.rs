@@ -221,42 +221,15 @@ pub struct StepTrace {
     pub coord: Vec<CoordSpan>,
     /// Replication factor per stage (fixes the Chrome `tid` layout).
     pub replication: Vec<usize>,
-    /// The step epoch all span timestamps are relative to. Kept so spans
-    /// that happen after the workers join (optimizer apply) can be stamped
-    /// on the same clock.
-    pub(crate) epoch: Instant,
 }
 
 impl StepTrace {
-    pub(crate) fn new(replication: Vec<usize>, epoch: Instant) -> Self {
+    pub(crate) fn new(replication: Vec<usize>) -> Self {
         StepTrace {
             workers: Vec::new(),
             coord: Vec::new(),
             replication,
-            epoch,
         }
-    }
-
-    /// Records a coordinator span on the step clock.
-    pub(crate) fn record_coord(
-        &mut self,
-        stage: Option<usize>,
-        kind: SpanKind,
-        bytes: u64,
-        start: Instant,
-        end: Instant,
-    ) {
-        let rel = |t: Instant| t.duration_since(self.epoch).as_nanos() as u64;
-        self.coord.push(CoordSpan {
-            stage,
-            span: Span {
-                kind,
-                micro: NO_MICRO,
-                bytes,
-                start_ns: rel(start),
-                end_ns: rel(end),
-            },
-        });
     }
 
     /// All spans with their stage attribution.
@@ -500,7 +473,7 @@ mod tests {
     }
 
     fn trace_fixture() -> StepTrace {
-        let mut t = StepTrace::new(vec![1, 1], Instant::now());
+        let mut t = StepTrace::new(vec![1, 1]);
         let span = |kind, micro, start_ns, end_ns| Span {
             kind,
             micro,
@@ -569,7 +542,7 @@ mod tests {
     #[test]
     fn zero_span_stages_report_finite_idle_metrics() {
         // One live stage out of three.
-        let mut t = StepTrace::new(vec![1, 2, 1], Instant::now());
+        let mut t = StepTrace::new(vec![1, 2, 1]);
         t.workers.push(WorkerTrace {
             stage: 0,
             replica: 0,
@@ -594,7 +567,7 @@ mod tests {
         assert!(m.bubble_ratio.is_finite());
 
         // Entirely empty trace (every worker died pre-span).
-        let empty = StepTrace::new(vec![1, 1], Instant::now());
+        let empty = StepTrace::new(vec![1, 1]);
         let m = empty.metrics();
         assert_eq!(m.makespan_ns, 0);
         assert!(m.bubble_ratio.is_finite());
@@ -620,9 +593,19 @@ mod tests {
     #[test]
     fn chrome_export_routes_rows_and_args() {
         let mut t = trace_fixture();
-        let e = t.epoch;
-        t.record_coord(Some(1), SpanKind::AllReduce, 4096, e, e);
-        t.record_coord(None, SpanKind::OptimStep, 0, e, e);
+        for (stage, kind, bytes) in [
+            (Some(1), SpanKind::AllReduce, 4096),
+            (None, SpanKind::OptimStep, 0),
+        ] {
+            let span = Span {
+                kind,
+                micro: NO_MICRO,
+                bytes,
+                start_ns: 0,
+                end_ns: 0,
+            };
+            t.coord.push(CoordSpan { stage, span });
+        }
         let json = t.to_chrome_trace();
         assert!(json.contains(r#""name":"F0""#));
         assert!(json.contains(r#""name":"recv-wait0""#));

@@ -96,8 +96,8 @@ impl SimResult {
     }
 
     /// Warmup/steady/tail split of the simulated timeline (µs), on the
-    /// same [`PhaseSplit`] the engine derives from measured spans — the
-    /// alignment predicted-vs-actual comparisons rely on.
+    /// same [`dapple_core::PhaseSplit`] the engine derives from measured
+    /// spans — the alignment predicted-vs-actual comparisons rely on.
     pub fn phase_split(&self) -> dapple_core::PhaseSplit {
         use dapple_core::PhaseTag;
         dapple_core::PhaseSplit::from_spans(self.tasks.iter().map(|t| {

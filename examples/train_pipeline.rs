@@ -12,8 +12,16 @@
 //! convergence-preservation claim), while the pipeline spreads the work
 //! over stage-worker threads.
 
-use dapple::engine::{data, EngineConfig, MlpModel, PipelineTrainer};
+use dapple::engine::{data, EngineConfig, FaultPlan, MlpModel, Optimizer, PipelineTrainer, Tensor};
 use dapple::sim::{KPolicy, Schedule};
+
+/// One training step on an explicit batch: the pipeline's gradients, then
+/// the optimizer — what `TrainLoop::try_step` does with a data stream.
+fn sgd_step(trainer: &mut PipelineTrainer, x: &Tensor, t: &Tensor, sgd: &mut Optimizer) -> f32 {
+    let out = trainer.step_with_trace(x, t, &FaultPlan::new()).0.unwrap();
+    sgd.step(&mut trainer.model, &out.grads);
+    out.loss
+}
 
 fn main() {
     let dims = [16usize, 64, 64, 48, 48, 32, 8];
@@ -31,47 +39,25 @@ fn main() {
     );
 
     // Straight 3-stage DAPPLE pipeline, 4 micro-batches.
-    let straight = EngineConfig {
-        stage_bounds: vec![0..2, 2..4, 4..6],
-        replication: vec![1, 1, 1],
-        schedule: Schedule::Dapple(KPolicy::PA),
-        micro_batches: 4,
-        recompute: false,
-        lr,
-        max_in_flight: usize::MAX,
-        loss: dapple::engine::LossKind::Mse,
-        recv_timeout: std::time::Duration::from_secs(5),
-        nan_policy: dapple::engine::NanPolicy::AbortStep,
-        buffer_reuse: true,
-        tracing: false,
-    };
+    let straight = EngineConfig::straight(vec![0..2, 2..4, 4..6], 4, lr);
     let mut pipe = PipelineTrainer::new(MlpModel::new(&dims, 7), straight).unwrap();
 
     // Hybrid: first stage replicated 2-ways (split/concat + in-worker replica reduce).
-    let hybrid = EngineConfig {
-        stage_bounds: vec![0..3, 3..6],
-        replication: vec![2, 1],
-        schedule: Schedule::Dapple(KPolicy::PB),
-        micro_batches: 4,
-        recompute: true,
-        lr,
-        max_in_flight: usize::MAX,
-        loss: dapple::engine::LossKind::Mse,
-        recv_timeout: std::time::Duration::from_secs(5),
-        nan_policy: dapple::engine::NanPolicy::AbortStep,
-        buffer_reuse: true,
-        tracing: false,
-    };
+    let mut hybrid = EngineConfig::straight(vec![0..3, 3..6], 4, lr);
+    hybrid.replication = vec![2, 1];
+    hybrid.schedule = Schedule::Dapple(KPolicy::PB);
+    hybrid.recompute = true;
     let mut hyb = PipelineTrainer::new(MlpModel::new(&dims, 7), hybrid).unwrap();
 
     println!(
         "{:>5} {:>14} {:>16} {:>18}",
         "step", "sequential", "3-stage DAPPLE", "2-stage hybrid+RC"
     );
+    let mut sgd = Optimizer::sgd(lr);
     for step in 0..steps {
         let ls = seq.reference_step(&x, &t, 4, lr).loss;
-        let lp = pipe.train_step(&x, &t).unwrap().loss;
-        let lh = hyb.train_step(&x, &t).unwrap().loss;
+        let lp = sgd_step(&mut pipe, &x, &t, &mut sgd);
+        let lh = sgd_step(&mut hyb, &x, &t, &mut sgd);
         if step % 5 == 0 || step == steps - 1 {
             println!("{step:>5} {ls:>14.6} {lp:>16.6} {lh:>18.6}");
         }

@@ -3,10 +3,9 @@
 //! The engine's [`Supervisor`](dapple_engine::Supervisor) is
 //! planner-agnostic: it escalates a failure to *whatever* replanner
 //! callback it was given. This module provides the canonical callback —
-//! the full DAPPLE DP search
-//! ([`replan_for_survivors`](dapple_planner::replan_for_survivors)) run
-//! over the surviving subset of a profiled cluster — so applications can
-//! attach elastic recovery in one line:
+//! the full DAPPLE DP search ([`replan_for_survivors`]) run over the
+//! surviving subset of a profiled cluster — so applications can attach
+//! elastic recovery in one line:
 //!
 //! ```
 //! use dapple::cluster::Cluster;

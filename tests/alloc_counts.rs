@@ -7,9 +7,8 @@
 //! step, costing `2 n (n-1)` extra allocations per call.
 //!
 //! The pipeline engine is measured through its own allocation-counter
-//! hook (`StepOutcome::pool_misses`): with buffer reuse on, boundary
-//! messages, the per-layer forward chain, and the backward input
-//! gradients all circulate through per-trainer free lists, so fresh
+//! hook (`StepOutcome::pool_misses`): boundary messages, the per-layer
+//! forward chain, and the backward input gradients all circulate through per-trainer free lists, so fresh
 //! allocations happen only during pipeline warmup and their count is
 //! independent of the number of micro-batches.
 //!
@@ -150,15 +149,15 @@ fn ring_allreduce_allocations_independent_of_length() {
 }
 
 /// Runs one pipelined step and returns its outcome (with pool counters).
-fn engine_step(micro_batches: usize, buffer_reuse: bool) -> dapple::engine::StepOutcome {
+fn engine_step(micro_batches: usize) -> dapple::engine::StepOutcome {
     use dapple::engine::{data, EngineConfig, FaultPlan, MlpModel, PipelineTrainer};
     let dims = [5usize, 12, 10, 8, 8, 4, 3];
-    let mut cfg = EngineConfig::straight(vec![0..2, 2..4, 4..6], micro_batches, 0.1);
-    cfg.buffer_reuse = buffer_reuse;
+    let cfg = EngineConfig::straight(vec![0..2, 2..4, 4..6], micro_batches, 0.1);
     let trainer = PipelineTrainer::new(MlpModel::new(&dims, 77), cfg).unwrap();
     let (x, t) = data::regression_batch(24, 5, 3, 9);
     trainer
-        .step_grads_with_faults(&x, &t, &FaultPlan::new())
+        .step_with_trace(&x, &t, &FaultPlan::new())
+        .0
         .unwrap()
 }
 
@@ -168,9 +167,9 @@ fn engine_step(micro_batches: usize, buffer_reuse: bool) -> dapple::engine::Step
 #[test]
 fn steady_state_pipeline_pool_misses_are_warmup_only() {
     let _guard = measure();
-    let few = engine_step(4, true);
-    let many = engine_step(12, true);
-    assert!(few.pool_hits > 0, "reuse path must actually reuse buffers");
+    let few = engine_step(4);
+    let many = engine_step(12);
+    assert!(few.pool_hits > 0, "the pool must actually recycle buffers");
     assert!(
         many.pool_hits > few.pool_hits,
         "hits must grow with traffic: {} vs {}",
@@ -184,16 +183,6 @@ fn steady_state_pipeline_pool_misses_are_warmup_only() {
     );
 }
 
-/// With reuse off the engine reproduces the seed allocation-per-message
-/// semantics: the free lists stay cold and every take is a miss.
-#[test]
-fn disabled_pool_never_hits() {
-    let _guard = measure();
-    let out = engine_step(4, false);
-    assert_eq!(out.pool_hits, 0);
-    assert!(out.pool_misses > 0);
-}
-
 /// Allocations of one single-stage pipelined step on a warmed trainer.
 #[allow(clippy::single_range_in_vec_init)] // a one-stage split really is vec![0..6]
 fn single_stage_step_allocs(micro_batches: usize) -> usize {
@@ -203,9 +192,9 @@ fn single_stage_step_allocs(micro_batches: usize) -> usize {
     let trainer = PipelineTrainer::new(MlpModel::new(&dims, 77), cfg).unwrap();
     let (x, t) = data::regression_batch(24, 5, 3, 9);
     let plan = FaultPlan::new();
-    trainer.step_grads_with_faults(&x, &t, &plan).unwrap();
+    trainer.step_with_trace(&x, &t, &plan).0.unwrap();
     min_allocs(5, || {
-        trainer.step_grads_with_faults(&x, &t, &plan).unwrap();
+        trainer.step_with_trace(&x, &t, &plan).0.unwrap();
     })
 }
 
@@ -266,9 +255,9 @@ fn traced_step_allocs(micro_batches: usize, tracing: bool) -> usize {
     let trainer = PipelineTrainer::new(MlpModel::new(&dims, 77), cfg).unwrap();
     let (x, t) = data::regression_batch(24, 5, 3, 9);
     let plan = FaultPlan::new();
-    trainer.step_grads_with_faults(&x, &t, &plan).unwrap();
+    trainer.step_with_trace(&x, &t, &plan).0.unwrap();
     min_allocs(5, || {
-        trainer.step_grads_with_faults(&x, &t, &plan).unwrap();
+        trainer.step_with_trace(&x, &t, &plan).0.unwrap();
     })
 }
 
@@ -314,10 +303,8 @@ fn metrics_recording_allocates_nothing_at_steady_state() {
     cfg.tracing = true;
     let trainer = PipelineTrainer::new(MlpModel::new(&dims, 77), cfg).unwrap();
     let (x, t) = data::regression_batch(24, 5, 3, 9);
-    let out = trainer
-        .step_grads_with_faults(&x, &t, &FaultPlan::new())
-        .unwrap();
-    let metrics = out.trace.expect("tracing on").metrics();
+    let (_, trace) = trainer.step_with_trace(&x, &t, &FaultPlan::new());
+    let metrics = trace.expect("tracing on").metrics();
 
     let mut rec = RunRecorder::new(Box::new(std::io::sink()));
     let recovery = RecoveryStepMetrics {

@@ -1,9 +1,9 @@
 //! Property: with an empty fault plan the pipeline runtime is bit-exact
 //! deterministic. For random stage splits, replication factors,
 //! micro-batch counts, schedules and in-flight caps, repeated steps on
-//! the same trainer produce bit-identical losses and gradients — and the
-//! fault-injection entry point with an empty plan is the identity
-//! wrapper around the plain step.
+//! the same trainer produce bit-identical losses and gradients — the
+//! bits of a reference that shares no code with the engine: public layer
+//! ops, a fresh allocation per tensor, the channel ring.
 //!
 //! This rests on the kernels' canonical accumulation order (see
 //! `crates/engine/src/tensor.rs` docs and `tests/kernel_reference.rs`):
@@ -16,12 +16,10 @@ use dapple::collectives::{allreduce_sum, reduce_sum_in_place};
 use dapple::engine::layer::DenseGrads;
 use dapple::engine::loss::loss_grad_into;
 use dapple::engine::{
-    data, EngineConfig, FaultPlan, LossKind, MlpModel, NanPolicy, Optimizer, PipelineTrainer,
-    Tensor,
+    data, EngineConfig, FaultPlan, MlpModel, Optimizer, PipelineTrainer, StepOutcome, Tensor,
 };
 use dapple::sim::{KPolicy, Schedule};
 use proptest::prelude::*;
-use std::time::Duration;
 
 const DIMS: [usize; 7] = [5, 12, 10, 8, 8, 4, 3];
 const BATCH: usize = 24;
@@ -46,7 +44,6 @@ fn build_cfg(
     sched_idx: usize,
     recompute_bit: usize,
     flight_idx: usize,
-    buffer_reuse: bool,
 ) -> EngineConfig {
     let stage_bounds = splits(split_idx);
     let micro_batches = [1usize, 2, 3, 4, 6, 8][micro_idx];
@@ -61,25 +58,21 @@ fn build_cfg(
             }
         })
         .collect();
-    let schedule = [
+    let mut cfg = EngineConfig::straight(stage_bounds, micro_batches, 0.1);
+    cfg.replication = replication;
+    cfg.schedule = [
         Schedule::GPipe,
         Schedule::Dapple(KPolicy::PA),
         Schedule::Dapple(KPolicy::PB),
     ][sched_idx];
-    EngineConfig {
-        stage_bounds,
-        replication,
-        schedule,
-        micro_batches,
-        recompute: recompute_bit == 1,
-        lr: 0.1,
-        max_in_flight: [1, 2, usize::MAX][flight_idx],
-        loss: LossKind::Mse,
-        recv_timeout: Duration::from_secs(5),
-        nan_policy: NanPolicy::AbortStep,
-        buffer_reuse,
-        tracing: false,
-    }
+    cfg.recompute = recompute_bit == 1;
+    cfg.max_in_flight = [1, 2, usize::MAX][flight_idx];
+    cfg
+}
+
+/// One clean step, its gradients on loan.
+fn clean_step(trainer: &PipelineTrainer, x: &Tensor, t: &Tensor) -> StepOutcome {
+    trainer.step_with_trace(x, t, &FaultPlan::new()).0.unwrap()
 }
 
 /// Tracing observes the same determinism the numerics do: two identical
@@ -88,15 +81,14 @@ fn build_cfg(
 #[test]
 fn traced_runs_have_identical_event_order() {
     let event_orders = || {
-        let mut cfg = build_cfg(3, 3, 0b10, 1, 0, 2, true);
+        let mut cfg = build_cfg(3, 3, 0b10, 1, 0, 2);
         cfg.tracing = true;
         let trainer = PipelineTrainer::new(MlpModel::new(&DIMS, 77), cfg).unwrap();
         let (x, t) = data::regression_batch(BATCH, DIMS[0], *DIMS.last().unwrap(), 9);
-        let out = trainer
-            .step_grads_with_faults(&x, &t, &FaultPlan::new())
-            .unwrap();
-        let trace = out.trace.expect("tracing on");
+        let (result, trace) = trainer.step_with_trace(&x, &t, &FaultPlan::new());
+        result.unwrap();
         trace
+            .expect("tracing on")
             .workers
             .iter()
             .map(|w| {
@@ -218,19 +210,29 @@ fn rows_of(t: &Tensor, rows: std::ops::Range<usize>) -> Tensor {
     )
 }
 
-/// What the engine's gradient sync used to be, kept as the reference the
-/// in-worker reduce is pinned against: every replica accumulates its row
-/// share of each micro-batch, then per stage the replicas' gradients are
-/// flattened (`dW‖db` per layer), ring-AllReduced, and replica 0's
-/// buffer is unflattened into layer slots.
+/// The reference the engine's pooled buffers, packed weights and
+/// in-worker reduce are pinned against: a step from public layer ops
+/// only, with a fresh allocation for every tensor. Every replica
+/// accumulates its row share of each micro-batch (and, on the last
+/// stage, of the loss) in the order the schedule retires backwards: GPipe
+/// drains newest first, 1F1B oldest first. Then per stage the replicas'
+/// gradients are flattened (`dW‖db` per layer), ring-AllReduced, and
+/// replica 0's buffer is unflattened into layer slots. Returns the loss
+/// and the per-layer gradients.
 fn flatten_ring_unflatten(
     model: &MlpModel,
     x: &Tensor,
     t: &Tensor,
     cfg: &EngineConfig,
-) -> Vec<DenseGrads> {
+) -> (f32, Vec<DenseGrads>) {
     let (n, m) = (x.rows, cfg.micro_batches);
     let mb = n / m;
+    let backward_order: Vec<usize> = match cfg.schedule {
+        Schedule::GPipe => (0..m).rev().collect(),
+        Schedule::Dapple(_) => (0..m).collect(),
+    };
+    let last_stage_replicas = *cfg.replication.last().unwrap();
+    let mut losses = vec![0.0f32; last_stage_replicas];
     let zeros = |layers: &std::ops::Range<usize>| -> Vec<DenseGrads> {
         model.layers[layers.clone()]
             .iter()
@@ -244,22 +246,28 @@ fn flatten_ring_unflatten(
         .zip(&cfg.replication)
         .map(|(layers, &r)| (0..r).map(|_| zeros(layers)).collect())
         .collect();
-    for u in 0..m {
+    for u in backward_order {
         let input = rows_of(x, u * mb..(u + 1) * mb);
+        let target = rows_of(t, u * mb..(u + 1) * mb);
         let mut ys: Vec<Tensor> = Vec::new();
         for layer in &model.layers {
             let y = layer.forward(ys.last().unwrap_or(&input));
             ys.push(y);
         }
         let pred = ys.last().unwrap();
+        for (rep, loss) in losses.iter_mut().enumerate() {
+            let rows = replica_rows(mb, last_stage_replicas, rep);
+            let mut unused = Tensor::zeros(rows.len(), pred.cols);
+            *loss += loss_grad_into(
+                cfg.loss,
+                &rows_of(pred, rows.clone()),
+                &rows_of(&target, rows),
+                n,
+                &mut unused,
+            );
+        }
         let mut dy = Tensor::zeros(pred.rows, pred.cols);
-        loss_grad_into(
-            cfg.loss,
-            pred,
-            &rows_of(t, u * mb..(u + 1) * mb),
-            n,
-            &mut dy,
-        );
+        loss_grad_into(cfg.loss, pred, &target, n, &mut dy);
         for (stage, layers) in cfg.stage_bounds.iter().enumerate().rev() {
             for l in layers.clone().rev() {
                 let layer = &model.layers[l];
@@ -302,7 +310,20 @@ fn flatten_ring_unflatten(
             global.push(g);
         }
     }
-    global
+    (losses.iter().sum(), global)
+}
+
+/// Where a step's bits first part from the reference's, if anywhere.
+fn first_difference(got: &StepOutcome, (loss, grads): &(f32, Vec<DenseGrads>)) -> Option<String> {
+    if got.loss.to_bits() != loss.to_bits() {
+        return Some(format!("loss {} vs {loss}", got.loss));
+    }
+    if got.grads.len() != grads.len() {
+        return Some(format!("{} layers vs {}", got.grads.len(), grads.len()));
+    }
+    (got.grads.iter().zip(grads))
+        .position(|(g, w)| bits(&g.segments().concat()) != bits(&w.segments().concat()))
+        .map(|l| format!("layer {l} gradients"))
 }
 
 /// Engine level: replicated stages — three replicas, two replicated
@@ -326,18 +347,13 @@ fn replicated_gradients_match_the_ring_assembly() {
         let trainer = PipelineTrainer::new(model, cfg.clone()).unwrap();
         // Twice: the second step runs on reused accumulators.
         for _ in 0..2 {
-            let out = trainer
-                .step_grads_with_faults(&x, &t, &FaultPlan::new())
-                .unwrap();
-            assert_eq!(out.grads.len(), reference.len());
-            for (l, (got, want)) in out.grads.iter().zip(&reference).enumerate() {
-                assert_eq!(
-                    bits(&got.segments().concat()),
-                    bits(&want.segments().concat()),
-                    "replication {:?}, layer {l}",
-                    cfg.replication
-                );
-            }
+            let out = clean_step(&trainer, &x, &t);
+            assert_eq!(
+                first_difference(&out, &reference),
+                None,
+                "replication {:?}",
+                cfg.replication
+            );
         }
     }
 }
@@ -371,9 +387,10 @@ fn packed_weights_never_outlive_an_optimizer_update() {
             };
             let (mut ref_opt, mut opt) = (optimizer(&reference), optimizer(&reference));
             for step in 0..4 {
-                let grads = flatten_ring_unflatten(&reference, &x, &t, &cfg);
+                let (_, grads) = flatten_ring_unflatten(&reference, &x, &t, &cfg);
                 ref_opt.step(&mut reference, &grads);
-                trainer.train_step_with(&x, &t, &mut opt).unwrap();
+                let out = clean_step(&trainer, &x, &t);
+                opt.step(&mut trainer.model, &out.grads);
                 for (l, (got, want)) in trainer
                     .model
                     .layers
@@ -403,48 +420,28 @@ proptest! {
         recompute_bit in 0usize..2,
         flight_idx in 0usize..3,
     ) {
-        let cfg = build_cfg(
-            split_idx,
-            micro_idx,
-            rep_bits,
-            sched_idx,
-            recompute_bit,
-            flight_idx,
-            true,
-        );
-
+        let cfg = build_cfg(split_idx, micro_idx, rep_bits, sched_idx, recompute_bit, flight_idx);
         let trainer = PipelineTrainer::new(MlpModel::new(&DIMS, 77), cfg).unwrap();
         let (x, t) = data::regression_batch(BATCH, DIMS[0], *DIMS.last().unwrap(), 9);
 
         let (loss_a, grads_a) = trainer.step_grads(&x, &t).unwrap();
         let (loss_b, grads_b) = trainer.step_grads(&x, &t).unwrap();
-        let empty = trainer.step_grads_with_faults(&x, &t, &FaultPlan::new()).unwrap();
 
         prop_assert_eq!(loss_a.to_bits(), loss_b.to_bits());
-        prop_assert_eq!(loss_a.to_bits(), empty.loss.to_bits());
-        prop_assert_eq!(empty.skipped_micro_batches, 0);
-        prop_assert_eq!(empty.zeroed_values, 0);
         prop_assert_eq!(grads_a.len(), grads_b.len());
-        prop_assert_eq!(grads_a.len(), empty.grads.len());
-        for ((a, b), c) in grads_a.iter().zip(&grads_b).zip(&empty.grads) {
-            let fa = a.segments().concat();
-            let fb = b.segments().concat();
-            let fc = c.segments().concat();
-            prop_assert_eq!(fa.len(), fb.len());
-            for i in 0..fa.len() {
-                prop_assert_eq!(fa[i].to_bits(), fb[i].to_bits());
-                prop_assert_eq!(fa[i].to_bits(), fc[i].to_bits());
-            }
+        for (a, b) in grads_a.iter().zip(&grads_b) {
+            prop_assert_eq!(bits(&a.segments().concat()), bits(&b.segments().concat()));
         }
     }
 
-    /// The buffer-reuse engine path (recycled, dirty boundary buffers)
-    /// is bit-identical to the seed allocation-per-message semantics
-    /// across random partitions, schedules and replication — i.e. every
-    /// recycled buffer is fully overwritten before use and the reuse
-    /// layer changes no numerics.
+    /// Every buffer the engine recycles — boundary messages, forward
+    /// chains, input gradients, accumulators — is fully overwritten before
+    /// use, and pooling, packing and the in-worker reduce change no
+    /// numerics: across random partitions, schedules and replication, two
+    /// consecutive steps (the second on dirty buffers) produce the loss
+    /// and gradient bits of the allocate-per-tensor reference.
     #[test]
-    fn buffer_reuse_is_bit_identical_to_seed_semantics(
+    fn engine_is_bit_identical_to_the_allocating_reference(
         split_idx in 0usize..5,
         micro_idx in 0usize..6,
         rep_bits in 0u64..64,
@@ -452,30 +449,20 @@ proptest! {
         recompute_bit in 0usize..2,
         flight_idx in 0usize..3,
     ) {
-        let cfg_reuse = build_cfg(
-            split_idx, micro_idx, rep_bits, sched_idx, recompute_bit, flight_idx, true,
-        );
-        let cfg_seed = build_cfg(
-            split_idx, micro_idx, rep_bits, sched_idx, recompute_bit, flight_idx, false,
-        );
-        let reuse = PipelineTrainer::new(MlpModel::new(&DIMS, 77), cfg_reuse).unwrap();
-        let seed = PipelineTrainer::new(MlpModel::new(&DIMS, 77), cfg_seed).unwrap();
+        let cfg = build_cfg(split_idx, micro_idx, rep_bits, sched_idx, recompute_bit, flight_idx);
+        let model = MlpModel::new(&DIMS, 77);
         let (x, t) = data::regression_batch(BATCH, DIMS[0], *DIMS.last().unwrap(), 9);
-
-        let a = reuse.step_grads_with_faults(&x, &t, &FaultPlan::new()).unwrap();
-        let b = seed.step_grads_with_faults(&x, &t, &FaultPlan::new()).unwrap();
-
-        prop_assert_eq!(a.loss.to_bits(), b.loss.to_bits());
-        // The seed path never touches the free lists.
-        prop_assert_eq!(b.pool_hits, 0);
-        prop_assert_eq!(a.grads.len(), b.grads.len());
-        for (ga, gb) in a.grads.iter().zip(&b.grads) {
-            let fa = ga.segments().concat();
-            let fb = gb.segments().concat();
-            prop_assert_eq!(fa.len(), fb.len());
-            for i in 0..fa.len() {
-                prop_assert_eq!(fa[i].to_bits(), fb[i].to_bits());
-            }
+        let reference = flatten_ring_unflatten(&model, &x, &t, &cfg);
+        let trainer = PipelineTrainer::new(model, cfg).unwrap();
+        for nth in ["first", "second"] {
+            let out = clean_step(&trainer, &x, &t);
+            prop_assert_eq!(
+                first_difference(&out, &reference),
+                None,
+                "{} step under {:?}",
+                nth,
+                trainer.config()
+            );
         }
     }
 }

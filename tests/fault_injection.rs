@@ -7,7 +7,8 @@
 //! afterwards (the failed step leaves the model untouched).
 
 use dapple::engine::{
-    data, EngineConfig, FaultKind, FaultPlan, MlpModel, NanPolicy, PipelineTrainer, Tensor,
+    data, EngineConfig, FaultKind, FaultPlan, MlpModel, NanPolicy, Optimizer, PipelineTrainer,
+    StepOutcome, Tensor,
 };
 use dapple::sim::schedule::{stage_order, step_index_of, Step};
 use dapple::sim::{KPolicy, Schedule};
@@ -31,11 +32,19 @@ fn cfg() -> EngineConfig {
     cfg
 }
 
+/// One step under `plan` (tracing is off, so there is no trace to keep).
+fn step(
+    trainer: &PipelineTrainer,
+    x: &Tensor,
+    t: &Tensor,
+    plan: &FaultPlan,
+) -> Result<StepOutcome, DappleError> {
+    trainer.step_with_trace(x, t, plan).0
+}
+
 /// Loss and gradients of one clean step, as bits.
 fn clean_step_bits(trainer: &PipelineTrainer, x: &Tensor, t: &Tensor) -> Vec<u32> {
-    let out = trainer
-        .step_grads_with_faults(x, t, &FaultPlan::new())
-        .expect("clean step");
+    let out = step(trainer, x, t, &FaultPlan::new()).expect("clean step");
     std::iter::once(out.loss.to_bits())
         .chain(
             out.grads
@@ -85,8 +94,7 @@ fn fault_matrix_is_structured_prompt_and_recoverable() {
             for idx in 0..script.len() {
                 let plan = FaultPlan::new().with_fault(stage, 0, idx, kind);
                 let started = Instant::now();
-                let err = trainer
-                    .step_grads_with_faults(&x, &t, &plan)
+                let err = step(&trainer, &x, &t, &plan)
                     .expect_err(&format!("{kind:?} at stage {stage} step {idx} must fail"));
                 let elapsed = started.elapsed();
                 assert!(
@@ -140,8 +148,10 @@ fn fault_matrix_is_structured_prompt_and_recoverable() {
 
                 // The failed step must not have corrupted the trainer: a
                 // clean step right after succeeds and moves the model.
-                let stats = trainer.train_step(&x, &t).expect("clean step after fault");
-                assert!(stats.loss.is_finite(), "{ctx}: clean loss non-finite");
+                let out =
+                    step(&trainer, &x, &t, &FaultPlan::new()).expect("clean step after fault");
+                assert!(out.loss.is_finite(), "{ctx}: clean loss non-finite");
+                Optimizer::sgd(0.1).step(&mut trainer.model, &out.grads);
             }
         }
     }
@@ -164,8 +174,8 @@ fn repeated_injection_reproduces_the_same_error() {
     .unwrap();
     for kind in [FaultKind::Panic, FaultKind::NanGradient] {
         let plan = FaultPlan::new().with_fault(1, 0, bw2, kind);
-        let a = trainer.step_grads_with_faults(&x, &t, &plan).unwrap_err();
-        let b = trainer.step_grads_with_faults(&x, &t, &plan).unwrap_err();
+        let a = step(&trainer, &x, &t, &plan).unwrap_err();
+        let b = step(&trainer, &x, &t, &plan).unwrap_err();
         assert_eq!(a, b, "{kind:?} must reproduce identically");
     }
 }
@@ -179,9 +189,7 @@ fn skip_policy_drops_the_poisoned_micro_batch() {
     config.nan_policy = NanPolicy::SkipMicroBatch;
     let trainer = PipelineTrainer::new(model6(), config).unwrap();
     let (x, t) = data::regression_batch(24, 5, 3, 9);
-    let clean = trainer
-        .step_grads_with_faults(&x, &t, &FaultPlan::new())
-        .unwrap();
+    let clean = step(&trainer, &x, &t, &FaultPlan::new()).unwrap();
 
     let fw1 = step_index_of(
         Schedule::Dapple(KPolicy::PA),
@@ -193,7 +201,7 @@ fn skip_policy_drops_the_poisoned_micro_batch() {
     )
     .unwrap();
     let plan = FaultPlan::new().with_fault(0, 0, fw1, FaultKind::NanGradient);
-    let out = trainer.step_grads_with_faults(&x, &t, &plan).unwrap();
+    let out = step(&trainer, &x, &t, &plan).unwrap();
     // Every stage detects the poisoned micro-batch and skips it once.
     assert_eq!(out.skipped_micro_batches, STAGES);
     assert_eq!(out.zeroed_values, 0);
@@ -223,7 +231,7 @@ fn zero_policy_repairs_and_counts() {
     )
     .unwrap();
     let plan = FaultPlan::new().with_fault(1, 0, bw3, FaultKind::NanGradient);
-    let out = trainer.step_grads_with_faults(&x, &t, &plan).unwrap();
+    let out = step(&trainer, &x, &t, &plan).unwrap();
     // Stage 1's contribution is poisoned directly; the NaN loss gradient
     // it sends upstream poisons stage 0 as well. Stage 2 is untouched.
     assert!(out.zeroed_values > 0);
@@ -244,7 +252,7 @@ fn faults_target_individual_replicas() {
     let trainer = PipelineTrainer::new(model6(), config).unwrap();
     let (x, t) = data::regression_batch(24, 5, 3, 9);
     let plan = FaultPlan::new().with_fault(0, 1, 0, FaultKind::Panic);
-    match trainer.step_grads_with_faults(&x, &t, &plan) {
+    match step(&trainer, &x, &t, &plan) {
         Err(DappleError::WorkerPanicked { stage, replica, .. }) => {
             assert_eq!((stage, replica), (0, 1));
         }
@@ -253,7 +261,7 @@ fn faults_target_individual_replicas() {
     // Out-of-range replica is rejected up front.
     let bad = FaultPlan::new().with_fault(1, 1, 0, FaultKind::Panic);
     assert!(matches!(
-        trainer.step_grads_with_faults(&x, &t, &bad),
+        step(&trainer, &x, &t, &bad),
         Err(DappleError::InvalidConfig(_))
     ));
 }
@@ -293,9 +301,7 @@ fn faults_before_the_gradient_rendezvous_are_structured_and_leave_nothing_behind
                     format!("{kind:?} at stage {stage} replica 1, replication {replication:?}");
                 let plan = FaultPlan::new().with_fault(stage, 1, last, kind);
                 let started = Instant::now();
-                let err = trainer
-                    .step_grads_with_faults(&x, &t, &plan)
-                    .expect_err(&ctx);
+                let err = step(&trainer, &x, &t, &plan).expect_err(&ctx);
                 assert!(
                     started.elapsed() < Duration::from_secs(5),
                     "{ctx}: took {:?}",
@@ -367,9 +373,7 @@ fn faults_at_the_packing_backward_leave_nothing_behind() {
                     let ctx =
                         format!("{kind:?} at stage {stage} replica {replica} of {replication:?}");
                     let plan = FaultPlan::new().with_fault(stage, replica, first_bw, kind);
-                    let err = trainer
-                        .step_grads_with_faults(&x, &t, &plan)
-                        .expect_err(&ctx);
+                    let err = step(&trainer, &x, &t, &plan).expect_err(&ctx);
                     assert!(
                         matches!(
                             err,

@@ -9,31 +9,24 @@ mod common;
 use common::{field, items, num, parse_json, text};
 use dapple::core::DappleError;
 use dapple::engine::{
-    data, EngineConfig, FaultKind, FaultPlan, LossKind, MlpModel, NanPolicy, PipelineTrainer,
-    SpanKind,
+    data, EngineConfig, FaultKind, FaultPlan, MlpModel, PipelineTrainer, SpanKind, StepTrace,
+    Tensor,
 };
-use dapple::sim::{KPolicy, Schedule};
-use std::time::Duration;
 
 const DIMS: [usize; 7] = [5, 12, 10, 8, 8, 4, 3];
 const BATCH: usize = 24;
 
 fn traced_cfg(stage_bounds: Vec<std::ops::Range<usize>>, micro_batches: usize) -> EngineConfig {
-    let n = stage_bounds.len();
-    EngineConfig {
-        stage_bounds,
-        replication: vec![1; n],
-        schedule: Schedule::Dapple(KPolicy::PA),
-        micro_batches,
-        recompute: false,
-        lr: 0.1,
-        max_in_flight: usize::MAX,
-        loss: LossKind::Mse,
-        recv_timeout: Duration::from_secs(5),
-        nan_policy: NanPolicy::AbortStep,
-        buffer_reuse: true,
-        tracing: true,
-    }
+    let mut cfg = EngineConfig::straight(stage_bounds, micro_batches, 0.1);
+    cfg.tracing = true;
+    cfg
+}
+
+/// The trace of one clean step on a tracing trainer.
+fn traced_step(trainer: &PipelineTrainer, x: &Tensor, t: &Tensor) -> StepTrace {
+    let (result, trace) = trainer.step_with_trace(x, t, &FaultPlan::new());
+    result.expect("clean step");
+    trace.expect("tracing on")
 }
 
 #[test]
@@ -42,10 +35,9 @@ fn tracing_is_off_by_default() {
     assert!(!cfg.tracing);
     let trainer = PipelineTrainer::new(MlpModel::new(&DIMS, 7), cfg).unwrap();
     let (x, t) = data::regression_batch(BATCH, DIMS[0], *DIMS.last().unwrap(), 9);
-    let out = trainer
-        .step_grads_with_faults(&x, &t, &FaultPlan::new())
-        .unwrap();
-    assert!(out.trace.is_none(), "no trace without the knob");
+    let (result, trace) = trainer.step_with_trace(&x, &t, &FaultPlan::new());
+    result.unwrap();
+    assert!(trace.is_none(), "no trace without the knob");
 }
 
 /// A traced 3-stage, 4-micro-batch run covers every (stage, micro) with
@@ -59,10 +51,7 @@ fn traced_step_exports_complete_parseable_timeline() {
     )
     .unwrap();
     let (x, t) = data::regression_batch(BATCH, DIMS[0], *DIMS.last().unwrap(), 9);
-    let out = trainer
-        .step_grads_with_faults(&x, &t, &FaultPlan::new())
-        .unwrap();
-    let trace = out.trace.expect("tracing on");
+    let trace = traced_step(&trainer, &x, &t);
     assert_eq!(trace.workers.len(), 3);
     assert_eq!(trace.dropped_spans(), 0, "ring must be sized for the step");
 
@@ -144,10 +133,7 @@ fn replicated_traced_step_records_allreduce() {
     cfg.replication = vec![2, 1];
     let trainer = PipelineTrainer::new(MlpModel::new(&DIMS, 7), cfg).unwrap();
     let (x, t) = data::regression_batch(BATCH, DIMS[0], *DIMS.last().unwrap(), 9);
-    let out = trainer
-        .step_grads_with_faults(&x, &t, &FaultPlan::new())
-        .unwrap();
-    let trace = out.trace.expect("tracing on");
+    let trace = traced_step(&trainer, &x, &t);
     assert_eq!(trace.workers.len(), 3, "2 + 1 replicas");
     assert!(trace.workers.iter().any(|w| w.stage == 0 && w.replica == 1));
     let ar: Vec<_> = trace
@@ -202,10 +188,7 @@ fn replica_reduce_overlaps_the_backward_tail() {
     // gated on the join of all workers) it can show in none.
     let mut overlapped = false;
     for _ in 0..5 {
-        let out = trainer
-            .step_grads_with_faults(&x, &t, &FaultPlan::new())
-            .unwrap();
-        let trace = out.trace.expect("tracing on");
+        let trace = traced_step(&trainer, &x, &t);
         let ar = all_reduces(&trace);
         assert_eq!(ar.len(), 2, "one AllReduce per replicated stage: {ar:?}");
         for (stage, layers) in stage_bounds.iter().enumerate() {
@@ -231,10 +214,7 @@ fn replica_reduce_overlaps_the_backward_tail() {
     );
 
     let straight = PipelineTrainer::new(model, traced_cfg(stage_bounds, 4)).unwrap();
-    let out = straight
-        .step_grads_with_faults(&x, &t, &FaultPlan::new())
-        .unwrap();
-    assert!(all_reduces(&out.trace.expect("tracing on")).is_empty());
+    assert!(all_reduces(&traced_step(&straight, &x, &t)).is_empty());
 }
 
 /// A worker panic mid-step still yields a partial trace: the error

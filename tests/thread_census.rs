@@ -13,7 +13,7 @@
 //! process).
 #![cfg(target_os = "linux")]
 
-use dapple::engine::{data, EngineConfig, MlpModel, PipelineTrainer, Tensor};
+use dapple::engine::{data, EngineConfig, FaultPlan, MlpModel, Optimizer, PipelineTrainer, Tensor};
 use std::time::{Duration, Instant};
 
 /// Printed by the child-process test when it really took its census.
@@ -61,8 +61,13 @@ fn exercise() {
     let cfg = EngineConfig::straight(vec![0..1, 1..3, 3..4], 2, 0.05);
     let mut trainer = PipelineTrainer::new(MlpModel::new(&dims, 3), cfg).unwrap();
     let (x, t) = data::regression_batch(128, 16, 8, 5);
+    let mut sgd = Optimizer::sgd(0.05);
     for _ in 0..50 {
-        trainer.train_step(&x, &t).unwrap();
+        let out = trainer
+            .step_with_trace(&x, &t, &FaultPlan::new())
+            .0
+            .unwrap();
+        sgd.step(&mut trainer.model, &out.grads);
     }
 }
 
