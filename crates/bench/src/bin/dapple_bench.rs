@@ -2,7 +2,7 @@
 //! paths below the step: the engine's in-place replica reduce beside the
 //! ring AllReduce it is pinned against, the matmul variants used by
 //! `Dense` backward, and what a matmul pays around its kernel inside the
-//! pipeline (worker-pool dispatch, the `W^T` pack). What a whole step
+//! pipeline (worker-pool dispatch, the weight packs). What a whole step
 //! costs, supervised or not, is `benchmark/`'s to measure.
 //!
 //! ```text
@@ -50,8 +50,8 @@ use dapple_bench::validate::{
 use dapple_core::{DeviceId, Plan, StagePlan};
 use dapple_engine::checkpoint::{v3_chain_to_state, v3_delta_to_bytes, v3_full_to_bytes};
 use dapple_engine::{
-    data, DataStream, EngineConfig, FaultKind, FaultPlan, MlpModel, Optimizer, Partition,
-    PipelineTrainer, RetryPolicy, Supervisor, Tensor, TrainLoop, TrainState,
+    data, DataStream, EngineConfig, FaultKind, FaultPlan, MlpModel, Optimizer, PackedRhs,
+    Partition, PipelineTrainer, RetryPolicy, Rhs, Supervisor, Tensor, TrainLoop, TrainState,
 };
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -273,19 +273,22 @@ fn matmul_shape_benches(smoke: bool, out: &mut Vec<Record>) {
 }
 
 /// What a matmul inside the pipeline pays around its kernel: the cost of
-/// handing bands to the worker pool, and of packing `W^T`.
+/// handing bands to the worker pool, and of packing the weights.
 ///
 /// `par_for_each_2_bands_noop` is one empty two-band parallel call — post
 /// the job, wake a helper, drain — i.e. pure dispatch. The `matmul_*`
 /// records are the three products of one dense layer's forward/backward
 /// at `compute_wide`'s shape, 64 rows through a 512 x 512 layer (each
 /// 64·512·512 multiply-adds, all above the parallel gate): `nn` is
-/// `x W`, `tn` is `x^T dz`, `nt` is `dz W^T` packing per call, and
-/// `nt_packed` the same product against a `W^T` packed beforehand — what
-/// the pipeline runs from a step's second micro-batch on. The
-/// `pack_transpose_*` records are that pack alone, in GB/s of matrix
-/// packed. Minimum over iterations (a helper thread is involved, see
-/// [`time_ns_min`]).
+/// `x W` against the row-major weights, `tn` is `x^T dz` stored, `nt` is
+/// `dz W^T` packing per call; `nn_packed` and `nt_packed` are the two
+/// `nn` products against a [`PackedRhs`] filled beforehand and `tn_add`
+/// is `x^T dz` added into an accumulator with the finiteness check — what
+/// the pipeline runs. `matmul_nn_packed_16x768x768` is the forward
+/// product at `sync_hybrid`/`recovery_adam`'s shape. The `pack_panels_*`
+/// and `pack_transpose_*` records are the two packs alone, in GB/s of
+/// matrix packed. Minimum over iterations (a helper thread is involved,
+/// see [`time_ns_min`]).
 fn dispatch_benches(smoke: bool, out: &mut Vec<Record>) {
     use rayon::prelude::*;
     let iters: u32 = if smoke { 30 } else { 300 };
@@ -316,12 +319,14 @@ fn dispatch_benches(smoke: bool, out: &mut Vec<Record>) {
     let x = filled(rows, width, 5);
     let dz = filled(rows, width, 6);
     let w = filled(width, width, 7);
-    let mut wt = Tensor::zeros(0, 0);
-    w.transpose_into(&mut wt);
+    let (mut packed, mut packed_t) = (PackedRhs::new(), PackedRhs::new());
+    packed.pack(&w);
+    packed_t.pack_transposed(&w);
     let mut y = Tensor::zeros(rows, width);
     let mut dw = Tensor::zeros(width, width);
-    let flops = 2.0 * (rows * width * width) as f64;
-    let gflops = |ns: f64| ("gflops", json_f64(flops / ns.max(1.0)));
+    let gflops_of =
+        |muls: usize| move |ns: f64| ("gflops", json_f64(2.0 * muls as f64 / ns.max(1.0)));
+    let gflops = gflops_of(rows * width * width);
     let shape = format!("{rows}x{width}x{width}");
     push(
         &format!("matmul_nn_{shape}"),
@@ -329,8 +334,20 @@ fn dispatch_benches(smoke: bool, out: &mut Vec<Record>) {
         &gflops,
     );
     push(
+        &format!("matmul_nn_packed_{shape}"),
+        &mut || x.matmul_with_into(Rhs::Packed(&packed), black_box(&mut y), |_| {}),
+        &gflops,
+    );
+    push(
         &format!("matmul_tn_{shape}"),
         &mut || x.matmul_tn_into(&dz, black_box(&mut dw)),
+        &gflops,
+    );
+    push(
+        &format!("matmul_tn_add_{shape}"),
+        &mut || {
+            black_box(x.matmul_tn_add_into(&dz, &mut dw));
+        },
         &gflops,
     );
     push(
@@ -340,16 +357,30 @@ fn dispatch_benches(smoke: bool, out: &mut Vec<Record>) {
     );
     push(
         &format!("matmul_nt_packed_{shape}"),
-        &mut || dz.matmul_into(&wt, black_box(&mut y)),
+        &mut || dz.matmul_with_into(Rhs::Packed(&packed_t), black_box(&mut y), |_| {}),
         &gflops,
+    );
+    let (x, w) = (filled(16, 768, 5), filled(768, 768, 7));
+    packed.pack(&w);
+    let mut y = Tensor::zeros(16, 768);
+    push(
+        "matmul_nn_packed_16x768x768",
+        &mut || x.matmul_with_into(Rhs::Packed(&packed), black_box(&mut y), |_| {}),
+        &gflops_of(16 * 768 * 768),
     );
     for n in [512usize, 768] {
         let w = filled(n, n, 8);
         let bytes = (n * n * std::mem::size_of::<f32>()) as f64;
+        let gb_per_s = |ns: f64| ("gb_per_s", json_f64(bytes / ns.max(1.0)));
+        push(
+            &format!("pack_panels_{n}x{n}"),
+            &mut || black_box(&mut packed).pack(&w),
+            &gb_per_s,
+        );
         push(
             &format!("pack_transpose_{n}x{n}"),
-            &mut || w.transpose_into(black_box(&mut wt)),
-            &|ns| ("gb_per_s", json_f64(bytes / ns.max(1.0))),
+            &mut || black_box(&mut packed_t).pack_transposed(&w),
+            &gb_per_s,
         );
     }
 }

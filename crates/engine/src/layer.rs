@@ -1,6 +1,6 @@
 //! Dense layers with exact backward passes.
 
-use crate::tensor::Tensor;
+use crate::tensor::{PackedRhs, Rhs, Tensor};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -135,24 +135,38 @@ impl Dense {
     /// (the hot 1F1B path stores the per-layer `y` chain once, instead
     /// of the old `DenseCache` which duplicated every activation).
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        let mut y = x.matmul(&self.w);
-        self.finish_forward(&mut y);
+        let mut y = Tensor::zeros(x.rows, self.out_dim());
+        self.forward_into(x, &mut y);
         y
     }
 
     /// [`Dense::forward`] into a caller-provided buffer (recycled contents
     /// allowed). Bit-identical to `forward`, without the allocation.
     pub fn forward_into(&self, x: &Tensor, y: &mut Tensor) {
-        x.matmul_into(&self.w, y);
-        self.finish_forward(y);
+        self.forward_rhs(Rhs::RowMajor(&self.w), x, y);
     }
 
-    /// Bias + activation, in place.
-    fn finish_forward(&self, y: &mut Tensor) {
-        y.add_bias(&self.b);
-        for v in &mut y.data {
-            *v = self.act.apply(*v);
-        }
+    /// [`Dense::forward_into`] against weights packed beforehand: `w`
+    /// filled by `w.pack(&self.w)` since the weights last changed.
+    /// Bit-identical — packing is layout — and faster wherever a column
+    /// panel of `W` does not already sit in L1.
+    pub fn forward_packed_into(&self, w: &PackedRhs, x: &Tensor, y: &mut Tensor) {
+        assert_eq!(w.dims(), (self.w.rows, self.w.cols), "packed weights shape");
+        self.forward_rhs(Rhs::Packed(w), x, y);
+    }
+
+    /// `y = act(x w + b)`: bias and activation are the product's epilogue,
+    /// applied to each band of rows by the thread that has just computed
+    /// it — `v + b` rounded, then the activation, as two passes would.
+    fn forward_rhs(&self, w: Rhs<'_>, x: &Tensor, y: &mut Tensor) {
+        assert_eq!(self.b.len(), self.w.cols, "bias length");
+        x.matmul_with_into(w, y, |rows| {
+            for row in rows.chunks_mut(self.b.len()) {
+                for (v, b) in row.iter_mut().zip(&self.b) {
+                    *v = self.act.apply(*v + *b);
+                }
+            }
+        });
     }
 
     /// Backward pass: input gradient and parameter gradients.
@@ -188,28 +202,33 @@ impl Dense {
         dy.matmul_nt_into(&self.w, dx);
     }
 
-    /// [`Dense::backward_grads_into`] against weights packed beforehand:
-    /// `wt` holds `W^T`, filled by `self.w.transpose_into(&mut wt)` since
-    /// the weights last changed. Bit-identical — `matmul_nt` is that pack
-    /// followed by this multiply — and the pack, which outweighs the
-    /// multiply on small micro-batches, is paid once for as many calls as
-    /// the weights stay put (in the pipeline: once per step).
+    /// The pipeline's backward: the input gradient lands in `dx`, computed
+    /// against `wt` — `W^T` packed by `wt.pack_transposed(&self.w)` since
+    /// the weights last changed, the pack `matmul_nt` would redo on every
+    /// call — and this call's `dW`/`db` are *added* into `acc` by the
+    /// kernels' epilogues ([`Tensor::matmul_tn_add_into`]), bit for bit
+    /// what [`Dense::backward_grads_into`] followed by
+    /// [`DenseGrads::accumulate`] leaves there. Every gradient value is
+    /// tested on the way: a non-finite one is added as `+0.0`, and the
+    /// number of those is returned.
     pub fn backward_packed_into(
         &self,
-        wt: &Tensor,
+        wt: &PackedRhs,
         x: &Tensor,
         y: &Tensor,
         dy: &mut Tensor,
         dx: &mut Tensor,
-        g: &mut DenseGrads,
-    ) {
+        acc: &mut DenseGrads,
+    ) -> usize {
         assert_eq!(
-            (wt.rows, wt.cols),
+            wt.dims(),
             (self.w.cols, self.w.rows),
             "packed weights shape"
         );
-        self.backward_params_into(x, y, dy, g);
-        dy.matmul_into(wt, dx);
+        self.scale_by_act_grad(y, dy);
+        let zeroed = x.matmul_tn_add_into(dy, &mut acc.dw) + dy.col_sums_add_into(&mut acc.db);
+        dy.matmul_with_into(Rhs::Packed(wt), dx, |_| {});
+        zeroed
     }
 
     /// Shared head of the backward pass: turns `dy` into `dz` in place and
@@ -222,15 +241,19 @@ impl Dense {
 
     /// [`Dense::backward_params`] into caller-provided gradients.
     fn backward_params_into(&self, x: &Tensor, y: &Tensor, dy: &mut Tensor, g: &mut DenseGrads) {
+        self.scale_by_act_grad(y, dy);
+        assert_eq!(x.rows, y.rows, "cache batch mismatch");
+        x.matmul_tn_into(dy, &mut g.dw);
+        dy.col_sums_into(&mut g.db);
+    }
+
+    /// `dz = dy * act'(y)`, in place.
+    fn scale_by_act_grad(&self, y: &Tensor, dy: &mut Tensor) {
         assert_eq!(dy.rows, y.rows, "grad batch mismatch");
         assert_eq!(dy.cols, y.cols, "grad width mismatch");
-        assert_eq!(x.rows, y.rows, "cache batch mismatch");
-        // dz = dy * act'(y), in place.
         for (d, yv) in dy.data.iter_mut().zip(&y.data) {
             *d *= self.act.grad_from_output(*yv);
         }
-        x.matmul_tn_into(dy, &mut g.dw);
-        dy.col_sums_into(&mut g.db);
     }
 
     /// SGD update: `p -= lr * g`.

@@ -46,7 +46,7 @@ pub use recovery::{
     RetryPolicy, Supervisor, TrainLoop,
 };
 pub use runlog::RunRecorder;
-pub use tensor::Tensor;
+pub use tensor::{PackedRhs, Rhs, Tensor};
 pub use trace::{
     RecoveryStepMetrics, Span, SpanKind, SpanRing, SpanWriter, StageMetrics, StepMetrics,
     StepTrace, WorkerTrace,

@@ -17,9 +17,23 @@
 //! applied by the caller — in the library, only by
 //! [`crate::recovery::TrainLoop::try_step`].
 //!
+//! # A layer costs its three products
+//!
+//! Per micro-batch a `Dense` layer is `x W`, `x^T dz` and `dz W^T`, and
+//! every other pass over something weight- or activation-sized rides in
+//! one of them. Each worker packs its layers panel-major once per step
+//! and direction ([`PackedRhs`]; the private `WorkerScratch`), so the `nn`
+//! tiles stream panels instead of striding through rows; bias and
+//! activation are the forward product's per-band epilogue; and the `dW`
+//! kernel's epilogue adds each finished chain straight into the step's
+//! accumulator, testing it for finiteness in its register on the way —
+//! no contribution buffer, no counting pass, no merging pass. All of it
+//! is layout and scheduling: no chain and no rounding differs from the
+//! allocate-per-tensor reference in `tests/determinism.rs`.
+//!
 //! # Gradient sync
 //!
-//! Gradients stay in the buffers the backward kernels wrote them to.
+//! Gradients stay in the buffers the backward kernels added them to.
 //! Every worker accumulates into persistent buffers the trainer owns
 //! ([`PipelineTrainer`]'s gradient slots, re-zeroed at step start). When
 //! a replicated stage's last backward retires, its replicas `1..r` hand
@@ -39,10 +53,13 @@
 //! every channel wait is bounded by [`EngineConfig::recv_timeout`] (a
 //! deadlock surfaces as [`DappleError::Stalled`], never a hang), worker
 //! panics are caught and reported as [`DappleError::WorkerPanicked`],
-//! and non-finite gradient contributions are detected per micro-batch
-//! before the replica reduce and handled per [`NanPolicy`]. The reducing
-//! replica's wait for its peers' gradients is bounded the same way. On
-//! shutdown each
+//! and non-finite gradient values are counted per micro-batch as the
+//! kernels add them (as zeros) and handled per [`NanPolicy`]: a count
+//! above zero fails the step or is reported as repaired, and only
+//! [`NanPolicy::SkipMicroBatch`] — which must see a whole contribution
+//! before any of it lands — routes it through an isolation buffer. The
+//! reducing replica's wait for its peers' gradients is bounded like every
+//! other. On shutdown each
 //! worker first drops its senders, then drains its receivers, so
 //! duplicated or trailing messages are caught deterministically as
 //! [`DappleError::ChannelProtocol`]. When several workers fail (one root
@@ -55,7 +72,7 @@ use crate::fault::{FaultKind, FaultPlan, NanPolicy};
 use crate::layer::{Dense, DenseGrads};
 use crate::loss::{loss_grad_into, LossKind};
 use crate::model::MlpModel;
-use crate::tensor::Tensor;
+use crate::tensor::{PackedRhs, Tensor};
 use crate::trace::{
     CoordSpan, Span, SpanKind, SpanRing, SpanWriter, StepTrace, WorkerTrace, NO_MICRO,
 };
@@ -201,12 +218,14 @@ pub struct StepOutcome {
 /// buffers left with a caller).
 #[derive(Default)]
 struct GradSlot {
-    /// The step's accumulator over micro-batches.
+    /// The step's accumulator over micro-batches: the backward kernels'
+    /// epilogues add every micro-batch's `dW`/`db` straight into it,
+    /// testing each value for finiteness on the way.
     acc: Vec<DenseGrads>,
-    /// Per-micro-batch contribution scratch, overwritten by every
-    /// backward — kept apart from `acc` so a poisoned contribution can be
-    /// inspected before it contaminates the sum.
-    contrib: Vec<DenseGrads>,
+    /// Under [`NanPolicy::SkipMicroBatch`] only (empty otherwise): where a
+    /// micro-batch's contribution lands instead, because that policy must
+    /// see all of it before any of it may reach `acc`.
+    isolated: Vec<DenseGrads>,
 }
 
 /// Where a trainer's gradient buffers live between steps. Shared by the
@@ -290,9 +309,9 @@ pub struct PipelineTrainer {
     /// step every boundary take is a hit and steps allocate neither
     /// boundary buffers nor packing space.
     scratch: Vec<Mutex<WorkerScratch>>,
-    /// Per-worker gradient accumulators and contribution scratch, in the
-    /// same order. A worker holds its slot for the step and works on the
-    /// buffers in place; a stage's synchronized accumulators leave in
+    /// Per-worker gradient accumulators, in the same order. A worker
+    /// holds its slot for the step and works on the buffers in place; a
+    /// stage's synchronized accumulators leave in
     /// [`StepOutcome::grads`] and come back when it is dropped, so a
     /// steady-state step allocates no gradient storage. Whatever a failed
     /// attempt left behind is zeroed at the next step's start, and a slot
@@ -772,24 +791,34 @@ struct TensorPool {
 }
 
 /// What one worker keeps from step to step: its buffer pool and, beside
-/// it, one packed `W^T` per layer of its stage.
+/// it, both packs of every layer of its stage.
 ///
-/// The backward pass multiplies every micro-batch's `dz` by the same
-/// `W^T`, and a step cannot change a weight (`step_with_trace` borrows
-/// the model shared), so each worker packs each of its layers once per
-/// step — at its first backward, inside that `Bw` span — and the other
-/// `M - 1` micro-batches reuse the pack. Nothing is trusted across
-/// steps but the storage: every step repacks, so an optimizer update, a
-/// restored checkpoint or a failed attempt cannot leave a stale pack
-/// behind.
+/// Every micro-batch's forward multiplies by the same `W` and its
+/// backward by the same `W^T`, and a step cannot change a weight
+/// (`step_with_trace` borrows the model shared), so each worker packs
+/// each of its layers once per direction per step — `W` at its first
+/// forward, `W^T` at its first backward, inside that span (stage 0's
+/// transposing pack stays off the warm-up path) — and the other `M - 1`
+/// micro-batches, re-computed forwards included, stream the panels.
+/// Nothing is trusted across steps but the storage: every step repacks,
+/// so an optimizer update, a restored checkpoint or a failed attempt
+/// cannot leave a stale pack behind.
 #[derive(Default)]
 struct WorkerScratch {
     pool: TensorPool,
-    /// `layers[i].w` transposed, valid from the step's first backward on.
-    packed: Vec<Tensor>,
-    /// Layers packed since the trainer was built.
+    packed: Vec<LayerPacks>,
+    /// Packs made since the trainer was built.
     #[cfg(test)]
     packs: usize,
+}
+
+/// One layer's weights as the kernels stream them.
+#[derive(Default)]
+struct LayerPacks {
+    /// `W`, valid from the step's first forward on.
+    w: PackedRhs,
+    /// `W^T`, valid from the step's first backward on.
+    wt: PackedRhs,
 }
 
 impl TensorPool {
@@ -892,23 +921,25 @@ impl Worker<'_> {
         pool.begin_step();
         scratch
             .packed
-            .resize_with(self.layers.len(), || Tensor::zeros(0, 0));
-        // Whether this step's first backward — the one that packs — is
-        // still to come.
-        let mut pack_pending = true;
+            .resize_with(self.layers.len(), LayerPacks::default);
+        // Whether this step's first forward and first backward — the ones
+        // that pack — are still to come.
+        let (mut pack_w, mut pack_wt) = (true, true);
         // The gradient buffers persist in the trainer's slot; the guard is
         // held until they are handed on, so an attempt that fails or
         // panics leaves them where the next step finds (and zeroes) them.
         let mut slot_guard = lock(self.grad_slot);
         let GradSlot {
             acc: grads,
-            contrib,
+            isolated,
         } = &mut *slot_guard;
-        for bufs in [&mut *grads, &mut *contrib] {
-            let reusable = bufs.len() == self.layers.len()
-                && bufs.iter().zip(self.layers).all(|(g, l)| g.fits(l));
+        let isolate = self.nan_policy == NanPolicy::SkipMicroBatch;
+        for (bufs, wanted) in [(&mut *grads, true), (&mut *isolated, isolate)] {
+            let layers = if wanted { self.layers } else { &[] };
+            let reusable =
+                bufs.len() == layers.len() && bufs.iter().zip(layers).all(|(g, l)| g.fits(l));
             if !reusable {
-                *bufs = self.layers.iter().map(DenseGrads::zeros_like).collect();
+                *bufs = layers.iter().map(DenseGrads::zeros_like).collect();
             }
         }
         grads.iter_mut().for_each(DenseGrads::zero);
@@ -963,8 +994,17 @@ impl Worker<'_> {
                     if !self.is_first {
                         self.rec(SpanKind::CommRecvWait, u, tensor_bytes(&input), t0, t1);
                     }
+                    if std::mem::take(&mut pack_w) {
+                        for (layer, packs) in self.layers.iter().zip(&mut scratch.packed) {
+                            packs.w.pack(&layer.w);
+                        }
+                        #[cfg(test)]
+                        {
+                            scratch.packs += self.layers.len();
+                        }
+                    }
                     let mut ys = chain_spares.pop().unwrap_or_default();
-                    forward_stage(self.layers, &input, &mut ys, pool);
+                    forward_stage(self.layers, &scratch.packed, &input, &mut ys, pool);
                     // The first stage folds its input-slice copy into the
                     // forward span; downstream stages start at receipt.
                     self.rec(
@@ -1046,7 +1086,7 @@ impl Worker<'_> {
                             Flight::Cached { input, ys } => (input, ys, false),
                             Flight::InputOnly(input) => {
                                 let mut ys = chain_spares.pop().unwrap_or_default();
-                                forward_stage(self.layers, &input, &mut ys, pool);
+                                forward_stage(self.layers, &scratch.packed, &input, &mut ys, pool);
                                 (input, ys, true)
                             }
                         };
@@ -1079,28 +1119,24 @@ impl Worker<'_> {
                     if fault == Some(FaultKind::NanGradient) || poisoned.contains(&u) {
                         dy.data.fill(f32::NAN);
                     }
-                    // This micro-batch's contribution stays separate (in
-                    // the run-long scratch) so a poisoned one can be
-                    // inspected — and skipped or repaired — before it
-                    // contaminates the accumulator.
-                    if std::mem::take(&mut pack_pending) {
-                        for (layer, wt) in self.layers.iter().zip(&mut scratch.packed) {
-                            layer.w.transpose_into(wt);
+                    if std::mem::take(&mut pack_wt) {
+                        for (layer, packs) in self.layers.iter().zip(&mut scratch.packed) {
+                            packs.wt.pack_transposed(&layer.w);
                         }
                         #[cfg(test)]
                         {
                             scratch.packs += self.layers.len();
                         }
                     }
-                    let (dx, spent_gy) = backward_stage(
-                        self.layers,
-                        &scratch.packed,
-                        &input,
-                        &ys,
-                        dy,
-                        contrib,
-                        pool,
-                    );
+                    // The kernels add this micro-batch's `dW`/`db` into the
+                    // accumulator — zeroed isolation buffers under the skip
+                    // policy — and count what was not finite.
+                    if isolate {
+                        isolated.iter_mut().for_each(DenseGrads::zero);
+                    }
+                    let into = if isolate { &mut *isolated } else { &mut *grads };
+                    let (dx, spent_gy, non_finite) =
+                        backward_stage(self.layers, &scratch.packed, &input, &ys, dy, into, pool);
                     // The last stage folds its loss computation into the
                     // backward span; upstream stages start at receipt.
                     self.rec(
@@ -1121,9 +1157,17 @@ impl Worker<'_> {
                         pool.put(y);
                     }
                     chain_spares.push(ys);
-                    let bad = count_non_finite(contrib) + usize::from(!micro_loss.is_finite());
+                    let bad = non_finite + usize::from(!micro_loss.is_finite());
                     if bad == 0 {
-                        merge_contribution(grads, contrib);
+                        if isolate {
+                            // Merging `0.0 + c` leaves the bits of adding
+                            // `c`: only a `-0.0` accumulator could tell them
+                            // apart, and one that starts at `+0.0` never
+                            // becomes it.
+                            for (g, c) in grads.iter_mut().zip(&*isolated) {
+                                g.accumulate(c);
+                            }
+                        }
                         loss += micro_loss;
                     } else {
                         match self.nan_policy {
@@ -1136,12 +1180,10 @@ impl Worker<'_> {
                             }
                             NanPolicy::SkipMicroBatch => skipped += 1,
                             NanPolicy::ZeroAndWarn => {
-                                zeroed += zero_non_finite(contrib);
-                                merge_contribution(grads, contrib);
+                                // Already in `grads`, the bad values as zeros.
+                                zeroed += bad;
                                 if micro_loss.is_finite() {
                                     loss += micro_loss;
-                                } else {
-                                    zeroed += 1;
                                 }
                             }
                         }
@@ -1522,10 +1564,16 @@ enum RxSide {
     Backward,
 }
 
-/// Forward through a stage's layers; fills `ys` (an empty, possibly
-/// recycled Vec — even the chain's spine allocates only during warmup)
-/// with the per-layer output chain.
-fn forward_stage(layers: &[Dense], input: &Tensor, ys: &mut Vec<Tensor>, pool: &mut TensorPool) {
+/// Forward through a stage's layers, against their packed `W`; fills
+/// `ys` (an empty, possibly recycled Vec — even the chain's spine
+/// allocates only during warmup) with the per-layer output chain.
+fn forward_stage(
+    layers: &[Dense],
+    packed: &[LayerPacks],
+    input: &Tensor,
+    ys: &mut Vec<Tensor>,
+    pool: &mut TensorPool,
+) {
     debug_assert!(ys.is_empty(), "recycled chain must be drained");
     ys.reserve(layers.len());
     for (i, layer) in layers.iter().enumerate() {
@@ -1533,36 +1581,45 @@ fn forward_stage(layers: &[Dense], input: &Tensor, ys: &mut Vec<Tensor>, pool: &
         // The backward pass retires the whole chain into the pool, so
         // steady-state forwards allocate nothing.
         let mut y = pool.take(x.rows, layer.out_dim());
-        layer.forward_into(x, &mut y);
+        layer.forward_packed_into(&packed[i].w, x, &mut y);
         ys.push(y);
     }
 }
 
 /// Backward through a stage's layers, against their packed `W^T`.
 ///
-/// Per-layer parameter gradients are written into `contrib` (run-long
-/// scratch, fully overwritten — dW/db allocate nothing per call).
-/// Returns `(dx, spent_gy)`, where `spent_gy` is the (destroyed) buffer
+/// Per-layer parameter gradients are added into `acc` by the kernels
+/// (`dW`/`db` allocate nothing and pass through no scratch). Returns
+/// `(dx, spent_gy, non_finite)`: `spent_gy` is the (destroyed) buffer
 /// `gy` arrived in, handed back so the caller can recycle it — it has
-/// exactly the shape of this worker's outgoing boundary messages.
+/// exactly the shape of this worker's outgoing boundary messages — and
+/// `non_finite` counts the gradient values that went in as zeros.
 fn backward_stage(
     layers: &[Dense],
-    packed: &[Tensor],
+    packed: &[LayerPacks],
     input: &Tensor,
     ys: &[Tensor],
     gy: Tensor,
-    contrib: &mut [DenseGrads],
+    acc: &mut [DenseGrads],
     pool: &mut TensorPool,
-) -> (Tensor, Tensor) {
+) -> (Tensor, Tensor, usize) {
     assert_eq!(ys.len(), layers.len(), "output chain length");
-    assert_eq!(contrib.len(), layers.len(), "grad scratch length");
+    assert_eq!(acc.len(), layers.len(), "accumulator length");
     let mut spent: Option<Tensor> = None;
+    let mut non_finite = 0;
     let mut cur = gy;
     for i in (0..layers.len()).rev() {
         let x = if i == 0 { input } else { &ys[i - 1] };
         // Not zeroed: the kernel overwrites every element.
         let mut dx = pool.take(cur.rows, layers[i].in_dim());
-        layers[i].backward_packed_into(&packed[i], x, &ys[i], &mut cur, &mut dx, &mut contrib[i]);
+        non_finite += layers[i].backward_packed_into(
+            &packed[i].wt,
+            x,
+            &ys[i],
+            &mut cur,
+            &mut dx,
+            &mut acc[i],
+        );
         let used = std::mem::replace(&mut cur, dx);
         if spent.is_none() {
             // The buffer `gy` arrived in: handed back to the caller, whose
@@ -1573,39 +1630,7 @@ fn backward_stage(
             pool.put(used);
         }
     }
-    (cur, spent.expect("non-empty stage"))
-}
-
-/// Adds a micro-batch's contribution into the running accumulator.
-fn merge_contribution(grads: &mut [DenseGrads], contrib: &[DenseGrads]) {
-    for (g, c) in grads.iter_mut().zip(contrib) {
-        g.accumulate(c);
-    }
-}
-
-/// Number of NaN/Inf values across a gradient contribution.
-fn count_non_finite(contrib: &[DenseGrads]) -> usize {
-    contrib
-        .iter()
-        .map(|g| {
-            g.dw.data.iter().filter(|v| !v.is_finite()).count()
-                + g.db.iter().filter(|v| !v.is_finite()).count()
-        })
-        .sum()
-}
-
-/// Replaces NaN/Inf values with zero, returning how many were replaced.
-fn zero_non_finite(contrib: &mut [DenseGrads]) -> usize {
-    let mut zeroed = 0usize;
-    for g in contrib {
-        for v in g.dw.data.iter_mut().chain(g.db.iter_mut()) {
-            if !v.is_finite() {
-                *v = 0.0;
-                zeroed += 1;
-            }
-        }
-    }
-    zeroed
+    (cur, spent.expect("non-empty stage"), non_finite)
 }
 
 #[cfg(test)]
@@ -1825,9 +1850,10 @@ mod tests {
         assert!(adam_last < sgd_last, "adam {adam_last} vs sgd {sgd_last}");
     }
 
-    /// `W^T` is packed once per layer per worker per step: the count is
-    /// the workers' layers — every replica packs its stage's layers —
-    /// whatever the micro-batch count, with and without re-computation.
+    /// `W` and `W^T` are each packed once per layer per worker per step:
+    /// the count is twice the workers' layers — every replica packs its
+    /// stage's layers — whatever the micro-batch count, with and without
+    /// re-computation (whose extra forwards reuse the step's `W` packs).
     #[test]
     fn weights_are_packed_once_per_layer_per_worker_per_step() {
         let (x, t) = data::regression_batch(48, 5, 3, 9);
@@ -1839,7 +1865,7 @@ mod tests {
             let per_step: usize = stage_bounds
                 .iter()
                 .zip(&replication)
-                .map(|(layers, r)| layers.len() * r)
+                .map(|(layers, r)| 2 * layers.len() * r)
                 .sum();
             for micro_batches in [2, 8] {
                 for recompute in [false, true] {

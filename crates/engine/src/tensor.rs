@@ -28,11 +28,28 @@
 //! Consequences: `matmul_tn(b)` is bit-identical to
 //! `transpose().matmul(b)` and `matmul_nt(b)` is bit-identical to
 //! `matmul(b.transpose())` — the transpose-free variants change memory
-//! traffic, never bits. (`matmul_nt` is two halves, both public: pack
-//! `rhs^T` with [`Tensor::transpose_into`], then run the plain kernel,
-//! [`Tensor::matmul_into`], against the packed copy. Packing is layout,
-//! not arithmetic, so a caller that multiplies by the same `rhs` many
-//! times packs once and keeps the bits.)
+//! traffic, never bits.
+//!
+//! # Layout and epilogues are not arithmetic
+//!
+//! A right-hand side is multiplied where it lies or from a [`PackedRhs`]:
+//! the same `k x m` values stored as the column panels the tiles walk
+//! (32 → 16 → 8 → 1 wide), each a contiguous `[k][w]` block, so one panel
+//! of a wide matrix spans a handful of pages instead of one per row. The
+//! tiles take a panel's base and row stride ([`Rhs`]) and run the same
+//! chain on either layout; `matmul_nt` is [`PackedRhs::pack_transposed`]
+//! into a thread-local pack followed by that product. A caller that
+//! multiplies by one matrix many times packs once and keeps the bits; no
+//! size heuristic packs on a caller's behalf.
+//!
+//! What becomes of a finished chain is outside it too. The `nn` product
+//! hands each band's finished rows to an epilogue on the thread that
+//! computed them (a `Dense` layer applies bias and activation there), and
+//! [`Tensor::matmul_tn_add_into`] adds every finished chain into its
+//! destination with one separately rounded `+` — a store followed by
+//! `add_assign`, bit for bit. The accumulators are never seeded from the
+//! destination and the add is never fused into the chain: either would
+//! round differently.
 //!
 //! Parallelism splits rows into contiguous bands; each output element is
 //! computed by exactly one thread with the order above, so banding (and
@@ -41,6 +58,7 @@
 //! element's chain is independent.
 
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Row-major `rows x cols` matrix of `f32`.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,14 +103,142 @@ fn par_worth_it(n: usize, k: usize, m: usize) -> bool {
     n.saturating_mul(k).saturating_mul(m) >= PAR_MIN_MULS
 }
 
+/// The column panels `(first column, width)` of an `m`-wide matrix:
+/// always the widest of 32, 16, 8, 1 that still fits.
+fn panels(m: usize) -> impl Iterator<Item = (usize, usize)> {
+    let mut j = 0;
+    std::iter::from_fn(move || {
+        let w = [COL_TILE, 16, 8, 1].into_iter().find(|w| j + w <= m)?;
+        j += w;
+        Some((j - w, w))
+    })
+}
+
+/// A `k x m` right-hand side stored panel-major: its column panels (32,
+/// then 16, 8, 1 wide) one after another, each a contiguous row-major
+/// `[k][w]` block, so the tiles stream a panel instead of striding
+/// through `m`-wide rows. Packing is data movement, never arithmetic.
+/// The storage is kept across packs; every pack overwrites all of it.
+#[derive(Debug, Default)]
+pub struct PackedRhs {
+    rows: usize,
+    cols: usize,
+    /// `rows * cols` values; the panel at column `j` starts at `rows * j`.
+    data: Vec<f32>,
+}
+
+impl PackedRhs {
+    /// An empty pack (no storage yet).
+    pub const fn new() -> Self {
+        PackedRhs {
+            rows: 0,
+            cols: 0,
+            data: Vec::new(),
+        }
+    }
+
+    /// `(rows, cols)` of the matrix last packed.
+    pub fn dims(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
+    /// Takes the shape `rows x cols` for a pack of `src`, whose storage
+    /// must be what its own shape says: the copies below index on it.
+    fn reshape(&mut self, src: &Tensor, rows: usize, cols: usize) {
+        assert_eq!(
+            src.data.len(),
+            src.rows * src.cols,
+            "pack of a {} x {} tensor holding {} values",
+            src.rows,
+            src.cols,
+            src.data.len()
+        );
+        (self.rows, self.cols) = (rows, cols);
+        self.data.resize(rows * cols, 0.0);
+    }
+
+    /// Packs `src` itself: every panel row is a chunk of a `src` row.
+    pub fn pack(&mut self, src: &Tensor) {
+        let (k, m) = (src.rows, src.cols);
+        self.reshape(src, k, m);
+        for (j, w) in panels(m) {
+            let panel = self.data[k * j..k * (j + w)].chunks_exact_mut(w);
+            for (dst, row) in panel.zip(src.data.chunks_exact(m)) {
+                dst.copy_from_slice(&row[j..j + w]);
+            }
+        }
+    }
+
+    /// Packs `src^T` (`src` is `m x k`): a panel is the transpose of `w`
+    /// consecutive rows of `src`, so source slab and destination panel
+    /// are both contiguous.
+    pub fn pack_transposed(&mut self, src: &Tensor) {
+        let (m, k) = (src.rows, src.cols);
+        self.reshape(src, k, m);
+        for (j, w) in panels(m) {
+            let slab = &src.data[j * k..(j + w) * k];
+            let panel = &mut self.data[k * j..k * (j + w)];
+            // Whole 16 x 16 blocks in registers where the build has them,
+            // the ragged rest (or everything) one element at a time.
+            #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+            let done = simd::transpose_blocks(slab, panel, w, k);
+            #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+            let done = 0;
+            for (i, dst) in panel.chunks_exact_mut(w).enumerate().skip(done) {
+                for (l, d) in dst.iter_mut().enumerate() {
+                    *d = slab[l * k + i];
+                }
+            }
+        }
+    }
+}
+
+/// The right-hand side of [`Tensor::matmul_with_into`], in either layout.
+#[derive(Debug, Clone, Copy)]
+pub enum Rhs<'a> {
+    /// A row-major tensor, multiplied where it lies.
+    RowMajor(&'a Tensor),
+    /// The same values packed beforehand.
+    Packed(&'a PackedRhs),
+}
+
+impl<'a> Rhs<'a> {
+    /// `(k, m)`.
+    fn dims(self) -> (usize, usize) {
+        match self {
+            Rhs::RowMajor(t) => (t.rows, t.cols),
+            Rhs::Packed(p) => p.dims(),
+        }
+    }
+
+    /// Values actually stored.
+    fn len(self) -> usize {
+        match self {
+            Rhs::RowMajor(t) => t.data.len(),
+            Rhs::Packed(p) => p.data.len(),
+        }
+    }
+
+    /// The panel of columns `j..j + w` as the tiles read it: its base and
+    /// row stride, row `i` being `base[i * stride..i * stride + w]`.
+    #[inline]
+    fn panel(self, j: usize, w: usize) -> (&'a [f32], usize) {
+        match self {
+            Rhs::RowMajor(t) => (&t.data[j..], t.cols),
+            Rhs::Packed(p) => (&p.data[p.rows * j..p.rows * (j + w)], w),
+        }
+    }
+}
+
 /// Output-stationary register tile: `RT` rows by `W` columns of `out`,
 /// each element one ascending-`i` fused chain. `a` holds the tile's
 /// `RT` rows (row-major, stride `k`), `out` the same rows of the output
-/// (stride `m`); `j` is the first column, `j + W <= m`.
+/// (stride `m`) from column `j`; `b` is the column panel's base and `ldb`
+/// its row stride ([`Rhs::panel`]).
 #[inline]
 fn nn_tile<const RT: usize, const W: usize>(
     a: &[f32],
-    b: &[f32],
+    (b, ldb): (&[f32], usize),
     out: &mut [f32],
     k: usize,
     m: usize,
@@ -104,7 +250,7 @@ fn nn_tile<const RT: usize, const W: usize>(
     }
     let mut acc = [[0.0f32; W]; RT];
     for i in 0..k {
-        let bb: &[f32; W] = b[i * m + j..i * m + j + W].try_into().expect("tile width");
+        let bb: &[f32; W] = b[i * ldb..i * ldb + W].try_into().expect("tile width");
         for r in 0..RT {
             let av = a_rows[r][i];
             for l in 0..W {
@@ -119,11 +265,18 @@ fn nn_tile<const RT: usize, const W: usize>(
 
 /// Single-column tail of [`nn_tile`]: same ascending-`i` fused chain.
 #[inline]
-fn nn_col<const RT: usize>(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, j: usize) {
+fn nn_col<const RT: usize>(
+    a: &[f32],
+    (b, ldb): (&[f32], usize),
+    out: &mut [f32],
+    k: usize,
+    m: usize,
+    j: usize,
+) {
     for r in 0..RT {
         let mut acc = 0.0f32;
         for i in 0..k {
-            acc = a[r * k + i].mul_add(b[i * m + j], acc);
+            acc = a[r * k + i].mul_add(b[i * ldb], acc);
         }
         out[r * m + j] = acc;
     }
@@ -133,7 +286,7 @@ fn nn_col<const RT: usize>(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: u
 #[inline]
 fn nn_panel<const RT: usize>(
     a: &[f32],
-    b: &[f32],
+    b: (&[f32], usize),
     out: &mut [f32],
     k: usize,
     m: usize,
@@ -151,53 +304,45 @@ fn nn_panel<const RT: usize>(
 /// Full-height (`ROW_TILE` rows) panel: takes the AVX-512 tile for the
 /// hot 32-wide case, the portable tiles otherwise.
 #[inline]
-#[allow(unused_variables)]
-fn nn_row_tile(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, j: usize, w: usize) {
+fn nn_row_tile(
+    a: &[f32],
+    b: (&[f32], usize),
+    out: &mut [f32],
+    k: usize,
+    m: usize,
+    j: usize,
+    w: usize,
+) {
     #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
     if w == COL_TILE {
         // SAFETY: nn_band only calls with ROW_TILE full rows left in
-        // `a`/`out` and `j + COL_TILE <= m`; `b` is the full `k x m`
-        // matrix.
+        // `a`/`out` and `j + COL_TILE <= m`, and `b` is a 32-wide panel
+        // of a right-hand side it has checked to hold `k x m` values.
         unsafe { simd::nn_8x32(a, b, out, k, m, j) };
         return;
     }
     nn_panel::<ROW_TILE>(a, b, out, k, m, j, w);
 }
 
-/// Picks the widest column-panel width ≤ the remaining `m - j` columns.
-#[inline]
-fn panel_width(rem: usize) -> usize {
-    if rem >= COL_TILE {
-        COL_TILE
-    } else if rem >= 16 {
-        16
-    } else if rem >= 8 {
-        8
-    } else {
-        1
-    }
-}
-
 /// One band of `matmul`: `out.len() / m` rows. The column-panel loop is
 /// outermost so each `b` panel stays cache-resident across the band's
 /// row tiles; widths step 32 → 16 → 8 → 1, row tiles 8 → 4 → 2 → 1, and
 /// every element takes the same ascending fused chain regardless of
-/// which tile computes it.
-fn nn_band(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize) {
+/// which tile computes it, from which layout.
+fn nn_band(a: &[f32], rhs: Rhs<'_>, out: &mut [f32], k: usize, m: usize) {
     let rows = out.len() / m;
     // The tiles index (and the AVX-512 ones read) on the strength of the
     // shapes alone; a tensor whose `data` is shorter than its shape says
     // stops here, with the numbers.
     assert!(
-        a.len() >= rows * k && b.len() >= k * m,
+        a.len() >= rows * k && rhs.len() >= k * m,
         "matmul band of {rows} rows: lhs holds {} values ({rows} x {k} needed), \
          rhs holds {} ({k} x {m} needed)",
         a.len(),
-        b.len()
+        rhs.len()
     );
-    let mut j = 0;
-    while j < m {
-        let w = panel_width(m - j);
+    for (j, w) in panels(m) {
+        let b = rhs.panel(j, w);
         let mut r = 0;
         while rows - r >= ROW_TILE {
             nn_row_tile(&a[r * k..], b, &mut out[r * m..], k, m, j, w);
@@ -215,13 +360,24 @@ fn nn_band(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize) {
             nn_panel::<1>(&a[r * k..], b, &mut out[r * m..], k, m, j, w);
             r += 1;
         }
-        j += w;
     }
+}
+
+/// Adds one finished gradient value into its accumulator, a non-finite
+/// one as `+0.0`; returns how many it zeroed. The scalar form of the
+/// `add` epilogue ([`Tensor::matmul_tn_add_into`]).
+#[inline]
+fn add_checked(dst: &mut f32, c: f32) -> usize {
+    let finite = c.is_finite();
+    *dst += if finite { c } else { 0.0 };
+    usize::from(!finite)
 }
 
 /// [`nn_tile`] for the TN product: output row `i0 + r` reads column
 /// `i0 + r` of `a` (`k x n`, so stride-`n` scalar loads), everything
-/// else identical — same ascending-order fused chains.
+/// else identical — same ascending-order fused chains. The finished
+/// chains are stored, or with `add` go through [`add_checked`]; returns
+/// the values zeroed.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn tn_tile<const RT: usize, const W: usize>(
@@ -233,7 +389,8 @@ fn tn_tile<const RT: usize, const W: usize>(
     k: usize,
     m: usize,
     j: usize,
-) {
+    add: bool,
+) -> usize {
     let mut acc = [[0.0f32; W]; RT];
     for t in 0..k {
         let bb: &[f32; W] = b[t * m + j..t * m + j + W].try_into().expect("tile width");
@@ -245,9 +402,18 @@ fn tn_tile<const RT: usize, const W: usize>(
             }
         }
     }
+    let mut zeroed = 0;
     for r in 0..RT {
-        out[r * m + j..r * m + j + W].copy_from_slice(&acc[r]);
+        let dst = &mut out[r * m + j..r * m + j + W];
+        if add {
+            for (d, c) in dst.iter_mut().zip(acc[r]) {
+                zeroed += add_checked(d, c);
+            }
+        } else {
+            dst.copy_from_slice(&acc[r]);
+        }
     }
+    zeroed
 }
 
 /// Single-column tail of [`tn_tile`].
@@ -262,17 +428,24 @@ fn tn_col<const RT: usize>(
     k: usize,
     m: usize,
     j: usize,
-) {
+    add: bool,
+) -> usize {
+    let mut zeroed = 0;
     for r in 0..RT {
         let mut acc = 0.0f32;
         for t in 0..k {
             acc = a[t * n + i0 + r].mul_add(b[t * m + j], acc);
         }
-        out[r * m + j] = acc;
+        if add {
+            zeroed += add_checked(&mut out[r * m + j], acc);
+        } else {
+            out[r * m + j] = acc;
+        }
     }
+    zeroed
 }
 
-/// One column panel (`w` ∈ {32, 8, 1}) of `RT` TN output rows.
+/// One column panel (`w` ∈ {32, 16, 8, 1}) of `RT` TN output rows.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn tn_panel<const RT: usize>(
@@ -285,19 +458,20 @@ fn tn_panel<const RT: usize>(
     m: usize,
     j: usize,
     w: usize,
-) {
+    add: bool,
+) -> usize {
     match w {
-        COL_TILE => tn_tile::<RT, COL_TILE>(a, n, i0, b, out, k, m, j),
-        16 => tn_tile::<RT, 16>(a, n, i0, b, out, k, m, j),
-        8 => tn_tile::<RT, 8>(a, n, i0, b, out, k, m, j),
-        _ => tn_col::<RT>(a, n, i0, b, out, k, m, j),
+        COL_TILE => tn_tile::<RT, COL_TILE>(a, n, i0, b, out, k, m, j, add),
+        16 => tn_tile::<RT, 16>(a, n, i0, b, out, k, m, j, add),
+        8 => tn_tile::<RT, 8>(a, n, i0, b, out, k, m, j, add),
+        _ => tn_col::<RT>(a, n, i0, b, out, k, m, j, add),
     }
 }
 
 /// Full-height (`ROW_TILE` rows) TN panel: AVX-512 tile for the hot
 /// 32-wide case, portable tiles otherwise.
 #[inline]
-#[allow(clippy::too_many_arguments, unused_variables)]
+#[allow(clippy::too_many_arguments)]
 fn tn_row_tile(
     a: &[f32],
     n: usize,
@@ -308,20 +482,31 @@ fn tn_row_tile(
     m: usize,
     j: usize,
     w: usize,
-) {
+    add: bool,
+) -> usize {
     #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
     if w == COL_TILE {
         // SAFETY: tn_band only calls with `i0 + ROW_TILE <= n`,
         // ROW_TILE full output rows left, and `j + COL_TILE <= m`.
-        unsafe { simd::tn_8x32(a, n, i0, b, out, k, m, j) };
-        return;
+        return unsafe { simd::tn_8x32(a, n, i0, b, out, k, m, j, add) };
     }
-    tn_panel::<ROW_TILE>(a, n, i0, b, out, k, m, j, w);
+    tn_panel::<ROW_TILE>(a, n, i0, b, out, k, m, j, w, add)
 }
 
 /// One band of `matmul_tn`: output rows `i0..i0 + out.len() / m`, same
-/// panel-outer structure as [`nn_band`].
-fn tn_band(a: &[f32], n: usize, i0: usize, b: &[f32], out: &mut [f32], k: usize, m: usize) {
+/// panel-outer structure as [`nn_band`]; returns the values the `add`
+/// epilogue zeroed.
+#[allow(clippy::too_many_arguments)]
+fn tn_band(
+    a: &[f32],
+    n: usize,
+    i0: usize,
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    m: usize,
+    add: bool,
+) -> usize {
     let rows = out.len() / m;
     assert!(
         i0 + rows <= n && a.len() >= k * n && b.len() >= k * m,
@@ -331,66 +516,33 @@ fn tn_band(a: &[f32], n: usize, i0: usize, b: &[f32], out: &mut [f32], k: usize,
         a.len(),
         b.len()
     );
-    let mut j = 0;
-    while j < m {
-        let w = panel_width(m - j);
+    let mut zeroed = 0;
+    for (j, w) in panels(m) {
         let mut r = 0;
         while rows - r >= ROW_TILE {
-            tn_row_tile(a, n, i0 + r, b, &mut out[r * m..], k, m, j, w);
+            zeroed += tn_row_tile(a, n, i0 + r, b, &mut out[r * m..], k, m, j, w, add);
             r += ROW_TILE;
         }
         while rows - r >= 4 {
-            tn_panel::<4>(a, n, i0 + r, b, &mut out[r * m..], k, m, j, w);
+            zeroed += tn_panel::<4>(a, n, i0 + r, b, &mut out[r * m..], k, m, j, w, add);
             r += 4;
         }
         while rows - r >= 2 {
-            tn_panel::<2>(a, n, i0 + r, b, &mut out[r * m..], k, m, j, w);
+            zeroed += tn_panel::<2>(a, n, i0 + r, b, &mut out[r * m..], k, m, j, w, add);
             r += 2;
         }
         while r < rows {
-            tn_panel::<1>(a, n, i0 + r, b, &mut out[r * m..], k, m, j, w);
+            zeroed += tn_panel::<1>(a, n, i0 + r, b, &mut out[r * m..], k, m, j, w, add);
             r += 1;
         }
-        j += w;
     }
+    zeroed
 }
 
 thread_local! {
-    /// Scratch for `matmul_nt`'s packed `rhs^T` copy. Reused across
-    /// calls (grow-only), so repeated calls on one thread do not
-    /// allocate; contents are fully overwritten before use.
-    static NT_PACK: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Transposes `src` (`rows x cols`, row-major) into `d` (`cols x rows`,
-/// the same length). Blocked so both the read and write sides stay within
-/// a few cache lines per pass; every element of `d` is overwritten, so
-/// recycled scratch needs no zeroing. Pure data movement — no arithmetic,
-/// no effect on bits.
-fn pack_transpose(src: &[f32], rows: usize, cols: usize, d: &mut [f32]) {
-    assert_eq!(src.len(), rows * cols, "pack_transpose source shape");
-    assert_eq!(d.len(), src.len(), "pack_transpose destination length");
-    const BT: usize = 32;
-    let mut r0 = 0;
-    while r0 < rows {
-        let r1 = (r0 + BT).min(rows);
-        let mut c0 = 0;
-        while c0 < cols {
-            let c1 = (c0 + BT).min(cols);
-            // Contiguous stores, strided loads: one destination column
-            // at a time within the block.
-            for c in c0..c1 {
-                let dcol = &mut d[c * rows + r0..c * rows + r1];
-                let mut s = r0 * cols + c;
-                for dv in dcol.iter_mut() {
-                    *dv = src[s];
-                    s += cols;
-                }
-            }
-            c0 = c1;
-        }
-        r0 = r1;
-    }
+    /// `matmul_nt`'s packed `rhs^T`. Reused across calls, so repeated
+    /// calls on one thread do not allocate; every pack overwrites it.
+    static NT_PACK: std::cell::RefCell<PackedRhs> = const { std::cell::RefCell::new(PackedRhs::new()) };
 }
 
 /// Explicit AVX-512 implementations of the hot register tiles.
@@ -414,15 +566,16 @@ mod simd {
     const _: () = assert!(super::COL_TILE == 32);
 
     /// 8 x 32 output-stationary tile of `matmul`: rows `0..8` of `a`
-    /// (row-major, stride `k`) times columns `j..j + 32` of `b`, each
-    /// output element one ascending-`i` fused chain.
+    /// (row-major, stride `k`) times the 32-wide panel `b` (row stride
+    /// `ldb`), each output element one ascending-`i` fused chain, stored
+    /// from column `j` of `out`.
     ///
     /// # Safety
-    /// Caller guarantees `a.len() >= 8 * k`, `b.len() >= k * m`,
-    /// `out.len() >= 7 * m + j + 32` and `j + 32 <= m`.
+    /// Caller guarantees `a.len() >= 8 * k`, `b.len() >= (k - 1) * ldb +
+    /// 32`, `out.len() >= 7 * m + j + 32` and `j + 32 <= m`.
     pub(super) unsafe fn nn_8x32(
         a: &[f32],
-        b: &[f32],
+        (b, ldb): (&[f32], usize),
         out: &mut [f32],
         k: usize,
         m: usize,
@@ -430,13 +583,13 @@ mod simd {
     ) {
         unsafe {
             let ap = a.as_ptr();
-            let bp = b.as_ptr().add(j);
+            let bp = b.as_ptr();
             let op = out.as_mut_ptr().add(j);
             let mut acc0 = [_mm512_setzero_ps(); 8];
             let mut acc1 = [_mm512_setzero_ps(); 8];
             for i in 0..k {
-                let b0 = _mm512_loadu_ps(bp.add(i * m));
-                let b1 = _mm512_loadu_ps(bp.add(i * m + 16));
+                let b0 = _mm512_loadu_ps(bp.add(i * ldb));
+                let b1 = _mm512_loadu_ps(bp.add(i * ldb + 16));
                 for r in 0..8 {
                     let av = _mm512_set1_ps(*ap.add(r * k + i));
                     acc0[r] = _mm512_fmadd_ps(av, b0, acc0[r]);
@@ -451,7 +604,11 @@ mod simd {
     }
 
     /// [`nn_8x32`] for `matmul_tn`: output rows are columns `i0..i0 + 8`
-    /// of `a` (`k x n` row-major), same chains.
+    /// of `a` (`k x n` row-major), same chains. With `add` the finished
+    /// chains are not stored but added into `out`, each lane tested in
+    /// its register (`|c| < ∞`, false for NaN) and a non-finite one added
+    /// as `+0.0` — [`super::add_checked`] sixteen at a time; returns how
+    /// many were.
     ///
     /// # Safety
     /// Caller guarantees `a.len() >= k * n`, `i0 + 8 <= n`,
@@ -466,7 +623,8 @@ mod simd {
         k: usize,
         m: usize,
         j: usize,
-    ) {
+        add: bool,
+    ) -> usize {
         unsafe {
             let ap = a.as_ptr().add(i0);
             let bp = b.as_ptr().add(j);
@@ -482,35 +640,125 @@ mod simd {
                     acc1[r] = _mm512_fmadd_ps(av, b1, acc1[r]);
                 }
             }
+            let mut zeroed = 0;
             for r in 0..8 {
-                _mm512_storeu_ps(op.add(r * m), acc0[r]);
-                _mm512_storeu_ps(op.add(r * m + 16), acc1[r]);
+                for (c, p) in [(acc0[r], op.add(r * m)), (acc1[r], op.add(r * m + 16))] {
+                    if add {
+                        let finite = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(
+                            _mm512_abs_ps(c),
+                            _mm512_set1_ps(f32::INFINITY),
+                        );
+                        zeroed += finite.count_zeros();
+                        let c = _mm512_maskz_mov_ps(finite, c);
+                        _mm512_storeu_ps(p, _mm512_add_ps(_mm512_loadu_ps(p), c));
+                    } else {
+                        _mm512_storeu_ps(p, c);
+                    }
+                }
+            }
+            zeroed as usize
+        }
+    }
+
+    /// Transposes the `w x k` row-major `slab` into the `k x w` `panel`
+    /// as far as whole 16 x 16 blocks go; returns how many panel rows
+    /// that covered (all `w` columns of each).
+    pub(super) fn transpose_blocks(slab: &[f32], panel: &mut [f32], w: usize, k: usize) -> usize {
+        assert!(slab.len() == w * k && panel.len() == w * k);
+        let rows = if w.is_multiple_of(16) { k - k % 16 } else { 0 };
+        for i0 in (0..rows).step_by(16) {
+            for l0 in (0..w).step_by(16) {
+                // SAFETY: `l0 + 16 <= w` and `i0 + 16 <= k`, so the block's
+                // 16 rows of 16 lie inside the `w x k` slab (from row `l0`,
+                // column `i0`) and inside the `k x w` panel (from row `i0`,
+                // column `l0`), whose lengths were just checked.
+                unsafe {
+                    transpose_16x16(
+                        slab.as_ptr().add(l0 * k + i0),
+                        k,
+                        panel.as_mut_ptr().add(i0 * w + l0),
+                        w,
+                    );
+                }
+            }
+        }
+        rows
+    }
+
+    /// Transposes the 16 x 16 block at `src` (row stride `lds`) into the
+    /// one at `dst` (row stride `ldd`) in registers: 32-bit unpacks pair
+    /// rows, 64-bit unpacks make each 128-bit lane a column of four rows,
+    /// and two rounds of lane shuffles gather a column's four lanes.
+    ///
+    /// # Safety
+    /// Caller guarantees 16 readable floats at `src + r * lds` and 16
+    /// writable ones at `dst + r * ldd` for every `r < 16`.
+    unsafe fn transpose_16x16(src: *const f32, lds: usize, dst: *mut f32, ldd: usize) {
+        unsafe {
+            let mut r = [_mm512_setzero_ps(); 16];
+            let mut t = r;
+            for (i, row) in r.iter_mut().enumerate() {
+                *row = _mm512_loadu_ps(src.add(i * lds));
+            }
+            for i in 0..8 {
+                t[2 * i] = _mm512_unpacklo_ps(r[2 * i], r[2 * i + 1]);
+                t[2 * i + 1] = _mm512_unpackhi_ps(r[2 * i], r[2 * i + 1]);
+            }
+            // r[4 * i + c], 128-bit lane q: column 4 * q + c of rows
+            // 4 * i..4 * i + 4.
+            for i in 0..4 {
+                for c in 0..2 {
+                    let lo = _mm512_castps_pd(t[4 * i + c]);
+                    let hi = _mm512_castps_pd(t[4 * i + c + 2]);
+                    r[4 * i + 2 * c] = _mm512_castpd_ps(_mm512_unpacklo_pd(lo, hi));
+                    r[4 * i + 2 * c + 1] = _mm512_castpd_ps(_mm512_unpackhi_pd(lo, hi));
+                }
+            }
+            for c in 0..4 {
+                // Lanes (0, 2) and (1, 3) of the upper and lower eight rows.
+                let even_top = _mm512_shuffle_f32x4::<0x88>(r[c], r[4 + c]);
+                let odd_top = _mm512_shuffle_f32x4::<0xdd>(r[c], r[4 + c]);
+                let even_bot = _mm512_shuffle_f32x4::<0x88>(r[8 + c], r[12 + c]);
+                let odd_bot = _mm512_shuffle_f32x4::<0xdd>(r[8 + c], r[12 + c]);
+                let cols = [
+                    _mm512_shuffle_f32x4::<0x88>(even_top, even_bot),
+                    _mm512_shuffle_f32x4::<0x88>(odd_top, odd_bot),
+                    _mm512_shuffle_f32x4::<0xdd>(even_top, even_bot),
+                    _mm512_shuffle_f32x4::<0xdd>(odd_top, odd_bot),
+                ];
+                for (q, col) in cols.into_iter().enumerate() {
+                    _mm512_storeu_ps(dst.add((4 * q + c) * ldd), col);
+                }
             }
         }
     }
 }
 
-/// `a (n x k) * b (k x m)` stored into `out (n x m)`: the kernel behind
-/// `matmul`, and behind `matmul_nt` once `b` is the packed `rhs^T`.
-/// Register-tiled stores (accumulators live in registers for the whole
-/// `k` loop and are written once), so `out`'s prior contents never
-/// matter. `k = 0` produces exact `0.0` — the empty chain.
-fn nn_store(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
+/// `a (n x k) * rhs (k x m)` stored into `out (n x m)`: the kernel behind
+/// every `nn` product, `matmul_nt` included. Register-tiled stores
+/// (accumulators live in registers for the whole `k` loop and are written
+/// once), so `out`'s prior contents never matter. `k = 0` produces exact
+/// `0.0` — the empty chain. `epilogue` then runs over each band's rows,
+/// on the thread that computed them, while they are cache-hot.
+fn nn_store(a: &[f32], rhs: Rhs<'_>, out: &mut [f32], epilogue: impl Fn(&mut [f32]) + Sync) {
     if out.is_empty() {
         return;
     }
+    let (k, m) = rhs.dims();
+    let n = out.len() / m;
     if k == 0 {
         out.fill(0.0);
-        return;
-    }
-    if par_worth_it(n, k, m) {
+        epilogue(out);
+    } else if par_worth_it(n, k, m) {
         out.par_chunks_mut(BAND_ROWS * m)
             .enumerate()
             .for_each(|(band, band_out)| {
-                nn_band(&a[band * BAND_ROWS * k..], b, band_out, k, m);
+                nn_band(&a[band * BAND_ROWS * k..], rhs, band_out, k, m);
+                epilogue(band_out);
             });
     } else {
-        nn_band(a, b, out, k, m);
+        nn_band(a, rhs, out, k, m);
+        epilogue(out);
     }
 }
 
@@ -551,11 +799,9 @@ impl Tensor {
     /// mask poisoned activations from the engine's NaN detection — FMA
     /// propagates them the same way plain multiply-add did.
     pub fn matmul(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(self.cols, rhs.rows, "matmul inner dims");
-        let (n, m) = (self.rows, rhs.cols);
-        let mut out = vec![0.0f32; n * m];
-        nn_store(&self.data, &rhs.data, &mut out, n, self.cols, m);
-        Tensor::from_vec(n, m, out)
+        let mut out = Tensor::zeros(self.rows, rhs.cols);
+        self.matmul_into(rhs, &mut out);
+        out
     }
 
     /// [`Tensor::matmul`] into a caller-provided buffer. The kernel
@@ -563,17 +809,25 @@ impl Tensor {
     /// a pooled buffer skips both the allocation and the memset.
     /// Bit-identical to `matmul`.
     pub fn matmul_into(&self, rhs: &Tensor, out: &mut Tensor) {
-        assert_eq!(self.cols, rhs.rows, "matmul inner dims");
+        self.matmul_with_into(Rhs::RowMajor(rhs), out, |_| {});
+    }
+
+    /// [`Tensor::matmul_into`] against either layout of the right-hand
+    /// side, followed by `epilogue`: called once on every band's finished
+    /// rows (a slice of whole rows of `out`; together the calls cover
+    /// every element exactly once) by the thread that computed them. The
+    /// product's bits do not depend on the layout.
+    pub fn matmul_with_into(
+        &self,
+        rhs: Rhs<'_>,
+        out: &mut Tensor,
+        epilogue: impl Fn(&mut [f32]) + Sync,
+    ) {
+        let (k, m) = rhs.dims();
+        assert_eq!(self.cols, k, "matmul inner dims");
         assert_eq!(out.rows, self.rows, "matmul_into out rows");
-        assert_eq!(out.cols, rhs.cols, "matmul_into out cols");
-        nn_store(
-            &self.data,
-            &rhs.data,
-            &mut out.data,
-            self.rows,
-            self.cols,
-            rhs.cols,
-        );
+        assert_eq!(out.cols, m, "matmul_into out cols");
+        nn_store(&self.data, rhs, &mut out.data, epilogue);
     }
 
     /// Transpose-free product `self^T (k x n) * rhs (k x m) -> (n x m)`.
@@ -583,44 +837,56 @@ impl Tensor {
     /// transposed copy. This is the `dW = x^T dz` kernel of the dense
     /// backward pass.
     pub fn matmul_tn(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(self.rows, rhs.rows, "matmul_tn outer dims");
-        let (n, m) = (self.cols, rhs.cols);
-        let mut out = vec![0.0f32; n * m];
-        self.matmul_tn_store(rhs, &mut out);
-        Tensor::from_vec(n, m, out)
+        let mut out = Tensor::zeros(self.cols, rhs.cols);
+        self.matmul_tn_into(rhs, &mut out);
+        out
     }
 
     /// [`Tensor::matmul_tn`] into a caller-provided buffer. The kernel
     /// stores (never accumulates), so recycled contents need no zeroing.
-    /// Bit-identical to `matmul_tn`. This closes the last steady-state
-    /// allocation hole in the backward pass: `dW` gradients can land in
-    /// a reused buffer instead of a fresh tensor per micro-batch.
+    /// Bit-identical to `matmul_tn`.
     pub fn matmul_tn_into(&self, rhs: &Tensor, out: &mut Tensor) {
+        self.matmul_tn_store(rhs, out, false);
+    }
+
+    /// [`Tensor::matmul_tn_into`] followed by `dst.add_assign(..)`, bit
+    /// for bit, without the buffer in between: each chain is computed
+    /// exactly as `matmul_tn_into` computes it and then added to its
+    /// `dst` element with one separately rounded `+`. Every finished
+    /// chain is tested for finiteness on the way; a NaN or ±∞ is added
+    /// as `+0.0` instead, and the number of those is returned.
+    pub fn matmul_tn_add_into(&self, rhs: &Tensor, dst: &mut Tensor) -> usize {
+        self.matmul_tn_store(rhs, dst, true)
+    }
+
+    /// Kernel shared by the `matmul_tn` variants: every element of `out`
+    /// is overwritten, or with `add` added to.
+    fn matmul_tn_store(&self, rhs: &Tensor, out: &mut Tensor, add: bool) -> usize {
         assert_eq!(self.rows, rhs.rows, "matmul_tn outer dims");
         assert_eq!(out.rows, self.cols, "matmul_tn_into out rows");
         assert_eq!(out.cols, rhs.cols, "matmul_tn_into out cols");
-        self.matmul_tn_store(rhs, &mut out.data);
-    }
-
-    /// Store kernel shared by `matmul_tn`/`matmul_tn_into`; every element
-    /// of `out` is overwritten.
-    fn matmul_tn_store(&self, rhs: &Tensor, out: &mut [f32]) {
         let (k, n, m) = (self.rows, self.cols, rhs.cols);
+        let out = &mut out.data[..];
         if out.is_empty() {
-            return;
-        }
-        if k == 0 {
-            out.fill(0.0);
-            return;
-        }
-        if par_worth_it(n, k, m) {
+            0
+        } else if k == 0 {
+            // The empty chain is exact `0.0`, stored or added.
+            out.iter_mut()
+                .for_each(|v| *v = if add { *v + 0.0 } else { 0.0 });
+            0
+        } else if par_worth_it(n, k, m) {
+            // Relaxed: a tally, read after the pool has joined the bands.
+            let zeroed = AtomicUsize::new(0);
             out.par_chunks_mut(BAND_ROWS * m)
                 .enumerate()
                 .for_each(|(band, band_out)| {
-                    tn_band(&self.data, n, band * BAND_ROWS, &rhs.data, band_out, k, m);
+                    let i0 = band * BAND_ROWS;
+                    let z = tn_band(&self.data, n, i0, &rhs.data, band_out, k, m, add);
+                    zeroed.fetch_add(z, Ordering::Relaxed);
                 });
+            zeroed.into_inner()
         } else {
-            tn_band(&self.data, n, 0, &rhs.data, out, k, m);
+            tn_band(&self.data, n, 0, &rhs.data, out, k, m, add)
         }
     }
 
@@ -630,21 +896,18 @@ impl Tensor {
     /// Bit-identical to `self.matmul(&rhs.transpose())` — same
     /// ascending fused chain per element — and computed the same way,
     /// minus the allocation: `rhs^T` is packed into a reused thread-local
-    /// scratch (what [`Tensor::transpose_into`] does into a buffer of the
-    /// caller's) and fed to the kernel of [`Tensor::matmul_into`].
-    /// Computing NT directly (both operands row-major, reducing along the
-    /// SIMD axis) re-streams all of `rhs` for every pair of output rows,
-    /// which is memory-bound ~4x slower than packing once. The pack is
-    /// O(m·k) against the O(n·m·k) multiply, which is still most of the
-    /// call when `n` is small — a caller multiplying by one `rhs`
-    /// repeatedly (the `dx = dz W^T` of every micro-batch of a step)
-    /// should pack once with `transpose_into` and call `matmul_into`.
+    /// [`PackedRhs`] and multiplied from there. Computing NT directly
+    /// (both operands row-major, reducing along the SIMD axis) re-streams
+    /// all of `rhs` for every pair of output rows, which is memory-bound
+    /// ~4x slower than packing once. The pack is O(m·k) against the
+    /// O(n·m·k) multiply, which is still most of the call when `n` is
+    /// small — a caller multiplying by one `rhs` repeatedly (the
+    /// `dx = dz W^T` of every micro-batch of a step) should keep its own
+    /// pack and call [`Tensor::matmul_with_into`].
     pub fn matmul_nt(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(self.cols, rhs.cols, "matmul_nt inner dims");
-        let (n, m) = (self.rows, rhs.rows);
-        let mut out = vec![0.0f32; n * m];
-        self.matmul_nt_store(rhs, &mut out);
-        Tensor::from_vec(n, m, out)
+        let mut out = Tensor::zeros(self.rows, rhs.rows);
+        self.matmul_nt_into(rhs, &mut out);
+        out
     }
 
     /// [`Tensor::matmul_nt`] into a caller-provided buffer. The kernel
@@ -652,54 +915,31 @@ impl Tensor {
     /// a pooled buffer skips both the allocation and the memset.
     pub fn matmul_nt_into(&self, rhs: &Tensor, out: &mut Tensor) {
         assert_eq!(self.cols, rhs.cols, "matmul_nt inner dims");
-        assert_eq!(out.rows, self.rows, "matmul_nt_into out rows");
-        assert_eq!(out.cols, rhs.rows, "matmul_nt_into out cols");
-        self.matmul_nt_store(rhs, &mut out.data);
-    }
-
-    /// `matmul_nt`/`matmul_nt_into`: pack `rhs^T` into the thread-local
-    /// scratch, then [`nn_store`] against it.
-    fn matmul_nt_store(&self, rhs: &Tensor, out: &mut [f32]) {
-        let (n, k, m) = (self.rows, self.cols, rhs.rows);
         NT_PACK.with(|cell| {
-            let mut buf = cell.borrow_mut();
-            if buf.len() < k * m {
-                buf.resize(k * m, 0.0);
-            }
-            let packed = &mut buf[..k * m];
-            pack_transpose(&rhs.data, m, k, packed);
-            nn_store(&self.data, packed, out, n, k, m);
+            let pack = &mut *cell.borrow_mut();
+            pack.pack_transposed(rhs);
+            self.matmul_with_into(Rhs::Packed(pack), out, |_| {});
         });
     }
 
-    /// Transposed copy (cache-blocked).
+    /// Transposed copy (cache-blocked: within a block, contiguous stores
+    /// and strided loads one destination row at a time).
     pub fn transpose(&self) -> Tensor {
-        let mut out = Tensor::zeros(0, 0);
-        self.transpose_into(&mut out);
-        out
-    }
-
-    /// [`Tensor::transpose`] into a caller-provided tensor, which takes
-    /// the transposed shape; its storage is reused when it is already
-    /// that size (every element is overwritten). This is the packing half
-    /// of [`Tensor::matmul_nt`]: `a.matmul_into(&packed, out)` with
-    /// `packed` filled by `b.transpose_into(&mut packed)` is `matmul_nt`
-    /// bit for bit, and the pack can be kept for as long as `b` does not
-    /// change.
-    pub fn transpose_into(&self, out: &mut Tensor) {
-        out.data.resize(self.data.len(), 0.0);
-        pack_transpose(&self.data, self.rows, self.cols, &mut out.data);
-        (out.rows, out.cols) = (self.cols, self.rows);
-    }
-
-    /// Adds a bias row vector to every row.
-    pub fn add_bias(&mut self, bias: &[f32]) {
-        assert_eq!(bias.len(), self.cols, "bias length");
-        for row in self.data.chunks_mut(self.cols) {
-            for (v, b) in row.iter_mut().zip(bias) {
-                *v += *b;
+        const BT: usize = 32;
+        let (rows, cols) = (self.rows, self.cols);
+        assert_eq!(self.data.len(), rows * cols, "transpose source shape");
+        let mut out = Tensor::zeros(cols, rows);
+        for r0 in (0..rows).step_by(BT) {
+            let r1 = (r0 + BT).min(rows);
+            for c0 in (0..cols).step_by(BT) {
+                for c in c0..(c0 + BT).min(cols) {
+                    for (r, d) in (r0..r1).zip(&mut out.data[c * rows + r0..c * rows + r1]) {
+                        *d = self.data[r * cols + c];
+                    }
+                }
             }
         }
+        out
     }
 
     /// Column sums (the bias gradient) into a caller-provided buffer
@@ -713,6 +953,29 @@ impl Tensor {
                 *o += *v;
             }
         }
+    }
+
+    /// [`Tensor::col_sums_into`] followed by `dst[c] += sum[c]`, with the
+    /// finiteness treatment of [`Tensor::matmul_tn_add_into`]: each
+    /// column's sum is formed exactly as there (ascending rows from
+    /// `0.0`, a few columns at a time on the stack), a non-finite one is
+    /// added as `+0.0`, and the number of those is returned.
+    pub fn col_sums_add_into(&self, dst: &mut [f32]) -> usize {
+        assert_eq!(dst.len(), self.cols, "col_sums_add_into length");
+        const BLOCK: usize = 64;
+        let mut zeroed = 0;
+        for (block, dst) in dst.chunks_mut(BLOCK).enumerate() {
+            let mut sums = [0.0f32; BLOCK];
+            for row in self.data.chunks(self.cols) {
+                for (s, v) in sums.iter_mut().zip(&row[block * BLOCK..]) {
+                    *s += *v;
+                }
+            }
+            for (d, s) in dst.iter_mut().zip(sums) {
+                zeroed += add_checked(d, s);
+            }
+        }
+        zeroed
     }
 
     /// Copy of rows `range`.
@@ -811,12 +1074,15 @@ mod tests {
     }
 
     #[test]
-    fn bias_and_col_sums() {
-        let mut a = Tensor::zeros(3, 2);
-        a.add_bias(&[1.0, 2.0]);
+    fn col_sums_stored_and_added() {
+        let a = Tensor::from_vec(3, 2, vec![1.0, 2.0, 1.0, f32::INFINITY, 1.0, 2.0]);
         let mut sums = [0.0; 2];
         a.col_sums_into(&mut sums);
-        assert_eq!(sums, [3.0, 6.0]);
+        assert_eq!(sums, [3.0, f32::INFINITY]);
+        // Added: the finite sum lands, the infinite one counts and adds 0.
+        let mut acc = [0.5, -0.0];
+        assert_eq!(a.col_sums_add_into(&mut acc), 1);
+        assert_eq!(acc.map(f32::to_bits), [3.5f32, 0.0].map(f32::to_bits));
     }
 
     #[test]

@@ -355,9 +355,9 @@ fn train_step_bytes(width: usize, hybrid: bool, adam: bool) -> usize {
     } else {
         Optimizer::sgd(0.05)
     };
-    // The packed `W^T` buffers are parameter-sized and persistent: the
-    // first step allocates them, the warm-up steps below absorb that, and
-    // every later step repacks into the same storage. (4 rows per
+    // The packed `W` and `W^T` buffers are parameter-sized and persistent:
+    // the first step allocates them, the warm-up steps below absorb that,
+    // and every later step repacks into the same storage. (4 rows per
     // micro-batch keeps every matmul under the kernels' parallel gate at
     // both widths, so the worker pool's per-job allocation does not enter
     // the comparison either.)
@@ -397,7 +397,7 @@ fn a_parallel_matmul_allocates_a_small_constant() {
 /// replicated stages — requests the same number of bytes for a model
 /// with 16x the parameters, up to a fixed slack for the nondeterministic
 /// small allocations of thread wake-ups. One parameter-sized buffer of
-/// the wide model — a set of gradients, or of packed `W^T` — would be
+/// the wide model — a set of gradients, or of packed weights — would be
 /// 500 KiB.
 #[test]
 fn train_step_bytes_do_not_scale_with_parameters() {
@@ -414,6 +414,59 @@ fn train_step_bytes_do_not_scale_with_parameters() {
             );
         }
     }
+}
+
+/// Fewest bytes a trainer allocates from its construction through its
+/// first two steps, over three trainers: every persistent buffer it will
+/// ever own, for hidden layers `width` wide under `policy`.
+fn first_steps_bytes(width: usize, policy: dapple::engine::NanPolicy) -> usize {
+    use dapple::engine::{data, EngineConfig, FaultPlan, MlpModel, PipelineTrainer};
+    let mut models: Vec<MlpModel> = (0..3)
+        .map(|_| MlpModel::new(&[8, width, width, width, 4], 77))
+        .collect();
+    let (x, t) = data::regression_batch(16, 8, 4, 9);
+    min_growth(&BYTES, 3, || {
+        let mut cfg = EngineConfig::straight(vec![0..1, 1..3, 3..4], 4, 0.05);
+        cfg.nan_policy = policy;
+        let model = models.pop().expect("one model per repetition");
+        let trainer = PipelineTrainer::new(model, cfg).unwrap();
+        for _ in 0..2 {
+            trainer
+                .step_with_trace(&x, &t, &FaultPlan::new())
+                .0
+                .unwrap();
+        }
+    })
+}
+
+/// What a trainer owns that scales with the model is three buffers per
+/// worker — gradient accumulators, packed `W`, packed `W^T` — and no
+/// per-micro-batch contribution buffer: the kernels add into the
+/// accumulators directly. Only `SkipMicroBatch`, which must see a whole
+/// contribution before any of it lands, allocates one more.
+#[test]
+fn only_the_skip_policy_owns_a_contribution_buffer() {
+    use dapple::engine::{MlpModel, NanPolicy};
+    let _guard = measure();
+    let width = 256;
+    let params = 4 * MlpModel::new(&[8, width, width, width, 4], 77).num_params();
+    let abort = first_steps_bytes(width, NanPolicy::AbortStep);
+    let zero = first_steps_bytes(width, NanPolicy::ZeroAndWarn);
+    let skip = first_steps_bytes(width, NanPolicy::SkipMicroBatch);
+    // Half a parameter set of slack covers the activation pools, channels
+    // and thread bookkeeping; a fourth parameter-sized buffer does not fit.
+    assert!(
+        abort < 3 * params + params / 2,
+        "the default policy allocates {abort} bytes for {params} bytes of parameters"
+    );
+    assert!(
+        zero.abs_diff(abort) < params / 10,
+        "AbortStep {abort} vs ZeroAndWarn {zero} bytes"
+    );
+    assert!(
+        skip.abs_diff(abort + params) < params / 10,
+        "SkipMicroBatch allocates {skip} bytes, AbortStep {abort}, parameters {params}"
+    );
 }
 
 /// Tracing's allocation overhead is a per-step constant — the rings and

@@ -210,9 +210,9 @@ fn rows_of(t: &Tensor, rows: std::ops::Range<usize>) -> Tensor {
     )
 }
 
-/// The reference the engine's pooled buffers, packed weights and
-/// in-worker reduce are pinned against: a step from public layer ops
-/// only, with a fresh allocation for every tensor. Every replica
+/// The reference the engine's pooled buffers, packed weights, kernel
+/// epilogues and in-worker reduce are pinned against: a step from public
+/// layer ops only, with a fresh allocation for every tensor. Every replica
 /// accumulates its row share of each micro-batch (and, on the last
 /// stage, of the loss) in the order the schedule retires backwards: GPipe
 /// drains newest first, 1F1B oldest first. Then per stage the replicas'
@@ -358,13 +358,15 @@ fn replicated_gradients_match_the_ring_assembly() {
     }
 }
 
-/// The workers pack each layer's `W^T` once per step and reuse it for
-/// the step's other micro-batches; the reference above packs on every
-/// `backward_grads_into` call. Stepping both with the same optimizer for
-/// four steps — SGD and Adam, a straight pipeline and replicated stages —
-/// must leave bit-identical models after every step: a pack that
-/// survived an optimizer update would multiply step 2's gradients by step
-/// 1's weights and part the two trajectories there.
+/// The workers pack each layer's `W` and `W^T` once per step and reuse
+/// them for the step's other micro-batches (the forward packs also for
+/// re-computed forwards); the reference above multiplies by the weights
+/// where they lie and packs `W^T` on every `backward_grads_into` call.
+/// Stepping both with the same optimizer for four steps — SGD and Adam, a
+/// straight pipeline and replicated stages, with and without
+/// re-computation — must leave bit-identical models after every step: a
+/// pack of either kind that survived an optimizer update would run step
+/// 2 on step 1's weights and part the two trajectories there.
 #[test]
 fn packed_weights_never_outlive_an_optimizer_update() {
     let shapes: [(Vec<std::ops::Range<usize>>, Vec<usize>); 2] = [
@@ -373,9 +375,10 @@ fn packed_weights_never_outlive_an_optimizer_update() {
     ];
     let (x, t) = data::regression_batch(BATCH, DIMS[0], *DIMS.last().unwrap(), 4);
     for (stage_bounds, replication) in shapes {
-        for adam in [false, true] {
+        for (adam, recompute) in [(false, false), (true, false), (false, true), (true, true)] {
             let mut cfg = EngineConfig::straight(stage_bounds.clone(), 4, 0.1);
             cfg.replication = replication.clone();
+            cfg.recompute = recompute;
             let mut reference = MlpModel::new(&DIMS, 77);
             let mut trainer = PipelineTrainer::new(reference.clone(), cfg.clone()).unwrap();
             let optimizer = |model: &MlpModel| {
@@ -401,7 +404,8 @@ fn packed_weights_never_outlive_an_optimizer_update() {
                     assert_eq!(
                         (bits(&got.w.data), bits(&got.b)),
                         (bits(&want.w.data), bits(&want.b)),
-                        "replication {replication:?}, adam {adam}, step {step}, layer {l}"
+                        "replication {replication:?}, adam {adam}, recompute {recompute}, \
+                         step {step}, layer {l}"
                     );
                 }
             }

@@ -242,6 +242,107 @@ fn zero_policy_repairs_and_counts() {
     }
 }
 
+/// A contribution poisoned by nothing but overflow *inside* the `dW`
+/// chains — every input and every `dz` finite, the case a check of the
+/// operands would wave through — is caught under every policy, because
+/// the kernels test every value they add. One row of micro-batch 1
+/// carries `3e38` in input column 0, whose weights are zero (so the
+/// forward never sees it), and a large `dz` in three output columns, two
+/// inside an 8 x 32 tile and one in the scalar tail; everywhere else its
+/// `dz` is exactly zero, so those three lanes of `dW` overflow and no
+/// other value notices. Expected bits come from public layer ops: per
+/// micro-batch stored contributions, repaired or dropped, then
+/// `accumulate`.
+#[test]
+#[allow(clippy::single_range_in_vec_init)] // a one-stage split really is vec![0..1]
+fn in_chain_overflow_is_caught_under_every_policy() {
+    use dapple::engine::layer::DenseGrads;
+    use dapple::engine::loss::loss_grad_into;
+    use dapple::engine::LossKind;
+
+    const LANES: [usize; 3] = [0, 5, 33];
+    let (rows, mb, poisoned_row) = (8, 4, 5);
+    let mut model = MlpModel::new(&[40, 36], 13);
+    model.layers[0].w.data[..36].fill(0.0);
+    let layer = model.layers[0].clone();
+    let (mut x, mut t) = data::regression_batch(rows, 40, 36, 21);
+    x.data[poisoned_row * 40] = 3e38;
+    let pred = layer.forward(&x);
+    for j in 0..36 {
+        let offset = if LANES.contains(&j) { 1e6 } else { 0.0 };
+        t.data[poisoned_row * 36 + j] = pred.at(poisoned_row, j) - offset;
+    }
+
+    // Per micro-batch: loss and stored contribution, from layer ops.
+    let parts: Vec<(f32, DenseGrads)> = (0..rows / mb)
+        .map(|u| {
+            let (xu, tu) = (
+                x.slice_rows(u * mb..(u + 1) * mb),
+                t.slice_rows(u * mb..(u + 1) * mb),
+            );
+            let y = layer.forward(&xu);
+            let mut dz = Tensor::zeros(mb, 36);
+            let loss = loss_grad_into(LossKind::Mse, &y, &tu, rows, &mut dz);
+            let (mut dx, mut g) = (Tensor::zeros(mb, 40), DenseGrads::zeros_like(&layer));
+            layer.backward_grads_into(&xu, &y, &mut dz, &mut dx, &mut g);
+            assert!(
+                loss.is_finite() && xu.data.iter().chain(&dz.data).all(|v| v.is_finite()),
+                "micro-batch {u}: the operands must look fine"
+            );
+            (loss, g)
+        })
+        .collect();
+    let non_finite = |g: &DenseGrads| -> Vec<usize> {
+        let flat = g.segments().concat();
+        (0..flat.len()).filter(|&i| !flat[i].is_finite()).collect()
+    };
+    assert!(non_finite(&parts[0].1).is_empty());
+    assert_eq!(non_finite(&parts[1].1), LANES, "row 0 of dW, three lanes");
+
+    let bits = |loss: f32, g: &DenseGrads| -> Vec<u32> {
+        std::iter::once(loss)
+            .chain(g.segments().concat())
+            .map(f32::to_bits)
+            .collect()
+    };
+    let outcome = |policy: NanPolicy| {
+        let mut config = EngineConfig::straight(vec![0..1], rows / mb, 0.1);
+        config.nan_policy = policy;
+        let trainer = PipelineTrainer::new(model.clone(), config).unwrap();
+        step(&trainer, &x, &t, &FaultPlan::new())
+    };
+
+    assert_eq!(
+        outcome(NanPolicy::AbortStep).unwrap_err(),
+        DappleError::NonFinite {
+            stage: 0,
+            replica: 0,
+            micro: 1
+        }
+    );
+
+    // Skip: the step without micro-batch 1.
+    let out = outcome(NanPolicy::SkipMicroBatch).unwrap();
+    assert_eq!((out.skipped_micro_batches, out.zeroed_values), (1, 0));
+    let mut want = DenseGrads::zeros_like(&layer);
+    want.accumulate(&parts[0].1);
+    assert_eq!(bits(out.loss, &out.grads[0]), bits(0.0 + parts[0].0, &want));
+
+    // Zero: the three lanes count and add nothing, all else lands.
+    let out = outcome(NanPolicy::ZeroAndWarn).unwrap();
+    assert_eq!(
+        (out.skipped_micro_batches, out.zeroed_values),
+        (0, LANES.len())
+    );
+    let mut repaired = parts[1].1.clone();
+    LANES.iter().for_each(|&j| repaired.dw.data[j] = 0.0);
+    want.accumulate(&repaired);
+    assert_eq!(
+        bits(out.loss, &out.grads[0]),
+        bits(parts[0].0 + parts[1].0, &want)
+    );
+}
+
 /// Fault injection composes with stage replication: coordinates select
 /// one replica, and the error carries them back.
 #[test]
@@ -388,15 +489,14 @@ fn faults_at_the_packing_backward_leave_nothing_behind() {
     }
 }
 
-/// A kernel assertion that fires inside a band of a parallel matmul, on
-/// whichever pool thread ran the band, reaches the user as the stage
-/// worker's `WorkerPanicked` with the kernel's own text — shapes and
-/// cause — and the pool and the trainer both survive it: with the weights
-/// repaired, the next step is bit-identical to a never-faulted trainer's.
+/// A weight tensor whose storage is shorter than its shape claims is
+/// read first by its worker's forward pack, and it is the pack's shape
+/// assertion — the numbers, not a bare slice-index panic — that reaches
+/// the user as that worker's `WorkerPanicked`. The trainer survives it:
+/// with the weights repaired, the next step is bit-identical to a
+/// never-faulted trainer's.
 #[test]
-fn a_panic_inside_a_parallel_band_keeps_its_message() {
-    // 64-row micro-batches through a 256 x 256 layer: 4 Mi multiply-adds,
-    // above the kernels' parallel gate, two bands per forward.
+fn a_malformed_weight_is_a_structured_error_from_the_pack() {
     let dims = [16usize, 256, 256, 8];
     let mut config = EngineConfig::straight(vec![0..1, 1..3], 2, 0.1);
     config.recv_timeout = Duration::from_secs(2);
@@ -408,8 +508,6 @@ fn a_panic_inside_a_parallel_band_keeps_its_message() {
     );
 
     let mut trainer = PipelineTrainer::new(MlpModel::new(&dims, 3), config).unwrap();
-    // A weight tensor whose storage is shorter than its shape claims: the
-    // shape checks at the call pass, the band's own check does not.
     let intact = trainer.model.layers[1].w.clone();
     trainer.model.layers[1].w.data.truncate(256 * 255);
     match trainer.step_grads(&x, &t) {
@@ -420,14 +518,44 @@ fn a_panic_inside_a_parallel_band_keeps_its_message() {
         }) => {
             assert_eq!((stage, replica), (1, 0));
             assert!(
-                message.contains("matmul band") && message.contains("256 x 256 needed"),
-                "the kernel's text must survive: {message}"
+                message.contains("pack of a 256 x 256 tensor holding 65280 values"),
+                "the pack's text must survive: {message}"
             );
         }
         other => panic!("expected WorkerPanicked from stage 1, got {other:?}"),
     }
     trainer.model.layers[1].w = intact;
     assert_eq!(clean_step_bits(&trainer, &x, &t), never_faulted);
+}
+
+/// A kernel assertion that fires inside a band of a parallel matmul, on
+/// whichever pool thread ran the band, reaches the caller — in the
+/// engine, the stage worker and its `WorkerPanicked` — with the kernel's
+/// own text, shapes and cause, and the pool serves the next call.
+#[test]
+fn a_panic_inside_a_parallel_band_keeps_its_message() {
+    // 64 rows through a 256 x 256 matrix: 4 Mi multiply-adds, above the
+    // kernels' parallel gate, two bands.
+    let (x, _) = data::regression_batch(64, 256, 1, 5);
+    let (mut w, _) = data::regression_batch(256, 256, 1, 6);
+    let mut y = Tensor::zeros(64, 256);
+    x.matmul_into(&w, &mut y);
+    let intact = (w.clone(), y.clone());
+    // Storage shorter than the shape claims: the shape checks at the
+    // call pass, each band's own check does not.
+    w.data.truncate(256 * 255);
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        x.matmul_into(&w, &mut y);
+    }))
+    .expect_err("a short right-hand side must not be multiplied");
+    let message = payload.downcast_ref::<String>().expect("a formatted panic");
+    assert!(
+        message.contains("matmul band") && message.contains("256 x 256 needed"),
+        "the kernel's text must survive: {message}"
+    );
+    y.data.fill(f32::NAN);
+    x.matmul_into(&intact.0, &mut y);
+    assert_eq!(y, intact.1, "the pool must serve the next call");
 }
 
 /// Seed matrix over the supervisor: for ≥32 sampled fault plans the

@@ -2,13 +2,16 @@
 //! (crates/engine/src/tensor.rs module docs, determinism contract v2).
 //!
 //! Every variant — `matmul`, `matmul_tn`, `matmul_nt`, their `_into`
-//! forms, and `matmul_nt`'s two halves used apart (`transpose_into`, then
-//! `matmul_into` against the kept pack) — must be *bit-identical* to an
-//! independent scalar reference implementing the documented order: one
-//! ascending fused (`f32::mul_add`) chain per output element, starting
-//! from `0.0`. Register tiling, column panels, ragged edges, the AVX-512
-//! fast path, packing and the worker pool's row-banding are all
-//! implementation details that may never change a single bit.
+//! forms, and the product against a right-hand side packed beforehand
+//! (`PackedRhs::pack` / `pack_transposed`, then `matmul_with_into`) —
+//! must be *bit-identical* to an independent scalar reference
+//! implementing the documented order: one ascending fused
+//! (`f32::mul_add`) chain per output element, starting from `0.0`.
+//! Register tiling, column panels, ragged edges, the AVX-512 fast path,
+//! the panel-major layout and the worker pool's row-banding are all
+//! implementation details that may never change a single bit — and
+//! neither may what follows a chain: the band epilogue sees every element
+//! once, and `matmul_tn_add_into` is a store followed by `add_assign`.
 //!
 //! Thread-count invariance is pinned the same way from two sides: the
 //! properties here cover shapes below and above the parallel work
@@ -18,7 +21,7 @@
 //! every result must equal the same scalar reference at any pool size,
 //! runs at different sizes are transitively bit-identical.
 
-use dapple::engine::Tensor;
+use dapple::engine::{PackedRhs, Rhs, Tensor};
 use proptest::prelude::*;
 
 /// Independent scalar model of the canonical order. Deliberately naive:
@@ -77,15 +80,42 @@ fn check_shape(n: usize, k: usize, m: usize, seed: u64) {
     dirty.data.fill(-1e30);
     a.matmul_nt_into(&bt, &mut dirty);
     assert_bits_eq(&dirty, &want, "matmul_nt_into");
-    // The two halves of `matmul_nt` used apart: pack once into a recycled
-    // buffer of some other shape, multiply against the pack twice.
-    let mut packed = Tensor::from_vec(3, 2, vec![f32::NAN; 6]);
-    bt.transpose_into(&mut packed);
-    assert_bits_eq(&packed, &b, "transpose_into");
-    for garbage in [f32::NAN, 7.5] {
-        dirty.data.fill(garbage);
-        a.matmul_into(&packed, &mut dirty);
-        assert_bits_eq(&dirty, &want, "packed multiply");
+    check_packed(&a, &b, &want);
+}
+
+/// `a * b` against both packs of `b` — packed as it lies, and packed
+/// from its transpose — each into storage that last held a larger
+/// matrix of NaNs, multiplied twice over recycled output.
+fn check_packed(a: &Tensor, b: &Tensor, want: &Tensor) {
+    let larger = Tensor::from_vec(
+        b.rows + 3,
+        b.cols + 33,
+        vec![f32::NAN; (b.rows + 3) * (b.cols + 33)],
+    );
+    let bt = b.transpose();
+    let mut out = Tensor::zeros(a.rows, b.cols);
+    for transposed in [false, true] {
+        let mut packed = PackedRhs::new();
+        packed.pack(&larger);
+        if transposed {
+            packed.pack_transposed(&bt);
+        } else {
+            packed.pack(b);
+        }
+        assert_eq!(packed.dims(), (b.rows, b.cols));
+        for garbage in [f32::NAN, 7.5] {
+            out.data.fill(garbage);
+            a.matmul_with_into(Rhs::Packed(&packed), &mut out, |_| {});
+            assert_bits_eq(
+                &out,
+                want,
+                if transposed {
+                    "pack_transposed"
+                } else {
+                    "pack"
+                },
+            );
+        }
     }
 }
 
@@ -166,6 +196,163 @@ fn skinny_and_fat_shapes_match_reference() {
     check_shape(32, 4096, 24, 3); // deep k: above the gate despite the small output
     check_shape(96, 1, 96, 4); // trivial k: below the gate despite the large output
     check_shape(1, 512, 257, 5); // single-row activation against a wide layer
+}
+
+/// The packed product over every panel-width sequence (`m % 32` on both
+/// sides of 8 and 16), row counts that end in every row-tile height,
+/// inner dimensions around the empty chain and around 64, below the
+/// parallel gate and above it.
+#[test]
+fn packed_rhs_matches_reference_over_ragged_shapes() {
+    let mut seed = 0;
+    let mut check = |n: usize, k: usize, m: usize| {
+        seed += 1;
+        let a = Tensor::from_vec(n, k, fill(1, seed, n * k));
+        let b = Tensor::from_vec(k, m, fill(2, seed, k * m));
+        check_packed(&a, &b, &ref_matmul(&a, &b));
+    };
+    for r in [0, 1, 7, 8, 9, 15, 16, 17, 31] {
+        for k in [0, 1, 2, 63, 64, 65] {
+            check(13, k, 32 + r);
+            check(7, k, r.max(1));
+        }
+        for k in [63, 64, 65] {
+            // 70 rows: two full bands and a 6-row one (4 + 2).
+            assert!(70 * k * (480 + r) >= 2 * 1024 * 1024);
+            check(70, k, 480 + r);
+        }
+    }
+    check(1450, 1, 1447); // above the gate on the shortest chain
+    check(1030, 2, 1031);
+}
+
+/// The epilogue of `matmul_with_into` is handed whole rows, and every
+/// element exactly once, whichever layout the right-hand side has and
+/// however many bands (and pool threads — CI runs this at 1, 3 and 8)
+/// share the product: adding one in the epilogue gives `reference + 1`.
+#[test]
+fn band_epilogue_touches_every_element_once() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    for (n, k, m) in [(5, 9, 33), (3, 0, 5), (200, 64, 170), (33, 2048, 40)] {
+        let a = Tensor::from_vec(n, k, fill(1, 9, n * k));
+        let b = Tensor::from_vec(k, m, fill(2, 9, k * m));
+        let mut want = ref_matmul(&a, &b);
+        want.data.iter_mut().for_each(|v| *v += 1.0);
+        let mut packed = PackedRhs::new();
+        packed.pack(&b);
+        for rhs in [Rhs::RowMajor(&b), Rhs::Packed(&packed)] {
+            let touched = AtomicUsize::new(0);
+            let mut out = Tensor::from_vec(n, m, vec![f32::NAN; n * m]);
+            a.matmul_with_into(rhs, &mut out, |rows| {
+                assert_eq!(rows.len() % m, 0, "an epilogue sees whole rows");
+                touched.fetch_add(rows.len(), Ordering::Relaxed);
+                rows.iter_mut().for_each(|v| *v += 1.0);
+            });
+            assert_eq!(touched.into_inner(), n * m);
+            assert_bits_eq(&out, &want, "product + 1");
+        }
+    }
+}
+
+/// `Dense::forward`, whose bias and activation ride in that epilogue, is
+/// the product followed by two separate passes — `v + b` rounded, then
+/// the activation of the rounded sum — against `W` where it lies and
+/// against its pack, serial and banded.
+#[test]
+fn dense_forward_is_product_then_bias_then_activation() {
+    use dapple::engine::{Activation, Dense};
+    for (n, k, m) in [(5, 9, 33), (70, 64, 480)] {
+        for act in [Activation::Identity, Activation::Relu, Activation::Tanh] {
+            let layer = Dense {
+                w: Tensor::from_vec(k, m, fill(2, 17, k * m)),
+                b: fill(3, 17, m),
+                act,
+            };
+            let x = Tensor::from_vec(n, k, fill(1, 17, n * k));
+            let mut want = ref_matmul(&x, &layer.w);
+            for row in want.data.chunks_mut(m) {
+                row.iter_mut().zip(&layer.b).for_each(|(v, b)| *v += *b);
+            }
+            for v in &mut want.data {
+                *v = match act {
+                    Activation::Identity => *v,
+                    Activation::Relu => v.max(0.0),
+                    Activation::Tanh => v.tanh(),
+                };
+            }
+            assert_bits_eq(&layer.forward(&x), &want, "forward");
+            let mut packed = PackedRhs::new();
+            packed.pack(&layer.w);
+            let mut y = Tensor::from_vec(n, m, vec![f32::NAN; n * m]);
+            layer.forward_packed_into(&packed, &x, &mut y);
+            assert_bits_eq(&y, &want, "forward_packed_into");
+        }
+    }
+}
+
+/// What `matmul_tn_add_into` must equal: the stored product, its
+/// non-finite values counted and zeroed, then `add_assign`.
+fn store_check_add(at: &Tensor, b: &Tensor, dst: &Tensor) -> (Tensor, usize) {
+    let mut contribution = at.matmul_tn(b);
+    let mut bad = 0;
+    for v in contribution.data.iter_mut().filter(|v| !v.is_finite()) {
+        *v = 0.0;
+        bad += 1;
+    }
+    let mut want = dst.clone();
+    want.add_assign(&contribution);
+    (want, bad)
+}
+
+/// `matmul_tn_add_into` is `matmul_tn_into` + `add_assign` bit for bit —
+/// on clean inputs, and on contributions holding NaN, both infinities
+/// and an overflow to infinity from finite operands in a single lane,
+/// each added as `+0.0` and counted — into a destination that holds
+/// `-0.0`; serial and banded, every tile shape, `k = 0` included.
+#[test]
+fn tn_add_is_store_then_add_assign_bitwise() {
+    for (k, n, m) in [
+        (0, 5, 7),
+        (1, 1, 1),
+        (9, 13, 31),
+        (17, 40, 72),
+        (64, 200, 170),
+    ] {
+        let mut at = Tensor::from_vec(k, n, fill(1, 31, k * n));
+        let mut b = Tensor::from_vec(k, m, fill(2, 31, k * m));
+        let mut dst = Tensor::from_vec(n, m, fill(3, 31, n * m));
+        dst.data.iter_mut().step_by(5).for_each(|v| *v = -0.0);
+
+        let (want, bad) = store_check_add(&at, &b, &dst);
+        assert_eq!(bad, 0, "the clean contribution is finite");
+        let mut got = dst.clone();
+        assert_eq!(at.matmul_tn_add_into(&b, &mut got), 0);
+        assert_bits_eq(&got, &want, "clean matmul_tn_add_into");
+        if k == 0 {
+            continue;
+        }
+
+        // Column 0 of the contribution: NaN. Column m - 1: ±∞ (or NaN
+        // under a zero of `at`). One more lane, (n - 1, m / 2): finite
+        // operands whose product overflows.
+        b.data[0] = f32::NAN;
+        b.data[(k - 1) * m + m - 1] = f32::NEG_INFINITY;
+        at.data[..n].iter_mut().for_each(|v| *v = v.abs() + 1.0);
+        for t in 0..k {
+            at.data[t * n + n - 1] = if t == 0 { 1e30 } else { 0.0 };
+        }
+        b.data[m / 2] = 1e9;
+        assert!(at.data.iter().all(|v| v.is_finite()) && b.data[m / 2].is_finite());
+        let (want, bad) = store_check_add(&at, &b, &dst);
+        let overflow_only = usize::from(m > 2);
+        assert!(
+            bad >= n + overflow_only,
+            "{k} x {n} x {m}: {bad} poisoned values"
+        );
+        let mut got = dst.clone();
+        assert_eq!(at.matmul_tn_add_into(&b, &mut got), bad, "{k} x {n} x {m}");
+        assert_bits_eq(&got, &want, "poisoned matmul_tn_add_into");
+    }
 }
 
 /// `a * b` computed one output row at a time: every sub-product is far
