@@ -26,7 +26,8 @@
 //! demonstration (the planner re-planning from a measured profile vs. the
 //! analytic one, both plans timed on the engine). The recovery group
 //! measures checkpoint save/load latency (sharded full and delta saves
-//! plus the base+delta chain resume) and
+//! plus the base+delta chain resume), the checksum and the optimizer
+//! update those saves sit beside, and
 //! the cost of a full elastic migration (replica death → replica drop →
 //! re-plan → rebuild through the delta-checkpoint chain). `--trace PATH`
 //! additionally exports the measured step as a Perfetto-loadable Chrome
@@ -48,7 +49,7 @@ use dapple_bench::validate::{
     calibrate_validation, replan_from_measured, Scenario, MAX_CALIBRATION_ROUNDS, MEASURE_ITERS,
 };
 use dapple_core::{DeviceId, Plan, StagePlan};
-use dapple_engine::checkpoint::{v3_chain_to_state, v3_delta_to_bytes, v3_full_to_bytes};
+use dapple_engine::checkpoint::{chain_to_state, checksum, delta_to_bytes, full_to_bytes};
 use dapple_engine::{
     data, DataStream, EngineConfig, FaultKind, FaultPlan, MlpModel, Optimizer, PackedRhs,
     Partition, PipelineTrainer, RetryPolicy, Rhs, Supervisor, Tensor, TrainLoop, TrainState,
@@ -564,24 +565,24 @@ fn recovery_benches(smoke: bool, out: &mut Vec<Record>, recovery_log: Option<&st
     let mut versions = since.clone();
     versions[0] = 2;
     versions[n_shards / 2] = 2;
-    let full = v3_full_to_bytes(deep_state.view(), &partition, &since, 1);
+    let full = full_to_bytes(deep_state.view(), &partition, &since, 1);
     let full_ns = time_ns_min(iters, || {
-        black_box(v3_full_to_bytes(deep_state.view(), &partition, &since, 1).len());
+        black_box(full_to_bytes(deep_state.view(), &partition, &since, 1).len());
     });
     out.push(Record {
         group: "recovery",
-        name: "checkpoint_v3_full_save".into(),
+        name: "checkpoint_full_save".into(),
         iters,
         ns_per_iter: full_ns,
         extra: vec![("bytes", full.len().to_string())],
     });
-    let delta = v3_delta_to_bytes(deep_state.view(), &partition, &versions, &since, 2, 1);
+    let delta = delta_to_bytes(deep_state.view(), &partition, &versions, &since, 2, 1);
     let delta_ns = time_ns_min(iters, || {
-        black_box(v3_delta_to_bytes(deep_state.view(), &partition, &versions, &since, 2, 1).len());
+        black_box(delta_to_bytes(deep_state.view(), &partition, &versions, &since, 2, 1).len());
     });
     out.push(Record {
         group: "recovery",
-        name: "checkpoint_v3_delta_save".into(),
+        name: "checkpoint_delta_save".into(),
         iters,
         ns_per_iter: delta_ns,
         extra: vec![
@@ -594,18 +595,19 @@ fn recovery_benches(smoke: bool, out: &mut Vec<Record>, recovery_log: Option<&st
             ),
         ],
     });
-    let v3_chain = [full, delta];
+    let chain = [full, delta];
     let merge_ns = time_ns_min(iters, || {
-        let merged = v3_chain_to_state(&v3_chain).unwrap();
+        let merged = chain_to_state(&chain).unwrap();
         black_box(merged.save_id);
     });
     out.push(Record {
         group: "recovery",
-        name: "checkpoint_v3_chain_resume".into(),
+        name: "checkpoint_chain_resume".into(),
         iters,
         ns_per_iter: merge_ns,
-        extra: vec![("chain_len", v3_chain.len().to_string())],
+        extra: vec![("chain_len", chain.len().to_string())],
     });
+    state_pass_benches(out);
 
     // The full escalation ladder, timed end to end: a transient fault is
     // retried, then a replica of the wide stage dies for good (retries
@@ -691,6 +693,39 @@ fn recovery_benches(smoke: bool, out: &mut Vec<Record>, recovery_log: Option<&st
             std::process::exit(1);
         });
         eprintln!("[dapple-bench] wrote recovery event log to {path}");
+    }
+}
+
+/// The two state-proportional passes between pipeline steps, at sizes the
+/// smoke run's 13 KB checkpoints cannot show: the checkpoint checksum over
+/// 4 MiB (a byte-serial sum reads a tenth of this) and an Adam step over
+/// ~1 M parameters — as one 1024 x 1024 tensor (32 bands, shared with the
+/// pool) and as 32 layers of 180 x 180 (each under one band: inline).
+fn state_pass_benches(out: &mut Vec<Record>) {
+    let iters = 20;
+    let mut push = |name: &str, ns: f64, rate: &'static str, value: f64| {
+        out.push(Record {
+            group: "recovery",
+            name: name.into(),
+            iters,
+            ns_per_iter: ns,
+            extra: vec![(rate, json_f64(value))],
+        });
+    };
+    let bytes: Vec<u8> = (0..4usize << 20).map(|i| (i * 31 + 7) as u8).collect();
+    let ns = time_ns_min(iters, || {
+        black_box(checksum(black_box(&bytes)));
+    });
+    let gib = bytes.len() as f64 / (1u64 << 30) as f64;
+    push("checkpoint_checksum_4mib", ns, "gib_per_s", gib / ns * 1e9);
+    for (label, dims) in [("pool", vec![1024, 1024]), ("inline", vec![180; 33])] {
+        let mut model = MlpModel::new(&dims, 9);
+        let (_, grads) = model.reference_grads(&filled(2, dims[0], 3), &filled(2, dims[0], 4), 1);
+        let mut adam = Optimizer::adam(1e-3, &model);
+        let ns = time_ns_min(iters, || adam.step(black_box(&mut model), &grads));
+        let params: usize = model.layers.iter().map(|l| l.num_params()).sum();
+        let name = format!("adam_step_1m_{label}");
+        push(&name, ns, "ns_per_param", ns / params as f64);
     }
 }
 

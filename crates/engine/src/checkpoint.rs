@@ -2,7 +2,7 @@
 //! versioned little-endian format, sharded per layer and delta-capable.
 //!
 //! ```text
-//! magic "DAPL" | version=3 u32 | kind u8 (0=full, 1=delta) |
+//! magic "DAPL" | version=4 u32 | kind u8 (0=full, 1=delta) |
 //! save_id u64 | base_id u64 (the full save a delta builds on; equal
 //!   to save_id for a full save) |
 //! step u64 | data_seed u64 | data_cursor u64 | batch_samples u32 |
@@ -11,12 +11,33 @@
 //!    restores the degraded pipeline, not the original one) |
 //! n_layers u32 | per layer: in u32 | out u32 | act u8 |
 //! opt u8 + scalars (0: lr | 1: lr beta | 2: lr b1 b2 eps t) |
-//! n_shards u32 | header fnv1a64 u64 over every preceding byte |
+//! n_shards u32 | header checksum u64 over every preceding byte |
 //! per shard: layer u32 | version u64 |
 //!   payload f32*: weights, bias, then one optimizer buffer per
 //!     moment (velocity, or Adam m then v), each `num_params` long |
-//!   shard fnv1a64 u64 over the record (layer through payload)
+//!   shard checksum u64 over the record (layer through payload)
 //! ```
+//!
+//! **The checksum** ([`checksum`]) is part of the format. With FNV-1a's
+//! 64-bit offset basis `B` and prime `P`, every product wrapping:
+//!
+//! ```text
+//! lanes   l_i = B ^ i                    for i in 0..8
+//! blocks  l_i = (l_i ^ w_i) * P          for each whole 64-byte block, in
+//!                                        order; w_i is its i-th LE u64
+//! fold    h = B ^ len; h = (h ^ l_i) * P for i in 0..8
+//! tail    h = (h ^ b) * P                for each byte after the last block
+//! ```
+//!
+//! Eight independent multiply chains run at memory speed where version
+//! 3's byte-serial FNV-1a waited a multiply latency per byte. Every step
+//! is an xor, then a multiplication by an odd constant: a bijection of
+//! the state for a fixed input and of the input for a fixed state. Two
+//! records of one length that differ only inside one word of one block
+//! leave that word's lane different, every later step keeps it so, and
+//! the fold carries the difference into `h`; a differing tail byte acts
+//! on `h` directly. Any single-byte or single-bit corruption therefore
+//! changes the sum *by construction*, not with high probability.
 //!
 //! Training through a pipeline is only trustworthy if the state can
 //! round-trip exactly, so encoding preserves every bit of every `f32` —
@@ -26,33 +47,39 @@
 //! path is checked: a crafted header can never drive a huge allocation
 //! or an offset overflow (bounds are validated against the bytes
 //! actually remaining before any buffer is reserved). A header carrying
-//! any other version — including the retired formats 1 and 2 — is
+//! any other version — including the retired formats 1 to 3 — is
 //! rejected as unsupported before anything else is read.
 //!
 //! The state is split into **per-layer shards** carrying monotonic
 //! version counters (PipeDream checkpoints per stage with no global
 //! coordination; this is that design at layer granularity).
-//! [`v3_full_to_bytes`] writes every shard; [`v3_delta_to_bytes`] writes
+//! [`full_to_bytes`] writes every shard; [`delta_to_bytes`] writes
 //! only the shards whose version advanced since the previous save —
-//! O(changed shards), not O(model) — and [`v3_chain_to_state`] merges a
-//! full base plus its delta chain back into a [`TrainState`]. Every
-//! shard carries its own checksum, so corruption is rejected with a
-//! structured [`DappleError::ShardCorrupt`] *naming the bad shard*
-//! instead of a whole-file error (the file-level checksum covers only
-//! the header). [`CheckpointStore`] layers a directory convention on
-//! top, with coordination-free GC of deltas obsoleted by a newer full
-//! save.
+//! O(changed shards), not O(model) — and [`chain_to_state`] merges a
+//! full base plus its delta chain back into a [`TrainState`]. The
+//! `…_into` writers fill a caller's buffer, so a periodic save reuses
+//! storage that is already mapped. Every shard carries its own checksum,
+//! so corruption is rejected with a structured
+//! [`DappleError::ShardCorrupt`] *naming the bad shard* instead of a
+//! whole-file error (the file-level checksum covers only the header).
+//! [`CheckpointStore`] layers a directory convention on top, with
+//! coordination-free GC of deltas obsoleted by a newer full save.
 
 use crate::layer::{Activation, Dense};
 use crate::model::MlpModel;
 use crate::optim::Optimizer;
 use crate::tensor::Tensor;
 use dapple_core::{DappleError, Result};
+use std::fs::File;
+use std::io::{Read, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"DAPL";
-const V3: u32 = 3;
+const VERSION: u32 = 4;
+
+/// The fixed head of every file: magic, version, kind, the two save ids.
+const IDENTITY_LEN: usize = 4 + 4 + 1 + 8 + 8;
 
 /// Upper bound accepted for `n_stages` on the read path.
 const MAX_STAGES: usize = 1 << 16;
@@ -108,7 +135,7 @@ pub struct StateView<'a> {
     pub batch_samples: u32,
 }
 
-/// Whether a v3 file carries the whole state or only changed shards.
+/// Whether a file carries the whole state or only changed shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SaveKind {
     /// Every shard present; self-contained.
@@ -117,7 +144,7 @@ pub enum SaveKind {
     Delta,
 }
 
-/// The active pipeline partition, persisted in v3 so a checkpoint taken
+/// The active pipeline partition, persisted so that a checkpoint taken
 /// while degraded restores the degraded pipeline rather than the
 /// original configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,7 +186,7 @@ impl Partition {
     }
 }
 
-/// The result of merging a v3 base + delta chain: the training state,
+/// The result of merging a base + delta chain: the training state,
 /// the partition active when the newest file was written, and the shard
 /// versions carried forward.
 #[derive(Debug, Clone, PartialEq)]
@@ -174,20 +201,34 @@ pub struct ShardedState {
     pub save_id: u64,
 }
 
-/// Serializes the full state as a self-contained v3 file (every shard).
-pub fn v3_full_to_bytes(
+/// Serializes the full state as a self-contained file (every shard).
+pub fn full_to_bytes(
     state: StateView<'_>,
     partition: &Partition,
     versions: &[u64],
     save_id: u64,
 ) -> Vec<u8> {
-    write_v3(state, partition, versions, save_id, save_id, &|_| true)
+    let mut out = Vec::new();
+    full_into(&mut out, state, partition, versions, save_id);
+    out
+}
+
+/// [`full_to_bytes`] into `out`: its contents are replaced, its storage
+/// is reused.
+pub fn full_into(
+    out: &mut Vec<u8>,
+    state: StateView<'_>,
+    partition: &Partition,
+    versions: &[u64],
+    save_id: u64,
+) {
+    write_into(out, state, partition, versions, save_id, save_id, &|_| true);
 }
 
 /// Serializes only the shards whose version advanced past `since`
 /// (`versions[i] > since[i]`) — O(changed shards), not O(model).
 /// `base_id` names the full save the delta builds on.
-pub fn v3_delta_to_bytes(
+pub fn delta_to_bytes(
     state: StateView<'_>,
     partition: &Partition,
     versions: &[u64],
@@ -195,22 +236,41 @@ pub fn v3_delta_to_bytes(
     save_id: u64,
     base_id: u64,
 ) -> Vec<u8> {
-    write_v3(state, partition, versions, save_id, base_id, &|i| {
-        versions[i] > since.get(i).copied().unwrap_or(0)
-    })
+    let mut out = Vec::new();
+    delta_into(
+        &mut out, state, partition, versions, since, save_id, base_id,
+    );
+    out
 }
 
-/// Shared v3 writer; `include(layer)` selects the shards to emit. The
-/// output is sized exactly once the header is down, so the shards — the
-/// model — are appended without a single regrowth.
-fn write_v3(
+/// [`delta_to_bytes`] into `out`: its contents are replaced, its storage
+/// is reused.
+pub fn delta_into(
+    out: &mut Vec<u8>,
+    state: StateView<'_>,
+    partition: &Partition,
+    versions: &[u64],
+    since: &[u64],
+    save_id: u64,
+    base_id: u64,
+) {
+    write_into(out, state, partition, versions, save_id, base_id, &|i| {
+        versions[i] > since.get(i).copied().unwrap_or(0)
+    });
+}
+
+/// The writer; `include(layer)` selects the shards to emit. `out` is
+/// sized exactly once the header is down, so the shards — the model —
+/// are appended without a single regrowth, each tensor as one block.
+fn write_into(
+    out: &mut Vec<u8>,
     state: StateView<'_>,
     partition: &Partition,
     versions: &[u64],
     save_id: u64,
     base_id: u64,
     include: &dyn Fn(usize) -> bool,
-) -> Vec<u8> {
+) {
     let layers = &state.model.layers;
     assert_eq!(
         versions.len(),
@@ -219,10 +279,9 @@ fn write_v3(
     );
     let kind = if save_id == base_id { 0u8 } else { 1u8 };
     let shard_layers: Vec<usize> = (0..layers.len()).filter(|&i| include(i)).collect();
-    // The header is a few hundred bytes; the shards are the model.
-    let mut out = Vec::with_capacity(256);
+    out.clear();
     out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&V3.to_le_bytes());
+    out.extend_from_slice(&VERSION.to_le_bytes());
     out.push(kind);
     out.extend_from_slice(&save_id.to_le_bytes());
     out.extend_from_slice(&base_id.to_le_bytes());
@@ -276,7 +335,7 @@ fn write_v3(
         }
     };
     out.extend_from_slice(&(shard_layers.len() as u32).to_le_bytes());
-    let header_sum = fnv1a64(&out);
+    let header_sum = checksum(out);
     out.extend_from_slice(&header_sum.to_le_bytes());
     // Per shard: layer, version, weights + bias and as many again per
     // optimizer buffer, checksum.
@@ -290,33 +349,44 @@ fn write_v3(
         let record_start = out.len();
         out.extend_from_slice(&(i as u32).to_le_bytes());
         out.extend_from_slice(&versions[i].to_le_bytes());
-        put_f32s(&mut out, &layers[i].w.data);
-        put_f32s(&mut out, &layers[i].b);
+        append_f32s(out, &layers[i].w.data);
+        append_f32s(out, &layers[i].b);
         match state.optimizer {
             Optimizer::Sgd { .. } => {}
-            Optimizer::Momentum { velocity, .. } => put_f32s(&mut out, &velocity[i]),
+            Optimizer::Momentum { velocity, .. } => append_f32s(out, &velocity[i]),
             Optimizer::Adam { m, v, .. } => {
-                put_f32s(&mut out, &m[i]);
-                put_f32s(&mut out, &v[i]);
+                append_f32s(out, &m[i]);
+                append_f32s(out, &v[i]);
             }
         }
-        let shard_sum = fnv1a64(&out[record_start..]);
+        let shard_sum = checksum(&out[record_start..]);
         out.extend_from_slice(&shard_sum.to_le_bytes());
     }
     debug_assert_eq!(out.len(), end, "shard sizing must be exact");
-    out
 }
 
-/// Appends a tensor's values, little-endian, as one block.
-fn put_f32s(out: &mut Vec<u8>, vals: &[f32]) {
-    let start = out.len();
-    out.resize(start + 4 * vals.len(), 0);
-    for (dst, v) in out[start..].chunks_exact_mut(4).zip(vals) {
-        dst.copy_from_slice(&v.to_le_bytes());
+/// Appends a tensor's values, little-endian, as one block: on a
+/// little-endian target that is a copy of the tensor's own bytes.
+fn append_f32s(out: &mut Vec<u8>, vals: &[f32]) {
+    if cfg!(target_endian = "little") {
+        // SAFETY: `vals` borrows `size_of_val(vals)` initialised bytes for
+        // as long as the view lives; `u8` has alignment 1 and no invalid
+        // bit pattern, and nothing is written through the view.
+        let bytes = unsafe {
+            std::slice::from_raw_parts(vals.as_ptr().cast::<u8>(), std::mem::size_of_val(vals))
+        };
+        out.extend_from_slice(bytes);
+    } else {
+        append_f32s_portable(out, vals);
     }
 }
 
-/// The optimizer header of a v3 file: hyper-parameters and global
+/// [`append_f32s`] for any byte order, one value at a time.
+fn append_f32s_portable(out: &mut Vec<u8>, vals: &[f32]) {
+    out.extend(vals.iter().flat_map(|v| v.to_le_bytes()));
+}
+
+/// The optimizer header of a file: hyper-parameters and global
 /// scalars, without the per-layer buffers (those live in the shards).
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum OptHeader {
@@ -349,7 +419,7 @@ impl OptHeader {
 
 /// One parsed shard: the layer's weights, bias and optimizer buffers.
 #[derive(Debug, Clone, PartialEq)]
-struct V3Shard {
+struct Shard {
     layer: usize,
     version: u64,
     w: Vec<f32>,
@@ -357,9 +427,9 @@ struct V3Shard {
     bufs: Vec<Vec<f32>>,
 }
 
-/// One fully parsed and integrity-checked v3 file.
+/// One fully parsed and integrity-checked file.
 #[derive(Debug, Clone, PartialEq)]
-struct V3File {
+struct ParsedFile {
     kind: SaveKind,
     save_id: u64,
     base_id: u64,
@@ -370,18 +440,21 @@ struct V3File {
     partition: Partition,
     dims: Vec<(usize, usize, Activation)>,
     opt: OptHeader,
-    shards: Vec<V3Shard>,
+    shards: Vec<Shard>,
 }
 
-/// Parses and verifies one v3 file. Header corruption is an
+/// Parses and verifies one file. Header corruption is an
 /// [`DappleError::InvalidConfig`]; shard corruption is a structured
 /// [`DappleError::ShardCorrupt`] naming the bad shard.
-fn parse_v3(bytes: &[u8]) -> Result<V3File> {
-    let mut cur = Cursor { bytes, pos: 0 };
-    let (kind, save_id, base_id) = read_identity(&mut cur)?;
+fn parse_file(bytes: &[u8]) -> Result<ParsedFile> {
+    let (kind, save_id, base_id) = peek(bytes)?;
+    let mut cur = Cursor {
+        bytes,
+        pos: IDENTITY_LEN,
+    };
     if (kind == SaveKind::Full) != (save_id == base_id) {
         return Err(DappleError::InvalidConfig(format!(
-            "v3 kind/base mismatch: kind {kind:?}, save_id {save_id}, base_id {base_id}"
+            "save kind/base mismatch: kind {kind:?}, save_id {save_id}, base_id {base_id}"
         )));
     }
     let step = cur.u64()?;
@@ -464,7 +537,7 @@ fn parse_v3(bytes: &[u8]) -> Result<V3File> {
     // Header integrity: everything up to (excluding) the stored sum.
     let header_end = cur.pos;
     let stored = cur.u64()?;
-    let computed = fnv1a64(&bytes[..header_end]);
+    let computed = checksum(&bytes[..header_end]);
     if stored != computed {
         return Err(DappleError::InvalidConfig(format!(
             "checkpoint header checksum mismatch: stored {stored:#018x}, \
@@ -512,26 +585,14 @@ fn parse_v3(bytes: &[u8]) -> Result<V3File> {
                 format!("shard claims {need} bytes, only {} remain", cur.remaining()),
             ));
         }
-        let n_w = n_params - out_dim;
-        let mut w = Vec::with_capacity(n_w);
-        for _ in 0..n_w {
-            w.push(cur.f32()?);
-        }
-        let mut b = Vec::with_capacity(out_dim);
-        for _ in 0..out_dim {
-            b.push(cur.f32()?);
-        }
-        let mut bufs = Vec::with_capacity(opt.num_bufs());
-        for _ in 0..opt.num_bufs() {
-            let mut buf = Vec::with_capacity(n_params);
-            for _ in 0..n_params {
-                buf.push(cur.f32()?);
-            }
-            bufs.push(buf);
-        }
+        let w = cur.f32s(n_params - out_dim)?;
+        let b = cur.f32s(out_dim)?;
+        let bufs = (0..opt.num_bufs())
+            .map(|_| cur.f32s(n_params))
+            .collect::<Result<Vec<_>>>()?;
         let record_end = cur.pos;
         let stored = cur.u64()?;
-        let computed = fnv1a64(&bytes[record_start..record_end]);
+        let computed = checksum(&bytes[record_start..record_end]);
         if stored != computed {
             return Err(corrupt(
                 layer,
@@ -540,7 +601,7 @@ fn parse_v3(bytes: &[u8]) -> Result<V3File> {
                 ),
             ));
         }
-        shards.push(V3Shard {
+        shards.push(Shard {
             layer,
             version,
             w,
@@ -556,11 +617,11 @@ fn parse_v3(bytes: &[u8]) -> Result<V3File> {
     }
     if kind == SaveKind::Full && shards.len() != n_layers {
         return Err(DappleError::InvalidConfig(format!(
-            "full v3 save carries {} of {n_layers} shards",
+            "full save carries {} of {n_layers} shards",
             shards.len()
         )));
     }
-    Ok(V3File {
+    Ok(ParsedFile {
         kind,
         save_id,
         base_id,
@@ -575,26 +636,26 @@ fn parse_v3(bytes: &[u8]) -> Result<V3File> {
     })
 }
 
-/// Merges a v3 chain — one full base followed by its deltas in save
+/// Merges a chain — one full base followed by its deltas in save
 /// order — into the final training state. Cost is O(model) once for the
 /// base plus O(changed shards) per delta; metadata (step, cursors,
 /// partition, optimizer scalars) comes from the newest file.
-pub fn v3_chain_to_state<B: AsRef<[u8]>>(chain: &[B]) -> Result<ShardedState> {
+pub fn chain_to_state<B: AsRef<[u8]>>(chain: &[B]) -> Result<ShardedState> {
     let Some((base_bytes, deltas)) = chain.split_first() else {
         return Err(DappleError::InvalidConfig("empty checkpoint chain".into()));
     };
-    let mut newest = parse_v3(base_bytes.as_ref())?;
+    let mut newest = parse_file(base_bytes.as_ref())?;
     if newest.kind != SaveKind::Full {
         return Err(DappleError::InvalidConfig(
             "checkpoint chain must start with a full save".into(),
         ));
     }
-    // A full save carries every layer exactly once (`parse_v3` checked),
+    // A full save carries every layer exactly once (`parse_file` checked),
     // so sorted by layer the shards are indexed by it.
     let mut shards = std::mem::take(&mut newest.shards);
     shards.sort_by_key(|s| s.layer);
     for bytes in deltas {
-        let mut delta = parse_v3(bytes.as_ref())?;
+        let mut delta = parse_file(bytes.as_ref())?;
         if delta.kind != SaveKind::Delta {
             return Err(DappleError::InvalidConfig(
                 "checkpoint chain has a second full save; start a new chain".into(),
@@ -694,23 +755,25 @@ pub fn v3_chain_to_state<B: AsRef<[u8]>>(chain: &[B]) -> Result<ShardedState> {
 }
 
 /// Peeks the identity of a checkpoint file without parsing its body:
-/// returns `(kind, save_id, base_id)`. Errors on anything that does not
-/// start with a v3 header — callers scanning a directory skip those
-/// files.
-pub fn v3_peek(bytes: &[u8]) -> Result<(SaveKind, u64, u64)> {
-    read_identity(&mut Cursor { bytes, pos: 0 })
-}
-
-/// Reads the fixed 25-byte head every checkpoint file starts with:
-/// magic, format version, save kind and the two save ids. Any version
-/// other than 3 is refused here, before a single field of the body is
-/// looked at.
-fn read_identity(cur: &mut Cursor<'_>) -> Result<(SaveKind, u64, u64)> {
+/// returns `(kind, save_id, base_id)` from the fixed 25-byte head every
+/// file starts with, and reads no more of `src` than that. Errors on
+/// anything that does not start with a header of this format — callers
+/// scanning a directory skip those files; any version but 4 is refused
+/// here, before a single field of the body is looked at.
+pub fn peek(src: impl Read) -> Result<(SaveKind, u64, u64)> {
+    let mut head = Vec::with_capacity(IDENTITY_LEN);
+    src.take(IDENTITY_LEN as u64)
+        .read_to_end(&mut head)
+        .map_err(|e| DappleError::InvalidConfig(format!("cannot read checkpoint: {e}")))?;
+    let mut cur = Cursor {
+        bytes: &head,
+        pos: 0,
+    };
     if cur.take(MAGIC.len())? != MAGIC {
         return Err(DappleError::InvalidConfig("bad checkpoint magic".into()));
     }
     let version = cur.u32()?;
-    if version != V3 {
+    if version != VERSION {
         return Err(DappleError::InvalidConfig(format!(
             "unsupported checkpoint version {version}"
         )));
@@ -718,22 +781,20 @@ fn read_identity(cur: &mut Cursor<'_>) -> Result<(SaveKind, u64, u64)> {
     let kind = match cur.u8()? {
         0 => SaveKind::Full,
         1 => SaveKind::Delta,
-        k => {
-            return Err(DappleError::InvalidConfig(format!(
-                "unknown v3 save kind {k}"
-            )))
-        }
+        k => return Err(DappleError::InvalidConfig(format!("unknown save kind {k}"))),
     };
     Ok((kind, cur.u64()?, cur.u64()?))
 }
 
-/// A directory of v3 checkpoint files with a coordination-free layout:
-/// each file is self-describing (`v3_peek`), so saving, resuming and
+/// A directory of checkpoint files with a coordination-free layout:
+/// each file is self-describing ([`peek`]), so saving, resuming and
 /// garbage collection never need a manifest or a lock — concurrent
 /// writers with distinct `save_id`s cannot conflict.
 ///
 /// Files are named `full-{save_id}.dapl` / `delta-{save_id}.dapl` for
-/// human eyes only; discovery always reads the headers.
+/// human eyes only; discovery always reads the headers. A file appears
+/// under its name complete or not at all: it is written and synced as
+/// `….dapl.tmp` and renamed into place, and discovery ignores `*.tmp`.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     dir: PathBuf,
@@ -762,10 +823,8 @@ impl CheckpointStore {
         versions: &[u64],
         save_id: u64,
     ) -> Result<(PathBuf, usize)> {
-        let bytes = v3_full_to_bytes(state.view(), partition, versions, save_id);
-        let path = self.dir.join(format!("full-{save_id:010}.dapl"));
-        self.write(&path, &bytes)?;
-        Ok((path, bytes.len()))
+        let bytes = full_to_bytes(state.view(), partition, versions, save_id);
+        self.publish(format!("full-{save_id:010}.dapl"), &bytes)
     }
 
     /// Writes a delta save of the shards with `versions[i] > since[i]`;
@@ -779,20 +838,41 @@ impl CheckpointStore {
         save_id: u64,
         base_id: u64,
     ) -> Result<(PathBuf, usize)> {
-        let bytes = v3_delta_to_bytes(state.view(), partition, versions, since, save_id, base_id);
-        let path = self.dir.join(format!("delta-{save_id:010}.dapl"));
-        self.write(&path, &bytes)?;
+        let bytes = delta_to_bytes(state.view(), partition, versions, since, save_id, base_id);
+        self.publish(format!("delta-{save_id:010}.dapl"), &bytes)
+    }
+
+    /// Publishes `bytes` under `name` atomically: a crash mid-write leaves
+    /// a `.tmp` file nobody reads, never a torn file whose intact header
+    /// would shadow an older, valid generation.
+    fn publish(&self, name: String, bytes: &[u8]) -> Result<(PathBuf, usize)> {
+        let path = self.dir.join(name);
+        let tmp = path.with_extension("dapl.tmp");
+        let write = || {
+            let mut file = File::create(&tmp)?;
+            file.write_all(bytes)?;
+            file.sync_all()?;
+            std::fs::rename(&tmp, &path)?;
+            // The new name is durable once its directory is.
+            #[cfg(unix)]
+            File::open(&self.dir)?.sync_all()?;
+            std::io::Result::Ok(())
+        };
+        write().map_err(|e| DappleError::InvalidConfig(format!("cannot write checkpoint: {e}")))?;
         Ok((path, bytes.len()))
     }
 
-    fn write(&self, path: &Path, bytes: &[u8]) -> Result<()> {
-        std::fs::write(path, bytes)
-            .map_err(|e| DappleError::InvalidConfig(format!("cannot write checkpoint: {e}")))
+    /// Every published file of this format in the store: `(kind, save_id,
+    /// base_id, path)`, sorted by `save_id`. Only each file's identity
+    /// prefix is read; other files — `*.tmp` included — are skipped.
+    pub fn scan(&self) -> Result<Vec<(SaveKind, u64, u64, PathBuf)>> {
+        self.list(false)
     }
 
-    /// Every readable v3 file in the store: `(kind, save_id, base_id,
-    /// path)`, sorted by `save_id`. Non-v3 files are skipped.
-    pub fn scan(&self) -> Result<Vec<(SaveKind, u64, u64, PathBuf)>> {
+    /// [`CheckpointStore::scan`] over the published files, or (`tmp`) over
+    /// what writers have not published: still being written, or left by a
+    /// writer that died.
+    fn list(&self, tmp: bool) -> Result<Vec<(SaveKind, u64, u64, PathBuf)>> {
         let entries = std::fs::read_dir(&self.dir)
             .map_err(|e| DappleError::InvalidConfig(format!("cannot read checkpoint dir: {e}")))?;
         let mut files = Vec::new();
@@ -800,13 +880,13 @@ impl CheckpointStore {
             let path = entry
                 .map_err(|e| DappleError::InvalidConfig(format!("checkpoint dir entry: {e}")))?
                 .path();
-            if !path.is_file() {
+            if !path.is_file() || path.extension().is_some_and(|e| e == "tmp") != tmp {
                 continue;
             }
-            let Ok(head) = std::fs::read(&path) else {
+            let Ok(file) = File::open(&path) else {
                 continue;
             };
-            if let Ok((kind, save_id, base_id)) = v3_peek(&head) {
+            if let Ok((kind, save_id, base_id)) = peek(file) {
                 files.push((kind, save_id, base_id, path));
             }
         }
@@ -826,43 +906,45 @@ impl CheckpointStore {
                 DappleError::InvalidConfig("checkpoint store has no full save".into())
             })?;
         let (_, full_id, _, full_path) = newest_full;
-        let mut chain = vec![std::fs::read(&full_path)
-            .map_err(|e| DappleError::InvalidConfig(format!("cannot read checkpoint: {e}")))?];
+        let read = |path: &Path| {
+            std::fs::read(path)
+                .map_err(|e| DappleError::InvalidConfig(format!("cannot read checkpoint: {e}")))
+        };
+        let mut chain = vec![read(&full_path)?];
         for (kind, save_id, base_id, path) in &files {
             if *kind == SaveKind::Delta && *base_id == full_id && *save_id > full_id {
-                chain.push(std::fs::read(path).map_err(|e| {
-                    DappleError::InvalidConfig(format!("cannot read checkpoint: {e}"))
-                })?);
+                chain.push(read(path)?);
             }
         }
-        v3_chain_to_state(&chain)
+        chain_to_state(&chain)
     }
 
     /// Deletes deltas obsoleted by a newer full save (their `save_id`
-    /// precedes the newest full's, so no resume can ever need them) and
-    /// orphan deltas whose base full is gone. Never touches full saves.
+    /// precedes the newest full's, so no resume can ever need them),
+    /// orphan deltas whose base full is gone, and unpublished `*.tmp`
+    /// files obsolete by the same rule. Never touches full saves.
     /// Coordination-free: decisions use only the self-describing file
     /// headers. Returns the number of files removed.
     pub fn gc(&self) -> Result<usize> {
         let files = self.scan()?;
-        let newest_full = files
-            .iter()
-            .rev()
-            .find(|(kind, ..)| *kind == SaveKind::Full)
-            .map(|&(_, save_id, ..)| save_id);
         let fulls: std::collections::BTreeSet<u64> = files
             .iter()
             .filter(|(kind, ..)| *kind == SaveKind::Full)
             .map(|&(_, save_id, ..)| save_id)
             .collect();
+        let obsolete = |save_id: u64| fulls.last().is_some_and(|&f| save_id < f);
         let mut removed = 0usize;
         for (kind, save_id, base_id, path) in files {
             if kind != SaveKind::Delta {
                 continue;
             }
-            let obsolete = newest_full.is_some_and(|f| save_id < f);
             let orphan = !fulls.contains(&base_id);
-            if (obsolete || orphan) && std::fs::remove_file(&path).is_ok() {
+            if (obsolete(save_id) || orphan) && std::fs::remove_file(&path).is_ok() {
+                removed += 1;
+            }
+        }
+        for (_, save_id, _, path) in self.list(true)? {
+            if obsolete(save_id) && std::fs::remove_file(&path).is_ok() {
                 removed += 1;
             }
         }
@@ -870,12 +952,26 @@ impl CheckpointStore {
     }
 }
 
-/// FNV-1a, 64-bit — dependency-free integrity check for headers and shards.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+const SUM_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+const SUM_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// The format's integrity sum over headers and shard records, defined in
+/// the module docs.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut lanes: [u64; 8] = std::array::from_fn(|i| SUM_BASIS ^ i as u64);
+    let mut blocks = bytes.chunks_exact(64);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            let word = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+            *lane = (*lane ^ word).wrapping_mul(SUM_PRIME);
+        }
+    }
+    let mut h = SUM_BASIS ^ bytes.len() as u64;
+    for lane in lanes {
+        h = (h ^ lane).wrapping_mul(SUM_PRIME);
+    }
+    for &b in blocks.remainder() {
+        h = (h ^ u64::from(b)).wrapping_mul(SUM_PRIME);
     }
     h
 }
@@ -925,6 +1021,15 @@ impl<'a> Cursor<'a> {
             self.take(4)?.try_into().expect("4 bytes"),
         ))
     }
+
+    /// `n` values as one block: one bounds check, one pass.
+    fn f32s(&mut self, n: usize) -> Result<Vec<f32>> {
+        let block = self.take(n.saturating_mul(4))?;
+        let values = block.chunks_exact(4);
+        Ok(values
+            .map(|v| f32::from_le_bytes(v.try_into().expect("4 bytes")))
+            .collect())
+    }
 }
 
 #[cfg(test)]
@@ -966,7 +1071,7 @@ mod tests {
     }
 
     #[test]
-    fn v3_full_round_trip_is_exact_for_all_optimizers() {
+    fn full_round_trip_is_exact_for_all_optimizers() {
         let model = MlpModel::new(&[5, 9, 3], 1234);
         let mks: [fn(&MlpModel) -> Optimizer; 3] = [
             |_| Optimizer::sgd(0.1),
@@ -978,8 +1083,8 @@ mod tests {
             let mut state = state_with(mk(&model), model.clone());
             let mut versions = vec![3u64, 5];
             train_all(&mut state, &mut versions, 2);
-            let bytes = v3_full_to_bytes(state.view(), &partition, &versions, 42);
-            let sharded = v3_chain_to_state(&[&bytes]).unwrap();
+            let bytes = full_to_bytes(state.view(), &partition, &versions, 42);
+            let sharded = chain_to_state(&[&bytes]).unwrap();
             assert_eq!(sharded.state, state);
             assert_eq!(sharded.partition, partition);
             assert_eq!(sharded.versions, versions);
@@ -988,14 +1093,14 @@ mod tests {
     }
 
     #[test]
-    fn v3_delta_carries_only_advanced_shards_and_merges() {
+    fn delta_carries_only_advanced_shards_and_merges() {
         let model = MlpModel::new(&[5, 9, 3], 7);
         let partition = part(&[0..2], &[1]);
         let mut state = state_with(Optimizer::adam(0.01, &model), model);
         let mut versions = vec![1u64, 1];
         train_all(&mut state, &mut versions, 1);
         let since = versions.clone();
-        let base = v3_full_to_bytes(state.view(), &partition, &versions, 1);
+        let base = full_to_bytes(state.view(), &partition, &versions, 1);
 
         // Mutate ONLY layer 1, bump only its version.
         let mut newer = state.clone();
@@ -1005,7 +1110,7 @@ mod tests {
             *w += 0.25;
         }
         versions[1] += 1;
-        let delta = v3_delta_to_bytes(newer.view(), &partition, &versions, &since, 2, 1);
+        let delta = delta_to_bytes(newer.view(), &partition, &versions, &since, 2, 1);
         // O(changed shards): layer 0 (5x9, the big one) is absent.
         assert!(
             delta.len() * 2 < base.len(),
@@ -1013,7 +1118,7 @@ mod tests {
             delta.len(),
             base.len()
         );
-        let merged = v3_chain_to_state(&[&base, &delta]).unwrap();
+        let merged = chain_to_state(&[&base, &delta]).unwrap();
         assert_eq!(merged.state, newer);
         assert_eq!(merged.versions, versions);
         assert_eq!(merged.save_id, 2);
@@ -1025,43 +1130,43 @@ mod tests {
             *b -= 1.0;
         }
         versions[1] += 1;
-        let delta2 = v3_delta_to_bytes(newest.view(), &partition, &versions, &since, 3, 1);
-        let merged = v3_chain_to_state(&[&base, &delta, &delta2]).unwrap();
+        let delta2 = delta_to_bytes(newest.view(), &partition, &versions, &since, 3, 1);
+        let merged = chain_to_state(&[&base, &delta, &delta2]).unwrap();
         assert_eq!(merged.state, newest);
     }
 
     #[test]
-    fn v3_chain_misuse_is_rejected() {
+    fn chain_misuse_is_rejected() {
         let model = MlpModel::new(&[5, 9, 3], 7);
         let partition = part(&[0..2], &[1]);
         let state = state_with(Optimizer::sgd(0.1), model);
         let versions = vec![2u64, 2];
-        let base = v3_full_to_bytes(state.view(), &partition, &versions, 10);
+        let base = full_to_bytes(state.view(), &partition, &versions, 10);
         let since = versions.clone();
         let mut v2s = versions.clone();
         v2s[0] += 1;
-        let delta = v3_delta_to_bytes(state.view(), &partition, &v2s, &since, 11, 10);
+        let delta = delta_to_bytes(state.view(), &partition, &v2s, &since, 11, 10);
         // A delta alone is not a resumable checkpoint.
-        assert!(v3_chain_to_state(&[&delta]).is_err());
+        assert!(chain_to_state(&[&delta]).is_err());
         // A delta built on a different full save is rejected.
-        let other = v3_full_to_bytes(state.view(), &partition, &versions, 20);
-        assert!(v3_chain_to_state(&[&other, &delta]).is_err());
+        let other = full_to_bytes(state.view(), &partition, &versions, 20);
+        assert!(chain_to_state(&[&other, &delta]).is_err());
         // Save ids must increase along the chain.
-        assert!(v3_chain_to_state(&[&base, &delta, &delta]).is_err());
+        assert!(chain_to_state(&[&base, &delta, &delta]).is_err());
         // A second full save mid-chain starts a new generation.
-        assert!(v3_chain_to_state(&[&base, &other]).is_err());
+        assert!(chain_to_state(&[&base, &other]).is_err());
         // The empty chain is a structured error, not a panic.
-        assert!(v3_chain_to_state::<&[u8]>(&[]).is_err());
+        assert!(chain_to_state::<&[u8]>(&[]).is_err());
     }
 
     #[test]
-    fn v3_shard_corruption_names_the_shard() {
+    fn shard_corruption_names_the_shard() {
         let model = MlpModel::new(&[5, 9, 3], 7);
         let partition = part(&[0..2], &[1]);
         let mut state = state_with(Optimizer::adam(0.01, &model), model);
         let mut versions = vec![1u64, 1];
         train_all(&mut state, &mut versions, 1);
-        let bytes = v3_full_to_bytes(state.view(), &partition, &versions, 1);
+        let bytes = full_to_bytes(state.view(), &partition, &versions, 1);
         // Flip one payload byte inside the SECOND shard. The header ends
         // at the header checksum; shard 0 record = 4 + 8 + payload + 8.
         let n0 = state.model.layers[0].num_params() * 3; // adam: w,b + m + v
@@ -1070,7 +1175,7 @@ mod tests {
         let shard1_payload = header_len + (4 + 8 + n0 * 4 + 8) + 4 + 8 + 3;
         let mut bad = bytes.clone();
         bad[shard1_payload] ^= 0x40;
-        match v3_chain_to_state(&[&bad]) {
+        match chain_to_state(&[&bad]) {
             Err(DappleError::ShardCorrupt { shard, layer, .. }) => {
                 assert_eq!(shard, 1);
                 assert_eq!(layer, 1);
@@ -1081,23 +1186,23 @@ mod tests {
         let mut bad = bytes.clone();
         bad[MAGIC.len() + 4 + 1] ^= 0x01; // save_id byte
         assert!(matches!(
-            v3_chain_to_state(&[&bad]),
+            chain_to_state(&[&bad]),
             Err(DappleError::InvalidConfig(_))
         ));
     }
 
     #[test]
-    fn v3_detects_any_single_byte_corruption_exhaustively() {
+    fn detects_any_single_byte_corruption_exhaustively() {
         let model = MlpModel::new(&[4, 3, 2], 5);
         let partition = part(&[0..1, 1..2], &[1, 1]);
         let state = state_with(Optimizer::momentum(0.1, 0.9, &model), model);
         let versions = vec![1u64, 1];
-        let bytes = v3_full_to_bytes(state.view(), &partition, &versions, 1);
+        let bytes = full_to_bytes(state.view(), &partition, &versions, 1);
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 0x01;
             assert!(
-                v3_chain_to_state(&[&bad]).is_err(),
+                chain_to_state(&[&bad]).is_err(),
                 "corruption at byte {i} went undetected"
             );
         }
@@ -1109,7 +1214,7 @@ mod tests {
     fn small_full(optimizer: fn(&MlpModel) -> Optimizer) -> (Vec<u8>, usize) {
         let model = MlpModel::new(&[2, 3, 2], 5);
         let state = state_with(optimizer(&model), model);
-        let bytes = v3_full_to_bytes(state.view(), &part(&[0..2], &[1]), &[1, 1], 1);
+        let bytes = full_to_bytes(state.view(), &part(&[0..2], &[1]), &[1, 1], 1);
         let opt_len = match state.optimizer {
             Optimizer::Sgd { .. } => 1 + 4,
             Optimizer::Momentum { .. } => 1 + 8,
@@ -1121,30 +1226,30 @@ mod tests {
 
     /// Offset of layer 0's `in u32 | out u32 | act u8` record: identity |
     /// step, seed, cursor, batch | n_stages + 1 stage | n_layers.
-    const LAYER0: usize = 25 + 28 + (4 + 12) + 4;
+    const LAYER0: usize = IDENTITY_LEN + 28 + (4 + 12) + 4;
 
     fn reseal_header(bytes: &mut [u8], header_end: usize) {
-        let sum = fnv1a64(&bytes[..header_end]);
+        let sum = checksum(&bytes[..header_end]);
         bytes[header_end..header_end + 8].copy_from_slice(&sum.to_le_bytes());
     }
 
     #[test]
     fn rejects_bad_magic_every_truncation_and_trailing_garbage() {
         let (bytes, _) = small_full(|m| Optimizer::adam(0.01, m));
-        assert!(v3_chain_to_state(&[&bytes]).is_ok());
+        assert!(chain_to_state(&[&bytes]).is_ok());
         for len in 0..bytes.len() {
             assert!(
-                v3_chain_to_state(&[&bytes[..len]]).is_err(),
+                chain_to_state(&[&bytes[..len]]).is_err(),
                 "truncation to {len} bytes accepted"
             );
         }
         let mut longer = bytes.clone();
         longer.push(0);
-        assert!(v3_chain_to_state(&[&longer]).is_err());
+        assert!(chain_to_state(&[&longer]).is_err());
         let mut bad_magic = bytes;
         bad_magic[0] = b'X';
-        assert!(v3_chain_to_state(&[&bad_magic]).is_err());
-        assert!(v3_peek(&bad_magic).is_err());
+        assert!(chain_to_state(&[&bad_magic]).is_err());
+        assert!(peek(&bad_magic[..]).is_err());
     }
 
     /// The retired formats (and any future one) are refused by version,
@@ -1152,15 +1257,15 @@ mod tests {
     /// follows the header.
     #[test]
     fn other_format_versions_are_unsupported_not_parsed() {
-        let (v3, _) = small_full(|_| Optimizer::sgd(0.1));
-        for version in [1u32, 2, 4, 99] {
-            for body in [&v3[8..], &[][..]] {
+        let (current, _) = small_full(|_| Optimizer::sgd(0.1));
+        for version in [1u32, 2, 3, 5, 99] {
+            for body in [&current[8..], &[][..]] {
                 let mut bytes = Vec::from(*MAGIC);
                 bytes.extend_from_slice(&version.to_le_bytes());
                 bytes.extend_from_slice(body);
                 for got in [
-                    v3_chain_to_state(&[&bytes]).map(|_| ()),
-                    v3_peek(&bytes).map(|_| ()),
+                    chain_to_state(&[&bytes]).map(|_| ()),
+                    peek(&bytes[..]).map(|_| ()),
                 ] {
                     assert_eq!(
                         got,
@@ -1179,7 +1284,7 @@ mod tests {
         bytes[LAYER0 + 8] = 7;
         reseal_header(&mut bytes, header_end);
         assert_eq!(
-            v3_chain_to_state(&[&bytes]),
+            chain_to_state(&[&bytes]),
             Err(DappleError::InvalidConfig(
                 "unknown activation tag 7".into()
             ))
@@ -1202,11 +1307,46 @@ mod tests {
                 bytes[LAYER0 + 4..LAYER0 + 8].copy_from_slice(&dims[1].to_le_bytes());
                 reseal_header(&mut bytes, header_end);
                 assert!(matches!(
-                    v3_chain_to_state(&[&bytes]),
+                    chain_to_state(&[&bytes]),
                     Err(DappleError::ShardCorrupt { layer: 0, .. })
                 ));
             }
         }
+    }
+
+    /// The borrowed view a little-endian target appends and the portable
+    /// per-value loop write the same bytes — each value's bit pattern,
+    /// low byte first — for the values a numeric conversion would disturb.
+    #[test]
+    fn both_encodings_keep_every_bit_of_special_values() {
+        // Quiet, payload-carrying, signalling and all-ones NaNs; -0.0 and
+        // 0.0; the smallest and the largest negative subnormal; infinities.
+        #[rustfmt::skip]
+        let specials = [
+            0x7fc0_0000u32, 0x7fc1_2345, 0x7f80_0001, 0xffff_ffff, 0x8000_0000,
+            0, 1, 0x807f_ffff, 0x7f80_0000, 0xff80_0000,
+        ];
+        let vals: Vec<f32> = specials.iter().map(|&b| f32::from_bits(b)).collect();
+        let (mut view, mut portable) = (Vec::new(), Vec::new());
+        append_f32s(&mut view, &vals);
+        append_f32s_portable(&mut portable, &vals);
+        assert_eq!(view, portable);
+        let bits: Vec<u8> = specials.iter().flat_map(|b| b.to_le_bytes()).collect();
+        assert_eq!(view, bits);
+    }
+
+    /// Discovery reads a file's identity, not the file: of a
+    /// multi-megabyte save exactly the fixed prefix is consumed (std's
+    /// cursor counts what a reader took from it).
+    #[test]
+    fn identity_reads_only_the_fixed_prefix() {
+        let model = MlpModel::new(&[512, 512, 512], 3);
+        let state = state_with(Optimizer::sgd(0.1), model);
+        let bytes = full_to_bytes(state.view(), &part(&[0..2], &[1]), &[1, 1], 7);
+        assert!(bytes.len() > 2 << 20);
+        let mut src = std::io::Cursor::new(&bytes[..]);
+        assert_eq!(peek(&mut src).unwrap(), (SaveKind::Full, 7, 7));
+        assert_eq!(src.position(), IDENTITY_LEN as u64);
     }
 
     #[test]
@@ -1239,16 +1379,28 @@ mod tests {
         assert_eq!(resumed.state, newer);
         assert_eq!(resumed.save_id, 2);
 
-        // A newer full save obsoletes the delta; gc removes exactly it.
+        // A writer died mid-save: half of a newer full under its `.tmp`
+        // name. Its intact header must not shadow the valid generation.
         versions[1] += 1;
-        store.save_full(&newer, &partition, &versions, 3).unwrap();
+        let torn = full_to_bytes(newer.view(), &partition, &versions, 3);
+        let torn_path = dir.join("full-0000000003.dapl.tmp");
+        std::fs::write(&torn_path, &torn[..torn.len() / 2]).unwrap();
+        assert_eq!(store.scan().unwrap().len(), 2);
+        assert_eq!(store.resume().unwrap().save_id, 2);
+        assert_eq!(store.gc().unwrap(), 0, "nothing newer is published yet");
+
+        // A newer full save obsoletes the delta and the torn file; gc
+        // removes exactly those, and publishing left no `.tmp` of its own.
+        store.save_full(&newer, &partition, &versions, 4).unwrap();
         assert_eq!(store.scan().unwrap().len(), 3);
-        assert_eq!(store.gc().unwrap(), 1);
+        assert_eq!(store.gc().unwrap(), 2);
+        assert!(!torn_path.exists());
         let left = store.scan().unwrap();
         assert_eq!(left.len(), 2);
         assert!(left.iter().all(|(k, ..)| *k == SaveKind::Full));
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
         // Resume still lands on the newest full save.
-        assert_eq!(store.resume().unwrap().save_id, 3);
+        assert_eq!(store.resume().unwrap().save_id, 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -124,7 +124,9 @@ impl MlpModel {
         lr: f32,
     ) -> StepStats {
         let (loss, grads) = self.reference_grads(x, target, micro_batches);
-        self.apply(&grads, lr);
+        for (layer, g) in self.layers.iter_mut().zip(&grads) {
+            layer.apply_sgd(g, lr);
+        }
         StepStats {
             loss,
             samples: x.rows,
@@ -171,14 +173,6 @@ impl MlpModel {
             }
         }
         (total_loss, acc)
-    }
-
-    /// Applies per-layer gradients with SGD.
-    pub fn apply(&mut self, grads: &[DenseGrads], lr: f32) {
-        assert_eq!(grads.len(), self.layers.len());
-        for (layer, g) in self.layers.iter_mut().zip(grads) {
-            layer.apply_sgd(g, lr);
-        }
     }
 }
 

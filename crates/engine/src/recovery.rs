@@ -32,8 +32,12 @@
 //! * Training state is kept exactly one way: live in the [`TrainLoop`],
 //!   serialized as a sharded checkpoint ([`crate::checkpoint`]).
 //!   [`TrainLoop::save`] writes a self-contained full save of the
-//!   current partition, the [`Supervisor`] a full save followed by
-//!   deltas; [`TrainLoop::resume_chain`] reads either and reproduces a
+//!   current partition; so does the [`Supervisor`] after any training
+//!   step — a step dirties every shard, and a save that carries every
+//!   shard *is* a full save — so its chain is one file, written into a
+//!   spare buffer that the generation it retires becomes in turn (a
+//!   delta follows a full only while some shard is clean);
+//!   [`TrainLoop::resume_chain`] reads either and reproduces a
 //!   trajectory bit-identical to an uninterrupted run (asserted by the
 //!   kill-at-step-k proptests in `tests/recovery.rs`).
 //! * **Elastic recovery** ([`Supervisor::with_elastic`]) closes the
@@ -43,8 +47,8 @@
 //!   elastic plan attached, the supervisor tracks which physical
 //!   devices the failures burned, asks the planner (via a replanner
 //!   callback, so the engine stays planner-agnostic) for a fresh plan
-//!   over the survivors, saves the loop through a **delta
-//!   checkpoint** ([`crate::checkpoint::v3_delta_to_bytes`]), tears the
+//!   over the survivors, saves the loop through the **checkpoint
+//!   chain** (only the shards dirty since the last save), tears the
 //!   old trainer down and rebuilds it in the re-planned shape — same
 //!   step, same data cursor, bit-identical weights. A stage that
 //!   exhausts retries with no replica to drop migrates immediately;
@@ -206,7 +210,7 @@ impl TrainLoop {
     /// degraded, not in the shape the caller remembers; all other knobs
     /// (schedule, timeouts, NaN policy, ...) come from `cfg`.
     pub fn resume_chain<B: AsRef<[u8]>>(chain: &[B], cfg: EngineConfig) -> Result<Self> {
-        let sharded = checkpoint::v3_chain_to_state(chain)?;
+        let sharded = checkpoint::chain_to_state(chain)?;
         let mut cfg = cfg;
         cfg.stage_bounds = sharded.partition.stage_bounds.clone();
         cfg.replication = sharded.partition.replication.clone();
@@ -289,7 +293,7 @@ impl TrainLoop {
     }
 
     /// The active partition (stage bounds + replication), as persisted
-    /// in v3 checkpoints.
+    /// in checkpoints.
     pub fn partition(&self) -> Partition {
         let cfg = self.trainer.config();
         Partition {
@@ -328,7 +332,7 @@ impl TrainLoop {
     /// layer, so the step count is each shard's version and the save id.
     pub fn save_bytes(&self) -> Vec<u8> {
         let versions = vec![self.step; self.trainer.model.layers.len()];
-        checkpoint::v3_full_to_bytes(self.state_view(), &self.partition(), &versions, self.step)
+        checkpoint::full_to_bytes(self.state_view(), &self.partition(), &versions, self.step)
     }
 
     /// Writes [`TrainLoop::save_bytes`] to a file.
@@ -502,7 +506,7 @@ pub enum RecoveryEventKind {
         /// Replicas remaining on the stage.
         survivors: usize,
     },
-    /// A checkpoint was serialized (v3 full or delta).
+    /// A checkpoint was serialized (full or delta).
     CheckpointSaved {
         /// Serialized size.
         bytes: usize,
@@ -517,7 +521,7 @@ pub enum RecoveryEventKind {
         ns: u64,
     },
     /// The pipeline was migrated to a re-planned shape over the
-    /// surviving devices: state saved (delta), trainer torn down and
+    /// surviving devices: state saved, trainer torn down and
     /// rebuilt, training resumed at the same step and data cursor.
     Repartitioned {
         /// The shape being abandoned (degraded or exhausted).
@@ -578,9 +582,9 @@ struct Elastic {
     pending: Option<u64>,
 }
 
-/// A full save every `FULL_SAVE_EVERY` checkpoints caps the delta chain
-/// a resume has to replay (and lets [`checkpoint::CheckpointStore::gc`]
-/// reclaim the superseded deltas).
+/// A full save at least every `FULL_SAVE_EVERY` checkpoints caps the
+/// delta chain a resume has to replay (and lets
+/// [`checkpoint::CheckpointStore::gc`] reclaim the superseded deltas).
 const FULL_SAVE_EVERY: usize = 4;
 
 /// Wraps a [`TrainLoop`] with retry, degraded-mode, elastic-migration
@@ -593,14 +597,17 @@ pub struct Supervisor {
     events: Vec<RecoveryEvent>,
     virtual_us: u64,
     checkpoint_every: Option<u64>,
-    /// The v3 chain of the current checkpoint generation: one full save
+    /// The chain of the current checkpoint generation: one full save
     /// followed by deltas (in `save_id` order).
     ckpt_chain: Vec<Vec<u8>>,
+    /// The previous generation's full save, retired: the buffer, still
+    /// mapped, that the next full save is written into.
+    spare: Vec<u8>,
     /// Per-layer shard versions; bumped on every successful step.
     versions: Vec<u64>,
     /// Shard versions as of the newest file in `ckpt_chain`.
     saved_versions: Vec<u64>,
-    /// Monotonic save counter (v3 `save_id`).
+    /// Monotonic save counter (`save_id`).
     save_id: u64,
     /// Set once the pipeline shape has changed (replica drop or elastic
     /// migration); enables fault-plan pruning.
@@ -623,6 +630,7 @@ impl Supervisor {
             virtual_us: 0,
             checkpoint_every: None,
             ckpt_chain: Vec::new(),
+            spare: Vec::new(),
             versions: vec![0; n_layers],
             saved_versions: vec![0; n_layers],
             save_id: 0,
@@ -688,7 +696,7 @@ impl Supervisor {
         self.virtual_us
     }
 
-    /// The current checkpoint generation: one v3 full save followed by
+    /// The current checkpoint generation: one full save followed by
     /// its deltas, resumable via [`TrainLoop::resume_chain`].
     pub fn checkpoint_chain(&self) -> &[Vec<u8>] {
         &self.ckpt_chain
@@ -957,10 +965,7 @@ impl Supervisor {
         s
     }
 
-    /// Serializes a v3 checkpoint if one is due at the current step:
-    /// a full save when starting a new generation (or every
-    /// [`FULL_SAVE_EVERY`]th save), otherwise a delta carrying only the
-    /// shards whose version advanced since the previous save.
+    /// Serializes a checkpoint if one is due at the current step.
     fn maybe_checkpoint(&mut self) {
         let Some(every) = self.checkpoint_every else {
             return;
@@ -971,18 +976,25 @@ impl Supervisor {
         self.save_checkpoint();
     }
 
-    /// Unconditionally serializes the next v3 checkpoint in the chain.
+    /// Unconditionally serializes the next checkpoint in the chain: a
+    /// delta while the chain has room and some shard is clean, else — a
+    /// save that carries every shard is a full save — a new generation.
+    /// That is written into the spare buffer *before* the old chain is
+    /// retired into the spare: the supervisor never holds no resumable
+    /// checkpoint, and in steady state holds two buffers it never unmaps.
     fn save_checkpoint(&mut self) {
         let t0 = Instant::now();
         let state = self.train.state_view();
         let partition = self.train.partition();
         self.save_id += 1;
-        let delta = !self.ckpt_chain.is_empty() && self.ckpt_chain.len() < FULL_SAVE_EVERY;
+        let some_clean = std::iter::zip(&self.versions, &self.saved_versions).any(|(v, s)| v <= s);
+        let delta =
+            !self.ckpt_chain.is_empty() && self.ckpt_chain.len() < FULL_SAVE_EVERY && some_clean;
         let bytes = if delta {
-            let base_id = checkpoint::v3_peek(&self.ckpt_chain[0])
+            let base_id = checkpoint::peek(&self.ckpt_chain[0][..])
                 .map(|(_, save_id, _)| save_id)
-                .expect("chain head is a valid v3 file");
-            checkpoint::v3_delta_to_bytes(
+                .expect("chain head is a valid checkpoint");
+            checkpoint::delta_to_bytes(
                 state,
                 &partition,
                 &self.versions,
@@ -991,8 +1003,10 @@ impl Supervisor {
                 base_id,
             )
         } else {
-            self.ckpt_chain.clear();
-            checkpoint::v3_full_to_bytes(state, &partition, &self.versions, self.save_id)
+            let mut bytes = std::mem::take(&mut self.spare);
+            checkpoint::full_into(&mut bytes, state, &partition, &self.versions, self.save_id);
+            self.spare = self.ckpt_chain.drain(..).next().unwrap_or_default();
+            bytes
         };
         let ns = t0.elapsed().as_nanos() as u64;
         self.train.charge_checkpoint_ns(ns, 0);
@@ -1067,7 +1081,7 @@ impl Supervisor {
     }
 
     /// Re-plans over the surviving devices (minus `lost`, if any) and
-    /// migrates the loop to the new shape through a v3 delta checkpoint:
+    /// migrates the loop to the new shape through the checkpoint chain:
     /// save, merge, tear down, rebuild, resume at the same step and data
     /// cursor with bit-identical weights. Returns `false` when elastic
     /// mode is off, no survivors remain, or the replanner declines (the
@@ -1096,10 +1110,10 @@ impl Supervisor {
         }
         let old_plan = el.plan.clone();
         let t0 = Instant::now();
-        // Persist through the delta path (cheap: only dirty shards),
-        // then resume the merged chain under the re-planned shape.
+        // Persist whatever is dirty since the last save, then resume the
+        // merged chain under the re-planned shape.
         self.save_checkpoint();
-        let sharded = checkpoint::v3_chain_to_state(&self.ckpt_chain)?;
+        let sharded = checkpoint::chain_to_state(&self.ckpt_chain)?;
         let cfg = self.train.config().apply_plan(&new_plan);
         let restored = TrainLoop::from_state(sharded.state, cfg)?;
         let recorder = self.train.take_recorder();

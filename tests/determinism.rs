@@ -413,6 +413,99 @@ fn packed_weights_never_outlive_an_optimizer_update() {
     }
 }
 
+/// One optimizer step as a serial scalar loop over each layer's flat
+/// parameter index: the update expressions, and nothing else, in common
+/// with `Optimizer::step`.
+fn serial_scalar_step(opt: &mut Optimizer, model: &mut MlpModel, grads: &[DenseGrads]) {
+    if let Optimizer::Adam { t, .. } = opt {
+        *t += 1;
+    }
+    for (i, layer) in model.layers.iter_mut().enumerate() {
+        let nw = layer.w.data.len();
+        for j in 0..layer.num_params() {
+            let (p, g) = if j < nw {
+                (&mut layer.w.data[j], grads[i].dw.data[j])
+            } else {
+                (&mut layer.b[j - nw], grads[i].db[j - nw])
+            };
+            match opt {
+                Optimizer::Sgd { lr } => *p -= *lr * g,
+                Optimizer::Momentum { lr, beta, velocity } => {
+                    let v = &mut velocity[i][j];
+                    *v = *beta * *v + g;
+                    *p -= *lr * *v;
+                }
+                Optimizer::Adam {
+                    lr,
+                    beta1,
+                    beta2,
+                    eps,
+                    t,
+                    m,
+                    v,
+                } => {
+                    let (m, v) = (&mut m[i][j], &mut v[i][j]);
+                    *m = *beta1 * *m + (1.0 - *beta1) * g;
+                    *v = *beta2 * *v + (1.0 - *beta2) * g * g;
+                    let mhat = *m / (1.0 - beta1.powi(*t as i32));
+                    let vhat = *v / (1.0 - beta2.powi(*t as i32));
+                    *p -= *lr * (mhat / (vhat.sqrt() + *eps));
+                }
+            }
+        }
+    }
+}
+
+/// Parameters, then every optimizer state buffer, as bits.
+fn training_bits(model: &MlpModel, opt: &Optimizer) -> Vec<u32> {
+    let params = model
+        .layers
+        .iter()
+        .flat_map(|l| l.w.data.iter().chain(&l.b));
+    let state: Vec<&Vec<f32>> = match opt {
+        Optimizer::Sgd { .. } => Vec::new(),
+        Optimizer::Momentum { velocity, .. } => velocity.iter().collect(),
+        Optimizer::Adam { m, v, .. } => m.iter().chain(v).collect(),
+    };
+    params
+        .chain(state.into_iter().flatten())
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+/// The banded update is the serial update, bit for bit, under every rule:
+/// three steps over tensors of several 32 Ki-element bands and a ragged
+/// tail (300 x 333), one band and a tail (333 x 128), exactly one band
+/// (128 x 256), far less than one (256 x 4) and the biases. Bands past
+/// the first are shared with the worker pool, so CI's pool-size matrix
+/// running this proves the sizes agree with each other.
+#[test]
+fn banded_update_is_the_serial_update_bit_for_bit() {
+    const BANDED: [usize; 5] = [300, 333, 128, 256, 4];
+    let start = MlpModel::new(&BANDED, 31);
+    let (x, t) = data::regression_batch(4, BANDED[0], BANDED[4], 6);
+    let rules: [fn(&MlpModel) -> Optimizer; 3] = [
+        |_| Optimizer::sgd(0.1),
+        |m| Optimizer::momentum(0.1, 0.9, m),
+        |m| Optimizer::adam(0.01, m),
+    ];
+    for rule in rules {
+        let (mut model, mut reference) = (start.clone(), start.clone());
+        let (mut opt, mut ref_opt) = (rule(&start), rule(&start));
+        for step in 0..3 {
+            let (_, grads) = reference.reference_grads(&x, &t, 1);
+            opt.step(&mut model, &grads);
+            serial_scalar_step(&mut ref_opt, &mut reference, &grads);
+            assert!(
+                training_bits(&model, &opt) == training_bits(&reference, &ref_opt),
+                "{} B/param rule parted from the serial loop at step {step}",
+                opt.bytes_per_param()
+            );
+        }
+        assert_eq!(opt, ref_opt, "hyper-parameters and step counter");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
     #[test]

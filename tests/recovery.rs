@@ -399,10 +399,13 @@ fn supervisor_checkpoint_restore_replays_identically() {
     // Last checkpoint was taken at step 4.
     sup.restore_last_checkpoint().unwrap();
     assert_eq!(sup.train().step(), 4);
-    // Roll further: restore the same position by replaying the v3 chain
-    // (the step-2 full save plus the step-4 delta).
+    // Roll further: restore the same position by replaying the chain.
+    // Steps 3 and 4 trained every layer, so the step-4 save carried every
+    // shard: it is a full save, and the chain is that one file.
     let chain = sup.checkpoint_chain().to_vec();
-    assert_eq!(chain.len(), 2, "expected a full save plus one delta");
+    assert_eq!(chain.len(), 1, "a save of every shard starts a new chain");
+    let (kind, ..) = checkpoint::peek(&chain[0][..]).unwrap();
+    assert_eq!(kind, checkpoint::SaveKind::Full);
     let mut replay = TrainLoop::resume_chain(&chain, cfg()).unwrap();
     assert_eq!(replay.step(), 4);
     let more = replay.run(2).unwrap();
@@ -431,7 +434,7 @@ fn straight_plan(bounds: &[std::ops::Range<usize>], devices: &[u32]) -> Plan {
 
 /// The tentpole guarantee: a stage with no replica to drop exhausts its
 /// retries, the supervisor re-plans over the survivors, migrates through
-/// a v3 checkpoint — and the whole trajectory (losses AND final weights)
+/// a checkpoint — and the whole trajectory (losses AND final weights)
 /// is bit-equal to a run that never faulted. A straight-pipeline
 /// repartition only moves stage boundaries; per-layer compute and the
 /// micro-batch accumulation order are untouched, so bit-exactness is the
@@ -517,6 +520,73 @@ fn elastic_migration_after_exhausted_stage_is_bit_exact() {
     assert_eq!(migrated.model(), reference.model());
     assert_eq!(migrated.optimizer(), reference.optimizer());
     assert_eq!(migrated.data().cursor(), reference.data().cursor());
+}
+
+/// The one place a supervisor still writes a delta: a migration straight
+/// after a periodic save finds no shard dirty, so what it persists is an
+/// empty delta on the save it has just taken — every other save carries
+/// every shard and is a full one — and rebuilding from that chain is
+/// still bit-exact.
+#[test]
+fn migration_straight_after_a_save_persists_an_empty_delta() {
+    let mut reference = mk_loop(2);
+    let ref_losses = reference.run(TOTAL_STEPS).unwrap();
+
+    let policy = RetryPolicy {
+        max_attempts: 2,
+        base_backoff_us: 100,
+        allow_degraded: true,
+    };
+    let replanner = |_: &[DeviceId]| Some(straight_plan(&[0..3, 3..6], &[0, 2]));
+    let mut sup = Supervisor::new(mk_loop(2), policy)
+        .with_checkpoint_every(1)
+        .with_elastic(straight_plan(&[0..2, 2..4, 4..6], &[0, 1, 2]), 0, replanner)
+        .unwrap();
+    // Stage 1's device dies in step 2, before that step trains anything:
+    // the save taken when step 1 completed is still current.
+    let mut fails = 0u32;
+    let mut faults = move |step: u64, _attempt: usize| {
+        if step == 2 && fails < 2 {
+            fails += 1;
+            FaultPlan::new().with_fault(1, 0, 0, FaultKind::Panic)
+        } else {
+            FaultPlan::new()
+        }
+    };
+    let losses = sup.run(TOTAL_STEPS, &mut faults).unwrap();
+    assert_eq!(sup.metrics().repartitions, 1);
+
+    let saves: Vec<(u64, usize, bool)> = sup
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            RecoveryEventKind::CheckpointSaved { bytes, delta, .. } => Some((e.step, bytes, delta)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        saves.len() as u64,
+        TOTAL_STEPS + 1,
+        "one per step, one to migrate"
+    );
+    let full_bytes = saves[0].1;
+    for &(step, bytes, delta) in &saves {
+        if delta {
+            assert_eq!(step, 2, "only the migration's save finds nothing dirty");
+            assert!(bytes * 10 < full_bytes, "an empty delta is a header");
+        } else {
+            // (Two stages after the migration: one 12-byte record fewer.)
+            assert!(bytes.abs_diff(full_bytes) <= 12, "every shard, every time");
+        }
+    }
+    assert_eq!(saves.iter().filter(|s| s.2).count(), 1);
+
+    for (i, (a, b)) in losses.iter().zip(&ref_losses).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "loss diverged at step {i}");
+    }
+    let migrated = sup.into_train();
+    assert_eq!(migrated.model(), reference.model());
+    assert_eq!(migrated.optimizer(), reference.optimizer());
 }
 
 /// A `Write` sink the test can read back after the recorder is dropped.
@@ -701,7 +771,7 @@ fn prime_micro_batch_rows_drop_one_replica_not_all() {
     }
 }
 
-/// A checkpoint taken while degraded must resume degraded: the v3 file
+/// A checkpoint taken while degraded must resume degraded: the file
 /// persists the active partition, and both the chain resume and the
 /// single-file resume restore the post-drop replication — continuing
 /// bit-identically to the supervisor that never stopped.
@@ -754,7 +824,7 @@ fn checkpoint_taken_degraded_resumes_degraded() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any single-byte corruption anywhere in a v3 base + two-delta
+    /// Any single-byte corruption anywhere in a base + two-delta
     /// chain — any file, any offset, any non-identity XOR mask — is
     /// rejected with a structured error: payload damage names the bad
     /// shard (`ShardCorrupt`), header damage is `InvalidConfig`; never a
@@ -766,20 +836,34 @@ proptest! {
         pos_seed in 0u64..1_000_000_007,
         mask in 1u8..=255,
     ) {
-        // Build base + 2 deltas through the supervisor (checkpoint every
-        // step; the first save is full, the next two are deltas).
-        let lp = mk_loop(opt_idx);
-        let mut sup = Supervisor::new(lp, RetryPolicy::default()).with_checkpoint_every(1);
-        sup.run(3, |_, _| FaultPlan::new()).unwrap();
-        let chain = sup.checkpoint_chain().to_vec();
-        prop_assert_eq!(chain.len(), 3);
-        prop_assert!(checkpoint::v3_chain_to_state(&chain).is_ok());
+        // A base and two genuinely partial deltas: between saves, versions
+        // advance — and weights move — on a strict subset of the layers.
+        // (A supervisor's saves carry every shard, so they are all full.)
+        let mut lp = mk_loop(opt_idx);
+        lp.run(2).unwrap();
+        let (mut state, partition) = (lp.state(), lp.partition());
+        let mut versions = vec![2u64; DIMS.len() - 1];
+        let mut chain = vec![checkpoint::full_to_bytes(state.view(), &partition, &versions, 1)];
+        for (save_id, dirty) in [(2u64, vec![1usize, 4]), (3, vec![0, 4, 5])] {
+            let since = versions.clone();
+            for layer in dirty {
+                versions[layer] += 1;
+                state.model.layers[layer].w.data.iter_mut().for_each(|w| *w += 0.25);
+            }
+            state.step += 1;
+            let delta = checkpoint::delta_to_bytes(
+                state.view(), &partition, &versions, &since, save_id, 1,
+            );
+            prop_assert!(delta.len() < chain[0].len(), "a delta carries a subset of the shards");
+            chain.push(delta);
+        }
+        prop_assert_eq!(&checkpoint::chain_to_state(&chain).unwrap().state, &state);
 
         let file = (file_seed % chain.len() as u64) as usize;
         let pos = (pos_seed % chain[file].len() as u64) as usize;
         let mut bad = chain.clone();
         bad[file][pos] ^= mask;
-        match checkpoint::v3_chain_to_state(&bad) {
+        match checkpoint::chain_to_state(&bad) {
             Err(DappleError::ShardCorrupt { shard, layer, .. }) => {
                 // Structured shard attribution stays in range.
                 prop_assert!(layer < DIMS.len() - 1, "shard {} layer {}", shard, layer);
