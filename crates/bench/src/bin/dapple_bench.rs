@@ -25,11 +25,10 @@
 //! over repeated steps with the spread recorded), and the replan
 //! demonstration (the planner re-planning from a measured profile vs. the
 //! analytic one, both plans timed on the engine). The recovery group
-//! measures checkpoint save/load latency (sharded full and delta saves
-//! plus the base+delta chain resume), the checksum and the optimizer
-//! update those saves sit beside, and
-//! the cost of a full elastic migration (replica death → replica drop →
-//! re-plan → rebuild through the delta-checkpoint chain). `--trace PATH`
+//! measures checkpoint save and resume latency (one self-contained
+//! file each way), the checksum and the optimizer update those saves
+//! sit beside, and the cost of a full elastic migration (replica death →
+//! replica drop → re-plan → rebuild around the live state). `--trace PATH`
 //! additionally exports the measured step as a Perfetto-loadable Chrome
 //! Trace Event file; `--recovery-log PATH` dumps the supervisor's
 //! recovery-event log as JSON. `--gate-err-steady T` exits non-zero when
@@ -49,7 +48,7 @@ use dapple_bench::validate::{
     calibrate_validation, replan_from_measured, Scenario, MAX_CALIBRATION_ROUNDS, MEASURE_ITERS,
 };
 use dapple_core::{DeviceId, Plan, StagePlan};
-use dapple_engine::checkpoint::{chain_to_state, checksum, delta_to_bytes, full_to_bytes};
+use dapple_engine::checkpoint::{checksum, from_bytes, to_bytes};
 use dapple_engine::{
     data, DataStream, EngineConfig, FaultKind, FaultPlan, MlpModel, Optimizer, PackedRhs,
     Partition, PipelineTrainer, RetryPolicy, Rhs, Supervisor, Tensor, TrainLoop, TrainState,
@@ -528,13 +527,8 @@ fn recovery_benches(smoke: bool, out: &mut Vec<Record>, recovery_log: Option<&st
         (vec![64, 256, 256, 256, 256, 128, 32], 128, 20)
     };
 
-    // Checkpoints: sharded saves with per-layer version counters (Adam:
-    // every shard carries two moment buffers). The full save writes
-    // every shard; the delta writes only the shards whose version
-    // advanced — here 2 of 16 layers (1/8 of the model), the regime
-    // delta checkpoints exist for. The delta's time and byte ratios
-    // versus the full save of the same state land in the report so the
-    // diff barometer tracks them.
+    // Checkpoints: one save and one resume of the same 16-layer Adam
+    // state (every shard carries two moment buffers).
     let deep_dims: Vec<usize> = if smoke {
         let mut d = vec![5];
         d.extend(std::iter::repeat_n(8, 15));
@@ -560,64 +554,35 @@ fn recovery_benches(smoke: bool, out: &mut Vec<Record>, recovery_log: Option<&st
         stage_bounds: vec![0..n_shards / 2, n_shards / 2..n_shards],
         replication: vec![1, 1],
     };
-    // Base saved at `since`; two shards advanced to `versions` since.
-    let since = vec![1u64; n_shards];
-    let mut versions = since.clone();
-    versions[0] = 2;
-    versions[n_shards / 2] = 2;
-    let full = full_to_bytes(deep_state.view(), &partition, &since, 1);
-    let full_ns = time_ns_min(iters, || {
-        black_box(full_to_bytes(deep_state.view(), &partition, &since, 1).len());
+    let file = to_bytes(deep_state.view(), &partition);
+    let save_ns = time_ns_min(iters, || {
+        black_box(to_bytes(deep_state.view(), &partition).len());
     });
-    out.push(Record {
-        group: "recovery",
-        name: "checkpoint_full_save".into(),
-        iters,
-        ns_per_iter: full_ns,
-        extra: vec![("bytes", full.len().to_string())],
+    let resume_ns = time_ns_min(iters, || {
+        black_box(from_bytes(&file).unwrap().0.step);
     });
-    let delta = delta_to_bytes(deep_state.view(), &partition, &versions, &since, 2, 1);
-    let delta_ns = time_ns_min(iters, || {
-        black_box(delta_to_bytes(deep_state.view(), &partition, &versions, &since, 2, 1).len());
-    });
-    out.push(Record {
-        group: "recovery",
-        name: "checkpoint_delta_save".into(),
-        iters,
-        ns_per_iter: delta_ns,
-        extra: vec![
-            ("bytes", delta.len().to_string()),
-            ("changed_shards", format!("\"2/{n_shards}\"")),
-            ("speedup_vs_full", json_f64(full_ns / delta_ns.max(1.0))),
-            (
-                "bytes_ratio_vs_full",
-                json_f64(delta.len() as f64 / full.len() as f64),
-            ),
-        ],
-    });
-    let chain = [full, delta];
-    let merge_ns = time_ns_min(iters, || {
-        let merged = chain_to_state(&chain).unwrap();
-        black_box(merged.save_id);
-    });
-    out.push(Record {
-        group: "recovery",
-        name: "checkpoint_chain_resume".into(),
-        iters,
-        ns_per_iter: merge_ns,
-        extra: vec![("chain_len", chain.len().to_string())],
-    });
+    for (name, ns_per_iter) in [
+        ("checkpoint_save", save_ns),
+        ("checkpoint_resume", resume_ns),
+    ] {
+        out.push(Record {
+            group: "recovery",
+            name: name.into(),
+            iters,
+            ns_per_iter,
+            extra: vec![("bytes", file.len().to_string())],
+        });
+    }
     state_pass_benches(out);
 
     // The full escalation ladder, timed end to end: a transient fault is
     // retried, then a replica of the wide stage dies for good (retries
     // exhaust, the replica is dropped), a short degraded window runs,
     // and the supervisor re-plans onto the survivors and rebuilds the
-    // pipeline through the delta-checkpoint chain. The migration cost is
-    // the paper's recovery-time story; the event log written by
-    // `--recovery-log` comes from this run, so it exercises every event
-    // kind — retry, rollback, recovered, replica drop, checkpoint save
-    // (full and delta) and repartition.
+    // pipeline around the live state. The migration cost is the paper's
+    // recovery-time story; the event log written by `--recovery-log`
+    // comes from this run, so it exercises every event kind — retry,
+    // rollback, recovered, replica drop, checkpoint save and repartition.
     let elastic_loop = {
         let model = MlpModel::new(&dims, 3);
         let optimizer = Optimizer::adam(0.01, &model);

@@ -841,8 +841,8 @@ mod tests {
     /// saves), so its regressions gate.
     #[test]
     fn recovery_regression_gates() {
-        let old = report(&[("recovery", "checkpoint_delta_save", 100.0, &[])]);
-        let new = report(&[("recovery", "checkpoint_delta_save", 400.0, &[])]);
+        let old = report(&[("recovery", "checkpoint_save", 100.0, &[])]);
+        let new = report(&[("recovery", "checkpoint_save", 400.0, &[])]);
         let d = diff_reports(&old, &new, DiffOptions::default());
         assert_eq!(d.rows[0].verdict, Verdict::Regression);
         assert!(d.gate_failed());

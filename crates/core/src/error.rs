@@ -98,9 +98,9 @@ pub enum DappleError {
         /// The underlying error.
         source: Box<DappleError>,
     },
-    /// A sharded (v3) checkpoint carried a shard that failed its
-    /// integrity check. Names the bad shard so operators can tell a
-    /// damaged delta from a damaged base without parsing the file.
+    /// A checkpoint carried a per-layer shard that failed its integrity
+    /// check. Names the bad shard so operators can tell which layer's
+    /// record is damaged without parsing the file.
     ShardCorrupt {
         /// Position of the shard record within its checkpoint file.
         shard: usize,

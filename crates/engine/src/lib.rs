@@ -34,7 +34,7 @@ pub mod runlog;
 pub mod tensor;
 pub mod trace;
 
-pub use checkpoint::{CheckpointStore, Partition, SaveKind, ShardedState, StateView, TrainState};
+pub use checkpoint::{Partition, StateView, TrainState};
 pub use fault::{FaultKind, FaultPlan, NanPolicy};
 pub use layer::{Activation, Dense};
 pub use loss::LossKind;

@@ -30,16 +30,14 @@
 //!   count, since every row is still processed exactly once), and the
 //!   reconfiguration is recorded as a [`RecoveryEventKind::ReplicaDropped`].
 //! * Training state is kept exactly one way: live in the [`TrainLoop`],
-//!   serialized as a sharded checkpoint ([`crate::checkpoint`]).
-//!   [`TrainLoop::save`] writes a self-contained full save of the
-//!   current partition; so does the [`Supervisor`] after any training
-//!   step — a step dirties every shard, and a save that carries every
-//!   shard *is* a full save — so its chain is one file, written into a
-//!   spare buffer that the generation it retires becomes in turn (a
-//!   delta follows a full only while some shard is clean);
-//!   [`TrainLoop::resume_chain`] reads either and reproduces a
-//!   trajectory bit-identical to an uninterrupted run (asserted by the
-//!   kill-at-step-k proptests in `tests/recovery.rs`).
+//!   serialized as one self-contained checkpoint file
+//!   ([`crate::checkpoint`]) that also records the active partition.
+//!   [`TrainLoop::save`] publishes it atomically (tmp file, sync, rename,
+//!   directory sync); the [`Supervisor`] keeps its periodic save in
+//!   memory, written into a spare buffer that the save it retires becomes
+//!   in turn. [`TrainLoop::resume`] / [`TrainLoop::resume_bytes`]
+//!   reproduce a trajectory bit-identical to an uninterrupted run
+//!   (asserted by the kill-at-step-k proptests in `tests/recovery.rs`).
 //! * **Elastic recovery** ([`Supervisor::with_elastic`]) closes the
 //!   escalation ladder: *degraded → re-plan → migrate → full speed*.
 //!   Degraded mode is first aid, not a steady state — it leaves a
@@ -47,10 +45,10 @@
 //!   elastic plan attached, the supervisor tracks which physical
 //!   devices the failures burned, asks the planner (via a replanner
 //!   callback, so the engine stays planner-agnostic) for a fresh plan
-//!   over the survivors, saves the loop through the **checkpoint
-//!   chain** (only the shards dirty since the last save), tears the
-//!   old trainer down and rebuilds it in the re-planned shape — same
-//!   step, same data cursor, bit-identical weights. A stage that
+//!   over the survivors, tears the old trainer down and rebuilds it
+//!   around the live model in the re-planned shape — same step, same
+//!   data cursor, the very same weights and optimizer moments (they
+//!   never leave this address space, so nothing is serialized). A stage that
 //!   exhausts retries with no replica to drop migrates immediately;
 //!   a replica drop migrates after a short observation window (so the
 //!   degraded baseline is measurable). Each migration is logged as
@@ -75,6 +73,9 @@ use crate::tensor::Tensor;
 use crate::trace::{RecoveryStepMetrics, StepMetrics, StepTrace};
 use dapple_core::json::escape_into;
 use dapple_core::{DappleError, DeviceId, Plan, Result};
+use std::fs::File;
+use std::io::Write;
+use std::path::Path;
 use std::time::Instant;
 
 /// A deterministic stream of training batches: batch `k` is a pure
@@ -198,27 +199,32 @@ impl TrainLoop {
         Ok(lp)
     }
 
-    /// Resumes from one self-contained (full) checkpoint file: a chain
-    /// of length one, see [`TrainLoop::resume_chain`].
-    pub fn resume_bytes(bytes: &[u8], cfg: EngineConfig) -> Result<Self> {
-        TrainLoop::resume_chain(&[bytes], cfg)
+    /// Resumes from one checkpoint file's bytes. The partition stored in
+    /// the file **overrides** `cfg.stage_bounds` / `cfg.replication` — a
+    /// checkpoint taken while degraded resumes degraded, not in the shape
+    /// the caller remembers; all other knobs (schedule, timeouts, NaN
+    /// policy, ...) come from `cfg`.
+    pub fn resume_bytes(bytes: &[u8], mut cfg: EngineConfig) -> Result<Self> {
+        let (state, partition) = checkpoint::from_bytes(bytes)?;
+        cfg.stage_bounds = partition.stage_bounds;
+        cfg.replication = partition.replication;
+        TrainLoop::from_state(state, cfg)
     }
 
-    /// Resumes from a full save + delta chain. The partition stored in
-    /// the newest file **overrides** `cfg.stage_bounds` /
-    /// `cfg.replication` — a checkpoint taken while degraded resumes
-    /// degraded, not in the shape the caller remembers; all other knobs
-    /// (schedule, timeouts, NaN policy, ...) come from `cfg`.
+    /// [`TrainLoop::resume_bytes`] of what [`Supervisor::checkpoint_chain`]
+    /// returns: exactly one file.
     pub fn resume_chain<B: AsRef<[u8]>>(chain: &[B], cfg: EngineConfig) -> Result<Self> {
-        let sharded = checkpoint::chain_to_state(chain)?;
-        let mut cfg = cfg;
-        cfg.stage_bounds = sharded.partition.stage_bounds.clone();
-        cfg.replication = sharded.partition.replication.clone();
-        TrainLoop::from_state(sharded.state, cfg)
+        let [file] = chain else {
+            return Err(DappleError::InvalidConfig(format!(
+                "a checkpoint is one file, got {}",
+                chain.len()
+            )));
+        };
+        TrainLoop::resume_bytes(file.as_ref(), cfg)
     }
 
-    /// Resumes from a full checkpoint file written by [`TrainLoop::save`].
-    pub fn resume(path: &std::path::Path, cfg: EngineConfig) -> Result<Self> {
+    /// Resumes from a checkpoint file written by [`TrainLoop::save`].
+    pub fn resume(path: &Path, cfg: EngineConfig) -> Result<Self> {
         let bytes = std::fs::read(path)
             .map_err(|e| DappleError::InvalidConfig(format!("cannot read checkpoint: {e}")))?;
         TrainLoop::resume_bytes(&bytes, cfg)
@@ -286,7 +292,7 @@ impl TrainLoop {
         self.pending_recovery.checkpoint_load_ns += load_ns;
     }
 
-    /// Charges elastic-migration time (save + teardown + rebuild) to the
+    /// Charges elastic-migration time (teardown + rebuild) to the
     /// next recorded step.
     pub fn charge_migration_ns(&mut self, ns: u64) {
         self.pending_recovery.migration_ns += ns;
@@ -314,31 +320,34 @@ impl TrainLoop {
         }
     }
 
-    /// The full training state (cloned), e.g. to rebuild a loop with
-    /// [`TrainLoop::from_state`]. Saves borrow it instead.
-    pub fn state(&self) -> TrainState {
-        TrainState {
-            model: self.trainer.model.clone(),
-            optimizer: self.optimizer.clone(),
-            step: self.step,
-            data_seed: self.data.seed,
-            data_cursor: self.data.cursor,
-            batch_samples: self.data.samples as u32,
-        }
-    }
-
-    /// Serializes the full state as one self-contained checkpoint: a
-    /// full save of the current partition. Every step trains every
-    /// layer, so the step count is each shard's version and the save id.
+    /// Serializes the full state, and the current partition, as one
+    /// self-contained checkpoint.
     pub fn save_bytes(&self) -> Vec<u8> {
-        let versions = vec![self.step; self.trainer.model.layers.len()];
-        checkpoint::full_to_bytes(self.state_view(), &self.partition(), &versions, self.step)
+        checkpoint::to_bytes(self.state_view(), &self.partition())
     }
 
-    /// Writes [`TrainLoop::save_bytes`] to a file.
-    pub fn save(&self, path: &std::path::Path) -> Result<()> {
-        std::fs::write(path, self.save_bytes())
-            .map_err(|e| DappleError::InvalidConfig(format!("cannot write checkpoint: {e}")))
+    /// Publishes [`TrainLoop::save_bytes`] at `path` atomically: written
+    /// and synced as `{path}.tmp`, then renamed into place. A crash
+    /// mid-write leaves a `.tmp` file nobody reads, never a torn file
+    /// under `path` — whatever checkpoint was there before survives whole.
+    pub fn save(&self, path: &Path) -> Result<()> {
+        let bytes = self.save_bytes();
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let write = || {
+            let mut file = File::create(&tmp)?;
+            file.write_all(&bytes)?;
+            file.sync_all()?;
+            std::fs::rename(&tmp, path)?;
+            // The new name is durable once its directory is.
+            #[cfg(unix)]
+            {
+                let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+                File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+            }
+            std::io::Result::Ok(())
+        };
+        write().map_err(|e| DappleError::InvalidConfig(format!("cannot write checkpoint: {e}")))
     }
 
     /// One transactional training step under a fault plan.
@@ -397,8 +406,9 @@ impl TrainLoop {
         (0..steps).map(|_| Ok(self.try_step(&plan)?.loss)).collect()
     }
 
-    /// Swaps in a new engine configuration (degraded-mode reshard) while
-    /// keeping model, optimizer and cursors.
+    /// Swaps in a new engine configuration (degraded-mode reshard,
+    /// elastic migration) while keeping model, optimizer, cursors, the
+    /// recorder and the recovery charges pending for the next step.
     pub fn reconfigure(&mut self, cfg: EngineConfig) -> Result<()> {
         let model = self.trainer.model.clone();
         self.trainer = PipelineTrainer::new(model, cfg)?;
@@ -506,14 +516,12 @@ pub enum RecoveryEventKind {
         /// Replicas remaining on the stage.
         survivors: usize,
     },
-    /// A checkpoint was serialized (full or delta).
+    /// A checkpoint was serialized.
     CheckpointSaved {
         /// Serialized size.
         bytes: usize,
         /// Wall-clock serialization cost, ns.
         ns: u64,
-        /// `true` when only changed shards were written.
-        delta: bool,
     },
     /// A checkpoint was deserialized and installed.
     CheckpointLoaded {
@@ -521,8 +529,8 @@ pub enum RecoveryEventKind {
         ns: u64,
     },
     /// The pipeline was migrated to a re-planned shape over the
-    /// surviving devices: state saved, trainer torn down and
-    /// rebuilt, training resumed at the same step and data cursor.
+    /// surviving devices: trainer torn down and rebuilt around the
+    /// live state, training resumed at the same step and data cursor.
     Repartitioned {
         /// The shape being abandoned (degraded or exhausted).
         old_plan: Plan,
@@ -582,11 +590,6 @@ struct Elastic {
     pending: Option<u64>,
 }
 
-/// A full save at least every `FULL_SAVE_EVERY` checkpoints caps the
-/// delta chain a resume has to replay (and lets
-/// [`checkpoint::CheckpointStore::gc`] reclaim the superseded deltas).
-const FULL_SAVE_EVERY: usize = 4;
-
 /// Wraps a [`TrainLoop`] with retry, degraded-mode, elastic-migration
 /// and checkpoint policy. Faults are supplied per `(step, attempt)` by
 /// the caller — deterministic injection in tests, [`FaultPlan::new`] in
@@ -597,18 +600,11 @@ pub struct Supervisor {
     events: Vec<RecoveryEvent>,
     virtual_us: u64,
     checkpoint_every: Option<u64>,
-    /// The chain of the current checkpoint generation: one full save
-    /// followed by deltas (in `save_id` order).
-    ckpt_chain: Vec<Vec<u8>>,
-    /// The previous generation's full save, retired: the buffer, still
-    /// mapped, that the next full save is written into.
+    /// The most recent periodic save.
+    checkpoint: Option<Vec<u8>>,
+    /// The save before it, retired: the buffer, still mapped, that the
+    /// next save is written into.
     spare: Vec<u8>,
-    /// Per-layer shard versions; bumped on every successful step.
-    versions: Vec<u64>,
-    /// Shard versions as of the newest file in `ckpt_chain`.
-    saved_versions: Vec<u64>,
-    /// Monotonic save counter (`save_id`).
-    save_id: u64,
     /// Set once the pipeline shape has changed (replica drop or elastic
     /// migration); enables fault-plan pruning.
     reconfigured: bool,
@@ -622,18 +618,14 @@ pub struct Supervisor {
 impl Supervisor {
     /// Supervises a training loop under a retry policy.
     pub fn new(train: TrainLoop, policy: RetryPolicy) -> Self {
-        let n_layers = train.model().layers.len();
         Supervisor {
             train,
             policy,
             events: Vec::new(),
             virtual_us: 0,
             checkpoint_every: None,
-            ckpt_chain: Vec::new(),
+            checkpoint: None,
             spare: Vec::new(),
-            versions: vec![0; n_layers],
-            saved_versions: vec![0; n_layers],
-            save_id: 0,
             reconfigured: false,
             elastic: None,
             last_step_recovery: RecoveryStepMetrics::default(),
@@ -696,10 +688,10 @@ impl Supervisor {
         self.virtual_us
     }
 
-    /// The current checkpoint generation: one full save followed by
-    /// its deltas, resumable via [`TrainLoop::resume_chain`].
+    /// The most recent periodic save — empty before the first, one file
+    /// after — resumable via [`TrainLoop::resume_chain`].
     pub fn checkpoint_chain(&self) -> &[Vec<u8>] {
-        &self.ckpt_chain
+        self.checkpoint.as_slice()
     }
 
     /// Consumes the supervisor, returning the loop.
@@ -733,10 +725,6 @@ impl Supervisor {
                                 attempts: total_attempts,
                             },
                         });
-                    }
-                    // Every layer trained this step; its shard is dirty.
-                    for v in &mut self.versions {
-                        *v += 1;
                     }
                     self.maybe_checkpoint();
                     // A scheduled elastic migration lands once its
@@ -823,19 +811,21 @@ impl Supervisor {
             .collect()
     }
 
-    /// Restores the most recent in-memory checkpoint generation —
-    /// merging the full save with its deltas — and records the load
-    /// latency. The checkpointed partition wins over the current shape.
-    /// Errors if no checkpoint was taken.
+    /// Restores the *state* of the most recent in-memory checkpoint into
+    /// the loop's current shape and records the load latency. The live
+    /// partition wins over the checkpointed one: a replica dropped or a
+    /// device migrated away from since the save stays gone. Errors if no
+    /// checkpoint was taken.
     pub fn restore_last_checkpoint(&mut self) -> Result<()> {
-        if self.ckpt_chain.is_empty() {
+        let Some(bytes) = &self.checkpoint else {
             return Err(DappleError::InvalidConfig(
                 "no checkpoint taken by this supervisor".into(),
             ));
-        }
+        };
         let cfg = self.train.config().clone();
         let t0 = Instant::now();
-        let restored = TrainLoop::resume_chain(&self.ckpt_chain, cfg)?;
+        let (state, _) = checkpoint::from_bytes(bytes)?;
+        let restored = TrainLoop::from_state(state, cfg)?;
         let ns = t0.elapsed().as_nanos() as u64;
         let step = restored.step();
         // The recorder (and its open run log) survives the restore: it
@@ -934,10 +924,9 @@ impl Supervisor {
                          \"replica\": {replica}, \"survivors\": {survivors}"
                     ));
                 }
-                RecoveryEventKind::CheckpointSaved { bytes, ns, delta } => {
+                RecoveryEventKind::CheckpointSaved { bytes, ns } => {
                     s.push_str(&format!(
-                        "\"kind\": \"checkpoint_saved\", \"bytes\": {bytes}, \"ns\": {ns}, \
-                         \"delta\": {delta}"
+                        "\"kind\": \"checkpoint_saved\", \"bytes\": {bytes}, \"ns\": {ns}"
                     ));
                 }
                 RecoveryEventKind::CheckpointLoaded { ns } => {
@@ -965,49 +954,18 @@ impl Supervisor {
         s
     }
 
-    /// Serializes a checkpoint if one is due at the current step.
+    /// Serializes a checkpoint if one is due at the current step. It is
+    /// written into the spare buffer *before* the previous save is retired
+    /// into the spare: the supervisor never holds no resumable checkpoint,
+    /// and in steady state holds two buffers it never unmaps.
     fn maybe_checkpoint(&mut self) {
-        let Some(every) = self.checkpoint_every else {
-            return;
-        };
-        if !self.train.step().is_multiple_of(every) {
+        let due = |every| self.train.step().is_multiple_of(every);
+        if !self.checkpoint_every.is_some_and(due) {
             return;
         }
-        self.save_checkpoint();
-    }
-
-    /// Unconditionally serializes the next checkpoint in the chain: a
-    /// delta while the chain has room and some shard is clean, else — a
-    /// save that carries every shard is a full save — a new generation.
-    /// That is written into the spare buffer *before* the old chain is
-    /// retired into the spare: the supervisor never holds no resumable
-    /// checkpoint, and in steady state holds two buffers it never unmaps.
-    fn save_checkpoint(&mut self) {
         let t0 = Instant::now();
-        let state = self.train.state_view();
-        let partition = self.train.partition();
-        self.save_id += 1;
-        let some_clean = std::iter::zip(&self.versions, &self.saved_versions).any(|(v, s)| v <= s);
-        let delta =
-            !self.ckpt_chain.is_empty() && self.ckpt_chain.len() < FULL_SAVE_EVERY && some_clean;
-        let bytes = if delta {
-            let base_id = checkpoint::peek(&self.ckpt_chain[0][..])
-                .map(|(_, save_id, _)| save_id)
-                .expect("chain head is a valid checkpoint");
-            checkpoint::delta_to_bytes(
-                state,
-                &partition,
-                &self.versions,
-                &self.saved_versions,
-                self.save_id,
-                base_id,
-            )
-        } else {
-            let mut bytes = std::mem::take(&mut self.spare);
-            checkpoint::full_into(&mut bytes, state, &partition, &self.versions, self.save_id);
-            self.spare = self.ckpt_chain.drain(..).next().unwrap_or_default();
-            bytes
-        };
+        let mut bytes = std::mem::take(&mut self.spare);
+        checkpoint::write_into(&mut bytes, self.train.state_view(), &self.train.partition());
         let ns = t0.elapsed().as_nanos() as u64;
         self.train.charge_checkpoint_ns(ns, 0);
         self.last_step_recovery.checkpoint_save_ns += ns;
@@ -1017,11 +975,9 @@ impl Supervisor {
             kind: RecoveryEventKind::CheckpointSaved {
                 bytes: bytes.len(),
                 ns,
-                delta,
             },
         });
-        self.saved_versions.clone_from(&self.versions);
-        self.ckpt_chain.push(bytes);
+        self.spare = self.checkpoint.replace(bytes).unwrap_or_default();
     }
 
     /// Degrades `stage` by dropping one replica; the survivors re-shard
@@ -1081,9 +1037,9 @@ impl Supervisor {
     }
 
     /// Re-plans over the surviving devices (minus `lost`, if any) and
-    /// migrates the loop to the new shape through the checkpoint chain:
-    /// save, merge, tear down, rebuild, resume at the same step and data
-    /// cursor with bit-identical weights. Returns `false` when elastic
+    /// migrates the loop to the new shape: the trainer is torn down and
+    /// rebuilt around the live model, so step, data cursor, weights and
+    /// optimizer moments are the same objects. Returns `false` when elastic
     /// mode is off, no survivors remain, or the replanner declines (the
     /// run then stays in its current — possibly degraded — shape).
     fn migrate(&mut self, step: u64, lost: Option<DeviceId>) -> Result<bool> {
@@ -1110,17 +1066,8 @@ impl Supervisor {
         }
         let old_plan = el.plan.clone();
         let t0 = Instant::now();
-        // Persist whatever is dirty since the last save, then resume the
-        // merged chain under the re-planned shape.
-        self.save_checkpoint();
-        let sharded = checkpoint::chain_to_state(&self.ckpt_chain)?;
         let cfg = self.train.config().apply_plan(&new_plan);
-        let restored = TrainLoop::from_state(sharded.state, cfg)?;
-        let recorder = self.train.take_recorder();
-        self.train = restored;
-        if let Some(rec) = recorder {
-            self.train.attach_recorder(rec);
-        }
+        self.train.reconfigure(cfg)?;
         let ns = t0.elapsed().as_nanos() as u64;
         let migration_us = ns.div_ceil(1_000);
         self.train.charge_migration_ns(ns);

@@ -10,6 +10,7 @@ use dapple::engine::{
     DataStream, EngineConfig, FaultKind, FaultPlan, MlpModel, Optimizer, RetryPolicy, RunRecorder,
     Supervisor, TrainLoop,
 };
+use dapple_core::{DeviceId, Plan, StagePlan};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
@@ -106,6 +107,42 @@ fn hundred_step_run_produces_parseable_jsonl_run_log() {
     }
     assert!(saw_retry, "the injected fault's retry must be logged");
     assert!(saw_checkpoint, "checkpoint save cost must be logged");
+}
+
+/// A migration rebuilds the trainer around the live loop, so what the
+/// failed attempts before it were charged reaches the log on the step that
+/// finally completes, beside the migration's own cost.
+#[test]
+fn charges_pending_before_a_migration_reach_the_run_log() {
+    let sink = SharedSink::default();
+    let mut lp = traced_loop();
+    lp.attach_recorder(RunRecorder::new(Box::new(sink.clone())));
+    let stage = |layers, device| StagePlan::new(layers, vec![DeviceId(device)]);
+    let plan = Plan::new(vec![stage(0..2, 0), stage(2..4, 1), stage(4..6, 2)]);
+    let replanned = Plan::new(vec![stage(0..3, 0), stage(3..6, 2)]);
+    // Stage 1 has no replica to drop: three failed attempts, then migrate.
+    let mut sup = Supervisor::new(lp, RetryPolicy::default())
+        .with_elastic(plan, 0, move |_| Some(replanned.clone()))
+        .unwrap();
+    let mut fails = 0;
+    let mut faults = |step: u64, _: usize| {
+        if step == 1 && fails < 3 {
+            fails += 1;
+            FaultPlan::new().with_fault(1, 0, 0, FaultKind::Panic)
+        } else {
+            FaultPlan::new()
+        }
+    };
+    sup.run(3, &mut faults).unwrap();
+    assert_eq!(sup.metrics().repartitions, 1);
+    drop(sup);
+    let text = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+    let charged: Vec<(f64, bool)> = text
+        .lines()
+        .map(|l| parse_json(l).unwrap())
+        .map(|o| (num(&o, "retries"), num(&o, "migration_ns") > 0.0))
+        .collect();
+    assert_eq!(charged, [(0.0, false), (3.0, true), (0.0, false)]);
 }
 
 /// With tracing off the recorder still logs the always-available
