@@ -10,89 +10,36 @@
 //!     [--smoke] [--out PATH] [--trace PATH] [--recovery-log PATH] \
 //!     [--gate-err-steady THRESHOLD] [--commit SHA] [--timestamp ISO]
 //! cargo run --release -p dapple-bench --bin dapple-bench -- \
-//!     diff <old.json> <new.json> [--threshold REL] [--overhead-pts PTS] \
-//!     [--md PATH] [--json PATH]
+//!     diff <old.json> <new.json> [--threshold REL] [--md PATH] [--json PATH]
 //! ```
 //!
-//! Writes a hand-rolled JSON report (default `dapple-bench.json`; the
+//! Writes a [`dapple_bench::report`] (default `dapple-bench.json`; the
 //! committed `BENCH_N.json` series is written only when named): one record
-//! per measurement with iteration count, wall time and, where it makes
-//! sense, derived throughput — plus the observability records from this
-//! repo's tracing subsystem: step-tracing overhead (on vs. off), measured
-//! bubble ratio and per-stage busy fractions from a traced 1F1B step, the
-//! round-by-round trace-calibration loop from [`dapple_bench::validate`]
-//! (per-phase prediction errors before and after calibration, measured
-//! over repeated steps with the spread recorded), and the replan
-//! demonstration (the planner re-planning from a measured profile vs. the
-//! analytic one, both plans timed on the engine). The recovery group
-//! measures checkpoint save and resume latency (one self-contained
-//! file each way), the checksum and the optimizer update those saves
-//! sit beside, and the cost of a full elastic migration (replica death →
-//! replica drop → re-plan → rebuild around the live state). `--trace PATH`
-//! additionally exports the measured step as a Perfetto-loadable Chrome
-//! Trace Event file; `--recovery-log PATH` dumps the supervisor's
-//! recovery-event log as JSON. `--gate-err-steady T` exits non-zero when
-//! the calibrated steady-phase error exceeds `T` (the CI regression
-//! gate). `--commit`/`--timestamp` stamp the report with a provenance
-//! header (plus the host triple and core count) so `diff` can label its
-//! endpoints.
-//! `--smoke` shrinks every shape so the whole run finishes in a couple of
-//! seconds — that mode exists for CI, not for comparing numbers.
-//!
-//! The `diff` subcommand is the performance barometer
-//! ([`dapple_bench::diff`]): it compares two reports series-by-series
-//! under noise-aware thresholds, prints a markdown table, and exits
-//! non-zero when a hot-path group regresses.
+//! per measurement, plus the round-by-round trace-calibration loop and
+//! the replan demonstration from [`dapple_bench::validate`]. `--trace`
+//! exports the calibration loop's last median measured step as a Chrome
+//! Trace Event file, `--recovery-log` the elastic ladder's recovery-event
+//! log; `--gate-err-steady T` exits non-zero when the calibrated
+//! steady-phase error exceeds `T`; `--commit`/`--timestamp` stamp the
+//! report so `diff` can label its endpoints. `--smoke` shrinks every
+//! shape to a couple of seconds — for CI, not for comparing numbers.
+//! README.md has the groups ("Benchmark harness") and the rules of the
+//! `diff` subcommand ("Barometer"; [`dapple_bench::diff`]).
 
+use dapple_bench::flags::{number, value};
+use dapple_bench::report::{render, Field, Record};
+use dapple_bench::timing::{time_ns, time_ns_min};
 use dapple_bench::validate::{
     calibrate_validation, replan_from_measured, Scenario, MAX_CALIBRATION_ROUNDS, MEASURE_ITERS,
 };
 use dapple_core::{DeviceId, Plan, StagePlan};
 use dapple_engine::checkpoint::{checksum, from_bytes, to_bytes};
 use dapple_engine::{
-    data, DataStream, EngineConfig, FaultKind, FaultPlan, MlpModel, Optimizer, PackedRhs,
-    Partition, PipelineTrainer, RetryPolicy, Rhs, Supervisor, Tensor, TrainLoop, TrainState,
+    DataStream, EngineConfig, FaultKind, FaultPlan, MlpModel, Optimizer, PackedRhs, Partition,
+    RetryPolicy, Rhs, Supervisor, Tensor, TrainLoop, TrainState,
 };
-use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
-
-/// One benchmark record, rendered as a JSON object.
-struct Record {
-    group: &'static str,
-    name: String,
-    iters: u32,
-    ns_per_iter: f64,
-    /// Extra `"key": value` pairs (already JSON-formatted values).
-    extra: Vec<(&'static str, String)>,
-}
-
-/// Times `f` over `iters` iterations after one untimed warmup call.
-fn time_ns<F: FnMut()>(iters: u32, mut f: F) -> f64 {
-    f();
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_nanos() as f64 / f64::from(iters)
-}
-
-/// Times `f` per iteration and reports the *minimum*: on a shared host
-/// timing noise is strictly additive (preemption, steal time, cache
-/// pollution), so the fastest observed iteration is the best estimate
-/// of intrinsic cost. Use for multi-threaded measurements whose mean a
-/// single stolen time slice can multiply (the ring bench spawns scoped
-/// threads per call; one preempted rank stalls the whole ring).
-fn time_ns_min<F: FnMut()>(iters: u32, mut f: F) -> f64 {
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_nanos() as f64);
-    }
-    best
-}
 
 /// Deterministic pseudo-random tensor (no RNG crate in the bin target).
 fn filled(rows: usize, cols: usize, seed: u32) -> Tensor {
@@ -138,19 +85,18 @@ fn ring_benches(smoke: bool, out: &mut Vec<Record>) {
             black_box(bufs[0][0]);
         });
         let bytes = (len * 4) as f64;
+        let gib_per_s =
+            |bytes: f64, ns: f64| Field::Fixed(bytes / ns * 1e9 / (1u64 << 30) as f64, 4);
         out.push(Record {
             group: "ring_allreduce",
             name: format!("ranks{ranks}_len{len}"),
             iters,
             ns_per_iter: ns,
             extra: vec![
-                ("ranks", ranks.to_string()),
-                ("elems", len.to_string()),
-                (
-                    "gib_per_s",
-                    format!("{:.4}", bytes / ns * 1e9 / (1u64 << 30) as f64),
-                ),
-                ("method", "\"min_of_iters\"".to_string()),
+                ("ranks", ranks.into()),
+                ("elems", len.into()),
+                ("gib_per_s", gib_per_s(bytes, ns)),
+                ("method", Field::Str("min_of_iters".into())),
             ],
         });
 
@@ -169,18 +115,17 @@ fn ring_benches(smoke: bool, out: &mut Vec<Record>) {
             dapple_collectives::reduce_sum_in_place(&mut [first.as_mut_slice()], &rest);
             black_box(first[0]);
         });
-        let gib_per_s = |bytes: f64| format!("{:.4}", bytes / ns * 1e9 / (1u64 << 30) as f64);
         out.push(Record {
             group: "inplace_reduce",
             name: format!("ranks{ranks}_len{len}"),
             iters,
             ns_per_iter: ns,
             extra: vec![
-                ("ranks", ranks.to_string()),
-                ("elems", len.to_string()),
-                ("gib_per_s", gib_per_s(bytes)),
-                ("input_gib_per_s", gib_per_s(bytes * ranks as f64)),
-                ("method", "\"min_of_iters\"".to_string()),
+                ("ranks", ranks.into()),
+                ("elems", len.into()),
+                ("gib_per_s", gib_per_s(bytes, ns)),
+                ("input_gib_per_s", gib_per_s(bytes * ranks as f64, ns)),
+                ("method", Field::Str("min_of_iters".into())),
             ],
         });
     }
@@ -221,10 +166,7 @@ fn matmul_benches(smoke: bool, out: &mut Vec<Record>) {
                 name: format!("{name}_{d}x{d}"),
                 iters,
                 ns_per_iter: ns,
-                extra: vec![
-                    ("dim", d.to_string()),
-                    ("gflops", json_f64(flops / ns.max(1.0))),
-                ],
+                extra: vec![("dim", d.into()), ("gflops", (flops / ns.max(1.0)).into())],
             });
         }
     }
@@ -265,8 +207,8 @@ fn matmul_shape_benches(smoke: bool, out: &mut Vec<Record>) {
             iters,
             ns_per_iter: ns,
             extra: vec![
-                ("muls", muls.to_string()),
-                ("gflops", json_f64(flops / ns.max(1.0))),
+                ("muls", muls.into()),
+                ("gflops", (flops / ns.max(1.0)).into()),
             ],
         });
     }
@@ -293,14 +235,14 @@ fn dispatch_benches(smoke: bool, out: &mut Vec<Record>) {
     use rayon::prelude::*;
     let iters: u32 = if smoke { 30 } else { 300 };
     let mut push =
-        |name: &str, f: &mut dyn FnMut(), extra: &dyn Fn(f64) -> (&'static str, String)| {
+        |name: &str, f: &mut dyn FnMut(), extra: &dyn Fn(f64) -> (&'static str, Field)| {
             let ns = time_ns_min(iters, f);
             out.push(Record {
                 group: "dispatch",
                 name: name.to_string(),
                 iters,
                 ns_per_iter: ns,
-                extra: vec![extra(ns), ("method", "\"min_of_iters\"".to_string())],
+                extra: vec![extra(ns), ("method", Field::Str("min_of_iters".into()))],
             });
         };
 
@@ -312,7 +254,7 @@ fn dispatch_benches(smoke: bool, out: &mut Vec<Record>) {
                 black_box(band);
             })
         },
-        &|_| ("bands", "2".to_string()),
+        &|_| ("bands", 2.into()),
     );
 
     let (rows, width) = (64usize, 512usize);
@@ -325,7 +267,7 @@ fn dispatch_benches(smoke: bool, out: &mut Vec<Record>) {
     let mut y = Tensor::zeros(rows, width);
     let mut dw = Tensor::zeros(width, width);
     let gflops_of =
-        |muls: usize| move |ns: f64| ("gflops", json_f64(2.0 * muls as f64 / ns.max(1.0)));
+        |muls: usize| move |ns: f64| ("gflops", (2.0 * muls as f64 / ns.max(1.0)).into());
     let gflops = gflops_of(rows * width * width);
     let shape = format!("{rows}x{width}x{width}");
     push(
@@ -371,7 +313,7 @@ fn dispatch_benches(smoke: bool, out: &mut Vec<Record>) {
     for n in [512usize, 768] {
         let w = filled(n, n, 8);
         let bytes = (n * n * std::mem::size_of::<f32>()) as f64;
-        let gb_per_s = |ns: f64| ("gb_per_s", json_f64(bytes / ns.max(1.0)));
+        let gb_per_s = |ns: f64| ("gb_per_s", (bytes / ns.max(1.0)).into());
         push(
             &format!("pack_panels_{n}x{n}"),
             &mut || black_box(&mut packed).pack(&w),
@@ -383,138 +325,6 @@ fn dispatch_benches(smoke: bool, out: &mut Vec<Record>) {
             &gb_per_s,
         );
     }
-}
-
-/// A float as a JSON value; non-finite becomes `null` (JSON has no Inf).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Step-tracing overhead for one model shape: the same pipeline step
-/// timed with the tracing knob off and on.
-///
-/// Both trainers are built up front and timed in *alternating*
-/// min-best-of-3 rounds: overhead is a ratio of two ~20 ms timings, so a
-/// few percent of slow drift between a tracing_off block and a
-/// tracing_on block shows up multiplied — which is exactly how BENCH_5 recorded
-/// 16.2% on a path whose real cost is ~100 clock reads per step
-/// (BENCH_3/4 sat at 1.4–2.3%). The minimum across rounds estimates
-/// each config's intrinsic cost because host noise is strictly additive.
-fn tracing_overhead_shape(
-    shape_label: &str,
-    dims: &[usize],
-    batch: usize,
-    rounds: u32,
-    out: &mut Vec<Record>,
-    trace_path: Option<&str>,
-) {
-    let (x, t) = data::regression_batch(batch, dims[0], *dims.last().unwrap(), 11);
-    let plan = FaultPlan::new();
-    let configs = [("tracing_off", false), ("tracing_on", true)];
-    let mut trainers = Vec::new();
-    for &(_, tracing) in &configs {
-        let mut cfg = EngineConfig::straight(vec![0..2, 2..4, 4..6], 4, 0.1);
-        cfg.tracing = tracing;
-        let trainer = PipelineTrainer::new(MlpModel::new(dims, 3), cfg).unwrap();
-        // Warmup fills the persistent buffer pools and faults in code.
-        trainer.step_with_trace(&x, &t, &plan).0.unwrap();
-        trainers.push(trainer);
-    }
-    let mut best = [f64::INFINITY; 2];
-    for _ in 0..rounds {
-        for (i, trainer) in trainers.iter().enumerate() {
-            let round_best = (0..3)
-                .map(|_| {
-                    let t0 = Instant::now();
-                    let out = trainer.step_with_trace(&x, &t, &plan).0.unwrap();
-                    black_box(out.loss);
-                    t0.elapsed().as_nanos() as f64
-                })
-                .fold(f64::INFINITY, f64::min);
-            best[i] = best[i].min(round_best);
-        }
-    }
-    // One extra traced step for the trace-derived extras (and `--trace`
-    // export) — outside the timed region.
-    let (result, trace) = trainers[1].step_with_trace(&x, &t, &plan);
-    result.expect("traced step");
-    let trace = trace.expect("tracing enabled");
-    for (i, &(label, tracing)) in configs.iter().enumerate() {
-        let mut extra = vec![("method", "\"interleaved_min_best_of_3\"".to_string())];
-        if tracing {
-            extra.push((
-                "overhead_pct",
-                json_f64((best[1] - best[0]) / best[0].max(1.0) * 100.0),
-            ));
-            let m = trace.metrics();
-            extra.push(("measured_bubble_ratio", json_f64(m.bubble_ratio)));
-            extra.push((
-                "stage_busy_fraction",
-                format!(
-                    "[{}]",
-                    m.stages
-                        .iter()
-                        .map(|s| json_f64(s.busy_fraction))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ),
-            ));
-            extra.push(("dropped_spans", trace.dropped_spans().to_string()));
-            if let Some(path) = trace_path {
-                std::fs::write(path, trace.to_chrome_trace()).unwrap_or_else(|e| {
-                    eprintln!("cannot write trace {path}: {e}");
-                    std::process::exit(1);
-                });
-                eprintln!("[dapple-bench] wrote chrome trace to {path}");
-            }
-        }
-        out.push(Record {
-            group: "trace_overhead",
-            name: format!("{shape_label}_{label}"),
-            iters: rounds * 3,
-            ns_per_iter: best[i],
-            extra,
-        });
-    }
-}
-
-/// Step-tracing overhead across the shapes the barometer tracks: the
-/// wide shape BENCH_3..5 recorded (`straight3_m4`, where the 16.2%
-/// methodology artifact appeared) and the narrow-layer/large-batch shape
-/// (`narrow3_m4`), where per-step compute is small relative to
-/// orchestration and tracing cost is proportionally at its worst.
-fn tracing_overhead_benches(smoke: bool, out: &mut Vec<Record>, trace_path: Option<&str>) {
-    if smoke {
-        tracing_overhead_shape(
-            "straight3_m4",
-            &[5, 12, 10, 8, 8, 4, 3],
-            24,
-            2,
-            out,
-            trace_path,
-        );
-        return;
-    }
-    tracing_overhead_shape(
-        "straight3_m4",
-        &[64, 256, 256, 256, 256, 128, 32],
-        128,
-        7,
-        out,
-        trace_path,
-    );
-    tracing_overhead_shape(
-        "narrow3_m4",
-        &[32, 64, 64, 64, 64, 64, 32],
-        1024,
-        7,
-        out,
-        None,
-    );
 }
 
 /// Recovery costs nothing else covers: checkpoint save/load latency and
@@ -570,7 +380,7 @@ fn recovery_benches(smoke: bool, out: &mut Vec<Record>, recovery_log: Option<&st
             name: name.into(),
             iters,
             ns_per_iter,
-            extra: vec![("bytes", file.len().to_string())],
+            extra: vec![("bytes", file.len().into())],
         });
     }
     state_pass_benches(out);
@@ -644,20 +454,16 @@ fn recovery_benches(smoke: bool, out: &mut Vec<Record>, recovery_log: Option<&st
         iters: 1,
         ns_per_iter: m.migration_us as f64 * 1e3,
         extra: vec![
-            ("ladder_total_ns", json_f64(ladder_ns)),
-            ("repartitions", m.repartitions.to_string()),
-            ("replica_drops", m.replica_drops.to_string()),
-            ("checkpoint_saves", m.checkpoint_saves.to_string()),
-            ("mttr_virtual_us", json_f64(m.mttr_virtual_us)),
+            ("ladder_total_ns", ladder_ns.into()),
+            ("repartitions", m.repartitions.into()),
+            ("replica_drops", m.replica_drops.into()),
+            ("checkpoint_saves", m.checkpoint_saves.into()),
+            ("mttr_virtual_us", m.mttr_virtual_us.into()),
         ],
     });
 
     if let Some(path) = recovery_log {
-        std::fs::write(path, sup.events_json()).unwrap_or_else(|e| {
-            eprintln!("cannot write recovery log {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("[dapple-bench] wrote recovery event log to {path}");
+        write_or_exit(path, "recovery event log", &sup.events_json());
     }
 }
 
@@ -674,7 +480,7 @@ fn state_pass_benches(out: &mut Vec<Record>) {
             name: name.into(),
             iters,
             ns_per_iter: ns,
-            extra: vec![(rate, json_f64(value))],
+            extra: vec![(rate, value.into())],
         });
     };
     let bytes: Vec<u8> = (0..4usize << 20).map(|i| (i * 31 + 7) as u8).collect();
@@ -698,14 +504,17 @@ fn state_pass_benches(out: &mut Vec<Record>) {
 /// Round 0 is the uncalibrated analytic prediction; each later round
 /// predicts from the previous round's trace-calibrated profile. Returns
 /// the final (calibrated) steady-phase error for the `--gate-err-steady`
-/// regression gate.
-fn validation_benches(smoke: bool, out: &mut Vec<Record>) -> f64 {
+/// regression gate. `--trace` exports the last round's median step.
+fn validation_benches(smoke: bool, out: &mut Vec<Record>, trace_path: Option<&str>) -> f64 {
     let scenario = if smoke {
         Scenario::smoke()
     } else {
         Scenario::default_2stage()
     };
     let outcome = calibrate_validation(&scenario, MAX_CALIBRATION_ROUNDS, MEASURE_ITERS);
+    if let Some(path) = trace_path {
+        write_or_exit(path, "chrome trace", &outcome.trace.to_chrome_trace());
+    }
     let rounds = outcome.rounds.len();
     for (round, v) in outcome.rounds.iter().enumerate() {
         let calibrated = round > 0;
@@ -719,33 +528,26 @@ fn validation_benches(smoke: bool, out: &mut Vec<Record>) -> f64 {
             iters: v.measured_iters as u32,
             ns_per_iter: v.measured_makespan_us * 1e3,
             extra: vec![
-                ("round", round.to_string()),
-                ("calibrated", calibrated.to_string()),
+                ("round", round.into()),
+                ("calibrated", Field::Bool(calibrated)),
                 (
                     "converged",
-                    (outcome.converged && round + 1 == rounds).to_string(),
+                    Field::Bool(outcome.converged && round + 1 == rounds),
                 ),
-                ("predicted_makespan_us", json_f64(v.predicted_makespan_us)),
-                ("measured_makespan_us", json_f64(v.measured_makespan_us)),
-                ("measured_min_us", json_f64(v.measured_spread_us.0)),
-                ("measured_max_us", json_f64(v.measured_spread_us.1)),
-                ("predicted_bubble_ratio", json_f64(v.predicted_bubble)),
-                ("measured_bubble_ratio", json_f64(v.measured_bubble)),
+                ("predicted_makespan_us", v.predicted_makespan_us.into()),
+                ("measured_makespan_us", v.measured_makespan_us.into()),
+                ("measured_min_us", v.measured_spread_us.0.into()),
+                ("measured_max_us", v.measured_spread_us.1.into()),
+                ("predicted_bubble_ratio", v.predicted_bubble.into()),
+                ("measured_bubble_ratio", v.measured_bubble.into()),
                 (
                     "stage_busy_fraction",
-                    format!(
-                        "[{}]",
-                        v.stage_busy_fraction
-                            .iter()
-                            .map(|&f| json_f64(f))
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    ),
+                    Field::F64s(v.stage_busy_fraction.clone()),
                 ),
-                ("err_makespan", json_f64(v.makespan_error)),
-                ("err_warmup", json_f64(v.phase_errors[0])),
-                ("err_steady", json_f64(v.phase_errors[1])),
-                ("err_tail", json_f64(v.phase_errors[2])),
+                ("err_makespan", v.makespan_error.into()),
+                ("err_warmup", v.phase_errors[0].into()),
+                ("err_steady", v.phase_errors[1].into()),
+                ("err_tail", v.phase_errors[2].into()),
             ],
         });
     }
@@ -759,14 +561,11 @@ fn replan_benches(smoke: bool, out: &mut Vec<Record>) {
     let iters = if smoke { 3 } else { MEASURE_ITERS };
     let r = replan_from_measured(smoke, iters);
     let fmt_bounds = |bounds: &[std::ops::Range<usize>]| {
-        format!(
-            "\"{}\"",
-            bounds
-                .iter()
-                .map(|b| format!("{}..{}", b.start, b.end))
-                .collect::<Vec<_>>()
-                .join(" ")
-        )
+        let bounds: Vec<_> = bounds
+            .iter()
+            .map(|b| format!("{}..{}", b.start, b.end))
+            .collect();
+        Field::Str(bounds.join(" "))
     };
     out.push(Record {
         group: "replan",
@@ -775,69 +574,57 @@ fn replan_benches(smoke: bool, out: &mut Vec<Record>) {
         ns_per_iter: r.calibrated_us * 1e3,
         extra: vec![
             ("analytic_bounds", fmt_bounds(&r.analytic_bounds)),
-            ("analytic_micro_batches", r.analytic_micro.to_string()),
-            ("analytic_measured_us", json_f64(r.analytic_us)),
+            ("analytic_micro_batches", r.analytic_micro.into()),
+            ("analytic_measured_us", r.analytic_us.into()),
             ("calibrated_bounds", fmt_bounds(&r.calibrated_bounds)),
-            ("calibrated_micro_batches", r.calibrated_micro.to_string()),
-            ("calibrated_measured_us", json_f64(r.calibrated_us)),
-            ("plans_differ", r.plans_differ.to_string()),
-            ("speedup", json_f64(r.speedup)),
+            ("calibrated_micro_batches", r.calibrated_micro.into()),
+            ("calibrated_measured_us", r.calibrated_us.into()),
+            ("plans_differ", Field::Bool(r.plans_differ)),
+            ("speedup", r.speedup.into()),
         ],
     });
 }
 
-/// Provenance stamped into the report header so `dapple-bench diff` can
-/// label its endpoints. Commit and timestamp come from the CLI (the
-/// binary has no git or clock-formatting dependency); the host triple is
-/// compiled in and its core count read at run time.
-struct Provenance {
-    commit: Option<String>,
-    timestamp: Option<String>,
+/// Writes an output file, or exits 1 saying why not.
+fn write_or_exit(path: &str, what: &str, text: &str) {
+    std::fs::write(path, text).unwrap_or_else(|e| {
+        eprintln!("cannot write {what} {path}: {e}");
+        std::process::exit(1);
+    });
+    eprintln!("[dapple-bench] wrote {what} to {path}");
 }
 
-impl Provenance {
-    fn host() -> String {
-        format!("{}-{}", std::env::consts::ARCH, std::env::consts::OS)
-    }
+const USAGE: &str = "usage: dapple-bench [--smoke] [--out PATH] [--trace PATH] \
+     [--recovery-log PATH] [--gate-err-steady THRESHOLD] [--commit SHA] [--timestamp ISO]\n\
+     or:    dapple-bench diff <old.json> <new.json> [--threshold REL] [--md PATH] [--json PATH]";
 
-    /// Cores the run could use (0 when the host will not say): every
-    /// multi-threaded series depends on it.
-    fn cores() -> usize {
-        std::thread::available_parallelism().map_or(0, usize::from)
-    }
+#[derive(Default)]
+struct Options<'a> {
+    smoke: bool,
+    out_path: Option<&'a str>,
+    trace_path: Option<&'a str>,
+    recovery_log: Option<&'a str>,
+    gate_err_steady: Option<f64>,
+    commit: Option<&'a str>,
+    timestamp: Option<&'a str>,
 }
 
-fn render_json(mode: &str, provenance: &Provenance, records: &[Record]) -> String {
-    let opt = |v: &Option<String>| match v {
-        Some(s) => format!("\"{s}\""),
-        None => "null".to_string(),
-    };
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"dapple-bench/1\",");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(
-        s,
-        "  \"provenance\": {{\"commit\": {}, \"timestamp\": {}, \"host\": \"{}\", \"cores\": {}}},",
-        opt(&provenance.commit),
-        opt(&provenance.timestamp),
-        Provenance::host(),
-        Provenance::cores()
-    );
-    s.push_str("  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"group\": \"{}\", \"name\": \"{}\", \"iters\": {}, \"ns_per_iter\": {:.1}",
-            r.group, r.name, r.iters, r.ns_per_iter
-        );
-        for (k, v) in &r.extra {
-            let _ = write!(s, ", \"{k}\": {v}");
+fn parse_options(args: &[String]) -> Result<Options<'_>, String> {
+    let mut o = Options::default();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--smoke" => o.smoke = true,
+            "--out" => o.out_path = Some(value(&mut it, a, "a path")?),
+            "--trace" => o.trace_path = Some(value(&mut it, a, "a path")?),
+            "--recovery-log" => o.recovery_log = Some(value(&mut it, a, "a path")?),
+            "--gate-err-steady" => o.gate_err_steady = Some(number(&mut it, a)?),
+            "--commit" => o.commit = Some(value(&mut it, a, "a value")?),
+            "--timestamp" => o.timestamp = Some(value(&mut it, a, "a value")?),
+            _ => return Err(format!("unknown argument: {a}")),
         }
-        s.push_str(if i + 1 < records.len() { "},\n" } else { "}\n" });
     }
-    s.push_str("  ]\n}\n");
-    s
+    Ok(o)
 }
 
 fn main() {
@@ -845,90 +632,12 @@ fn main() {
     if args.first().map(String::as_str) == Some("diff") {
         std::process::exit(dapple_bench::diff::run_diff_cli(&args[1..]));
     }
-    let mut smoke = false;
-    let mut out_path = "dapple-bench.json".to_string();
-    let mut trace_path: Option<String> = None;
-    let mut recovery_log: Option<String> = None;
-    let mut gate_err_steady: Option<f64> = None;
-    let mut provenance = Provenance {
-        commit: None,
-        timestamp: None,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => {
-                out_path = it
-                    .next()
-                    .unwrap_or_else(|| {
-                        eprintln!("--out needs a path");
-                        std::process::exit(2);
-                    })
-                    .clone();
-            }
-            "--trace" => {
-                trace_path = Some(
-                    it.next()
-                        .unwrap_or_else(|| {
-                            eprintln!("--trace needs a path");
-                            std::process::exit(2);
-                        })
-                        .clone(),
-                );
-            }
-            "--recovery-log" => {
-                recovery_log = Some(
-                    it.next()
-                        .unwrap_or_else(|| {
-                            eprintln!("--recovery-log needs a path");
-                            std::process::exit(2);
-                        })
-                        .clone(),
-                );
-            }
-            "--gate-err-steady" => {
-                let raw = it.next().unwrap_or_else(|| {
-                    eprintln!("--gate-err-steady needs a threshold");
-                    std::process::exit(2);
-                });
-                gate_err_steady = Some(raw.parse().unwrap_or_else(|_| {
-                    eprintln!("--gate-err-steady: not a number: {raw}");
-                    std::process::exit(2);
-                }));
-            }
-            "--commit" => {
-                provenance.commit = Some(
-                    it.next()
-                        .unwrap_or_else(|| {
-                            eprintln!("--commit needs a value");
-                            std::process::exit(2);
-                        })
-                        .clone(),
-                );
-            }
-            "--timestamp" => {
-                provenance.timestamp = Some(
-                    it.next()
-                        .unwrap_or_else(|| {
-                            eprintln!("--timestamp needs a value");
-                            std::process::exit(2);
-                        })
-                        .clone(),
-                );
-            }
-            _ => {
-                eprintln!(
-                    "usage: dapple-bench [--smoke] [--out PATH] [--trace PATH] \
-                     [--recovery-log PATH] [--gate-err-steady THRESHOLD] \
-                     [--commit SHA] [--timestamp ISO]\n\
-                     or:    dapple-bench diff <old.json> <new.json> [--threshold REL] \
-                     [--overhead-pts PTS] [--md PATH] [--json PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+    let o = parse_options(&args).unwrap_or_else(|e| {
+        eprintln!("{e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let smoke = o.smoke;
+    let out_path = o.out_path.unwrap_or("dapple-bench.json");
 
     let mode = if smoke { "smoke" } else { "full" };
     let mut records = Vec::new();
@@ -938,17 +647,15 @@ fn main() {
     matmul_benches(smoke, &mut records);
     eprintln!("[dapple-bench] dispatch and packing ({mode})...");
     dispatch_benches(smoke, &mut records);
-    eprintln!("[dapple-bench] tracing overhead ({mode})...");
-    tracing_overhead_benches(smoke, &mut records, trace_path.as_deref());
     eprintln!("[dapple-bench] fault recovery ({mode})...");
-    recovery_benches(smoke, &mut records, recovery_log.as_deref());
+    recovery_benches(smoke, &mut records, o.recovery_log);
     eprintln!("[dapple-bench] calibration loop ({mode})...");
-    let err_steady = validation_benches(smoke, &mut records);
+    let err_steady = validation_benches(smoke, &mut records, o.trace_path);
     eprintln!("[dapple-bench] replan from measured profile ({mode})...");
     replan_benches(smoke, &mut records);
 
-    let json = render_json(mode, &provenance, &records);
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| {
+    let json = render(mode, o.commit, o.timestamp, &records);
+    std::fs::write(out_path, &json).unwrap_or_else(|e| {
         eprintln!("cannot write {out_path}: {e}");
         std::process::exit(1);
     });
@@ -959,7 +666,7 @@ fn main() {
         );
     }
     println!("{out_path}");
-    if let Some(threshold) = gate_err_steady {
+    if let Some(threshold) = o.gate_err_steady {
         // NaN (no validation record produced) must fail the gate too.
         if err_steady.is_nan() || err_steady > threshold {
             eprintln!(

@@ -110,11 +110,6 @@ pub fn two_stage_plan(cost: &CostModel<'_>, r0: usize, r1: usize) -> Plan {
     plan_from(&[(0..j, 0..r0 as u32), (j..n, r0 as u32..(r0 + r1) as u32)])
 }
 
-/// Formats a float with fixed precision, right-aligned to `w`.
-pub fn f(v: f64, w: usize, prec: usize) -> String {
-    format!("{v:>w$.prec$}")
-}
-
 /// Formats a speedup or `-` for unavailable entries.
 pub fn speedup_or_dash(v: Option<f64>) -> String {
     match v {

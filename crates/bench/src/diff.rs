@@ -1,12 +1,11 @@
 //! The performance barometer: `dapple-bench diff <old.json> <new.json>`.
 //!
-//! Reads two bench reports (the `dapple-bench/1` schema written by the
-//! `dapple-bench` binary), matches series by `(group, name)`, computes
-//! per-series deltas under noise-aware thresholds, renders a markdown
-//! comparison table, and produces a structured verdict. A run that slows
-//! a named hot path ([`HOT_PATH_GROUPS`]) beyond threshold is a
-//! *regression* and the CLI exits non-zero — the tripwire the
-//! BENCH_3→BENCH_5 tracing-overhead drift (2% → 16%) merged without.
+//! Reads two bench reports ([`crate::report`]), matches series by
+//! `(group, name)`, computes per-series deltas under noise-aware
+//! thresholds, renders a markdown comparison table, and produces a
+//! structured verdict. A run that slows a named hot path
+//! ([`HOT_PATH_GROUPS`]) beyond threshold is a *regression* and the CLI
+//! exits non-zero.
 //!
 //! Noise rules, in priority order per series:
 //!
@@ -15,21 +14,18 @@
 //!    spread), the series is within noise unless the two intervals are
 //!    disjoint: a delta you cannot reproduce inside either run's own
 //!    min..max spread is not a finding.
-//! 2. **Overhead points** — series carrying `overhead_pct` (tracing and
-//!    recovery overheads) are *ratios of two timings from the same
-//!    process*; machine speed divides out, so they are compared in
-//!    absolute percentage points (`--overhead-pts`, default 5.0) rather
-//!    than by their raw ns deltas. Exception: a points increase does
-//!    not gate when the series' absolute ns/iter improved beyond the
-//!    relative threshold — a large speedup of the ratio's denominator
-//!    (the clean/untraced cost) inflates the percentage even though
-//!    everything got absolutely cheaper.
-//! 3. **Relative threshold** — otherwise `|new - old| / old` must exceed
+//! 2. **Relative threshold** — otherwise `|new - old| / old` must exceed
 //!    `--threshold` (default 0.10) to leave the within-noise band.
+//!
+//! What tracing costs a step is not measured here: `benchmark/` reports
+//! `trace.overhead_pct` on every workload against a probe-normalised clock.
 //!
 //! The old report is the *baseline*; deltas are `(new - old) / old`, so
 //! positive means slower.
 
+use crate::flags;
+use crate::report::{BenchReport, Series};
+use dapple_core::json::Object;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -39,12 +35,11 @@ use std::fmt::Write as _;
 /// a regression there taxes every step — and `dispatch`: what every
 /// in-pipeline matmul pays around its kernel). The step itself is timed
 /// by `benchmark/`, not here.
-pub const HOT_PATH_GROUPS: [&str; 6] = [
+pub const HOT_PATH_GROUPS: [&str; 5] = [
     "matmul",
     "dispatch",
     "ring_allreduce",
     "inplace_reduce",
-    "trace_overhead",
     "recovery",
 ];
 
@@ -52,180 +47,15 @@ pub const HOT_PATH_GROUPS: [&str; 6] = [
 /// recorded spread is available.
 pub const DEFAULT_REL_THRESHOLD: f64 = 0.10;
 
-/// Default threshold, in absolute percentage points, for `overhead_pct`
-/// series.
-pub const DEFAULT_OVERHEAD_PTS: f64 = 5.0;
-
 /// The report parser lives in `dapple_core::json`; re-exported because
 /// report readers outside this crate reach it through `diff`.
 pub use dapple_core::json::{parse_json, Json};
-
-// ---------------------------------------------------------------------------
-// Bench report model
-// ---------------------------------------------------------------------------
-
-/// Where a bench report came from (the optional provenance header new
-/// reports carry).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Provenance {
-    pub commit: Option<String>,
-    pub timestamp: Option<String>,
-    pub host: Option<String>,
-}
-
-impl Provenance {
-    /// One-line label for table headers: `commit@timestamp (host)` with
-    /// missing parts elided; `"unknown"` when nothing is recorded.
-    pub fn label(&self) -> String {
-        let mut s = String::new();
-        if let Some(c) = &self.commit {
-            s.push_str(c);
-        }
-        if let Some(t) = &self.timestamp {
-            if !s.is_empty() {
-                s.push('@');
-            }
-            s.push_str(t);
-        }
-        if let Some(h) = &self.host {
-            if s.is_empty() {
-                s.push_str(h);
-            } else {
-                let _ = write!(s, " ({h})");
-            }
-        }
-        if s.is_empty() {
-            s.push_str("unknown");
-        }
-        s
-    }
-}
-
-/// One measured series from a bench report.
-#[derive(Debug, Clone)]
-pub struct Series {
-    pub group: String,
-    pub name: String,
-    pub iters: u64,
-    pub ns_per_iter: f64,
-    /// The remaining fields of the record, verbatim.
-    pub extra: Vec<(String, Json)>,
-}
-
-impl Series {
-    fn extra_f64(&self, key: &str) -> Option<f64> {
-        self.extra
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.as_f64())
-    }
-
-    /// The recorded min/max spread in microseconds, when present.
-    pub fn spread_us(&self) -> Option<(f64, f64)> {
-        match (
-            self.extra_f64("measured_min_us"),
-            self.extra_f64("measured_max_us"),
-        ) {
-            (Some(lo), Some(hi)) if lo.is_finite() && hi.is_finite() && lo <= hi => Some((lo, hi)),
-            _ => None,
-        }
-    }
-
-    /// The recorded overhead percentage, when present.
-    pub fn overhead_pct(&self) -> Option<f64> {
-        self.extra_f64("overhead_pct").filter(|v| v.is_finite())
-    }
-}
-
-/// A parsed bench report.
-#[derive(Debug, Clone)]
-pub struct BenchReport {
-    pub mode: String,
-    pub provenance: Provenance,
-    pub series: Vec<Series>,
-}
-
-impl BenchReport {
-    /// Parses the `dapple-bench/1` JSON schema. Unknown top-level fields
-    /// are ignored; the provenance header is optional (pre-PR-8 reports
-    /// don't have one).
-    pub fn parse(text: &str) -> Result<BenchReport, String> {
-        let root = parse_json(text)?;
-        match root.get("schema").and_then(Json::as_str) {
-            Some("dapple-bench/1") => {}
-            Some(other) => return Err(format!("unsupported schema: {other}")),
-            None => return Err("missing \"schema\" field".to_string()),
-        }
-        let mode = root
-            .get("mode")
-            .and_then(Json::as_str)
-            .unwrap_or("unknown")
-            .to_string();
-        let mut provenance = Provenance::default();
-        if let Some(p) = root.get("provenance") {
-            let s = |k: &str| p.get(k).and_then(Json::as_str).map(str::to_string);
-            provenance = Provenance {
-                commit: s("commit"),
-                timestamp: s("timestamp"),
-                host: s("host"),
-            };
-        }
-        let Some(Json::Arr(results)) = root.get("results") else {
-            return Err("missing \"results\" array".to_string());
-        };
-        let mut series = Vec::with_capacity(results.len());
-        for (i, r) in results.iter().enumerate() {
-            let group = r
-                .get("group")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("result {i}: missing \"group\""))?
-                .to_string();
-            let name = r
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("result {i}: missing \"name\""))?
-                .to_string();
-            let ns_per_iter = r
-                .get("ns_per_iter")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("result {i}: missing \"ns_per_iter\""))?;
-            let iters = r.get("iters").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-            let skip = ["group", "name", "iters", "ns_per_iter"];
-            let extra = match r {
-                Json::Obj(fields) => fields
-                    .iter()
-                    .filter(|(k, _)| !skip.contains(&k.as_str()))
-                    .cloned()
-                    .collect(),
-                _ => Vec::new(),
-            };
-            series.push(Series {
-                group,
-                name,
-                iters,
-                ns_per_iter,
-                extra,
-            });
-        }
-        Ok(BenchReport {
-            mode,
-            provenance,
-            series,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Diff
-// ---------------------------------------------------------------------------
 
 /// Which noise rule decided a series' verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NoiseRule {
     /// Recorded min/max spread intervals on both sides.
     Spread,
-    /// `overhead_pct` compared in absolute percentage points.
-    OverheadPts,
     /// Relative threshold on `ns_per_iter`.
     Relative,
     /// Series present on only one side — no comparison made.
@@ -236,7 +66,6 @@ impl NoiseRule {
     fn label(self) -> &'static str {
         match self {
             NoiseRule::Spread => "spread",
-            NoiseRule::OverheadPts => "overhead-pts",
             NoiseRule::Relative => "relative",
             NoiseRule::None => "-",
         }
@@ -279,8 +108,6 @@ pub struct SeriesDelta {
     pub new_ns: Option<f64>,
     /// `(new - old) / old`; `None` for one-sided series.
     pub rel_delta: Option<f64>,
-    /// For `overhead_pct` series: the change in percentage points.
-    pub overhead_delta_pts: Option<f64>,
     pub rule: NoiseRule,
     pub verdict: Verdict,
     /// Whether the group is gated (a hot path).
@@ -292,15 +119,12 @@ pub struct SeriesDelta {
 pub struct DiffOptions {
     /// Relative `ns_per_iter` threshold when no spread is recorded.
     pub rel_threshold: f64,
-    /// Absolute percentage-point threshold for `overhead_pct` series.
-    pub overhead_pts: f64,
 }
 
 impl Default for DiffOptions {
     fn default() -> Self {
         DiffOptions {
             rel_threshold: DEFAULT_REL_THRESHOLD,
-            overhead_pts: DEFAULT_OVERHEAD_PTS,
         }
     }
 }
@@ -339,10 +163,8 @@ impl DiffReport {
         let _ = writeln!(s, "- new: `{}` (mode {})", self.new_label, self.new_mode);
         let _ = writeln!(
             s,
-            "- thresholds: spread-disjoint where recorded; otherwise {:.1}% relative; \
-             overhead series {:.1} pts absolute",
-            self.options.rel_threshold * 100.0,
-            self.options.overhead_pts
+            "- thresholds: spread-disjoint where recorded; otherwise {:.1}% relative",
+            self.options.rel_threshold * 100.0
         );
         if self.old_mode != self.new_mode {
             let _ = writeln!(
@@ -363,10 +185,9 @@ impl DiffReport {
                 Some(v) => format!("{v:.1}"),
                 None => "-".to_string(),
             };
-            let delta = match (r.overhead_delta_pts, r.rel_delta) {
-                (Some(pts), _) => format!("{pts:+.2} pts"),
-                (None, Some(rel)) => format!("{:+.2}%", rel * 100.0),
-                (None, None) => "-".to_string(),
+            let delta = match r.rel_delta {
+                Some(rel) => format!("{:+.2}%", rel * 100.0),
+                None => "-".to_string(),
             };
             let name = if r.hot_path {
                 format!("**{}**", r.name)
@@ -405,91 +226,80 @@ impl DiffReport {
     /// The structured verdict as a JSON object: overall status plus one
     /// entry per hot-path regression (machine-readable CI output).
     pub fn verdict_json(&self) -> String {
-        let mut s = String::from("{\n");
-        let _ = writeln!(
-            s,
-            "  \"verdict\": \"{}\",",
-            if self.gate_failed() {
-                "regression"
-            } else {
-                "ok"
-            }
-        );
-        let _ = writeln!(s, "  \"old\": \"{}\",", self.old_label);
-        let _ = writeln!(s, "  \"new\": \"{}\",", self.new_label);
-        s.push_str("  \"hot_path_regressions\": [\n");
-        let regressions: Vec<&SeriesDelta> = self.hot_path_regressions().collect();
-        for (i, r) in regressions.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"group\": \"{}\", \"name\": \"{}\", \"old_ns\": {}, \
-                 \"new_ns\": {}, \"rel_delta\": {}, \"overhead_delta_pts\": {}, \
-                 \"rule\": \"{}\"}}",
-                r.group,
-                r.name,
-                fmt_json_opt(r.old_ns),
-                fmt_json_opt(r.new_ns),
-                fmt_json_opt(r.rel_delta),
-                fmt_json_opt(r.overhead_delta_pts),
-                r.rule.label()
-            );
-            s.push_str(if i + 1 < regressions.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        s.push_str("  ]\n}\n");
+        let verdict = if self.gate_failed() {
+            "regression"
+        } else {
+            "ok"
+        };
+        let mut s = String::new();
+        Object::new(&mut s)
+            .spaced()
+            .str("verdict", verdict)
+            .str("old", &self.old_label)
+            .str("new", &self.new_label)
+            .array("hot_path_regressions", |rows| {
+                // `None` is written as a non-finite float is: `null`.
+                let num = |v: Option<f64>| v.unwrap_or(f64::NAN);
+                self.hot_path_regressions().fold(rows.rows(), |rows, r| {
+                    rows.object(|o| {
+                        o.str("group", &r.group)
+                            .str("name", &r.name)
+                            .f64("old_ns", num(r.old_ns))
+                            .f64("new_ns", num(r.new_ns))
+                            .f64("rel_delta", num(r.rel_delta))
+                            .str("rule", r.rule.label())
+                    })
+                })
+            })
+            .end();
+        s.push('\n');
         s
     }
 }
 
-fn fmt_json_opt(v: Option<f64>) -> String {
-    match v {
-        Some(v) if v.is_finite() => format!("{v:.6}"),
-        _ => "null".to_string(),
+impl SeriesDelta {
+    /// The row of a series present on the sides given (at least one):
+    /// one-sided rows are final, two-sided ones await [`compare_series`].
+    fn new(old: Option<&Series>, new: Option<&Series>) -> Self {
+        let side = new.or(old).expect("a row compares at least one series");
+        let (old_ns, new_ns) = (old.map(|s| s.ns_per_iter), new.map(|s| s.ns_per_iter));
+        SeriesDelta {
+            group: side.group.clone(),
+            name: side.name.clone(),
+            old_ns,
+            new_ns,
+            rel_delta: match (old_ns, new_ns) {
+                (Some(old), Some(new)) if old > 0.0 => Some((new - old) / old),
+                _ => None,
+            },
+            rule: NoiseRule::None,
+            verdict: match (old, new) {
+                (None, _) => Verdict::MissingInOld,
+                (_, None) => Verdict::MissingInNew,
+                _ => Verdict::WithinNoise,
+            },
+            hot_path: HOT_PATH_GROUPS.contains(&side.group.as_str()),
+        }
     }
 }
 
 /// Compares two reports series-by-series. Rows follow the new report's
 /// order, with series that vanished appended at the end.
 pub fn diff_reports(old: &BenchReport, new: &BenchReport, options: DiffOptions) -> DiffReport {
-    let mut old_by_key: BTreeMap<(&str, &str), &Series> = BTreeMap::new();
-    for s in &old.series {
-        old_by_key.insert((s.group.as_str(), s.name.as_str()), s);
+    fn key(s: &Series) -> (&str, &str) {
+        (&s.group, &s.name)
     }
-    let mut rows = Vec::new();
-    for new_s in &new.series {
-        let key = (new_s.group.as_str(), new_s.name.as_str());
-        let hot_path = HOT_PATH_GROUPS.contains(&new_s.group.as_str());
-        match old_by_key.remove(&key) {
-            Some(old_s) => rows.push(compare_series(old_s, new_s, hot_path, options)),
-            None => rows.push(SeriesDelta {
-                group: new_s.group.clone(),
-                name: new_s.name.clone(),
-                old_ns: None,
-                new_ns: Some(new_s.ns_per_iter),
-                rel_delta: None,
-                overhead_delta_pts: None,
-                rule: NoiseRule::None,
-                verdict: Verdict::MissingInOld,
-                hot_path,
-            }),
-        }
-    }
-    for (_, old_s) in old_by_key {
-        rows.push(SeriesDelta {
-            group: old_s.group.clone(),
-            name: old_s.name.clone(),
-            old_ns: Some(old_s.ns_per_iter),
-            new_ns: None,
-            rel_delta: None,
-            overhead_delta_pts: None,
-            rule: NoiseRule::None,
-            verdict: Verdict::MissingInNew,
-            hot_path: HOT_PATH_GROUPS.contains(&old_s.group.as_str()),
-        });
-    }
+    let mut old_by_key: BTreeMap<_, _> = old.series.iter().map(|s| (key(s), s)).collect();
+    let mut rows: Vec<_> = new
+        .series
+        .iter()
+        .map(|new_s| match old_by_key.remove(&key(new_s)) {
+            Some(old_s) => compare_series(old_s, new_s, options),
+            None => SeriesDelta::new(None, Some(new_s)),
+        })
+        .collect();
+    let gone = old_by_key.into_values();
+    rows.extend(gone.map(|old_s| SeriesDelta::new(Some(old_s), None)));
     DiffReport {
         old_label: old.provenance.label(),
         new_label: new.provenance.label(),
@@ -500,150 +310,55 @@ pub fn diff_reports(old: &BenchReport, new: &BenchReport, options: DiffOptions) 
     }
 }
 
-fn compare_series(old: &Series, new: &Series, hot_path: bool, options: DiffOptions) -> SeriesDelta {
-    let rel_delta = if old.ns_per_iter > 0.0 {
-        Some((new.ns_per_iter - old.ns_per_iter) / old.ns_per_iter)
-    } else {
-        None
-    };
-
-    // Rule 2 first: an overhead series is gated on its ratio, because the
-    // underlying ns/iter also moves with machine speed and bench shape.
-    //
-    // One carve-out: a points *increase* does not gate when the series'
-    // absolute cost improved past the relative threshold. The ratio's
-    // denominator is the un-instrumented/clean cost, so a large speedup
-    // there mechanically inflates the ratio even when every absolute
-    // number got cheaper — e.g. a kernel rewrite that cuts the clean
-    // step 2.6× leaves the (memory-bound) rollback cost nearly fixed,
-    // and the recovered-step "overhead" climbs from 34% to ~50% while
-    // the recovered step itself drops 3×. That is not a regression; the
-    // relative rule below classifies it from the absolute cost instead.
-    if let (Some(old_pct), Some(new_pct)) = (old.overhead_pct(), new.overhead_pct()) {
-        let pts = new_pct - old_pct;
-        let abs_cost_improved = rel_delta.is_some_and(|d| d < -options.rel_threshold);
-        if pts > options.overhead_pts && abs_cost_improved {
-            return SeriesDelta {
-                group: new.group.clone(),
-                name: new.name.clone(),
-                old_ns: Some(old.ns_per_iter),
-                new_ns: Some(new.ns_per_iter),
-                rel_delta,
-                overhead_delta_pts: Some(pts),
-                rule: NoiseRule::Relative,
-                verdict: Verdict::Improvement,
-                hot_path,
-            };
+fn compare_series(old: &Series, new: &Series, options: DiffOptions) -> SeriesDelta {
+    let mut row = SeriesDelta::new(Some(old), Some(new));
+    let (rule, slower, faster) = match (old.spread_us(), new.spread_us()) {
+        // Rule 1: recorded spreads on both sides — within noise unless
+        // the intervals are disjoint.
+        (Some((old_lo, old_hi)), Some((new_lo, new_hi))) => {
+            (NoiseRule::Spread, new_lo > old_hi, new_hi < old_lo)
         }
-        let verdict = if pts > options.overhead_pts {
-            Verdict::Regression
-        } else if pts < -options.overhead_pts {
-            Verdict::Improvement
-        } else {
-            Verdict::WithinNoise
-        };
-        return SeriesDelta {
-            group: new.group.clone(),
-            name: new.name.clone(),
-            old_ns: Some(old.ns_per_iter),
-            new_ns: Some(new.ns_per_iter),
-            rel_delta,
-            overhead_delta_pts: Some(pts),
-            rule: NoiseRule::OverheadPts,
-            verdict,
-            hot_path,
-        };
-    }
-
-    // Rule 1: recorded spreads on both sides — within noise unless the
-    // intervals are disjoint.
-    if let (Some((old_lo, old_hi)), Some((new_lo, new_hi))) = (old.spread_us(), new.spread_us()) {
-        let verdict = if new_lo > old_hi {
-            Verdict::Regression
-        } else if new_hi < old_lo {
-            Verdict::Improvement
-        } else {
-            Verdict::WithinNoise
-        };
-        return SeriesDelta {
-            group: new.group.clone(),
-            name: new.name.clone(),
-            old_ns: Some(old.ns_per_iter),
-            new_ns: Some(new.ns_per_iter),
-            rel_delta,
-            overhead_delta_pts: None,
-            rule: NoiseRule::Spread,
-            verdict,
-            hot_path,
-        };
-    }
-
-    // Rule 3: relative threshold.
-    let verdict = match rel_delta {
-        Some(d) if d > options.rel_threshold => Verdict::Regression,
-        Some(d) if d < -options.rel_threshold => Verdict::Improvement,
-        _ => Verdict::WithinNoise,
+        // Rule 2: relative threshold.
+        _ => (
+            NoiseRule::Relative,
+            row.rel_delta.is_some_and(|d| d > options.rel_threshold),
+            row.rel_delta.is_some_and(|d| d < -options.rel_threshold),
+        ),
     };
-    SeriesDelta {
-        group: new.group.clone(),
-        name: new.name.clone(),
-        old_ns: Some(old.ns_per_iter),
-        new_ns: Some(new.ns_per_iter),
-        rel_delta,
-        overhead_delta_pts: None,
-        rule: NoiseRule::Relative,
-        verdict,
-        hot_path,
+    row.rule = rule;
+    if slower {
+        row.verdict = Verdict::Regression;
+    } else if faster {
+        row.verdict = Verdict::Improvement;
     }
+    row
 }
 
 /// The `diff` subcommand: parse, compare, print markdown, optionally
 /// write artifacts, return the process exit code (0 ok, 1 regression,
-/// 2 usage/IO error). Split from `main` so tests drive it directly.
+/// 2 usage/IO error).
 pub fn run_diff_cli(args: &[String]) -> i32 {
+    let usage = "usage: dapple-bench diff <old.json> <new.json> \
+                 [--threshold REL] [--md PATH] [--json PATH]";
     let mut paths = Vec::new();
     let mut options = DiffOptions::default();
-    let mut md_out: Option<String> = None;
-    let mut json_out: Option<String> = None;
-    let usage = "usage: dapple-bench diff <old.json> <new.json> \
-                 [--threshold REL] [--overhead-pts PTS] [--md PATH] [--json PATH]";
+    let (mut md_out, mut json_out) = (None, None);
     let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--threshold" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => options.rel_threshold = v,
-                None => {
-                    eprintln!("--threshold needs a number\n{usage}");
-                    return 2;
-                }
-            },
-            "--overhead-pts" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => options.overhead_pts = v,
-                None => {
-                    eprintln!("--overhead-pts needs a number\n{usage}");
-                    return 2;
-                }
-            },
-            "--md" => match it.next() {
-                Some(v) => md_out = Some(v.clone()),
-                None => {
-                    eprintln!("--md needs a path\n{usage}");
-                    return 2;
-                }
-            },
-            "--json" => match it.next() {
-                Some(v) => json_out = Some(v.clone()),
-                None => {
-                    eprintln!("--json needs a path\n{usage}");
-                    return 2;
-                }
-            },
-            _ if a.starts_with('-') => {
-                eprintln!("unknown flag: {a}\n{usage}");
-                return 2;
+    let mut parse = || {
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                "--threshold" => options.rel_threshold = flags::number(&mut it, a)?,
+                "--md" => md_out = Some(flags::value(&mut it, a, "a path")?),
+                "--json" => json_out = Some(flags::value(&mut it, a, "a path")?),
+                _ if a.starts_with('-') => return Err(format!("unknown flag: {a}")),
+                _ => paths.push(a.as_str()),
             }
-            _ => paths.push(a.clone()),
         }
+        Ok(())
+    };
+    if let Err(e) = parse() {
+        eprintln!("{e}\n{usage}");
+        return 2;
     }
     let [old_path, new_path] = paths.as_slice() else {
         eprintln!("{usage}");
@@ -656,10 +371,8 @@ pub fn run_diff_cli(args: &[String]) -> i32 {
     let (old, new) = match (load(old_path), load(new_path)) {
         (Ok(o), Ok(n)) => (o, n),
         (o, n) => {
-            for r in [o, n] {
-                if let Err(e) = r {
-                    eprintln!("dapple-bench diff: {e}");
-                }
+            for e in [o.err(), n.err()].into_iter().flatten() {
+                eprintln!("dapple-bench diff: {e}");
             }
             return 2;
         }
@@ -667,14 +380,9 @@ pub fn run_diff_cli(args: &[String]) -> i32 {
     let report = diff_reports(&old, &new, options);
     let md = report.to_markdown();
     print!("{md}");
-    if let Some(path) = md_out {
-        if let Err(e) = std::fs::write(&path, &md) {
-            eprintln!("cannot write {path}: {e}");
-            return 2;
-        }
-    }
-    if let Some(path) = json_out {
-        if let Err(e) = std::fs::write(&path, report.verdict_json()) {
+    for (path, text) in [(md_out, &md), (json_out, &report.verdict_json())] {
+        let Some(path) = path else { continue };
+        if let Err(e) = std::fs::write(path, text) {
             eprintln!("cannot write {path}: {e}");
             return 2;
         }
@@ -690,6 +398,7 @@ pub fn run_diff_cli(args: &[String]) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{render, Provenance};
 
     /// (group, name, ns_per_iter, extra numeric fields).
     type SeriesSpec<'a> = (&'a str, &'a str, f64, &'a [(&'a str, f64)]);
@@ -712,12 +421,6 @@ mod tests {
                 })
                 .collect(),
         }
-    }
-
-    #[test]
-    fn parse_rejects_wrong_schema() {
-        assert!(BenchReport::parse("{\"schema\": \"other/9\", \"results\": []}").is_err());
-        assert!(BenchReport::parse("{\"results\": []}").is_err());
     }
 
     #[test]
@@ -757,64 +460,45 @@ mod tests {
         assert_eq!(d.rows[0].verdict, Verdict::WithinNoise);
     }
 
+    /// What `render` writes `parse` reads — typed extras, a non-finite
+    /// value as `null` — and labels, which come from the compared files,
+    /// are escaped: a quote or a backslash in a commit must not break the
+    /// verdict document.
     #[test]
-    fn overhead_rule_flags_points_not_ns() {
-        // ns delta is only +8%, below the relative threshold, but the
-        // overhead ratio exploded — exactly the BENCH_4→5 shape.
-        let old = report(&[(
-            "trace_overhead",
-            "on",
-            23_830_144.0,
-            &[("overhead_pct", 1.4)],
-        )]);
-        let new = report(&[(
-            "trace_overhead",
-            "on",
-            25_839_580.0,
-            &[("overhead_pct", 16.2)],
-        )]);
-        let d = diff_reports(&old, &new, DiffOptions::default());
-        assert_eq!(d.rows[0].rule, NoiseRule::OverheadPts);
-        assert_eq!(d.rows[0].verdict, Verdict::Regression);
-        assert!(d.gate_failed());
-    }
+    fn rendered_reports_diff_to_a_parseable_verdict() {
+        use crate::report::{Field, Record};
+        let side = |ns_per_iter| {
+            let record = Record {
+                group: "matmul",
+                name: "m\"32".into(),
+                iters: 5,
+                ns_per_iter,
+                extra: vec![
+                    ("dim", 32.into()),
+                    ("gflops", f64::INFINITY.into()),
+                    ("gib_per_s", Field::Fixed(0.12345, 4)),
+                    ("busy", Field::F64s(vec![0.5, 0.25])),
+                ],
+            };
+            BenchReport::parse(&render("smoke", Some("a\"b\\c"), None, &[record])).unwrap()
+        };
+        let (old, new) = (side(100.0), side(300.04));
+        assert_eq!((new.series[0].iters, new.series[0].ns_per_iter), (5, 300.0));
+        let busy = Json::Arr(vec![Json::Num(0.5), Json::Num(0.25)]);
+        let want = [Json::Num(32.0), Json::Null, Json::Num(0.1235), busy];
+        let got: Vec<_> = new.series[0].extra.iter().map(|(_, v)| v.clone()).collect();
+        assert_eq!(got, want);
 
-    /// A points increase with a large *absolute* improvement is the
-    /// faster-denominator shape (BENCH_6→7: the kernel rewrite cut the
-    /// clean step 2.6×, the memory-bound rollback stayed fixed, so the
-    /// recovered step dropped 3× while its ratio climbed 34% → ~50%).
-    /// Nothing got slower; the carve-out classifies from absolute cost.
-    #[test]
-    fn overhead_rule_yields_to_large_absolute_improvement() {
-        let old = report(&[(
-            "recovery",
-            "supervised_step_recovered",
-            34_741_564.0,
-            &[("overhead_pct", 34.2)],
-        )]);
-        let new = report(&[(
-            "recovery",
-            "supervised_step_recovered",
-            11_131_889.0,
-            &[("overhead_pct", 49.3)],
-        )]);
-        let d = diff_reports(&old, &new, DiffOptions::default());
-        assert_eq!(d.rows[0].rule, NoiseRule::Relative);
-        assert_eq!(d.rows[0].verdict, Verdict::Improvement);
-        assert!(!d.gate_failed());
-        // The points increase is still surfaced in the row for readers.
-        assert_eq!(d.rows[0].overhead_delta_pts, Some(49.3 - 34.2));
-        // With the absolute cost merely flat, the points rule still gates
-        // (the BENCH_4→5 artifact shape must keep failing).
-        let flat = report(&[(
-            "recovery",
-            "supervised_step_recovered",
-            34_000_000.0,
-            &[("overhead_pct", 49.3)],
-        )]);
-        let d = diff_reports(&old, &flat, DiffOptions::default());
-        assert_eq!(d.rows[0].rule, NoiseRule::OverheadPts);
-        assert_eq!(d.rows[0].verdict, Verdict::Regression);
+        let verdict = parse_json(&diff_reports(&old, &new, DiffOptions::default()).verdict_json());
+        let verdict = verdict.unwrap();
+        let text = |k| verdict.get(k).and_then(Json::as_str).unwrap();
+        assert_eq!(text("verdict"), "regression");
+        assert!(text("old").starts_with("a\"b\\c ("), "{}", text("old"));
+        let Some(Json::Arr(rows)) = verdict.get("hot_path_regressions") else {
+            panic!("regressions listed: {verdict:?}");
+        };
+        assert_eq!(rows[0].get("name"), Some(&Json::Str("m\"32".into())));
+        assert_eq!(rows[0].get("rel_delta"), Some(&Json::Num(2.0)));
     }
 
     #[test]

@@ -1,0 +1,20 @@
+//! How `dapple-bench` and its `diff` subcommand read a flag's value: one
+//! wording for "missing" and "malformed". The `Err` is the message; the
+//! caller prints it above its usage line and exits with status 2.
+
+/// The value following `flag`; `what` says what was expected ("a path").
+pub fn value<'a>(
+    args: &mut impl Iterator<Item = &'a String>,
+    flag: &str,
+    what: &str,
+) -> Result<&'a str, String> {
+    let v = args.next().ok_or_else(|| format!("{flag} needs {what}"))?;
+    Ok(v)
+}
+
+/// The number following `flag`.
+pub fn number<'a>(args: &mut impl Iterator<Item = &'a String>, flag: &str) -> Result<f64, String> {
+    let raw = value(args, flag, "a number")?;
+    raw.parse()
+        .map_err(|_| format!("{flag}: not a number: {raw}"))
+}

@@ -19,7 +19,10 @@ pub mod ablations;
 pub mod common;
 pub mod diff;
 pub mod figures;
+pub mod flags;
+pub mod report;
 pub mod tables;
+pub mod timing;
 pub mod validate;
 
 pub use common::Report;

@@ -4,8 +4,8 @@
 //! the engine measures them with runtime tracing. This module closes the
 //! loop twice:
 //!
-//! 1. **Validation** ([`run_validation`]): calibrate a [`ModelGraph`] from
-//!    isolated per-layer timings, run the same plan through [`PipelineSim`]
+//! 1. **Validation** (round 0 of [`calibrate_validation`]): calibrate a
+//!    [`ModelGraph`] from isolated per-layer timings, run the same plan through [`PipelineSim`]
 //!    and through repeated traced [`PipelineTrainer`] steps, align the two
 //!    timelines on the warmup/steady/tail decomposition
 //!    ([`dapple_core::PhaseSplit`]) and report per-phase relative errors.
@@ -27,6 +27,7 @@
 //! from the analytic one.
 
 use crate::common::Report;
+use crate::timing::time_us;
 use dapple_cluster::{Cluster, DeviceSpec, Interconnect};
 use dapple_collectives::CommCalibration;
 use dapple_core::{relative_error, Bytes, DeviceId, PhaseSplit, Plan, StagePlan};
@@ -39,7 +40,6 @@ use dapple_profiler::{Calibrator, MemoryModel, ModelProfile, ObservedSpan};
 use dapple_sim::{KPolicy, PipelineSim, Schedule, SimConfig, SimResult};
 use std::collections::HashMap;
 use std::ops::Range;
-use std::time::Instant;
 
 /// Traced steps per measurement; the median step is compared and the
 /// spread recorded, so one scheduler hiccup cannot skew a validation row.
@@ -125,19 +125,6 @@ impl Scenario {
     }
 }
 
-/// Median of `reps` timings of `f`, in µs.
-fn time_us(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
 /// Measures per-layer forward/backward wall time of `model` at micro-batch
 /// size `rows` and returns a [`ModelGraph`] calibrated so the simulator's
 /// profiled times reproduce them exactly on the reference device.
@@ -183,7 +170,7 @@ pub fn calibrate_graph(model: &MlpModel, rows: usize, reps: usize) -> ModelGraph
 
 /// An idealized in-process "cluster": one device per stage at the
 /// reference FLOPs rate with no launch overhead, joined by effectively
-/// free links (crossbeam channels move pointers, not bytes).
+/// free links (in-process channels move pointers, not bytes).
 fn loopback_cluster(stages: usize) -> Cluster {
     let device = DeviceSpec {
         flops: 1.0e13,
@@ -195,13 +182,6 @@ fn loopback_cluster(stages: usize) -> Cluster {
         latency_us: 0.0,
     };
     Cluster::new("loopback", vec![1; stages], device, link, link)
-}
-
-/// Runs the scenario's plan through the simulator from a calibrated graph.
-pub fn predict(scenario: &Scenario, graph: &ModelGraph) -> SimResult {
-    let cluster = loopback_cluster(scenario.stage_bounds.len());
-    let profile = ModelProfile::profile(graph, &cluster.device);
-    predict_profile(scenario, &profile, None)
 }
 
 /// Runs the scenario's plan through the simulator from a profile, with
@@ -389,6 +369,8 @@ pub struct Measurement {
     pub stage_busy_fraction: Vec<f64>,
     /// Observations pooled across all steps (for the [`Calibrator`]).
     pub spans: Vec<ObservedSpan>,
+    /// The median step's trace.
+    pub trace: StepTrace,
 }
 
 /// Runs `iters` traced engine steps of the scenario (after 2 untimed
@@ -431,6 +413,7 @@ pub fn measure(scenario: &Scenario, iters: usize) -> Measurement {
         makespans_us,
         spread_us,
         spans,
+        trace: traces.swap_remove(median),
     }
 }
 
@@ -456,19 +439,6 @@ fn compare(sim: &SimResult, meas: &Measurement) -> Validation {
     }
 }
 
-/// Runs the scenario end to end once: calibrate per-layer times in
-/// isolation, simulate, execute [`MEASURE_ITERS`] traced steps, and
-/// compare the timelines. This is the *uncalibrated* prediction —
-/// [`calibrate_validation`] iterates from here.
-pub fn run_validation(scenario: &Scenario) -> Validation {
-    let model = MlpModel::new(&scenario.dims, 42);
-    let rows = (scenario.batch / scenario.micro_batches.max(1)).max(1);
-    let graph = calibrate_graph(&model, rows, 9);
-    let sim = predict(scenario, &graph);
-    let meas = measure(scenario, MEASURE_ITERS);
-    compare(&sim, &meas)
-}
-
 /// The calibration loop's result: one validation row per round.
 #[derive(Debug, Clone)]
 pub struct CalibrationOutcome {
@@ -477,6 +447,8 @@ pub struct CalibrationOutcome {
     pub rounds: Vec<Validation>,
     /// Whether the last round met [`CALIBRATION_TOLERANCE`].
     pub converged: bool,
+    /// The last round's median measured step (`dapple-bench --trace`).
+    pub trace: StepTrace,
 }
 
 impl CalibrationOutcome {
@@ -529,6 +501,7 @@ pub fn calibrate_validation(
     let mut comm: Option<CommCalibration> = None;
     let mut rounds = Vec::new();
     let mut converged = false;
+    let mut trace = None;
     // Spans accumulate across rounds: each re-calibration sees every
     // measurement taken so far, so the estimates converge toward the
     // machine's typical behaviour instead of chasing round-to-round load
@@ -539,7 +512,8 @@ pub fn calibrate_validation(
         let meas = measure(scenario, iters);
         let v = compare(&sim, &meas);
         let done = within_tolerance(&v);
-        all_spans.extend(meas.spans.iter().cloned());
+        all_spans.extend(meas.spans);
+        trace = Some(meas.trace);
         rounds.push(v);
         if done {
             converged = true;
@@ -552,7 +526,11 @@ pub fn calibrate_validation(
         profile = cal.profile;
         comm = Some(cal.comm);
     }
-    CalibrationOutcome { rounds, converged }
+    CalibrationOutcome {
+        rounds,
+        converged,
+        trace: trace.expect("at least one round"),
+    }
 }
 
 /// Outcome of planning the same model twice — from the analytic
@@ -838,7 +816,8 @@ mod tests {
     /// non-trivial, and phase-decompose to their makespans.
     #[test]
     fn validation_produces_finite_aligned_timelines() {
-        let v = run_validation(&tiny());
+        let outcome = calibrate_validation(&tiny(), 1, MEASURE_ITERS);
+        let v = outcome.final_round();
         assert!(v.predicted_makespan_us > 0.0);
         assert!(v.measured_makespan_us > 0.0);
         assert!(

@@ -15,7 +15,7 @@
 //! [`allreduce_sum`]'s. The engine syncs replicated stages with it; the
 //! ring stays as the executable reference it is pinned against.
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 /// Chunk boundaries: splits `len` into `n` nearly-even ranges.
 fn chunk_bounds(len: usize, n: usize) -> Vec<std::ops::Range<usize>> {
@@ -63,10 +63,10 @@ pub fn allreduce_sum(buffers: &mut [Vec<f32>]) {
     let bounds = chunk_bounds(len, n);
 
     // Ring channels: rank i sends to (i + 1) % n.
-    let mut senders: Vec<Option<Sender<Vec<f32>>>> = Vec::with_capacity(n);
+    let mut senders: Vec<Option<SyncSender<Vec<f32>>>> = Vec::with_capacity(n);
     let mut receivers: Vec<Option<Receiver<Vec<f32>>>> = (0..n).map(|_| None).collect();
     for i in 0..n {
-        let (tx, rx) = bounded::<Vec<f32>>(1);
+        let (tx, rx) = sync_channel::<Vec<f32>>(1);
         senders.push(Some(tx));
         receivers[(i + 1) % n] = Some(rx);
     }

@@ -5,11 +5,9 @@
 //! by `chrome://tracing` and <https://ui.perfetto.dev>. The writer lives
 //! here so the two exporters cannot drift: each side lowers its own task
 //! records into [`ChromeEvent`]s and hands an iterator to
-//! [`chrome_trace_json`]. Written by hand — no JSON dependency — with
-//! strings escaped by [`crate::json::escape_into`].
+//! [`chrome_trace_json`], which writes them with [`crate::json::Array`].
 
-use crate::json::escape_into;
-use std::fmt::Write as _;
+use crate::json::Array;
 
 /// A typed value inside an event's `"args"` object.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,50 +44,32 @@ pub struct ChromeEvent {
 /// Only complete events are emitted (one object per [`ChromeEvent`]), so
 /// the output is a plain JSON array loadable by Perfetto as-is.
 pub fn chrome_trace_json(events: impl IntoIterator<Item = ChromeEvent>) -> String {
-    let mut out = String::from("[\n");
-    let mut first = true;
+    let mut out = String::new();
+    let mut array = Array::new(&mut out).rows();
     for e in events {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str("  {\"name\":\"");
-        escape_into(&mut out, &e.name);
-        let _ = write!(
-            out,
-            "\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":{},\"tid\":{}",
-            e.cat,
-            e.ts_us,
-            e.dur_us.max(0.0),
-            e.pid,
-            e.tid
-        );
-        if !e.args.is_empty() {
-            out.push_str(",\"args\":{");
-            for (i, (k, v)) in e.args.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{k}\":");
-                match v {
-                    ChromeArg::Int(n) => {
-                        let _ = write!(out, "{n}");
-                    }
-                    ChromeArg::Float(f) => {
-                        let _ = write!(out, "{f:.3}");
-                    }
-                    ChromeArg::Str(s) => {
-                        out.push('"');
-                        escape_into(&mut out, s);
-                        out.push('"');
-                    }
-                }
+        array = array.object(|o| {
+            let o = o
+                .str("name", &e.name)
+                .str("cat", e.cat)
+                .str("ph", "X")
+                .fixed("ts", e.ts_us, 3)
+                .fixed("dur", e.dur_us.max(0.0), 3)
+                .u64("pid", e.pid as u64)
+                .u64("tid", e.tid as u64);
+            if e.args.is_empty() {
+                return o;
             }
-            out.push('}');
-        }
-        out.push('}');
+            o.object("args", |args| {
+                e.args.iter().fold(args, |args, (k, v)| match v {
+                    ChromeArg::Int(n) => args.u64(k, *n),
+                    ChromeArg::Float(f) => args.fixed(k, *f, 3),
+                    ChromeArg::Str(s) => args.str(k, s),
+                })
+            })
+        });
     }
-    out.push_str("\n]\n");
+    array.end();
+    out.push('\n');
     out
 }
 

@@ -1,11 +1,12 @@
-//! The workspace's one JSON reader and one string escaper.
+//! The workspace's one JSON reader and one JSON writer.
 //!
-//! Everything that emits JSON by hand (the Chrome-trace writer, the
-//! supervisor's event log, the bench reports) escapes strings through
-//! [`escape_into`]; everything that reads JSON back (the bench barometer,
-//! the repo benchmark, the integration tests that check the emitters)
-//! parses it with [`parse_json`]. No dependency, no allocation on the
-//! escape path beyond the caller's own buffer.
+//! Everything that emits JSON (the run log, the registry summary, the
+//! Chrome-trace exporter, the supervisor's event log, the bench report and
+//! the diff verdict) builds it with [`Object`] / [`Array`]; everything
+//! that reads JSON back (the bench barometer, the repo benchmark, the
+//! integration tests that check the emitters) parses it with
+//! [`parse_json`]. No dependency, and no allocation on the write path
+//! beyond the caller's own buffer.
 
 use std::fmt::Write as _;
 
@@ -24,6 +25,241 @@ pub fn escape_into(out: &mut String, s: &str) {
             }
             c => out.push(c),
         }
+    }
+}
+
+/// Where a writer builds its text, and what closing the outermost value
+/// does with it: nothing for a plain `&mut String`; a
+/// [`crate::metrics::RunLog`] sends the finished line to its sink.
+pub trait Buffer {
+    /// What [`Object::end`] and [`Array::end`] return.
+    type Closed;
+    /// The text under construction.
+    fn text(&mut self) -> &mut String;
+    /// Runs once, after the closing bracket is written.
+    fn close(self) -> Self::Closed;
+}
+
+impl Buffer for &mut String {
+    type Closed = ();
+
+    fn text(&mut self) -> &mut String {
+        self
+    }
+
+    fn close(self) {}
+}
+
+/// A float as a JSON token: `decimals` places, `null` when non-finite
+/// (JSON has no `inf` or `NaN`).
+fn number(out: &mut String, v: f64, decimals: usize) {
+    if v.is_finite() {
+        let _ = write!(out, "{v:.decimals$}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+fn string(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
+}
+
+/// Writes one JSON object, fields in call order, into a caller-owned
+/// buffer without allocating. Keys and string values are escaped; floats
+/// are fixed-point at the call site's precision.
+pub struct Object<B: Buffer> {
+    out: B,
+    any: bool,
+    spaced: bool,
+}
+
+impl<B: Buffer> Object<B> {
+    /// Opens an object at the end of `out`.
+    pub fn new(out: B) -> Self {
+        Object::open(out, false)
+    }
+
+    fn open(mut out: B, spaced: bool) -> Self {
+        out.text().push('{');
+        let any = false;
+        Object { out, any, spaced }
+    }
+
+    /// Separates with `": "` and `", "` instead of `":"` and `","`, here
+    /// and in everything nested. Call before the first field.
+    pub fn spaced(mut self) -> Self {
+        self.spaced = true;
+        self
+    }
+
+    fn key(&mut self, k: &str) -> &mut String {
+        let out = self.out.text();
+        if self.any {
+            out.push_str(if self.spaced { ", " } else { "," });
+        }
+        self.any = true;
+        string(out, k);
+        out.push_str(if self.spaced { ": " } else { ":" });
+        out
+    }
+
+    /// Appends an unsigned integer field.
+    pub fn u64(mut self, k: &str, v: u64) -> Self {
+        let _ = write!(self.key(k), "{v}");
+        self
+    }
+
+    /// Appends a float field with six decimals (`null` when non-finite).
+    pub fn f64(self, k: &str, v: f64) -> Self {
+        self.fixed(k, v, 6)
+    }
+
+    /// Appends a float field with `decimals` places (`null` when
+    /// non-finite).
+    pub fn fixed(mut self, k: &str, v: f64, decimals: usize) -> Self {
+        number(self.key(k), v, decimals);
+        self
+    }
+
+    /// Appends a boolean field.
+    pub fn bool(mut self, k: &str, v: bool) -> Self {
+        self.key(k).push_str(if v { "true" } else { "false" });
+        self
+    }
+
+    /// Appends a string field.
+    pub fn str(mut self, k: &str, v: &str) -> Self {
+        string(self.key(k), v);
+        self
+    }
+
+    /// Appends a `null` field.
+    pub fn null(mut self, k: &str) -> Self {
+        self.key(k).push_str("null");
+        self
+    }
+
+    /// Appends an array of floats (`null` elements when non-finite).
+    pub fn f64_slice(self, k: &str, vs: &[f64]) -> Self {
+        self.array(k, |a| vs.iter().fold(a, |a, &v| a.f64(v)))
+    }
+
+    /// Appends an array of unsigned integers.
+    pub fn usize_slice(self, k: &str, vs: &[usize]) -> Self {
+        self.array(k, |a| vs.iter().fold(a, |a, &v| a.u64(v as u64)))
+    }
+
+    /// Appends a nested object; `fields` adds its fields.
+    pub fn object(
+        mut self,
+        k: &str,
+        fields: impl FnOnce(Object<&mut String>) -> Object<&mut String>,
+    ) -> Self {
+        let spaced = self.spaced;
+        fields(Object::open(self.key(k), spaced)).end();
+        self
+    }
+
+    /// Appends a nested array; `items` adds its items.
+    pub fn array(
+        mut self,
+        k: &str,
+        items: impl FnOnce(Array<&mut String>) -> Array<&mut String>,
+    ) -> Self {
+        let spaced = self.spaced;
+        items(Array::open(self.key(k), spaced)).end();
+        self
+    }
+
+    /// Closes the object.
+    pub fn end(mut self) -> B::Closed {
+        self.out.text().push('}');
+        self.out.close()
+    }
+}
+
+/// Writes one JSON array; the counterpart of [`Object`].
+pub struct Array<B: Buffer> {
+    out: B,
+    any: bool,
+    spaced: bool,
+    rows: bool,
+}
+
+impl<B: Buffer> Array<B> {
+    /// Opens an array at the end of `out`.
+    pub fn new(out: B) -> Self {
+        Array::open(out, false)
+    }
+
+    fn open(mut out: B, spaced: bool) -> Self {
+        out.text().push('[');
+        let (any, rows) = (false, false);
+        Array {
+            out,
+            any,
+            spaced,
+            rows,
+        }
+    }
+
+    /// As [`Object::spaced`].
+    pub fn spaced(mut self) -> Self {
+        self.spaced = true;
+        self
+    }
+
+    /// Puts every item on a line of its own (reports are diffed and read
+    /// record by record). Call before the first item.
+    pub fn rows(mut self) -> Self {
+        self.rows = true;
+        self
+    }
+
+    fn item(&mut self) -> &mut String {
+        let out = self.out.text();
+        if self.any {
+            out.push_str(if self.spaced && !self.rows { ", " } else { "," });
+        }
+        if self.rows {
+            out.push_str("\n  ");
+        }
+        self.any = true;
+        out
+    }
+
+    /// Appends an unsigned integer.
+    pub fn u64(mut self, v: u64) -> Self {
+        let _ = write!(self.item(), "{v}");
+        self
+    }
+
+    /// Appends a float with six decimals (`null` when non-finite).
+    pub fn f64(mut self, v: f64) -> Self {
+        number(self.item(), v, 6);
+        self
+    }
+
+    /// Appends an object; `fields` adds its fields.
+    pub fn object(
+        mut self,
+        fields: impl FnOnce(Object<&mut String>) -> Object<&mut String>,
+    ) -> Self {
+        let spaced = self.spaced;
+        fields(Object::open(self.item(), spaced)).end();
+        self
+    }
+
+    /// Closes the array.
+    pub fn end(mut self) -> B::Closed {
+        let out = self.out.text();
+        if self.rows && self.any {
+            out.push('\n');
+        }
+        out.push(']');
+        self.out.close()
     }
 }
 

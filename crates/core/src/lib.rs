@@ -16,8 +16,8 @@
 //! * the shared Chrome Trace Event writer ([`chrome`]) and the
 //!   warmup/steady/tail phase decomposition ([`phase`]) used by both the
 //!   simulated and the measured timelines;
-//! * the one JSON parser and string escaper ([`json`]) every hand-written
-//!   emitter and every report reader goes through;
+//! * the one JSON writer and parser ([`json`]) every emitter and every
+//!   report reader goes through;
 //! * the zero-steady-state-allocation run-metrics registry and JSONL
 //!   [`metrics::RunLog`] the engine feeds each training step;
 //! * the workspace-wide error type [`DappleError`].

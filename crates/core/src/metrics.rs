@@ -17,7 +17,7 @@
 //! associative and commutative, which makes per-worker histograms safe to
 //! combine in any order.
 
-use std::fmt::Write as _;
+use crate::json::{Buffer, Object};
 use std::io::{self, Write};
 
 /// Sub-buckets per power-of-two octave. 8 keeps the relative
@@ -272,64 +272,34 @@ impl MetricsRegistry {
     /// `{count, sum, min, max, mean, p50, p95, p99}`. Allocates (call it
     /// at run end, not per step).
     pub fn summary_json(&self) -> String {
-        let mut s = String::from("{\n");
-        let mut first = true;
+        let mut s = String::new();
+        let mut o = Object::new(&mut s).spaced();
         for (name, v) in &self.counters {
-            sep(&mut s, &mut first);
-            let _ = write!(s, "  \"{name}\": {v}");
+            o = o.u64(name, *v);
         }
         for (name, v) in &self.gauges {
-            sep(&mut s, &mut first);
-            let _ = write!(s, "  \"{name}\": {}", json_num(*v));
+            o = o.f64(name, *v);
         }
         for (name, h) in &self.histograms {
-            sep(&mut s, &mut first);
-            let _ = write!(
-                s,
-                "  \"{name}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-                 \"mean\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-                h.count(),
-                h.sum(),
-                h.min(),
-                h.max(),
-                json_num(h.mean()),
-                h.percentile(0.50),
-                h.percentile(0.95),
-                h.percentile(0.99),
-            );
+            o = o.object(name, |o| {
+                o.u64("count", h.count())
+                    .u64("sum", h.sum())
+                    .u64("min", h.min())
+                    .u64("max", h.max())
+                    .f64("mean", h.mean())
+                    .u64("p50", h.percentile(0.50))
+                    .u64("p95", h.percentile(0.95))
+                    .u64("p99", h.percentile(0.99))
+            });
         }
-        s.push_str("\n}\n");
+        o.end();
+        s.push('\n');
         s
     }
 }
 
-fn sep(s: &mut String, first: &mut bool) {
-    if !*first {
-        s.push_str(",\n");
-    }
-    *first = false;
-}
-
-/// A float as a JSON token (`null` for non-finite values).
-fn json_num(v: f64) -> JsonNum {
-    JsonNum(v)
-}
-
-/// Display adapter: formats a float as JSON without allocating.
-struct JsonNum(f64);
-
-impl std::fmt::Display for JsonNum {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.0.is_finite() {
-            write!(f, "{:.6}", self.0)
-        } else {
-            f.write_str("null")
-        }
-    }
-}
-
 /// An append-only JSONL sink with a reused line buffer: one
-/// [`RunLog::line`] builder per record, one `write_all` per line. After
+/// [`RunLog::line`] object per record, one `write_all` per line. After
 /// the first few lines grow the buffer to its steady-state size, writing
 /// a record performs no heap allocation (the sink permitting — a `File`
 /// or `io::sink()` does not allocate; a growing `Vec<u8>` does).
@@ -349,14 +319,11 @@ impl<W: Write> RunLog<W> {
         }
     }
 
-    /// Starts one record; finish it with [`RunLogLine::end`].
-    pub fn line(&mut self) -> RunLogLine<'_, W> {
+    /// Starts one record; [`Object::end`] writes it to the sink as one
+    /// line.
+    pub fn line(&mut self) -> Object<&mut Self> {
         self.buf.clear();
-        self.buf.push('{');
-        RunLogLine {
-            log: self,
-            any: false,
-        }
+        Object::new(self)
     }
 
     /// Records written so far.
@@ -375,79 +342,17 @@ impl<W: Write> RunLog<W> {
     }
 }
 
-/// Builder for one JSONL record. Fields are appended in call order; keys
-/// must be JSON-safe literals (no escaping is performed on keys).
-pub struct RunLogLine<'a, W: Write> {
-    log: &'a mut RunLog<W>,
-    any: bool,
-}
+impl<W: Write> Buffer for &mut RunLog<W> {
+    type Closed = io::Result<()>;
 
-impl<W: Write> RunLogLine<'_, W> {
-    fn key(&mut self, k: &str) {
-        if self.any {
-            self.log.buf.push(',');
-        }
-        self.any = true;
-        let _ = write!(self.log.buf, "\"{k}\":");
+    fn text(&mut self) -> &mut String {
+        &mut self.buf
     }
 
-    /// Appends an unsigned integer field.
-    pub fn u64(mut self, k: &str, v: u64) -> Self {
-        self.key(k);
-        let _ = write!(self.log.buf, "{v}");
-        self
-    }
-
-    /// Appends a float field (`null` when non-finite).
-    pub fn f64(mut self, k: &str, v: f64) -> Self {
-        self.key(k);
-        let _ = write!(self.log.buf, "{}", json_num(v));
-        self
-    }
-
-    /// Appends a boolean field.
-    pub fn bool(mut self, k: &str, v: bool) -> Self {
-        self.key(k);
-        let _ = write!(self.log.buf, "{v}");
-        self
-    }
-
-    /// Appends an array of floats (`null` elements when non-finite).
-    pub fn f64_slice(mut self, k: &str, vs: &[f64]) -> Self {
-        self.key(k);
-        self.log.buf.push('[');
-        for (i, &v) in vs.iter().enumerate() {
-            if i > 0 {
-                self.log.buf.push(',');
-            }
-            let _ = write!(self.log.buf, "{}", json_num(v));
-        }
-        self.log.buf.push(']');
-        self
-    }
-
-    /// Appends an array of unsigned integers.
-    pub fn usize_slice(mut self, k: &str, vs: &[usize]) -> Self {
-        self.key(k);
-        self.log.buf.push('[');
-        for (i, &v) in vs.iter().enumerate() {
-            if i > 0 {
-                self.log.buf.push(',');
-            }
-            let _ = write!(self.log.buf, "{v}");
-        }
-        self.log.buf.push(']');
-        self
-    }
-
-    /// Terminates the record and writes it to the sink as one line.
-    pub fn end(self) -> io::Result<()> {
-        self.log.buf.push_str("}\n");
-        self.log.records += 1;
-        let buf = std::mem::take(&mut self.log.buf);
-        let res = self.log.sink.write_all(buf.as_bytes());
-        self.log.buf = buf;
-        res
+    fn close(self) -> io::Result<()> {
+        self.buf.push('\n');
+        self.records += 1;
+        self.sink.write_all(self.buf.as_bytes())
     }
 }
 
@@ -495,6 +400,7 @@ pub fn straggler_stages(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{parse_json, Json};
 
     #[test]
     fn histogram_buckets_are_monotone_and_cover_u64() {
@@ -564,11 +470,11 @@ mod tests {
         assert_eq!(r.counter_value(c), 2);
         assert_eq!(r.gauge_value(g), 0.25);
         assert_eq!(r.histogram_ref(h).count(), 1);
-        let s = r.summary_json();
-        assert!(s.contains("\"steps\": 2"));
-        assert!(s.contains("\"bubble_ratio\": 0.250000"));
-        assert!(s.contains("\"p99\""));
-        assert_eq!(s.matches('{').count(), s.matches('}').count());
+        let s = parse_json(&r.summary_json()).unwrap();
+        assert_eq!(s.get("steps"), Some(&Json::Num(2.0)));
+        assert_eq!(s.get("bubble_ratio"), Some(&Json::Num(0.25)));
+        let p99 = s.get("step_ns").and_then(|h| h.get("p99"));
+        assert_eq!(p99, Some(&Json::Num(1_000_000.0)));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! of the DAPPLE runtime (§V).
 //!
 //! Where [`dapple-sim`](dapple_sim) *models* schedules analytically, this
-//! crate *runs* them: stage workers are OS threads connected by crossbeam
+//! crate *runs* them: stage workers are OS threads connected by `mpsc`
 //! channels, micro-batch activations and gradients really flow across
 //! stage boundaries (with split/concat for replicated stages, Fig. 9),
 //! per-stage gradients really accumulate across micro-batches (Fig. 10),

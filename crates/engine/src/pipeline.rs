@@ -1,6 +1,6 @@
 //! The multi-threaded pipeline trainer.
 //!
-//! One OS thread per stage replica, connected by crossbeam channels.
+//! One OS thread per stage replica, connected by `std::sync::mpsc` channels.
 //! Each worker executes exactly the deterministic step order that the
 //! simulator models ([`dapple_sim::schedule::stage_order`]): warmup
 //! forwards, strict 1F1B interleaving (or GPipe's all-forwards-first),
@@ -76,12 +76,12 @@ use crate::tensor::{PackedRhs, Tensor};
 use crate::trace::{
     CoordSpan, Span, SpanKind, SpanRing, SpanWriter, StepTrace, WorkerTrace, NO_MICRO,
 };
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dapple_core::{DappleError, Plan, Result};
 use dapple_sim::schedule::{stage_order, Step};
 use dapple_sim::Schedule;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -156,6 +156,45 @@ impl EngineConfig {
         cfg.stage_bounds = plan.stages.iter().map(|s| s.layers.clone()).collect();
         cfg.replication = plan.stages.iter().map(|s| s.devices.len()).collect();
         cfg
+    }
+
+    /// Whether this config can drive a model of `num_layers` layers.
+    fn check(&self, num_layers: usize) -> Result<()> {
+        if self.stage_bounds.is_empty() || self.stage_bounds.len() != self.replication.len() {
+            return Err(DappleError::InvalidConfig(
+                "stage bounds and replication must align and be non-empty".into(),
+            ));
+        }
+        let mut next = 0usize;
+        for (i, r) in self.stage_bounds.iter().enumerate() {
+            if r.start != next || r.is_empty() {
+                return Err(DappleError::InvalidConfig(format!(
+                    "stage {i} range {r:?} not contiguous from {next}"
+                )));
+            }
+            if self.replication[i] == 0 {
+                return Err(DappleError::InvalidConfig(format!(
+                    "stage {i} has 0 replicas"
+                )));
+            }
+            next = r.end;
+        }
+        if next != num_layers {
+            return Err(DappleError::InvalidConfig(format!(
+                "stages cover {next} layers, model has {num_layers}"
+            )));
+        }
+        if self.micro_batches == 0 {
+            return Err(DappleError::InvalidConfig(
+                "need at least one micro-batch".into(),
+            ));
+        }
+        if self.recv_timeout.is_zero() {
+            return Err(DappleError::InvalidConfig(
+                "recv_timeout must be positive".into(),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -298,6 +337,29 @@ impl Drop for StepGrads {
     }
 }
 
+/// Fresh per-worker scratch and gradient slots for `cfg`'s shape, one of
+/// each per stage replica in spawn order.
+fn worker_state(cfg: &EngineConfig) -> (Vec<Mutex<WorkerScratch>>, Arc<GradHome>) {
+    let workers: usize = cfg.replication.iter().sum();
+    let scratch = (0..workers).map(|_| Mutex::default()).collect();
+    let mut first_slot = 0usize;
+    let stages = cfg
+        .stage_bounds
+        .iter()
+        .zip(&cfg.replication)
+        .map(|(layers, &r)| {
+            let stage = (first_slot, layers.len());
+            first_slot += r;
+            stage
+        })
+        .collect();
+    let grad_home = Arc::new(GradHome {
+        slots: (0..workers).map(|_| Mutex::default()).collect(),
+        stages,
+    });
+    (scratch, grad_home)
+}
+
 /// The pipeline trainer: a model plus its parallelization config.
 pub struct PipelineTrainer {
     /// The master copy of the model (updated after every step).
@@ -322,64 +384,24 @@ pub struct PipelineTrainer {
 impl PipelineTrainer {
     /// Validates the configuration against the model.
     pub fn new(model: MlpModel, cfg: EngineConfig) -> Result<Self> {
-        if cfg.stage_bounds.is_empty() || cfg.stage_bounds.len() != cfg.replication.len() {
-            return Err(DappleError::InvalidConfig(
-                "stage bounds and replication must align and be non-empty".into(),
-            ));
-        }
-        let mut next = 0usize;
-        for (i, r) in cfg.stage_bounds.iter().enumerate() {
-            if r.start != next || r.is_empty() {
-                return Err(DappleError::InvalidConfig(format!(
-                    "stage {i} range {r:?} not contiguous from {next}"
-                )));
-            }
-            if cfg.replication[i] == 0 {
-                return Err(DappleError::InvalidConfig(format!(
-                    "stage {i} has 0 replicas"
-                )));
-            }
-            next = r.end;
-        }
-        if next != model.num_layers() {
-            return Err(DappleError::InvalidConfig(format!(
-                "stages cover {next} layers, model has {}",
-                model.num_layers()
-            )));
-        }
-        if cfg.micro_batches == 0 {
-            return Err(DappleError::InvalidConfig(
-                "need at least one micro-batch".into(),
-            ));
-        }
-        if cfg.recv_timeout.is_zero() {
-            return Err(DappleError::InvalidConfig(
-                "recv_timeout must be positive".into(),
-            ));
-        }
-        let workers: usize = cfg.replication.iter().sum();
-        let scratch = (0..workers).map(|_| Mutex::default()).collect();
-        let mut first_slot = 0usize;
-        let stages = cfg
-            .stage_bounds
-            .iter()
-            .zip(&cfg.replication)
-            .map(|(layers, &r)| {
-                let stage = (first_slot, layers.len());
-                first_slot += r;
-                stage
-            })
-            .collect();
-        let grad_home = Arc::new(GradHome {
-            slots: (0..workers).map(|_| Mutex::default()).collect(),
-            stages,
-        });
+        cfg.check(model.num_layers())?;
+        let (scratch, grad_home) = worker_state(&cfg);
         Ok(PipelineTrainer {
             model,
             cfg,
             scratch,
             grad_home,
         })
+    }
+
+    /// Re-shapes the trainer to `cfg` around the model where it lies: only
+    /// the per-worker scratch and gradient slots are rebuilt. A rejected
+    /// config changes nothing.
+    pub(crate) fn reconfigure(&mut self, cfg: EngineConfig) -> Result<()> {
+        cfg.check(self.model.num_layers())?;
+        (self.scratch, self.grad_home) = worker_state(&cfg);
+        self.cfg = cfg;
+        Ok(())
     }
 
     /// Config accessor.
@@ -463,14 +485,14 @@ impl PipelineTrainer {
         for b in 0..s.saturating_sub(1) {
             let mut txs = Vec::new();
             for slot in fwd_rx[b + 1].iter_mut() {
-                let (tx, rx) = unbounded();
+                let (tx, rx) = channel();
                 txs.push(tx);
                 *slot = Some(rx);
             }
             fwd_tx.push(txs);
             let mut txs = Vec::new();
             for slot in bwd_rx[b].iter_mut() {
-                let (tx, rx) = unbounded();
+                let (tx, rx) = channel();
                 txs.push(tx);
                 *slot = Some(rx);
             }
@@ -492,7 +514,7 @@ impl PipelineTrainer {
                 // died.
                 let stage_slots = &self.grad_home.slots[self.grad_home.stages[i].0..];
                 let (grad_tx, mut grad_rx) = if self.cfg.replication[i] > 1 {
-                    let (tx, rx) = unbounded();
+                    let (tx, rx) = channel();
                     (Some(tx), Some(rx))
                 } else {
                     (None, None)

@@ -71,7 +71,7 @@ use crate::pipeline::{EngineConfig, PipelineTrainer};
 use crate::runlog::RunRecorder;
 use crate::tensor::Tensor;
 use crate::trace::{RecoveryStepMetrics, StepMetrics, StepTrace};
-use dapple_core::json::escape_into;
+use dapple_core::json::Array;
 use dapple_core::{DappleError, DeviceId, Plan, Result};
 use std::fs::File;
 use std::io::Write;
@@ -407,12 +407,12 @@ impl TrainLoop {
     }
 
     /// Swaps in a new engine configuration (degraded-mode reshard,
-    /// elastic migration) while keeping model, optimizer, cursors, the
-    /// recorder and the recovery charges pending for the next step.
+    /// elastic migration) around the model where it lies, keeping
+    /// optimizer, cursors, the recorder and the recovery charges pending
+    /// for the next step. A rejected configuration leaves the loop as it
+    /// was.
     pub fn reconfigure(&mut self, cfg: EngineConfig) -> Result<()> {
-        let model = self.trainer.model.clone();
-        self.trainer = PipelineTrainer::new(model, cfg)?;
-        Ok(())
+        self.trainer.reconfigure(cfg)
     }
 }
 
@@ -886,71 +886,55 @@ impl Supervisor {
 
     /// Renders the event log as a JSON array (CI artifact / bench).
     pub fn events_json(&self) -> String {
-        let mut s = String::from("[\n");
-        for (i, e) in self.events.iter().enumerate() {
-            s.push_str("  {");
-            s.push_str(&format!(
-                "\"step\": {}, \"virtual_us\": {}, ",
-                e.step, e.virtual_us
-            ));
-            match &e.kind {
-                RecoveryEventKind::Rollback { ns } => {
-                    s.push_str(&format!("\"kind\": \"rollback\", \"ns\": {ns}"));
+        let mut s = String::new();
+        let mut log = Array::new(&mut s).spaced().rows();
+        for e in &self.events {
+            log = log.object(|o| {
+                let o = o.u64("step", e.step).u64("virtual_us", e.virtual_us);
+                match &e.kind {
+                    RecoveryEventKind::Rollback { ns } => o.str("kind", "rollback").u64("ns", *ns),
+                    RecoveryEventKind::Retry {
+                        attempt,
+                        error,
+                        backoff_us,
+                    } => o
+                        .str("kind", "retry")
+                        .u64("attempt", *attempt as u64)
+                        .u64("backoff_us", *backoff_us)
+                        .str("error", &error.to_string()),
+                    RecoveryEventKind::Recovered { attempts } => {
+                        o.str("kind", "recovered").u64("attempts", *attempts as u64)
+                    }
+                    RecoveryEventKind::ReplicaDropped {
+                        stage,
+                        replica,
+                        survivors,
+                    } => o
+                        .str("kind", "replica_dropped")
+                        .u64("stage", *stage as u64)
+                        .u64("replica", *replica as u64)
+                        .u64("survivors", *survivors as u64),
+                    RecoveryEventKind::CheckpointSaved { bytes, ns } => o
+                        .str("kind", "checkpoint_saved")
+                        .u64("bytes", *bytes as u64)
+                        .u64("ns", *ns),
+                    RecoveryEventKind::CheckpointLoaded { ns } => {
+                        o.str("kind", "checkpoint_loaded").u64("ns", *ns)
+                    }
+                    RecoveryEventKind::Repartitioned {
+                        old_plan,
+                        new_plan,
+                        migration_us,
+                    } => o
+                        .str("kind", "repartitioned")
+                        .str("old_plan", &old_plan.to_string())
+                        .str("new_plan", &new_plan.to_string())
+                        .u64("migration_us", *migration_us),
                 }
-                RecoveryEventKind::Retry {
-                    attempt,
-                    error,
-                    backoff_us,
-                } => {
-                    s.push_str(&format!(
-                        "\"kind\": \"retry\", \"attempt\": {attempt}, \
-                         \"backoff_us\": {backoff_us}, \"error\": \""
-                    ));
-                    escape_into(&mut s, &error.to_string());
-                    s.push('"');
-                }
-                RecoveryEventKind::Recovered { attempts } => {
-                    s.push_str(&format!(
-                        "\"kind\": \"recovered\", \"attempts\": {attempts}"
-                    ));
-                }
-                RecoveryEventKind::ReplicaDropped {
-                    stage,
-                    replica,
-                    survivors,
-                } => {
-                    s.push_str(&format!(
-                        "\"kind\": \"replica_dropped\", \"stage\": {stage}, \
-                         \"replica\": {replica}, \"survivors\": {survivors}"
-                    ));
-                }
-                RecoveryEventKind::CheckpointSaved { bytes, ns } => {
-                    s.push_str(&format!(
-                        "\"kind\": \"checkpoint_saved\", \"bytes\": {bytes}, \"ns\": {ns}"
-                    ));
-                }
-                RecoveryEventKind::CheckpointLoaded { ns } => {
-                    s.push_str(&format!("\"kind\": \"checkpoint_loaded\", \"ns\": {ns}"));
-                }
-                RecoveryEventKind::Repartitioned {
-                    old_plan,
-                    new_plan,
-                    migration_us,
-                } => {
-                    s.push_str("\"kind\": \"repartitioned\", \"old_plan\": \"");
-                    escape_into(&mut s, &old_plan.to_string());
-                    s.push_str("\", \"new_plan\": \"");
-                    escape_into(&mut s, &new_plan.to_string());
-                    s.push_str(&format!("\", \"migration_us\": {migration_us}"));
-                }
-            }
-            s.push_str(if i + 1 < self.events.len() {
-                "},\n"
-            } else {
-                "}\n"
             });
         }
-        s.push_str("]\n");
+        log.end();
+        s.push('\n');
         s
     }
 
@@ -1299,13 +1283,24 @@ mod tests {
         };
         sup.run(2, &mut faults).unwrap();
         sup.restore_last_checkpoint().unwrap();
-        let json = sup.events_json();
-        assert!(json.contains("\"kind\": \"retry\""));
-        assert!(json.contains("\"kind\": \"rollback\""));
-        assert!(json.contains("\"kind\": \"recovered\""));
-        assert!(json.contains("\"kind\": \"checkpoint_saved\""));
-        assert!(json.contains("\"kind\": \"checkpoint_loaded\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let json = dapple_core::json::parse_json(&sup.events_json()).unwrap();
+        let dapple_core::json::Json::Arr(events) = &json else {
+            panic!("the log is an array: {json:?}");
+        };
+        let kind = |e: &dapple_core::json::Json| e.get("kind")?.as_str().map(str::to_string);
+        let kinds: Vec<String> = events.iter().filter_map(kind).collect();
+        assert_eq!(kinds.len(), events.len());
+        for k in [
+            "retry",
+            "rollback",
+            "recovered",
+            "checkpoint_saved",
+            "checkpoint_loaded",
+        ] {
+            assert!(
+                kinds.iter().any(|have| have == k),
+                "{k} missing from {kinds:?}"
+            );
+        }
     }
 }

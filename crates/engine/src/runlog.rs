@@ -199,17 +199,10 @@ impl RunRecorder {
             line = line
                 .u64("makespan_ns", m.makespan_ns)
                 .f64("bubble_ratio", m.bubble_ratio)
-                .u64("channel_wait_ns", m.channel_wait_ns());
-            // Split borrows: the line holds `&mut self.log`, the slices
-            // live in separate fields.
-            let busy = std::mem::take(&mut self.busy);
-            let stragglers = std::mem::take(&mut self.stragglers);
-            line = line
-                .f64_slice("stage_busy_fraction", &busy)
-                .usize_slice("stragglers", &stragglers)
-                .bool("straggler", !stragglers.is_empty());
-            self.busy = busy;
-            self.stragglers = stragglers;
+                .u64("channel_wait_ns", m.channel_wait_ns())
+                .f64_slice("stage_busy_fraction", &self.busy)
+                .usize_slice("stragglers", &self.stragglers)
+                .bool("straggler", !self.stragglers.is_empty());
         }
         if line.end().is_err() {
             self.write_errors += 1;

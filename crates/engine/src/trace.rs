@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Sentinel for spans not tied to a micro-batch (AllReduce, OptimStep).
+/// Sentinel for spans not tied to a micro-batch (AllReduce).
 pub const NO_MICRO: u32 = u32::MAX;
 
 /// What a recorded span measures.
@@ -41,8 +41,6 @@ pub enum SpanKind {
     /// The reduce of a replicated stage's gradients across its replicas
     /// (the arithmetic only, not the wait for the replicas to arrive).
     AllReduce,
-    /// The optimizer's weight update after gradient sync.
-    OptimStep,
 }
 
 impl SpanKind {
@@ -54,7 +52,6 @@ impl SpanKind {
             SpanKind::Recompute => "recompute",
             SpanKind::CommSend | SpanKind::CommRecvWait => "comm",
             SpanKind::AllReduce => "allreduce",
-            SpanKind::OptimStep => "optim",
         }
     }
 
@@ -201,8 +198,8 @@ pub struct WorkerTrace {
     pub dropped: usize,
 }
 
-/// A stage- or model-level span (a stage's gradient AllReduce, timed by
-/// its reducing worker; the optimizer step).
+/// A stage-level span (a stage's gradient AllReduce, timed by its
+/// reducing worker).
 #[derive(Debug, Clone, Copy)]
 pub struct CoordSpan {
     /// Stage the span belongs to; `None` for whole-model spans.
@@ -216,8 +213,8 @@ pub struct CoordSpan {
 pub struct StepTrace {
     /// Per-worker spans, in spawn order (stage-major, replica-minor).
     pub workers: Vec<WorkerTrace>,
-    /// Stage- and model-level spans (one AllReduce per replicated stage,
-    /// in stage order; OptimStep).
+    /// Stage-level spans (one AllReduce per replicated stage, in stage
+    /// order).
     pub coord: Vec<CoordSpan>,
     /// Replication factor per stage (fixes the Chrome `tid` layout).
     pub replication: Vec<usize>,
@@ -287,7 +284,6 @@ impl StepTrace {
             SpanKind::CommSend => (format!("send{micro_name}"), true),
             SpanKind::CommRecvWait => (format!("recv-wait{micro_name}"), true),
             SpanKind::AllReduce => ("AllReduce".to_string(), false),
-            SpanKind::OptimStep => ("OptimStep".to_string(), false),
         };
         let mut args = vec![("replica", ChromeArg::Int(replica as u64))];
         if s.micro != NO_MICRO {
@@ -340,7 +336,6 @@ impl StepTrace {
                 SpanKind::CommRecvWait => m.comm_wait_ns += s.dur_ns(),
                 SpanKind::CommSend => m.send_ns += s.dur_ns(),
                 SpanKind::AllReduce => m.allreduce_ns += s.dur_ns(),
-                SpanKind::OptimStep => {}
             }
         }
         let makespan_ns = t_end.saturating_sub(if t0 == u64::MAX { 0 } else { t0 });
@@ -593,27 +588,21 @@ mod tests {
     #[test]
     fn chrome_export_routes_rows_and_args() {
         let mut t = trace_fixture();
-        for (stage, kind, bytes) in [
-            (Some(1), SpanKind::AllReduce, 4096),
-            (None, SpanKind::OptimStep, 0),
-        ] {
-            let span = Span {
-                kind,
-                micro: NO_MICRO,
-                bytes,
-                start_ns: 0,
-                end_ns: 0,
-            };
-            t.coord.push(CoordSpan { stage, span });
-        }
+        let span = Span {
+            kind: SpanKind::AllReduce,
+            micro: NO_MICRO,
+            bytes: 4096,
+            start_ns: 0,
+            end_ns: 0,
+        };
+        let stage = Some(1);
+        t.coord.push(CoordSpan { stage, span });
         let json = t.to_chrome_trace();
         assert!(json.contains(r#""name":"F0""#));
         assert!(json.contains(r#""name":"recv-wait0""#));
         assert!(json.contains(r#""cat":"comm""#));
         // Comm spans sit on the odd tid row.
         assert!(json.contains(r#""tid":1"#));
-        // Coordinator OptimStep lands on the synthetic pid row.
-        assert!(json.contains(r#""pid":2"#));
         assert!(json.contains(r#""args":{"replica":0,"micro":0}"#));
         assert!(json.contains(r#""bytes":4096"#));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -416,6 +416,45 @@ fn train_step_bytes_do_not_scale_with_parameters() {
     }
 }
 
+/// A reconfiguration (replica drop, elastic migration) rebuilds the
+/// workers' scratch around the model where it lies — no weight-sized
+/// allocation, the same weight buffers — and a configuration it rejects
+/// leaves the loop as usable as before.
+#[test]
+fn reconfigure_rebuilds_around_the_model_in_place() {
+    use dapple::engine::{DataStream, EngineConfig, FaultPlan, MlpModel, Optimizer, TrainLoop};
+    let _guard = measure();
+    let model = MlpModel::new(&[8, 256, 256, 256, 4], 77);
+    let params = 4 * model.num_params();
+    let cfg = EngineConfig::straight(vec![0..1, 1..3, 3..4], 4, 0.05);
+    let stream = DataStream::new(5, 16, 8, 4);
+    let mut lp = TrainLoop::new(model, cfg.clone(), Optimizer::sgd(0.05), stream).unwrap();
+    let clean = FaultPlan::new();
+    lp.try_step(&clean).expect("first step");
+    let weights_at = lp.model().layers[1].w.data.as_ptr();
+
+    let mut uncovered = cfg.clone();
+    uncovered.stage_bounds.pop();
+    uncovered.replication.pop();
+    assert!(lp.reconfigure(uncovered).is_err());
+    assert_eq!(lp.config().stage_bounds, cfg.stage_bounds);
+    lp.try_step(&clean).expect("step after a rejected config");
+
+    let mut merged = cfg.clone();
+    merged.stage_bounds = vec![0..2, 2..4];
+    merged.replication = vec![1, 1];
+    let mut shapes = [merged, cfg].into_iter().cycle();
+    let bytes = min_growth(&BYTES, 4, || {
+        lp.reconfigure(shapes.next().unwrap()).unwrap()
+    });
+    assert!(
+        bytes < params / 10,
+        "a reconfiguration allocated {bytes} bytes beside {params} bytes of parameters"
+    );
+    assert_eq!(lp.model().layers[1].w.data.as_ptr(), weights_at);
+    lp.try_step(&clean).expect("step in the new shape");
+}
+
 /// Fewest bytes a trainer allocates from its construction through its
 /// first two steps, over three trainers: every persistent buffer it will
 /// ever own, for hidden layers `width` wide under `policy`.
