@@ -15,6 +15,8 @@
 //! Every experiment returns a [`Report`] (plain-text table plus CSV), and
 //! the binary writes CSVs under `reports/`.
 
+#![forbid(unsafe_code)]
+
 pub mod ablations;
 pub mod common;
 pub mod diff;

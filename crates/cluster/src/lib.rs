@@ -17,6 +17,8 @@
 //! `O(2^S)` compositions while retaining the placements that matter
 //! (§IV-B, Fig. 5).
 
+#![forbid(unsafe_code)]
+
 pub mod alloc;
 pub mod spec;
 pub mod topology;

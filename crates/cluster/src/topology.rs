@@ -140,21 +140,6 @@ impl Cluster {
         }
     }
 
-    /// The slowest link class among any pair in `devices` — the bandwidth
-    /// bottleneck of a ring collective spanning them.
-    pub fn bottleneck_link(&self, devices: &[DeviceId]) -> &Interconnect {
-        let spans_machines = devices.windows(2).any(|w| !self.same_machine(w[0], w[1]))
-            || devices
-                .first()
-                .zip(devices.last())
-                .is_some_and(|(a, b)| !self.same_machine(*a, *b));
-        if spans_machines {
-            &self.inter
-        } else {
-            &self.intra
-        }
-    }
-
     /// The sub-cluster spanning only `devices` — the surviving hardware
     /// after failures, ready to be re-planned over.
     ///
@@ -257,12 +242,10 @@ mod tests {
     }
 
     #[test]
-    fn bottleneck_detects_spanning_sets() {
+    fn spanning_sets_count_their_machines() {
         let c = Cluster::config_a(2);
         let within: Vec<DeviceId> = (0..8).map(DeviceId).collect();
         let across: Vec<DeviceId> = (4..12).map(DeviceId).collect();
-        assert_eq!(c.bottleneck_link(&within).bandwidth, c.intra.bandwidth);
-        assert_eq!(c.bottleneck_link(&across).bandwidth, c.inter.bandwidth);
         assert_eq!(c.machines_spanned(&within), 1);
         assert_eq!(c.machines_spanned(&across), 2);
     }

@@ -14,6 +14,8 @@
 //!   boundary traffic between stages with different replication (§V-B2,
 //!   Fig. 9).
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod ring;
 

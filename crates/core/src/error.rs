@@ -19,8 +19,6 @@ pub enum DappleError {
     NoFeasiblePlan(String),
     /// Device allocation failed (not enough free devices for a policy).
     AllocationFailed(String),
-    /// An engine-level shape mismatch (tensor dims, stage wiring).
-    ShapeMismatch(String),
     /// A pipeline worker waited longer than the configured receive
     /// timeout for a boundary message. `step` is the index into the
     /// stage's deterministic step order
@@ -118,7 +116,6 @@ impl fmt::Display for DappleError {
             DappleError::OutOfMemory(m) => write!(f, "out of device memory: {m}"),
             DappleError::NoFeasiblePlan(m) => write!(f, "no feasible plan: {m}"),
             DappleError::AllocationFailed(m) => write!(f, "device allocation failed: {m}"),
-            DappleError::ShapeMismatch(m) => write!(f, "shape mismatch: {m}"),
             DappleError::Stalled {
                 stage,
                 replica,

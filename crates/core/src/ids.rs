@@ -54,16 +54,6 @@ id_type!(
     MachineId,
     "M"
 );
-id_type!(
-    /// A layer in a model graph; layers form a linear chain.
-    LayerId,
-    "L"
-);
-id_type!(
-    /// A pipeline stage (contiguous group of layers).
-    StageId,
-    "S"
-);
 
 #[cfg(test)]
 mod tests {
@@ -74,8 +64,6 @@ mod tests {
     fn display_uses_prefix() {
         assert_eq!(DeviceId(3).to_string(), "G3");
         assert_eq!(MachineId(0).to_string(), "M0");
-        assert_eq!(LayerId(17).to_string(), "L17");
-        assert_eq!(StageId(2).to_string(), "S2");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The workspace's one JSON reader and one JSON writer.
 //!
-//! Everything that emits JSON (the run log, the registry summary, the
+//! Everything that emits JSON (the run log, the recorder's summary, the
 //! Chrome-trace exporter, the supervisor's event log, the bench report and
 //! the diff verdict) builds it with [`Object`] / [`Array`]; everything
 //! that reads JSON back (the bench barometer, the repo benchmark, the

@@ -6,11 +6,10 @@
 //!
 //! Every other crate in the workspace builds on the types defined here:
 //!
-//! * strongly-typed identifiers ([`DeviceId`], [`MachineId`], [`LayerId`],
-//!   [`StageId`]) so that device indices, machine indices and layer indices
-//!   cannot be accidentally mixed;
-//! * physical quantities ([`Bytes`], [`TimeUs`]) with unit-preserving
-//!   arithmetic and human-readable formatting;
+//! * strongly-typed identifiers ([`DeviceId`], [`MachineId`]) so that
+//!   device indices and machine indices cannot be accidentally mixed;
+//! * byte counts ([`Bytes`]) with unit-preserving arithmetic and
+//!   human-readable formatting;
 //! * the parallelization [`plan::Plan`] produced by the planner and consumed
 //!   by the simulator and the engine;
 //! * the shared Chrome Trace Event writer ([`chrome`]) and the
@@ -18,9 +17,11 @@
 //!   simulated and the measured timelines;
 //! * the one JSON writer and parser ([`json`]) every emitter and every
 //!   report reader goes through;
-//! * the zero-steady-state-allocation run-metrics registry and JSONL
-//!   [`metrics::RunLog`] the engine feeds each training step;
+//! * the log-bucketed [`Histogram`] and the zero-steady-state-allocation
+//!   JSONL [`metrics::RunLog`] the engine feeds each training step;
 //! * the workspace-wide error type [`DappleError`].
+
+#![forbid(unsafe_code)]
 
 pub mod chrome;
 pub mod error;
@@ -33,10 +34,8 @@ pub mod quantity;
 
 pub use chrome::{chrome_trace_json, ChromeArg, ChromeEvent};
 pub use error::{DappleError, Result};
-pub use ids::{DeviceId, LayerId, MachineId, StageId};
-pub use metrics::{
-    straggler_stages, CounterId, GaugeId, Histogram, HistogramId, MetricsRegistry, RunLog,
-};
+pub use ids::{DeviceId, MachineId};
+pub use metrics::{straggler_stages, Histogram, RunLog};
 pub use phase::{bubble_ratio, relative_error, PhaseSplit, PhaseTag};
 pub use plan::{Plan, PlanKind, StagePlan};
-pub use quantity::{Bytes, TimeUs};
+pub use quantity::Bytes;

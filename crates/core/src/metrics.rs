@@ -1,21 +1,16 @@
-//! A zero-steady-state-allocation run-metrics registry and an
-//! append-only JSONL run log.
+//! Run-metrics building blocks: a log-bucketed [`Histogram`], an
+//! append-only JSONL [`RunLog`] and the straggler rule.
 //!
 //! Long training runs need a metrics stream that costs nothing on the hot
-//! path: after setup, recording a counter increment, a gauge update or a
-//! histogram observation touches only pre-allocated storage — no heap
-//! allocation, no locks, no formatting (asserted under a counting global
-//! allocator in `tests/alloc_counts.rs`). The engine's `TrainLoop` and
-//! `Supervisor` feed one [`MetricsRegistry`] per run and drain a line per
-//! step into a [`RunLog`], whose line buffer is reused so steady-state
-//! logging allocates nothing either.
+//! path: recording a histogram observation touches only pre-allocated
+//! storage, and the run log's line buffer is reused, so steady-state
+//! logging allocates nothing either (asserted under a counting global
+//! allocator in `tests/alloc_counts.rs`). The engine's `RunRecorder` keeps
+//! one set of totals per run and drains a line per step into a [`RunLog`].
 //!
 //! Histograms are log-bucketed (power-of-two octaves with linear
 //! sub-buckets, the HdrHistogram shape): insertion order cannot change
-//! the stored counts, so percentiles are deterministic, and
-//! [`Histogram::merge`] is an element-wise `u64` add — exactly
-//! associative and commutative, which makes per-worker histograms safe to
-//! combine in any order.
+//! the stored counts, so percentiles are deterministic.
 
 use crate::json::{Buffer, Object};
 use std::io::{self, Write};
@@ -34,8 +29,7 @@ const BUCKETS: usize = OCTAVES * SUB_BUCKETS;
 /// counts plus sum/min/max, all of which are permutation-invariant in
 /// the inserted values. Percentile queries resolve to a bucket's
 /// representative upper bound, so two histograms holding the same
-/// multiset of samples answer identically regardless of insertion or
-/// merge order.
+/// multiset of samples answer identically regardless of insertion order.
 #[derive(Clone)]
 pub struct Histogram {
     counts: Box<[u64; BUCKETS]>,
@@ -154,28 +148,6 @@ impl Histogram {
         }
         self.max
     }
-
-    /// Folds `other` into `self`: element-wise count add plus
-    /// sum/min/max combination. Exactly associative and commutative —
-    /// `(a + b) + c` and `a + (b + c)` yield bit-identical state.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Structural equality of the full bucket state (for tests).
-    pub fn state_eq(&self, other: &Histogram) -> bool {
-        self.count == other.count
-            && self.sum == other.sum
-            && self.min == other.min
-            && self.max == other.max
-            && self.counts[..] == other.counts[..]
-    }
 }
 
 impl std::fmt::Debug for Histogram {
@@ -187,114 +159,6 @@ impl std::fmt::Debug for Histogram {
             .field("p95", &self.percentile(0.95))
             .field("p99", &self.percentile(0.99))
             .finish()
-    }
-}
-
-/// Handle to a registered counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(usize);
-/// Handle to a registered gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(usize);
-/// Handle to a registered histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramId(usize);
-
-/// A fixed set of named metrics, registered once at setup time and
-/// updated allocation-free afterwards. Handles are plain indices, so the
-/// hot path is an array write.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    counters: Vec<(&'static str, u64)>,
-    gauges: Vec<(&'static str, f64)>,
-    histograms: Vec<(&'static str, Histogram)>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    /// Registers a monotonically increasing counter (setup time only).
-    pub fn counter(&mut self, name: &'static str) -> CounterId {
-        self.counters.push((name, 0));
-        CounterId(self.counters.len() - 1)
-    }
-
-    /// Registers a last-value gauge (setup time only).
-    pub fn gauge(&mut self, name: &'static str) -> GaugeId {
-        self.gauges.push((name, 0.0));
-        GaugeId(self.gauges.len() - 1)
-    }
-
-    /// Registers a histogram (setup time only; allocates the buckets).
-    pub fn histogram(&mut self, name: &'static str) -> HistogramId {
-        self.histograms.push((name, Histogram::new()));
-        HistogramId(self.histograms.len() - 1)
-    }
-
-    /// Adds `delta` to a counter. Allocation-free.
-    #[inline]
-    pub fn inc(&mut self, id: CounterId, delta: u64) {
-        self.counters[id.0].1 += delta;
-    }
-
-    /// Sets a gauge. Allocation-free.
-    #[inline]
-    pub fn set(&mut self, id: GaugeId, v: f64) {
-        self.gauges[id.0].1 = v;
-    }
-
-    /// Records a histogram sample. Allocation-free.
-    #[inline]
-    pub fn observe(&mut self, id: HistogramId, v: u64) {
-        self.histograms[id.0].1.record(v);
-    }
-
-    /// Current counter value.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0].1
-    }
-
-    /// Current gauge value.
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0].1
-    }
-
-    /// The named histogram.
-    pub fn histogram_ref(&self, id: HistogramId) -> &Histogram {
-        &self.histograms[id.0].1
-    }
-
-    /// Renders the whole registry as one JSON object: counters as
-    /// integers, gauges as numbers, histograms as
-    /// `{count, sum, min, max, mean, p50, p95, p99}`. Allocates (call it
-    /// at run end, not per step).
-    pub fn summary_json(&self) -> String {
-        let mut s = String::new();
-        let mut o = Object::new(&mut s).spaced();
-        for (name, v) in &self.counters {
-            o = o.u64(name, *v);
-        }
-        for (name, v) in &self.gauges {
-            o = o.f64(name, *v);
-        }
-        for (name, h) in &self.histograms {
-            o = o.object(name, |o| {
-                o.u64("count", h.count())
-                    .u64("sum", h.sum())
-                    .u64("min", h.min())
-                    .u64("max", h.max())
-                    .f64("mean", h.mean())
-                    .u64("p50", h.percentile(0.50))
-                    .u64("p95", h.percentile(0.95))
-                    .u64("p99", h.percentile(0.99))
-            });
-        }
-        o.end();
-        s.push('\n');
-        s
     }
 }
 
@@ -329,11 +193,6 @@ impl<W: Write> RunLog<W> {
     /// Records written so far.
     pub fn records(&self) -> u64 {
         self.records
-    }
-
-    /// The underlying sink (for tests inspecting an in-memory buffer).
-    pub fn sink(&self) -> &W {
-        &self.sink
     }
 
     /// Consumes the log, returning the sink.
@@ -400,7 +259,6 @@ pub fn straggler_stages(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{parse_json, Json};
 
     #[test]
     fn histogram_buckets_are_monotone_and_cover_u64() {
@@ -439,42 +297,6 @@ mod tests {
         assert!(h.percentile(0.99) >= 100_000 || h.percentile(0.99) == h.max());
         assert!(h.percentile(0.5) >= 4000);
         assert!(h.percentile(0.5) <= h.max());
-    }
-
-    #[test]
-    fn merge_is_exact_elementwise_add() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut all = Histogram::new();
-        for v in [3u64, 17, 900] {
-            a.record(v);
-            all.record(v);
-        }
-        for v in [5u64, 17, 1 << 30] {
-            b.record(v);
-            all.record(v);
-        }
-        a.merge(&b);
-        assert!(a.state_eq(&all));
-    }
-
-    #[test]
-    fn registry_round_trips_and_summary_is_json_shaped() {
-        let mut r = MetricsRegistry::new();
-        let c = r.counter("steps");
-        let g = r.gauge("bubble_ratio");
-        let h = r.histogram("step_ns");
-        r.inc(c, 2);
-        r.set(g, 0.25);
-        r.observe(h, 1_000_000);
-        assert_eq!(r.counter_value(c), 2);
-        assert_eq!(r.gauge_value(g), 0.25);
-        assert_eq!(r.histogram_ref(h).count(), 1);
-        let s = parse_json(&r.summary_json()).unwrap();
-        assert_eq!(s.get("steps"), Some(&Json::Num(2.0)));
-        assert_eq!(s.get("bubble_ratio"), Some(&Json::Num(0.25)));
-        let p99 = s.get("step_ns").and_then(|h| h.get("p99"));
-        assert_eq!(p99, Some(&Json::Num(1_000_000.0)));
     }
 
     #[test]

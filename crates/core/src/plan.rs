@@ -91,13 +91,6 @@ impl Plan {
         Plan { stages }
     }
 
-    /// Pure data parallelism: all `devices` run all `num_layers` layers.
-    pub fn data_parallel(num_layers: usize, devices: Vec<DeviceId>) -> Self {
-        Plan {
-            stages: vec![StagePlan::new(0..num_layers, devices)],
-        }
-    }
-
     /// Number of pipeline stages.
     #[inline]
     pub fn num_stages(&self) -> usize {
@@ -133,11 +126,6 @@ impl Plan {
     /// Layer-count split, e.g. `[23, 25]` for BERT-48's `23 : 25` partition.
     pub fn split_layer_counts(&self) -> Vec<usize> {
         self.stages.iter().map(StagePlan::num_layers).collect()
-    }
-
-    /// The stage index that owns layer `layer`, if covered.
-    pub fn stage_of_layer(&self, layer: usize) -> Option<usize> {
-        self.stages.iter().position(|s| s.layers.contains(&layer))
     }
 
     /// Every device referenced by the plan, in stage order.
@@ -273,7 +261,7 @@ mod tests {
 
     #[test]
     fn dp_plan_classification() {
-        let p = Plan::data_parallel(10, devs(0..16));
+        let p = Plan::new(vec![StagePlan::new(0..10, devs(0..16))]);
         assert_eq!(p.kind(), PlanKind::DataParallel);
         assert_eq!(p.notation(), "DP");
         assert_eq!(p.split_notation(), "-");
@@ -300,9 +288,6 @@ mod tests {
         assert_eq!(p.kind(), PlanKind::Pipeline);
         assert_eq!(p.notation(), "8 : 8");
         assert_eq!(p.split_notation(), "23 : 25");
-        assert_eq!(p.stage_of_layer(22), Some(0));
-        assert_eq!(p.stage_of_layer(23), Some(1));
-        assert_eq!(p.stage_of_layer(48), None);
         p.validate(48, 16).unwrap();
     }
 

@@ -1,8 +1,8 @@
-//! Physical quantities: byte counts and durations.
+//! Physical quantities: byte counts.
 //!
-//! The planner and simulator shuffle tensor sizes and task durations around
-//! constantly; dedicated newtypes keep units straight and give uniform
-//! formatting ("2.56 GB", "13.4 ms") in reports.
+//! The planner and simulator shuffle tensor sizes around constantly; a
+//! dedicated newtype keeps units straight and gives uniform formatting
+//! ("2.56 GB") in reports. Durations are plain `f64` microseconds.
 
 use std::fmt;
 use std::iter::Sum;
@@ -60,12 +60,6 @@ impl Bytes {
     #[inline]
     pub fn as_f64(self) -> f64 {
         self.0 as f64
-    }
-
-    /// Value in mebibytes.
-    #[inline]
-    pub fn to_mib(self) -> f64 {
-        self.0 as f64 / MIB as f64
     }
 
     /// Value in gibibytes.
@@ -155,127 +149,6 @@ impl fmt::Display for Bytes {
     }
 }
 
-/// A duration in microseconds.
-///
-/// `f64` microseconds cover every scale this project needs (sub-microsecond
-/// link latencies up to multi-second training iterations) with plenty of
-/// precision, and keep the simulator's arithmetic branch-free.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-pub struct TimeUs(pub f64);
-
-impl TimeUs {
-    pub const ZERO: TimeUs = TimeUs(0.0);
-
-    /// Constructs from milliseconds.
-    #[inline]
-    pub fn ms(v: f64) -> Self {
-        TimeUs(v * 1e3)
-    }
-
-    /// Constructs from seconds.
-    #[inline]
-    pub fn secs(v: f64) -> Self {
-        TimeUs(v * 1e6)
-    }
-
-    /// Value in milliseconds.
-    #[inline]
-    pub fn to_ms(self) -> f64 {
-        self.0 / 1e3
-    }
-
-    /// Value in seconds.
-    #[inline]
-    pub fn to_secs(self) -> f64 {
-        self.0 / 1e6
-    }
-
-    /// Element-wise maximum.
-    #[inline]
-    pub fn max(self, other: TimeUs) -> TimeUs {
-        TimeUs(self.0.max(other.0))
-    }
-
-    /// Element-wise minimum.
-    #[inline]
-    pub fn min(self, other: TimeUs) -> TimeUs {
-        TimeUs(self.0.min(other.0))
-    }
-
-    /// True when the duration is finite and non-negative.
-    #[inline]
-    pub fn is_valid(self) -> bool {
-        self.0.is_finite() && self.0 >= 0.0
-    }
-}
-
-impl Add for TimeUs {
-    type Output = TimeUs;
-    #[inline]
-    fn add(self, rhs: TimeUs) -> TimeUs {
-        TimeUs(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign for TimeUs {
-    #[inline]
-    fn add_assign(&mut self, rhs: TimeUs) {
-        self.0 += rhs.0;
-    }
-}
-
-impl Sub for TimeUs {
-    type Output = TimeUs;
-    #[inline]
-    fn sub(self, rhs: TimeUs) -> TimeUs {
-        TimeUs(self.0 - rhs.0)
-    }
-}
-
-impl Mul<f64> for TimeUs {
-    type Output = TimeUs;
-    #[inline]
-    fn mul(self, rhs: f64) -> TimeUs {
-        TimeUs(self.0 * rhs)
-    }
-}
-
-impl Div<f64> for TimeUs {
-    type Output = TimeUs;
-    #[inline]
-    fn div(self, rhs: f64) -> TimeUs {
-        TimeUs(self.0 / rhs)
-    }
-}
-
-impl Div for TimeUs {
-    /// Dividing two durations yields a dimensionless ratio.
-    type Output = f64;
-    #[inline]
-    fn div(self, rhs: TimeUs) -> f64 {
-        self.0 / rhs.0
-    }
-}
-
-impl Sum for TimeUs {
-    fn sum<I: Iterator<Item = TimeUs>>(iter: I) -> TimeUs {
-        iter.fold(TimeUs::ZERO, |a, b| a + b)
-    }
-}
-
-impl fmt::Display for TimeUs {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let v = self.0;
-        if v >= 1e6 {
-            write!(f, "{:.3} s", v / 1e6)
-        } else if v >= 1e3 {
-            write!(f, "{:.2} ms", v / 1e3)
-        } else {
-            write!(f, "{v:.1} us")
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,49 +178,10 @@ mod tests {
         assert_eq!(Bytes(3).scale(1.0 / 3.0), Bytes(1));
     }
 
-    #[test]
-    fn time_display_picks_unit() {
-        assert_eq!(TimeUs(12.34).to_string(), "12.3 us");
-        assert_eq!(TimeUs::ms(4.5).to_string(), "4.50 ms");
-        assert_eq!(TimeUs::secs(1.25).to_string(), "1.250 s");
-    }
-
-    #[test]
-    fn time_ratio_is_dimensionless() {
-        let r: f64 = TimeUs::ms(2.0) / TimeUs::ms(1.0);
-        assert!((r - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_sum_and_minmax() {
-        let total: TimeUs = [TimeUs(1.0), TimeUs(2.0), TimeUs(3.0)].into_iter().sum();
-        assert_eq!(total, TimeUs(6.0));
-        assert_eq!(TimeUs(1.0).max(TimeUs(2.0)), TimeUs(2.0));
-        assert_eq!(TimeUs(1.0).min(TimeUs(2.0)), TimeUs(1.0));
-    }
-
     proptest! {
         #[test]
         fn bytes_add_commutes(a in 0u64..u64::MAX / 2, b in 0u64..u64::MAX / 2) {
             prop_assert_eq!(Bytes(a) + Bytes(b), Bytes(b) + Bytes(a));
-        }
-
-        #[test]
-        fn bytes_unit_round_trip(v in 0.0f64..1e6) {
-            let b = Bytes::mib(v);
-            prop_assert!((b.to_mib() - v).abs() < 1e-3);
-        }
-
-        #[test]
-        fn time_unit_round_trip(v in 0.0f64..1e6) {
-            prop_assert!((TimeUs::ms(v).to_ms() - v).abs() < 1e-9 * v.max(1.0));
-            prop_assert!((TimeUs::secs(v).to_secs() - v).abs() < 1e-9 * v.max(1.0));
-        }
-
-        #[test]
-        fn time_scale_consistent(v in 0.0f64..1e9, k in 0.0f64..1e3) {
-            let t = TimeUs(v) * k;
-            prop_assert!((t.0 - v * k).abs() <= 1e-6 * (v * k).max(1.0));
         }
     }
 }

@@ -262,6 +262,7 @@ pub fn write_into(out: &mut Vec<u8>, state: StateView<'_>, partition: &Partition
 
 /// Appends a tensor's values, little-endian, as one block: on a
 /// little-endian target that is a copy of the tensor's own bytes.
+#[allow(unsafe_code)]
 fn append_f32s(out: &mut Vec<u8>, vals: &[f32]) {
     if cfg!(target_endian = "little") {
         // SAFETY: `vals` borrows `size_of_val(vals)` initialised bytes for

@@ -21,6 +21,10 @@
 //! re-computation setting (see `pipeline::tests` and the workspace
 //! integration tests).
 
+// `unsafe` is allowed at two sites: the SIMD tiles of [`tensor`] and the
+// `f32`-slice-as-bytes view in `checkpoint::append_f32s`.
+#![deny(unsafe_code)]
+
 pub mod checkpoint;
 pub mod data;
 pub mod fault;
@@ -31,6 +35,7 @@ pub mod optim;
 pub mod pipeline;
 pub mod recovery;
 pub mod runlog;
+#[allow(unsafe_code)]
 pub mod tensor;
 pub mod trace;
 
@@ -48,6 +53,5 @@ pub use recovery::{
 pub use runlog::RunRecorder;
 pub use tensor::{PackedRhs, Rhs, Tensor};
 pub use trace::{
-    RecoveryStepMetrics, Span, SpanKind, SpanRing, SpanWriter, StageMetrics, StepMetrics,
-    StepTrace, WorkerTrace,
+    RecoveryStepMetrics, Span, SpanKind, SpanLog, StageMetrics, StepMetrics, StepTrace, WorkerTrace,
 };

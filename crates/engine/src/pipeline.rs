@@ -59,9 +59,16 @@
 //! [`NanPolicy::SkipMicroBatch`] — which must see a whole contribution
 //! before any of it lands — routes it through an isolation buffer. The
 //! reducing replica's wait for its peers' gradients is bounded like every
-//! other. On shutdown each
-//! worker first drops its senders, then drains its receivers, so
-//! duplicated or trailing messages are caught deterministically as
+//! other — a worker has exactly those two timed waits.
+//!
+//! A step ends at the join. Whom a worker sends which rows is resolved
+//! once, when the step is wired (the private `Route`s), and a worker
+//! that has run its script waits for no neighbour: it reports what it
+//! received and never consumed, syncs its stage's gradients and returns,
+//! handing its receivers back. Once every thread is joined every sender
+//! is gone, so the coordinator finds a message that arrived after a
+//! worker's last receive with a `try_recv`: duplicated or trailing
+//! messages are caught deterministically, without a wait, as
 //! [`DappleError::ChannelProtocol`]. When several workers fail (one root
 //! cause typically cascades), the coordinator reports the most causally
 //! specific error: panic over non-finite over protocol violation over
@@ -73,12 +80,11 @@ use crate::layer::{Dense, DenseGrads};
 use crate::loss::{loss_grad_into, LossKind};
 use crate::model::MlpModel;
 use crate::tensor::{PackedRhs, Tensor};
-use crate::trace::{
-    CoordSpan, Span, SpanKind, SpanRing, SpanWriter, StepTrace, WorkerTrace, NO_MICRO,
-};
+use crate::trace::{CoordSpan, Span, SpanKind, SpanLog, StepTrace, NO_MICRO};
 use dapple_core::{DappleError, Plan, Result};
 use dapple_sim::schedule::{stage_order, Step};
 use dapple_sim::Schedule;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -115,8 +121,8 @@ pub struct EngineConfig {
     /// Record per-worker span traces ([`StepTrace`]) during the step.
     /// Off by default: with tracing off the hot path takes no timestamps
     /// and performs no extra allocations (asserted in
-    /// tests/alloc_counts.rs); with it on, recording is lock-free into
-    /// pre-allocated ring buffers.
+    /// tests/alloc_counts.rs); with it on, each worker writes into its own
+    /// pre-sized [`SpanLog`].
     pub tracing: bool,
 }
 
@@ -209,6 +215,11 @@ struct Msg {
 /// Per-worker output.
 struct WorkerOut {
     stage: usize,
+    replica: usize,
+    /// The worker's boundary receivers, for the coordinator to check once
+    /// every sender is gone.
+    rx_f: Option<Receiver<Msg>>,
+    rx_b: Option<Receiver<Msg>>,
     /// The stage's synchronized gradients on replica 0 (moved out of its
     /// slot); empty on every other replica.
     grads: Vec<DenseGrads>,
@@ -224,6 +235,29 @@ struct WorkerOut {
     pool_hits: usize,
     /// Buffer-pool misses (fresh allocations).
     pool_misses: usize,
+}
+
+impl WorkerOut {
+    /// This output, unless a message still sits in one of the worker's
+    /// channels. Called after every thread is joined — every sender is
+    /// gone, so nothing can arrive later and nothing is waited for: what
+    /// is there was sent beyond the schedule (e.g. an injected duplicate).
+    fn nothing_trailing(self) -> Result<WorkerOut> {
+        for (side, rx) in [("forward", &self.rx_f), ("backward", &self.rx_b)] {
+            if let Some(msg) = rx.as_ref().and_then(|rx| rx.try_recv().ok()) {
+                return Err(DappleError::ChannelProtocol {
+                    stage: self.stage,
+                    replica: self.replica,
+                    detail: format!(
+                        "trailing message (micro-batch {}, {} rows) on the {side} \
+                         channel after the schedule completed",
+                        msg.micro, msg.data.rows
+                    ),
+                });
+            }
+        }
+        Ok(self)
+    }
 }
 
 /// The result of one pipelined gradient computation, including what the
@@ -425,10 +459,9 @@ impl PipelineTrainer {
     /// usable after a failed step.
     ///
     /// The measured trace sits outside the `Result` so a *failed* step
-    /// still yields its partial timeline: spans recorded before the
-    /// failure survive in the per-worker rings and are drained here
-    /// regardless of the step's outcome. With [`EngineConfig::tracing`]
-    /// off the trace is always `None`.
+    /// still yields its partial timeline: each worker thread hands its
+    /// span log back at the join, whatever became of its worker. With
+    /// [`EngineConfig::tracing`] off the trace is always `None`.
     pub fn step_with_trace(
         &self,
         x: &Tensor,
@@ -472,37 +505,36 @@ impl PipelineTrainer {
             start..start + w + usize::from(rep < rem)
         };
 
-        // Wire the boundary channels.
-        // fwd_rx[i][p]: what stage i replica p receives from stage i-1.
-        let mut fwd_tx: Vec<Vec<Sender<Msg>>> = Vec::new(); // index: boundary -> next replica
-        let mut fwd_rx: Vec<Vec<Option<Receiver<Msg>>>> = (0..s)
-            .map(|i| (0..self.cfg.replication[i]).map(|_| None).collect())
-            .collect();
-        let mut bwd_tx: Vec<Vec<Sender<Msg>>> = Vec::new(); // index: boundary -> prev replica
-        let mut bwd_rx: Vec<Vec<Option<Receiver<Msg>>>> = (0..s)
-            .map(|i| (0..self.cfg.replication[i]).map(|_| None).collect())
-            .collect();
-        for b in 0..s.saturating_sub(1) {
-            let mut txs = Vec::new();
-            for slot in fwd_rx[b + 1].iter_mut() {
-                let (tx, rx) = channel();
-                txs.push(tx);
-                *slot = Some(rx);
-            }
-            fwd_tx.push(txs);
-            let mut txs = Vec::new();
-            for slot in bwd_rx[b].iter_mut() {
-                let (tx, rx) = channel();
-                txs.push(tx);
-                *slot = Some(rx);
-            }
-            bwd_tx.push(txs);
-        }
+        // Wire the boundary channels, one per receiving replica: across
+        // boundary `b`, `fwd[b]` carries activations into stage `b + 1` and
+        // `bwd[b]` their gradients back into stage `b`.
+        let wire = |stage: usize| -> (Vec<Sender<Msg>>, Vec<Option<Receiver<Msg>>>) {
+            let ends = (0..self.cfg.replication[stage]).map(|_| channel());
+            ends.map(|(tx, rx)| (tx, Some(rx))).unzip()
+        };
+        let (fwd_tx, mut fwd_rx): (Vec<_>, Vec<_>) = (1..s).map(wire).unzip();
+        let (bwd_tx, mut bwd_rx): (Vec<_>, Vec<_>) = (0..s - 1).map(wire).unzip();
+        // Who a worker sends to is fixed before the first micro-batch: the
+        // replicas of the neighbouring stage whose rows overlap its own.
+        let routes = |my_rows: &Range<usize>, peer_stage: usize, txs: &[Sender<Msg>]| {
+            let overlap = |(q, tx): (usize, &Sender<Msg>)| {
+                let peer = rows_of(peer_stage, q);
+                let (lo, hi) = (my_rows.start.max(peer.start), my_rows.end.min(peer.end));
+                (lo < hi).then(|| Route {
+                    tx: tx.clone(),
+                    local: lo - my_rows.start..hi - my_rows.start,
+                    row0: lo,
+                })
+            };
+            txs.iter()
+                .enumerate()
+                .filter_map(overlap)
+                .collect::<Vec<Route>>()
+        };
 
-        // Per-worker trace rings, pre-sized from the script length so
-        // recording never allocates (≤ 4 spans per scheduled step).
         let epoch = Instant::now();
-        let mut rings: Vec<Arc<SpanRing>> = Vec::new();
+        let tracing = self.cfg.tracing;
+        let mut trace = tracing.then(|| StepTrace::new(self.cfg.replication.clone()));
         let mut results: Vec<Result<WorkerOut>> = Vec::with_capacity(s * 2);
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
@@ -528,35 +560,13 @@ impl PipelineTrainer {
                         },
                         (_, Some(tx)) => GradSync::Peer(tx.clone()),
                     };
-                    let layers = &self.model.layers[self.cfg.stage_bounds[i].clone()];
-                    let my_rows = rows_of(i, p);
-                    let script = stage_order(self.cfg.schedule, i, s, m, self.cfg.max_in_flight);
-                    let tracer = self.cfg.tracing.then(|| {
-                        let ring = Arc::new(SpanRing::new(4 * script.len() + 8));
-                        rings.push(Arc::clone(&ring));
-                        SpanWriter::new(ring, epoch)
-                    });
-                    let rx_f = fwd_rx[i][p].take();
-                    let rx_b = bwd_rx[i][p].take();
-                    let tx_f: Option<Vec<Sender<Msg>>> = (i + 1 < s).then(|| fwd_tx[i].clone());
-                    let tx_b: Option<Vec<Sender<Msg>>> = (i > 0).then(|| bwd_tx[i - 1].clone());
-                    let next_rows: Option<Vec<Range<usize>>> = (i + 1 < s).then(|| {
-                        (0..self.cfg.replication[i + 1])
-                            .map(|q| rows_of(i + 1, q))
-                            .collect()
-                    });
-                    let prev_rows: Option<Vec<Range<usize>>> = (i > 0).then(|| {
-                        (0..self.cfg.replication[i - 1])
-                            .map(|q| rows_of(i - 1, q))
-                            .collect()
-                    });
+                    let (my_rows, prev) = (rows_of(i, p), i.checked_sub(1));
                     let worker = Worker {
                         stage: i,
                         replica: p,
                         loss: self.cfg.loss,
-                        layers,
-                        script,
-                        my_rows,
+                        layers: &self.model.layers[self.cfg.stage_bounds[i].clone()],
+                        script: stage_order(self.cfg.schedule, i, s, m, self.cfg.max_in_flight),
                         mb,
                         total_samples: n,
                         recompute: self.cfg.recompute,
@@ -564,34 +574,44 @@ impl PipelineTrainer {
                         is_last: i + 1 == s,
                         x,
                         target,
-                        rx_f,
-                        rx_b,
-                        tx_f,
-                        tx_b,
-                        next_rows,
-                        prev_rows,
+                        rx_f: prev.and_then(|b| fwd_rx[b][p].take()),
+                        rx_b: bwd_rx.get_mut(i).and_then(|rxs| rxs[p].take()),
+                        to_next: fwd_tx
+                            .get(i)
+                            .map(|t| routes(&my_rows, i + 1, t))
+                            .unwrap_or_default(),
+                        to_prev: prev
+                            .map(|b| routes(&my_rows, b, &bwd_tx[b]))
+                            .unwrap_or_default(),
+                        my_rows,
                         faults: faults.for_worker(i, p),
                         nan_policy: self.cfg.nan_policy,
                         recv_timeout: self.cfg.recv_timeout,
                         scratch: &self.scratch[handles.len()],
                         grad_slot: &stage_slots[p],
                         sync,
-                        tracer,
                     };
                     handles.push(scope.spawn(move || {
+                        // The span log lives out here, not in the worker, so
+                        // a worker that fails or panics still hands back what
+                        // it recorded; sized from the script (≤ 4 spans per
+                        // scheduled step) so recording never allocates.
+                        let mut log =
+                            tracing.then(|| SpanLog::new(4 * worker.script.len() + 8, epoch));
                         // A panicking worker (genuine bug or injected
                         // fault) unwinds here, dropping its channel
                         // endpoints so peers observe the failure instead
                         // of deadlocking; the payload is preserved as a
                         // structured error.
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker.run()))
-                            .unwrap_or_else(|payload| {
-                                Err(DappleError::WorkerPanicked {
-                                    stage: i,
-                                    replica: p,
-                                    message: panic_message(payload.as_ref()),
-                                })
+                        let run = std::panic::AssertUnwindSafe(|| worker.run(&mut log));
+                        let result = std::panic::catch_unwind(run).unwrap_or_else(|payload| {
+                            Err(DappleError::WorkerPanicked {
+                                stage: i,
+                                replica: p,
+                                message: panic_message(payload.as_ref()),
                             })
+                        });
+                        (result, log.map(|log| log.into_trace(i, p)))
                     }));
                 }
             }
@@ -604,33 +624,21 @@ impl PipelineTrainer {
             for h in handles {
                 // Every wait inside a worker is bounded, so the join is
                 // bounded too.
-                results.push(h.join().expect("worker result already caught"));
+                let (result, spans) = h.join().expect("worker result already caught");
+                results.push(result);
+                if let Some(tr) = trace.as_mut() {
+                    tr.workers.extend(spans);
+                }
             }
         });
 
-        // Drain the rings into the trace before inspecting errors: the
-        // joins above give the happens-before edge, and spans written
-        // before a worker failed (or panicked) are still in its ring.
-        let mut trace = self
-            .cfg
-            .tracing
-            .then(|| StepTrace::new(self.cfg.replication.clone()));
-        if let Some(tr) = trace.as_mut() {
-            let mut k = 0usize;
-            for i in 0..s {
-                for p in 0..self.cfg.replication[i] {
-                    let ring = &rings[k];
-                    k += 1;
-                    tr.workers.push(WorkerTrace {
-                        stage: i,
-                        replica: p,
-                        spans: ring.snapshot(),
-                        dropped: ring.dropped(),
-                    });
-                }
-            }
-        }
-
+        // The step ended at the join: every sender is gone, so whatever
+        // still sits in the channel of a worker that completed its script
+        // was sent beyond the schedule (e.g. an injected duplicate).
+        let results: Vec<Result<WorkerOut>> = results
+            .into_iter()
+            .map(|result| result.and_then(WorkerOut::nothing_trailing))
+            .collect();
         if let Some(err) = most_severe_error(&results) {
             return (Err(err), trace);
         }
@@ -734,10 +742,10 @@ struct Worker<'a> {
     target: &'a Tensor,
     rx_f: Option<Receiver<Msg>>,
     rx_b: Option<Receiver<Msg>>,
-    tx_f: Option<Vec<Sender<Msg>>>,
-    tx_b: Option<Vec<Sender<Msg>>>,
-    next_rows: Option<Vec<Range<usize>>>,
-    prev_rows: Option<Vec<Range<usize>>>,
+    /// Where forward outputs go (empty on the last stage) and where
+    /// input gradients go (empty on the first).
+    to_next: Vec<Route>,
+    to_prev: Vec<Route>,
     /// Faults this worker must inject, keyed by step index.
     faults: HashMap<usize, FaultKind>,
     nan_policy: NanPolicy,
@@ -752,8 +760,17 @@ struct Worker<'a> {
     grad_slot: &'a Mutex<GradSlot>,
     /// This worker's part in its stage's gradient sync.
     sync: GradSync<'a>,
-    /// Span recorder; `None` keeps the hot path timestamp-free.
-    tracer: Option<SpanWriter>,
+}
+
+/// One peer a worker sends to, resolved when the step is wired: the rows
+/// the two replicas share. The routes of one direction partition the
+/// worker's rows, so a single route covers all of them.
+struct Route {
+    tx: Sender<Msg>,
+    /// The shared rows, as rows of the worker's own tensor.
+    local: Range<usize>,
+    /// Where they start in the micro-batch ([`Msg::row0`]).
+    row0: usize,
 }
 
 /// A worker's part in the gradient sync of its stage.
@@ -881,25 +898,6 @@ impl TensorPool {
     }
 }
 
-/// What a send may do with its tensor.
-enum Payload<'t> {
-    /// The caller still needs the tensor (e.g. a cached activation):
-    /// overlaps are copied into pooled buffers.
-    Keep(&'t Tensor),
-    /// The tensor is dead after the send: moved into the message when a
-    /// single peer takes all of it, recycled otherwise.
-    Give(Tensor),
-}
-
-impl Payload<'_> {
-    fn tensor(&self) -> &Tensor {
-        match self {
-            Payload::Keep(t) => t,
-            Payload::Give(t) => t,
-        }
-    }
-}
-
 /// Payload size of a boundary tensor, bytes.
 #[inline]
 fn tensor_bytes(t: &Tensor) -> u64 {
@@ -915,24 +913,37 @@ fn copy_rows_into(src: &Tensor, src_rows: Range<usize>, dst: &mut Tensor) {
         .copy_from_slice(&src.data[src_rows.start * c..src_rows.end * c]);
 }
 
+/// Epoch-relative timestamp; 0 (and never read) with tracing off.
+#[inline]
+fn now_ns(log: &Option<SpanLog>) -> u64 {
+    log.as_ref().map_or(0, SpanLog::now_ns)
+}
+
+/// Records a span when tracing is on (allocation-free).
+#[inline]
+fn rec(
+    log: &mut Option<SpanLog>,
+    kind: SpanKind,
+    micro: usize,
+    bytes: u64,
+    start_ns: u64,
+    end_ns: u64,
+) {
+    if let Some(log) = log {
+        log.record(Span {
+            kind,
+            micro: micro as u32,
+            bytes,
+            start_ns,
+            end_ns,
+        });
+    }
+}
+
 impl Worker<'_> {
-    /// Epoch-relative timestamp; 0 (and never read) with tracing off.
-    #[inline]
-    fn now_ns(&self) -> u64 {
-        self.tracer.as_ref().map_or(0, SpanWriter::now_ns)
-    }
-
-    /// Records a span when tracing is on (lock-free, allocation-free).
-    #[inline]
-    fn rec(&self, kind: SpanKind, micro: usize, bytes: u64, start_ns: u64, end_ns: u64) {
-        if let Some(tr) = &self.tracer {
-            tr.record(kind, micro as u32, bytes, start_ns, end_ns);
-        }
-    }
-
-    /// The worker's step: its schedule script, then the gradient sync and
-    /// the shutdown checks.
-    fn run(mut self) -> Result<WorkerOut> {
+    /// The worker's step: its schedule script, a look at what the script
+    /// left unconsumed, then the gradient sync. Spans go to `log`.
+    fn run(mut self, log: &mut Option<SpanLog>) -> Result<WorkerOut> {
         // A worker that panicked mid-step (injected faults) poisons its
         // scratch mutex; the free lists are always structurally valid and
         // the packs are rebuilt every step, so recovery just clears the
@@ -1002,7 +1013,7 @@ impl Worker<'_> {
             }
             match step {
                 Step::Fw(u) => {
-                    let t0 = self.now_ns();
+                    let t0 = now_ns(log);
                     let input = if self.is_first {
                         let lo = u * self.mb + self.my_rows.start;
                         let hi = u * self.mb + self.my_rows.end;
@@ -1010,11 +1021,11 @@ impl Worker<'_> {
                         copy_rows_into(self.x, lo..hi, &mut t);
                         t
                     } else {
-                        self.recv_rows(RxSide::Forward, &mut buf_f, u, idx, pool)?
+                        self.recv_rows(&self.rx_f, &mut buf_f, u, idx, pool)?
                     };
-                    let t1 = self.now_ns();
+                    let t1 = now_ns(log);
                     if !self.is_first {
-                        self.rec(SpanKind::CommRecvWait, u, tensor_bytes(&input), t0, t1);
+                        rec(log, SpanKind::CommRecvWait, u, tensor_bytes(&input), t0, t1);
                     }
                     if std::mem::take(&mut pack_w) {
                         for (layer, packs) in self.layers.iter().zip(&mut scratch.packed) {
@@ -1029,60 +1040,36 @@ impl Worker<'_> {
                     forward_stage(self.layers, &scratch.packed, &input, &mut ys, pool);
                     // The first stage folds its input-slice copy into the
                     // forward span; downstream stages start at receipt.
-                    self.rec(
+                    rec(
+                        log,
                         SpanKind::Fw,
                         u,
                         0,
                         if self.is_first { t0 } else { t1 },
-                        self.now_ns(),
+                        now_ns(log),
                     );
                     if fault == Some(FaultKind::NanGradient) {
                         poisoned.insert(u);
                     }
-                    if let (Some(txs), Some(next_rows)) = (&self.tx_f, &self.next_rows) {
+                    if !self.is_last {
                         let out_bytes = tensor_bytes(ys.last().expect("non-empty stage"));
-                        let ts = self.now_ns();
-                        if fault == Some(FaultKind::NanGradient) {
+                        let ts = now_ns(log);
+                        let out = if fault == Some(FaultKind::NanGradient) {
                             // Poison only the outgoing copy; the cached
                             // chain stays clean (the local backward is
                             // poisoned via `poisoned`, as before).
                             let mut bad = ys.last().expect("non-empty stage").clone();
                             bad.data.fill(f32::NAN);
-                            self.send_with_fault(
-                                fault,
-                                txs,
-                                next_rows,
-                                u,
-                                Payload::Give(bad),
-                                idx,
-                                pool,
-                            )?;
+                            Cow::Owned(bad)
                         } else if self.recompute {
                             // The chain is rebuilt at Bw, so the output
                             // can move straight into the message.
-                            let out = ys.pop().expect("non-empty stage");
-                            self.send_with_fault(
-                                fault,
-                                txs,
-                                next_rows,
-                                u,
-                                Payload::Give(out),
-                                idx,
-                                pool,
-                            )?;
+                            Cow::Owned(ys.pop().expect("non-empty stage"))
                         } else {
-                            let out = ys.last().expect("non-empty stage");
-                            self.send_with_fault(
-                                fault,
-                                txs,
-                                next_rows,
-                                u,
-                                Payload::Keep(out),
-                                idx,
-                                pool,
-                            )?;
-                        }
-                        self.rec(SpanKind::CommSend, u, out_bytes, ts, self.now_ns());
+                            Cow::Borrowed(ys.last().expect("non-empty stage"))
+                        };
+                        self.send(fault, &self.to_next, u, out, idx, pool)?;
+                        rec(log, SpanKind::CommSend, u, out_bytes, ts, now_ns(log));
                     }
                     flights.insert(
                         u,
@@ -1102,7 +1089,7 @@ impl Worker<'_> {
                     );
                 }
                 Step::Bw(u) => {
-                    let t0 = self.now_ns();
+                    let t0 = now_ns(log);
                     let (input, mut ys, recomputed) =
                         match flights.remove(&u).expect("forward before backward") {
                             Flight::Cached { input, ys } => (input, ys, false),
@@ -1112,9 +1099,9 @@ impl Worker<'_> {
                                 (input, ys, true)
                             }
                         };
-                    let ta = self.now_ns();
+                    let ta = now_ns(log);
                     if recomputed {
-                        self.rec(SpanKind::Recompute, u, 0, t0, ta);
+                        rec(log, SpanKind::Recompute, u, 0, t0, ta);
                     }
                     let mut micro_loss = 0.0f32;
                     let mut dy = if self.is_last {
@@ -1132,11 +1119,11 @@ impl Worker<'_> {
                         pool.put(t);
                         dy
                     } else {
-                        self.recv_rows(RxSide::Backward, &mut buf_b, u, idx, pool)?
+                        self.recv_rows(&self.rx_b, &mut buf_b, u, idx, pool)?
                     };
-                    let tb = self.now_ns();
+                    let tb = now_ns(log);
                     if !self.is_last {
-                        self.rec(SpanKind::CommRecvWait, u, tensor_bytes(&dy), ta, tb);
+                        rec(log, SpanKind::CommRecvWait, u, tensor_bytes(&dy), ta, tb);
                     }
                     if fault == Some(FaultKind::NanGradient) || poisoned.contains(&u) {
                         dy.data.fill(f32::NAN);
@@ -1161,12 +1148,13 @@ impl Worker<'_> {
                         backward_stage(self.layers, &scratch.packed, &input, &ys, dy, into, pool);
                     // The last stage folds its loss computation into the
                     // backward span; upstream stages start at receipt.
-                    self.rec(
+                    rec(
+                        log,
                         SpanKind::Bw,
                         u,
                         0,
                         if self.is_last { ta } else { tb },
-                        self.now_ns(),
+                        now_ns(log),
                     );
                     // The boundary buffers this micro-batch arrived in are
                     // spent now, as is the whole forward chain; recycling
@@ -1213,19 +1201,11 @@ impl Worker<'_> {
                     // The upstream stage still needs dx to make progress;
                     // under a lenient policy it will detect and handle
                     // the poison in its own contribution.
-                    if let (Some(txs), Some(prev_rows)) = (&self.tx_b, &self.prev_rows) {
+                    if !self.is_first {
                         let dx_bytes = tensor_bytes(&dx);
-                        let ts = self.now_ns();
-                        self.send_with_fault(
-                            fault,
-                            txs,
-                            prev_rows,
-                            u,
-                            Payload::Give(dx),
-                            idx,
-                            pool,
-                        )?;
-                        self.rec(SpanKind::CommSend, u, dx_bytes, ts, self.now_ns());
+                        let ts = now_ns(log);
+                        self.send(fault, &self.to_prev, u, Cow::Owned(dx), idx, pool)?;
+                        rec(log, SpanKind::CommSend, u, dx_bytes, ts, now_ns(log));
                     } else {
                         // First stage: dx is unused, but its shape equals
                         // the first stage's input slices — recycle it.
@@ -1234,20 +1214,34 @@ impl Worker<'_> {
                 }
             }
         }
-        // The script is done, so nothing more will be sent: dropping the
-        // senders now lets peers draining their receivers see a prompt
-        // disconnect, before this worker waits on anything itself.
-        self.tx_f = None;
-        self.tx_b = None;
-        // Sync before the shutdown drain — the drain waits for the
-        // neighbouring stages to finish, the sync only for this stage's
-        // own replicas, so it overlaps the earlier stages' backward tail.
+        // Whatever the script received and never consumed, a peer sent
+        // beyond the schedule (e.g. an injected duplicate). A message that
+        // arrives after this worker's last receive stays in its channel
+        // for the coordinator to find once every sender is gone: a worker
+        // that has run its script waits for no neighbour.
+        for (side, buf) in [("forward", &buf_f), ("backward", &buf_b)] {
+            if let Some((micro, parts)) = buf.iter().find(|(_, parts)| !parts.is_empty()) {
+                return Err(DappleError::ChannelProtocol {
+                    stage: self.stage,
+                    replica: self.replica,
+                    detail: format!(
+                        "{} rows of micro-batch {micro} left over on the {side} channel \
+                         after the schedule completed",
+                        parts.iter().map(|p| p.data.rows).sum::<usize>()
+                    ),
+                });
+            }
+        }
+        // The sync waits only for this stage's own replicas, so it
+        // overlaps the earlier stages' backward tail.
         let grads = std::mem::take(grads);
         drop(slot_guard);
-        let (grads, sync) = self.sync_grads(grads)?;
-        self.shutdown(&buf_f, &buf_b)?;
+        let (grads, sync) = self.sync_grads(grads, log)?;
         Ok(WorkerOut {
             stage: self.stage,
+            replica: self.replica,
+            rx_f: self.rx_f,
+            rx_b: self.rx_b,
             grads,
             sync,
             loss,
@@ -1266,7 +1260,11 @@ impl Worker<'_> {
     /// elsewhere) and, with tracing on, the reduce's span. Replica 0's
     /// wait is bounded by `recv_timeout` and ends early when every peer
     /// has either sent or died.
-    fn sync_grads(&mut self, mut acc: Vec<DenseGrads>) -> Result<(Vec<DenseGrads>, Option<Span>)> {
+    fn sync_grads(
+        &mut self,
+        mut acc: Vec<DenseGrads>,
+        log: &Option<SpanLog>,
+    ) -> Result<(Vec<DenseGrads>, Option<Span>)> {
         let closed = DappleError::ChannelClosed {
             stage: self.stage,
             replica: self.replica,
@@ -1297,7 +1295,7 @@ impl Worker<'_> {
                 }
                 // Rank order is replica order, whatever order they arrived in.
                 peers.sort_by_key(|(replica, _)| *replica);
-                let t0 = self.now_ns();
+                let t0 = now_ns(log);
                 {
                     let mut first: Vec<&mut [f32]> =
                         acc.iter_mut().flat_map(DenseGrads::segments_mut).collect();
@@ -1307,7 +1305,7 @@ impl Worker<'_> {
                         .collect();
                     dapple_collectives::reduce_sum_in_place(&mut first, &rest);
                 }
-                let span = self.tracer.as_ref().map(|_| Span {
+                let span = log.as_ref().map(|log| Span {
                     kind: SpanKind::AllReduce,
                     micro: NO_MICRO,
                     bytes: acc
@@ -1316,7 +1314,7 @@ impl Worker<'_> {
                         .map(|seg| std::mem::size_of_val(seg) as u64)
                         .sum(),
                     start_ns: t0,
-                    end_ns: self.now_ns(),
+                    end_ns: log.now_ns(),
                 });
                 for (replica, bufs) in peers {
                     lock(&peer_slots[replica]).acc = bufs;
@@ -1326,183 +1324,53 @@ impl Worker<'_> {
         }
     }
 
-    /// Structured shutdown, after the senders are gone: verify nothing
-    /// unexpected is left — a buffered or trailing message at this point
-    /// means a peer sent more than the schedule allows (e.g. an injected
-    /// duplicate).
-    fn shutdown(
-        &self,
-        buf_f: &HashMap<usize, Vec<Msg>>,
-        buf_b: &HashMap<usize, Vec<Msg>>,
-    ) -> Result<()> {
-        for (side, buf) in [("forward", buf_f), ("backward", buf_b)] {
-            if let Some((micro, parts)) = buf.iter().find(|(_, parts)| !parts.is_empty()) {
-                return Err(DappleError::ChannelProtocol {
-                    stage: self.stage,
-                    replica: self.replica,
-                    detail: format!(
-                        "{} rows of micro-batch {micro} left over on the {side} channel \
-                         after the schedule completed",
-                        parts.iter().map(|p| p.data.rows).sum::<usize>()
-                    ),
-                });
-            }
-        }
-        for (side, rx) in [("forward", &self.rx_f), ("backward", &self.rx_b)] {
-            let Some(rx) = rx else { continue };
-            match rx.recv_timeout(self.recv_timeout) {
-                Ok(msg) => {
-                    return Err(DappleError::ChannelProtocol {
-                        stage: self.stage,
-                        replica: self.replica,
-                        detail: format!(
-                            "trailing message (micro-batch {}, {} rows) on the {side} \
-                             channel after the schedule completed",
-                            msg.micro, msg.data.rows
-                        ),
-                    });
-                }
-                Err(RecvTimeoutError::Disconnected) => {}
-                Err(RecvTimeoutError::Timeout) => {
-                    // A peer still holds a sender long past schedule
-                    // completion: it is stuck.
-                    return Err(DappleError::Stalled {
-                        stage: self.stage,
-                        replica: self.replica,
-                        step: self.script.len(),
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Sends the row overlaps of a step's output, applying an injected
-    /// drop (swallow) or duplicate (send twice) fault.
-    #[allow(clippy::too_many_arguments)] // the full routing context of one send
-    fn send_with_fault(
+    /// Sends a step's output to the peers that share its rows, applying an
+    /// injected drop (swallow) or duplicate (send twice) fault.
+    ///
+    /// A tensor the caller gives away moves into the message when one
+    /// peer takes all of it (equal replication on both sides of the
+    /// boundary) — no split copy at all. Otherwise each route's rows are
+    /// copied into a pooled buffer and a given tensor is recycled; in
+    /// steady-state 1F1B every such buffer is a recycled one, so the send
+    /// path performs zero heap allocations.
+    fn send(
         &self,
         fault: Option<FaultKind>,
-        txs: &[Sender<Msg>],
-        peer_rows: &[Range<usize>],
+        routes: &[Route],
         micro: usize,
-        payload: Payload<'_>,
+        data: Cow<'_, Tensor>,
         idx: usize,
         pool: &mut TensorPool,
     ) -> Result<()> {
         match fault {
             Some(FaultKind::DropMessage) => {
-                if let Payload::Give(t) = payload {
+                if let Cow::Owned(t) = data {
                     pool.put(t);
                 }
-                Ok(())
+                return Ok(());
             }
             Some(FaultKind::DuplicateMessage) => {
-                self.send_overlaps(
-                    txs,
-                    peer_rows,
-                    micro,
-                    Payload::Keep(payload.tensor()),
-                    idx,
-                    pool,
-                )?;
-                self.send_overlaps(txs, peer_rows, micro, payload, idx, pool)
+                self.send(None, routes, micro, Cow::Borrowed(&*data), idx, pool)?;
             }
-            _ => self.send_overlaps(txs, peer_rows, micro, payload, idx, pool),
+            _ => {}
         }
-    }
-
-    /// Sends the row overlap between `my_rows` and each peer's rows.
-    ///
-    /// A [`Payload::Give`] tensor whose single overlap covers all of its
-    /// rows (equal replication on both sides of the boundary) is moved
-    /// into the message — no split copy at all. Otherwise each overlap
-    /// is copied into a pooled buffer; in steady-state 1F1B every such
-    /// buffer is a recycled one, so the send path performs zero heap
-    /// allocations.
-    fn send_overlaps(
-        &self,
-        txs: &[Sender<Msg>],
-        peer_rows: &[Range<usize>],
-        micro: usize,
-        payload: Payload<'_>,
-        idx: usize,
-        pool: &mut TensorPool,
-    ) -> Result<()> {
-        match payload {
-            Payload::Give(t) => {
-                if let Some((q, row0)) = self.single_full_peer(peer_rows, t.rows) {
-                    return txs[q]
-                        .send(Msg {
-                            micro,
-                            row0,
-                            data: t,
-                        })
-                        .map_err(|_| DappleError::ChannelClosed {
-                            stage: self.stage,
-                            replica: self.replica,
-                            step: idx,
-                        });
-                }
-                self.copy_send(txs, peer_rows, micro, &t, idx, pool)?;
-                pool.put(t);
-                Ok(())
-            }
-            Payload::Keep(t) => self.copy_send(txs, peer_rows, micro, t, idx, pool),
+        let closed = |_| DappleError::ChannelClosed {
+            stage: self.stage,
+            replica: self.replica,
+            step: idx,
+        };
+        if let (Cow::Owned(_), [only]) = (&data, routes) {
+            let (row0, data) = (only.row0, data.into_owned());
+            return only.tx.send(Msg { micro, row0, data }).map_err(closed);
         }
-    }
-
-    /// The peer index and absolute start row when exactly one peer
-    /// overlaps `my_rows` and that overlap covers all `rows` of the
-    /// outgoing tensor.
-    fn single_full_peer(&self, peer_rows: &[Range<usize>], rows: usize) -> Option<(usize, usize)> {
-        let mut found: Option<(usize, usize, usize)> = None;
-        for (q, peer) in peer_rows.iter().enumerate() {
-            let lo = self.my_rows.start.max(peer.start);
-            let hi = self.my_rows.end.min(peer.end);
-            if lo < hi {
-                if found.is_some() {
-                    return None;
-                }
-                found = Some((q, lo, hi));
-            }
+        for route in routes {
+            let mut part = pool.take(route.local.len(), data.cols);
+            copy_rows_into(&data, route.local.clone(), &mut part);
+            let (row0, data) = (route.row0, part);
+            route.tx.send(Msg { micro, row0, data }).map_err(closed)?;
         }
-        match found {
-            Some((q, lo, hi)) if hi - lo == rows => Some((q, lo)),
-            _ => None,
-        }
-    }
-
-    /// Copies each peer's overlap into a pooled buffer and sends it.
-    fn copy_send(
-        &self,
-        txs: &[Sender<Msg>],
-        peer_rows: &[Range<usize>],
-        micro: usize,
-        data: &Tensor,
-        idx: usize,
-        pool: &mut TensorPool,
-    ) -> Result<()> {
-        for (tx, peer) in txs.iter().zip(peer_rows) {
-            let lo = self.my_rows.start.max(peer.start);
-            let hi = self.my_rows.end.min(peer.end);
-            if lo >= hi {
-                continue;
-            }
-            // Convert to local row indices within `data`.
-            let local = (lo - self.my_rows.start)..(hi - self.my_rows.start);
-            let mut part = pool.take(local.len(), data.cols);
-            copy_rows_into(data, local, &mut part);
-            tx.send(Msg {
-                micro,
-                row0: lo,
-                data: part,
-            })
-            .map_err(|_| DappleError::ChannelClosed {
-                stage: self.stage,
-                replica: self.replica,
-                step: idx,
-            })?;
+        if let Cow::Owned(t) = data {
+            pool.put(t);
         }
         Ok(())
     }
@@ -1512,16 +1380,13 @@ impl Worker<'_> {
     /// by the shared deadline `recv_timeout` from entry.
     fn recv_rows(
         &self,
-        side: RxSide,
+        rx: &Option<Receiver<Msg>>,
         buf: &mut HashMap<usize, Vec<Msg>>,
         micro: usize,
         idx: usize,
         pool: &mut TensorPool,
     ) -> Result<Tensor> {
-        let rx = match side {
-            RxSide::Forward => self.rx_f.as_ref().expect("fwd channel"),
-            RxSide::Backward => self.rx_b.as_ref().expect("bwd channel"),
-        };
+        let rx = rx.as_ref().expect("a boundary on this side");
         let want = self.my_rows.len();
         let deadline = Instant::now() + self.recv_timeout;
         loop {
@@ -1577,13 +1442,6 @@ impl Worker<'_> {
             }
         }
     }
-}
-
-/// Which boundary channel a receive targets.
-#[derive(Clone, Copy)]
-enum RxSide {
-    Forward,
-    Backward,
 }
 
 /// Forward through a stage's layers, against their packed `W`; fills

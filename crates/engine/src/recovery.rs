@@ -1196,10 +1196,6 @@ mod tests {
             RetryPolicy::classify(&DappleError::InvalidConfig("x".into())),
             FaultClass::Fatal
         );
-        assert_eq!(
-            RetryPolicy::classify(&DappleError::ShapeMismatch("x".into())),
-            FaultClass::Fatal
-        );
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Per-step run telemetry: a [`RunRecorder`] owned by the
-//! [`crate::TrainLoop`] that feeds a [`MetricsRegistry`] and an
+//! [`crate::TrainLoop`] that keeps the run's totals and writes an
 //! append-only JSONL [`RunLog`] after every successful training step.
 //!
 //! The recorder is strictly an observer: it never fails a step (sink
 //! write errors are counted, not raised) and its steady-state cost is a
-//! handful of array writes plus one buffered line write — zero heap
+//! handful of field writes plus one buffered line write — zero heap
 //! allocation once the line buffer and per-stage scratch vectors reach
 //! their working size (asserted in `tests/alloc_counts.rs`).
 //!
@@ -16,41 +16,44 @@
 //! on, the trace-derived schedule metrics: makespan, bubble ratio,
 //! channel wait, per-stage busy fractions and the straggler flag
 //! ([`dapple_core::metrics::straggler_stages`] — a stage whose busy
-//! fraction falls below a configurable fraction of the median, the
-//! BENCH_5 shape where stage 2 sat at 0.25 against 0.48/0.50).
+//! fraction falls below a fraction of the median, the BENCH_5 shape
+//! where stage 2 sat at 0.25 against 0.48/0.50).
 
 use crate::trace::{RecoveryStepMetrics, StepMetrics};
-use dapple_core::metrics::{
-    straggler_stages, CounterId, GaugeId, HistogramId, MetricsRegistry, RunLog,
-};
+use dapple_core::json::Object;
+use dapple_core::metrics::{straggler_stages, Histogram, RunLog};
 use std::io::Write;
 
-/// Default straggler bar: flag a stage below 60% of the median stage
-/// busy fraction.
+/// The straggler bar: flag a stage below 60% of the median stage busy
+/// fraction.
 pub const DEFAULT_STRAGGLER_FRACTION: f64 = 0.6;
 
-/// Streams per-step telemetry to a JSONL sink and aggregates it in a
-/// [`MetricsRegistry`]. Construct with [`RunRecorder::new`], attach via
+/// What a run adds up to: counters, last values and latency histograms,
+/// in the order [`RunRecorder::summary_json`] reports them.
+#[derive(Default)]
+struct Totals {
+    steps: u64,
+    samples: u64,
+    pool_hits: u64,
+    pool_misses: u64,
+    rollbacks: u64,
+    straggler_steps: u64,
+    throughput_sps: f64,
+    bubble_ratio: f64,
+    loss: f64,
+    step_ns: Histogram,
+    makespan_ns: Histogram,
+    channel_wait_ns: Histogram,
+    rollback_ns: Histogram,
+}
+
+/// Streams per-step telemetry to a JSONL sink and keeps the run's totals.
+/// Construct with [`RunRecorder::new`], attach via
 /// [`crate::TrainLoop::attach_recorder`].
 pub struct RunRecorder {
     log: RunLog<Box<dyn Write + Send>>,
-    registry: MetricsRegistry,
-    straggler_fraction: f64,
+    totals: Totals,
     write_errors: u64,
-
-    c_steps: CounterId,
-    c_samples: CounterId,
-    c_pool_hits: CounterId,
-    c_pool_misses: CounterId,
-    c_rollbacks: CounterId,
-    c_straggler_steps: CounterId,
-    g_throughput: GaugeId,
-    g_bubble: GaugeId,
-    g_loss: GaugeId,
-    h_step_ns: HistogramId,
-    h_makespan_ns: HistogramId,
-    h_channel_wait_ns: HistogramId,
-    h_rollback_ns: HistogramId,
 
     busy: Vec<f64>,
     scratch: Vec<f64>,
@@ -60,54 +63,14 @@ pub struct RunRecorder {
 impl RunRecorder {
     /// A recorder writing JSON lines to `sink`.
     pub fn new(sink: Box<dyn Write + Send>) -> Self {
-        let mut registry = MetricsRegistry::new();
-        let c_steps = registry.counter("steps");
-        let c_samples = registry.counter("samples");
-        let c_pool_hits = registry.counter("pool_hits");
-        let c_pool_misses = registry.counter("pool_misses");
-        let c_rollbacks = registry.counter("rollbacks");
-        let c_straggler_steps = registry.counter("straggler_steps");
-        let g_throughput = registry.gauge("throughput_sps");
-        let g_bubble = registry.gauge("bubble_ratio");
-        let g_loss = registry.gauge("loss");
-        let h_step_ns = registry.histogram("step_ns");
-        let h_makespan_ns = registry.histogram("makespan_ns");
-        let h_channel_wait_ns = registry.histogram("channel_wait_ns");
-        let h_rollback_ns = registry.histogram("rollback_ns");
         RunRecorder {
             log: RunLog::new(sink),
-            registry,
-            straggler_fraction: DEFAULT_STRAGGLER_FRACTION,
+            totals: Totals::default(),
             write_errors: 0,
-            c_steps,
-            c_samples,
-            c_pool_hits,
-            c_pool_misses,
-            c_rollbacks,
-            c_straggler_steps,
-            g_throughput,
-            g_bubble,
-            g_loss,
-            h_step_ns,
-            h_makespan_ns,
-            h_channel_wait_ns,
-            h_rollback_ns,
             busy: Vec::new(),
             scratch: Vec::new(),
             stragglers: Vec::new(),
         }
-    }
-
-    /// Overrides the straggler bar (fraction of the median busy
-    /// fraction below which a stage is flagged).
-    pub fn with_straggler_fraction(mut self, fraction: f64) -> Self {
-        self.straggler_fraction = fraction;
-        self
-    }
-
-    /// The aggregated run metrics.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
     }
 
     /// Records written to the JSONL sink.
@@ -120,14 +83,44 @@ impl RunRecorder {
         self.write_errors
     }
 
-    /// End-of-run summary: the whole registry as one JSON object.
+    /// End-of-run summary, one JSON object: counters as integers, last
+    /// values as numbers, histograms as
+    /// `{count, sum, min, max, mean, p50, p95, p99}`. Allocates (call it
+    /// at run end, not per step).
     pub fn summary_json(&self) -> String {
-        self.registry.summary_json()
-    }
-
-    /// Consumes the recorder, returning registry and sink.
-    pub fn into_parts(self) -> (MetricsRegistry, Box<dyn Write + Send>) {
-        (self.registry, self.log.into_sink())
+        let t = &self.totals;
+        let mut s = String::new();
+        let mut o = Object::new(&mut s)
+            .spaced()
+            .u64("steps", t.steps)
+            .u64("samples", t.samples)
+            .u64("pool_hits", t.pool_hits)
+            .u64("pool_misses", t.pool_misses)
+            .u64("rollbacks", t.rollbacks)
+            .u64("straggler_steps", t.straggler_steps)
+            .f64("throughput_sps", t.throughput_sps)
+            .f64("bubble_ratio", t.bubble_ratio)
+            .f64("loss", t.loss);
+        for (name, h) in [
+            ("step_ns", &t.step_ns),
+            ("makespan_ns", &t.makespan_ns),
+            ("channel_wait_ns", &t.channel_wait_ns),
+            ("rollback_ns", &t.rollback_ns),
+        ] {
+            o = o.object(name, |o| {
+                o.u64("count", h.count())
+                    .u64("sum", h.sum())
+                    .u64("min", h.min())
+                    .u64("max", h.max())
+                    .f64("mean", h.mean())
+                    .u64("p50", h.percentile(0.50))
+                    .u64("p95", h.percentile(0.95))
+                    .u64("p99", h.percentile(0.99))
+            });
+        }
+        o.end();
+        s.push('\n');
+        s
     }
 
     /// Feeds one successful step. Called by
@@ -151,17 +144,17 @@ impl RunRecorder {
         } else {
             0.0
         };
-        self.registry.inc(self.c_steps, 1);
-        self.registry.inc(self.c_samples, samples as u64);
-        self.registry.inc(self.c_pool_hits, pool_hits);
-        self.registry.inc(self.c_pool_misses, pool_misses);
-        self.registry.inc(self.c_rollbacks, recovery.retries as u64);
-        self.registry.set(self.g_throughput, throughput_sps);
-        self.registry.set(self.g_loss, f64::from(loss));
-        self.registry.observe(self.h_step_ns, wall_ns);
+        let totals = &mut self.totals;
+        totals.steps += 1;
+        totals.samples += samples as u64;
+        totals.pool_hits += pool_hits;
+        totals.pool_misses += pool_misses;
+        totals.rollbacks += recovery.retries as u64;
+        totals.throughput_sps = throughput_sps;
+        totals.loss = f64::from(loss);
+        totals.step_ns.record(wall_ns);
         if recovery.rollback_ns > 0 {
-            self.registry
-                .observe(self.h_rollback_ns, recovery.rollback_ns);
+            totals.rollback_ns.record(recovery.rollback_ns);
         }
 
         let mut line = self
@@ -181,20 +174,19 @@ impl RunRecorder {
             .u64("migration_ns", recovery.migration_ns);
 
         if let Some(m) = metrics {
-            self.registry.set(self.g_bubble, m.bubble_ratio);
-            self.registry.observe(self.h_makespan_ns, m.makespan_ns);
-            self.registry
-                .observe(self.h_channel_wait_ns, m.channel_wait_ns());
+            totals.bubble_ratio = m.bubble_ratio;
+            totals.makespan_ns.record(m.makespan_ns);
+            totals.channel_wait_ns.record(m.channel_wait_ns());
             self.busy.clear();
             self.busy.extend(m.stages.iter().map(|s| s.busy_fraction));
             straggler_stages(
                 &self.busy,
-                self.straggler_fraction,
+                DEFAULT_STRAGGLER_FRACTION,
                 &mut self.scratch,
                 &mut self.stragglers,
             );
             if !self.stragglers.is_empty() {
-                self.registry.inc(self.c_straggler_steps, 1);
+                totals.straggler_steps += 1;
             }
             line = line
                 .u64("makespan_ns", m.makespan_ns)

@@ -1,12 +1,12 @@
 //! Runtime tracing for the threaded 1F1B engine.
 //!
-//! Each stage-replica worker owns a [`SpanWriter`] over a pre-allocated,
-//! single-writer [`SpanRing`]: recording a span is two relaxed atomic
-//! loads, one slot write and one release store — no locks, no heap
-//! allocation — so the alloc-free steady-state invariant of
-//! `tests/alloc_counts.rs` survives with tracing on. The coordinator
-//! snapshots every ring after the join (the join provides the
-//! happens-before edge) into a [`StepTrace`], which renders as a Chrome
+//! Each stage-replica worker thread owns a [`SpanLog`] — a `Vec<Span>`
+//! sized before the first micro-batch — and writes to it through a plain
+//! `&mut`: recording a span is one bounds check and one slot write, never
+//! a heap allocation (`tests/alloc_counts.rs`), and a span that does not
+//! fit is dropped and counted. The thread hands its log back at the join,
+//! whether its worker finished, failed or panicked, and the coordinator
+//! collects the logs into a [`StepTrace`], which renders as a Chrome
 //! Trace Event JSON timeline (via [`dapple_core::chrome`]) and derives
 //! per-stage busy/bubble/backpressure metrics ([`StepMetrics`]).
 //!
@@ -17,9 +17,6 @@
 
 use dapple_core::chrome::{chrome_trace_json, ChromeArg, ChromeEvent};
 use dapple_core::phase::{PhaseSplit, PhaseTag};
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Sentinel for spans not tied to a micro-batch (AllReduce).
@@ -83,87 +80,30 @@ pub struct Span {
 }
 
 impl Span {
-    const EMPTY: Span = Span {
-        kind: SpanKind::Fw,
-        micro: NO_MICRO,
-        bytes: 0,
-        start_ns: 0,
-        end_ns: 0,
-    };
-
     /// Span duration in nanoseconds.
     pub fn dur_ns(&self) -> u64 {
         self.end_ns.saturating_sub(self.start_ns)
     }
 }
 
-/// A pre-allocated single-writer span buffer.
+/// One worker's spans for one step, owned by the worker's thread.
 ///
-/// Exactly one thread pushes (the owning worker); the coordinator reads
-/// only after joining that thread. `len` is published with `Release` and
-/// read with `Acquire`, so even a mid-step snapshot (not used today)
-/// would observe fully-written slots. Overflow drops the span and counts
-/// it — recording never blocks and never allocates.
-pub struct SpanRing {
-    slots: Box<[UnsafeCell<Span>]>,
-    len: AtomicUsize,
-    dropped: AtomicUsize,
-}
-
-// SAFETY: single-writer discipline — `push` is only called by the owning
-// worker thread, and readers order their loads after the writer's
-// `Release` store of `len` (or after joining the writer).
-unsafe impl Sync for SpanRing {}
-
-impl SpanRing {
-    /// A ring with room for `capacity` spans, allocated up front.
-    pub fn new(capacity: usize) -> Self {
-        SpanRing {
-            slots: (0..capacity.max(1))
-                .map(|_| UnsafeCell::new(Span::EMPTY))
-                .collect(),
-            len: AtomicUsize::new(0),
-            dropped: AtomicUsize::new(0),
-        }
-    }
-
-    /// Appends a span. Single-writer only; drops (and counts) on overflow.
-    fn push(&self, span: Span) {
-        let n = self.len.load(Ordering::Relaxed);
-        if n >= self.slots.len() {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        // SAFETY: only the single writer touches slot `n` before the
-        // Release store below publishes it.
-        unsafe { *self.slots[n].get() = span };
-        self.len.store(n + 1, Ordering::Release);
-    }
-
-    /// Copies the recorded spans out (allocates — call off the hot path).
-    pub fn snapshot(&self) -> Vec<Span> {
-        let n = self.len.load(Ordering::Acquire).min(self.slots.len());
-        // SAFETY: slots below `n` were published by the Release store.
-        (0..n).map(|i| unsafe { *self.slots[i].get() }).collect()
-    }
-
-    /// Spans lost to overflow.
-    pub fn dropped(&self) -> usize {
-        self.dropped.load(Ordering::Relaxed)
-    }
-}
-
-/// A worker's handle for recording spans against the shared step epoch.
-#[derive(Clone)]
-pub struct SpanWriter {
-    ring: Arc<SpanRing>,
+/// The storage is allocated up front and never grows: a span past the
+/// capacity is dropped and counted, so recording never allocates.
+pub struct SpanLog {
+    spans: Vec<Span>,
+    dropped: usize,
     epoch: Instant,
 }
 
-impl SpanWriter {
-    /// Binds a ring to the step epoch.
-    pub fn new(ring: Arc<SpanRing>, epoch: Instant) -> Self {
-        SpanWriter { ring, epoch }
+impl SpanLog {
+    /// A log with room for `capacity` spans, timed against `epoch`.
+    pub fn new(capacity: usize, epoch: Instant) -> Self {
+        SpanLog {
+            spans: Vec::with_capacity(capacity),
+            dropped: 0,
+            epoch,
+        }
     }
 
     /// Nanoseconds since the step epoch.
@@ -172,16 +112,24 @@ impl SpanWriter {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Records one span (allocation-free).
+    /// Records one span, or counts it as dropped when the log is full.
     #[inline]
-    pub fn record(&self, kind: SpanKind, micro: u32, bytes: u64, start_ns: u64, end_ns: u64) {
-        self.ring.push(Span {
-            kind,
-            micro,
-            bytes,
-            start_ns,
-            end_ns,
-        });
+    pub fn record(&mut self, span: Span) {
+        if self.spans.len() < self.spans.capacity() {
+            self.spans.push(span);
+        } else {
+            self.dropped += 1;
+        }
+    }
+
+    /// The finished log as the trace of worker `(stage, replica)`.
+    pub fn into_trace(self, stage: usize, replica: usize) -> WorkerTrace {
+        WorkerTrace {
+            stage,
+            replica,
+            spans: self.spans,
+            dropped: self.dropped,
+        }
     }
 }
 
@@ -194,7 +142,7 @@ pub struct WorkerTrace {
     pub replica: usize,
     /// Recorded spans in program order.
     pub spans: Vec<Span>,
-    /// Spans lost to ring overflow (0 unless the ring was undersized).
+    /// Spans that did not fit the log (0 unless it was undersized).
     pub dropped: usize,
 }
 
@@ -237,7 +185,7 @@ impl StepTrace {
             .chain(self.coord.iter().map(|c| (c.stage, c.span)))
     }
 
-    /// Total spans lost to ring overflow across all workers.
+    /// Total spans that did not fit their logs, across all workers.
     pub fn dropped_spans(&self) -> usize {
         self.workers.iter().map(|w| w.dropped).sum()
     }
@@ -341,15 +289,9 @@ impl StepTrace {
         let makespan_ns = t_end.saturating_sub(if t0 == u64::MAX { 0 } else { t0 });
         for m in &mut stages {
             let denom = makespan_ns.max(1) as f64 * m.replicas.max(1) as f64;
+            // `denom >= 1`: a stage with no spans (its worker died before
+            // its first) reads as idle, never NaN.
             m.busy_fraction = (m.busy_ns as f64 / denom).min(1.0);
-            // A stage with no recorded spans (a faulted partial trace
-            // drains whatever the dead worker managed to write, possibly
-            // nothing) must still report finite occupancy: it was idle,
-            // not NaN. The `.max(1)` denominators above make this
-            // unreachable today; the clamp keeps the invariant local.
-            if !m.busy_fraction.is_finite() {
-                m.busy_fraction = 0.0;
-            }
             m.bubble_ratio = 1.0 - m.busy_fraction;
         }
         // Aggregate bubble via the shared definition in `dapple_core::phase`
@@ -361,13 +303,9 @@ impl StepTrace {
             .iter()
             .map(|m| m.busy_ns as f64 / 1e3 / m.replicas.max(1) as f64)
             .collect();
-        let mut bubble_ratio = dapple_core::phase::bubble_ratio(&busy_us, makespan_ns as f64 / 1e3);
-        if !bubble_ratio.is_finite() {
-            bubble_ratio = 1.0;
-        }
         StepMetrics {
             makespan_ns,
-            bubble_ratio,
+            bubble_ratio: dapple_core::phase::bubble_ratio(&busy_us, makespan_ns as f64 / 1e3),
             phases: self.phase_split(),
             stages,
             recovery: RecoveryStepMetrics::default(),
@@ -448,34 +386,31 @@ pub struct RecoveryStepMetrics {
 mod tests {
     use super::*;
 
-    #[test]
-    fn ring_records_in_order_and_counts_overflow() {
-        let ring = SpanRing::new(2);
-        for i in 0..3u64 {
-            ring.push(Span {
-                kind: SpanKind::Fw,
-                micro: i as u32,
-                bytes: 0,
-                start_ns: i,
-                end_ns: i + 1,
-            });
-        }
-        let spans = ring.snapshot();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].micro, 0);
-        assert_eq!(spans[1].micro, 1);
-        assert_eq!(ring.dropped(), 1);
-    }
-
-    fn trace_fixture() -> StepTrace {
-        let mut t = StepTrace::new(vec![1, 1]);
-        let span = |kind, micro, start_ns, end_ns| Span {
+    fn span(kind: SpanKind, micro: u32, start_ns: u64, end_ns: u64) -> Span {
+        Span {
             kind,
             micro,
             bytes: 0,
             start_ns,
             end_ns,
-        };
+        }
+    }
+
+    #[test]
+    fn log_records_in_order_and_counts_overflow() {
+        let mut log = SpanLog::new(2, Instant::now());
+        for i in 0..3 {
+            log.record(span(SpanKind::Fw, i, 0, 1));
+        }
+        let trace = log.into_trace(0, 0);
+        assert_eq!(trace.spans.len(), 2);
+        assert_eq!(trace.spans[0].micro, 0);
+        assert_eq!(trace.spans[1].micro, 1);
+        assert_eq!(trace.dropped, 1);
+    }
+
+    fn trace_fixture() -> StepTrace {
+        let mut t = StepTrace::new(vec![1, 1]);
         t.workers.push(WorkerTrace {
             stage: 0,
             replica: 0,
@@ -541,13 +476,7 @@ mod tests {
         t.workers.push(WorkerTrace {
             stage: 0,
             replica: 0,
-            spans: vec![Span {
-                kind: SpanKind::Fw,
-                micro: 0,
-                bytes: 0,
-                start_ns: 0,
-                end_ns: 100,
-            }],
+            spans: vec![span(SpanKind::Fw, 0, 0, 100)],
             dropped: 0,
         });
         let m = t.metrics();

@@ -96,11 +96,6 @@ impl ModelGraph {
         self.layers[range].iter().map(|l| l.flops_fw).sum()
     }
 
-    /// Backward FLOPs per sample within a layer range.
-    pub fn flops_bw_in(&self, range: Range<usize>) -> f64 {
-        self.layers[range].iter().map(Layer::flops_bw).sum()
-    }
-
     /// Per-sample activation bytes crossing a boundary placed after layer
     /// `boundary - 1` (i.e. between `boundary - 1` and `boundary`).
     ///
@@ -191,7 +186,6 @@ mod tests {
         let g = toy();
         assert_eq!(g.param_bytes_in(1..3), Bytes::mib(2.0));
         assert!((g.flops_fw_in(1..3) - 50.0 * crate::FLOPS_PER_US).abs() < 1.0);
-        assert!((g.flops_bw_in(1..3) - 100.0 * crate::FLOPS_PER_US).abs() < 1.0);
         assert_eq!(g.stored_act_in(0..4), Bytes(8000));
     }
 

@@ -19,6 +19,8 @@
 //! ([`REF_DEVICE_FLOPS`], a V100-class accelerator at sustained fp32
 //! throughput) the per-layer times reproduce the paper's ratios.
 
+#![forbid(unsafe_code)]
+
 pub mod graph;
 pub mod layer;
 pub mod synthetic;

@@ -26,6 +26,8 @@
 //! * [`elastic`] — re-planning over surviving device subsets, the
 //!   planner half of the runtime's elastic recovery path.
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod dp;
 pub mod elastic;

@@ -27,6 +27,11 @@ use dapple_profiler::{MemoryModel, ModelProfile};
 use rayon::prelude::*;
 use std::collections::HashMap;
 
+/// Maximum states kept per search level. Far above what 16-device
+/// clusters produce (no effect on Table V); it bounds the blow-up on 32+
+/// device clusters.
+const BEAM_WIDTH: usize = 2_000;
+
 /// Planner knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct PlannerConfig {
@@ -34,12 +39,6 @@ pub struct PlannerConfig {
     pub global_batch: usize,
     /// Whether stages may rely on re-computation for memory feasibility.
     pub recompute: bool,
-    /// Maximum number of pipeline stages (default: device count).
-    pub max_stages: usize,
-    /// Beam width: maximum states kept per search level. The default is
-    /// far above what 16-device clusters produce (no effect on Table V);
-    /// it bounds the blow-up on 32+ device clusters.
-    pub beam_width: usize,
     /// Placement policies the search composes (§IV-B). Restricting this
     /// to a single policy is the device-assignment ablation.
     pub policies: &'static [PlacementPolicy],
@@ -51,8 +50,6 @@ impl PlannerConfig {
         PlannerConfig {
             global_batch,
             recompute: false,
-            max_stages: usize::MAX,
-            beam_width: 2000,
             policies: &ALL_POLICIES,
         }
     }
@@ -198,7 +195,7 @@ impl<'a> DapplePlanner<'a> {
         let mut level: HashMap<Key, StateEntry> = HashMap::new();
         level.insert((0, 0, root.alloc.canonical_key(cluster)), root);
 
-        for _depth in 0..self.cfg.max_stages.min(g) {
+        for _depth in 0..g {
             if level.is_empty() {
                 break;
             }
@@ -232,17 +229,10 @@ impl<'a> DapplePlanner<'a> {
                     best = (entry.completed_us, full);
                 }
             }
-            if std::env::var("DAPPLE_SEARCH_DEBUG").is_ok() {
-                eprintln!(
-                    "level {_depth}: {} states, best so far {:.0} us",
-                    next.len(),
-                    best.0
-                );
-            }
             // Beam: keep the most promising finite states; memory-infeasible
             // prefixes (infinite estimate) survive separately — they may be
             // the only route to a feasible deep partition.
-            if next.len() > self.cfg.beam_width {
+            if next.len() > BEAM_WIDTH {
                 let mut finite: Vec<(Key, StateEntry)> = Vec::with_capacity(next.len());
                 let mut infinite: Vec<(Key, StateEntry)> = Vec::new();
                 for kv in next.into_iter() {
@@ -253,8 +243,8 @@ impl<'a> DapplePlanner<'a> {
                     }
                 }
                 finite.sort_by(|a, b| a.1.completed_us.total_cmp(&b.1.completed_us));
-                finite.truncate(self.cfg.beam_width);
-                infinite.truncate(self.cfg.beam_width);
+                finite.truncate(BEAM_WIDTH);
+                infinite.truncate(BEAM_WIDTH);
                 next = finite.into_iter().chain(infinite).collect();
             }
             level = next;

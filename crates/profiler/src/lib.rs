@@ -15,6 +15,8 @@
 //! (AmoebaNet's infeasible DP plan, Table II) and the weak-scaling study
 //! (Table VIII).
 
+#![forbid(unsafe_code)]
+
 pub mod calibrate;
 pub mod memory;
 pub mod profile;

@@ -116,12 +116,6 @@ impl ModelProfile {
     pub fn total_param_bytes(&self) -> Bytes {
         self.param_bytes_in(0..self.num_layers())
     }
-
-    /// Time to run one sample's forward+backward on a single device —
-    /// the denominator of the paper's training-speedup metric (§VI-C).
-    pub fn single_device_us_per_sample(&self) -> f64 {
-        self.total_fw_us() + self.total_bw_us()
-    }
 }
 
 #[cfg(test)]
@@ -171,7 +165,7 @@ mod tests {
         // Encoder layers calibrated at 650 µs/sample forward.
         assert!((p.layers[1].fw_us - 650.0).abs() < 1.0);
         // Full model fw+bw per sample ~ 48 * 3 * 650 µs ~ 92 ms.
-        let total = p.single_device_us_per_sample();
+        let total = p.total_fw_us() + p.total_bw_us();
         assert!((total / 1e3 - 92.0).abs() < 3.0, "{total}");
     }
 }

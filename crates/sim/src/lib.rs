@@ -22,6 +22,8 @@
 //! [`CostModel`](dapple_planner::CostModel) so the simulator and the
 //! planner's closed-form objective are mutually consistent (tested).
 
+#![forbid(unsafe_code)]
+
 pub mod async_pipe;
 pub mod exec;
 pub mod memory;

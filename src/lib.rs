@@ -6,6 +6,8 @@
 //! models, [`planner`] for parallelization-strategy search, [`sim`] for the
 //! schedule simulator and [`engine`] for the real CPU pipeline engine.
 
+#![forbid(unsafe_code)]
+
 pub mod elastic;
 
 pub use dapple_cluster as cluster;

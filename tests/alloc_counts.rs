@@ -217,33 +217,38 @@ fn steady_state_micro_batch_allocations_are_zero() {
     );
 }
 
-/// Recording a span is a slot write into a pre-allocated ring: exactly
+/// Recording a span is a slot write into a log sized up front: exactly
 /// zero heap allocations, even at overflow. This is the invariant that
 /// lets workers trace the hot path without breaking the alloc-free
 /// steady state — and with tracing off the engine skips even this.
 #[test]
 fn span_recording_allocates_nothing() {
-    use dapple::engine::{SpanKind, SpanRing, SpanWriter};
-    use std::sync::Arc;
-    use std::time::Instant;
+    use dapple::engine::{Span, SpanKind, SpanLog};
 
     let _guard = measure();
-    let ring = Arc::new(SpanRing::new(64));
-    let writer = SpanWriter::new(Arc::clone(&ring), Instant::now());
+    let mut log = SpanLog::new(64, std::time::Instant::now());
     // 64 in-capacity records, then overflowing ones. Many short windows:
     // this test usually starts the instant the previous one releases the
     // measuring lock, while the harness is still reporting that one and
     // spawning the next — a burst that can outlast a few 10 µs windows.
     const REPS: usize = 50;
     let used = min_allocs(REPS, || {
-        for i in 0..200u32 {
-            let t0 = writer.now_ns();
-            writer.record(SpanKind::Fw, i, 0, t0, writer.now_ns());
+        for micro in 0..200u32 {
+            let (kind, bytes, start_ns) = (SpanKind::Fw, 0, log.now_ns());
+            let end_ns = log.now_ns();
+            log.record(Span {
+                kind,
+                micro,
+                bytes,
+                start_ns,
+                end_ns,
+            });
         }
     });
     assert_eq!(used, 0, "span recording must not allocate");
-    assert_eq!(ring.snapshot().len(), 64);
-    assert_eq!(ring.dropped(), REPS * 200 - 64);
+    let trace = log.into_trace(0, 0);
+    assert_eq!(trace.spans.len(), 64);
+    assert_eq!(trace.dropped, REPS * 200 - 64);
 }
 
 /// One pipelined step on a warmed trainer; returns its allocation count.
@@ -261,37 +266,19 @@ fn traced_step_allocs(micro_batches: usize, tracing: bool) -> usize {
     })
 }
 
-/// Steady-state run telemetry is allocation-free: registry updates are
-/// plain array writes and the JSONL line is rendered into one reused
-/// buffer. Registration and the first few records may grow buffers to
+/// Steady-state run telemetry is allocation-free: the totals are plain
+/// field writes and the JSONL line is rendered into one reused buffer.
+/// Construction and the first few records may grow buffers to
 /// working size; after that warmup, a thousand fully-populated records
 /// (scalars + recovery costs + trace-derived schedule metrics) must not
 /// touch the heap at all.
 #[test]
 fn metrics_recording_allocates_nothing_at_steady_state() {
-    use dapple::core::MetricsRegistry;
     use dapple::engine::{
         data, EngineConfig, FaultPlan, MlpModel, PipelineTrainer, RecoveryStepMetrics, RunRecorder,
     };
 
     let _guard = measure();
-
-    // The registry alone: inc/set/observe are index writes.
-    let mut reg = MetricsRegistry::new();
-    let steps = reg.counter("steps");
-    let bubble = reg.gauge("bubble_ratio");
-    let step_ns = reg.histogram("step_ns");
-    reg.inc(steps, 1);
-    reg.set(bubble, 0.25);
-    reg.observe(step_ns, 1_000_000);
-    let used = min_allocs(3, || {
-        for i in 0..1_000u64 {
-            reg.inc(steps, 1);
-            reg.set(bubble, i as f64 / 1000.0);
-            reg.observe(step_ns, 1_000 + i * 977_131);
-        }
-    });
-    assert_eq!(used, 0, "registry updates allocated {used} times");
 
     // The full recorder path, including the trace-derived fields. A real
     // traced step supplies the StepMetrics (its derivation allocates;

@@ -157,6 +157,33 @@ fn fault_matrix_is_structured_prompt_and_recoverable() {
     }
 }
 
+/// A duplicate of the last message a worker sends in a direction reaches
+/// its receiver after that worker's last receive. Nobody waits for it:
+/// at the *default* 5 s `recv_timeout` the coordinator finds it once the
+/// workers are joined and reports the receiving worker's coordinates.
+#[test]
+fn a_trailing_duplicate_is_found_at_the_join_without_a_wait() {
+    let config = EngineConfig::straight(vec![0..2, 2..4, 4..6], MICRO, 0.1);
+    assert_eq!(config.recv_timeout, Duration::from_secs(5));
+    let trainer = PipelineTrainer::new(model6(), config).unwrap();
+    let (x, t) = data::regression_batch(24, 5, 3, 9);
+    let schedule = Schedule::Dapple(KPolicy::PA);
+    for (stage, last_send) in [(0, Step::Fw(MICRO - 1)), (2, Step::Bw(MICRO - 1))] {
+        let idx = step_index_of(schedule, stage, STAGES, MICRO, usize::MAX, last_send).unwrap();
+        let plan = FaultPlan::new().with_fault(stage, 0, idx, FaultKind::DuplicateMessage);
+        let started = Instant::now();
+        let err = step(&trainer, &x, &t, &plan).unwrap_err();
+        let receiver = matches!(&err, DappleError::ChannelProtocol { stage: 1, replica: 0, detail }
+            if detail.contains("trailing message"));
+        assert!(receiver, "{last_send:?} from stage {stage}: got {err:?}");
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "took {:?}",
+            started.elapsed()
+        );
+    }
+}
+
 /// The same plan on the same trainer yields the same structured error —
 /// fault injection is deterministic, not merely "some error eventually".
 #[test]

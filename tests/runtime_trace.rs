@@ -9,9 +9,12 @@ mod common;
 use common::{field, items, num, parse_json, text};
 use dapple::core::DappleError;
 use dapple::engine::{
-    data, EngineConfig, FaultKind, FaultPlan, MlpModel, PipelineTrainer, SpanKind, StepTrace,
+    data, EngineConfig, FaultKind, FaultPlan, MlpModel, PipelineTrainer, Span, SpanKind, StepTrace,
     Tensor,
 };
+use dapple::sim::schedule::{indexed_stage_order, Step};
+use dapple::sim::{KPolicy, Schedule};
+use proptest::prelude::*;
 
 const DIMS: [usize; 7] = [5, 12, 10, 8, 8, 4, 3];
 const BATCH: usize = 24;
@@ -285,5 +288,74 @@ fn faulted_partial_trace_metrics_are_finite() {
             s.stage,
             s.bubble_ratio
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The simulator's script is the engine's oracle: on any pipeline shape
+    /// every worker's forward/backward spans are `indexed_stage_order` for
+    /// its stage, each re-computation directly precedes its backward,
+    /// nothing is dropped, and across every boundary, in both directions,
+    /// the bytes sent and the bytes assembled are the batch's rows times
+    /// the boundary's width — every row sent once and received once,
+    /// however unevenly the two stages split it.
+    #[test]
+    fn every_worker_runs_the_simulators_script(
+        s in 1usize..5,
+        m in 1usize..9,
+        replication in proptest::collection::vec(1usize..4, 4),
+        schedule in 0usize..3,
+        in_flight in 0usize..3,
+        recompute in 0usize..2,
+    ) {
+        let (rows_per_micro, layers) = (5, DIMS.len() - 1);
+        let bounds: Vec<_> = (0..s).map(|i| layers * i / s..layers * (i + 1) / s).collect();
+        let mut cfg = traced_cfg(bounds.clone(), m);
+        cfg.replication = replication[..s].to_vec();
+        cfg.schedule =
+            [Schedule::GPipe, Schedule::Dapple(KPolicy::PA), Schedule::Dapple(KPolicy::PB)][schedule];
+        cfg.max_in_flight = [1, 2, usize::MAX][in_flight];
+        cfg.recompute = recompute == 1;
+        let trainer = PipelineTrainer::new(MlpModel::new(&DIMS, 7), cfg.clone()).unwrap();
+        let (x, t) = data::regression_batch(rows_per_micro * m, DIMS[0], DIMS[layers], 9);
+        let trace = traced_step(&trainer, &x, &t);
+        prop_assert_eq!(trace.dropped_spans(), 0);
+        prop_assert_eq!(trace.workers.len(), cfg.replication.iter().sum::<usize>());
+
+        let is_step = |sp: &&Span| matches!(sp.kind, SpanKind::Fw | SpanKind::Bw);
+        // bytes[boundary][backward?][sent?]
+        let mut bytes = vec![[[0u64; 2]; 2]; s];
+        for w in &trace.workers {
+            let script: Vec<(usize, Step)> = w.spans.iter().filter(is_step).map(|sp| match sp.kind {
+                SpanKind::Fw => Step::Fw(sp.micro as usize),
+                _ => Step::Bw(sp.micro as usize),
+            }).enumerate().collect();
+            prop_assert_eq!(script, indexed_stage_order(cfg.schedule, w.stage, s, m, cfg.max_in_flight));
+            let compute: Vec<&Span> =
+                w.spans.iter().filter(|sp| is_step(sp) || sp.kind == SpanKind::Recompute).collect();
+            let recomputes = compute.iter().filter(|sp| sp.kind == SpanKind::Recompute).count();
+            prop_assert_eq!(recomputes, if cfg.recompute { m } else { 0 });
+            for (k, sp) in compute.iter().enumerate().filter(|(_, sp)| sp.kind == SpanKind::Recompute) {
+                let next = compute.get(k + 1).map(|bw| (bw.kind, bw.micro));
+                prop_assert_eq!(next, Some((SpanKind::Bw, sp.micro)));
+            }
+            // A send belongs to the step before it, a receive to the one after.
+            for (k, sp) in w.spans.iter().enumerate() {
+                let (sent, step) = match sp.kind {
+                    SpanKind::CommSend => (true, w.spans[..k].iter().rev().find(is_step)),
+                    SpanKind::CommRecvWait => (false, w.spans[k..].iter().find(is_step)),
+                    _ => continue,
+                };
+                let backward = step.expect("a comm span belongs to a step").kind == SpanKind::Bw;
+                let boundary = if sent != backward { w.stage } else { w.stage - 1 };
+                bytes[boundary][usize::from(backward)][usize::from(sent)] += sp.bytes;
+            }
+        }
+        for (b, crossed) in bytes[..s - 1].iter().enumerate() {
+            let want = (rows_per_micro * m * DIMS[bounds[b].end] * 4) as u64;
+            prop_assert_eq!(crossed, &[[want; 2]; 2], "boundary {}", b);
+        }
     }
 }
