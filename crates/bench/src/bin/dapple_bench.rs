@@ -2,7 +2,8 @@
 //! paths below the step: the engine's in-place replica reduce beside the
 //! ring AllReduce it is pinned against, the matmul variants used by
 //! `Dense` backward, and what a matmul pays around its kernel inside the
-//! pipeline (worker-pool dispatch, the weight packs). What a whole step
+//! pipeline (worker-pool dispatch, the weight packs, the activation
+//! epilogue, the data generator). What a whole step
 //! costs, supervised or not, is `benchmark/`'s to measure.
 //!
 //! ```text
@@ -34,9 +35,10 @@ use dapple_bench::validate::{
 };
 use dapple_core::{DeviceId, Plan, StagePlan};
 use dapple_engine::checkpoint::{checksum, from_bytes, to_bytes};
+use dapple_engine::data::regression_batch;
 use dapple_engine::{
-    DataStream, EngineConfig, FaultKind, FaultPlan, MlpModel, Optimizer, PackedRhs, Partition,
-    RetryPolicy, Rhs, Supervisor, Tensor, TrainLoop, TrainState,
+    tanh, Activation, DataStream, Dense, EngineConfig, FaultKind, FaultPlan, MlpModel, Optimizer,
+    PackedRhs, Partition, RetryPolicy, Rhs, Supervisor, Tensor, TrainLoop, TrainState,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -226,7 +228,12 @@ fn matmul_shape_benches(smoke: bool, out: &mut Vec<Record>) {
 /// `dz W^T` packing per call; `nn_packed` and `nt_packed` are the two
 /// `nn` products against a [`PackedRhs`] filled beforehand and `tn_add`
 /// is `x^T dz` added into an accumulator with the finiteness check — what
-/// the pipeline runs. `matmul_nn_packed_16x768x768` is the forward
+/// the pipeline runs. Around the products at the same shape: `tanh_64x512`
+/// is the activation alone over a 64 x 512 slice (`ns_per_elem`),
+/// `dense_forward_packed_64x512x512` the whole forward the pipeline runs
+/// (packed product, then bias and `tanh` as its epilogue), and
+/// `regression_batch_512x64x32` one `compute_wide` batch from the data
+/// generator. `matmul_nn_packed_16x768x768` is the forward
 /// product at `sync_hybrid`/`recovery_adam`'s shape. The `pack_panels_*`
 /// and `pack_transpose_*` records are the two packs alone, in GB/s of
 /// matrix packed. Minimum over iterations (a helper thread is involved,
@@ -301,6 +308,32 @@ fn dispatch_benches(smoke: bool, out: &mut Vec<Record>) {
         &format!("matmul_nt_packed_{shape}"),
         &mut || dz.matmul_with_into(Rhs::Packed(&packed_t), black_box(&mut y), |_| {}),
         &gflops,
+    );
+    let z = filled(rows, width, 9);
+    push(
+        &format!("tanh_{rows}x{width}"),
+        &mut || {
+            for (y, z) in black_box(&mut y.data).iter_mut().zip(&z.data) {
+                *y = tanh(*z);
+            }
+        },
+        &|ns| ("ns_per_elem", (ns / (rows * width) as f64).into()),
+    );
+    let layer = Dense {
+        w: w.clone(),
+        b: filled(1, width, 10).data,
+        act: Activation::Tanh,
+    };
+    push(
+        &format!("dense_forward_packed_{shape}"),
+        &mut || layer.forward_packed_into(&packed, &x, black_box(&mut y)),
+        &gflops,
+    );
+    let (samples, inputs, outputs) = (512, 64, 32);
+    push(
+        &format!("regression_batch_{samples}x{inputs}x{outputs}"),
+        &mut || drop(black_box(regression_batch(samples, inputs, outputs, 11))),
+        &|ns| ("ns_per_sample", (ns / samples as f64).into()),
     );
     let (x, w) = (filled(16, 768, 5), filled(768, 768, 7));
     packed.pack(&w);

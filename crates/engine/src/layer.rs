@@ -1,8 +1,93 @@
-//! Dense layers with exact backward passes.
+//! Dense layers with exact backward passes, and the activations they
+//! apply.
+//!
+//! A layer's forward is its product followed by bias and activation as
+//! the product's per-band epilogue; its backward scales `dy` by the
+//! activation's derivative and runs the two gradient products. Each
+//! element pass matches on the activation once, outside the loop, so
+//! every arm is a plain slice map the compiler vectorizes.
+//!
+//! The hyperbolic tangent is [`tanh`], defined here as a fixed sequence
+//! of IEEE-754 operations rather than taken from the host's libm: its
+//! bits are part of the determinism contract (`tensor` module docs) and
+//! are the same on every host, build and vector width.
 
 use crate::tensor::{PackedRhs, Rhs, Tensor};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+
+/// Below this `|x|`, [`tanh`] returns `x` itself (`tanh x = x − x³/3 + …`
+/// is within 0.74 ulp of `x` here).
+const TANH_TINY: f32 = 4e-4;
+
+/// From this `|x|` on, [`tanh`] returns `±1.0` exactly: the smallest
+/// `|x|` (`0x40fff644`) at which its rational reaches `1.0`.
+const TANH_KNEE: f32 = 7.998_811_7;
+
+/// Numerator coefficients of [`tanh`]'s rational, highest power first:
+/// `α13, α11, …, α1` (odd powers of `x`).
+const TANH_P: [f32; 7] = [
+    -2.760_768_4e-16,
+    2.000_188e-13,
+    -8.604_672e-11,
+    5.122_297_3e-8,
+    1.485_722_35e-5,
+    6.372_619_5e-4,
+    4.893_524_6e-3,
+];
+
+/// Denominator coefficients, highest power first: `β6, β4, β2, β0` (even
+/// powers of `x`).
+const TANH_Q: [f32; 4] = [1.198_258_4e-6, 1.185_347_1e-4, 2.268_434_7e-3, 4.893_525e-3];
+
+/// `c[0]·tⁿ + c[1]·tⁿ⁻¹ + … + c[n]` by Horner's rule: one fused step per
+/// coefficient after the first.
+#[inline(always)]
+fn horner(t: f32, c: &[f32]) -> f32 {
+    c[1..].iter().fold(c[0], |acc, &c| t.mul_add(acc, c))
+}
+
+/// The hyperbolic tangent of [`Activation::Tanh`] and of the synthetic
+/// targets ([`crate::data::regression_batch`]), as a fixed sequence of
+/// IEEE-754 basic operations. With `t = x·x` (rounded):
+///
+/// 1. `p = fma(t, … fma(t, fma(t, α13, α11), α9) …, α1)` — six
+///    [`f32::mul_add`] Horner steps — then `p = x·p` (rounded);
+/// 2. `q = fma(t, fma(t, fma(t, β6, β4), β2), β0)` — three steps;
+/// 3. `r = p / q`, correctly rounded;
+/// 4. compare and select: `|x| < 4e-4` gives `x` (so `±0` and
+///    subnormals come back unchanged), `|x| ≥ 7.998 811 7` gives `±1.0`
+///    exactly (`1.0` with the sign of `x`), anything else `r`. A NaN
+///    fails both tests and stays NaN through the arithmetic; there is no
+///    `min`/`max`/`clamp`, which would drop it.
+///
+/// The rational is the odd 13 / even 6 form of Eigen's `ptanh_float`,
+/// its coefficients rounded to `f32`. Every step rounds once, per lane,
+/// as IEEE-754 defines it — `mul_add` is fusedMultiplyAdd whether the
+/// target has FMA hardware or falls back to a software `fmaf` — so this
+/// scalar function, the loops that call it once the compiler has
+/// vectorized them at any width, and a build without FMA give the same
+/// bits (`tests/kernel_reference.rs` pins a golden table and the slice
+/// path).
+///
+/// Accuracy, over every finite `f32` against `tanh` evaluated in `f64`:
+/// within 5 ulp of the exact value (largest 4.90 ulp, at `x ≈ 5.126`;
+/// an ulp being the spacing of `f32`s in the exact value's binade) and
+/// within 2.92e-7 absolute. The result is odd bit for bit
+/// (`tanh(-x) == -tanh(x)`) and never exceeds 1 in magnitude.
+#[inline]
+pub fn tanh(x: f32) -> f32 {
+    let t = x * x;
+    let r = x * horner(t, &TANH_P) / horner(t, &TANH_Q);
+    let a = x.abs();
+    if a < TANH_TINY {
+        x
+    } else if a >= TANH_KNEE {
+        1.0f32.copysign(x)
+    } else {
+        r
+    }
+}
 
 /// Element-wise activation following the affine transform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -11,34 +96,25 @@ pub enum Activation {
     Identity,
     /// Rectified linear unit.
     Relu,
-    /// Hyperbolic tangent.
+    /// Hyperbolic tangent, [`tanh`].
     Tanh,
 }
 
-impl Activation {
-    #[inline]
-    fn apply(self, z: f32) -> f32 {
-        match self {
-            Activation::Identity => z,
-            Activation::Relu => z.max(0.0),
-            Activation::Tanh => z.tanh(),
+/// `v = f(v + b)` along every row of `rows` (`b.len()` wide).
+#[inline(always)]
+fn map_rows(rows: &mut [f32], b: &[f32], f: impl Fn(f32) -> f32) {
+    for row in rows.chunks_exact_mut(b.len()) {
+        for (v, b) in row.iter_mut().zip(b) {
+            *v = f(*v + *b);
         }
     }
+}
 
-    /// Derivative expressed through the activation *output* `y`.
-    #[inline]
-    fn grad_from_output(self, y: f32) -> f32 {
-        match self {
-            Activation::Identity => 1.0,
-            Activation::Relu => {
-                if y > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Activation::Tanh => 1.0 - y * y,
-        }
+/// `d *= f(y)` element by element.
+#[inline(always)]
+fn scale(dy: &mut [f32], y: &[f32], f: impl Fn(f32) -> f32) {
+    for (d, y) in dy.iter_mut().zip(y) {
+        *d *= f(*y);
     }
 }
 
@@ -160,12 +236,11 @@ impl Dense {
     /// it — `v + b` rounded, then the activation, as two passes would.
     fn forward_rhs(&self, w: Rhs<'_>, x: &Tensor, y: &mut Tensor) {
         assert_eq!(self.b.len(), self.w.cols, "bias length");
-        x.matmul_with_into(w, y, |rows| {
-            for row in rows.chunks_mut(self.b.len()) {
-                for (v, b) in row.iter_mut().zip(&self.b) {
-                    *v = self.act.apply(*v + *b);
-                }
-            }
+        let b = &self.b[..];
+        x.matmul_with_into(w, y, |rows| match self.act {
+            Activation::Identity => map_rows(rows, b, |z| z),
+            Activation::Relu => map_rows(rows, b, |z| z.max(0.0)),
+            Activation::Tanh => map_rows(rows, b, tanh),
         });
     }
 
@@ -202,32 +277,37 @@ impl Dense {
         dy.matmul_nt_into(&self.w, dx);
     }
 
-    /// The pipeline's backward: the input gradient lands in `dx`, computed
-    /// against `wt` — `W^T` packed by `wt.pack_transposed(&self.w)` since
-    /// the weights last changed, the pack `matmul_nt` would redo on every
-    /// call — and this call's `dW`/`db` are *added* into `acc` by the
-    /// kernels' epilogues ([`Tensor::matmul_tn_add_into`]), bit for bit
-    /// what [`Dense::backward_grads_into`] followed by
-    /// [`DenseGrads::accumulate`] leaves there. Every gradient value is
-    /// tested on the way: a non-finite one is added as `+0.0`, and the
-    /// number of those is returned.
+    /// The pipeline's backward: this call's `dW`/`db` are *added* into
+    /// `acc` by the kernels' epilogues ([`Tensor::matmul_tn_add_into`]),
+    /// bit for bit what [`Dense::backward_grads_into`] followed by
+    /// [`DenseGrads::accumulate`] leaves there, and with `dx = Some((wt,
+    /// dx))` the input gradient lands in `dx`, computed against `wt` —
+    /// `W^T` packed by `wt.pack_transposed(&self.w)` since the weights
+    /// last changed, the pack `matmul_nt` would redo on every call. A
+    /// caller with no use for the input gradient (the first layer of a
+    /// pipeline) passes `None` and skips that product. Every gradient
+    /// value is tested on the way: a non-finite one is added as `+0.0`,
+    /// and the number of those is returned.
     pub fn backward_packed_into(
         &self,
-        wt: &PackedRhs,
         x: &Tensor,
         y: &Tensor,
         dy: &mut Tensor,
-        dx: &mut Tensor,
         acc: &mut DenseGrads,
+        dx: Option<(&PackedRhs, &mut Tensor)>,
     ) -> usize {
-        assert_eq!(
-            wt.dims(),
-            (self.w.cols, self.w.rows),
-            "packed weights shape"
-        );
+        if let Some((wt, _)) = &dx {
+            assert_eq!(
+                wt.dims(),
+                (self.w.cols, self.w.rows),
+                "packed weights shape"
+            );
+        }
         self.scale_by_act_grad(y, dy);
         let zeroed = x.matmul_tn_add_into(dy, &mut acc.dw) + dy.col_sums_add_into(&mut acc.db);
-        dy.matmul_with_into(Rhs::Packed(wt), dx, |_| {});
+        if let Some((wt, dx)) = dx {
+            dy.matmul_with_into(Rhs::Packed(wt), dx, |_| {});
+        }
         zeroed
     }
 
@@ -247,12 +327,17 @@ impl Dense {
         dy.col_sums_into(&mut g.db);
     }
 
-    /// `dz = dy * act'(y)`, in place.
+    /// `dz = dy * act'(y)`, in place, the derivative expressed through the
+    /// activation *output* `y`.
     fn scale_by_act_grad(&self, y: &Tensor, dy: &mut Tensor) {
         assert_eq!(dy.rows, y.rows, "grad batch mismatch");
         assert_eq!(dy.cols, y.cols, "grad width mismatch");
-        for (d, yv) in dy.data.iter_mut().zip(&y.data) {
-            *d *= self.act.grad_from_output(*yv);
+        let (dy, y) = (&mut dy.data[..], &y.data[..]);
+        match self.act {
+            // `dy · 1` is `dy`.
+            Activation::Identity => {}
+            Activation::Relu => scale(dy, y, |y| if y > 0.0 { 1.0 } else { 0.0 }),
+            Activation::Tanh => scale(dy, y, |y| 1.0 - y * y),
         }
     }
 

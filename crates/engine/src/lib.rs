@@ -41,7 +41,7 @@ pub mod trace;
 
 pub use checkpoint::{Partition, StateView, TrainState};
 pub use fault::{FaultKind, FaultPlan, NanPolicy};
-pub use layer::{Activation, Dense};
+pub use layer::{tanh, Activation, Dense};
 pub use loss::LossKind;
 pub use model::{MlpModel, StepStats};
 pub use optim::Optimizer;

@@ -830,7 +830,8 @@ struct TensorPool {
 }
 
 /// What one worker keeps from step to step: its buffer pool and, beside
-/// it, both packs of every layer of its stage.
+/// it, both packs of every layer of its stage (the first stage's first
+/// layer has no `W^T`: nothing reads its input gradient).
 ///
 /// Every micro-batch's forward multiplies by the same `W` and its
 /// backward by the same `W^T`, and a step cannot change a weight
@@ -1129,12 +1130,16 @@ impl Worker<'_> {
                         dy.data.fill(f32::NAN);
                     }
                     if std::mem::take(&mut pack_wt) {
-                        for (layer, packs) in self.layers.iter().zip(&mut scratch.packed) {
+                        // The first stage computes no input gradient, so
+                        // its first layer needs no `W^T`.
+                        let skip = usize::from(self.is_first);
+                        let layers = self.layers.iter().zip(&mut scratch.packed).skip(skip);
+                        for (layer, packs) in layers {
                             packs.wt.pack_transposed(&layer.w);
                         }
                         #[cfg(test)]
                         {
-                            scratch.packs += self.layers.len();
+                            scratch.packs += self.layers.len() - skip;
                         }
                     }
                     // The kernels add this micro-batch's `dW`/`db` into the
@@ -1144,8 +1149,16 @@ impl Worker<'_> {
                         isolated.iter_mut().for_each(DenseGrads::zero);
                     }
                     let into = if isolate { &mut *isolated } else { &mut *grads };
-                    let (dx, spent_gy, non_finite) =
-                        backward_stage(self.layers, &scratch.packed, &input, &ys, dy, into, pool);
+                    let (dx, non_finite) = backward_stage(
+                        self.layers,
+                        &scratch.packed,
+                        &input,
+                        &ys,
+                        dy,
+                        into,
+                        pool,
+                        !self.is_first,
+                    );
                     // The last stage folds its loss computation into the
                     // backward span; upstream stages start at receipt.
                     rec(
@@ -1156,12 +1169,11 @@ impl Worker<'_> {
                         if self.is_last { ta } else { tb },
                         now_ns(log),
                     );
-                    // The boundary buffers this micro-batch arrived in are
-                    // spent now, as is the whole forward chain; recycling
-                    // them is what stocks the pool for the sends and
-                    // forwards of later micro-batches (misses happen only
-                    // during warmup).
-                    pool.put(spent_gy);
+                    // This micro-batch's input is spent now, as is its
+                    // whole forward chain (its gradient buffers went back
+                    // inside `backward_stage`); recycling them is what
+                    // stocks the pool for the sends and forwards of later
+                    // micro-batches (misses happen only during warmup).
                     pool.put(input);
                     for y in ys.drain(..) {
                         pool.put(y);
@@ -1201,15 +1213,11 @@ impl Worker<'_> {
                     // The upstream stage still needs dx to make progress;
                     // under a lenient policy it will detect and handle
                     // the poison in its own contribution.
-                    if !self.is_first {
+                    if let Some(dx) = dx {
                         let dx_bytes = tensor_bytes(&dx);
                         let ts = now_ns(log);
                         self.send(fault, &self.to_prev, u, Cow::Owned(dx), idx, pool)?;
                         rec(log, SpanKind::CommSend, u, dx_bytes, ts, now_ns(log));
-                    } else {
-                        // First stage: dx is unused, but its shape equals
-                        // the first stage's input slices — recycle it.
-                        pool.put(dx);
                     }
                 }
             }
@@ -1470,10 +1478,14 @@ fn forward_stage(
 ///
 /// Per-layer parameter gradients are added into `acc` by the kernels
 /// (`dW`/`db` allocate nothing and pass through no scratch). Returns
-/// `(dx, spent_gy, non_finite)`: `spent_gy` is the (destroyed) buffer
-/// `gy` arrived in, handed back so the caller can recycle it — it has
-/// exactly the shape of this worker's outgoing boundary messages — and
-/// `non_finite` counts the gradient values that went in as zeros.
+/// `(dx, non_finite)`: the stage's input gradient — `None` without
+/// `input_grad`, in which case the first layer stops after its `dW`/`db`
+/// and runs no product, takes no buffer and reads no `W^T` for it — and
+/// the count of gradient values that went in as zeros. Every gradient
+/// buffer passed through, `gy` included, is spent and goes back to the
+/// pool (`gy`'s has exactly the shape of this worker's outgoing boundary
+/// messages).
+#[allow(clippy::too_many_arguments)]
 fn backward_stage(
     layers: &[Dense],
     packed: &[LayerPacks],
@@ -1482,35 +1494,27 @@ fn backward_stage(
     gy: Tensor,
     acc: &mut [DenseGrads],
     pool: &mut TensorPool,
-) -> (Tensor, Tensor, usize) {
+    input_grad: bool,
+) -> (Option<Tensor>, usize) {
     assert_eq!(ys.len(), layers.len(), "output chain length");
     assert_eq!(acc.len(), layers.len(), "accumulator length");
-    let mut spent: Option<Tensor> = None;
     let mut non_finite = 0;
     let mut cur = gy;
     for i in (0..layers.len()).rev() {
         let x = if i == 0 { input } else { &ys[i - 1] };
         // Not zeroed: the kernel overwrites every element.
-        let mut dx = pool.take(cur.rows, layers[i].in_dim());
-        non_finite += layers[i].backward_packed_into(
-            &packed[i].wt,
-            x,
-            &ys[i],
-            &mut cur,
-            &mut dx,
-            &mut acc[i],
-        );
-        let used = std::mem::replace(&mut cur, dx);
-        if spent.is_none() {
-            // The buffer `gy` arrived in: handed back to the caller, whose
-            // boundary sends have exactly this shape.
-            spent = Some(used);
-        } else {
-            // Intermediate upstream gradients are spent scratch.
-            pool.put(used);
+        let mut dx = (i > 0 || input_grad).then(|| pool.take(cur.rows, layers[i].in_dim()));
+        let into = dx.as_mut().map(|dx| (&packed[i].wt, dx));
+        non_finite += layers[i].backward_packed_into(x, &ys[i], &mut cur, &mut acc[i], into);
+        match dx {
+            Some(dx) => pool.put(std::mem::replace(&mut cur, dx)),
+            None => {
+                pool.put(cur);
+                return (None, non_finite);
+            }
         }
     }
-    (cur, spent.expect("non-empty stage"), non_finite)
+    (Some(cur), non_finite)
 }
 
 #[cfg(test)]
@@ -1732,8 +1736,10 @@ mod tests {
 
     /// `W` and `W^T` are each packed once per layer per worker per step:
     /// the count is twice the workers' layers — every replica packs its
-    /// stage's layers — whatever the micro-batch count, with and without
-    /// re-computation (whose extra forwards reuse the step's `W` packs).
+    /// stage's layers — less one per first-stage replica, whose first
+    /// layer computes no input gradient and so needs no `W^T`; whatever
+    /// the micro-batch count, with and without re-computation (whose
+    /// extra forwards reuse the step's `W` packs).
     #[test]
     fn weights_are_packed_once_per_layer_per_worker_per_step() {
         let (x, t) = data::regression_batch(48, 5, 3, 9);
@@ -1745,7 +1751,7 @@ mod tests {
             let per_step: usize = stage_bounds
                 .iter()
                 .zip(&replication)
-                .map(|(layers, r)| 2 * layers.len() * r)
+                .map(|(layers, r)| (2 * layers.len() - usize::from(layers.start == 0)) * r)
                 .sum();
             for micro_batches in [2, 8] {
                 for recompute in [false, true] {

@@ -56,6 +56,21 @@
 //! thus `RAYON_NUM_THREADS`) cannot change results. Tile and panel
 //! grouping inside a band are equally irrelevant to bits: every
 //! element's chain is independent.
+//!
+//! # The activation is part of the contract
+//!
+//! A `Dense` layer's epilogue applies its activation to each rounded
+//! `v + b`, and [`Activation::Tanh`](crate::Activation::Tanh) is
+//! [`crate::tanh`]: a documented sequence of `mul_add` Horner steps, one
+//! multiply, one division and compare/selects, each rounded once per lane
+//! — no libm. So a layer's output, like a chain, has the same bits on
+//! every host, at every vector width and with or without FMA hardware
+//! (`tests/kernel_reference.rs` pins a golden table, and CI runs it on
+//! three builds). The data generator uses the same product and `tanh`.
+//! One libm dependency remains in the engine's arithmetic:
+//! `LossKind::SoftmaxXent` takes `exp` and `ln` from the host's C
+//! library, whose bits it does not promise across versions; no benchmark
+//! workload uses that loss.
 
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};

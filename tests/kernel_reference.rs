@@ -20,8 +20,17 @@
 //! more helpers than the host has cores or a matmul has bands. Since
 //! every result must equal the same scalar reference at any pool size,
 //! runs at different sizes are transitively bit-identical.
+//!
+//! The activation is part of the contract too: `tanh` is a documented
+//! sequence of IEEE-754 operations (`crates/engine/src/layer.rs`), pinned
+//! here by a golden table, an accuracy sweep against `f64`, and the
+//! vectorized epilogue against the scalar function — and CI runs this
+//! suite on three builds (x86-64-v4, x86-64-v3, and x86-64 without FMA
+//! hardware), so the same table holds on each. The data generator, which
+//! uses both the product and `tanh`, is pinned against a scalar model of
+//! its documented order.
 
-use dapple::engine::{PackedRhs, Rhs, Tensor};
+use dapple::engine::{data, tanh, Activation, Dense, PackedRhs, Rhs, Tensor};
 use proptest::prelude::*;
 
 /// Independent scalar model of the canonical order. Deliberately naive:
@@ -260,7 +269,6 @@ fn band_epilogue_touches_every_element_once() {
 /// against its pack, serial and banded.
 #[test]
 fn dense_forward_is_product_then_bias_then_activation() {
-    use dapple::engine::{Activation, Dense};
     for (n, k, m) in [(5, 9, 33), (70, 64, 480)] {
         for act in [Activation::Identity, Activation::Relu, Activation::Tanh] {
             let layer = Dense {
@@ -277,7 +285,7 @@ fn dense_forward_is_product_then_bias_then_activation() {
                 *v = match act {
                     Activation::Identity => *v,
                     Activation::Relu => v.max(0.0),
-                    Activation::Tanh => v.tanh(),
+                    Activation::Tanh => tanh(*v),
                 };
             }
             assert_bits_eq(&layer.forward(&x), &want, "forward");
@@ -287,6 +295,196 @@ fn dense_forward_is_product_then_bias_then_activation() {
             layer.forward_packed_into(&packed, &x, &mut y);
             assert_bits_eq(&y, &want, "forward_packed_into");
         }
+    }
+}
+
+/// `(input bits, output bits)` of `tanh`, generated once from its
+/// documented operation sequence: ±0, the smallest and largest subnormals
+/// and the smallest normal, the `4e-4` threshold and the `7.998 811 7`
+/// knee with their neighbours, ±`f32::MAX`, ±∞, NaN, and values in
+/// between (`0x40a40883`, `x ≈ 5.126`, is where the error peaks).
+const TANH_GOLDEN: [(u32, u32); 32] = [
+    (0x0000_0000, 0x0000_0000),
+    (0x8000_0000, 0x8000_0000),
+    (0x0000_0001, 0x0000_0001),
+    (0x8000_0001, 0x8000_0001),
+    (0x007f_ffff, 0x007f_ffff),
+    (0x0080_0000, 0x0080_0000),
+    (0x39d1_b716, 0x39d1_b716), // just below the threshold: x itself
+    (0x39d1_b717, 0x39d1_b714), // 4e-4: the rational
+    (0x39d1_b718, 0x39d1_b716),
+    (0xb9d1_b717, 0xb9d1_b714),
+    (0x3a83_126f, 0x3a83_126b), // 1e-3
+    (0x3dcc_cccd, 0x3dcc_1ebb), // 0.1
+    (0x3e80_0000, 0x3e7a_cbf5), // 0.25
+    (0x3f00_0000, 0x3eec_9a9f), // 0.5
+    (0xbf00_0000, 0xbeec_9a9f),
+    (0x3f80_0000, 0x3f42_f7d6), // 1
+    (0xbf80_0000, 0xbf42_f7d6),
+    (0x4000_0000, 0x3f76_ca83), // 2
+    (0x4040_0000, 0x3f7e_bbe8), // 3
+    (0x40a4_0883, 0x3f7f_fb65), // 5.126
+    (0x40ff_f643, 0x3f7f_fffc), // just below the knee: the rational
+    (0x40ff_f644, 0x3f80_0000), // the knee: exactly 1
+    (0x40ff_f645, 0x3f80_0000),
+    (0xc0ff_f643, 0xbf7f_fffc),
+    (0xc0ff_f644, 0xbf80_0000),
+    (0x4100_0000, 0x3f80_0000), // 8
+    (0x42c8_0000, 0x3f80_0000), // 100
+    (0x7f7f_ffff, 0x3f80_0000),
+    (0xff7f_ffff, 0xbf80_0000),
+    (0x7f80_0000, 0x3f80_0000), // +∞
+    (0xff80_0000, 0xbf80_0000), // -∞
+    (0x7fc0_0000, 0x7fc0_0000), // NaN: any NaN out
+];
+
+#[test]
+fn tanh_matches_its_golden_table() {
+    for (x, want) in TANH_GOLDEN {
+        let got = tanh(f32::from_bits(x));
+        if f32::from_bits(want).is_nan() {
+            assert!(got.is_nan(), "tanh({x:#010x}) = {got}, want NaN");
+        } else {
+            assert_eq!(got.to_bits(), want, "tanh({x:#010x}) = {got}");
+        }
+    }
+}
+
+/// Every 4099th finite non-negative `f32` — every binade, about half a
+/// million values: within the documented 5 ulp of `tanh` evaluated in
+/// `f64` (an ulp being the `f32` spacing in the exact value's binade),
+/// never above 1 in magnitude, and odd bit for bit.
+#[test]
+fn tanh_is_within_five_ulp_bounded_and_odd() {
+    let ulp = |exact: f64| {
+        let binade = ((exact.abs().to_bits() >> 52) as i32 - 1023).max(-126);
+        2f64.powi(binade - 23)
+    };
+    for bits in (0..f32::INFINITY.to_bits()).step_by(4099) {
+        let x = f32::from_bits(bits);
+        let y = tanh(x);
+        let exact = f64::from(x).tanh();
+        let err = (f64::from(y) - exact).abs() / ulp(exact);
+        assert!(
+            err <= 5.0,
+            "tanh({x:e}) = {y:e}: {err:.2} ulp from {exact:e}"
+        );
+        assert!(y.abs() <= 1.0, "tanh({x:e}) = {y:e}");
+        assert_eq!(tanh(-x).to_bits(), (-y).to_bits(), "tanh(-{x:e})");
+    }
+}
+
+/// The forward epilogue's `tanh` — a slice map the compiler vectorizes —
+/// equals the scalar function called one element at a time, bitwise, on
+/// rows of every length from 0 to 67 (whole 16-lane bodies plus every
+/// ragged tail), over values that include zero, subnormals, the
+/// threshold, the knee, `f32::MAX`, ±∞ and NaN.
+#[test]
+fn vectorized_tanh_equals_the_scalar_function() {
+    const SPECIAL: [f32; 14] = [
+        0.0,
+        -0.0,
+        1e-45,
+        -1e-40,
+        4e-4,
+        -4e-4,
+        0.1,
+        f32::from_bits(0x40ff_f643),
+        -f32::from_bits(0x40ff_f644),
+        9.0,
+        f32::MAX,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+    ];
+    // Through a fn pointer the optimizer cannot see through: a call per
+    // element, never a vector loop.
+    let scalar: fn(f32) -> f32 = std::hint::black_box(tanh);
+    let value = |c: usize| match c % 2 {
+        0 => SPECIAL[c / 2 % SPECIAL.len()],
+        _ => ((c * 7919) % 201) as f32 * 0.05 - 5.0,
+    };
+    for m in 0..=67 {
+        // Three rows, the values scaled by 1, -1 and 0.5 in the product
+        // (k = 1); a `-0.0` bias keeps every sum the product's value.
+        let x = Tensor::from_vec(3, 1, vec![1.0, -1.0, 0.5]);
+        let layer = Dense {
+            w: Tensor::from_vec(1, m, (0..m).map(value).collect()),
+            b: vec![-0.0; m],
+            act: Activation::Tanh,
+        };
+        let mut want = ref_matmul(&x, &layer.w);
+        for row in want.data.chunks_mut(m.max(1)) {
+            for (v, b) in row.iter_mut().zip(&layer.b) {
+                *v = scalar(*v + *b);
+            }
+        }
+        let got = layer.forward(&x);
+        for (i, (g, w)) in got.data.iter().zip(&want.data).enumerate() {
+            let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+            assert!(same, "m = {m}, element {i}: {g:e} vs {w:e}");
+        }
+    }
+}
+
+/// `regression_batch` is its documented draw order and arithmetic: `W`
+/// drawn first, then each sample's inputs and its noise; `x` is exactly
+/// those inputs, and `t` is `tanh` of the ascending fused chain
+/// `x·W`, plus the noise — modelled here one scalar at a time.
+#[test]
+fn regression_batch_is_the_documented_draw_and_product() {
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    for (samples, in_dim, out_dim, seed) in [(7, 5, 3, 1), (33, 64, 32, 11), (2, 1, 9, 4)] {
+        let (x, t) = data::regression_batch(samples, in_dim, out_dim, seed);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let w: Vec<f32> = (0..in_dim * out_dim)
+            .map(|_| rng.random::<f32>() * 2.0 - 1.0)
+            .collect();
+        let draws: Vec<(Vec<f32>, Vec<f32>)> = (0..samples)
+            .map(|_| {
+                let inputs = (0..in_dim)
+                    .map(|_| rng.random::<f32>() * 2.0 - 1.0)
+                    .collect();
+                let noise = (0..out_dim)
+                    .map(|_| (rng.random::<f32>() - 0.5) * 0.02)
+                    .collect();
+                (inputs, noise)
+            })
+            .collect();
+        for (r, (inputs, noise)) in draws.iter().enumerate() {
+            for (c, v) in inputs.iter().enumerate() {
+                assert_eq!(x.at(r, c).to_bits(), v.to_bits(), "x[{r}][{c}]");
+            }
+            for (o, noise) in noise.iter().enumerate() {
+                let chain =
+                    (0..in_dim).fold(0.0f32, |acc, c| inputs[c].mul_add(w[c * out_dim + o], acc));
+                let want = tanh(chain) + noise;
+                assert_eq!(t.at(r, o).to_bits(), want.to_bits(), "t[{r}][{o}]");
+            }
+        }
+    }
+}
+
+/// A NaN input row still ends a pipeline step in `NonFinite` under
+/// `AbortStep`, at the micro-batch that carries it: the row poisons the
+/// first layer's `dW` directly and every later layer through `tanh`, and
+/// skipping the first stage's input gradient hides nothing, since that
+/// gradient was never checked.
+#[test]
+fn a_nan_input_row_ends_the_step_non_finite() {
+    use dapple::engine::{EngineConfig, MlpModel, NanPolicy, PipelineTrainer};
+    use dapple_core::DappleError;
+    let (mut x, t) = data::regression_batch(24, 5, 3, 9);
+    // Row 7: the second of four 6-row micro-batches.
+    x.data[7 * 5..8 * 5].fill(f32::NAN);
+    let mut cfg = EngineConfig::straight(vec![0..2, 2..4, 4..6], 4, 0.1);
+    cfg.nan_policy = NanPolicy::AbortStep;
+    let model = MlpModel::new(&[5, 12, 10, 8, 8, 4, 3], 77);
+    let trainer = PipelineTrainer::new(model, cfg).expect("valid config");
+    match trainer.step_grads(&x, &t) {
+        Err(DappleError::NonFinite { micro, .. }) => assert_eq!(micro, 1),
+        other => panic!("a NaN input row must end the step NonFinite, got {other:?}"),
     }
 }
 
