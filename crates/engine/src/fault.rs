@@ -24,9 +24,12 @@ use std::time::Duration;
 /// What to inject at a pipeline step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Sleep this long before executing the step. Downstream waiters
-    /// observe [`DappleError::Stalled`] once the delay exceeds the
-    /// configured receive timeout.
+    /// Sleep this long before executing the step. The sleep holds the
+    /// worker's thread, so every worker placed on that thread
+    /// ([`crate::PipelineTrainer::threads`]) waits with it. A waiter on
+    /// another thread observes [`DappleError::Stalled`] once the delay
+    /// exceeds the configured receive timeout; when every worker shares
+    /// one thread, nobody is left to wait and the stall is a slow step.
     Stall(Duration),
     /// Swallow every boundary message this step would send. The peers
     /// expecting those rows observe [`DappleError::Stalled`].

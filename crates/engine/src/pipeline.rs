@@ -1,15 +1,39 @@
 //! The multi-threaded pipeline trainer.
 //!
-//! One OS thread per stage replica, connected by `std::sync::mpsc` channels.
-//! Each worker executes exactly the deterministic step order that the
-//! simulator models ([`dapple_sim::schedule::stage_order`]): warmup
-//! forwards, strict 1F1B interleaving (or GPipe's all-forwards-first),
-//! then the backward drain. Activations and activation-gradients flow as
-//! real tensors; replicated stages split/concat micro-batches by rows
-//! (Fig. 8a / Fig. 9); per-stage gradients accumulate across micro-batches
-//! and are synchronized before a single optimizer apply (Fig. 10) —
-//! synchronous semantics, bit-compatible with full-batch training up to
-//! float reassociation.
+//! Each stage replica is a *worker*, and the workers run on the host's
+//! cores: `min(workers, cores)` OS threads per step, connected by
+//! `std::sync::mpsc` channels. Each worker executes exactly the
+//! deterministic step order that the simulator models
+//! ([`dapple_sim::schedule::stage_order`]): warmup forwards, strict 1F1B
+//! interleaving (or GPipe's all-forwards-first), then the backward drain.
+//! Activations and activation-gradients flow as real tensors; replicated
+//! stages split/concat micro-batches by rows (Fig. 8a / Fig. 9); per-stage
+//! gradients accumulate across micro-batches and are synchronized before a
+//! single optimizer apply (Fig. 10) — synchronous semantics,
+//! bit-compatible with full-batch training up to float reassociation.
+//!
+//! # Placement
+//!
+//! DAPPLE places stages on devices (§IV); here a device is a core. Once
+//! per shape (at construction and on a reconfiguration;
+//! [`PipelineTrainer::threads`]) the trainer spreads its workers over
+//! `T = min(workers, available_parallelism)` threads, longest job first by
+//! its stage's multiply-adds over its replicas, each onto the least-loaded
+//! thread. Each thread runs a static order: its workers' script steps and
+//! one sync op (leftover check, gradient sync) per worker, emitted by a
+//! list-scheduling pass. The pass costs a forward at the worker's
+//! multiply-adds, a backward at twice that and a sync at nothing, puts a
+//! sync first on a tied start, and emits an op only after its script
+//! predecessor, every replica of the neighbouring stage it may receive
+//! from (all of them: the row split depends on the batch) and, for a
+//! reducer's sync, every peer's hand-off.
+//!
+//! So a step cannot deadlock: the emitted ops form one global order in
+//! which every op follows everything it waits for, and each thread's
+//! order is a subsequence of it. The earliest op of that order not yet run
+//! has its thread at it and its inputs in its channels (channels are
+//! unbounded, so no send waits), so it runs. With at least as many cores
+//! as workers, each thread holds one worker and runs its script.
 //!
 //! A step has one entry point, [`PipelineTrainer::step_with_trace`]
 //! ([`PipelineTrainer::step_grads`] is its clean-plan convenience). It
@@ -51,8 +75,8 @@
 //!
 //! Workers return `Result` instead of unwinding into the coordinator:
 //! every channel wait is bounded by [`EngineConfig::recv_timeout`] (a
-//! deadlock surfaces as [`DappleError::Stalled`], never a hang), worker
-//! panics are caught and reported as [`DappleError::WorkerPanicked`],
+//! deadlock surfaces as [`DappleError::Stalled`], never a hang), a panic
+//! in any op is caught and reported as [`DappleError::WorkerPanicked`],
 //! and non-finite gradient values are counted per micro-batch as the
 //! kernels add them (as zeros) and handled per [`NanPolicy`]: a count
 //! above zero fails the step or is reported as repaired, and only
@@ -74,13 +98,21 @@
 //! specific error: panic over non-finite over protocol violation over
 //! stall over closed channel. The model is untouched on any failure, so
 //! the trainer stays usable for the next step.
+//!
+//! A thread stops at its first failed op and drops the workers it still
+//! holds, so their peers see the disconnect at once; each is reported as
+//! [`DappleError::ChannelClosed`] at the op it did not reach, and the
+//! ranking above names the root cause. A [`FaultKind::Stall`] delays its
+//! whole thread: every worker placed there waits with it, a worker on
+//! another thread observes it as [`DappleError::Stalled`], and when every
+//! worker shares one thread a stall is just a slow step.
 
 use crate::fault::{FaultKind, FaultPlan, NanPolicy};
 use crate::layer::{Dense, DenseGrads};
 use crate::loss::{loss_grad_into, LossKind};
 use crate::model::MlpModel;
 use crate::tensor::{PackedRhs, Tensor};
-use crate::trace::{CoordSpan, Span, SpanKind, SpanLog, StepTrace, NO_MICRO};
+use crate::trace::{CoordSpan, Span, SpanKind, SpanLog, StepTrace, WorkerTrace, NO_MICRO};
 use dapple_core::{DappleError, Plan, Result};
 use dapple_sim::schedule::{stage_order, Step};
 use dapple_sim::Schedule;
@@ -394,6 +426,127 @@ fn worker_state(cfg: &EngineConfig) -> (Vec<Mutex<WorkerScratch>>, Arc<GradHome>
     (scratch, grad_home)
 }
 
+/// The rows (micro-batch local) of replica `rep` of a stage split `r`
+/// ways over `mb` rows. Splits need not be even: the first `mb % r`
+/// replicas take one extra row, so any replication `r <= mb` is valid
+/// (elastic re-planning after a failure can leave prime micro-batch sizes
+/// on odd replica counts).
+fn rows_of(mb: usize, r: usize, rep: usize) -> Range<usize> {
+    let (w, rem) = (mb / r, mb % r);
+    let start = rep * w + rep.min(rem);
+    start..start + w + usize::from(rep < rem)
+}
+
+/// Op `k` of worker `(i, p)`, whose script is `script`: its slot — `u` for
+/// `Fw(u)`, `m + u` for `Bw(u)`, `2m` for the sync — and the workers whose
+/// op in the same slot it may wait for: every replica of the neighbour it
+/// receives from, or a reducer's peers.
+fn inputs(
+    cfg: &EngineConfig,
+    script: &[Step],
+    (i, p): (usize, usize),
+    k: usize,
+) -> (usize, Range<usize>) {
+    let (s, m) = (cfg.stage_bounds.len(), cfg.micro_batches);
+    let first = |stage: usize| cfg.replication[..stage].iter().sum::<usize>();
+    match script.get(k) {
+        Some(&Step::Fw(u)) if i > 0 => (u, first(i - 1)..first(i)),
+        Some(&Step::Bw(u)) if i + 1 < s => (m + u, first(i + 1)..first(i + 2)),
+        Some(&Step::Fw(u)) => (u, 0..0),
+        Some(&Step::Bw(u)) => (m + u, 0..0),
+        None if p == 0 => (2 * m, first(i) + 1..first(i + 1)),
+        None => (2 * m, 0..0),
+    }
+}
+
+/// Which step thread runs which worker, and each thread's order of ops
+/// (module docs, "Placement"). An op is `(worker, k)`: a spawn index and
+/// a step of that worker's script, or the script's length for its sync.
+struct Placement {
+    /// Per worker, in spawn order: `(stage, replica)`, script and thread.
+    workers: Vec<(usize, usize)>,
+    scripts: Vec<Vec<Step>>,
+    thread_of: Vec<usize>,
+    /// Per thread: its ops in run order.
+    orders: Vec<Vec<(usize, usize)>>,
+}
+
+impl Placement {
+    /// `cfg`'s workers on `min(workers, cores)` threads, for a model whose
+    /// layer `l` costs `macs[l]` multiply-adds per row.
+    fn new(cfg: &EngineConfig, macs: &[usize], cores: usize) -> Self {
+        let (s, m) = (cfg.stage_bounds.len(), cfg.micro_batches);
+        let stages = cfg.replication.iter().enumerate();
+        let workers: Vec<(usize, usize)> = stages
+            .flat_map(|(i, &r)| (0..r).map(move |p| (i, p)))
+            .collect();
+        let scripts: Vec<Vec<Step>> = (workers.iter())
+            .map(|&(i, _)| stage_order(cfg.schedule, i, s, m, cfg.max_in_flight))
+            .collect();
+        // A forward costs its stage's multiply-adds over its replicas.
+        let fw: Vec<f64> = (workers.iter())
+            .map(|&(i, _)| {
+                macs[cfg.stage_bounds[i].clone()].iter().sum::<usize>() as f64
+                    / cfg.replication[i] as f64
+            })
+            .collect();
+
+        // Longest job first, each onto the least-loaded thread; ties go to
+        // the earlier worker and the lower thread.
+        let threads = cores.clamp(1, workers.len());
+        let mut by_cost: Vec<usize> = (0..workers.len()).collect();
+        by_cost.sort_by(|&a, &b| fw[b].total_cmp(&fw[a]));
+        let (mut load, mut thread_of) = (vec![0.0f64; threads], vec![0; workers.len()]);
+        for w in by_cost {
+            thread_of[w] = (0..threads)
+                .min_by(|&a, &b| load[a].total_cmp(&load[b]))
+                .expect("a thread");
+            load[thread_of[w]] += fw[w];
+        }
+
+        // List scheduling: of the ops whose inputs have been emitted, emit
+        // the one that could start first on its thread — on a tie a sync,
+        // then the earlier worker. A backward costs twice a forward, a
+        // sync nothing; an op's predecessor ran on its own thread, so the
+        // thread's free time covers it; times are non-negative, so their
+        // bits order as they do.
+        let mut end = vec![vec![None::<f64>; 2 * m + 1]; workers.len()];
+        let mut next = vec![0; workers.len()];
+        let (mut free, mut orders) = (vec![0.0f64; threads], vec![Vec::new(); threads]);
+        loop {
+            let ops = (0..workers.len()).filter_map(|w| {
+                let (slot, senders) = inputs(cfg, &scripts[w], workers[w], next[w]);
+                let ready = senders
+                    .map(|q| end[q][slot])
+                    .try_fold(0.0f64, |t, e| Some(t.max(e?)))?;
+                let start = free[thread_of[w]].max(ready).to_bits();
+                end[w][slot]
+                    .is_none()
+                    .then_some((start, next[w] < scripts[w].len(), w))
+            });
+            let Some((start, _, w)) = ops.min() else {
+                break;
+            };
+            let ((slot, _), t) = (inputs(cfg, &scripts[w], workers[w], next[w]), thread_of[w]);
+            let cost = match scripts[w].get(next[w]) {
+                Some(Step::Fw(_)) => 1.0,
+                Some(Step::Bw(_)) => 2.0,
+                None => 0.0,
+            };
+            let done = f64::from_bits(start) + cost * fw[w];
+            (end[w][slot], free[t]) = (Some(done), done);
+            orders[t].push((w, next[w]));
+            next[w] += 1;
+        }
+        Placement {
+            workers,
+            scripts,
+            thread_of,
+            orders,
+        }
+    }
+}
+
 /// The pipeline trainer: a model plus its parallelization config.
 pub struct PipelineTrainer {
     /// The master copy of the model (updated after every step).
@@ -411,29 +564,59 @@ pub struct PipelineTrainer {
     /// [`StepOutcome::grads`] and come back when it is dropped, so a
     /// steady-state step allocates no gradient storage. Whatever a failed
     /// attempt left behind is zeroed at the next step's start, and a slot
-    /// found empty or mis-shaped is rebuilt.
+    /// found empty or mis-shaped is rebuilt before the step's threads
+    /// start.
     grad_home: Arc<GradHome>,
+    /// Which thread runs which worker, and in what order.
+    placement: Placement,
+}
+
+/// Multiply-adds per row of each of `model`'s layers.
+fn layer_macs(model: &MlpModel) -> Vec<usize> {
+    model
+        .layers
+        .iter()
+        .map(|l| l.in_dim() * l.out_dim())
+        .collect()
+}
+
+/// The cores this process may run on: the one reading of the host that
+/// the runtime makes. It honours the affinity mask.
+fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
 }
 
 impl PipelineTrainer {
-    /// Validates the configuration against the model.
+    /// Validates the configuration against the model and places its
+    /// workers on the host's cores.
     pub fn new(model: MlpModel, cfg: EngineConfig) -> Result<Self> {
         cfg.check(model.num_layers())?;
         let (scratch, grad_home) = worker_state(&cfg);
+        let placement = Placement::new(&cfg, &layer_macs(&model), host_cores());
         Ok(PipelineTrainer {
             model,
             cfg,
             scratch,
             grad_home,
+            placement,
         })
     }
 
+    /// A trainer whose workers share `threads` threads, whatever the host.
+    #[cfg(test)]
+    fn with_threads(model: MlpModel, cfg: EngineConfig, threads: usize) -> Self {
+        let mut trainer = PipelineTrainer::new(model, cfg).unwrap();
+        trainer.placement = Placement::new(&trainer.cfg, &layer_macs(&trainer.model), threads);
+        trainer
+    }
+
     /// Re-shapes the trainer to `cfg` around the model where it lies: only
-    /// the per-worker scratch and gradient slots are rebuilt. A rejected
-    /// config changes nothing.
+    /// the per-worker scratch, the gradient slots and the placement are
+    /// rebuilt. A rejected config changes nothing.
     pub(crate) fn reconfigure(&mut self, cfg: EngineConfig) -> Result<()> {
         cfg.check(self.model.num_layers())?;
         (self.scratch, self.grad_home) = worker_state(&cfg);
+        self.placement = Placement::new(&cfg, &layer_macs(&self.model), host_cores());
         self.cfg = cfg;
         Ok(())
     }
@@ -441,6 +624,57 @@ impl PipelineTrainer {
     /// Config accessor.
     pub fn config(&self) -> &EngineConfig {
         &self.cfg
+    }
+
+    /// The placement: per step thread, the workers it runs as `(stage,
+    /// replica)`, in spawn order. Read-only: it follows from the config,
+    /// the model and the host's cores.
+    pub fn threads(&self) -> Vec<Vec<(usize, usize)>> {
+        let p = &self.placement;
+        let mut threads = vec![Vec::new(); p.orders.len()];
+        for (&t, &worker) in p.thread_of.iter().zip(&p.workers) {
+            threads[t].push(worker);
+        }
+        threads
+    }
+
+    /// Sizes every worker's persistent buffers — both packs of each of its
+    /// layers, its gradient accumulators and, under
+    /// [`NanPolicy::SkipMicroBatch`], its isolation buffers — on the
+    /// calling thread, wherever a slot is empty or mis-shaped (the first
+    /// step, after [`StepGrads::into_vec`] or a failed step, after a
+    /// reconfiguration). The step threads only reuse them, so no
+    /// parameter-sized buffer is allocated in a short-lived thread's malloc
+    /// arena.
+    fn provision(&self) {
+        let isolate = self.cfg.nan_policy == NanPolicy::SkipMicroBatch;
+        let stages = self.cfg.stage_bounds.iter().zip(&self.cfg.replication);
+        let workers = stages.flat_map(|(bounds, &r)| std::iter::repeat_n(bounds, r));
+        for (w, bounds) in workers.enumerate() {
+            let layers = &self.model.layers[bounds.clone()];
+            let mut scratch = lock(&self.scratch[w]);
+            scratch
+                .packed
+                .resize_with(layers.len(), LayerPacks::default);
+            for (j, (layer, packs)) in layers.iter().zip(&mut scratch.packed).enumerate() {
+                let (k, n) = (layer.in_dim(), layer.out_dim());
+                packs.w.resize(k, n);
+                // The model's first layer has no `W^T` (see `WorkerScratch`).
+                if bounds.start + j > 0 {
+                    packs.wt.resize(n, k);
+                }
+            }
+            let mut slot = lock(&self.grad_home.slots[w]);
+            let GradSlot { acc, isolated } = &mut *slot;
+            for (bufs, wanted) in [(acc, true), (isolated, isolate)] {
+                let layers = if wanted { layers } else { &[] };
+                let reusable =
+                    bufs.len() == layers.len() && bufs.iter().zip(layers).all(|(g, l)| g.fits(l));
+                if !reusable {
+                    *bufs = layers.iter().map(DenseGrads::zeros_like).collect();
+                }
+            }
+        }
     }
 
     /// A clean [`Self::step_with_trace`] whose gradients are the caller's
@@ -459,8 +693,8 @@ impl PipelineTrainer {
     /// usable after a failed step.
     ///
     /// The measured trace sits outside the `Result` so a *failed* step
-    /// still yields its partial timeline: each worker thread hands its
-    /// span log back at the join, whatever became of its worker. With
+    /// still yields its partial timeline: each thread hands its workers'
+    /// span logs back at the join, whatever became of them. With
     /// [`EngineConfig::tracing`] off the trace is always `None`.
     pub fn step_with_trace(
         &self,
@@ -493,17 +727,7 @@ impl PipelineTrainer {
             return (Err(e), None);
         }
         let s = self.cfg.stage_bounds.len();
-
-        // Row ranges (micro-batch local) per stage replica. Splits need
-        // not be even: the first `mb % r` replicas take one extra row, so
-        // any replication `r <= mb` is valid (elastic re-planning after a
-        // failure can leave prime micro-batch sizes on odd replica counts).
-        let rows_of = |stage: usize, rep: usize| -> Range<usize> {
-            let r = self.cfg.replication[stage];
-            let (w, rem) = (mb / r, mb % r);
-            let start = rep * w + rep.min(rem);
-            start..start + w + usize::from(rep < rem)
-        };
+        let rows = |stage: usize, rep: usize| rows_of(mb, self.cfg.replication[stage], rep);
 
         // Wire the boundary channels, one per receiving replica: across
         // boundary `b`, `fwd[b]` carries activations into stage `b + 1` and
@@ -518,7 +742,7 @@ impl PipelineTrainer {
         // replicas of the neighbouring stage whose rows overlap its own.
         let routes = |my_rows: &Range<usize>, peer_stage: usize, txs: &[Sender<Msg>]| {
             let overlap = |(q, tx): (usize, &Sender<Msg>)| {
-                let peer = rows_of(peer_stage, q);
+                let peer = rows(peer_stage, q);
                 let (lo, hi) = (my_rows.start.max(peer.start), my_rows.end.min(peer.end));
                 (lo < hi).then(|| Route {
                     tx: tx.clone(),
@@ -532,113 +756,101 @@ impl PipelineTrainer {
                 .collect::<Vec<Route>>()
         };
 
+        self.provision();
+        let mut workers: Vec<Option<Worker>> = Vec::with_capacity(self.scratch.len());
+        for i in 0..s {
+            // A replicated stage's gradient rendezvous: replicas `1..r`
+            // send, replica 0 receives. The original sender goes out of
+            // scope with this iteration, so replica 0 sees a disconnect as
+            // soon as every peer has sent or died.
+            let stage_slots = &self.grad_home.slots[self.grad_home.stages[i].0..];
+            let (grad_tx, mut grad_rx) = if self.cfg.replication[i] > 1 {
+                let (tx, rx) = channel();
+                (Some(tx), Some(rx))
+            } else {
+                (None, None)
+            };
+            for p in 0..self.cfg.replication[i] {
+                let sync = match (p, &grad_tx) {
+                    (_, None) => GradSync::Solo,
+                    (0, Some(_)) => GradSync::Reducer {
+                        rx: grad_rx.take().expect("one reducer per stage"),
+                        peer_slots: &stage_slots[..self.cfg.replication[i]],
+                    },
+                    (_, Some(tx)) => GradSync::Peer(tx.clone()),
+                };
+                let (my_rows, prev) = (rows(i, p), i.checked_sub(1));
+                workers.push(Some(Worker {
+                    stage: i,
+                    replica: p,
+                    loss: self.cfg.loss,
+                    layers: &self.model.layers[self.cfg.stage_bounds[i].clone()],
+                    script: &self.placement.scripts[workers.len()],
+                    mb,
+                    total_samples: n,
+                    recompute: self.cfg.recompute,
+                    is_first: i == 0,
+                    is_last: i + 1 == s,
+                    x,
+                    target,
+                    rx_f: prev.and_then(|b| fwd_rx[b][p].take()),
+                    rx_b: bwd_rx.get_mut(i).and_then(|rxs| rxs[p].take()),
+                    to_next: fwd_tx
+                        .get(i)
+                        .map(|t| routes(&my_rows, i + 1, t))
+                        .unwrap_or_default(),
+                    to_prev: prev
+                        .map(|b| routes(&my_rows, b, &bwd_tx[b]))
+                        .unwrap_or_default(),
+                    my_rows,
+                    faults: faults.for_worker(i, p),
+                    nan_policy: self.cfg.nan_policy,
+                    recv_timeout: self.cfg.recv_timeout,
+                    scratch: &self.scratch[workers.len()],
+                    grad_slot: &stage_slots[p],
+                    sync,
+                }));
+            }
+        }
+        // Drop the original sender handles: workers hold clones, and
+        // keeping these alive would turn a worker failure into a
+        // full-timeout stall on every peer instead of a prompt disconnect.
+        drop(fwd_tx);
+        drop(bwd_tx);
+
         let epoch = Instant::now();
         let tracing = self.cfg.tracing;
-        let mut trace = tracing.then(|| StepTrace::new(self.cfg.replication.clone()));
-        let mut results: Vec<Result<WorkerOut>> = Vec::with_capacity(s * 2);
+        let mut reports: Vec<Report> = Vec::with_capacity(workers.len());
         std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for i in 0..s {
-                // A replicated stage's gradient rendezvous: replicas
-                // `1..r` send, replica 0 receives. The original sender
-                // goes out of scope with this iteration, so replica 0
-                // sees a disconnect as soon as every peer has sent or
-                // died.
-                let stage_slots = &self.grad_home.slots[self.grad_home.stages[i].0..];
-                let (grad_tx, mut grad_rx) = if self.cfg.replication[i] > 1 {
-                    let (tx, rx) = channel();
-                    (Some(tx), Some(rx))
-                } else {
-                    (None, None)
-                };
-                for p in 0..self.cfg.replication[i] {
-                    let sync = match (p, &grad_tx) {
-                        (_, None) => GradSync::Solo,
-                        (0, Some(_)) => GradSync::Reducer {
-                            rx: grad_rx.take().expect("one reducer per stage"),
-                            peer_slots: &stage_slots[..self.cfg.replication[i]],
-                        },
-                        (_, Some(tx)) => GradSync::Peer(tx.clone()),
-                    };
-                    let (my_rows, prev) = (rows_of(i, p), i.checked_sub(1));
-                    let worker = Worker {
-                        stage: i,
-                        replica: p,
-                        loss: self.cfg.loss,
-                        layers: &self.model.layers[self.cfg.stage_bounds[i].clone()],
-                        script: stage_order(self.cfg.schedule, i, s, m, self.cfg.max_in_flight),
-                        mb,
-                        total_samples: n,
-                        recompute: self.cfg.recompute,
-                        is_first: i == 0,
-                        is_last: i + 1 == s,
-                        x,
-                        target,
-                        rx_f: prev.and_then(|b| fwd_rx[b][p].take()),
-                        rx_b: bwd_rx.get_mut(i).and_then(|rxs| rxs[p].take()),
-                        to_next: fwd_tx
-                            .get(i)
-                            .map(|t| routes(&my_rows, i + 1, t))
-                            .unwrap_or_default(),
-                        to_prev: prev
-                            .map(|b| routes(&my_rows, b, &bwd_tx[b]))
-                            .unwrap_or_default(),
-                        my_rows,
-                        faults: faults.for_worker(i, p),
-                        nan_policy: self.cfg.nan_policy,
-                        recv_timeout: self.cfg.recv_timeout,
-                        scratch: &self.scratch[handles.len()],
-                        grad_slot: &stage_slots[p],
-                        sync,
-                    };
-                    handles.push(scope.spawn(move || {
-                        // The span log lives out here, not in the worker, so
-                        // a worker that fails or panics still hands back what
-                        // it recorded; sized from the script (≤ 4 spans per
-                        // scheduled step) so recording never allocates.
-                        let mut log =
-                            tracing.then(|| SpanLog::new(4 * worker.script.len() + 8, epoch));
-                        // A panicking worker (genuine bug or injected
-                        // fault) unwinds here, dropping its channel
-                        // endpoints so peers observe the failure instead
-                        // of deadlocking; the payload is preserved as a
-                        // structured error.
-                        let run = std::panic::AssertUnwindSafe(|| worker.run(&mut log));
-                        let result = std::panic::catch_unwind(run).unwrap_or_else(|payload| {
-                            Err(DappleError::WorkerPanicked {
-                                stage: i,
-                                replica: p,
-                                message: panic_message(payload.as_ref()),
-                            })
-                        });
-                        (result, log.map(|log| log.into_trace(i, p)))
-                    }));
-                }
-            }
-            // Drop the original sender handles: workers hold clones, and
-            // keeping these alive would turn a worker failure into a
-            // full-timeout stall on every peer instead of a prompt
-            // disconnect.
-            drop(fwd_tx);
-            drop(bwd_tx);
+            let placement = &self.placement;
+            let handles: Vec<_> = (0..placement.orders.len())
+                .map(|t| {
+                    let mine = (workers.iter_mut().zip(&placement.thread_of))
+                        .map(|(w, &on)| if on == t { w.take() } else { None })
+                        .collect();
+                    scope.spawn(move || run_thread(t, mine, placement, tracing, epoch))
+                })
+                .collect();
             for h in handles {
-                // Every wait inside a worker is bounded, so the join is
-                // bounded too.
-                let (result, spans) = h.join().expect("worker result already caught");
-                results.push(result);
-                if let Some(tr) = trace.as_mut() {
-                    tr.workers.extend(spans);
-                }
+                // Every op is caught and every wait inside one is bounded,
+                // so the join is bounded and cannot fail.
+                reports.extend(h.join().expect("ops are caught"));
             }
         });
 
-        // The step ended at the join: every sender is gone, so whatever
-        // still sits in the channel of a worker that completed its script
-        // was sent beyond the schedule (e.g. an injected duplicate).
-        let results: Vec<Result<WorkerOut>> = results
-            .into_iter()
-            .map(|result| result.and_then(WorkerOut::nothing_trailing))
-            .collect();
+        reports.sort_unstable_by_key(|&(w, ..)| w);
+        let mut trace = tracing.then(|| StepTrace::new(self.cfg.replication.clone()));
+        let mut results: Vec<Result<WorkerOut>> = Vec::with_capacity(reports.len());
+        for (_, result, spans) in reports {
+            // The step ended at the join: every sender is gone, so whatever
+            // still sits in the channel of a worker that completed its
+            // script was sent beyond the schedule (e.g. an injected
+            // duplicate).
+            results.push(result.and_then(WorkerOut::nothing_trailing));
+            if let Some(tr) = trace.as_mut() {
+                tr.workers.extend(spans);
+            }
+        }
         if let Some(err) = most_severe_error(&results) {
             return (Err(err), trace);
         }
@@ -724,13 +936,96 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// What a step thread reports for each of its workers: the worker's spawn
+/// index, its result and, with tracing on, its spans.
+type Report = (usize, Result<WorkerOut>, Option<WorkerTrace>);
+
+/// Runs one op of worker `(stage, replica)`. A panic — a genuine bug or
+/// an injected fault — unwinds only to here, and its payload is kept as a
+/// structured error.
+fn caught<T>(stage: usize, replica: usize, op: impl FnOnce() -> Result<T>) -> Result<T> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(op)).unwrap_or_else(|payload| {
+        Err(DappleError::WorkerPanicked {
+            stage,
+            replica,
+            message: panic_message(payload.as_ref()),
+        })
+    })
+}
+
+/// Step thread `thread` of placement `p`: runs its order over its
+/// workers (indexed by spawn index, `None` where a worker runs elsewhere).
+/// It stops at the first op that fails and drops the workers it still
+/// holds, so their peers see the disconnect at once; each is reported as
+/// closed at the op it did not reach.
+fn run_thread(
+    thread: usize,
+    workers: Vec<Option<Worker<'_>>>,
+    p: &Placement,
+    tracing: bool,
+    epoch: Instant,
+) -> Vec<Report> {
+    // The span logs live out here, not in the workers, so a worker that
+    // fails or panics still hands back what it recorded; sized from the
+    // script (≤ 4 spans per scheduled step) so recording never allocates.
+    let mut logs: Vec<Option<SpanLog>> = (workers.iter().zip(&p.scripts))
+        .map(|(w, script)| {
+            (tracing && w.is_some()).then(|| SpanLog::new(4 * script.len() + 8, epoch))
+        })
+        .collect();
+    let mut live: Vec<Option<Live>> = workers.into_iter().map(|w| w.map(Worker::begin)).collect();
+    let mut results: Vec<Option<Result<WorkerOut>>> = live.iter().map(|_| None).collect();
+    let order = &p.orders[thread];
+    for (at, &(w, k)) in order.iter().enumerate() {
+        let ((stage, replica), log) = (p.workers[w], &mut logs[w]);
+        let done = if k < p.scripts[w].len() {
+            let live_w = live[w].as_mut().expect("a worker runs until its sync");
+            caught(stage, replica, || live_w.step(k, log)).map(|()| None)
+        } else {
+            let live_w = live[w].take().expect("one sync per worker");
+            caught(stage, replica, || live_w.finish(log)).map(Some)
+        };
+        match done {
+            Ok(None) => {}
+            Ok(Some(out)) => results[w] = Some(Ok(out)),
+            Err(e) => {
+                (live[w], results[w]) = (None, Some(Err(e)));
+                for (v, dropped) in live.iter_mut().enumerate() {
+                    if dropped.take().is_some() {
+                        let ((stage, replica), next) =
+                            (p.workers[v], order[at..].iter().find(|o| o.0 == v));
+                        let step = next.map_or(0, |o| o.1);
+                        results[v] = Some(Err(DappleError::ChannelClosed {
+                            stage,
+                            replica,
+                            step,
+                        }));
+                    }
+                }
+                break;
+            }
+        }
+    }
+    let reports = results.into_iter().zip(logs).enumerate();
+    reports
+        .filter_map(|(w, (result, log))| {
+            let (stage, replica) = p.workers[w];
+            Some((
+                w,
+                result?,
+                log.map(|log| log.into_trace(stage, replica, thread)),
+            ))
+        })
+        .collect()
+}
+
 /// One stage-replica worker.
 struct Worker<'a> {
     stage: usize,
     replica: usize,
     loss: LossKind,
     layers: &'a [Dense],
-    script: Vec<Step>,
+    script: &'a [Step],
     /// Micro-batch-local rows this replica owns.
     my_rows: Range<usize>,
     mb: usize,
@@ -941,323 +1236,38 @@ fn rec(
     }
 }
 
-impl Worker<'_> {
-    /// The worker's step: its schedule script, a look at what the script
-    /// left unconsumed, then the gradient sync. Spans go to `log`.
-    fn run(mut self, log: &mut Option<SpanLog>) -> Result<WorkerOut> {
-        // A worker that panicked mid-step (injected faults) poisons its
-        // scratch mutex; the free lists are always structurally valid and
-        // the packs are rebuilt every step, so recovery just clears the
-        // poison and keeps going.
-        let mut scratch_guard = lock(self.scratch);
-        let scratch = &mut *scratch_guard;
-        let pool = &mut scratch.pool;
-        pool.begin_step();
-        scratch
-            .packed
-            .resize_with(self.layers.len(), LayerPacks::default);
-        // Whether this step's first forward and first backward — the ones
-        // that pack — are still to come.
-        let (mut pack_w, mut pack_wt) = (true, true);
+impl<'a> Worker<'a> {
+    /// Starts the worker's step: takes its scratch and gradient slot for
+    /// the step and zeroes the accumulators (the trainer sized both before
+    /// the threads started).
+    fn begin(self) -> Live<'a> {
+        // A failed attempt may have stopped mid-step; the free lists are
+        // always structurally valid and the packs are rebuilt every step,
+        // so nothing but the storage is trusted.
+        let mut scratch = lock(self.scratch);
+        scratch.pool.begin_step();
         // The gradient buffers persist in the trainer's slot; the guard is
         // held until they are handed on, so an attempt that fails or
         // panics leaves them where the next step finds (and zeroes) them.
-        let mut slot_guard = lock(self.grad_slot);
-        let GradSlot {
-            acc: grads,
-            isolated,
-        } = &mut *slot_guard;
-        let isolate = self.nan_policy == NanPolicy::SkipMicroBatch;
-        for (bufs, wanted) in [(&mut *grads, true), (&mut *isolated, isolate)] {
-            let layers = if wanted { self.layers } else { &[] };
-            let reusable =
-                bufs.len() == layers.len() && bufs.iter().zip(layers).all(|(g, l)| g.fits(l));
-            if !reusable {
-                *bufs = layers.iter().map(DenseGrads::zeros_like).collect();
-            }
+        let mut slot = lock(self.grad_slot);
+        slot.acc.iter_mut().for_each(DenseGrads::zero);
+        Live {
+            // At most one flight per in-progress micro-batch; sizing the
+            // map up front keeps rehashing out of the step loop.
+            flights: HashMap::with_capacity(self.script.len() / 2 + 1),
+            worker: self,
+            scratch,
+            slot,
+            pack_w: true,
+            pack_wt: true,
+            chain_spares: Vec::new(),
+            loss: 0.0,
+            skipped: 0,
+            zeroed: 0,
+            buf_f: HashMap::new(),
+            buf_b: HashMap::new(),
+            poisoned: HashSet::new(),
         }
-        grads.iter_mut().for_each(DenseGrads::zero);
-        // Spare spines for the per-layer forward chains: each backward
-        // drains its chain's tensors into the pool and parks the empty
-        // Vec here for the next forward.
-        let mut chain_spares: Vec<Vec<Tensor>> = Vec::new();
-        let mut loss = 0.0f32;
-        let mut skipped = 0usize;
-        let mut zeroed = 0usize;
-        // At most one flight per in-progress micro-batch; sizing the map
-        // up front keeps rehashing out of the step loop.
-        let mut flights: HashMap<usize, Flight> = HashMap::with_capacity(self.script.len() / 2 + 1);
-        let mut buf_f: HashMap<usize, Vec<Msg>> = HashMap::new();
-        let mut buf_b: HashMap<usize, Vec<Msg>> = HashMap::new();
-        // Micro-batches poisoned by an injected NaN at their forward:
-        // their loss gradient is poisoned at this worker's own backward
-        // too, so the fault is detected locally even when the downstream
-        // copy is handled by a lenient policy or recomputation.
-        let mut poisoned: HashSet<usize> = HashSet::new();
-
-        for idx in 0..self.script.len() {
-            let step = self.script[idx];
-            let fault = self.faults.get(&idx).copied();
-            match fault {
-                Some(FaultKind::Stall(delay)) => std::thread::sleep(delay),
-                Some(FaultKind::Panic) => {
-                    // resume_unwind skips the panic hook: injected panics
-                    // are expected and should not spam stderr. The
-                    // coordinator still maps the payload to
-                    // WorkerPanicked.
-                    std::panic::resume_unwind(Box::new(format!(
-                        "injected panic at stage {} replica {} step {idx}",
-                        self.stage, self.replica
-                    )));
-                }
-                _ => {}
-            }
-            match step {
-                Step::Fw(u) => {
-                    let t0 = now_ns(log);
-                    let input = if self.is_first {
-                        let lo = u * self.mb + self.my_rows.start;
-                        let hi = u * self.mb + self.my_rows.end;
-                        let mut t = pool.take(hi - lo, self.x.cols);
-                        copy_rows_into(self.x, lo..hi, &mut t);
-                        t
-                    } else {
-                        self.recv_rows(&self.rx_f, &mut buf_f, u, idx, pool)?
-                    };
-                    let t1 = now_ns(log);
-                    if !self.is_first {
-                        rec(log, SpanKind::CommRecvWait, u, tensor_bytes(&input), t0, t1);
-                    }
-                    if std::mem::take(&mut pack_w) {
-                        for (layer, packs) in self.layers.iter().zip(&mut scratch.packed) {
-                            packs.w.pack(&layer.w);
-                        }
-                        #[cfg(test)]
-                        {
-                            scratch.packs += self.layers.len();
-                        }
-                    }
-                    let mut ys = chain_spares.pop().unwrap_or_default();
-                    forward_stage(self.layers, &scratch.packed, &input, &mut ys, pool);
-                    // The first stage folds its input-slice copy into the
-                    // forward span; downstream stages start at receipt.
-                    rec(
-                        log,
-                        SpanKind::Fw,
-                        u,
-                        0,
-                        if self.is_first { t0 } else { t1 },
-                        now_ns(log),
-                    );
-                    if fault == Some(FaultKind::NanGradient) {
-                        poisoned.insert(u);
-                    }
-                    if !self.is_last {
-                        let out_bytes = tensor_bytes(ys.last().expect("non-empty stage"));
-                        let ts = now_ns(log);
-                        let out = if fault == Some(FaultKind::NanGradient) {
-                            // Poison only the outgoing copy; the cached
-                            // chain stays clean (the local backward is
-                            // poisoned via `poisoned`, as before).
-                            let mut bad = ys.last().expect("non-empty stage").clone();
-                            bad.data.fill(f32::NAN);
-                            Cow::Owned(bad)
-                        } else if self.recompute {
-                            // The chain is rebuilt at Bw, so the output
-                            // can move straight into the message.
-                            Cow::Owned(ys.pop().expect("non-empty stage"))
-                        } else {
-                            Cow::Borrowed(ys.last().expect("non-empty stage"))
-                        };
-                        self.send(fault, &self.to_next, u, out, idx, pool)?;
-                        rec(log, SpanKind::CommSend, u, out_bytes, ts, now_ns(log));
-                    }
-                    flights.insert(
-                        u,
-                        if self.recompute {
-                            // Whatever the send left in the chain is
-                            // spent (everything, on the poisoned-copy
-                            // fault path); the spine is parked for the
-                            // next forward.
-                            for y in ys.drain(..) {
-                                pool.put(y);
-                            }
-                            chain_spares.push(ys);
-                            Flight::InputOnly(input)
-                        } else {
-                            Flight::Cached { input, ys }
-                        },
-                    );
-                }
-                Step::Bw(u) => {
-                    let t0 = now_ns(log);
-                    let (input, mut ys, recomputed) =
-                        match flights.remove(&u).expect("forward before backward") {
-                            Flight::Cached { input, ys } => (input, ys, false),
-                            Flight::InputOnly(input) => {
-                                let mut ys = chain_spares.pop().unwrap_or_default();
-                                forward_stage(self.layers, &scratch.packed, &input, &mut ys, pool);
-                                (input, ys, true)
-                            }
-                        };
-                    let ta = now_ns(log);
-                    if recomputed {
-                        rec(log, SpanKind::Recompute, u, 0, t0, ta);
-                    }
-                    let mut micro_loss = 0.0f32;
-                    let mut dy = if self.is_last {
-                        let pred = ys.last().expect("non-empty stage");
-                        let lo = u * self.mb + self.my_rows.start;
-                        let hi = u * self.mb + self.my_rows.end;
-                        // Pooled target slice and loss gradient: the
-                        // last stage's loss path allocates nothing in
-                        // steady state either.
-                        let mut t = pool.take(hi - lo, self.target.cols);
-                        copy_rows_into(self.target, lo..hi, &mut t);
-                        let mut dy = pool.take(pred.rows, pred.cols);
-                        micro_loss =
-                            loss_grad_into(self.loss, pred, &t, self.total_samples, &mut dy);
-                        pool.put(t);
-                        dy
-                    } else {
-                        self.recv_rows(&self.rx_b, &mut buf_b, u, idx, pool)?
-                    };
-                    let tb = now_ns(log);
-                    if !self.is_last {
-                        rec(log, SpanKind::CommRecvWait, u, tensor_bytes(&dy), ta, tb);
-                    }
-                    if fault == Some(FaultKind::NanGradient) || poisoned.contains(&u) {
-                        dy.data.fill(f32::NAN);
-                    }
-                    if std::mem::take(&mut pack_wt) {
-                        // The first stage computes no input gradient, so
-                        // its first layer needs no `W^T`.
-                        let skip = usize::from(self.is_first);
-                        let layers = self.layers.iter().zip(&mut scratch.packed).skip(skip);
-                        for (layer, packs) in layers {
-                            packs.wt.pack_transposed(&layer.w);
-                        }
-                        #[cfg(test)]
-                        {
-                            scratch.packs += self.layers.len() - skip;
-                        }
-                    }
-                    // The kernels add this micro-batch's `dW`/`db` into the
-                    // accumulator — zeroed isolation buffers under the skip
-                    // policy — and count what was not finite.
-                    if isolate {
-                        isolated.iter_mut().for_each(DenseGrads::zero);
-                    }
-                    let into = if isolate { &mut *isolated } else { &mut *grads };
-                    let (dx, non_finite) = backward_stage(
-                        self.layers,
-                        &scratch.packed,
-                        &input,
-                        &ys,
-                        dy,
-                        into,
-                        pool,
-                        !self.is_first,
-                    );
-                    // The last stage folds its loss computation into the
-                    // backward span; upstream stages start at receipt.
-                    rec(
-                        log,
-                        SpanKind::Bw,
-                        u,
-                        0,
-                        if self.is_last { ta } else { tb },
-                        now_ns(log),
-                    );
-                    // This micro-batch's input is spent now, as is its
-                    // whole forward chain (its gradient buffers went back
-                    // inside `backward_stage`); recycling them is what
-                    // stocks the pool for the sends and forwards of later
-                    // micro-batches (misses happen only during warmup).
-                    pool.put(input);
-                    for y in ys.drain(..) {
-                        pool.put(y);
-                    }
-                    chain_spares.push(ys);
-                    let bad = non_finite + usize::from(!micro_loss.is_finite());
-                    if bad == 0 {
-                        if isolate {
-                            // Merging `0.0 + c` leaves the bits of adding
-                            // `c`: only a `-0.0` accumulator could tell them
-                            // apart, and one that starts at `+0.0` never
-                            // becomes it.
-                            for (g, c) in grads.iter_mut().zip(&*isolated) {
-                                g.accumulate(c);
-                            }
-                        }
-                        loss += micro_loss;
-                    } else {
-                        match self.nan_policy {
-                            NanPolicy::AbortStep => {
-                                return Err(DappleError::NonFinite {
-                                    stage: self.stage,
-                                    replica: self.replica,
-                                    micro: u,
-                                });
-                            }
-                            NanPolicy::SkipMicroBatch => skipped += 1,
-                            NanPolicy::ZeroAndWarn => {
-                                // Already in `grads`, the bad values as zeros.
-                                zeroed += bad;
-                                if micro_loss.is_finite() {
-                                    loss += micro_loss;
-                                }
-                            }
-                        }
-                    }
-                    // The upstream stage still needs dx to make progress;
-                    // under a lenient policy it will detect and handle
-                    // the poison in its own contribution.
-                    if let Some(dx) = dx {
-                        let dx_bytes = tensor_bytes(&dx);
-                        let ts = now_ns(log);
-                        self.send(fault, &self.to_prev, u, Cow::Owned(dx), idx, pool)?;
-                        rec(log, SpanKind::CommSend, u, dx_bytes, ts, now_ns(log));
-                    }
-                }
-            }
-        }
-        // Whatever the script received and never consumed, a peer sent
-        // beyond the schedule (e.g. an injected duplicate). A message that
-        // arrives after this worker's last receive stays in its channel
-        // for the coordinator to find once every sender is gone: a worker
-        // that has run its script waits for no neighbour.
-        for (side, buf) in [("forward", &buf_f), ("backward", &buf_b)] {
-            if let Some((micro, parts)) = buf.iter().find(|(_, parts)| !parts.is_empty()) {
-                return Err(DappleError::ChannelProtocol {
-                    stage: self.stage,
-                    replica: self.replica,
-                    detail: format!(
-                        "{} rows of micro-batch {micro} left over on the {side} channel \
-                         after the schedule completed",
-                        parts.iter().map(|p| p.data.rows).sum::<usize>()
-                    ),
-                });
-            }
-        }
-        // The sync waits only for this stage's own replicas, so it
-        // overlaps the earlier stages' backward tail.
-        let grads = std::mem::take(grads);
-        drop(slot_guard);
-        let (grads, sync) = self.sync_grads(grads, log)?;
-        Ok(WorkerOut {
-            stage: self.stage,
-            replica: self.replica,
-            rx_f: self.rx_f,
-            rx_b: self.rx_b,
-            grads,
-            sync,
-            loss,
-            skipped,
-            zeroed,
-            pool_hits: pool.hits,
-            pool_misses: pool.misses,
-        })
     }
 
     /// This stage's gradient sync, run the moment its last backward has
@@ -1449,6 +1459,313 @@ impl Worker<'_> {
                 }
             }
         }
+    }
+}
+
+/// A worker between [`Worker::begin`] and [`Live::finish`]: the buffers
+/// it holds for the step and where its script stands.
+struct Live<'a> {
+    worker: Worker<'a>,
+    scratch: MutexGuard<'a, WorkerScratch>,
+    slot: MutexGuard<'a, GradSlot>,
+    /// Whether this step's first forward and first backward — the ones
+    /// that pack — are still to come.
+    pack_w: bool,
+    pack_wt: bool,
+    /// Spare spines for the per-layer forward chains: each backward
+    /// drains its chain's tensors into the pool and parks the empty Vec
+    /// here for the next forward.
+    chain_spares: Vec<Vec<Tensor>>,
+    loss: f32,
+    skipped: usize,
+    zeroed: usize,
+    flights: HashMap<usize, Flight>,
+    buf_f: HashMap<usize, Vec<Msg>>,
+    buf_b: HashMap<usize, Vec<Msg>>,
+    /// Micro-batches poisoned by an injected NaN at their forward: their
+    /// loss gradient is poisoned at this worker's own backward too, so the
+    /// fault is detected locally even when the downstream copy is handled
+    /// by a lenient policy or recomputation.
+    poisoned: HashSet<usize>,
+}
+
+impl Live<'_> {
+    /// Step `idx` of the worker's script. Spans go to `log`.
+    fn step(&mut self, idx: usize, log: &mut Option<SpanLog>) -> Result<()> {
+        let w = &self.worker;
+        let scratch = &mut *self.scratch;
+        let pool = &mut scratch.pool;
+        let GradSlot {
+            acc: grads,
+            isolated,
+        } = &mut *self.slot;
+        let isolate = w.nan_policy == NanPolicy::SkipMicroBatch;
+        let (step, fault) = (w.script[idx], w.faults.get(&idx).copied());
+        match fault {
+            Some(FaultKind::Stall(delay)) => std::thread::sleep(delay),
+            Some(FaultKind::Panic) => {
+                // resume_unwind skips the panic hook: injected panics
+                // are expected and should not spam stderr. The
+                // coordinator still maps the payload to
+                // WorkerPanicked.
+                std::panic::resume_unwind(Box::new(format!(
+                    "injected panic at stage {} replica {} step {idx}",
+                    w.stage, w.replica
+                )));
+            }
+            _ => {}
+        }
+        match step {
+            Step::Fw(u) => {
+                let t0 = now_ns(log);
+                let input = if w.is_first {
+                    let lo = u * w.mb + w.my_rows.start;
+                    let hi = u * w.mb + w.my_rows.end;
+                    let mut t = pool.take(hi - lo, w.x.cols);
+                    copy_rows_into(w.x, lo..hi, &mut t);
+                    t
+                } else {
+                    w.recv_rows(&w.rx_f, &mut self.buf_f, u, idx, pool)?
+                };
+                let t1 = now_ns(log);
+                if !w.is_first {
+                    rec(log, SpanKind::CommRecvWait, u, tensor_bytes(&input), t0, t1);
+                }
+                if std::mem::take(&mut self.pack_w) {
+                    for (layer, packs) in w.layers.iter().zip(&mut scratch.packed) {
+                        packs.w.pack(&layer.w);
+                    }
+                    #[cfg(test)]
+                    {
+                        scratch.packs += w.layers.len();
+                    }
+                }
+                let mut ys = self.chain_spares.pop().unwrap_or_default();
+                forward_stage(w.layers, &scratch.packed, &input, &mut ys, pool);
+                // The first stage folds its input-slice copy into the
+                // forward span; downstream stages start at receipt.
+                rec(
+                    log,
+                    SpanKind::Fw,
+                    u,
+                    0,
+                    if w.is_first { t0 } else { t1 },
+                    now_ns(log),
+                );
+                if fault == Some(FaultKind::NanGradient) {
+                    self.poisoned.insert(u);
+                }
+                if !w.is_last {
+                    let out_bytes = tensor_bytes(ys.last().expect("non-empty stage"));
+                    let ts = now_ns(log);
+                    let out = if fault == Some(FaultKind::NanGradient) {
+                        // Poison only the outgoing copy; the cached
+                        // chain stays clean (the local backward is
+                        // poisoned via `poisoned`, as before).
+                        let mut bad = ys.last().expect("non-empty stage").clone();
+                        bad.data.fill(f32::NAN);
+                        Cow::Owned(bad)
+                    } else if w.recompute {
+                        // The chain is rebuilt at Bw, so the output
+                        // can move straight into the message.
+                        Cow::Owned(ys.pop().expect("non-empty stage"))
+                    } else {
+                        Cow::Borrowed(ys.last().expect("non-empty stage"))
+                    };
+                    w.send(fault, &w.to_next, u, out, idx, pool)?;
+                    rec(log, SpanKind::CommSend, u, out_bytes, ts, now_ns(log));
+                }
+                self.flights.insert(
+                    u,
+                    if w.recompute {
+                        // Whatever the send left in the chain is
+                        // spent (everything, on the poisoned-copy
+                        // fault path); the spine is parked for the
+                        // next forward.
+                        for y in ys.drain(..) {
+                            pool.put(y);
+                        }
+                        self.chain_spares.push(ys);
+                        Flight::InputOnly(input)
+                    } else {
+                        Flight::Cached { input, ys }
+                    },
+                );
+            }
+            Step::Bw(u) => {
+                let t0 = now_ns(log);
+                let (input, mut ys, recomputed) =
+                    match self.flights.remove(&u).expect("forward before backward") {
+                        Flight::Cached { input, ys } => (input, ys, false),
+                        Flight::InputOnly(input) => {
+                            let mut ys = self.chain_spares.pop().unwrap_or_default();
+                            forward_stage(w.layers, &scratch.packed, &input, &mut ys, pool);
+                            (input, ys, true)
+                        }
+                    };
+                let ta = now_ns(log);
+                if recomputed {
+                    rec(log, SpanKind::Recompute, u, 0, t0, ta);
+                }
+                let mut micro_loss = 0.0f32;
+                let mut dy = if w.is_last {
+                    let pred = ys.last().expect("non-empty stage");
+                    let lo = u * w.mb + w.my_rows.start;
+                    let hi = u * w.mb + w.my_rows.end;
+                    // Pooled target slice and loss gradient: the
+                    // last stage's loss path allocates nothing in
+                    // steady state either.
+                    let mut t = pool.take(hi - lo, w.target.cols);
+                    copy_rows_into(w.target, lo..hi, &mut t);
+                    let mut dy = pool.take(pred.rows, pred.cols);
+                    micro_loss = loss_grad_into(w.loss, pred, &t, w.total_samples, &mut dy);
+                    pool.put(t);
+                    dy
+                } else {
+                    w.recv_rows(&w.rx_b, &mut self.buf_b, u, idx, pool)?
+                };
+                let tb = now_ns(log);
+                if !w.is_last {
+                    rec(log, SpanKind::CommRecvWait, u, tensor_bytes(&dy), ta, tb);
+                }
+                if fault == Some(FaultKind::NanGradient) || self.poisoned.contains(&u) {
+                    dy.data.fill(f32::NAN);
+                }
+                if std::mem::take(&mut self.pack_wt) {
+                    // The first stage computes no input gradient, so
+                    // its first layer needs no `W^T`.
+                    let skip = usize::from(w.is_first);
+                    let layers = w.layers.iter().zip(&mut scratch.packed).skip(skip);
+                    for (layer, packs) in layers {
+                        packs.wt.pack_transposed(&layer.w);
+                    }
+                    #[cfg(test)]
+                    {
+                        scratch.packs += w.layers.len() - skip;
+                    }
+                }
+                // The kernels add this micro-batch's `dW`/`db` into the
+                // accumulator — zeroed isolation buffers under the skip
+                // policy — and count what was not finite.
+                if isolate {
+                    isolated.iter_mut().for_each(DenseGrads::zero);
+                }
+                let into = if isolate { &mut *isolated } else { &mut *grads };
+                let (dx, non_finite) = backward_stage(
+                    w.layers,
+                    &scratch.packed,
+                    &input,
+                    &ys,
+                    dy,
+                    into,
+                    pool,
+                    !w.is_first,
+                );
+                // The last stage folds its loss computation into the
+                // backward span; upstream stages start at receipt.
+                rec(
+                    log,
+                    SpanKind::Bw,
+                    u,
+                    0,
+                    if w.is_last { ta } else { tb },
+                    now_ns(log),
+                );
+                // This micro-batch's input is spent now, as is its
+                // whole forward chain (its gradient buffers went back
+                // inside `backward_stage`); recycling them is what
+                // stocks the pool for the sends and forwards of later
+                // micro-batches (misses happen only during warmup).
+                pool.put(input);
+                for y in ys.drain(..) {
+                    pool.put(y);
+                }
+                self.chain_spares.push(ys);
+                let bad = non_finite + usize::from(!micro_loss.is_finite());
+                if bad == 0 {
+                    if isolate {
+                        // Merging `0.0 + c` leaves the bits of adding
+                        // `c`: only a `-0.0` accumulator could tell them
+                        // apart, and one that starts at `+0.0` never
+                        // becomes it.
+                        for (g, c) in grads.iter_mut().zip(&*isolated) {
+                            g.accumulate(c);
+                        }
+                    }
+                    self.loss += micro_loss;
+                } else {
+                    match w.nan_policy {
+                        NanPolicy::AbortStep => {
+                            return Err(DappleError::NonFinite {
+                                stage: w.stage,
+                                replica: w.replica,
+                                micro: u,
+                            });
+                        }
+                        NanPolicy::SkipMicroBatch => self.skipped += 1,
+                        NanPolicy::ZeroAndWarn => {
+                            // Already in `grads`, the bad values as zeros.
+                            self.zeroed += bad;
+                            if micro_loss.is_finite() {
+                                self.loss += micro_loss;
+                            }
+                        }
+                    }
+                }
+                // The upstream stage still needs dx to make progress;
+                // under a lenient policy it will detect and handle
+                // the poison in its own contribution.
+                if let Some(dx) = dx {
+                    let dx_bytes = tensor_bytes(&dx);
+                    let ts = now_ns(log);
+                    w.send(fault, &w.to_prev, u, Cow::Owned(dx), idx, pool)?;
+                    rec(log, SpanKind::CommSend, u, dx_bytes, ts, now_ns(log));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Ends the worker's step: a look at what its script left unconsumed,
+    /// then the gradient sync.
+    fn finish(mut self, log: &mut Option<SpanLog>) -> Result<WorkerOut> {
+        let worker = &mut self.worker;
+        // Whatever the script received and never consumed, a peer sent
+        // beyond the schedule (e.g. an injected duplicate). A message that
+        // arrives after this worker's last receive stays in its channel
+        // for the coordinator to find once every sender is gone: a worker
+        // that has run its script waits for no neighbour.
+        for (side, buf) in [("forward", &self.buf_f), ("backward", &self.buf_b)] {
+            if let Some((micro, parts)) = buf.iter().find(|(_, parts)| !parts.is_empty()) {
+                return Err(DappleError::ChannelProtocol {
+                    stage: worker.stage,
+                    replica: worker.replica,
+                    detail: format!(
+                        "{} rows of micro-batch {micro} left over on the {side} channel \
+                         after the schedule completed",
+                        parts.iter().map(|p| p.data.rows).sum::<usize>()
+                    ),
+                });
+            }
+        }
+        // The sync waits only for this stage's own replicas, so it
+        // overlaps the earlier stages' backward tail.
+        let grads = std::mem::take(&mut self.slot.acc);
+        drop(self.slot);
+        let (grads, sync) = worker.sync_grads(grads, log)?;
+        Ok(WorkerOut {
+            stage: worker.stage,
+            replica: worker.replica,
+            rx_f: worker.rx_f.take(),
+            rx_b: worker.rx_b.take(),
+            grads,
+            sync,
+            loss: self.loss,
+            skipped: self.skipped,
+            zeroed: self.zeroed,
+            pool_hits: self.scratch.pool.hits,
+            pool_misses: self.scratch.pool.misses,
+        })
     }
 }
 
@@ -1893,5 +2210,200 @@ mod tests {
         let trainer = PipelineTrainer::new(model, cfg).unwrap();
         let (x, t) = data::regression_batch(24, 5, 3, 2); // mb = 6 < r = 7
         assert!(trainer.step_grads(&x, &t).is_err());
+    }
+
+    /// A config of `s` near-equal stages of [`model6`]'s six layers.
+    fn cfg_of(replication: &[usize], m: usize, schedule: Schedule) -> EngineConfig {
+        let s = replication.len();
+        let mut cfg =
+            EngineConfig::straight((0..s).map(|i| 6 * i / s..6 * (i + 1) / s).collect(), m, 0.1);
+        (cfg.replication, cfg.schedule) = (replication.to_vec(), schedule);
+        cfg
+    }
+
+    /// Replays `orders` with one token per op on `mb`-row micro-batches: a
+    /// thread runs its next op once that op is its own worker's next — a
+    /// worker placed on that thread — and its inputs from every neighbour
+    /// replica whose rows overlap its own and, for a reducer's sync, every
+    /// peer's hand-off have run. Whether every worker runs all its ops.
+    fn replays(
+        cfg: &EngineConfig,
+        mb: usize,
+        p: &Placement,
+        orders: &[Vec<(usize, usize)>],
+    ) -> bool {
+        let rows = |w: usize| rows_of(mb, cfg.replication[p.workers[w].0], p.workers[w].1);
+        let mut ran = vec![vec![false; 2 * cfg.micro_batches + 1]; p.workers.len()];
+        let (mut done, mut at) = (vec![0; p.workers.len()], vec![0; orders.len()]);
+        let mut run = |t: usize| {
+            let Some(&(w, k)) = orders[t].get(at[t]) else {
+                return false;
+            };
+            let (slot, senders) = inputs(cfg, &p.scripts[w], p.workers[w], k);
+            let sync = k == p.scripts[w].len();
+            let sends =
+                |q: &usize| sync || (rows(*q).start < rows(w).end && rows(w).start < rows(*q).end);
+            let ready =
+                (p.thread_of[w], done[w]) == (t, k) && senders.filter(sends).all(|q| ran[q][slot]);
+            if ready {
+                (ran[w][slot], done[w], at[t]) = (true, k + 1, at[t] + 1);
+            }
+            ready
+        };
+        while (0..orders.len()).any(&mut run) {}
+        let all = |w: usize| done[w] == p.scripts[w].len() + 1;
+        at.iter().zip(orders).all(|(&a, order)| a == order.len()) && (0..p.workers.len()).all(all)
+    }
+
+    /// Every placement of every small pipeline, at every thread count,
+    /// gives each thread exactly its workers' scripts, each in script
+    /// order and followed by one sync, and replays to the end on either
+    /// row split. The replay has teeth: each worker's script run back to
+    /// back instead deadlocks it somewhere in the sweep.
+    #[test]
+    fn every_thread_order_is_a_deadlock_free_interleave_of_its_scripts() {
+        let (macs, mut back_to_back_stuck) = (layer_macs(&model6()), 0);
+        let schedules = [
+            Schedule::GPipe,
+            Schedule::Dapple(KPolicy::PA),
+            Schedule::Dapple(KPolicy::PB),
+        ];
+        for s in 1..=4 {
+            let patterns = [
+                vec![1; s],
+                vec![2; s],
+                (1..=s).map(|i| 1 + i % 3).collect(),
+                (0..s).map(|i| 3 - i % 3).collect(),
+            ];
+            for (replication, m, schedule, d) in patterns.iter().flat_map(|r| {
+                [1, 2, 3, 5, 8].into_iter().flat_map(move |m| {
+                    schedules
+                        .into_iter()
+                        .flat_map(move |sc| [1, 2, usize::MAX].map(|d| (r, m, sc, d)))
+                })
+            }) {
+                let mut cfg = cfg_of(replication, m, schedule);
+                cfg.max_in_flight = d;
+                for threads in 1..=replication.iter().sum() {
+                    let p = Placement::new(&cfg, &macs, threads);
+                    let ctx = format!("{replication:?} m={m} {schedule} d={d} on {threads}");
+                    assert_eq!(p.orders.len(), threads, "{ctx}");
+                    assert!(
+                        [3, 5].iter().all(|&mb| replays(&cfg, mb, &p, &p.orders)),
+                        "{ctx}"
+                    );
+                    let back_to_back: Vec<Vec<(usize, usize)>> = (0..threads)
+                        .map(|t| {
+                            (0..p.workers.len())
+                                .filter(|&w| p.thread_of[w] == t)
+                                .flat_map(|w| (0..=p.scripts[w].len()).map(move |k| (w, k)))
+                                .collect()
+                        })
+                        .collect();
+                    back_to_back_stuck += usize::from(!replays(&cfg, 3, &p, &back_to_back));
+                }
+            }
+        }
+        assert!(
+            back_to_back_stuck > 0,
+            "the replay never caught a back-to-back order"
+        );
+    }
+
+    /// Loss and gradients are bit-identical at every thread count —
+    /// straight, replicated and mixed pipelines, every schedule, with and
+    /// without re-computation, under the default and the isolating NaN
+    /// policy — on a trainer's first step and on its second, which reuses
+    /// every buffer.
+    #[test]
+    fn bits_are_identical_at_every_thread_count() {
+        let (x, t) = data::regression_batch(24, 5, 3, 9);
+        let schedules = [
+            Schedule::GPipe,
+            Schedule::Dapple(KPolicy::PA),
+            Schedule::Dapple(KPolicy::PB),
+        ];
+        let policies = [NanPolicy::AbortStep, NanPolicy::SkipMicroBatch];
+        for replication in [vec![1, 1, 1, 1], vec![2, 2], vec![3, 1], vec![1, 2, 1]] {
+            for (schedule, recompute, nan_policy) in schedules.into_iter().flat_map(|sc| {
+                [false, true]
+                    .into_iter()
+                    .flat_map(move |rc| policies.map(|nan| (sc, rc, nan)))
+            }) {
+                let mut cfg = cfg_of(&replication, 4, schedule);
+                (cfg.recompute, cfg.nan_policy) = (recompute, nan_policy);
+                let bits = |threads: usize| -> Vec<u32> {
+                    let trainer = PipelineTrainer::with_threads(model6(), cfg.clone(), threads);
+                    assert_eq!(trainer.threads().len(), threads);
+                    let mut bits = Vec::new();
+                    for _ in 0..2 {
+                        let out = trainer
+                            .step_with_trace(&x, &t, &FaultPlan::new())
+                            .0
+                            .unwrap();
+                        let grads = out.grads.iter().flat_map(|g| g.segments().concat());
+                        bits.extend(std::iter::once(out.loss).chain(grads).map(f32::to_bits));
+                    }
+                    bits
+                };
+                let one = bits(1);
+                for threads in 2..=replication.iter().sum() {
+                    let ctx = format!("{replication:?} {schedule} rc={recompute} {nan_policy:?}");
+                    assert_eq!(bits(threads), one, "{ctx} on {threads}");
+                }
+            }
+        }
+    }
+
+    /// On two threads the benchmark's four shapes split as their stages'
+    /// multiply-adds say: the heavier pair of the narrow stack's four
+    /// stages together, the wide stacks' heavy middle stage alone, and
+    /// each of the hybrid's replica pairs across both threads.
+    #[test]
+    fn two_threads_place_the_benchmark_shapes_by_cost() {
+        // `input -> width x hidden -> output`, as the benchmark writes it.
+        let macs = |input: usize, width: usize, hidden: usize, output: usize| -> Vec<usize> {
+            let dims: Vec<usize> = std::iter::once(input)
+                .chain(std::iter::repeat_n(width, hidden))
+                .chain([output])
+                .collect();
+            dims.windows(2).map(|d| d[0] * d[1]).collect()
+        };
+        let (straight3, hybrid) = (vec![0..2, 2..4, 4..6], vec![0..3, 3..6]);
+        // Per shape, each worker's thread in spawn order.
+        for (name, macs, bounds, replication, threads) in [
+            (
+                "overhead_narrow",
+                macs(32, 64, 7, 16),
+                vec![0..2, 2..4, 4..6, 6..8],
+                vec![1; 4],
+                [0, 0, 1, 1].as_slice(),
+            ),
+            (
+                "compute_wide",
+                macs(64, 512, 5, 32),
+                straight3.clone(),
+                vec![1; 3],
+                &[1, 0, 1],
+            ),
+            (
+                "recovery_adam",
+                macs(64, 768, 5, 32),
+                straight3,
+                vec![1; 3],
+                &[1, 0, 1],
+            ),
+            (
+                "sync_hybrid",
+                macs(64, 768, 5, 32),
+                hybrid,
+                vec![2, 2],
+                &[0, 1, 0, 1],
+            ),
+        ] {
+            let mut cfg = EngineConfig::straight(bounds, 4, 0.1);
+            cfg.replication = replication;
+            assert_eq!(Placement::new(&cfg, &macs, 2).thread_of, threads, "{name}");
+        }
     }
 }

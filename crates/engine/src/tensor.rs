@@ -168,6 +168,12 @@ impl PackedRhs {
             src.cols,
             src.data.len()
         );
+        self.resize(rows, cols);
+    }
+
+    /// Takes the shape `rows x cols`, storage included, so that a pack of
+    /// that shape into this one allocates nothing.
+    pub(crate) fn resize(&mut self, rows: usize, cols: usize) {
         (self.rows, self.cols) = (rows, cols);
         self.data.resize(rows * cols, 0.0);
     }

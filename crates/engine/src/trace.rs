@@ -1,14 +1,19 @@
 //! Runtime tracing for the threaded 1F1B engine.
 //!
-//! Each stage-replica worker thread owns a [`SpanLog`] — a `Vec<Span>`
-//! sized before the first micro-batch — and writes to it through a plain
-//! `&mut`: recording a span is one bounds check and one slot write, never
-//! a heap allocation (`tests/alloc_counts.rs`), and a span that does not
-//! fit is dropped and counted. The thread hands its log back at the join,
-//! whether its worker finished, failed or panicked, and the coordinator
-//! collects the logs into a [`StepTrace`], which renders as a Chrome
-//! Trace Event JSON timeline (via [`dapple_core::chrome`]) and derives
-//! per-stage busy/bubble/backpressure metrics ([`StepMetrics`]).
+//! Each stage-replica worker has a [`SpanLog`] — a `Vec<Span>` sized
+//! before the first micro-batch, owned by the thread that runs the worker
+//! — and writes to it through a plain `&mut`: recording a span is one
+//! bounds check and one slot write, never a heap allocation
+//! (`tests/alloc_counts.rs`), and a span that does not fit is dropped and
+//! counted. The thread hands its workers' logs back at the join, whether
+//! they finished, failed or panicked, and the coordinator collects the
+//! logs into a [`StepTrace`], which renders as a Chrome Trace Event JSON
+//! timeline (via [`dapple_core::chrome`]) and derives per-stage
+//! busy/bubble/backpressure metrics ([`StepMetrics`]).
+//!
+//! Busy and bubble are per worker, whichever thread ran it. Workers that
+//! share a thread ([`WorkerTrace::thread`]) take turns on it, so a
+//! worker's idle time includes the compute of its co-located neighbours.
 //!
 //! Timestamps are monotonic nanoseconds relative to a per-step epoch
 //! (`Instant` taken before the workers spawn), so spans from different
@@ -122,11 +127,13 @@ impl SpanLog {
         }
     }
 
-    /// The finished log as the trace of worker `(stage, replica)`.
-    pub fn into_trace(self, stage: usize, replica: usize) -> WorkerTrace {
+    /// The finished log as the trace of worker `(stage, replica)`, run on
+    /// the step's thread `thread`.
+    pub fn into_trace(self, stage: usize, replica: usize, thread: usize) -> WorkerTrace {
         WorkerTrace {
             stage,
             replica,
+            thread,
             spans: self.spans,
             dropped: self.dropped,
         }
@@ -140,6 +147,9 @@ pub struct WorkerTrace {
     pub stage: usize,
     /// Replica index within the stage.
     pub replica: usize,
+    /// The step thread that ran this worker, beside any others placed on
+    /// it ([`crate::PipelineTrainer::threads`]).
+    pub thread: usize,
     /// Recorded spans in program order.
     pub spans: Vec<Span>,
     /// Spans that did not fit the log (0 unless it was undersized).
@@ -196,17 +206,18 @@ impl StepTrace {
     /// `pid` = number of stages), and within a stage each replica owns two
     /// `tid` rows — `2r` for compute, `2r + 1` for communication — so
     /// multi-replica stages don't overdraw one row. Stage-level AllReduce
-    /// spans take the row after the last replica pair.
+    /// spans take the row after the last replica pair. A worker's events
+    /// carry the thread that ran it in `args.thread`.
     pub fn to_chrome_trace(&self) -> String {
         let num_stages = self.replication.len();
         let mut events: Vec<ChromeEvent> = Vec::new();
         for w in &self.workers {
             for s in &w.spans {
-                events.push(self.event_for(Some(w.stage), w.replica, *s));
+                events.push(self.event_for(Some(w.stage), w.replica, Some(w.thread), *s));
             }
         }
         for c in &self.coord {
-            let mut e = self.event_for(c.stage, 0, c.span);
+            let mut e = self.event_for(c.stage, 0, None, c.span);
             e.pid = c.stage.unwrap_or(num_stages);
             // Stage-level coordinator spans take the row after the last
             // replica pair; whole-model spans own row 0 of their pid.
@@ -219,7 +230,13 @@ impl StepTrace {
         chrome_trace_json(events)
     }
 
-    fn event_for(&self, stage: Option<usize>, replica: usize, s: Span) -> ChromeEvent {
+    fn event_for(
+        &self,
+        stage: Option<usize>,
+        replica: usize,
+        thread: Option<usize>,
+        s: Span,
+    ) -> ChromeEvent {
         let micro_name = if s.micro == NO_MICRO {
             String::new()
         } else {
@@ -234,6 +251,7 @@ impl StepTrace {
             SpanKind::AllReduce => ("AllReduce".to_string(), false),
         };
         let mut args = vec![("replica", ChromeArg::Int(replica as u64))];
+        args.extend(thread.map(|t| ("thread", ChromeArg::Int(t as u64))));
         if s.micro != NO_MICRO {
             args.push(("micro", ChromeArg::Int(u64::from(s.micro))));
         }
@@ -402,7 +420,7 @@ mod tests {
         for i in 0..3 {
             log.record(span(SpanKind::Fw, i, 0, 1));
         }
-        let trace = log.into_trace(0, 0);
+        let trace = log.into_trace(0, 0, 0);
         assert_eq!(trace.spans.len(), 2);
         assert_eq!(trace.spans[0].micro, 0);
         assert_eq!(trace.spans[1].micro, 1);
@@ -414,6 +432,7 @@ mod tests {
         t.workers.push(WorkerTrace {
             stage: 0,
             replica: 0,
+            thread: 0,
             spans: vec![
                 span(SpanKind::Fw, 0, 0, 100),
                 span(SpanKind::CommSend, 0, 100, 110),
@@ -425,6 +444,7 @@ mod tests {
         t.workers.push(WorkerTrace {
             stage: 1,
             replica: 0,
+            thread: 0,
             spans: vec![
                 span(SpanKind::CommRecvWait, 0, 0, 110),
                 span(SpanKind::Fw, 0, 110, 200),
@@ -476,6 +496,7 @@ mod tests {
         t.workers.push(WorkerTrace {
             stage: 0,
             replica: 0,
+            thread: 0,
             spans: vec![span(SpanKind::Fw, 0, 0, 100)],
             dropped: 0,
         });
@@ -532,7 +553,7 @@ mod tests {
         assert!(json.contains(r#""cat":"comm""#));
         // Comm spans sit on the odd tid row.
         assert!(json.contains(r#""tid":1"#));
-        assert!(json.contains(r#""args":{"replica":0,"micro":0}"#));
+        assert!(json.contains(r#""args":{"replica":0,"thread":0,"micro":0}"#));
         assert!(json.contains(r#""bytes":4096"#));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }

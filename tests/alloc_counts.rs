@@ -246,7 +246,7 @@ fn span_recording_allocates_nothing() {
         }
     });
     assert_eq!(used, 0, "span recording must not allocate");
-    let trace = log.into_trace(0, 0);
+    let trace = log.into_trace(0, 0, 0);
     assert_eq!(trace.spans.len(), 64);
     assert_eq!(trace.dropped, REPS * 200 - 64);
 }

@@ -3,13 +3,15 @@
 //! every simulated task appears as a complete-event object with the
 //! documented fields — and that every cross-stage transfer appears on
 //! *both* endpoint rows (a send slice on the sender, a recv-wait slice on
-//! the receiver).
+//! the receiver). The engine's export names, on every worker event, the
+//! step thread that ran the worker.
 
 mod common;
 
 use common::{field, items, num, parse_json, text, Json};
 use dapple::cluster::Cluster;
 use dapple::core::{Bytes, DeviceId, Plan, StagePlan};
+use dapple::engine::{data, EngineConfig, FaultPlan, MlpModel, PipelineTrainer};
 use dapple::model::synthetic;
 use dapple::planner::CostModel;
 use dapple::profiler::{MemoryModel, ModelProfile};
@@ -143,4 +145,43 @@ fn chrome_trace_is_valid_json_covering_every_task() {
             }
         }
     }
+}
+
+/// Every event of a traced engine step carries, in `args.thread`, the
+/// thread its worker ran on — the one `PipelineTrainer::threads` placed
+/// it on and its `WorkerTrace` records.
+#[test]
+fn engine_trace_names_each_workers_thread() {
+    let mut cfg = EngineConfig::straight(vec![0..2, 2..4, 4..6], 4, 0.1);
+    (cfg.replication, cfg.tracing) = (vec![2, 1, 1], true);
+    let model = MlpModel::new(&[5, 12, 10, 8, 8, 4, 3], 7);
+    let trainer = PipelineTrainer::new(model, cfg).unwrap();
+    let threads = trainer.threads();
+    let thread_of = |stage: usize, replica: usize| {
+        let on = threads.iter().position(|ws| ws.contains(&(stage, replica)));
+        on.unwrap_or_else(|| panic!("({stage}, {replica}) is placed nowhere: {threads:?}"))
+    };
+    let (x, t) = data::regression_batch(24, 5, 3, 9);
+    let (result, trace) = trainer.step_with_trace(&x, &t, &FaultPlan::new());
+    result.unwrap();
+    let trace = trace.expect("tracing on");
+    for w in &trace.workers {
+        assert_eq!(w.thread, thread_of(w.stage, w.replica), "{threads:?}");
+    }
+
+    let root = parse_json(&trace.to_chrome_trace()).unwrap();
+    let events = items(&root);
+    let workers = events.iter().filter(|o| text(o, "cat") != "allreduce");
+    let mut seen = 0;
+    for obj in workers {
+        let args = field(obj, "args");
+        let (stage, replica) = (num(obj, "pid") as usize, num(args, "replica") as usize);
+        assert_eq!(
+            num(args, "thread") as usize,
+            thread_of(stage, replica),
+            "{obj:?}"
+        );
+        seen += 1;
+    }
+    assert!(seen >= 4 * 2 * 4, "every worker's forwards and backwards");
 }

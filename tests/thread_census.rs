@@ -51,8 +51,9 @@ fn parallel_matmul() {
     assert_eq!(out.data[0], 40.0);
 }
 
-/// 500 parallel calls, then 50 pipeline steps whose stage workers (three
-/// short-lived threads per step) each run above-gate matmuls.
+/// 500 parallel calls, then 50 pipeline steps whose three stage workers
+/// (on up to three short-lived threads per step) each run above-gate
+/// matmuls.
 fn exercise() {
     for _ in 0..167 {
         parallel_matmul();
