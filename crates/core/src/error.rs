@@ -40,8 +40,9 @@ pub enum DappleError {
         /// The panic payload, stringified.
         message: String,
     },
-    /// A micro-batch produced NaN/Inf gradient values and the configured
-    /// policy aborts the step.
+    /// A micro-batch produced a NaN/Inf loss or gradient value, which
+    /// fails the step: a finished step carries exactly the batch's
+    /// gradient.
     NonFinite {
         /// Stage that detected the non-finite contribution.
         stage: usize,

@@ -32,36 +32,24 @@ pub enum FaultKind {
     /// one thread, nobody is left to wait and the stall is a slow step.
     Stall(Duration),
     /// Swallow every boundary message this step would send. The peers
-    /// expecting those rows observe [`DappleError::Stalled`].
+    /// expecting those rows observe [`DappleError::Stalled`] on the open
+    /// channel, or [`DappleError::ChannelClosed`] when every sender into
+    /// it has finished first.
     DropMessage,
-    /// Send every boundary message of this step twice. The receiver's
-    /// shutdown drain observes [`DappleError::ChannelProtocol`].
+    /// Send every boundary message of this step twice. The receiver
+    /// observes [`DappleError::ChannelProtocol`]: the worker's leftover
+    /// check at the end of its script, or the coordinator's look into its
+    /// channels after the join when the copy arrived after its last
+    /// receive.
     DuplicateMessage,
     /// Panic the worker thread at this step. The coordinator observes
     /// [`DappleError::WorkerPanicked`] with the injected payload.
     Panic,
     /// Poison this step's micro-batch with NaN values (the outgoing
     /// activation for a forward, the loss gradient for a backward). The
-    /// configured [`NanPolicy`] decides between
-    /// [`DappleError::NonFinite`], skipping, or zero-and-continue.
+    /// step fails with [`DappleError::NonFinite`]; the model is left
+    /// untouched.
     NanGradient,
-}
-
-/// What the runtime does when a micro-batch's gradient contribution
-/// contains NaN/Inf values (checked before the contribution is merged,
-/// i.e. before any AllReduce).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NanPolicy {
-    /// Fail the whole step with [`DappleError::NonFinite`]; the model is
-    /// left untouched.
-    #[default]
-    AbortStep,
-    /// Drop the poisoned micro-batch's gradient and loss contribution on
-    /// the stage that detected it; report how many were skipped.
-    SkipMicroBatch,
-    /// Replace non-finite values with zero, keep the rest of the
-    /// contribution; report how many values were zeroed.
-    ZeroAndWarn,
 }
 
 /// A deterministic set of faults keyed by `(stage, replica, step)`.

@@ -40,7 +40,7 @@ pub mod tensor;
 pub mod trace;
 
 pub use checkpoint::{Partition, StateView, TrainState};
-pub use fault::{FaultKind, FaultPlan, NanPolicy};
+pub use fault::{FaultKind, FaultPlan};
 pub use layer::{tanh, Activation, Dense};
 pub use loss::LossKind;
 pub use model::{MlpModel, StepStats};

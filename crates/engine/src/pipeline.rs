@@ -78,12 +78,11 @@
 //! deadlock surfaces as [`DappleError::Stalled`], never a hang), a panic
 //! in any op is caught and reported as [`DappleError::WorkerPanicked`],
 //! and non-finite gradient values are counted per micro-batch as the
-//! kernels add them (as zeros) and handled per [`NanPolicy`]: a count
-//! above zero fails the step or is reported as repaired, and only
-//! [`NanPolicy::SkipMicroBatch`] — which must see a whole contribution
-//! before any of it lands — routes it through an isolation buffer. The
-//! reducing replica's wait for its peers' gradients is bounded like every
-//! other — a worker has exactly those two timed waits.
+//! kernels add them (as zeros): a micro-batch whose loss or count is not
+//! clean fails the step as [`DappleError::NonFinite`], so a step that
+//! succeeds carries exactly the batch's gradient. The reducing replica's
+//! wait for its peers' gradients is bounded like every other — a worker
+//! has exactly those two timed waits.
 //!
 //! A step ends at the join. Whom a worker sends which rows is resolved
 //! once, when the step is wired (the private `Route`s), and a worker
@@ -100,14 +99,24 @@
 //! the trainer stays usable for the next step.
 //!
 //! A thread stops at its first failed op and drops the workers it still
-//! holds, so their peers see the disconnect at once; each is reported as
-//! [`DappleError::ChannelClosed`] at the op it did not reach, and the
-//! ranking above names the root cause. A [`FaultKind::Stall`] delays its
-//! whole thread: every worker placed there waits with it, a worker on
-//! another thread observes it as [`DappleError::Stalled`], and when every
-//! worker shares one thread a stall is just a slow step.
+//! holds; each is reported as [`DappleError::ChannelClosed`] at the op it
+//! did not reach, and the ranking above names the root cause. A peer
+//! waiting on one of their channels sees the disconnect at once only if
+//! the failed thread held every sender into it, which is always so on an
+//! unreplicated pipeline. A channel out of a replicated stage has a
+//! sender per replica; one that survives on another thread keeps it
+//! open, and the waiter leaves through `recv_timeout` as
+//! [`DappleError::Stalled`]: a [`FaultKind::Panic`] at replica 1 of
+//! stage 0 on replication `[2, 1]`, placed on its own thread, costs the
+//! full 5 s default before the step returns (ROADMAP item 5 (b),
+//! liveness by cancellation, would end that wait).
+//!
+//! A [`FaultKind::Stall`] delays its whole thread: every worker placed
+//! there waits with it, a worker on another thread observes it as
+//! [`DappleError::Stalled`], and when every worker shares one thread a
+//! stall is just a slow step.
 
-use crate::fault::{FaultKind, FaultPlan, NanPolicy};
+use crate::fault::{FaultKind, FaultPlan};
 use crate::layer::{Dense, DenseGrads};
 use crate::loss::{loss_grad_into, LossKind};
 use crate::model::MlpModel;
@@ -144,12 +153,11 @@ pub struct EngineConfig {
     pub max_in_flight: usize,
     /// Loss optimized by the last stage.
     pub loss: LossKind,
-    /// Upper bound on every boundary-channel wait. A worker blocked
-    /// longer reports [`DappleError::Stalled`] instead of hanging.
+    /// Upper bound on each of a worker's two waits: a boundary receive
+    /// and the reducing replica's rendezvous with its peers' gradients. A
+    /// worker blocked longer reports [`DappleError::Stalled`] instead of
+    /// hanging.
     pub recv_timeout: Duration,
-    /// What to do when a micro-batch's gradient contribution contains
-    /// NaN/Inf values.
-    pub nan_policy: NanPolicy,
     /// Record per-worker span traces ([`StepTrace`]) during the step.
     /// Off by default: with tracing off the hot path takes no timestamps
     /// and performs no extra allocations (asserted in
@@ -172,7 +180,6 @@ impl EngineConfig {
             max_in_flight: usize::MAX,
             loss: LossKind::Mse,
             recv_timeout: Duration::from_secs(5),
-            nan_policy: NanPolicy::AbortStep,
             tracing: false,
         }
     }
@@ -186,7 +193,7 @@ impl EngineConfig {
 
     /// This config re-shaped to `plan`: stage bounds and replication are
     /// replaced, every other knob (schedule, micro-batches, timeouts,
-    /// NaN policy, ...) is preserved. This is the migration primitive of
+    /// tracing, ...) is preserved. This is the migration primitive of
     /// elastic recovery — the supervisor re-plans, then rebuilds the
     /// trainer with `cfg.apply_plan(&new_plan)`.
     pub fn apply_plan(&self, plan: &Plan) -> Self {
@@ -259,10 +266,6 @@ struct WorkerOut {
     /// replicated stage, tracing on).
     sync: Option<Span>,
     loss: f32,
-    /// Micro-batches dropped under [`NanPolicy::SkipMicroBatch`].
-    skipped: usize,
-    /// Values replaced under [`NanPolicy::ZeroAndWarn`].
-    zeroed: usize,
     /// Buffer-pool hits (boundary buffers served from the free list).
     pool_hits: usize,
     /// Buffer-pool misses (fresh allocations).
@@ -292,22 +295,14 @@ impl WorkerOut {
     }
 }
 
-/// The result of one pipelined gradient computation, including what the
-/// NaN policy did along the way.
+/// The result of one pipelined gradient computation.
 #[derive(Debug)]
 pub struct StepOutcome {
-    /// Total loss over the global batch (minus any skipped micro-batches).
+    /// Total loss over the global batch.
     pub loss: f32,
     /// Per-layer gradients, directly comparable with
     /// [`MlpModel::reference_grads`].
     pub grads: StepGrads,
-    /// Micro-batch contributions dropped by [`NanPolicy::SkipMicroBatch`],
-    /// summed over stage replicas (each replica that detects the poison
-    /// counts it once).
-    pub skipped_micro_batches: usize,
-    /// Non-finite values replaced by [`NanPolicy::ZeroAndWarn`], summed
-    /// over stage replicas.
-    pub zeroed_values: usize,
     /// Buffers served from the per-worker free lists, summed over all
     /// workers.
     pub pool_hits: usize,
@@ -318,27 +313,17 @@ pub struct StepOutcome {
     pub pool_misses: usize,
 }
 
-/// One worker's persistent gradient buffers, each one [`DenseGrads`] per
-/// layer of the worker's stage (empty until the first step, or after the
-/// buffers left with a caller).
-#[derive(Default)]
-struct GradSlot {
-    /// The step's accumulator over micro-batches: the backward kernels'
-    /// epilogues add every micro-batch's `dW`/`db` straight into it,
-    /// testing each value for finiteness on the way.
-    acc: Vec<DenseGrads>,
-    /// Under [`NanPolicy::SkipMicroBatch`] only (empty otherwise): where a
-    /// micro-batch's contribution lands instead, because that policy must
-    /// see all of it before any of it may reach `acc`.
-    isolated: Vec<DenseGrads>,
-}
-
 /// Where a trainer's gradient buffers live between steps. Shared by the
 /// trainer and every [`StepGrads`] it has handed out, so gradients can
 /// find their way back without borrowing the trainer.
 struct GradHome {
-    /// One slot per stage replica, in spawn order.
-    slots: Vec<Mutex<GradSlot>>,
+    /// One slot per stage replica, in spawn order: the worker's step
+    /// accumulator over micro-batches, one [`DenseGrads`] per layer of its
+    /// stage (empty until the first step, or after the buffers left with
+    /// a caller). The backward kernels' epilogues add every micro-batch's
+    /// `dW`/`db` straight into it, testing each value for finiteness on
+    /// the way.
+    slots: Vec<Mutex<Vec<DenseGrads>>>,
     /// Per stage: the slot of its replica 0 and its layer count.
     stages: Vec<(usize, usize)>,
 }
@@ -396,7 +381,7 @@ impl Drop for StepGrads {
         }
         let mut grads = self.grads.drain(..);
         for &(slot, layers) in &self.home.stages {
-            let acc = &mut lock(&self.home.slots[slot]).acc;
+            let mut acc = lock(&self.home.slots[slot]);
             acc.clear();
             acc.extend(grads.by_ref().take(layers));
         }
@@ -639,15 +624,13 @@ impl PipelineTrainer {
     }
 
     /// Sizes every worker's persistent buffers — both packs of each of its
-    /// layers, its gradient accumulators and, under
-    /// [`NanPolicy::SkipMicroBatch`], its isolation buffers — on the
-    /// calling thread, wherever a slot is empty or mis-shaped (the first
-    /// step, after [`StepGrads::into_vec`] or a failed step, after a
+    /// layers and its gradient accumulators — on the calling thread,
+    /// wherever a slot is empty or mis-shaped (the first step, after
+    /// [`StepGrads::into_vec`] or a failed step, after a
     /// reconfiguration). The step threads only reuse them, so no
     /// parameter-sized buffer is allocated in a short-lived thread's malloc
     /// arena.
     fn provision(&self) {
-        let isolate = self.cfg.nan_policy == NanPolicy::SkipMicroBatch;
         let stages = self.cfg.stage_bounds.iter().zip(&self.cfg.replication);
         let workers = stages.flat_map(|(bounds, &r)| std::iter::repeat_n(bounds, r));
         for (w, bounds) in workers.enumerate() {
@@ -664,15 +647,11 @@ impl PipelineTrainer {
                     packs.wt.resize(n, k);
                 }
             }
-            let mut slot = lock(&self.grad_home.slots[w]);
-            let GradSlot { acc, isolated } = &mut *slot;
-            for (bufs, wanted) in [(acc, true), (isolated, isolate)] {
-                let layers = if wanted { layers } else { &[] };
-                let reusable =
-                    bufs.len() == layers.len() && bufs.iter().zip(layers).all(|(g, l)| g.fits(l));
-                if !reusable {
-                    *bufs = layers.iter().map(DenseGrads::zeros_like).collect();
-                }
+            let mut acc = lock(&self.grad_home.slots[w]);
+            let reusable =
+                acc.len() == layers.len() && acc.iter().zip(layers).all(|(g, l)| g.fits(l));
+            if !reusable {
+                *acc = layers.iter().map(DenseGrads::zeros_like).collect();
             }
         }
     }
@@ -687,10 +666,8 @@ impl PipelineTrainer {
 
     /// The pipeline step: full-batch gradients under a fault-injection
     /// plan, without updating weights. With faults it returns the
-    /// structured error of the root cause (or, under a lenient
-    /// [`NanPolicy`], a [`StepOutcome`] describing what was skipped or
-    /// zeroed); the model is borrowed shared, so the trainer remains
-    /// usable after a failed step.
+    /// structured error of the root cause; the model is borrowed shared,
+    /// so the trainer remains usable after a failed step.
     ///
     /// The measured trace sits outside the `Result` so a *failed* step
     /// still yields its partial timeline: each thread hands its workers'
@@ -804,7 +781,6 @@ impl PipelineTrainer {
                         .unwrap_or_default(),
                     my_rows,
                     faults: faults.for_worker(i, p),
-                    nan_policy: self.cfg.nan_policy,
                     recv_timeout: self.cfg.recv_timeout,
                     scratch: &self.scratch[workers.len()],
                     grad_slot: &stage_slots[p],
@@ -866,8 +842,6 @@ impl PipelineTrainer {
             loss += outs[first..first + r].iter().map(|o| o.loss).sum::<f32>();
             first += r;
         }
-        let skipped_micro_batches = outs.iter().map(|o| o.skipped).sum();
-        let zeroed_values = outs.iter().map(|o| o.zeroed).sum();
         let pool_hits = outs.iter().map(|o| o.pool_hits).sum();
         let pool_misses = outs.iter().map(|o| o.pool_misses).sum();
         let mut grads = Vec::with_capacity(self.model.num_layers());
@@ -887,8 +861,6 @@ impl PipelineTrainer {
                     grads,
                     home: Arc::clone(&self.grad_home),
                 },
-                skipped_micro_batches,
-                zeroed_values,
                 pool_hits,
                 pool_misses,
             }),
@@ -956,8 +928,9 @@ fn caught<T>(stage: usize, replica: usize, op: impl FnOnce() -> Result<T>) -> Re
 /// Step thread `thread` of placement `p`: runs its order over its
 /// workers (indexed by spawn index, `None` where a worker runs elsewhere).
 /// It stops at the first op that fails and drops the workers it still
-/// holds, so their peers see the disconnect at once; each is reported as
-/// closed at the op it did not reach.
+/// holds, closing every channel whose senders it held all of (module
+/// docs, "Failure semantics"); each is reported as closed at the op it
+/// did not reach.
 fn run_thread(
     thread: usize,
     workers: Vec<Option<Worker<'_>>>,
@@ -1043,16 +1016,15 @@ struct Worker<'a> {
     to_prev: Vec<Route>,
     /// Faults this worker must inject, keyed by step index.
     faults: HashMap<usize, FaultKind>,
-    nan_policy: NanPolicy,
     recv_timeout: Duration,
     /// This worker's persistent scratch slot (owned by the trainer so
     /// free lists and packing space survive across steps). Each worker
     /// locks only its own slot for the duration of the step —
     /// uncontended by construction.
     scratch: &'a Mutex<WorkerScratch>,
-    /// This worker's persistent gradient buffers, held for the step like
-    /// the pool.
-    grad_slot: &'a Mutex<GradSlot>,
+    /// This worker's persistent gradient accumulator, held for the step
+    /// like the pool.
+    grad_slot: &'a Mutex<Vec<DenseGrads>>,
     /// This worker's part in its stage's gradient sync.
     sync: GradSync<'a>,
 }
@@ -1077,7 +1049,7 @@ enum GradSync<'a> {
     Reducer {
         rx: Receiver<(usize, Vec<DenseGrads>)>,
         /// The stage's slots by replica, to return the peers' buffers to.
-        peer_slots: &'a [Mutex<GradSlot>],
+        peer_slots: &'a [Mutex<Vec<DenseGrads>>],
     },
     /// Replicas `1..r`: hand `(replica, accumulator)` to replica 0.
     Peer(Sender<(usize, Vec<DenseGrads>)>),
@@ -1250,7 +1222,7 @@ impl<'a> Worker<'a> {
         // held until they are handed on, so an attempt that fails or
         // panics leaves them where the next step finds (and zeroes) them.
         let mut slot = lock(self.grad_slot);
-        slot.acc.iter_mut().for_each(DenseGrads::zero);
+        slot.iter_mut().for_each(DenseGrads::zero);
         Live {
             // At most one flight per in-progress micro-batch; sizing the
             // map up front keeps rehashing out of the step loop.
@@ -1262,8 +1234,6 @@ impl<'a> Worker<'a> {
             pack_wt: true,
             chain_spares: Vec::new(),
             loss: 0.0,
-            skipped: 0,
-            zeroed: 0,
             buf_f: HashMap::new(),
             buf_b: HashMap::new(),
             poisoned: HashSet::new(),
@@ -1335,7 +1305,7 @@ impl<'a> Worker<'a> {
                     end_ns: log.now_ns(),
                 });
                 for (replica, bufs) in peers {
-                    lock(&peer_slots[replica]).acc = bufs;
+                    *lock(&peer_slots[replica]) = bufs;
                 }
                 Ok((acc, span))
             }
@@ -1467,7 +1437,7 @@ impl<'a> Worker<'a> {
 struct Live<'a> {
     worker: Worker<'a>,
     scratch: MutexGuard<'a, WorkerScratch>,
-    slot: MutexGuard<'a, GradSlot>,
+    slot: MutexGuard<'a, Vec<DenseGrads>>,
     /// Whether this step's first forward and first backward — the ones
     /// that pack — are still to come.
     pack_w: bool,
@@ -1477,15 +1447,13 @@ struct Live<'a> {
     /// here for the next forward.
     chain_spares: Vec<Vec<Tensor>>,
     loss: f32,
-    skipped: usize,
-    zeroed: usize,
     flights: HashMap<usize, Flight>,
     buf_f: HashMap<usize, Vec<Msg>>,
     buf_b: HashMap<usize, Vec<Msg>>,
     /// Micro-batches poisoned by an injected NaN at their forward: their
     /// loss gradient is poisoned at this worker's own backward too, so the
-    /// fault is detected locally even when the downstream copy is handled
-    /// by a lenient policy or recomputation.
+    /// fault is observable on the last stage, which sends no poisoned copy
+    /// downstream (elsewhere the copy fails the step at the next stage).
     poisoned: HashSet<usize>,
 }
 
@@ -1495,11 +1463,6 @@ impl Live<'_> {
         let w = &self.worker;
         let scratch = &mut *self.scratch;
         let pool = &mut scratch.pool;
-        let GradSlot {
-            acc: grads,
-            isolated,
-        } = &mut *self.slot;
-        let isolate = w.nan_policy == NanPolicy::SkipMicroBatch;
         let (step, fault) = (w.script[idx], w.faults.get(&idx).copied());
         match fault {
             Some(FaultKind::Stall(delay)) => std::thread::sleep(delay),
@@ -1645,19 +1608,14 @@ impl Live<'_> {
                     }
                 }
                 // The kernels add this micro-batch's `dW`/`db` into the
-                // accumulator — zeroed isolation buffers under the skip
-                // policy — and count what was not finite.
-                if isolate {
-                    isolated.iter_mut().for_each(DenseGrads::zero);
-                }
-                let into = if isolate { &mut *isolated } else { &mut *grads };
+                // accumulator and count what was not finite.
                 let (dx, non_finite) = backward_stage(
                     w.layers,
                     &scratch.packed,
                     &input,
                     &ys,
                     dy,
-                    into,
+                    &mut self.slot,
                     pool,
                     !w.is_first,
                 );
@@ -1681,40 +1639,16 @@ impl Live<'_> {
                     pool.put(y);
                 }
                 self.chain_spares.push(ys);
-                let bad = non_finite + usize::from(!micro_loss.is_finite());
-                if bad == 0 {
-                    if isolate {
-                        // Merging `0.0 + c` leaves the bits of adding
-                        // `c`: only a `-0.0` accumulator could tell them
-                        // apart, and one that starts at `+0.0` never
-                        // becomes it.
-                        for (g, c) in grads.iter_mut().zip(&*isolated) {
-                            g.accumulate(c);
-                        }
-                    }
-                    self.loss += micro_loss;
-                } else {
-                    match w.nan_policy {
-                        NanPolicy::AbortStep => {
-                            return Err(DappleError::NonFinite {
-                                stage: w.stage,
-                                replica: w.replica,
-                                micro: u,
-                            });
-                        }
-                        NanPolicy::SkipMicroBatch => self.skipped += 1,
-                        NanPolicy::ZeroAndWarn => {
-                            // Already in `grads`, the bad values as zeros.
-                            self.zeroed += bad;
-                            if micro_loss.is_finite() {
-                                self.loss += micro_loss;
-                            }
-                        }
-                    }
+                // A step that finishes carries exactly the batch's
+                // gradient, so a poisoned micro-batch fails it.
+                if non_finite > 0 || !micro_loss.is_finite() {
+                    return Err(DappleError::NonFinite {
+                        stage: w.stage,
+                        replica: w.replica,
+                        micro: u,
+                    });
                 }
-                // The upstream stage still needs dx to make progress;
-                // under a lenient policy it will detect and handle
-                // the poison in its own contribution.
+                self.loss += micro_loss;
                 if let Some(dx) = dx {
                     let dx_bytes = tensor_bytes(&dx);
                     let ts = now_ns(log);
@@ -1750,7 +1684,7 @@ impl Live<'_> {
         }
         // The sync waits only for this stage's own replicas, so it
         // overlaps the earlier stages' backward tail.
-        let grads = std::mem::take(&mut self.slot.acc);
+        let grads = std::mem::take(&mut *self.slot);
         drop(self.slot);
         let (grads, sync) = worker.sync_grads(grads, log)?;
         Ok(WorkerOut {
@@ -1761,8 +1695,6 @@ impl Live<'_> {
             grads,
             sync,
             loss: self.loss,
-            skipped: self.skipped,
-            zeroed: self.zeroed,
             pool_hits: self.scratch.pool.hits,
             pool_misses: self.scratch.pool.misses,
         })
@@ -2099,8 +2031,7 @@ mod tests {
         // width (2), so its loss computation asserts during Bw(0) while
         // other workers are mid-schedule.
         let model = model6();
-        let mut cfg = EngineConfig::straight(vec![0..2, 2..4, 4..6], 4, 0.1);
-        cfg.recv_timeout = Duration::from_millis(500);
+        let cfg = EngineConfig::straight(vec![0..2, 2..4, 4..6], 4, 0.1);
         let trainer = PipelineTrainer::new(model, cfg).unwrap();
         let (x, _) = data::regression_batch(24, 5, 3, 9);
         let bad_t = crate::tensor::Tensor::zeros(24, 2);
@@ -2115,8 +2046,7 @@ mod tests {
     #[test]
     fn injected_panic_is_structured_and_recoverable() {
         let model = model6();
-        let mut cfg = EngineConfig::straight(vec![0..2, 2..4, 4..6], 4, 0.1);
-        cfg.recv_timeout = Duration::from_millis(500);
+        let cfg = EngineConfig::straight(vec![0..2, 2..4, 4..6], 4, 0.1);
         let trainer = PipelineTrainer::new(model, cfg).unwrap();
         let (x, t) = data::regression_batch(24, 5, 3, 9);
         let plan = FaultPlan::new().with_fault(1, 0, 2, FaultKind::Panic);
@@ -2149,8 +2079,6 @@ mod tests {
             .0
             .unwrap();
         assert_eq!(loss_a.to_bits(), out.loss.to_bits());
-        assert_eq!(out.skipped_micro_batches, 0);
-        assert_eq!(out.zeroed_values, 0);
         for (a, b) in grads_a.iter().zip(&out.grads) {
             for (sa, sb) in a.segments().into_iter().zip(b.segments()) {
                 assert!(sa.iter().zip(sb).all(|(p, q)| p.to_bits() == q.to_bits()));
@@ -2312,9 +2240,8 @@ mod tests {
 
     /// Loss and gradients are bit-identical at every thread count —
     /// straight, replicated and mixed pipelines, every schedule, with and
-    /// without re-computation, under the default and the isolating NaN
-    /// policy — on a trainer's first step and on its second, which reuses
-    /// every buffer.
+    /// without re-computation — on a trainer's first step and on its
+    /// second, which reuses every buffer.
     #[test]
     fn bits_are_identical_at_every_thread_count() {
         let (x, t) = data::regression_batch(24, 5, 3, 9);
@@ -2323,15 +2250,13 @@ mod tests {
             Schedule::Dapple(KPolicy::PA),
             Schedule::Dapple(KPolicy::PB),
         ];
-        let policies = [NanPolicy::AbortStep, NanPolicy::SkipMicroBatch];
         for replication in [vec![1, 1, 1, 1], vec![2, 2], vec![3, 1], vec![1, 2, 1]] {
-            for (schedule, recompute, nan_policy) in schedules.into_iter().flat_map(|sc| {
-                [false, true]
-                    .into_iter()
-                    .flat_map(move |rc| policies.map(|nan| (sc, rc, nan)))
-            }) {
+            for (schedule, recompute) in schedules
+                .into_iter()
+                .flat_map(|sc| [false, true].map(|rc| (sc, rc)))
+            {
                 let mut cfg = cfg_of(&replication, 4, schedule);
-                (cfg.recompute, cfg.nan_policy) = (recompute, nan_policy);
+                cfg.recompute = recompute;
                 let bits = |threads: usize| -> Vec<u32> {
                     let trainer = PipelineTrainer::with_threads(model6(), cfg.clone(), threads);
                     assert_eq!(trainer.threads().len(), threads);
@@ -2348,7 +2273,7 @@ mod tests {
                 };
                 let one = bits(1);
                 for threads in 2..=replication.iter().sum() {
-                    let ctx = format!("{replication:?} {schedule} rc={recompute} {nan_policy:?}");
+                    let ctx = format!("{replication:?} {schedule} rc={recompute}");
                     assert_eq!(bits(threads), one, "{ctx} on {threads}");
                 }
             }

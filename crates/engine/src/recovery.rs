@@ -435,9 +435,6 @@ pub struct RetryPolicy {
     /// Backoff before retry `k` is `base_backoff_us << (k - 1)` —
     /// accumulated on the virtual clock, never slept.
     pub base_backoff_us: u64,
-    /// Whether exhausting a replicated stage's retries drops the replica
-    /// and continues degraded (instead of failing the run).
-    pub allow_degraded: bool,
 }
 
 impl Default for RetryPolicy {
@@ -445,7 +442,6 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_attempts: 3,
             base_backoff_us: 1_000,
-            allow_degraded: true,
         }
     }
 }
@@ -762,10 +758,9 @@ impl Supervisor {
                     attempt += 1;
                     if attempt >= self.policy.max_attempts {
                         // Retry budget exhausted for this configuration:
-                        // drop the sick replica if the policy and the
-                        // pipeline shape allow it, else give up.
+                        // drop the sick replica if its stage has another.
                         let (stage, replica) = error_coords(&e).unwrap_or((0, 0));
-                        if self.policy.allow_degraded && self.drop_replica(step, stage, replica)? {
+                        if self.drop_replica(step, stage, replica)? {
                             attempt = 0;
                             continue;
                         }
@@ -1117,8 +1112,7 @@ mod tests {
     fn mk_loop(opt: fn(&MlpModel) -> Optimizer) -> TrainLoop {
         let model = MlpModel::new(&DIMS, 77);
         let optimizer = opt(&model);
-        let mut cfg = EngineConfig::straight(vec![0..2, 2..4, 4..6], 4, 0.1);
-        cfg.recv_timeout = std::time::Duration::from_millis(200);
+        let cfg = EngineConfig::straight(vec![0..2, 2..4, 4..6], 4, 0.1);
         let stream = DataStream::new(9, 24, 5, 3);
         TrainLoop::new(model, cfg, optimizer, stream).unwrap()
     }
@@ -1146,7 +1140,6 @@ mod tests {
         let p = RetryPolicy {
             max_attempts: 5,
             base_backoff_us: 100,
-            allow_degraded: true,
         };
         assert_eq!(p.backoff_us(1), 100);
         assert_eq!(p.backoff_us(2), 200);
@@ -1155,7 +1148,6 @@ mod tests {
         let big = RetryPolicy {
             max_attempts: 5,
             base_backoff_us: u64::MAX / 2,
-            allow_degraded: true,
         };
         assert_eq!(big.backoff_us(50), u64::MAX);
     }
@@ -1246,7 +1238,6 @@ mod tests {
         let policy = RetryPolicy {
             max_attempts: 2,
             base_backoff_us: 10,
-            allow_degraded: true,
         };
         let mut sup = Supervisor::new(mk_loop(|_| Optimizer::sgd(0.1)), policy);
         let mut faults = |_: u64, _: usize| FaultPlan::new().with_fault(1, 0, 2, FaultKind::Panic);

@@ -466,20 +466,19 @@ fn regression_batch_is_the_documented_draw_and_product() {
     }
 }
 
-/// A NaN input row still ends a pipeline step in `NonFinite` under
-/// `AbortStep`, at the micro-batch that carries it: the row poisons the
-/// first layer's `dW` directly and every later layer through `tanh`, and
-/// skipping the first stage's input gradient hides nothing, since that
-/// gradient was never checked.
+/// A NaN input row still ends a pipeline step in `NonFinite`, at the
+/// micro-batch that carries it: the row poisons the first layer's `dW`
+/// directly and every later layer through `tanh`, and skipping the first
+/// stage's input gradient hides nothing, since that gradient was never
+/// checked.
 #[test]
 fn a_nan_input_row_ends_the_step_non_finite() {
-    use dapple::engine::{EngineConfig, MlpModel, NanPolicy, PipelineTrainer};
+    use dapple::engine::{EngineConfig, MlpModel, PipelineTrainer};
     use dapple_core::DappleError;
     let (mut x, t) = data::regression_batch(24, 5, 3, 9);
     // Row 7: the second of four 6-row micro-batches.
     x.data[7 * 5..8 * 5].fill(f32::NAN);
-    let mut cfg = EngineConfig::straight(vec![0..2, 2..4, 4..6], 4, 0.1);
-    cfg.nan_policy = NanPolicy::AbortStep;
+    let cfg = EngineConfig::straight(vec![0..2, 2..4, 4..6], 4, 0.1);
     let model = MlpModel::new(&[5, 12, 10, 8, 8, 4, 3], 77);
     let trainer = PipelineTrainer::new(model, cfg).expect("valid config");
     match trainer.step_grads(&x, &t) {

@@ -326,7 +326,6 @@ fn degraded_mode_drops_replica_and_continues() {
     let policy = RetryPolicy {
         max_attempts: 2,
         base_backoff_us: 100,
-        allow_degraded: true,
     };
     let mut sup = Supervisor::new(lp, policy);
 
@@ -374,44 +373,6 @@ fn degraded_mode_drops_replica_and_continues() {
             "degraded trajectory diverged: {a} vs {b}"
         );
     }
-}
-
-/// With degraded mode disabled the same persistent replica failure is a
-/// structured `RetriesExhausted` carrying the sick worker's coordinates.
-#[test]
-fn degraded_mode_can_be_disabled() {
-    let model = MlpModel::new(&DIMS, 77);
-    let mut config = cfg();
-    config.stage_bounds = vec![0..3, 3..6];
-    config.replication = vec![2, 1];
-    let lp = TrainLoop::new(
-        model,
-        config,
-        Optimizer::sgd(0.1),
-        DataStream::new(9, BATCH, 5, 3),
-    )
-    .unwrap();
-    let policy = RetryPolicy {
-        max_attempts: 2,
-        base_backoff_us: 100,
-        allow_degraded: false,
-    };
-    let mut sup = Supervisor::new(lp, policy);
-    let mut faults = |_: u64, _: usize| FaultPlan::new().with_fault(0, 1, 0, FaultKind::Panic);
-    match sup.run(4, &mut faults) {
-        Err(DappleError::RetriesExhausted {
-            stage,
-            replica,
-            step,
-            attempts,
-            ..
-        }) => {
-            assert_eq!((stage, replica, step), (0, 1, 0));
-            assert_eq!(attempts, 2);
-        }
-        other => panic!("expected RetriesExhausted, got {other:?}"),
-    }
-    assert_eq!(sup.metrics().replica_drops, 0);
 }
 
 /// Checkpoint-every + restore round-trips through the supervisor: after
@@ -478,7 +439,6 @@ fn elastic_migration_after_exhausted_stage_is_bit_exact() {
     let policy = RetryPolicy {
         max_attempts: 2,
         base_backoff_us: 100,
-        allow_degraded: true,
     };
     let plan = straight_plan(&[0..2, 2..4, 4..6], &[0, 1, 2]);
     // Scripted planner: device 1 died, so the survivors must be 0 and 2;
@@ -588,7 +548,6 @@ fn migrated_pipeline_beats_degraded_throughput() {
     let policy = RetryPolicy {
         max_attempts: 2,
         base_backoff_us: 100,
-        allow_degraded: true,
     };
     // Stage 0 spans devices 0 and 1; stage 1 runs on device 2.
     let plan = Plan::new(vec![
@@ -689,7 +648,6 @@ fn prime_micro_batch_rows_drop_one_replica_not_all() {
     let policy = RetryPolicy {
         max_attempts: 2,
         base_backoff_us: 100,
-        allow_degraded: true,
     };
     let mut sup = Supervisor::new(lp, policy);
     let mut faults = |_: u64, _: usize| FaultPlan::new().with_fault(0, 2, 0, FaultKind::Panic);
@@ -750,7 +708,6 @@ fn restore_after_reconfiguration_keeps_the_live_shape() {
     let policy = RetryPolicy {
         max_attempts: 2,
         base_backoff_us: 100,
-        allow_degraded: true,
     };
     let replanner = |_: &[DeviceId]| Some(straight_plan(&[0..2, 2..6], &[0, 2]));
     let mut sup = Supervisor::new(lp, policy)
@@ -799,7 +756,6 @@ fn checkpoint_taken_degraded_resumes_degraded() {
     let policy = RetryPolicy {
         max_attempts: 2,
         base_backoff_us: 100,
-        allow_degraded: true,
     };
     let mut sup = Supervisor::new(lp, policy).with_checkpoint_every(1);
     let mut faults = |_: u64, _: usize| FaultPlan::new().with_fault(0, 1, 0, FaultKind::Panic);

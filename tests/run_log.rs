@@ -35,7 +35,6 @@ fn traced_loop() -> TrainLoop {
     let optimizer = Optimizer::adam(0.01, &model);
     let mut cfg = EngineConfig::straight(vec![0..2, 2..4, 4..6], 4, 0.1);
     cfg.tracing = true;
-    cfg.recv_timeout = std::time::Duration::from_millis(500);
     TrainLoop::new(model, cfg, optimizer, DataStream::new(11, 24, 5, 3)).unwrap()
 }
 
