@@ -81,7 +81,7 @@ pub fn render(
     timestamp: Option<&str>,
     records: &[Record],
 ) -> String {
-    fn opt<'a>(o: Object<&'a mut String>, k: &str, v: Option<&str>) -> Object<&'a mut String> {
+    fn opt<'a>(o: Object<'a>, k: &str, v: Option<&str>) -> Object<'a> {
         match v {
             Some(v) => o.str(k, v),
             None => o.null(k),

@@ -1,11 +1,11 @@
 //! The workspace's one JSON reader and one JSON writer.
 //!
-//! Everything that emits JSON (the run log, the recorder's summary, the
+//! Everything that emits JSON (the recorder's run-log lines, the
 //! Chrome-trace exporter, the supervisor's event log, the bench report and
-//! the diff verdict) builds it with [`Object`] / [`Array`]; everything
-//! that reads JSON back (the bench barometer, the repo benchmark, the
-//! integration tests that check the emitters) parses it with
-//! [`parse_json`]. No dependency, and no allocation on the write path
+//! the diff verdict) builds it with [`Object`] / [`Array`] into a plain
+//! `String`; everything that reads JSON back (the bench barometer, the
+//! repo benchmark, the integration tests that check the emitters) parses
+//! it with [`parse_json`]. No dependency, and no allocation on the write path
 //! beyond the caller's own buffer.
 
 use std::fmt::Write as _;
@@ -28,28 +28,6 @@ pub fn escape_into(out: &mut String, s: &str) {
     }
 }
 
-/// Where a writer builds its text, and what closing the outermost value
-/// does with it: nothing for a plain `&mut String`; a
-/// [`crate::metrics::RunLog`] sends the finished line to its sink.
-pub trait Buffer {
-    /// What [`Object::end`] and [`Array::end`] return.
-    type Closed;
-    /// The text under construction.
-    fn text(&mut self) -> &mut String;
-    /// Runs once, after the closing bracket is written.
-    fn close(self) -> Self::Closed;
-}
-
-impl Buffer for &mut String {
-    type Closed = ();
-
-    fn text(&mut self) -> &mut String {
-        self
-    }
-
-    fn close(self) {}
-}
-
 /// A float as a JSON token: `decimals` places, `null` when non-finite
 /// (JSON has no `inf` or `NaN`).
 fn number(out: &mut String, v: f64, decimals: usize) {
@@ -69,20 +47,20 @@ fn string(out: &mut String, s: &str) {
 /// Writes one JSON object, fields in call order, into a caller-owned
 /// buffer without allocating. Keys and string values are escaped; floats
 /// are fixed-point at the call site's precision.
-pub struct Object<B: Buffer> {
-    out: B,
+pub struct Object<'a> {
+    out: &'a mut String,
     any: bool,
     spaced: bool,
 }
 
-impl<B: Buffer> Object<B> {
+impl<'a> Object<'a> {
     /// Opens an object at the end of `out`.
-    pub fn new(out: B) -> Self {
+    pub fn new(out: &'a mut String) -> Self {
         Object::open(out, false)
     }
 
-    fn open(mut out: B, spaced: bool) -> Self {
-        out.text().push('{');
+    fn open(out: &'a mut String, spaced: bool) -> Self {
+        out.push('{');
         let any = false;
         Object { out, any, spaced }
     }
@@ -95,7 +73,7 @@ impl<B: Buffer> Object<B> {
     }
 
     fn key(&mut self, k: &str) -> &mut String {
-        let out = self.out.text();
+        let out = &mut *self.out;
         if self.any {
             out.push_str(if self.spaced { ", " } else { "," });
         }
@@ -152,50 +130,41 @@ impl<B: Buffer> Object<B> {
     }
 
     /// Appends a nested object; `fields` adds its fields.
-    pub fn object(
-        mut self,
-        k: &str,
-        fields: impl FnOnce(Object<&mut String>) -> Object<&mut String>,
-    ) -> Self {
+    pub fn object(mut self, k: &str, fields: impl FnOnce(Object<'_>) -> Object<'_>) -> Self {
         let spaced = self.spaced;
         fields(Object::open(self.key(k), spaced)).end();
         self
     }
 
     /// Appends a nested array; `items` adds its items.
-    pub fn array(
-        mut self,
-        k: &str,
-        items: impl FnOnce(Array<&mut String>) -> Array<&mut String>,
-    ) -> Self {
+    pub fn array(mut self, k: &str, items: impl FnOnce(Array<'_>) -> Array<'_>) -> Self {
         let spaced = self.spaced;
         items(Array::open(self.key(k), spaced)).end();
         self
     }
 
     /// Closes the object.
-    pub fn end(mut self) -> B::Closed {
-        self.out.text().push('}');
-        self.out.close()
+    pub fn end(self) {
+        self.out.push('}');
     }
 }
 
 /// Writes one JSON array; the counterpart of [`Object`].
-pub struct Array<B: Buffer> {
-    out: B,
+pub struct Array<'a> {
+    out: &'a mut String,
     any: bool,
     spaced: bool,
     rows: bool,
 }
 
-impl<B: Buffer> Array<B> {
+impl<'a> Array<'a> {
     /// Opens an array at the end of `out`.
-    pub fn new(out: B) -> Self {
+    pub fn new(out: &'a mut String) -> Self {
         Array::open(out, false)
     }
 
-    fn open(mut out: B, spaced: bool) -> Self {
-        out.text().push('[');
+    fn open(out: &'a mut String, spaced: bool) -> Self {
+        out.push('[');
         let (any, rows) = (false, false);
         Array {
             out,
@@ -219,7 +188,7 @@ impl<B: Buffer> Array<B> {
     }
 
     fn item(&mut self) -> &mut String {
-        let out = self.out.text();
+        let out = &mut *self.out;
         if self.any {
             out.push_str(if self.spaced && !self.rows { ", " } else { "," });
         }
@@ -243,23 +212,18 @@ impl<B: Buffer> Array<B> {
     }
 
     /// Appends an object; `fields` adds its fields.
-    pub fn object(
-        mut self,
-        fields: impl FnOnce(Object<&mut String>) -> Object<&mut String>,
-    ) -> Self {
+    pub fn object(mut self, fields: impl FnOnce(Object<'_>) -> Object<'_>) -> Self {
         let spaced = self.spaced;
         fields(Object::open(self.item(), spaced)).end();
         self
     }
 
     /// Closes the array.
-    pub fn end(mut self) -> B::Closed {
-        let out = self.out.text();
+    pub fn end(self) {
         if self.rows && self.any {
-            out.push('\n');
+            self.out.push('\n');
         }
-        out.push(']');
-        self.out.close()
+        self.out.push(']');
     }
 }
 

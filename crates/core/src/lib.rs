@@ -17,8 +17,6 @@
 //!   simulated and the measured timelines;
 //! * the one JSON writer and parser ([`json`]) every emitter and every
 //!   report reader goes through;
-//! * the log-bucketed [`Histogram`] and the zero-steady-state-allocation
-//!   JSONL [`metrics::RunLog`] the engine feeds each training step;
 //! * the workspace-wide error type [`DappleError`].
 
 #![forbid(unsafe_code)]
@@ -27,7 +25,6 @@ pub mod chrome;
 pub mod error;
 pub mod ids;
 pub mod json;
-pub mod metrics;
 pub mod phase;
 pub mod plan;
 pub mod quantity;
@@ -35,7 +32,6 @@ pub mod quantity;
 pub use chrome::{chrome_trace_json, ChromeArg, ChromeEvent};
 pub use error::{DappleError, Result};
 pub use ids::{DeviceId, MachineId};
-pub use metrics::{straggler_stages, Histogram, RunLog};
 pub use phase::{bubble_ratio, relative_error, PhaseSplit, PhaseTag};
 pub use plan::{Plan, PlanKind, StagePlan};
 pub use quantity::Bytes;

@@ -78,7 +78,7 @@ impl Node {
     }
 }
 
-fn fields<'a>(o: Object<&'a mut String>, nodes: &[(String, Node)]) -> Object<&'a mut String> {
+fn fields<'a>(o: Object<'a>, nodes: &[(String, Node)]) -> Object<'a> {
     nodes.iter().fold(o, |o, (k, v)| match v {
         Node::U(v) => o.u64(k, *v),
         Node::F(v) => o.f64(k, *v),
@@ -90,7 +90,7 @@ fn fields<'a>(o: Object<&'a mut String>, nodes: &[(String, Node)]) -> Object<&'a
     })
 }
 
-fn items<'a>(a: Array<&'a mut String>, nodes: &[Node]) -> Array<&'a mut String> {
+fn items<'a>(a: Array<'a>, nodes: &[Node]) -> Array<'a> {
     nodes.iter().fold(a, |a, v| match v {
         Node::U(v) => a.u64(*v),
         Node::F(v) => a.f64(*v),

@@ -59,8 +59,9 @@
 //! save/load, repartition — is logged as a [`RecoveryEvent`] with a
 //! virtual-time stamp, summarized by [`RecoveryMetrics`] (MTTR,
 //! recovered-step overhead, migration cost) and, when tracing is on,
-//! folded into the step's [`StepMetrics`] so `dapple-bench` can report
-//! it in the BENCH json.
+//! folded into the step's [`StepMetrics`]
+//! ([`Supervisor::last_step_metrics`], which `benchmark/`'s layers mode
+//! reads).
 
 use crate::checkpoint::{self, Partition, StateView, TrainState};
 use crate::data;
@@ -141,8 +142,9 @@ pub struct TrainLoop {
     /// Optional per-step telemetry sink ([`crate::runlog`]).
     recorder: Option<RunRecorder>,
     /// Recovery costs accumulated since the last *successful* step —
-    /// rollbacks from failed attempts plus checkpoint save/load time
-    /// charged by the supervisor. Drained into the next recorded step.
+    /// failed attempts and their rollbacks plus checkpoint save/load and
+    /// migration time charged by the supervisor. Drained into the next
+    /// recorded step; carried across a restore with the recorder.
     pending_recovery: RecoveryStepMetrics,
 }
 
@@ -202,8 +204,8 @@ impl TrainLoop {
     /// Resumes from one checkpoint file's bytes. The partition stored in
     /// the file **overrides** `cfg.stage_bounds` / `cfg.replication` — a
     /// checkpoint taken while degraded resumes degraded, not in the shape
-    /// the caller remembers; all other knobs (schedule, timeouts, NaN
-    /// policy, ...) come from `cfg`.
+    /// the caller remembers; all other knobs (schedule, timeouts,
+    /// tracing, ...) come from `cfg`.
     pub fn resume_bytes(bytes: &[u8], mut cfg: EngineConfig) -> Result<Self> {
         let (state, partition) = checkpoint::from_bytes(bytes)?;
         cfg.stage_bounds = partition.stage_bounds;
@@ -274,12 +276,7 @@ impl TrainLoop {
         self.recorder = Some(recorder);
     }
 
-    /// The attached recorder, if any.
-    pub fn recorder(&self) -> Option<&RunRecorder> {
-        self.recorder.as_ref()
-    }
-
-    /// Detaches and returns the recorder (for end-of-run summaries).
+    /// Detaches and returns the recorder.
     pub fn take_recorder(&mut self) -> Option<RunRecorder> {
         self.recorder.take()
     }
@@ -743,6 +740,7 @@ impl Supervisor {
                 }
                 Err(e) => {
                     let rollback_ns = self.train.last_rollback_ns();
+                    self.last_step_recovery.retries += 1;
                     self.last_step_recovery.rollback_ns += rollback_ns;
                     self.events.push(RecoveryEvent {
                         step,
@@ -781,7 +779,6 @@ impl Supervisor {
                     }
                     let backoff = self.policy.backoff_us(attempt);
                     self.virtual_us += backoff;
-                    self.last_step_recovery.retries += 1;
                     self.events.push(RecoveryEvent {
                         step,
                         virtual_us: self.virtual_us,
@@ -820,16 +817,15 @@ impl Supervisor {
         let cfg = self.train.config().clone();
         let t0 = Instant::now();
         let (state, _) = checkpoint::from_bytes(bytes)?;
-        let restored = TrainLoop::from_state(state, cfg)?;
+        let mut restored = TrainLoop::from_state(state, cfg)?;
         let ns = t0.elapsed().as_nanos() as u64;
         let step = restored.step();
-        // The recorder (and its open run log) survives the restore: it
-        // belongs to the run, not to the training state.
-        let recorder = self.train.take_recorder();
+        // The recorder (and its open run log) survives the restore with
+        // the charges still pending for its next line: they belong to the
+        // run, not to the training state.
+        restored.recorder = self.train.recorder.take();
+        restored.pending_recovery = self.train.pending_recovery;
         self.train = restored;
-        if let Some(rec) = recorder {
-            self.train.attach_recorder(rec);
-        }
         self.train.charge_checkpoint_ns(0, ns);
         self.last_step_recovery.checkpoint_load_ns += ns;
         self.events.push(RecoveryEvent {

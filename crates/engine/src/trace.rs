@@ -324,7 +324,6 @@ impl StepTrace {
         StepMetrics {
             makespan_ns,
             bubble_ratio: dapple_core::phase::bubble_ratio(&busy_us, makespan_ns as f64 / 1e3),
-            phases: self.phase_split(),
             stages,
             recovery: RecoveryStepMetrics::default(),
         }
@@ -359,8 +358,6 @@ pub struct StepMetrics {
     pub makespan_ns: u64,
     /// Mean per-stage bubble ratio.
     pub bubble_ratio: f64,
-    /// Warmup/steady/tail decomposition.
-    pub phases: PhaseSplit,
     /// Per-stage accounting.
     pub stages: Vec<StageMetrics>,
     /// Recovery costs attributed to this step by the supervisor
@@ -385,7 +382,7 @@ impl StepMetrics {
 /// only ever sees the final successful attempt.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStepMetrics {
-    /// Failed attempts that were retried.
+    /// Failed attempts, each rolled back.
     pub retries: usize,
     /// Wall-clock time spent rewinding failed attempts, ns (a rewind is
     /// the data cursor only, so this can legitimately be 0).

@@ -120,7 +120,7 @@ fn traced_step_exports_complete_parseable_timeline() {
     // Metrics are internally consistent.
     let m = trace.metrics();
     assert!(m.makespan_ns > 0);
-    assert!((m.phases.total_us() - m.makespan_ns as f64 / 1e3).abs() < 1e-6);
+    assert!((trace.phase_split().total_us() - m.makespan_ns as f64 / 1e3).abs() < 1e-6);
     for s in &m.stages {
         assert!(s.busy_ns > 0, "every stage computed something");
         assert!(s.busy_fraction > 0.0 && s.busy_fraction <= 1.0);
