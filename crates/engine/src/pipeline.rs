@@ -2183,14 +2183,11 @@ mod tests {
         at.iter().zip(orders).all(|(&a, order)| a == order.len()) && (0..p.workers.len()).all(all)
     }
 
-    /// Every placement of every small pipeline, at every thread count,
-    /// gives each thread exactly its workers' scripts, each in script
-    /// order and followed by one sync, and replays to the end on either
-    /// row split. The replay has teeth: each worker's script run back to
-    /// back instead deadlocks it somewhere in the sweep.
-    #[test]
-    fn every_thread_order_is_a_deadlock_free_interleave_of_its_scripts() {
-        let (macs, mut back_to_back_stuck) = (layer_macs(&model6()), 0);
+    /// `f` over every placement of every small pipeline at every thread
+    /// count: one to four stages in four replication patterns, at 1, 2,
+    /// 3, 5 and 8 micro-batches, under every schedule and in-flight bound.
+    fn placement_sweep(mut f: impl FnMut(&str, &EngineConfig, usize, Placement)) {
+        let macs = layer_macs(&model6());
         let schedules = [
             Schedule::GPipe,
             Schedule::Dapple(KPolicy::PA),
@@ -2213,29 +2210,63 @@ mod tests {
                 let mut cfg = cfg_of(replication, m, schedule);
                 cfg.max_in_flight = d;
                 for threads in 1..=replication.iter().sum() {
-                    let p = Placement::new(&cfg, &macs, threads);
                     let ctx = format!("{replication:?} m={m} {schedule} d={d} on {threads}");
-                    assert_eq!(p.orders.len(), threads, "{ctx}");
-                    assert!(
-                        [3, 5].iter().all(|&mb| replays(&cfg, mb, &p, &p.orders)),
-                        "{ctx}"
-                    );
-                    let back_to_back: Vec<Vec<(usize, usize)>> = (0..threads)
-                        .map(|t| {
-                            (0..p.workers.len())
-                                .filter(|&w| p.thread_of[w] == t)
-                                .flat_map(|w| (0..=p.scripts[w].len()).map(move |k| (w, k)))
-                                .collect()
-                        })
-                        .collect();
-                    back_to_back_stuck += usize::from(!replays(&cfg, 3, &p, &back_to_back));
+                    f(&ctx, &cfg, threads, Placement::new(&cfg, &macs, threads));
                 }
             }
         }
+    }
+
+    /// Every placement of the sweep gives each thread exactly its workers'
+    /// scripts, each in script order and followed by one sync, and
+    /// replays to the end on either row split. The replay has teeth: each
+    /// worker's script run back to back instead deadlocks it somewhere in
+    /// the sweep.
+    #[test]
+    fn every_thread_order_is_a_deadlock_free_interleave_of_its_scripts() {
+        let mut back_to_back_stuck = 0;
+        placement_sweep(|ctx, cfg, threads, p| {
+            assert_eq!(p.orders.len(), threads, "{ctx}");
+            assert!(
+                [3, 5].iter().all(|&mb| replays(cfg, mb, &p, &p.orders)),
+                "{ctx}"
+            );
+            let back_to_back: Vec<Vec<(usize, usize)>> = (0..threads)
+                .map(|t| {
+                    (0..p.workers.len())
+                        .filter(|&w| p.thread_of[w] == t)
+                        .flat_map(|w| (0..=p.scripts[w].len()).map(move |k| (w, k)))
+                        .collect()
+                })
+                .collect();
+            back_to_back_stuck += usize::from(!replays(cfg, 3, &p, &back_to_back));
+        });
         assert!(
             back_to_back_stuck > 0,
             "the replay never caught a back-to-back order"
         );
+    }
+
+    /// Every placement of the sweep — each worker's thread and each
+    /// thread's order — as one FNV-1a digest. The constant was recorded
+    /// before the pass moved into `dapple-sim`; a change to it changes
+    /// which thread runs what when, though never a bit of the step.
+    #[test]
+    fn placements_match_their_golden_digest() {
+        let mut words: Vec<u64> = Vec::new();
+        placement_sweep(|_, _, _, p| {
+            words.push(p.orders.len() as u64);
+            words.extend(p.thread_of.iter().map(|&t| t as u64));
+            for order in &p.orders {
+                words.push(order.len() as u64);
+                words.extend(order.iter().flat_map(|&(w, k)| [w as u64, k as u64]));
+            }
+        });
+        let digest = (words.iter().flat_map(|w| w.to_le_bytes()))
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            });
+        assert_eq!(digest, 8_810_375_036_857_401_051);
     }
 
     /// Loss and gradients are bit-identical at every thread count —

@@ -5,10 +5,108 @@
 
 use dapple::cluster::Cluster;
 use dapple::core::{Bytes, DeviceId, Plan, StagePlan};
-use dapple::model::synthetic;
+use dapple::model::{synthetic, ModelGraph, OptimizerKind};
 use dapple::planner::{pipeline_latency, CostModel};
 use dapple::profiler::{MemoryModel, ModelProfile};
-use dapple::sim::{KPolicy, PipelineSim, Schedule, SimConfig};
+use dapple::sim::{KPolicy, PipelineSim, Schedule, SimConfig, SimResult};
+
+/// A cluster, a model, a global batch and a plan over them.
+type Fixture = (Cluster, ModelGraph, usize, Plan);
+
+/// Four uniform stages of two layers, one device each.
+fn straight() -> Fixture {
+    let g = synthetic::uniform(8, 200.0, Bytes::mb(30.0), Bytes::mb(0.5));
+    let plan = Plan::new(
+        (0..4)
+            .map(|i| StagePlan::new(i * 2..(i + 1) * 2, vec![DeviceId(i as u32)]))
+            .collect(),
+    );
+    (Cluster::config_b(4), g, 32, plan)
+}
+
+/// A deliberately unbalanced split of a ramped model.
+fn uneven() -> Fixture {
+    let g = synthetic::ramped(9, 150.0, 0.8, Bytes::mb(25.0));
+    let plan = Plan::new(vec![
+        StagePlan::new(0..2, vec![DeviceId(0)]),
+        StagePlan::new(2..5, vec![DeviceId(1)]),
+        StagePlan::new(5..9, vec![DeviceId(2)]),
+    ]);
+    (Cluster::config_b(3), g, 24, plan)
+}
+
+/// Two stages of four replicas each.
+fn replicated() -> Fixture {
+    let g = synthetic::uniform(8, 300.0, Bytes::mb(40.0), Bytes::mb(2.0));
+    let plan = Plan::new(vec![
+        StagePlan::new(0..4, (0..4).map(DeviceId).collect()),
+        StagePlan::new(4..8, (4..8).map(DeviceId).collect()),
+    ]);
+    (Cluster::config_a(1), g, 64, plan)
+}
+
+/// `f` over every run of the golden sweep: each fixture under GPipe, PA
+/// and PB, with and without re-computation, at M = 1, 2, 5 and 8.
+fn sweep(mut f: impl FnMut(&str, SimResult)) {
+    for (name, (cluster, g, gbs, plan)) in [
+        ("straight", straight()),
+        ("uneven", uneven()),
+        ("replicated", replicated()),
+    ] {
+        let p = ModelProfile::profile(&g, &cluster.device);
+        let cm = CostModel::new(&p, &cluster, MemoryModel::new(OptimizerKind::Adam), gbs);
+        let sim = PipelineSim::new(&cm, &plan);
+        for schedule in [
+            Schedule::GPipe,
+            Schedule::Dapple(KPolicy::PA),
+            Schedule::Dapple(KPolicy::PB),
+        ] {
+            for recompute in [false, true] {
+                for micro_batches in [1, 2, 5, 8] {
+                    let cfg = SimConfig {
+                        micro_batches,
+                        schedule,
+                        recompute,
+                    };
+                    f(&format!("{name} {cfg:?}"), sim.run(cfg));
+                }
+            }
+        }
+    }
+}
+
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let bytes = words.into_iter().flat_map(u64::to_le_bytes);
+    bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// Every bit of a run the sweep pins: makespan, busy time, peak memory,
+/// the memory series, the OOM flag, and the tasks sorted by start, stage,
+/// kind and micro-batch — so the digest does not depend on the order in
+/// which the simulator lists its tasks.
+fn bits(r: &SimResult) -> Vec<u64> {
+    let mut tasks = r.tasks.clone();
+    tasks.sort_by(|a, b| {
+        let key = |t: &dapple::sim::TaskRecord| (t.stage, t.kind as u8, t.micro);
+        a.start_us.total_cmp(&b.start_us).then(key(a).cmp(&key(b)))
+    });
+    let mut w = vec![r.makespan_us.to_bits(), u64::from(r.oom)];
+    w.extend(r.busy_us.iter().map(|b| b.to_bits()));
+    w.extend(r.peak_mem.iter().map(|b| b.0));
+    for series in &r.mem_series {
+        w.push(series.len() as u64);
+        w.extend(series.iter().flat_map(|&(t, b)| [t.to_bits(), b.0]));
+    }
+    for t in tasks {
+        let (stage, kind, micro) = (t.stage as u64, t.kind as u64, t.micro as u64);
+        w.extend([stage, kind, micro, t.bytes]);
+        w.extend([t.start_us.to_bits(), t.end_us.to_bits()]);
+    }
+    w
+}
 
 fn agreement(plan: &Plan, cm: &CostModel<'_>, m: usize) -> f64 {
     let sim = PipelineSim::new(cm, plan)
@@ -25,16 +123,9 @@ fn agreement(plan: &Plan, cm: &CostModel<'_>, m: usize) -> f64 {
 
 #[test]
 fn formula_matches_sim_on_uniform_straight_pipelines() {
-    let cluster = Cluster::config_b(4);
-    let g = synthetic::uniform(8, 200.0, Bytes::mb(30.0), Bytes::mb(0.5));
+    let (cluster, g, gbs, plan) = straight();
     let p = ModelProfile::profile(&g, &cluster.device);
-    let mm = MemoryModel::new(dapple::model::OptimizerKind::Adam);
-    let cm = CostModel::new(&p, &cluster, mm, 32);
-    let plan = Plan::new(
-        (0..4)
-            .map(|i| StagePlan::new(i * 2..(i + 1) * 2, vec![DeviceId(i as u32)]))
-            .collect(),
-    );
+    let cm = CostModel::new(&p, &cluster, MemoryModel::new(OptimizerKind::Adam), gbs);
     for m in [1usize, 2, 4, 8, 16, 32] {
         let rel = agreement(&plan, &cm, m);
         assert!(rel < 0.02, "M={m}: rel err {rel}");
@@ -43,17 +134,9 @@ fn formula_matches_sim_on_uniform_straight_pipelines() {
 
 #[test]
 fn formula_tracks_sim_on_uneven_pipelines() {
-    let cluster = Cluster::config_b(3);
-    let g = synthetic::ramped(9, 150.0, 0.8, Bytes::mb(25.0));
+    let (cluster, g, gbs, plan) = uneven();
     let p = ModelProfile::profile(&g, &cluster.device);
-    let mm = MemoryModel::new(dapple::model::OptimizerKind::Adam);
-    let cm = CostModel::new(&p, &cluster, mm, 24);
-    // Deliberately unbalanced split.
-    let plan = Plan::new(vec![
-        StagePlan::new(0..2, vec![DeviceId(0)]),
-        StagePlan::new(2..5, vec![DeviceId(1)]),
-        StagePlan::new(5..9, vec![DeviceId(2)]),
-    ]);
+    let cm = CostModel::new(&p, &cluster, MemoryModel::new(OptimizerKind::Adam), gbs);
     for m in [2usize, 6, 12, 24] {
         let rel = agreement(&plan, &cm, m);
         // Approximation: internal bubbles are not modeled, so allow slack.
@@ -63,17 +146,26 @@ fn formula_tracks_sim_on_uneven_pipelines() {
 
 #[test]
 fn formula_tracks_sim_with_replicated_stages() {
-    let cluster = Cluster::config_a(1);
-    let g = synthetic::uniform(8, 300.0, Bytes::mb(40.0), Bytes::mb(2.0));
+    let (cluster, g, gbs, plan) = replicated();
     let p = ModelProfile::profile(&g, &cluster.device);
-    let mm = MemoryModel::new(dapple::model::OptimizerKind::Adam);
-    let cm = CostModel::new(&p, &cluster, mm, 64);
-    let plan = Plan::new(vec![
-        StagePlan::new(0..4, (0..4).map(DeviceId).collect()),
-        StagePlan::new(4..8, (4..8).map(DeviceId).collect()),
-    ]);
+    let cm = CostModel::new(&p, &cluster, MemoryModel::new(OptimizerKind::Adam), gbs);
     for m in [4usize, 8, 16] {
         let rel = agreement(&plan, &cm, m);
         assert!(rel < 0.10, "M={m}: rel err {rel}");
     }
+}
+
+/// The simulator's every bit over the sweep, as one digest. The constant
+/// was recorded before the simulator's pass moved onto the shared list
+/// scheduler; a change to it is a change to the simulated timeline.
+#[test]
+fn simulated_timelines_match_their_golden_digest() {
+    let mut words = Vec::new();
+    let mut runs = 0;
+    sweep(|_, r| {
+        words.extend(bits(&r));
+        runs += 1;
+    });
+    assert_eq!(runs, 72);
+    assert_eq!(fnv1a(words), 13_284_677_139_109_138_332);
 }
