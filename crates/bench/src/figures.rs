@@ -6,8 +6,11 @@ use dapple_core::Bytes;
 use dapple_model::{synthetic, zoo, ModelSpec};
 use dapple_planner::dp;
 use dapple_profiler::ModelProfile;
+use dapple_sim::list::{list_schedule, Lane, Op};
+use dapple_sim::schedule::{stage_order, Step};
 use dapple_sim::{render_timeline, KPolicy, PipelineSim, Schedule, SimConfig};
 use std::fmt::Write as _;
+use std::ops::Range;
 
 /// Fig. 3: GPipe vs DAPPLE schedules and GPU0 memory over time.
 pub fn fig3() -> Report {
@@ -166,16 +169,16 @@ pub fn fig7() -> Report {
 /// whole micro-batches (tail effect).
 pub fn fig8() -> Report {
     // Stage 0 costs 2T per micro-batch, stage 1 costs T; stage 0 is
-    // replicated on two devices; backward costs twice forward. The two
-    // replication styles are simulated step by step.
+    // replicated on two devices; backward costs twice forward. Both
+    // replication styles run through the simulator's list scheduler.
     let t = 1.0f64;
     let m = 5usize;
     // (a) split: each replica handles half of every micro-batch in T, so
     // the pipeline is a uniform 2-stage 1F1B pipeline at (T fw, 2T bw).
-    let split_makespan = simulate_replicated(m, &vec![vec![0, 1]; m], t, 2.0 * t, t, 2.0 * t);
+    let split_makespan = simulate_replicated(m, &vec![0..2; m], t, 2.0 * t, t, 2.0 * t);
     // (b) round-robin: replica u % 2 handles the whole micro-batch u, each
     // taking 2T fw / 4T bw — the tail effect of §V-B2.
-    let assignment: Vec<Vec<usize>> = (0..m).map(|u| vec![u % 2]).collect();
+    let assignment: Vec<Range<usize>> = (0..m).map(|u| u % 2..u % 2 + 1).collect();
     let rr_makespan = simulate_replicated(m, &assignment, 2.0 * t, 4.0 * t, t, 2.0 * t);
     let mut text = String::new();
     writeln!(
@@ -202,94 +205,41 @@ pub fn fig8() -> Report {
 }
 
 /// Simulates a 2-stage pipeline whose first stage is replicated on two
-/// devices, with `assignment[u]` naming the stage-0 replicas that process
+/// devices, with `assignment[u]` the stage-0 replicas that process
 /// micro-batch `u` (all of them must finish before stage 1 can start it).
-/// Stage-0 replicas run a 2-deep-warmup 1F1B script; stage 1 is a single
-/// device alternating forward/backward per micro-batch.
+/// Each stage-0 replica runs its micro-batches as stage 0 of a 2-stage
+/// DAPPLE-PA script (two warmup forwards, then 1F1B); stage 1 is a single
+/// device running each micro-batch's forward and backward back to back.
 fn simulate_replicated(
     m: usize,
-    assignment: &[Vec<usize>],
+    assignment: &[Range<usize>],
     fw0: f64,
     bw0: f64,
     fw1: f64,
     bw1: f64,
 ) -> f64 {
-    #[derive(Clone, Copy)]
-    enum T {
-        F(usize),
-        B(usize),
-    }
-    // Build each replica's script: warmup two forwards, then 1F1B.
-    let mut scripts: Vec<Vec<T>> = vec![Vec::new(); 2];
-    #[allow(clippy::needless_range_loop)] // r names the replica, used in filters
-    for r in 0..2 {
-        let mine: Vec<usize> = (0..m).filter(|u| assignment[*u].contains(&r)).collect();
-        let k = 2.min(mine.len());
-        let mut script = Vec::new();
-        for &u in &mine[..k] {
-            script.push(T::F(u));
-        }
-        for i in k..mine.len() {
-            script.push(T::B(mine[i - k]));
-            script.push(T::F(mine[i]));
-        }
-        for &u in &mine[mine.len() - k..] {
-            script.push(T::B(u));
-        }
-        scripts[r] = script;
-    }
-    let mut rep_free = [0.0f64; 2];
-    let mut next = [0usize; 2];
-    let mut f0_done = vec![f64::NAN; m];
-    let mut f0_parts = vec![0usize; m];
-    let mut f0_latest = vec![0.0f64; m];
-    let mut grad_done = vec![f64::NAN; m];
-    let mut s1_free = 0.0f64;
-    let mut s1_next = 0usize;
-    let mut makespan = 0.0f64;
-    loop {
-        let mut progressed = false;
-        // Stage 1: strictly per micro-batch, F then B.
-        while s1_next < m && !f0_done[s1_next].is_nan() {
-            let start = s1_free.max(f0_done[s1_next]);
-            s1_free = start + fw1 + bw1;
-            grad_done[s1_next] = s1_free;
-            s1_next += 1;
-            progressed = true;
-        }
-        // Stage 0 replicas.
-        for r in 0..2 {
-            while next[r] < scripts[r].len() {
-                match scripts[r][next[r]] {
-                    T::F(u) => {
-                        rep_free[r] += fw0;
-                        f0_parts[u] += 1;
-                        f0_latest[u] = f0_latest[u].max(rep_free[r]);
-                        if f0_parts[u] == assignment[u].len() {
-                            f0_done[u] = f0_latest[u];
-                        }
-                    }
-                    T::B(u) => {
-                        if grad_done[u].is_nan() {
-                            break;
-                        }
-                        rep_free[r] = rep_free[r].max(grad_done[u]) + bw0;
-                        makespan = makespan.max(rep_free[r]);
-                    }
-                }
-                next[r] += 1;
-                progressed = true;
+    let op = |slot, after, cost| Op { slot, after, cost };
+    let mut lanes: Vec<Lane> = (0..2)
+        .map(|r| {
+            let mine: Vec<usize> = (0..m).filter(|u| assignment[*u].contains(&r)).collect();
+            let script = stage_order(Schedule::Dapple(KPolicy::PA), 0, 2, mine.len(), usize::MAX);
+            let ops = script.into_iter().map(|step| match step {
+                Step::Fw(i) => op(mine[i], 0..0, fw0),
+                Step::Bw(i) => op(m + mine[i], 2..3, bw0),
+            });
+            Lane {
+                resource: r,
+                ops: ops.collect(),
             }
-        }
-        if !progressed {
-            break;
-        }
-    }
-    assert!(
-        next[0] == scripts[0].len() && next[1] == scripts[1].len() && s1_next == m,
-        "fig8 mini-sim deadlock"
-    );
-    makespan.max(s1_free)
+        })
+        .collect();
+    let stage1 = (0..m).flat_map(|u| [op(u, assignment[u].clone(), fw1), op(m + u, 0..0, bw1)]);
+    lanes.push(Lane {
+        resource: 2,
+        ops: stage1.collect(),
+    });
+    let times = list_schedule(&lanes, 3).times;
+    times.iter().flatten().fold(0.0, |end, t| t.1.max(end))
 }
 
 /// The GBS sweep used for a model in Fig. 12.
@@ -562,5 +512,6 @@ mod tests {
             .map(|l| l.split(',').nth(1).unwrap().parse().unwrap())
             .collect();
         assert!(vals[1] > vals[0], "round-robin must be slower: {vals:?}");
+        assert_eq!(vals, [18.0, 21.0]);
     }
 }

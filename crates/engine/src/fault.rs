@@ -55,9 +55,8 @@ pub enum FaultKind {
 /// A deterministic set of faults keyed by `(stage, replica, step)`.
 ///
 /// `step` indexes the stage's deterministic order from
-/// [`dapple_sim::schedule::stage_order`]; use
-/// [`dapple_sim::schedule::step_index_of`] to target semantic
-/// coordinates such as "the backward of µ=2".
+/// [`dapple_sim::schedule::stage_order`]: "the backward of µ=2" is the
+/// position of `Step::Bw(2)` in it.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     faults: BTreeMap<(usize, usize, usize), FaultKind>,

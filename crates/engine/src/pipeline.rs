@@ -18,22 +18,14 @@
 //! per shape (at construction and on a reconfiguration;
 //! [`PipelineTrainer::threads`]) the trainer spreads its workers over
 //! `T = min(workers, available_parallelism)` threads, longest job first by
-//! its stage's multiply-adds over its replicas, each onto the least-loaded
-//! thread. Each thread runs a static order: its workers' script steps and
-//! one sync op (leftover check, gradient sync) per worker, emitted by a
-//! list-scheduling pass. The pass costs a forward at the worker's
-//! multiply-adds, a backward at twice that and a sync at nothing, puts a
-//! sync first on a tied start, and emits an op only after its script
-//! predecessor, every replica of the neighbouring stage it may receive
-//! from (all of them: the row split depends on the batch) and, for a
-//! reducer's sync, every peer's hand-off.
-//!
-//! So a step cannot deadlock: the emitted ops form one global order in
-//! which every op follows everything it waits for, and each thread's
-//! order is a subsequence of it. The earliest op of that order not yet run
-//! has its thread at it and its inputs in its channels (channels are
-//! unbounded, so no send waits), so it runs. With at least as many cores
-//! as workers, each thread holds one worker and runs its script.
+//! multiply-adds. Each thread runs the order that
+//! [`dapple_sim::list::list_schedule`] gives it: its workers' script steps
+//! and, after a worker's last step, its sync op (leftover check, gradient
+//! sync). A step cannot deadlock: those orders interleave into one order
+//! in which every op follows what it waits for, and channels are
+//! unbounded, so the earliest op of it not yet run has its thread at it
+//! and its inputs in its channels. With at least as many cores as
+//! workers, each thread holds one worker and runs its script.
 //!
 //! A step has one entry point, [`PipelineTrainer::step_with_trace`]
 //! ([`PipelineTrainer::step_grads`] is its clean-plan convenience). It
@@ -108,8 +100,8 @@
 //! open, and the waiter leaves through `recv_timeout` as
 //! [`DappleError::Stalled`]: a [`FaultKind::Panic`] at replica 1 of
 //! stage 0 on replication `[2, 1]`, placed on its own thread, costs the
-//! full 5 s default before the step returns (ROADMAP item 5 (b),
-//! liveness by cancellation, would end that wait).
+//! full 5 s default before the step returns (the ROADMAP item "liveness
+//! by cancellation" would end that wait).
 //!
 //! A [`FaultKind::Stall`] delays its whole thread: every worker placed
 //! there waits with it, a worker on another thread observes it as
@@ -123,6 +115,7 @@ use crate::model::MlpModel;
 use crate::tensor::{PackedRhs, Tensor};
 use crate::trace::{CoordSpan, Span, SpanKind, SpanLog, StepTrace, WorkerTrace, NO_MICRO};
 use dapple_core::{DappleError, Plan, Result};
+use dapple_sim::list::{list_schedule, Lane, Op};
 use dapple_sim::schedule::{stage_order, Step};
 use dapple_sim::Schedule;
 use std::borrow::Cow;
@@ -425,7 +418,8 @@ fn rows_of(mb: usize, r: usize, rep: usize) -> Range<usize> {
 /// Op `k` of worker `(i, p)`, whose script is `script`: its slot — `u` for
 /// `Fw(u)`, `m + u` for `Bw(u)`, `2m` for the sync — and the workers whose
 /// op in the same slot it may wait for: every replica of the neighbour it
-/// receives from, or a reducer's peers.
+/// receives from (all of them: whose rows overlap depends on the batch),
+/// or a reducer's peers.
 fn inputs(
     cfg: &EngineConfig,
     script: &[Step],
@@ -458,7 +452,9 @@ struct Placement {
 
 impl Placement {
     /// `cfg`'s workers on `min(workers, cores)` threads, for a model whose
-    /// layer `l` costs `macs[l]` multiply-adds per row.
+    /// layer `l` costs `macs[l]` multiply-adds per row. A worker's forward
+    /// costs its stage's multiply-adds over its replicas, a backward twice
+    /// that and a sync nothing; an op waits for what [`inputs`] names.
     fn new(cfg: &EngineConfig, macs: &[usize], cores: usize) -> Self {
         let (s, m) = (cfg.stage_bounds.len(), cfg.micro_batches);
         let stages = cfg.replication.iter().enumerate();
@@ -468,7 +464,6 @@ impl Placement {
         let scripts: Vec<Vec<Step>> = (workers.iter())
             .map(|&(i, _)| stage_order(cfg.schedule, i, s, m, cfg.max_in_flight))
             .collect();
-        // A forward costs its stage's multiply-adds over its replicas.
         let fw: Vec<f64> = (workers.iter())
             .map(|&(i, _)| {
                 macs[cfg.stage_bounds[i].clone()].iter().sum::<usize>() as f64
@@ -489,40 +484,22 @@ impl Placement {
             load[thread_of[w]] += fw[w];
         }
 
-        // List scheduling: of the ops whose inputs have been emitted, emit
-        // the one that could start first on its thread — on a tie a sync,
-        // then the earlier worker. A backward costs twice a forward, a
-        // sync nothing; an op's predecessor ran on its own thread, so the
-        // thread's free time covers it; times are non-negative, so their
-        // bits order as they do.
-        let mut end = vec![vec![None::<f64>; 2 * m + 1]; workers.len()];
-        let mut next = vec![0; workers.len()];
-        let (mut free, mut orders) = (vec![0.0f64; threads], vec![Vec::new(); threads]);
-        loop {
-            let ops = (0..workers.len()).filter_map(|w| {
-                let (slot, senders) = inputs(cfg, &scripts[w], workers[w], next[w]);
-                let ready = senders
-                    .map(|q| end[q][slot])
-                    .try_fold(0.0f64, |t, e| Some(t.max(e?)))?;
-                let start = free[thread_of[w]].max(ready).to_bits();
-                end[w][slot]
-                    .is_none()
-                    .then_some((start, next[w] < scripts[w].len(), w))
+        // Each worker is a lane on its thread: its script, then its sync.
+        let lane = |w: usize| {
+            let ops = (0..=scripts[w].len()).map(|k| {
+                let (slot, after) = inputs(cfg, &scripts[w], workers[w], k);
+                let cost = match scripts[w].get(k) {
+                    Some(Step::Fw(_)) => fw[w],
+                    Some(Step::Bw(_)) => 2.0 * fw[w],
+                    None => 0.0,
+                };
+                Op { slot, after, cost }
             });
-            let Some((start, _, w)) = ops.min() else {
-                break;
-            };
-            let ((slot, _), t) = (inputs(cfg, &scripts[w], workers[w], next[w]), thread_of[w]);
-            let cost = match scripts[w].get(next[w]) {
-                Some(Step::Fw(_)) => 1.0,
-                Some(Step::Bw(_)) => 2.0,
-                None => 0.0,
-            };
-            let done = f64::from_bits(start) + cost * fw[w];
-            (end[w][slot], free[t]) = (Some(done), done);
-            orders[t].push((w, next[w]));
-            next[w] += 1;
-        }
+            let (resource, ops) = (thread_of[w], ops.collect());
+            Lane { resource, ops }
+        };
+        let lanes: Vec<Lane> = (0..workers.len()).map(lane).collect();
+        let orders = list_schedule(&lanes, threads).orders;
         Placement {
             workers,
             scripts,
@@ -2248,9 +2225,9 @@ mod tests {
     }
 
     /// Every placement of the sweep — each worker's thread and each
-    /// thread's order — as one FNV-1a digest. The constant was recorded
-    /// before the pass moved into `dapple-sim`; a change to it changes
-    /// which thread runs what when, though never a bit of the step.
+    /// thread's order — as one FNV-1a digest. A change that moves it
+    /// changes which thread runs what when, though never a bit of the
+    /// step (`bits_are_identical_at_every_thread_count`).
     #[test]
     fn placements_match_their_golden_digest() {
         let mut words: Vec<u64> = Vec::new();

@@ -1,5 +1,7 @@
-//! The discrete-event pipeline executor.
+//! The discrete-event pipeline executor: a plan's stages and boundary
+//! channels as lanes of [`list_schedule`].
 
+use crate::list::{list_schedule, Lane, Op};
 use crate::memory::StageMemory;
 use crate::schedule::{stage_order, Schedule, Step};
 use dapple_core::{Bytes, Plan};
@@ -58,7 +60,7 @@ pub struct SimResult {
     pub makespan_us: f64,
     /// Samples per second at the configured global batch.
     pub throughput: f64,
-    /// All executed tasks.
+    /// All executed tasks, in start order.
     pub tasks: Vec<TaskRecord>,
     /// Per-stage compute busy time, µs.
     pub busy_us: Vec<f64>,
@@ -181,25 +183,26 @@ impl<'a> PipelineSim<'a> {
         PipelineSim { cost, plan }
     }
 
-    /// Runs one training iteration under `cfg`.
+    /// Runs one training iteration under `cfg`: every stage's step order
+    /// and every boundary transfer, timed by [`list_schedule`], then each
+    /// replicated stage's gradient AllReduce.
     pub fn run(&self, cfg: SimConfig) -> SimResult {
         let s = self.plan.num_stages();
         let m = cfg.micro_batches;
         assert!(m >= 1, "need at least one micro-batch");
         let lat = self.cost.stage_latencies(&self.plan.stages, m);
         let mb_samples = self.cost.global_batch as f64 / m as f64;
+        let device = &self.cost.cluster.device;
+        let slice = |i: usize| mb_samples / self.plan.stages[i].replication() as f64;
 
         // Per-stage step orders. D (max in-flight micro-batches) comes from
         // the memory model; GPipe ignores it by construction.
-        let device = &self.cost.cluster.device;
         let orders: Vec<Vec<Step>> = (0..s)
             .map(|i| {
-                let st = &self.plan.stages[i];
-                let slice = mb_samples / st.replication() as f64;
                 let d = self.cost.memory.max_live_microbatches(
                     self.cost.profile,
-                    st.layers.clone(),
-                    slice,
+                    self.plan.stages[i].layers.clone(),
+                    slice(i),
                     cfg.recompute,
                     device,
                 );
@@ -207,157 +210,111 @@ impl<'a> PipelineSim<'a> {
             })
             .collect();
 
-        // Completion times of dependencies.
-        let mut fw_done = vec![vec![f64::NAN; m]; s]; // compute done
-        let mut commf_done = vec![vec![f64::NAN; m]; s.saturating_sub(1)];
-        let mut bw_done = vec![vec![f64::NAN; m]; s];
-        let mut commb_done = vec![vec![f64::NAN; m]; s.saturating_sub(1)];
-
-        // Activation bytes crossing each forward boundary per micro-batch
-        // (the backward gradient crossing the same boundary has the same
-        // shape).
-        let boundary_bytes: Vec<u64> = (0..s.saturating_sub(1))
-            .map(|i| {
-                self.cost
-                    .profile
-                    .boundary_act(self.plan.stages[i].layers.end, mb_samples)
-                    .0
-            })
+        // Lane `i < s` is stage `i`'s step order on its device, closed by
+        // its AllReduce; lanes `cf + b` and `cb + b` are boundary `b`'s
+        // forward and backward channels, each carrying its sender's
+        // transfers in the order the sender emits them. Every lane holds a
+        // resource of its own. A micro-batch's forward and its transfer
+        // take slot `u`, its backward and its gradient's transfer `m + u`,
+        // an AllReduce `2m`.
+        let (cf, cb) = (s, (2 * s).saturating_sub(1));
+        let op = |slot, after, cost| Op { slot, after, cost };
+        let mut lanes: Vec<Vec<Op>> = Vec::with_capacity(3 * s);
+        for (i, order) in orders.iter().enumerate() {
+            let own = lat[2 * i];
+            // Re-computation re-materializes the discarded activations.
+            let refw = if cfg.recompute { own.fw_us } else { 0.0 };
+            let from_f = if i > 0 { cf + i - 1..cf + i } else { 0..0 };
+            let from_b = if i + 1 < s { cb + i..cb + i + 1 } else { 0..0 };
+            let steps = order.iter().map(|&step| match step {
+                Step::Fw(u) => op(u, from_f.clone(), own.fw_us),
+                Step::Bw(u) => op(m + u, from_b.clone(), own.bw_us + refw),
+            });
+            lanes.push(steps.chain([op(2 * m, 0..0, own.allreduce_us)]).collect());
+        }
+        for b in 0..s.saturating_sub(1) {
+            let sends = orders[b].iter().filter_map(|&step| match step {
+                Step::Fw(u) => Some(op(u, b..b + 1, lat[2 * b + 1].fw_us)),
+                Step::Bw(_) => None,
+            });
+            lanes.push(sends.collect());
+        }
+        for b in 0..s.saturating_sub(1) {
+            let sends = orders[b + 1].iter().filter_map(|&step| match step {
+                Step::Bw(u) => Some(op(m + u, b + 1..b + 2, lat[2 * b + 1].bw_us)),
+                Step::Fw(_) => None,
+            });
+            lanes.push(sends.collect());
+        }
+        let lanes: Vec<Lane> = (lanes.into_iter().enumerate())
+            .map(|(resource, ops)| Lane { resource, ops })
             .collect();
+        let times = list_schedule(&lanes, lanes.len()).times;
 
-        let mut stage_free = vec![0.0f64; s];
-        let mut chan_f_free = vec![0.0f64; s.saturating_sub(1)];
-        let mut chan_b_free = vec![0.0f64; s.saturating_sub(1)];
-        let mut next_step = vec![0usize; s];
-        let mut tasks: Vec<TaskRecord> = Vec::with_capacity(4 * s * m);
-        let mut busy_us = vec![0.0f64; s];
-        let mut memory: Vec<StageMemory> = (0..s)
-            .map(|i| {
-                let st = &self.plan.stages[i];
-                let slice = mb_samples / st.replication() as f64;
-                StageMemory::new(
-                    self.cost.profile,
-                    &self.cost.memory,
-                    st.layers.clone(),
-                    slice,
-                    cfg.recompute,
-                )
-            })
-            .collect();
-
-        // Ready-driven loop: advance any stage whose next step's
-        // dependency is resolved; communication is dispatched eagerly on
-        // task completion and serializes on its boundary channel.
-        loop {
-            let mut progressed = false;
-            for i in 0..s {
-                while next_step[i] < orders[i].len() {
-                    let step = orders[i][next_step[i]];
-                    let (dep, dur, kind, micro) = match step {
-                        Step::Fw(u) => {
-                            let dep = if i == 0 {
-                                Some(0.0)
-                            } else {
-                                val(&commf_done[i - 1], u)
-                            };
-                            (dep, lat[2 * i].fw_us, TaskKind::Fw, u)
-                        }
-                        Step::Bw(u) => {
-                            let dep = if i == s - 1 {
-                                val(&fw_done[i], u)
-                            } else {
-                                val(&commb_done[i], u)
-                            };
-                            let mut dur = lat[2 * i].bw_us;
-                            if cfg.recompute {
-                                // Re-materialize the discarded activations.
-                                dur += lat[2 * i].fw_us;
-                            }
-                            (dep, dur, TaskKind::Bw, u)
-                        }
-                    };
-                    let Some(dep_end) = dep else { break };
-                    let start = stage_free[i].max(dep_end);
-                    let end = start + dur;
-                    stage_free[i] = end;
-                    busy_us[i] += dur;
+        // Each op's task, in start order: its lane's stage or boundary, the
+        // kind and micro-batch its slot names; an AllReduce only where a
+        // stage is replicated.
+        let mut tasks = Vec::with_capacity(4 * s * m);
+        for (l, (lane, times)) in lanes.iter().zip(&times).enumerate() {
+            let (stage, kinds) = match l {
+                l if l < cf => (l, [TaskKind::Fw, TaskKind::Bw, TaskKind::AllReduce]),
+                l if l < cb => (l - cf, [TaskKind::CommF; 3]),
+                l => (l - cb, [TaskKind::CommB; 3]),
+            };
+            for (op, &(start_us, end_us)) in lane.ops.iter().zip(times) {
+                let kind = kinds[op.slot / m];
+                let bytes = match kind {
+                    TaskKind::Fw | TaskKind::Bw => 0,
+                    // The activation crossing the boundary forward; its
+                    // gradient crossing back has the same shape.
+                    TaskKind::CommF | TaskKind::CommB => {
+                        let end = self.plan.stages[stage].layers.end;
+                        self.cost.profile.boundary_act(end, mb_samples).0
+                    }
+                    TaskKind::AllReduce => {
+                        let layers = self.plan.stages[stage].layers.clone();
+                        self.cost.param_bytes(layers).0
+                    }
+                };
+                if kind != TaskKind::AllReduce || op.cost > 0.0 {
+                    let micro = op.slot % m;
                     tasks.push(TaskRecord {
-                        stage: i,
+                        stage,
                         kind,
                         micro,
-                        bytes: 0,
-                        start_us: start,
-                        end_us: end,
+                        bytes,
+                        start_us,
+                        end_us,
                     });
-                    match step {
-                        Step::Fw(u) => {
-                            fw_done[i][u] = end;
-                            memory[i].on_forward(start, end);
-                            if i + 1 < s {
-                                let cstart = chan_f_free[i].max(end);
-                                let cend = cstart + lat[2 * i + 1].fw_us;
-                                chan_f_free[i] = cend;
-                                commf_done[i][u] = cend;
-                                tasks.push(TaskRecord {
-                                    stage: i,
-                                    kind: TaskKind::CommF,
-                                    micro: u,
-                                    bytes: boundary_bytes[i],
-                                    start_us: cstart,
-                                    end_us: cend,
-                                });
-                            }
-                        }
-                        Step::Bw(u) => {
-                            bw_done[i][u] = end;
-                            memory[i].on_backward(start, end);
-                            if i > 0 {
-                                let cstart = chan_b_free[i - 1].max(end);
-                                let cend = cstart + lat[2 * i - 1].bw_us;
-                                chan_b_free[i - 1] = cend;
-                                commb_done[i - 1][u] = cend;
-                                tasks.push(TaskRecord {
-                                    stage: i - 1,
-                                    kind: TaskKind::CommB,
-                                    micro: u,
-                                    bytes: boundary_bytes[i - 1],
-                                    start_us: cstart,
-                                    end_us: cend,
-                                });
-                            }
-                        }
-                    }
-                    next_step[i] += 1;
-                    progressed = true;
                 }
             }
-            if !progressed {
-                break;
-            }
         }
-        assert!(
-            next_step.iter().zip(&orders).all(|(&n, o)| n == o.len()),
-            "pipeline deadlock: {next_step:?} of {:?}",
-            orders.iter().map(Vec::len).collect::<Vec<_>>()
-        );
-
-        // Gradient synchronization per replicated stage, then weight apply.
-        let mut makespan: f64 = 0.0;
-        for i in 0..s {
-            let last_bw = bw_done[i].iter().cloned().fold(0.0f64, f64::max);
-            let ar = lat[2 * i].allreduce_us;
-            if ar > 0.0 {
-                tasks.push(TaskRecord {
-                    stage: i,
-                    kind: TaskKind::AllReduce,
-                    micro: 0,
-                    bytes: self.cost.param_bytes(self.plan.stages[i].layers.clone()).0,
-                    start_us: last_bw,
-                    end_us: last_bw + ar,
-                });
-            }
-            makespan = makespan.max(last_bw + ar);
-        }
+        tasks.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
+        let (busy_us, memory): (Vec<f64>, Vec<StageMemory>) = (0..s)
+            .map(|i| {
+                let mut memory = StageMemory::new(
+                    self.cost.profile,
+                    &self.cost.memory,
+                    self.plan.stages[i].layers.clone(),
+                    slice(i),
+                    cfg.recompute,
+                );
+                let mut busy = 0.0;
+                for ((step, op), &(start, end)) in
+                    orders[i].iter().zip(&lanes[i].ops).zip(&times[i])
+                {
+                    busy += op.cost;
+                    match step {
+                        Step::Fw(_) => memory.on_forward(start, end),
+                        Step::Bw(_) => memory.on_backward(start, end),
+                    }
+                }
+                (busy, memory)
+            })
+            .unzip();
+        let makespan = (times[..s].iter())
+            .map(|stage| stage.last().expect("an AllReduce").1)
+            .fold(0.0, f64::max);
 
         let peak_mem: Vec<Bytes> = memory.iter().map(StageMemory::peak).collect();
         let mem_series: Vec<Vec<(f64, Bytes)>> =
@@ -376,16 +333,6 @@ impl<'a> PipelineSim<'a> {
             oom,
             device_mem,
         }
-    }
-}
-
-/// NaN-aware dependency lookup.
-fn val(row: &[f64], u: usize) -> Option<f64> {
-    let v = row[u];
-    if v.is_nan() {
-        None
-    } else {
-        Some(v)
     }
 }
 

@@ -18,7 +18,9 @@
 //! time (Fig. 3c), peak memory, utilization, bubbles and throughput.
 //!
 //! Cross-stage transfers serialize on a per-boundary, per-direction
-//! channel; per-task costs come from the planner's
+//! channel. Stages and channels are lanes of one
+//! [`list::list_schedule`] pass, the pass that also orders the engine's
+//! workers on its threads; per-task costs come from the planner's
 //! [`CostModel`](dapple_planner::CostModel) so the simulator and the
 //! planner's closed-form objective are mutually consistent (tested).
 
@@ -26,6 +28,7 @@
 
 pub mod async_pipe;
 pub mod exec;
+pub mod list;
 pub mod memory;
 pub mod schedule;
 pub mod timeline;

@@ -1,14 +1,17 @@
 //! The planner's closed-form latency objective and the discrete-event
 //! simulator must agree: the formula is exact on uniform pipelines and a
 //! tight approximation elsewhere ("it works practically very well for all
-//! our benchmarks", §IV-A).
+//! our benchmarks", §IV-A). Over a sweep of the same three fixtures the
+//! simulator is also pinned on its own: a digest of every bit it reports,
+//! and each resource's timeline replayed against its dependencies.
 
 use dapple::cluster::Cluster;
 use dapple::core::{Bytes, DeviceId, Plan, StagePlan};
 use dapple::model::{synthetic, ModelGraph, OptimizerKind};
 use dapple::planner::{pipeline_latency, CostModel};
 use dapple::profiler::{MemoryModel, ModelProfile};
-use dapple::sim::{KPolicy, PipelineSim, Schedule, SimConfig, SimResult};
+use dapple::sim::{KPolicy, PipelineSim, Schedule, SimConfig, SimResult, TaskKind, TaskRecord};
+use std::collections::HashMap;
 
 /// A cluster, a model, a global batch and a plan over them.
 type Fixture = (Cluster, ModelGraph, usize, Plan);
@@ -90,7 +93,7 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
 fn bits(r: &SimResult) -> Vec<u64> {
     let mut tasks = r.tasks.clone();
     tasks.sort_by(|a, b| {
-        let key = |t: &dapple::sim::TaskRecord| (t.stage, t.kind as u8, t.micro);
+        let key = |t: &TaskRecord| (t.stage, t.kind as u8, t.micro);
         a.start_us.total_cmp(&b.start_us).then(key(a).cmp(&key(b)))
     });
     let mut w = vec![r.makespan_us.to_bits(), u64::from(r.oom)];
@@ -155,9 +158,8 @@ fn formula_tracks_sim_with_replicated_stages() {
     }
 }
 
-/// The simulator's every bit over the sweep, as one digest. The constant
-/// was recorded before the simulator's pass moved onto the shared list
-/// scheduler; a change to it is a change to the simulated timeline.
+/// The simulator's every bit over the sweep, as one digest: a change to
+/// any simulated time, busy total, memory figure or task moves it.
 #[test]
 fn simulated_timelines_match_their_golden_digest() {
     let mut words = Vec::new();
@@ -168,4 +170,61 @@ fn simulated_timelines_match_their_golden_digest() {
     });
     assert_eq!(runs, 72);
     assert_eq!(fnv1a(words), 13_284_677_139_109_138_332);
+}
+
+/// On every run of the sweep, each resource's order — a stage's device,
+/// or one direction of a boundary's channel, its tasks by start — has no
+/// overlap and is a subsequence of one global order in which every task
+/// follows what it waits for on another resource: a forward its
+/// activation's transfer, a backward its gradient's transfer, a transfer
+/// its sender's compute. Replayed: each resource runs its next task once
+/// those inputs have run, which must never start after the task does.
+#[test]
+fn resource_orders_interleave_into_one_dependency_order() {
+    sweep(|ctx, r| {
+        let stages = r.busy_us.len();
+        let resource = |t: &TaskRecord| match t.kind {
+            TaskKind::Fw | TaskKind::Bw | TaskKind::AllReduce => t.stage,
+            TaskKind::CommF => stages + t.stage,
+            TaskKind::CommB => 2 * stages + t.stage,
+        };
+        let mut orders = vec![Vec::new(); 3 * stages];
+        for t in &r.tasks {
+            orders[resource(t)].push(t);
+        }
+        for order in &mut orders {
+            order.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
+            assert!(
+                order.windows(2).all(|w| w[0].end_us <= w[1].start_us),
+                "{ctx}: overlap"
+            );
+        }
+        let key = |kind: TaskKind, stage: usize, micro: usize| (kind as u8, stage, micro);
+        let input = |t: &TaskRecord| match t.kind {
+            TaskKind::Fw if t.stage > 0 => Some(key(TaskKind::CommF, t.stage - 1, t.micro)),
+            TaskKind::Bw if t.stage + 1 < stages => Some(key(TaskKind::CommB, t.stage, t.micro)),
+            TaskKind::CommF => Some(key(TaskKind::Fw, t.stage, t.micro)),
+            TaskKind::CommB => Some(key(TaskKind::Bw, t.stage + 1, t.micro)),
+            _ => None,
+        };
+        let (mut ended, mut at) = (HashMap::new(), vec![0; orders.len()]);
+        let mut progressed = true;
+        while progressed {
+            progressed = false;
+            for (order, at) in orders.iter().zip(&mut at) {
+                while let Some(t) = order.get(*at) {
+                    if let Some(i) = input(t) {
+                        let Some(&end) = ended.get(&i) else { break };
+                        assert!(end <= t.start_us, "{ctx}: {t:?} starts early");
+                    }
+                    ended.insert(key(t.kind, t.stage, t.micro), t.end_us);
+                    (*at, progressed) = (*at + 1, true);
+                }
+            }
+        }
+        let stuck: Vec<_> = (orders.iter().zip(&at))
+            .filter_map(|(order, &at)| order.get(at))
+            .collect();
+        assert!(stuck.is_empty(), "{ctx}: replay stuck at {stuck:?}");
+    });
 }
