@@ -238,7 +238,7 @@ fn simulate_replicated(
         resource: 2,
         ops: stage1.collect(),
     });
-    let times = list_schedule(&lanes, 3).times;
+    let times = list_schedule(&lanes).times;
     times.iter().flatten().fold(0.0, |end, t| t.1.max(end))
 }
 

@@ -55,8 +55,9 @@ pub enum FaultKind {
 /// A deterministic set of faults keyed by `(stage, replica, step)`.
 ///
 /// `step` indexes the stage's deterministic order from
-/// [`dapple_sim::schedule::stage_order`]: "the backward of µ=2" is the
-/// position of `Step::Bw(2)` in it.
+/// [`dapple_sim::schedule::stage_order`]; use
+/// [`dapple_sim::schedule::step_index_of`] to target semantic
+/// coordinates such as "the backward of µ=2".
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     faults: BTreeMap<(usize, usize, usize), FaultKind>,

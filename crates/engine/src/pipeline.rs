@@ -499,7 +499,7 @@ impl Placement {
             Lane { resource, ops }
         };
         let lanes: Vec<Lane> = (0..workers.len()).map(lane).collect();
-        let orders = list_schedule(&lanes, threads).orders;
+        let orders = list_schedule(&lanes).orders;
         Placement {
             workers,
             scripts,

@@ -249,7 +249,7 @@ impl<'a> PipelineSim<'a> {
         let lanes: Vec<Lane> = (lanes.into_iter().enumerate())
             .map(|(resource, ops)| Lane { resource, ops })
             .collect();
-        let times = list_schedule(&lanes, lanes.len()).times;
+        let times = list_schedule(&lanes).times;
 
         // Each op's task, in start order: its lane's stage or boundary, the
         // kind and micro-batch its slot names; an AllReduce only where a

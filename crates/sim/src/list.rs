@@ -25,8 +25,8 @@ pub struct Op {
 /// A script of ops that runs in order on one resource.
 #[derive(Debug, Clone)]
 pub struct Lane {
-    /// The resource the lane's ops hold, below [`list_schedule`]'s
-    /// `resources`.
+    /// The resource the lane's ops hold. Resources are numbered from 0;
+    /// the highest lane's resource sets how many there are.
     pub resource: usize,
     /// The lane's ops, in script order, each in its own slot.
     pub ops: Vec<Op>,
@@ -42,7 +42,7 @@ pub struct ListSchedule {
     pub times: Vec<Vec<(f64, f64)>>,
 }
 
-/// Runs `lanes` on `resources` resources, all free at time 0, one op at a
+/// Runs `lanes` on their resources, all free at time 0, one op at a
 /// time:
 ///
 /// * An op is *ready* once its lane's previous op and the op in its slot
@@ -64,9 +64,10 @@ pub struct ListSchedule {
 ///
 /// # Panics
 ///
-/// With "pipeline deadlock" when ops remain but none is ready — lanes
-/// that wait on each other — and when a lane's resource is out of range.
-pub fn list_schedule(lanes: &[Lane], resources: usize) -> ListSchedule {
+/// With "pipeline deadlock" when ops remain but none is ready: lanes
+/// that wait on each other.
+pub fn list_schedule(lanes: &[Lane]) -> ListSchedule {
+    let resources = lanes.iter().map(|l| l.resource + 1).max().unwrap_or(0);
     let ops = lanes.iter().flat_map(|lane| &lane.ops);
     let slots = ops.map(|op| op.slot + 1).max().unwrap_or(0);
     let mut end = vec![vec![None::<f64>; slots]; lanes.len()];
@@ -125,7 +126,7 @@ mod tests {
             lane(1, &[(0, 0..1, 3.0)]),
             lane(0, &[(0, 1..2, 1.0), (1, 0..0, 0.0)]),
         ];
-        let s = list_schedule(&lanes, 2);
+        let s = list_schedule(&lanes);
         let times = [
             vec![(0.0, 2.0), (2.0, 3.0)],
             vec![(2.0, 5.0)],
@@ -140,12 +141,12 @@ mod tests {
             lane(0, &[(0, 0..0, 2.0), (1, 0..0, 1.0)]),
             lane(0, &[(0, 0..0, 0.0)]),
         ];
-        assert_eq!(list_schedule(&lanes, 1).orders, [[(1, 0), (0, 0), (0, 1)]]);
+        assert_eq!(list_schedule(&lanes).orders, [[(1, 0), (0, 0), (0, 1)]]);
     }
 
     #[test]
     #[should_panic(expected = "pipeline deadlock")]
     fn lanes_that_wait_on_each_other_deadlock() {
-        list_schedule(&[lane(0, &[(0, 1..2, 1.0)]), lane(1, &[(0, 0..1, 1.0)])], 2);
+        list_schedule(&[lane(0, &[(0, 1..2, 1.0)]), lane(1, &[(0, 0..1, 1.0)])]);
     }
 }

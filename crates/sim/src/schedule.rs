@@ -116,6 +116,40 @@ pub fn stage_order(schedule: Schedule, i: usize, s: usize, m: usize, d: usize) -
     steps
 }
 
+/// [`stage_order`] with each step paired with its index — the coordinate
+/// system shared by the simulator's task records and the engine's
+/// fault-injection layer ([`dapple_core::DappleError::Stalled`] reports
+/// these indices).
+pub fn indexed_stage_order(
+    schedule: Schedule,
+    i: usize,
+    s: usize,
+    m: usize,
+    d: usize,
+) -> Vec<(usize, Step)> {
+    stage_order(schedule, i, s, m, d)
+        .into_iter()
+        .enumerate()
+        .collect()
+}
+
+/// The index of `step` within stage `i`'s deterministic order, or `None`
+/// if the stage never executes it (µ out of range). Lets callers target
+/// an injection or a task record by semantic coordinates ("the backward
+/// of µ=2 on stage 1") instead of a raw position.
+pub fn step_index_of(
+    schedule: Schedule,
+    i: usize,
+    s: usize,
+    m: usize,
+    d: usize,
+    step: Step,
+) -> Option<usize> {
+    stage_order(schedule, i, s, m, d)
+        .into_iter()
+        .position(|candidate| candidate == step)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,6 +271,37 @@ mod tests {
                     Step::Bw(u) => assert!(seen_fw[u], "{schedule}: B{u} before F{u}"),
                 }
             }
+        }
+    }
+
+    #[test]
+    fn indexed_order_pairs_each_step_with_its_position() {
+        for schedule in [Schedule::GPipe, Schedule::Dapple(KPolicy::PB)] {
+            let plain = stage_order(schedule, 1, 3, 4, usize::MAX);
+            let indexed = indexed_stage_order(schedule, 1, 3, 4, usize::MAX);
+            assert_eq!(indexed.len(), plain.len());
+            for (pos, (idx, step)) in indexed.iter().enumerate() {
+                assert_eq!(*idx, pos);
+                assert_eq!(*step, plain[pos]);
+            }
+        }
+    }
+
+    #[test]
+    fn step_index_round_trips_through_the_order() {
+        let schedule = Schedule::Dapple(KPolicy::PA);
+        let (s, m, d) = (3, 4, usize::MAX);
+        for i in 0..s {
+            let order = stage_order(schedule, i, s, m, d);
+            for u in 0..m {
+                for step in [Step::Fw(u), Step::Bw(u)] {
+                    let idx = step_index_of(schedule, i, s, m, d, step)
+                        .expect("every µ appears on every stage");
+                    assert_eq!(order[idx], step);
+                }
+            }
+            // Out-of-range micro-batches are never scheduled.
+            assert_eq!(step_index_of(schedule, i, s, m, d, Step::Fw(m)), None);
         }
     }
 

@@ -15,7 +15,7 @@ use dapple::engine::{
     data, EngineConfig, FaultKind, FaultPlan, MlpModel, Optimizer, PipelineTrainer, StepOutcome,
     Tensor,
 };
-use dapple::sim::schedule::{stage_order, Step};
+use dapple::sim::schedule::{stage_order, step_index_of, Step};
 use dapple::sim::{KPolicy, Schedule};
 use dapple_core::DappleError;
 use std::time::{Duration, Instant};
@@ -26,16 +26,6 @@ const RECV_TIMEOUT: Duration = Duration::from_millis(100);
 /// Long enough that every waiter times out before the stalled worker
 /// resumes, with margin for a waiter that is scheduled late.
 const STALL: Duration = Duration::from_millis(500);
-
-/// The index of `step` in the order of stage `stage` of `stages` over
-/// [`MICRO`] micro-batches: the coordinate a fault is injected at.
-fn index_of(schedule: Schedule, stage: usize, stages: usize, step: Step) -> usize {
-    let order = stage_order(schedule, stage, stages, MICRO, usize::MAX);
-    order
-        .iter()
-        .position(|&s| s == step)
-        .expect("every step is scheduled")
-}
 
 fn model6() -> MlpModel {
     MlpModel::new(&[5, 12, 10, 8, 8, 4, 3], 77)
@@ -209,7 +199,7 @@ fn failures_on_a_straight_pipeline_are_seen_without_a_wait() {
         err
     };
     for (stage, last_send) in [(0, Step::Fw(MICRO - 1)), (2, Step::Bw(MICRO - 1))] {
-        let idx = index_of(schedule, stage, STAGES, last_send);
+        let idx = step_index_of(schedule, stage, STAGES, MICRO, usize::MAX, last_send).unwrap();
         let err = timed(FaultPlan::new().with_fault(stage, 0, idx, FaultKind::DuplicateMessage));
         let receiver = matches!(&err, DappleError::ChannelProtocol { stage: 1, replica: 0, detail }
             if detail.contains("trailing message"));
@@ -236,7 +226,15 @@ fn failures_on_a_straight_pipeline_are_seen_without_a_wait() {
 fn repeated_injection_reproduces_the_same_error() {
     let trainer = PipelineTrainer::new(model6(), cfg()).unwrap();
     let (x, t) = data::regression_batch(24, 5, 3, 9);
-    let bw2 = index_of(Schedule::Dapple(KPolicy::PA), 1, STAGES, Step::Bw(2));
+    let bw2 = step_index_of(
+        Schedule::Dapple(KPolicy::PA),
+        1,
+        STAGES,
+        MICRO,
+        usize::MAX,
+        Step::Bw(2),
+    )
+    .unwrap();
     for kind in [FaultKind::Panic, FaultKind::NanGradient] {
         let plan = FaultPlan::new().with_fault(1, 0, bw2, kind);
         let a = step(&trainer, &x, &t, &plan).unwrap_err();
@@ -441,7 +439,8 @@ fn faults_at_the_packing_backward_leave_nothing_behind() {
         // Warm the persistent buffers, so the faults hit reused ones.
         assert_eq!(clean_step_bits(&trainer, &x, &t), never_faulted);
         for stage in 0..stages {
-            let first_bw = index_of(schedule, stage, stages, Step::Bw(0));
+            let first_bw =
+                step_index_of(schedule, stage, stages, MICRO, usize::MAX, Step::Bw(0)).unwrap();
             for replica in 0..replication[stage] {
                 for kind in [FaultKind::Panic, FaultKind::NanGradient] {
                     let ctx =

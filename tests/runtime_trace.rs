@@ -12,7 +12,7 @@ use dapple::engine::{
     data, EngineConfig, FaultKind, FaultPlan, MlpModel, PipelineTrainer, Span, SpanKind, StepTrace,
     Tensor,
 };
-use dapple::sim::schedule::{stage_order, Step};
+use dapple::sim::schedule::{indexed_stage_order, Step};
 use dapple::sim::{KPolicy, Schedule};
 use proptest::prelude::*;
 
@@ -295,7 +295,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The simulator's script is the engine's oracle: on any pipeline shape
-    /// every worker's forward/backward spans are `stage_order` for
+    /// every worker's forward/backward spans are `indexed_stage_order` for
     /// its stage, each re-computation directly precedes its backward,
     /// nothing is dropped, and across every boundary, in both directions,
     /// the bytes sent and the bytes assembled are the batch's rows times
@@ -328,11 +328,11 @@ proptest! {
         // bytes[boundary][backward?][sent?]
         let mut bytes = vec![[[0u64; 2]; 2]; s];
         for w in &trace.workers {
-            let script: Vec<Step> = w.spans.iter().filter(is_step).map(|sp| match sp.kind {
+            let script: Vec<(usize, Step)> = w.spans.iter().filter(is_step).map(|sp| match sp.kind {
                 SpanKind::Fw => Step::Fw(sp.micro as usize),
                 _ => Step::Bw(sp.micro as usize),
-            }).collect();
-            prop_assert_eq!(script, stage_order(cfg.schedule, w.stage, s, m, cfg.max_in_flight));
+            }).enumerate().collect();
+            prop_assert_eq!(script, indexed_stage_order(cfg.schedule, w.stage, s, m, cfg.max_in_flight));
             let compute: Vec<&Span> =
                 w.spans.iter().filter(|sp| is_step(sp) || sp.kind == SpanKind::Recompute).collect();
             let recomputes = compute.iter().filter(|sp| sp.kind == SpanKind::Recompute).count();
