@@ -37,9 +37,12 @@
 //!
 //! Per micro-batch a `Dense` layer is `x W`, `x^T dz` and `dz W^T`, and
 //! every other pass over something weight- or activation-sized rides in
-//! one of them. Each worker packs its layers panel-major once per step
-//! and direction ([`PackedRhs`]; the private `WorkerScratch`), so the `nn`
-//! tiles stream panels instead of striding through rows; bias and
+//! one of them. Before any step thread starts, the trainer packs each
+//! model layer panel-major once per direction ([`PackedRhs`]; the private
+//! `LayerPacks`) on the calling thread and the worker pool, and every
+//! worker streams its stage's packs read-only — a replicated stage's
+//! replicas share one — so the `nn` tiles stream panels instead of
+//! striding through rows; bias and
 //! activation are the forward product's per-band epilogue; and the `dW`
 //! kernel's epilogue adds each finished chain straight into the step's
 //! accumulator, testing it for finiteness in its register on the way —
@@ -68,7 +71,8 @@
 //! Workers return `Result` instead of unwinding into the coordinator:
 //! every channel wait is bounded by [`EngineConfig::recv_timeout`] (a
 //! deadlock surfaces as [`DappleError::Stalled`], never a hang), a panic
-//! in any op is caught and reported as [`DappleError::WorkerPanicked`],
+//! in any op is caught and reported as [`DappleError::WorkerPanicked`]
+//! (a pack's, before any thread starts, as its stage's replica 0's),
 //! and non-finite gradient values are counted per micro-batch as the
 //! kernels add them (as zeros): a micro-batch whose loss or count is not
 //! clean fails the step as [`DappleError::NonFinite`], so a step that
@@ -112,12 +116,13 @@ use crate::fault::{FaultKind, FaultPlan};
 use crate::layer::{Dense, DenseGrads};
 use crate::loss::{loss_grad_into, LossKind};
 use crate::model::MlpModel;
-use crate::tensor::{PackedRhs, Tensor};
+use crate::tensor::{PackedRhs, Tensor, PAR_MIN_MULS};
 use crate::trace::{CoordSpan, Span, SpanKind, SpanLog, StepTrace, WorkerTrace, NO_MICRO};
 use dapple_core::{DappleError, Plan, Result};
 use dapple_sim::list::{list_schedule, Lane, Op};
 use dapple_sim::schedule::{stage_order, Step};
 use dapple_sim::Schedule;
+use rayon::prelude::*;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
@@ -381,11 +386,11 @@ impl Drop for StepGrads {
     }
 }
 
-/// Fresh per-worker scratch and gradient slots for `cfg`'s shape, one of
-/// each per stage replica in spawn order.
-fn worker_state(cfg: &EngineConfig) -> (Vec<Mutex<WorkerScratch>>, Arc<GradHome>) {
+/// Fresh per-worker buffer pools and gradient slots for `cfg`'s shape,
+/// one of each per stage replica in spawn order.
+fn worker_state(cfg: &EngineConfig) -> (Vec<Mutex<TensorPool>>, Arc<GradHome>) {
     let workers: usize = cfg.replication.iter().sum();
-    let scratch = (0..workers).map(|_| Mutex::default()).collect();
+    let pools = (0..workers).map(|_| Mutex::default()).collect();
     let mut first_slot = 0usize;
     let stages = cfg
         .stage_bounds
@@ -401,7 +406,7 @@ fn worker_state(cfg: &EngineConfig) -> (Vec<Mutex<WorkerScratch>>, Arc<GradHome>
         slots: (0..workers).map(|_| Mutex::default()).collect(),
         stages,
     });
-    (scratch, grad_home)
+    (pools, grad_home)
 }
 
 /// The rows (micro-batch local) of replica `rep` of a stage split `r`
@@ -514,12 +519,19 @@ pub struct PipelineTrainer {
     /// The master copy of the model (updated after every step).
     pub model: MlpModel,
     cfg: EngineConfig,
-    /// Per-worker scratch, one slot per stage replica in spawn order.
-    /// Owned here — not by the per-step workers — so the free lists and
-    /// the packed-weight buffers survive across steps: after the first
-    /// step every boundary take is a hit and steps allocate neither
-    /// boundary buffers nor packing space.
-    scratch: Vec<Mutex<WorkerScratch>>,
+    /// Per-worker buffer pools, one slot per stage replica in spawn
+    /// order. Owned here — not by the per-step workers — so the free
+    /// lists survive across steps: after the first step every boundary
+    /// take is a hit and steps allocate no boundary buffers.
+    pools: Vec<Mutex<TensorPool>>,
+    /// Both packs of every model layer, refilled at each step's start
+    /// and read by every worker of the layer's stage (see
+    /// [`LayerPacks`]). Kept here so steps allocate no packing space; the
+    /// lock is held for the step, so concurrent steps take turns.
+    packs: Mutex<Vec<LayerPacks>>,
+    /// Packs made since the trainer was built.
+    #[cfg(test)]
+    packs_made: std::sync::atomic::AtomicUsize,
     /// Per-worker gradient accumulators, in the same order. A worker
     /// holds its slot for the step and works on the buffers in place; a
     /// stage's synchronized accumulators leave in
@@ -553,12 +565,15 @@ impl PipelineTrainer {
     /// workers on the host's cores.
     pub fn new(model: MlpModel, cfg: EngineConfig) -> Result<Self> {
         cfg.check(model.num_layers())?;
-        let (scratch, grad_home) = worker_state(&cfg);
+        let (pools, grad_home) = worker_state(&cfg);
         let placement = Placement::new(&cfg, &layer_macs(&model), host_cores());
         Ok(PipelineTrainer {
             model,
             cfg,
-            scratch,
+            pools,
+            packs: Mutex::default(),
+            #[cfg(test)]
+            packs_made: Default::default(),
             grad_home,
             placement,
         })
@@ -573,11 +588,12 @@ impl PipelineTrainer {
     }
 
     /// Re-shapes the trainer to `cfg` around the model where it lies: only
-    /// the per-worker scratch, the gradient slots and the placement are
-    /// rebuilt. A rejected config changes nothing.
+    /// the per-worker pools, the gradient slots and the placement are
+    /// rebuilt (the packs are per layer, whatever the stages). A rejected
+    /// config changes nothing.
     pub(crate) fn reconfigure(&mut self, cfg: EngineConfig) -> Result<()> {
         cfg.check(self.model.num_layers())?;
-        (self.scratch, self.grad_home) = worker_state(&cfg);
+        (self.pools, self.grad_home) = worker_state(&cfg);
         self.placement = Placement::new(&cfg, &layer_macs(&self.model), host_cores());
         self.cfg = cfg;
         Ok(())
@@ -600,36 +616,87 @@ impl PipelineTrainer {
         threads
     }
 
-    /// Sizes every worker's persistent buffers — both packs of each of its
-    /// layers and its gradient accumulators — on the calling thread,
-    /// wherever a slot is empty or mis-shaped (the first step, after
+    /// Sizes the trainer's persistent buffers — both packs of every layer
+    /// and each worker's gradient accumulators — on the calling thread,
+    /// wherever one is empty or mis-shaped (the first step, after
     /// [`StepGrads::into_vec`] or a failed step, after a
-    /// reconfiguration). The step threads only reuse them, so no
-    /// parameter-sized buffer is allocated in a short-lived thread's malloc
-    /// arena.
-    fn provision(&self) {
+    /// reconfiguration). The packing and the step threads only reuse
+    /// them, so no parameter-sized buffer is allocated in another
+    /// thread's malloc arena.
+    fn provision(&self, packs: &mut Vec<LayerPacks>) {
+        let layers = &self.model.layers;
+        packs.resize_with(layers.len(), LayerPacks::default);
+        for (l, (layer, packs)) in layers.iter().zip(packs.iter_mut()).enumerate() {
+            let (k, n) = (layer.in_dim(), layer.out_dim());
+            packs.w.resize(k, n);
+            // The model's first layer has no `W^T` (see `LayerPacks`).
+            if l > 0 {
+                packs.wt.resize(n, k);
+            }
+        }
         let stages = self.cfg.stage_bounds.iter().zip(&self.cfg.replication);
         let workers = stages.flat_map(|(bounds, &r)| std::iter::repeat_n(bounds, r));
         for (w, bounds) in workers.enumerate() {
-            let layers = &self.model.layers[bounds.clone()];
-            let mut scratch = lock(&self.scratch[w]);
-            scratch
-                .packed
-                .resize_with(layers.len(), LayerPacks::default);
-            for (j, (layer, packs)) in layers.iter().zip(&mut scratch.packed).enumerate() {
-                let (k, n) = (layer.in_dim(), layer.out_dim());
-                packs.w.resize(k, n);
-                // The model's first layer has no `W^T` (see `WorkerScratch`).
-                if bounds.start + j > 0 {
-                    packs.wt.resize(n, k);
-                }
-            }
+            let layers = &layers[bounds.clone()];
             let mut acc = lock(&self.grad_home.slots[w]);
             let reusable =
                 acc.len() == layers.len() && acc.iter().zip(layers).all(|(g, l)| g.fits(l));
             if !reusable {
                 *acc = layers.iter().map(DenseGrads::zeros_like).collect();
             }
+        }
+    }
+
+    /// Packs every layer's `W` and `W^T` (the first layer's `W` only) into
+    /// `packs`, sized by [`Self::provision`]: a layer per band on the
+    /// calling thread and the worker pool's helpers, or all of it inline
+    /// when the copy is below the kernels' parallel gate. Returns the
+    /// bytes packed. A pack that panics (a malformed weight) is reported
+    /// as its stage's replica 0's [`DappleError::WorkerPanicked`]; of
+    /// several, the lowest layer's.
+    fn pack(&self, packs: &mut [LayerPacks]) -> Result<u64> {
+        let layers = &self.model.layers;
+        let elements: usize = (layers.iter().enumerate())
+            .map(|(l, layer)| layer.in_dim() * layer.out_dim() * (1 + usize::from(l > 0)))
+            .sum();
+        let band = if elements >= PAR_MIN_MULS {
+            1
+        } else {
+            packs.len()
+        };
+        let failed: Mutex<Option<(usize, DappleError)>> = Mutex::new(None);
+        let pack_layer = |l: usize, packs: &mut LayerPacks| {
+            let stage = (self.cfg.stage_bounds.iter())
+                .position(|bounds| bounds.contains(&l))
+                .expect("the stages cover the model");
+            let packed = caught(stage, 0, || {
+                packs.w.pack(&layers[l].w);
+                if l > 0 {
+                    packs.wt.pack_transposed(&layers[l].w);
+                }
+                #[cfg(test)]
+                self.packs_made
+                    .fetch_add(1 + usize::from(l > 0), std::sync::atomic::Ordering::Relaxed);
+                Ok(())
+            });
+            if let Err(e) = packed {
+                let mut first = lock(&failed);
+                if first.as_ref().is_none_or(|&(f, _)| l < f) {
+                    *first = Some((l, e));
+                }
+            }
+        };
+        packs
+            .par_chunks_mut(band)
+            .enumerate()
+            .for_each(|(b, chunk)| {
+                (b * band..)
+                    .zip(chunk)
+                    .for_each(|(l, packs)| pack_layer(l, packs));
+            });
+        match failed.into_inner().unwrap_or_else(PoisonError::into_inner) {
+            Some((_, e)) => Err(e),
+            None => Ok((elements * std::mem::size_of::<f32>()) as u64),
         }
     }
 
@@ -642,9 +709,10 @@ impl PipelineTrainer {
     }
 
     /// The pipeline step: full-batch gradients under a fault-injection
-    /// plan, without updating weights. With faults it returns the
-    /// structured error of the root cause; the model is borrowed shared,
-    /// so the trainer remains usable after a failed step.
+    /// plan, without updating weights. It packs every layer's weights
+    /// (the prelude) before it starts any step thread. With faults it
+    /// returns the structured error of the root cause; the model is
+    /// borrowed shared, so the trainer remains usable after a failed step.
     ///
     /// The measured trace sits outside the `Result` so a *failed* step
     /// still yields its partial timeline: each thread hands its workers'
@@ -680,6 +748,27 @@ impl PipelineTrainer {
         if let Err(e) = faults.validate(&self.cfg) {
             return (Err(e), None);
         }
+        // The prelude: every layer packed for this step before any thread
+        // starts, timed on the step clock as one whole-model span.
+        let mut packs = lock(&self.packs);
+        let epoch = Instant::now();
+        let tracing = self.cfg.tracing;
+        let mut trace = tracing.then(|| StepTrace::new(self.cfg.replication.clone()));
+        self.provision(&mut packs);
+        let packed = self.pack(&mut packs);
+        if let Some(tr) = trace.as_mut() {
+            let span = Span {
+                kind: SpanKind::Pack,
+                micro: NO_MICRO,
+                bytes: *packed.as_ref().unwrap_or(&0),
+                start_ns: 0,
+                end_ns: epoch.elapsed().as_nanos() as u64,
+            };
+            tr.coord.push(CoordSpan { stage: None, span });
+        }
+        if let Err(e) = packed {
+            return (Err(e), trace);
+        }
         let s = self.cfg.stage_bounds.len();
         let rows = |stage: usize, rep: usize| rows_of(mb, self.cfg.replication[stage], rep);
 
@@ -710,8 +799,7 @@ impl PipelineTrainer {
                 .collect::<Vec<Route>>()
         };
 
-        self.provision();
-        let mut workers: Vec<Option<Worker>> = Vec::with_capacity(self.scratch.len());
+        let mut workers: Vec<Option<Worker>> = Vec::with_capacity(self.pools.len());
         for i in 0..s {
             // A replicated stage's gradient rendezvous: replicas `1..r`
             // send, replica 0 receives. The original sender goes out of
@@ -739,6 +827,7 @@ impl PipelineTrainer {
                     replica: p,
                     loss: self.cfg.loss,
                     layers: &self.model.layers[self.cfg.stage_bounds[i].clone()],
+                    packs: &packs[self.cfg.stage_bounds[i].clone()],
                     script: &self.placement.scripts[workers.len()],
                     mb,
                     total_samples: n,
@@ -759,7 +848,7 @@ impl PipelineTrainer {
                     my_rows,
                     faults: faults.for_worker(i, p),
                     recv_timeout: self.cfg.recv_timeout,
-                    scratch: &self.scratch[workers.len()],
+                    pool: &self.pools[workers.len()],
                     grad_slot: &stage_slots[p],
                     sync,
                 }));
@@ -771,8 +860,6 @@ impl PipelineTrainer {
         drop(fwd_tx);
         drop(bwd_tx);
 
-        let epoch = Instant::now();
-        let tracing = self.cfg.tracing;
         let mut reports: Vec<Report> = Vec::with_capacity(workers.len());
         std::thread::scope(|scope| {
             let placement = &self.placement;
@@ -792,7 +879,6 @@ impl PipelineTrainer {
         });
 
         reports.sort_unstable_by_key(|&(w, ..)| w);
-        let mut trace = tracing.then(|| StepTrace::new(self.cfg.replication.clone()));
         let mut results: Vec<Result<WorkerOut>> = Vec::with_capacity(reports.len());
         for (_, result, spans) in reports {
             // The step ended at the join: every sender is gone, so whatever
@@ -975,6 +1061,9 @@ struct Worker<'a> {
     replica: usize,
     loss: LossKind,
     layers: &'a [Dense],
+    /// This step's packs of `layers`, shared with the stage's other
+    /// replicas.
+    packs: &'a [LayerPacks],
     script: &'a [Step],
     /// Micro-batch-local rows this replica owns.
     my_rows: Range<usize>,
@@ -994,11 +1083,10 @@ struct Worker<'a> {
     /// Faults this worker must inject, keyed by step index.
     faults: HashMap<usize, FaultKind>,
     recv_timeout: Duration,
-    /// This worker's persistent scratch slot (owned by the trainer so
-    /// free lists and packing space survive across steps). Each worker
-    /// locks only its own slot for the duration of the step —
-    /// uncontended by construction.
-    scratch: &'a Mutex<WorkerScratch>,
+    /// This worker's persistent buffer pool (owned by the trainer so the
+    /// free lists survive across steps). Each worker locks only its own
+    /// pool for the duration of the step — uncontended by construction.
+    pool: &'a Mutex<TensorPool>,
     /// This worker's persistent gradient accumulator, held for the step
     /// like the pool.
     grad_slot: &'a Mutex<Vec<DenseGrads>>,
@@ -1073,35 +1161,22 @@ struct TensorPool {
     misses: usize,
 }
 
-/// What one worker keeps from step to step: its buffer pool and, beside
-/// it, both packs of every layer of its stage (the first stage's first
-/// layer has no `W^T`: nothing reads its input gradient).
+/// One model layer's weights as the kernels stream them: `W` for the
+/// forward and `W^T` for the input gradient (the model's first layer has
+/// no `W^T`: nothing reads its input gradient).
 ///
 /// Every micro-batch's forward multiplies by the same `W` and its
 /// backward by the same `W^T`, and a step cannot change a weight
-/// (`step_with_trace` borrows the model shared), so each worker packs
-/// each of its layers once per direction per step — `W` at its first
-/// forward, `W^T` at its first backward, inside that span (stage 0's
-/// transposing pack stays off the warm-up path) — and the other `M - 1`
-/// micro-batches, re-computed forwards included, stream the panels.
-/// Nothing is trusted across steps but the storage: every step repacks,
-/// so an optimizer update, a restored checkpoint or a failed attempt
-/// cannot leave a stale pack behind.
-#[derive(Default)]
-struct WorkerScratch {
-    pool: TensorPool,
-    packed: Vec<LayerPacks>,
-    /// Packs made since the trainer was built.
-    #[cfg(test)]
-    packs: usize,
-}
-
-/// One layer's weights as the kernels stream them.
+/// (`step_with_trace` borrows the model shared), so the trainer packs
+/// each layer once per direction per step, before any step thread
+/// starts, and every worker of the layer's stage — all its replicas, all
+/// `M` micro-batches, re-computed forwards included — streams the same
+/// panels. Nothing is trusted across steps but the storage: every step
+/// repacks, so an optimizer update, a restored checkpoint or a failed
+/// attempt cannot leave a stale pack behind.
 #[derive(Default)]
 struct LayerPacks {
-    /// `W`, valid from the step's first forward on.
     w: PackedRhs,
-    /// `W^T`, valid from the step's first backward on.
     wt: PackedRhs,
 }
 
@@ -1186,15 +1261,14 @@ fn rec(
 }
 
 impl<'a> Worker<'a> {
-    /// Starts the worker's step: takes its scratch and gradient slot for
-    /// the step and zeroes the accumulators (the trainer sized both before
-    /// the threads started).
+    /// Starts the worker's step: takes its pool and gradient slot for the
+    /// step and zeroes the accumulators (the trainer sized them before the
+    /// threads started).
     fn begin(self) -> Live<'a> {
         // A failed attempt may have stopped mid-step; the free lists are
-        // always structurally valid and the packs are rebuilt every step,
-        // so nothing but the storage is trusted.
-        let mut scratch = lock(self.scratch);
-        scratch.pool.begin_step();
+        // always structurally valid, so nothing but the storage is trusted.
+        let mut pool = lock(self.pool);
+        pool.begin_step();
         // The gradient buffers persist in the trainer's slot; the guard is
         // held until they are handed on, so an attempt that fails or
         // panics leaves them where the next step finds (and zeroes) them.
@@ -1205,10 +1279,8 @@ impl<'a> Worker<'a> {
             // map up front keeps rehashing out of the step loop.
             flights: HashMap::with_capacity(self.script.len() / 2 + 1),
             worker: self,
-            scratch,
+            pool,
             slot,
-            pack_w: true,
-            pack_wt: true,
             chain_spares: Vec::new(),
             loss: 0.0,
             buf_f: HashMap::new(),
@@ -1413,12 +1485,8 @@ impl<'a> Worker<'a> {
 /// it holds for the step and where its script stands.
 struct Live<'a> {
     worker: Worker<'a>,
-    scratch: MutexGuard<'a, WorkerScratch>,
+    pool: MutexGuard<'a, TensorPool>,
     slot: MutexGuard<'a, Vec<DenseGrads>>,
-    /// Whether this step's first forward and first backward — the ones
-    /// that pack — are still to come.
-    pack_w: bool,
-    pack_wt: bool,
     /// Spare spines for the per-layer forward chains: each backward
     /// drains its chain's tensors into the pool and parks the empty Vec
     /// here for the next forward.
@@ -1438,8 +1506,7 @@ impl Live<'_> {
     /// Step `idx` of the worker's script. Spans go to `log`.
     fn step(&mut self, idx: usize, log: &mut Option<SpanLog>) -> Result<()> {
         let w = &self.worker;
-        let scratch = &mut *self.scratch;
-        let pool = &mut scratch.pool;
+        let pool = &mut *self.pool;
         let (step, fault) = (w.script[idx], w.faults.get(&idx).copied());
         match fault {
             Some(FaultKind::Stall(delay)) => std::thread::sleep(delay),
@@ -1471,17 +1538,8 @@ impl Live<'_> {
                 if !w.is_first {
                     rec(log, SpanKind::CommRecvWait, u, tensor_bytes(&input), t0, t1);
                 }
-                if std::mem::take(&mut self.pack_w) {
-                    for (layer, packs) in w.layers.iter().zip(&mut scratch.packed) {
-                        packs.w.pack(&layer.w);
-                    }
-                    #[cfg(test)]
-                    {
-                        scratch.packs += w.layers.len();
-                    }
-                }
                 let mut ys = self.chain_spares.pop().unwrap_or_default();
-                forward_stage(w.layers, &scratch.packed, &input, &mut ys, pool);
+                forward_stage(w.layers, w.packs, &input, &mut ys, pool);
                 // The first stage folds its input-slice copy into the
                 // forward span; downstream stages start at receipt.
                 rec(
@@ -1539,7 +1597,7 @@ impl Live<'_> {
                         Flight::Cached { input, ys } => (input, ys, false),
                         Flight::InputOnly(input) => {
                             let mut ys = self.chain_spares.pop().unwrap_or_default();
-                            forward_stage(w.layers, &scratch.packed, &input, &mut ys, pool);
+                            forward_stage(w.layers, w.packs, &input, &mut ys, pool);
                             (input, ys, true)
                         }
                     };
@@ -1571,24 +1629,11 @@ impl Live<'_> {
                 if fault == Some(FaultKind::NanGradient) || self.poisoned.contains(&u) {
                     dy.data.fill(f32::NAN);
                 }
-                if std::mem::take(&mut self.pack_wt) {
-                    // The first stage computes no input gradient, so
-                    // its first layer needs no `W^T`.
-                    let skip = usize::from(w.is_first);
-                    let layers = w.layers.iter().zip(&mut scratch.packed).skip(skip);
-                    for (layer, packs) in layers {
-                        packs.wt.pack_transposed(&layer.w);
-                    }
-                    #[cfg(test)]
-                    {
-                        scratch.packs += w.layers.len() - skip;
-                    }
-                }
                 // The kernels add this micro-batch's `dW`/`db` into the
                 // accumulator and count what was not finite.
                 let (dx, non_finite) = backward_stage(
                     w.layers,
-                    &scratch.packed,
+                    w.packs,
                     &input,
                     &ys,
                     dy,
@@ -1672,8 +1717,8 @@ impl Live<'_> {
             grads,
             sync,
             loss: self.loss,
-            pool_hits: self.scratch.pool.hits,
-            pool_misses: self.scratch.pool.misses,
+            pool_hits: self.pool.hits,
+            pool_misses: self.pool.misses,
         })
     }
 }
@@ -1960,40 +2005,43 @@ mod tests {
         assert!(adam_last < sgd_last, "adam {adam_last} vs sgd {sgd_last}");
     }
 
-    /// `W` and `W^T` are each packed once per layer per worker per step:
-    /// the count is twice the workers' layers — every replica packs its
-    /// stage's layers — less one per first-stage replica, whose first
-    /// layer computes no input gradient and so needs no `W^T`; whatever
-    /// the micro-batch count, with and without re-computation (whose
-    /// extra forwards reuse the step's `W` packs).
+    /// `W` and `W^T` are each packed once per layer per step: `2·layers −
+    /// 1` packs (the model's first layer computes no input gradient and so
+    /// needs no `W^T`), on a straight pipeline and on replicated stages
+    /// alike — a stage's replicas share its packs — whatever the
+    /// micro-batch count, with and without re-computation (whose extra
+    /// forwards reuse the step's `W` packs), and whether the pack runs
+    /// inline or, above the kernels' parallel gate, split over the pool.
     #[test]
-    fn weights_are_packed_once_per_layer_per_worker_per_step() {
-        let (x, t) = data::regression_batch(48, 5, 3, 9);
+    fn weights_are_packed_once_per_layer_per_step() {
         let shapes: [(Vec<Range<usize>>, Vec<usize>); 2] = [
             (vec![0..2, 2..4, 4..6], vec![1, 1, 1]),
             (vec![0..3, 3..6], vec![2, 2]),
         ];
-        for (stage_bounds, replication) in shapes {
-            let per_step: usize = stage_bounds
-                .iter()
-                .zip(&replication)
-                .map(|(layers, r)| (2 * layers.len() - usize::from(layers.start == 0)) * r)
-                .sum();
-            for micro_batches in [2, 8] {
-                for recompute in [false, true] {
-                    let mut cfg = EngineConfig::straight(stage_bounds.clone(), micro_batches, 0.1);
-                    cfg.replication = replication.clone();
-                    cfg.recompute = recompute;
-                    let trainer = PipelineTrainer::new(model6(), cfg).unwrap();
-                    for step in 1..=3 {
-                        trainer.step_grads(&x, &t).unwrap();
-                        let packs: usize = trainer.scratch.iter().map(|s| lock(s).packs).sum();
-                        assert_eq!(
-                            packs,
-                            step * per_step,
-                            "{replication:?} m={micro_batches} rc={recompute} after step {step}"
-                        );
-                    }
+        // Six layers each; the second's `1024 x 1024` weights put the
+        // pack above the gate (at one micro-batch count and 4 rows: an
+        // unoptimized build multiplies them slowly).
+        let wide = MlpModel::new(&[5, 1024, 1024, 8, 8, 4, 3], 77);
+        for (model, batch, ms) in [(model6(), 48, &[2, 8][..]), (wide, 4, &[2])] {
+            let (x, t) = data::regression_batch(batch, 5, 3, 9);
+            let per_step = 2 * model.num_layers() - 1;
+            for ((stage_bounds, replication), micro_batches, recompute) in (shapes.iter())
+                .flat_map(|shape| ms.iter().map(move |&m| (shape, m)))
+                .flat_map(|(shape, m)| [false, true].map(|rc| (shape, m, rc)))
+            {
+                let mut cfg = EngineConfig::straight(stage_bounds.clone(), micro_batches, 0.1);
+                cfg.replication = replication.clone();
+                cfg.recompute = recompute;
+                let trainer = PipelineTrainer::new(model.clone(), cfg).unwrap();
+                for step in 1..=3 {
+                    trainer.step_grads(&x, &t).unwrap();
+                    let packs = (trainer.packs_made).load(std::sync::atomic::Ordering::Relaxed);
+                    assert_eq!(
+                        packs,
+                        step * per_step,
+                        "{batch} rows, {replication:?} m={micro_batches} rc={recompute} \
+                         after step {step}"
+                    );
                 }
             }
         }

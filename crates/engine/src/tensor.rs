@@ -110,7 +110,9 @@ const COL_TILE: usize = 32;
 /// `k == 1` product does not. What it amortises is posting a job and
 /// waking a parked helper (microseconds), not a thread spawn; below it
 /// the single-threaded kernel finishes before a helper would have woken.
-const PAR_MIN_MULS: usize = 2 * 1024 * 1024;
+/// The pipeline's per-step weight packing applies the same gate to the
+/// elements it copies.
+pub(crate) const PAR_MIN_MULS: usize = 2 * 1024 * 1024;
 
 /// Whether `n x k x m` of multiply-adds is worth waking a helper.
 #[inline]

@@ -16,7 +16,8 @@
 //! worker's idle time includes the compute of its co-located neighbours.
 //!
 //! Timestamps are monotonic nanoseconds relative to a per-step epoch
-//! (`Instant` taken before the workers spawn), so spans from different
+//! (`Instant` taken before the step packs its weights, ahead of the
+//! workers; [`SpanKind::Pack`]), so spans from different
 //! threads share one clock and predicted-vs-actual comparisons can align
 //! the measured timeline with the simulator's.
 
@@ -43,6 +44,11 @@ pub enum SpanKind {
     /// The reduce of a replicated stage's gradients across its replicas
     /// (the arithmetic only, not the wait for the replicas to arrive).
     AllReduce,
+    /// The step's prelude: every layer's weights packed for the kernels
+    /// before any worker starts (one whole-model span per step; `bytes`
+    /// is the bytes packed). It precedes the pipeline, so it counts
+    /// toward neither the makespan nor a phase.
+    Pack,
 }
 
 impl SpanKind {
@@ -54,6 +60,7 @@ impl SpanKind {
             SpanKind::Recompute => "recompute",
             SpanKind::CommSend | SpanKind::CommRecvWait => "comm",
             SpanKind::AllReduce => "allreduce",
+            SpanKind::Pack => "pack",
         }
     }
 
@@ -157,7 +164,7 @@ pub struct WorkerTrace {
 }
 
 /// A stage-level span (a stage's gradient AllReduce, timed by its
-/// reducing worker).
+/// reducing worker) or a whole-model one (the step's [`SpanKind::Pack`]).
 #[derive(Debug, Clone, Copy)]
 pub struct CoordSpan {
     /// Stage the span belongs to; `None` for whole-model spans.
@@ -171,8 +178,8 @@ pub struct CoordSpan {
 pub struct StepTrace {
     /// Per-worker spans, in spawn order (stage-major, replica-minor).
     pub workers: Vec<WorkerTrace>,
-    /// Stage-level spans (one AllReduce per replicated stage, in stage
-    /// order).
+    /// The step's pack, then the stage-level spans (one AllReduce per
+    /// replicated stage, in stage order).
     pub coord: Vec<CoordSpan>,
     /// Replication factor per stage (fixes the Chrome `tid` layout).
     pub replication: Vec<usize>,
@@ -187,12 +194,14 @@ impl StepTrace {
         }
     }
 
-    /// All spans with their stage attribution.
+    /// The pipeline's spans with their stage attribution: all but the
+    /// pack that precedes it.
     fn all_spans(&self) -> impl Iterator<Item = (Option<usize>, Span)> + '_ {
         self.workers
             .iter()
             .flat_map(|w| w.spans.iter().map(move |s| (Some(w.stage), *s)))
             .chain(self.coord.iter().map(|c| (c.stage, c.span)))
+            .filter(|(_, s)| s.kind != SpanKind::Pack)
     }
 
     /// Total spans that did not fit their logs, across all workers.
@@ -249,6 +258,7 @@ impl StepTrace {
             SpanKind::CommSend => (format!("send{micro_name}"), true),
             SpanKind::CommRecvWait => (format!("recv-wait{micro_name}"), true),
             SpanKind::AllReduce => ("AllReduce".to_string(), false),
+            SpanKind::Pack => ("pack".to_string(), false),
         };
         let mut args = vec![("replica", ChromeArg::Int(replica as u64))];
         args.extend(thread.map(|t| ("thread", ChromeArg::Int(t as u64))));
@@ -302,6 +312,7 @@ impl StepTrace {
                 SpanKind::CommRecvWait => m.comm_wait_ns += s.dur_ns(),
                 SpanKind::CommSend => m.send_ns += s.dur_ns(),
                 SpanKind::AllReduce => m.allreduce_ns += s.dur_ns(),
+                SpanKind::Pack => {}
             }
         }
         let makespan_ns = t_end.saturating_sub(if t0 == u64::MAX { 0 } else { t0 });
@@ -354,7 +365,8 @@ pub struct StageMetrics {
 /// Metrics of one measured step.
 #[derive(Debug, Clone)]
 pub struct StepMetrics {
-    /// Timeline length (last span end − first span start), ns.
+    /// Timeline length (last span end − first span start), ns: the
+    /// pipeline's, from its first op, so the step's pack is not in it.
     pub makespan_ns: u64,
     /// Mean per-stage bubble ratio.
     pub bubble_ratio: f64,
@@ -553,5 +565,27 @@ mod tests {
         assert!(json.contains(r#""args":{"replica":0,"thread":0,"micro":0}"#));
         assert!(json.contains(r#""bytes":4096"#));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    /// The step's pack is exported on the whole-model row, but it is no
+    /// part of the pipeline's timeline: neither the makespan nor a phase.
+    #[test]
+    fn the_pack_is_exported_but_outside_the_makespan() {
+        let mut t = trace_fixture();
+        let (makespan, phases) = (t.metrics().makespan_ns, t.phase_split().total_us());
+        let span = Span {
+            kind: SpanKind::Pack,
+            micro: NO_MICRO,
+            bytes: 1 << 20,
+            start_ns: 0,
+            end_ns: 2_000,
+        };
+        t.coord.push(CoordSpan { stage: None, span });
+        assert_eq!(t.metrics().makespan_ns, makespan);
+        assert_eq!(t.phase_split().total_us(), phases);
+        let json = t.to_chrome_trace();
+        assert!(json.contains(r#""name":"pack","cat":"pack","ph":"X""#));
+        assert!(json.contains(r#""pid":2,"tid":0"#));
+        assert!(json.contains(r#""bytes":1048576"#));
     }
 }

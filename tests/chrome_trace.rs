@@ -171,7 +171,8 @@ fn engine_trace_names_each_workers_thread() {
 
     let root = parse_json(&trace.to_chrome_trace()).unwrap();
     let events = items(&root);
-    let workers = events.iter().filter(|o| text(o, "cat") != "allreduce");
+    // Coordinator events (the stage reduces, the step's pack) name no thread.
+    let workers = (events.iter()).filter(|o| !["allreduce", "pack"].contains(&text(o, "cat")));
     let mut seen = 0;
     for obj in workers {
         let args = field(obj, "args");

@@ -413,7 +413,8 @@ fn faults_before_the_gradient_rendezvous_are_structured_and_leave_nothing_behind
     }
 }
 
-/// A worker packs its layers' `W^T` at its first backward of a step. A
+/// A step packs every layer's `W` and `W^T` before its workers start,
+/// and a stage first reads its `W^T` packs at its first backward. A
 /// fault injected exactly there — a panic, or a poisoned gradient that
 /// aborts the step — on a straight pipeline and on replicated stages,
 /// leaves nothing a later step could mistake for a valid pack: the next
@@ -462,9 +463,10 @@ fn faults_at_the_packing_backward_leave_nothing_behind() {
 }
 
 /// A weight tensor whose storage is shorter than its shape claims is
-/// read first by its worker's forward pack, and it is the pack's shape
-/// assertion — the numbers, not a bare slice-index panic — that reaches
-/// the user as that worker's `WorkerPanicked`. The trainer survives it:
+/// read first by the step's pack of its layer, before any worker starts,
+/// and it is the pack's shape assertion — the numbers, not a bare
+/// slice-index panic — that reaches the user as the `WorkerPanicked` of
+/// its stage's replica 0. The trainer survives it:
 /// with the weights repaired, the next step is bit-identical to a
 /// never-faulted trainer's.
 #[test]
@@ -498,6 +500,49 @@ fn a_malformed_weight_is_a_structured_error_from_the_pack() {
     }
     trainer.model.layers[1].w = intact;
     assert_eq!(clean_step_bits(&trainer, &x, &t), never_faulted);
+}
+
+/// On replicated stages too, a malformed weight is named by its pack:
+/// stage 1 of replication `[1, 2]` reports it as replica 0's
+/// `WorkerPanicked`, and with two layers malformed the lower layer's
+/// error is the step's. The layers are wide enough for the pack to be
+/// split over the worker pool, so which pool thread packed which layer
+/// does not decide the error. The trainer survives it bit for bit.
+#[test]
+fn a_malformed_weight_in_a_replicated_stage_is_its_replica_0s_error() {
+    let dims = [16usize, 1024, 1024, 8];
+    let mut config = EngineConfig::straight(vec![0..1, 1..3], 2, 0.1);
+    config.replication = vec![1, 2];
+    config.recv_timeout = Duration::from_secs(2);
+    let (x, t) = data::regression_batch(8, 16, 8, 5);
+    let mut trainer = PipelineTrainer::new(MlpModel::new(&dims, 3), config).unwrap();
+    let never_faulted = clean_step_bits(&trainer, &x, &t);
+    let intact = trainer.model.clone();
+    for (malformed, text) in [
+        (&[2][..], "pack of a 1024 x 8 tensor holding 7168 values"),
+        (
+            &[1, 2],
+            "pack of a 1024 x 1024 tensor holding 1047552 values",
+        ),
+    ] {
+        for &layer in malformed {
+            let w = &mut trainer.model.layers[layer].w;
+            w.data.truncate(w.rows * (w.cols - 1));
+        }
+        match trainer.step_grads(&x, &t) {
+            Err(DappleError::WorkerPanicked {
+                stage,
+                replica,
+                message,
+            }) => {
+                assert_eq!((stage, replica), (1, 0), "{malformed:?}");
+                assert!(message.contains(text), "{malformed:?}: {message}");
+            }
+            other => panic!("expected WorkerPanicked from stage 1, got {other:?}"),
+        }
+        trainer.model = intact.clone();
+        assert_eq!(clean_step_bits(&trainer, &x, &t), never_faulted);
+    }
 }
 
 /// A kernel assertion that fires inside a band of a parallel matmul, on

@@ -25,11 +25,24 @@ fn traced_cfg(stage_bounds: Vec<std::ops::Range<usize>>, micro_batches: usize) -
     cfg
 }
 
-/// The trace of one clean step on a tracing trainer.
+/// The trace of one clean step on a tracing trainer. Every traced step
+/// packs its weights once, before the pipeline: exactly one whole-model
+/// `Pack` span, of every layer's `W` and all but the first's `W^T`.
 fn traced_step(trainer: &PipelineTrainer, x: &Tensor, t: &Tensor) -> StepTrace {
     let (result, trace) = trainer.step_with_trace(x, t, &FaultPlan::new());
     result.expect("clean step");
-    trace.expect("tracing on")
+    let trace = trace.expect("tracing on");
+    let packs: Vec<_> = (trace.coord.iter())
+        .filter(|c| c.span.kind == SpanKind::Pack)
+        .collect();
+    assert_eq!(packs.len(), 1, "one pack per step: {packs:?}");
+    let layers = &trainer.model.layers;
+    let packed: usize = (layers.iter().enumerate())
+        .map(|(l, layer)| layer.w.data.len() * (1 + usize::from(l > 0)))
+        .sum();
+    assert_eq!(packs[0].stage, None);
+    assert_eq!(packs[0].span.bytes, 4 * packed as u64);
+    trace
 }
 
 #[test]
