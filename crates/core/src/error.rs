@@ -20,7 +20,8 @@ pub enum DappleError {
     /// Device allocation failed (not enough free devices for a policy).
     AllocationFailed(String),
     /// A pipeline worker waited longer than the configured receive
-    /// timeout for a boundary message. `step` is the index into the
+    /// timeout for a boundary message or, on a replicated stage's replica
+    /// 0, its peers' gradients. `step` is the index into the
     /// stage's deterministic step order
     /// (`dapple_sim::schedule::stage_order`).
     Stalled {
@@ -51,8 +52,8 @@ pub enum DappleError {
         /// Micro-batch whose gradient contribution was non-finite.
         micro: usize,
     },
-    /// A boundary channel violated the pipeline protocol (duplicated or
-    /// excess rows, trailing messages after the schedule completed).
+    /// A worker received rows beyond its schedule (a duplicated message:
+    /// a "trailing message", at an over-full receive or after the step).
     ChannelProtocol {
         /// Stage that observed the violation.
         stage: usize,
@@ -61,9 +62,10 @@ pub enum DappleError {
         /// What was observed.
         detail: String,
     },
-    /// A boundary channel disconnected while a worker still needed it —
-    /// a peer exited early (typically as fallout of the peer's own
-    /// failure, which the coordinator reports in preference to this).
+    /// A worker was stopped at this step because another op of the step
+    /// failed first: its wait received the step's stop, its thread
+    /// stopped, or a peer it sent to had exited. Always fallout, so the
+    /// coordinator reports the root cause in preference to this.
     ChannelClosed {
         /// Stage whose worker lost the channel.
         stage: usize,

@@ -31,16 +31,14 @@ pub enum FaultKind {
     /// exceeds the configured receive timeout; when every worker shares
     /// one thread, nobody is left to wait and the stall is a slow step.
     Stall(Duration),
-    /// Swallow every boundary message this step would send. The peers
-    /// expecting those rows observe [`DappleError::Stalled`] on the open
-    /// channel, or [`DappleError::ChannelClosed`] when every sender into
-    /// it has finished first.
+    /// Swallow every boundary message this step would send. A peer
+    /// expecting those rows waits on its inbox until the receive timeout
+    /// and observes [`DappleError::Stalled`].
     DropMessage,
     /// Send every boundary message of this step twice. The receiver
-    /// observes [`DappleError::ChannelProtocol`]: the worker's leftover
-    /// check at the end of its script, or the coordinator's look into its
-    /// channels after the join when the copy arrived after its last
-    /// receive.
+    /// observes [`DappleError::ChannelProtocol`], a "trailing message":
+    /// at the receive the copy over-fills, or in the coordinator's look
+    /// into its inbox after the join when it took its rows first.
     DuplicateMessage,
     /// Panic the worker thread at this step. The coordinator observes
     /// [`DappleError::WorkerPanicked`] with the injected payload.

@@ -1,8 +1,8 @@
 //! The multi-threaded pipeline trainer.
 //!
 //! Each stage replica is a *worker*, and the workers run on the host's
-//! cores: `min(workers, cores)` OS threads per step, connected by
-//! `std::sync::mpsc` channels. Each worker executes exactly the
+//! cores: `min(workers, cores)` OS threads per step, each worker with
+//! one `std::sync::mpsc` inbox. Each worker executes exactly the
 //! deterministic step order that the simulator models
 //! ([`dapple_sim::schedule::stage_order`]): warmup forwards, strict 1F1B
 //! interleaving (or GPipe's all-forwards-first), then the backward drain.
@@ -22,9 +22,9 @@
 //! [`dapple_sim::list::list_schedule`] gives it: its workers' script steps
 //! and, after a worker's last step, its sync op (leftover check, gradient
 //! sync). A step cannot deadlock: those orders interleave into one order
-//! in which every op follows what it waits for, and channels are
+//! in which every op follows what it waits for, and inboxes are
 //! unbounded, so the earliest op of it not yet run has its thread at it
-//! and its inputs in its channels. With at least as many cores as
+//! and its inputs in its inbox. With at least as many cores as
 //! workers, each thread holds one worker and runs its script.
 //!
 //! A step has one entry point, [`PipelineTrainer::step_with_trace`]
@@ -55,8 +55,8 @@
 //! Gradients stay in the buffers the backward kernels added them to.
 //! Every worker accumulates into persistent buffers the trainer owns
 //! ([`PipelineTrainer`]'s gradient slots, re-zeroed at step start). When
-//! a replicated stage's last backward retires, its replicas `1..r` hand
-//! their accumulators to replica 0 over a channel and replica 0 sums
+//! a replicated stage's last backward retires, its replicas `1..r` post
+//! their accumulators to replica 0's inbox and replica 0 sums
 //! them in place with [`dapple_collectives::reduce_sum_in_place`] — the
 //! ring AllReduce's per-chunk rank order over the stage's `dW‖db`
 //! concatenation, so the bits are the ring's (pinned by
@@ -68,44 +68,38 @@
 //!
 //! # Failure semantics
 //!
-//! Workers return `Result` instead of unwinding into the coordinator:
-//! every channel wait is bounded by [`EngineConfig::recv_timeout`] (a
-//! deadlock surfaces as [`DappleError::Stalled`], never a hang), a panic
-//! in any op is caught and reported as [`DappleError::WorkerPanicked`]
-//! (a pack's, before any thread starts, as its stage's replica 0's),
-//! and non-finite gradient values are counted per micro-batch as the
-//! kernels add them (as zeros): a micro-batch whose loss or count is not
-//! clean fails the step as [`DappleError::NonFinite`], so a step that
-//! succeeds carries exactly the batch's gradient. The reducing replica's
-//! wait for its peers' gradients is bounded like every other — a worker
-//! has exactly those two timed waits.
+//! Workers return `Result` instead of unwinding into the coordinator: a
+//! panic in any op is caught and reported as [`DappleError::WorkerPanicked`]
+//! (a pack's, before any thread starts, as its stage's replica 0's), and
+//! non-finite gradient values are counted per micro-batch as the kernels
+//! add them (as zeros): a micro-batch whose loss or count is not clean
+//! fails the step as [`DappleError::NonFinite`], so a step that succeeds
+//! carries exactly the batch's gradient.
 //!
-//! A step ends at the join. Whom a worker sends which rows is resolved
-//! once, when the step is wired (the private `Route`s), and a worker
-//! that has run its script waits for no neighbour: it reports what it
-//! received and never consumed, syncs its stage's gradients and returns,
-//! handing its receivers back. Once every thread is joined every sender
-//! is gone, so the coordinator finds a message that arrived after a
-//! worker's last receive with a `try_recv`: duplicated or trailing
-//! messages are caught deterministically, without a wait, as
-//! [`DappleError::ChannelProtocol`]. When several workers fail (one root
-//! cause typically cascades), the coordinator reports the most causally
-//! specific error: panic over non-finite over protocol violation over
-//! stall over closed channel. The model is untouched on any failure, so
-//! the trainer stays usable for the next step.
+//! Each worker has one inbox, created with the step. It carries boundary
+//! rows keyed by `(backward, micro)`, a peer's accumulators to its
+//! stage's replica 0, and the stop; a worker holds whatever arrives
+//! before its script asks for it. Its one wait, on the inbox, is bounded
+//! by [`EngineConfig::recv_timeout`]: a stall surfaces as
+//! [`DappleError::Stalled`], never a hang. The coordinator keeps every
+//! inbox's sender for the whole step, and the thread of a failed op posts
+//! the stop to every inbox, so a worker waiting anywhere leaves at once
+//! as [`DappleError::ChannelClosed`] at its op; the thread's other
+//! workers are reported closed at the op they did not reach. Of several
+//! errors the coordinator reports the most causally specific: panic over
+//! non-finite over protocol violation over stall over closed channel,
+//! ties to the earliest worker, so the step names its root cause. The
+//! model is untouched on any failure, so the trainer stays usable for
+//! the next step.
 //!
-//! A thread stops at its first failed op and drops the workers it still
-//! holds; each is reported as [`DappleError::ChannelClosed`] at the op it
-//! did not reach, and the ranking above names the root cause. A peer
-//! waiting on one of their channels sees the disconnect at once only if
-//! the failed thread held every sender into it, which is always so on an
-//! unreplicated pipeline. A channel out of a replicated stage has a
-//! sender per replica; one that survives on another thread keeps it
-//! open, and the waiter leaves through `recv_timeout` as
-//! [`DappleError::Stalled`]: a [`FaultKind::Panic`] at replica 1 of
-//! stage 0 on replication `[2, 1]`, placed on its own thread, costs the
-//! full 5 s default before the step returns (the ROADMAP item "liveness
-//! by cancellation" would end that wait).
+//! A step ends at the join, and a worker that has run its script waits
+//! for no neighbour. Rows sent beyond the schedule (e.g. an injected
+//! duplicate) are one error, [`DappleError::ChannelProtocol`]'s "trailing
+//! message", wherever they are found: at a receive that holds more rows
+//! than it takes, or after the join, when the coordinator drains the
+//! inbox of a worker that completed its script (`try_recv`) and reports
+//! the lowest `(backward, micro)` left, so arrival order does not decide
+//! the error.
 //!
 //! A [`FaultKind::Stall`] delays its whole thread: every worker placed
 //! there waits with it, a worker on another thread observes it as
@@ -151,10 +145,10 @@ pub struct EngineConfig {
     pub max_in_flight: usize,
     /// Loss optimized by the last stage.
     pub loss: LossKind,
-    /// Upper bound on each of a worker's two waits: a boundary receive
-    /// and the reducing replica's rendezvous with its peers' gradients. A
-    /// worker blocked longer reports [`DappleError::Stalled`] instead of
-    /// hanging.
+    /// Upper bound on a worker's one wait, on its inbox: for a boundary
+    /// receive's rows or, on a replicated stage's replica 0, its peers'
+    /// gradients. A worker blocked longer reports [`DappleError::Stalled`]
+    /// instead of hanging; a failed op elsewhere ends the wait at once.
     pub recv_timeout: Duration,
     /// Record per-worker span traces ([`StepTrace`]) during the step.
     /// Off by default: with tracing off the hot path takes no timestamps
@@ -242,21 +236,64 @@ impl EngineConfig {
 }
 
 /// A message crossing a stage boundary: rows `row0..row0 + data.rows` of
-/// micro-batch `micro` (row indices are micro-batch local).
+/// micro-batch `micro`, forward or (`backward`) back (row indices are
+/// micro-batch local).
 struct Msg {
+    backward: bool,
     micro: usize,
     row0: usize,
     data: Tensor,
+}
+
+/// What a worker's inbox carries besides the stop (`None`).
+enum Mail {
+    Rows(Msg),
+    /// A peer's `(replica, accumulators)`, to its stage's replica 0.
+    Grads(usize, Vec<DenseGrads>),
+}
+
+/// The sending end of a worker's inbox.
+type Outbox = Sender<Option<Mail>>;
+
+/// Mail a worker's inbox delivered before its script asked for it.
+#[derive(Default)]
+struct Arrived {
+    /// Boundary parts by `(backward, micro)`.
+    rows: HashMap<(bool, usize), Vec<Msg>>,
+    /// Peers' accumulators, on a replicated stage's replica 0.
+    grads: Vec<(usize, Vec<DenseGrads>)>,
+}
+
+impl Arrived {
+    fn file(&mut self, mail: Mail) {
+        match mail {
+            Mail::Rows(msg) => (self.rows.entry((msg.backward, msg.micro)))
+                .or_default()
+                .push(msg),
+            Mail::Grads(replica, bufs) => self.grads.push((replica, bufs)),
+        }
+    }
+}
+
+/// Rows of micro-batch `micro`, forward or (`backward`) back, that
+/// worker `(stage, replica)` received beyond its schedule.
+fn trailing(stage: usize, replica: usize, (backward, micro): (bool, usize)) -> DappleError {
+    let side = if backward { "backward" } else { "forward" };
+    DappleError::ChannelProtocol {
+        stage,
+        replica,
+        detail: format!("trailing message: {side} rows of micro-batch {micro} beyond the schedule"),
+    }
 }
 
 /// Per-worker output.
 struct WorkerOut {
     stage: usize,
     replica: usize,
-    /// The worker's boundary receivers, for the coordinator to check once
-    /// every sender is gone.
-    rx_f: Option<Receiver<Msg>>,
-    rx_b: Option<Receiver<Msg>>,
+    /// The worker's inbox and what it filed but never took, for the
+    /// coordinator to check once every thread is joined.
+    inbox: Receiver<Option<Mail>>,
+    arrived: Arrived,
     /// The stage's synchronized gradients on replica 0 (moved out of its
     /// slot); empty on every other replica.
     grads: Vec<DenseGrads>,
@@ -271,25 +308,18 @@ struct WorkerOut {
 }
 
 impl WorkerOut {
-    /// This output, unless a message still sits in one of the worker's
-    /// channels. Called after every thread is joined — every sender is
-    /// gone, so nothing can arrive later and nothing is waited for: what
-    /// is there was sent beyond the schedule (e.g. an injected duplicate).
-    fn nothing_trailing(self) -> Result<WorkerOut> {
-        for (side, rx) in [("forward", &self.rx_f), ("backward", &self.rx_b)] {
-            if let Some(msg) = rx.as_ref().and_then(|rx| rx.try_recv().ok()) {
-                return Err(DappleError::ChannelProtocol {
-                    stage: self.stage,
-                    replica: self.replica,
-                    detail: format!(
-                        "trailing message (micro-batch {}, {} rows) on the {side} \
-                         channel after the schedule completed",
-                        msg.micro, msg.data.rows
-                    ),
-                });
-            }
+    /// This output, unless rows are left in the worker's inbox or among
+    /// what it filed. Called after every thread is joined, so nothing can
+    /// arrive later and nothing is waited for: what is there was sent
+    /// beyond the schedule (e.g. an injected duplicate).
+    fn nothing_trailing(mut self) -> Result<WorkerOut> {
+        for mail in self.inbox.try_iter().flatten() {
+            self.arrived.file(mail);
         }
-        Ok(self)
+        match self.arrived.rows.keys().min() {
+            Some(&key) => Err(trailing(self.stage, self.replica, key)),
+            None => Ok(self),
+        }
     }
 }
 
@@ -772,56 +802,44 @@ impl PipelineTrainer {
         let s = self.cfg.stage_bounds.len();
         let rows = |stage: usize, rep: usize| rows_of(mb, self.cfg.replication[stage], rep);
 
-        // Wire the boundary channels, one per receiving replica: across
-        // boundary `b`, `fwd[b]` carries activations into stage `b + 1` and
-        // `bwd[b]` their gradients back into stage `b`.
-        let wire = |stage: usize| -> (Vec<Sender<Msg>>, Vec<Option<Receiver<Msg>>>) {
-            let ends = (0..self.cfg.replication[stage]).map(|_| channel());
-            ends.map(|(tx, rx)| (tx, Some(rx))).unzip()
-        };
-        let (fwd_tx, mut fwd_rx): (Vec<_>, Vec<_>) = (1..s).map(wire).unzip();
-        let (bwd_tx, mut bwd_rx): (Vec<_>, Vec<_>) = (0..s - 1).map(wire).unzip();
+        // One inbox per worker, in spawn order. The coordinator keeps every
+        // sender for the step, so an inbox never disconnects: a failed op's
+        // thread posts the stop (`None`) to all of them.
+        let (outboxes, inboxes): (Vec<Outbox>, Vec<_>) =
+            (0..self.pools.len()).map(|_| channel()).unzip();
+        let mut inboxes = inboxes.into_iter();
+        let first = |stage: usize| self.grad_home.stages[stage].0;
         // Who a worker sends to is fixed before the first micro-batch: the
         // replicas of the neighbouring stage whose rows overlap its own.
-        let routes = |my_rows: &Range<usize>, peer_stage: usize, txs: &[Sender<Msg>]| {
-            let overlap = |(q, tx): (usize, &Sender<Msg>)| {
+        let routes = |my_rows: &Range<usize>, peer_stage: usize, backward: bool| {
+            let overlap = |q: usize| {
                 let peer = rows(peer_stage, q);
                 let (lo, hi) = (my_rows.start.max(peer.start), my_rows.end.min(peer.end));
                 (lo < hi).then(|| Route {
-                    tx: tx.clone(),
+                    tx: outboxes[first(peer_stage) + q].clone(),
+                    backward,
                     local: lo - my_rows.start..hi - my_rows.start,
                     row0: lo,
                 })
             };
-            txs.iter()
-                .enumerate()
+            (0..self.cfg.replication[peer_stage])
                 .filter_map(overlap)
                 .collect::<Vec<Route>>()
         };
 
         let mut workers: Vec<Option<Worker>> = Vec::with_capacity(self.pools.len());
         for i in 0..s {
-            // A replicated stage's gradient rendezvous: replicas `1..r`
-            // send, replica 0 receives. The original sender goes out of
-            // scope with this iteration, so replica 0 sees a disconnect as
-            // soon as every peer has sent or died.
-            let stage_slots = &self.grad_home.slots[self.grad_home.stages[i].0..];
-            let (grad_tx, mut grad_rx) = if self.cfg.replication[i] > 1 {
-                let (tx, rx) = channel();
-                (Some(tx), Some(rx))
-            } else {
-                (None, None)
-            };
+            let stage_slots = &self.grad_home.slots[first(i)..];
             for p in 0..self.cfg.replication[i] {
-                let sync = match (p, &grad_tx) {
-                    (_, None) => GradSync::Solo,
-                    (0, Some(_)) => GradSync::Reducer {
-                        rx: grad_rx.take().expect("one reducer per stage"),
-                        peer_slots: &stage_slots[..self.cfg.replication[i]],
-                    },
-                    (_, Some(tx)) => GradSync::Peer(tx.clone()),
+                // A replicated stage's gradient rendezvous: replicas `1..r`
+                // post to replica 0's inbox.
+                let sync = match (self.cfg.replication[i], p) {
+                    (1, _) => GradSync::Solo,
+                    (r, 0) => GradSync::Reducer(&stage_slots[..r]),
+                    _ => GradSync::Peer(outboxes[first(i)].clone()),
                 };
-                let (my_rows, prev) = (rows(i, p), i.checked_sub(1));
+                let (prev, next) = (i.checked_sub(1), Some(i + 1).filter(|&b| b < s));
+                let my_rows = rows(i, p);
                 workers.push(Some(Worker {
                     stage: i,
                     replica: p,
@@ -836,15 +854,9 @@ impl PipelineTrainer {
                     is_last: i + 1 == s,
                     x,
                     target,
-                    rx_f: prev.and_then(|b| fwd_rx[b][p].take()),
-                    rx_b: bwd_rx.get_mut(i).and_then(|rxs| rxs[p].take()),
-                    to_next: fwd_tx
-                        .get(i)
-                        .map(|t| routes(&my_rows, i + 1, t))
-                        .unwrap_or_default(),
-                    to_prev: prev
-                        .map(|b| routes(&my_rows, b, &bwd_tx[b]))
-                        .unwrap_or_default(),
+                    inbox: inboxes.next().expect("one inbox per worker"),
+                    to_next: next.map(|b| routes(&my_rows, b, false)).unwrap_or_default(),
+                    to_prev: prev.map(|b| routes(&my_rows, b, true)).unwrap_or_default(),
                     my_rows,
                     faults: faults.for_worker(i, p),
                     recv_timeout: self.cfg.recv_timeout,
@@ -854,21 +866,16 @@ impl PipelineTrainer {
                 }));
             }
         }
-        // Drop the original sender handles: workers hold clones, and
-        // keeping these alive would turn a worker failure into a
-        // full-timeout stall on every peer instead of a prompt disconnect.
-        drop(fwd_tx);
-        drop(bwd_tx);
 
         let mut reports: Vec<Report> = Vec::with_capacity(workers.len());
         std::thread::scope(|scope| {
-            let placement = &self.placement;
+            let (placement, outboxes) = (&self.placement, &outboxes);
             let handles: Vec<_> = (0..placement.orders.len())
                 .map(|t| {
                     let mine = (workers.iter_mut().zip(&placement.thread_of))
                         .map(|(w, &on)| if on == t { w.take() } else { None })
                         .collect();
-                    scope.spawn(move || run_thread(t, mine, placement, tracing, epoch))
+                    scope.spawn(move || run_thread(t, mine, placement, outboxes, tracing, epoch))
                 })
                 .collect();
             for h in handles {
@@ -881,10 +888,9 @@ impl PipelineTrainer {
         reports.sort_unstable_by_key(|&(w, ..)| w);
         let mut results: Vec<Result<WorkerOut>> = Vec::with_capacity(reports.len());
         for (_, result, spans) in reports {
-            // The step ended at the join: every sender is gone, so whatever
-            // still sits in the channel of a worker that completed its
-            // script was sent beyond the schedule (e.g. an injected
-            // duplicate).
+            // The step ended at the join: whatever rows a worker that
+            // completed its script left unread were sent beyond the
+            // schedule (e.g. an injected duplicate).
             results.push(result.and_then(WorkerOut::nothing_trailing));
             if let Some(tr) = trace.as_mut() {
                 tr.workers.extend(spans);
@@ -990,14 +996,14 @@ fn caught<T>(stage: usize, replica: usize, op: impl FnOnce() -> Result<T>) -> Re
 
 /// Step thread `thread` of placement `p`: runs its order over its
 /// workers (indexed by spawn index, `None` where a worker runs elsewhere).
-/// It stops at the first op that fails and drops the workers it still
-/// holds, closing every channel whose senders it held all of (module
-/// docs, "Failure semantics"); each is reported as closed at the op it
-/// did not reach.
+/// It stops at the first op that fails, posts the stop to every inbox in
+/// `outboxes` and drops the workers it still holds; each is reported as
+/// closed at the op it did not reach (module docs, "Failure semantics").
 fn run_thread(
     thread: usize,
     workers: Vec<Option<Worker<'_>>>,
     p: &Placement,
+    outboxes: &[Outbox],
     tracing: bool,
     epoch: Instant,
 ) -> Vec<Report> {
@@ -1025,6 +1031,10 @@ fn run_thread(
             Ok(None) => {}
             Ok(Some(out)) => results[w] = Some(Ok(out)),
             Err(e) => {
+                for tx in outboxes {
+                    // An inbox already dropped needs no stop.
+                    let _ = tx.send(None);
+                }
                 (live[w], results[w]) = (None, Some(Err(e)));
                 for (v, dropped) in live.iter_mut().enumerate() {
                     if dropped.take().is_some() {
@@ -1074,8 +1084,7 @@ struct Worker<'a> {
     is_last: bool,
     x: &'a Tensor,
     target: &'a Tensor,
-    rx_f: Option<Receiver<Msg>>,
-    rx_b: Option<Receiver<Msg>>,
+    inbox: Receiver<Option<Mail>>,
     /// Where forward outputs go (empty on the last stage) and where
     /// input gradients go (empty on the first).
     to_next: Vec<Route>,
@@ -1098,7 +1107,9 @@ struct Worker<'a> {
 /// the two replicas share. The routes of one direction partition the
 /// worker's rows, so a single route covers all of them.
 struct Route {
-    tx: Sender<Msg>,
+    tx: Outbox,
+    /// Whether the rows are input gradients ([`Msg::backward`]).
+    backward: bool,
     /// The shared rows, as rows of the worker's own tensor.
     local: Range<usize>,
     /// Where they start in the micro-batch ([`Msg::row0`]).
@@ -1110,14 +1121,11 @@ enum GradSync<'a> {
     /// Unreplicated stage: the accumulator already is the stage gradient.
     Solo,
     /// Replica 0 of a replicated stage: collects its peers' accumulators
-    /// and reduces them into its own.
-    Reducer {
-        rx: Receiver<(usize, Vec<DenseGrads>)>,
-        /// The stage's slots by replica, to return the peers' buffers to.
-        peer_slots: &'a [Mutex<Vec<DenseGrads>>],
-    },
-    /// Replicas `1..r`: hand `(replica, accumulator)` to replica 0.
-    Peer(Sender<(usize, Vec<DenseGrads>)>),
+    /// and reduces them into its own, then returns their buffers to the
+    /// stage's slots, given by replica.
+    Reducer(&'a [Mutex<Vec<DenseGrads>>]),
+    /// Replicas `1..r`: post `(replica, accumulator)` to replica 0.
+    Peer(Outbox),
 }
 
 /// Stored state per in-flight micro-batch.
@@ -1283,8 +1291,7 @@ impl<'a> Worker<'a> {
             slot,
             chain_spares: Vec::new(),
             loss: 0.0,
-            buf_f: HashMap::new(),
-            buf_b: HashMap::new(),
+            arrived: Arrived::default(),
             poisoned: HashSet::new(),
         }
     }
@@ -1294,42 +1301,26 @@ impl<'a> Worker<'a> {
     /// replicated one, replicas `1..r` hand theirs to replica 0, which
     /// sums them into its own in the ring AllReduce's order and sends the
     /// spent buffers home. Returns the stage's gradients (replica 0; empty
-    /// elsewhere) and, with tracing on, the reduce's span. Replica 0's
-    /// wait is bounded by `recv_timeout` and ends early when every peer
-    /// has either sent or died.
+    /// elsewhere) and, with tracing on, the reduce's span. Replica 0
+    /// takes its peers' accumulators from what arrived, waiting for the
+    /// rest in the worker's one wait.
     fn sync_grads(
         &mut self,
         mut acc: Vec<DenseGrads>,
+        arrived: &mut Arrived,
         log: &Option<SpanLog>,
     ) -> Result<(Vec<DenseGrads>, Option<Span>)> {
-        let closed = DappleError::ChannelClosed {
-            stage: self.stage,
-            replica: self.replica,
-            step: self.script.len(),
-        };
+        let idx = self.script.len();
         match std::mem::replace(&mut self.sync, GradSync::Solo) {
             GradSync::Solo => Ok((acc, None)),
             GradSync::Peer(tx) => {
-                tx.send((self.replica, acc)).map_err(|_| closed)?;
+                let mail = Mail::Grads(self.replica, acc);
+                tx.send(Some(mail)).map_err(|_| self.closed(idx))?;
                 Ok((Vec::new(), None))
             }
-            GradSync::Reducer { rx, peer_slots } => {
-                let mut peers = Vec::with_capacity(peer_slots.len() - 1);
-                let deadline = Instant::now() + self.recv_timeout;
-                while peers.len() + 1 < peer_slots.len() {
-                    let remaining = deadline.saturating_duration_since(Instant::now());
-                    match rx.recv_timeout(remaining) {
-                        Ok(peer) => peers.push(peer),
-                        Err(RecvTimeoutError::Timeout) => {
-                            return Err(DappleError::Stalled {
-                                stage: self.stage,
-                                replica: self.replica,
-                                step: self.script.len(),
-                            });
-                        }
-                        Err(RecvTimeoutError::Disconnected) => return Err(closed),
-                    }
-                }
+            GradSync::Reducer(peer_slots) => {
+                self.wait(arrived, idx, |a| a.grads.len() + 1 == peer_slots.len())?;
+                let mut peers = std::mem::take(&mut arrived.grads);
                 // Rank order is replica order, whatever order they arrived in.
                 peers.sort_by_key(|(replica, _)| *replica);
                 let t0 = now_ns(log);
@@ -1391,20 +1382,23 @@ impl<'a> Worker<'a> {
             }
             _ => {}
         }
-        let closed = |_| DappleError::ChannelClosed {
-            stage: self.stage,
-            replica: self.replica,
-            step: idx,
+        let post = |route: &Route, data: Tensor| {
+            let (backward, row0) = (route.backward, route.row0);
+            let mail = Mail::Rows(Msg {
+                backward,
+                micro,
+                row0,
+                data,
+            });
+            route.tx.send(Some(mail)).map_err(|_| self.closed(idx))
         };
         if let (Cow::Owned(_), [only]) = (&data, routes) {
-            let (row0, data) = (only.row0, data.into_owned());
-            return only.tx.send(Msg { micro, row0, data }).map_err(closed);
+            return post(only, data.into_owned());
         }
         for route in routes {
             let mut part = pool.take(route.local.len(), data.cols);
             copy_rows_into(&data, route.local.clone(), &mut part);
-            let (row0, data) = (route.row0, part);
-            route.tx.send(Msg { micro, row0, data }).map_err(closed)?;
+            post(route, part)?;
         }
         if let Cow::Owned(t) = data {
             pool.put(t);
@@ -1412,56 +1406,59 @@ impl<'a> Worker<'a> {
         Ok(())
     }
 
-    /// Receives parts until rows `my_rows` of micro-batch `micro` are
-    /// covered, then assembles them in row order. Every wait is bounded
-    /// by the shared deadline `recv_timeout` from entry.
+    /// Takes the parts of rows `my_rows` of micro-batch `micro`, forward
+    /// or (`backward`) back, from what arrived, waiting for the rest, and
+    /// assembles them in row order.
     fn recv_rows(
         &self,
-        rx: &Option<Receiver<Msg>>,
-        buf: &mut HashMap<usize, Vec<Msg>>,
-        micro: usize,
+        arrived: &mut Arrived,
+        (backward, micro): (bool, usize),
         idx: usize,
         pool: &mut TensorPool,
     ) -> Result<Tensor> {
-        let rx = rx.as_ref().expect("a boundary on this side");
-        let want = self.my_rows.len();
+        let (key, want) = ((backward, micro), self.my_rows.len());
+        let have = |a: &Arrived| -> usize {
+            (a.rows.get(&key)).map_or(0, |parts| parts.iter().map(|p| p.data.rows).sum())
+        };
+        self.wait(arrived, idx, |a| have(a) >= want)?;
+        if have(arrived) > want {
+            return Err(trailing(self.stage, self.replica, key));
+        }
+        let mut parts = arrived.rows.remove(&key).expect("parts present");
+        if parts.len() == 1 {
+            // One part covering everything (equal replication): take it
+            // as-is, no concat copy.
+            return Ok(parts.pop().expect("one part").data);
+        }
+        parts.sort_by_key(|p| p.row0);
+        let cols = parts[0].data.cols;
+        let mut out = pool.take(want, cols);
+        let mut r0 = 0usize;
+        for p in parts {
+            debug_assert_eq!(p.data.cols, cols, "part width mismatch");
+            out.data[r0 * cols..(r0 + p.data.rows) * cols].copy_from_slice(&p.data.data);
+            r0 += p.data.rows;
+            // Spent parts restock the pool: the reverse direction crosses
+            // this boundary with the same part shapes.
+            pool.put(p.data);
+        }
+        Ok(out)
+    }
+
+    /// The worker's one wait: files mail from its inbox into `arrived`
+    /// until `done` holds of it, for at most `recv_timeout`. The stop
+    /// ends it at once, as closed at op `idx`.
+    fn wait(
+        &self,
+        arrived: &mut Arrived,
+        idx: usize,
+        done: impl Fn(&Arrived) -> bool,
+    ) -> Result<()> {
         let deadline = Instant::now() + self.recv_timeout;
-        loop {
-            let have: usize = buf
-                .get(&micro)
-                .map(|parts| parts.iter().map(|p| p.data.rows).sum())
-                .unwrap_or(0);
-            if have == want {
-                let mut parts = buf.remove(&micro).expect("parts present");
-                if parts.len() == 1 {
-                    // One part covering everything (equal replication):
-                    // take it as-is, no concat copy.
-                    return Ok(parts.pop().expect("one part").data);
-                }
-                parts.sort_by_key(|p| p.row0);
-                let cols = parts[0].data.cols;
-                let mut out = pool.take(want, cols);
-                let mut r0 = 0usize;
-                for p in parts {
-                    debug_assert_eq!(p.data.cols, cols, "part width mismatch");
-                    out.data[r0 * cols..(r0 + p.data.rows) * cols].copy_from_slice(&p.data.data);
-                    r0 += p.data.rows;
-                    // Spent parts restock the pool: the reverse direction
-                    // crosses this boundary with the same part shapes.
-                    pool.put(p.data);
-                }
-                return Ok(out);
-            }
-            if have > want {
-                return Err(DappleError::ChannelProtocol {
-                    stage: self.stage,
-                    replica: self.replica,
-                    detail: format!("micro-batch {micro} received {have} rows, expected {want}"),
-                });
-            }
+        while !done(arrived) {
             let remaining = deadline.saturating_duration_since(Instant::now());
-            match rx.recv_timeout(remaining) {
-                Ok(msg) => buf.entry(msg.micro).or_default().push(msg),
+            match self.inbox.recv_timeout(remaining) {
+                Ok(Some(mail)) => arrived.file(mail),
                 Err(RecvTimeoutError::Timeout) => {
                     return Err(DappleError::Stalled {
                         stage: self.stage,
@@ -1469,14 +1466,18 @@ impl<'a> Worker<'a> {
                         step: idx,
                     });
                 }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(DappleError::ChannelClosed {
-                        stage: self.stage,
-                        replica: self.replica,
-                        step: idx,
-                    });
-                }
+                Ok(None) | Err(RecvTimeoutError::Disconnected) => return Err(self.closed(idx)),
             }
+        }
+        Ok(())
+    }
+
+    /// This worker's [`DappleError::ChannelClosed`] at op `idx`.
+    fn closed(&self, idx: usize) -> DappleError {
+        DappleError::ChannelClosed {
+            stage: self.stage,
+            replica: self.replica,
+            step: idx,
         }
     }
 }
@@ -1493,8 +1494,7 @@ struct Live<'a> {
     chain_spares: Vec<Vec<Tensor>>,
     loss: f32,
     flights: HashMap<usize, Flight>,
-    buf_f: HashMap<usize, Vec<Msg>>,
-    buf_b: HashMap<usize, Vec<Msg>>,
+    arrived: Arrived,
     /// Micro-batches poisoned by an injected NaN at their forward: their
     /// loss gradient is poisoned at this worker's own backward too, so the
     /// fault is observable on the last stage, which sends no poisoned copy
@@ -1532,7 +1532,7 @@ impl Live<'_> {
                     copy_rows_into(w.x, lo..hi, &mut t);
                     t
                 } else {
-                    w.recv_rows(&w.rx_f, &mut self.buf_f, u, idx, pool)?
+                    w.recv_rows(&mut self.arrived, (false, u), idx, pool)?
                 };
                 let t1 = now_ns(log);
                 if !w.is_first {
@@ -1620,7 +1620,7 @@ impl Live<'_> {
                     pool.put(t);
                     dy
                 } else {
-                    w.recv_rows(&w.rx_b, &mut self.buf_b, u, idx, pool)?
+                    w.recv_rows(&mut self.arrived, (true, u), idx, pool)?
                 };
                 let tb = now_ns(log);
                 if !w.is_last {
@@ -1682,38 +1682,21 @@ impl Live<'_> {
         Ok(())
     }
 
-    /// Ends the worker's step: a look at what its script left unconsumed,
-    /// then the gradient sync.
+    /// Ends the worker's step: the gradient sync. What the script filed
+    /// and never took, and whatever arrives after it, stays for the
+    /// coordinator to find after the join: a worker that has run its
+    /// script waits for no neighbour.
     fn finish(mut self, log: &mut Option<SpanLog>) -> Result<WorkerOut> {
-        let worker = &mut self.worker;
-        // Whatever the script received and never consumed, a peer sent
-        // beyond the schedule (e.g. an injected duplicate). A message that
-        // arrives after this worker's last receive stays in its channel
-        // for the coordinator to find once every sender is gone: a worker
-        // that has run its script waits for no neighbour.
-        for (side, buf) in [("forward", &self.buf_f), ("backward", &self.buf_b)] {
-            if let Some((micro, parts)) = buf.iter().find(|(_, parts)| !parts.is_empty()) {
-                return Err(DappleError::ChannelProtocol {
-                    stage: worker.stage,
-                    replica: worker.replica,
-                    detail: format!(
-                        "{} rows of micro-batch {micro} left over on the {side} channel \
-                         after the schedule completed",
-                        parts.iter().map(|p| p.data.rows).sum::<usize>()
-                    ),
-                });
-            }
-        }
         // The sync waits only for this stage's own replicas, so it
         // overlaps the earlier stages' backward tail.
         let grads = std::mem::take(&mut *self.slot);
         drop(self.slot);
-        let (grads, sync) = worker.sync_grads(grads, log)?;
+        let (grads, sync) = self.worker.sync_grads(grads, &mut self.arrived, log)?;
         Ok(WorkerOut {
-            stage: worker.stage,
-            replica: worker.replica,
-            rx_f: worker.rx_f.take(),
-            rx_b: worker.rx_b.take(),
+            stage: self.worker.stage,
+            replica: self.worker.replica,
+            inbox: self.worker.inbox,
+            arrived: self.arrived,
             grads,
             sync,
             loss: self.loss,

@@ -179,8 +179,8 @@ fn fault_matrix_is_structured_prompt_and_recoverable() {
 /// a direction reaches its receiver after that worker's last receive: the
 /// coordinator finds it once the workers are joined and reports the
 /// receiving worker's coordinates. A panic or a poisoned micro-batch at
-/// any script position of any stage drops every sender into its waiting
-/// neighbour's channel, so the neighbour sees the disconnect at once.
+/// any script position of any stage posts the stop to every worker's
+/// inbox, so a waiting neighbour leaves at once.
 #[test]
 fn failures_on_a_straight_pipeline_are_seen_without_a_wait() {
     let config = EngineConfig::straight(vec![0..2, 2..4, 4..6], MICRO, 0.1);
@@ -218,6 +218,101 @@ fn failures_on_a_straight_pipeline_are_seen_without_a_wait() {
             );
         }
     }
+}
+
+/// Trainers on stages `[0..3, 3..6]` at replication `[2, 1]`, `[1, 2]`
+/// and `[2, 2]`, at the default 5 s `recv_timeout`.
+fn replicated_trainers() -> Vec<PipelineTrainer> {
+    let shapes = [vec![2, 1], vec![1, 2], vec![2, 2]];
+    (shapes.into_iter())
+        .map(|replication| {
+            let mut config = EngineConfig::straight(vec![0..3, 3..6], MICRO, 0.1);
+            assert_eq!(config.recv_timeout, Duration::from_secs(5));
+            config.replication = replication;
+            PipelineTrainer::new(model6(), config).unwrap()
+        })
+        .collect()
+}
+
+/// `kind` at every script position of every worker of `trainer`: the
+/// plan, its context and the step's error, each returned in under 1 s.
+/// Positions where `FaultPlan::validate` rejects `kind` are skipped; the
+/// count of the others is returned.
+fn each_position_within_a_second(
+    trainer: &PipelineTrainer,
+    kind: FaultKind,
+    mut check: impl FnMut((usize, usize, usize), &str, DappleError),
+) -> usize {
+    let config = trainer.config();
+    let (x, t) = data::regression_batch(24, 5, 3, 9);
+    let (stages, mut positions) = (config.replication.len(), 0);
+    for (stage, &replicas) in config.replication.iter().enumerate() {
+        let script = stage_order(config.schedule, stage, stages, MICRO, usize::MAX);
+        for (replica, idx) in (0..replicas).flat_map(|p| (0..script.len()).map(move |k| (p, k))) {
+            let plan = FaultPlan::new().with_fault(stage, replica, idx, kind);
+            if plan.validate(config).is_err() {
+                continue;
+            }
+            let ctx = format!(
+                "{kind:?} at stage {stage} replica {replica} step {idx}, replication {:?}",
+                config.replication
+            );
+            let started = Instant::now();
+            let err = step(trainer, &x, &t, &plan).expect_err(&ctx);
+            let elapsed = started.elapsed();
+            assert!(elapsed < Duration::from_secs(1), "{ctx}: took {elapsed:?}");
+            check((stage, replica, idx), &ctx, err);
+            positions += 1;
+        }
+    }
+    positions
+}
+
+/// On replicated stages too nobody waits for a failure, at the default
+/// 5 s `recv_timeout`: a panic or a poisoned micro-batch at any script
+/// position of any replica posts the stop to every worker's inbox, so a
+/// worker waiting for rows or for its peers' gradients leaves at once,
+/// and the step reports the root cause.
+#[test]
+fn failures_on_replicated_stages_are_seen_without_a_wait() {
+    let mut positions = 0;
+    for trainer in replicated_trainers() {
+        positions += each_position_within_a_second(&trainer, FaultKind::Panic, |at, ctx, err| {
+            let root = matches!(err, DappleError::WorkerPanicked { stage, replica, .. }
+                if (stage, replica) == (at.0, at.1));
+            assert!(root, "{ctx}: got {err:?}");
+        });
+        positions +=
+            each_position_within_a_second(&trainer, FaultKind::NanGradient, |_, ctx, err| {
+                assert!(
+                    matches!(err, DappleError::NonFinite { .. }),
+                    "{ctx}: got {err:?}"
+                );
+            });
+    }
+    // 3 + 3 + 4 workers, 8 positions each, two kinds.
+    assert_eq!(positions, 2 * 10 * 8);
+}
+
+/// Rows beyond the schedule are one error wherever they are found — a
+/// receive that holds more rows than it takes, rows that arrive while a
+/// reducing replica waits for its peers, or rows left after the join: a
+/// duplicate at every position plan validation accepts on replicated
+/// stages is a `ChannelProtocol` "trailing message".
+#[test]
+fn a_duplicate_on_replicated_stages_is_one_trailing_message() {
+    let mut positions = 0;
+    for trainer in replicated_trainers() {
+        let kind = FaultKind::DuplicateMessage;
+        positions += each_position_within_a_second(&trainer, kind, |_, ctx, err| {
+            let trailing = matches!(&err, DappleError::ChannelProtocol { detail, .. }
+                if detail.contains("trailing message"));
+            assert!(trailing, "{ctx}: got {err:?}");
+        });
+    }
+    // Each worker's four sending positions: the forwards of stage 0 and
+    // the backwards of stage 1, on 3 + 3 + 4 workers.
+    assert_eq!(positions, 10 * 4);
 }
 
 /// The same plan on the same trainer yields the same structured error —

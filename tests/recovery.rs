@@ -18,9 +18,7 @@ const BATCH: usize = 24;
 const TOTAL_STEPS: u64 = 8;
 
 fn cfg() -> EngineConfig {
-    let mut cfg = EngineConfig::straight(vec![0..2, 2..4, 4..6], 4, 0.1);
-    cfg.recv_timeout = Duration::from_millis(200);
-    cfg
+    EngineConfig::straight(vec![0..2, 2..4, 4..6], 4, 0.1)
 }
 
 fn mk_optimizer(idx: usize, model: &MlpModel) -> Optimizer {
