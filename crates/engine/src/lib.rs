@@ -21,13 +21,15 @@
 //! re-computation setting (see `pipeline::tests` and the workspace
 //! integration tests).
 
-// `unsafe` is allowed at two sites: the SIMD tiles of [`tensor`] and the
-// `f32`-slice-as-bytes view in `checkpoint::append_f32s`.
+// `unsafe` is allowed at three sites: the SIMD tiles of [`tensor`], the
+// `f32`-slice-as-bytes view in `checkpoint::append_f32s`, and the lifetime
+// erasure of a step's borrowed task in `gang::Gang::run`.
 #![deny(unsafe_code)]
 
 pub mod checkpoint;
 pub mod data;
 pub mod fault;
+mod gang;
 pub mod layer;
 pub mod loss;
 pub mod model;

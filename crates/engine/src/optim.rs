@@ -158,7 +158,7 @@ impl Optimizer {
 /// Elements per band of an element-wise update: 128 KiB of each slice, so
 /// handing a band to the pool is noise beside updating it, and the 768 x
 /// 768 tensors of the benchmark's large models are 18 bands apiece.
-const BAND: usize = 32 * 1024;
+pub(crate) const BAND: usize = 32 * 1024;
 
 /// The element-wise driver every update rule runs through: `rule` sees
 /// the same `BAND`-element bands of one tensor's parameters, its gradient

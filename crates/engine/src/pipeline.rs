@@ -1,9 +1,9 @@
 //! The multi-threaded pipeline trainer.
 //!
 //! Each stage replica is a *worker*, and the workers run on the host's
-//! cores: `min(workers, cores)` OS threads per step, each worker with
-//! one `std::sync::mpsc` inbox. Each worker executes exactly the
-//! deterministic step order that the simulator models
+//! cores, on `min(workers, cores)` step threads that outlive the step,
+//! each worker with one `std::sync::mpsc` inbox per step. Each worker
+//! executes exactly the deterministic step order that the simulator models
 //! ([`dapple_sim::schedule::stage_order`]): warmup forwards, strict 1F1B
 //! interleaving (or GPipe's all-forwards-first), then the backward drain.
 //! Activations and activation-gradients flow as real tensors; replicated
@@ -27,6 +27,18 @@
 //! and its inputs in its inbox. With at least as many cores as
 //! workers, each thread holds one worker and runs its script.
 //!
+//! The calling thread runs thread 0's order; threads `1..T` are a gang
+//! the trainer owns, started at a placement's first step, parked between
+//! steps, rebuilt at the next step when a reconfiguration changes `T` and
+//! joined when the trainer is dropped, so a step creates no thread and
+//! `T = 1` none at all. On an *inline shape* (`spins`: every product
+//! below the kernels' parallel gate and every parameter tensor one
+//! optimizer band, so nothing in or between steps posts to the worker
+//! pool) waits spin before they sleep: a gang thread watches for the
+//! next step for ~100 µs and a worker polls its inbox for ~30 µs before
+//! its bounded wait. Elsewhere they sleep at once, since a spinning step
+//! thread would hold the core that a pool helper needs.
+//!
 //! A step has one entry point, [`PipelineTrainer::step_with_trace`]
 //! ([`PipelineTrainer::step_grads`] is its clean-plan convenience). It
 //! computes gradients and never touches the weights; an optimizer is
@@ -37,7 +49,7 @@
 //!
 //! Per micro-batch a `Dense` layer is `x W`, `x^T dz` and `dz W^T`, and
 //! every other pass over something weight- or activation-sized rides in
-//! one of them. Before any step thread starts, the trainer packs each
+//! one of them. Before the step's round starts, the trainer packs each
 //! model layer panel-major once per direction ([`PackedRhs`]; the private
 //! `LayerPacks`) on the calling thread and the worker pool, and every
 //! worker streams its stage's packs read-only — a replicated stage's
@@ -68,13 +80,15 @@
 //!
 //! # Failure semantics
 //!
-//! Workers return `Result` instead of unwinding into the coordinator: a
-//! panic in any op is caught and reported as [`DappleError::WorkerPanicked`]
-//! (a pack's, before any thread starts, as its stage's replica 0's), and
-//! non-finite gradient values are counted per micro-batch as the kernels
-//! add them (as zeros): a micro-batch whose loss or count is not clean
-//! fails the step as [`DappleError::NonFinite`], so a step that succeeds
-//! carries exactly the batch's gradient.
+//! Workers return `Result` instead of unwinding into the coordinator —
+//! the calling thread, which runs thread 0 and then gathers every
+//! thread's reports: a panic in any op is caught and reported as
+//! [`DappleError::WorkerPanicked`] (a pack's, before the round starts, as
+//! its stage's replica 0's), and non-finite gradient values are counted
+//! per micro-batch as the kernels add them (as zeros): a micro-batch
+//! whose loss or count is not clean fails the step as
+//! [`DappleError::NonFinite`], so a step that succeeds carries exactly
+//! the batch's gradient.
 //!
 //! Each worker has one inbox, created with the step. It carries boundary
 //! rows keyed by `(backward, micro)`, a peer's accumulators to its
@@ -92,14 +106,17 @@
 //! model is untouched on any failure, so the trainer stays usable for
 //! the next step.
 //!
-//! A step ends at the join, and a worker that has run its script waits
-//! for no neighbour. Rows sent beyond the schedule (e.g. an injected
-//! duplicate) are one error, [`DappleError::ChannelProtocol`]'s "trailing
-//! message", wherever they are found: at a receive that holds more rows
-//! than it takes, or after the join, when the coordinator drains the
-//! inbox of a worker that completed its script (`try_recv`) and reports
-//! the lowest `(backward, micro)` left, so arrival order does not decide
-//! the error.
+//! A step ends when every thread has run its order, and a worker that
+//! has run its script waits for no neighbour. Rows sent beyond the
+//! schedule (e.g. an injected duplicate) are one error,
+//! [`DappleError::ChannelProtocol`]'s "trailing message", wherever they
+//! are found: at a receive that holds more rows than it takes, or after
+//! the round, when the coordinator drains the inbox of a worker that
+//! completed its script (`try_recv`) and reports the lowest `(backward,
+//! micro)` left, so arrival order does not decide the error. A panic
+//! outside any op (a bug in the step's own bookkeeping) is re-raised on
+//! the calling thread once every thread has finished; the gang survives
+//! it.
 //!
 //! A [`FaultKind::Stall`] delays its whole thread: every worker placed
 //! there waits with it, a worker on another thread observes it as
@@ -107,9 +124,11 @@
 //! stall is just a slow step.
 
 use crate::fault::{FaultKind, FaultPlan};
+use crate::gang::Gang;
 use crate::layer::{Dense, DenseGrads};
 use crate::loss::{loss_grad_into, LossKind};
 use crate::model::MlpModel;
+use crate::optim::BAND;
 use crate::tensor::{PackedRhs, Tensor, PAR_MIN_MULS};
 use crate::trace::{CoordSpan, Span, SpanKind, SpanLog, StepTrace, WorkerTrace, NO_MICRO};
 use dapple_core::{DappleError, Plan, Result};
@@ -120,7 +139,7 @@ use rayon::prelude::*;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -147,8 +166,11 @@ pub struct EngineConfig {
     pub loss: LossKind,
     /// Upper bound on a worker's one wait, on its inbox: for a boundary
     /// receive's rows or, on a replicated stage's replica 0, its peers'
-    /// gradients. A worker blocked longer reports [`DappleError::Stalled`]
-    /// instead of hanging; a failed op elsewhere ends the wait at once.
+    /// gradients. On a shape whose every product runs inline the wait
+    /// first polls the inbox for ~30 µs, then blocks for the rest of the
+    /// bound (module docs, "Placement"). A worker blocked longer reports
+    /// [`DappleError::Stalled`] instead of hanging; a failed op elsewhere
+    /// ends the wait at once.
     pub recv_timeout: Duration,
     /// Record per-worker span traces ([`StepTrace`]) during the step.
     /// Off by default: with tracing off the hot path takes no timestamps
@@ -291,7 +313,7 @@ struct WorkerOut {
     stage: usize,
     replica: usize,
     /// The worker's inbox and what it filed but never took, for the
-    /// coordinator to check once every thread is joined.
+    /// calling thread to check once every thread has run its order.
     inbox: Receiver<Option<Mail>>,
     arrived: Arrived,
     /// The stage's synchronized gradients on replica 0 (moved out of its
@@ -309,9 +331,9 @@ struct WorkerOut {
 
 impl WorkerOut {
     /// This output, unless rows are left in the worker's inbox or among
-    /// what it filed. Called after every thread is joined, so nothing can
-    /// arrive later and nothing is waited for: what is there was sent
-    /// beyond the schedule (e.g. an injected duplicate).
+    /// what it filed. Called after every thread has run its order, so
+    /// nothing can arrive later and nothing is waited for: what is there
+    /// was sent beyond the schedule (e.g. an injected duplicate).
     fn nothing_trailing(mut self) -> Result<WorkerOut> {
         for mail in self.inbox.try_iter().flatten() {
             self.arrived.file(mail);
@@ -568,11 +590,42 @@ pub struct PipelineTrainer {
     /// [`StepOutcome::grads`] and come back when it is dropped, so a
     /// steady-state step allocates no gradient storage. Whatever a failed
     /// attempt left behind is zeroed at the next step's start, and a slot
-    /// found empty or mis-shaped is rebuilt before the step's threads
-    /// start.
+    /// found empty or mis-shaped is rebuilt before the step's round
+    /// starts.
     grad_home: Arc<GradHome>,
     /// Which thread runs which worker, and in what order.
     placement: Placement,
+    /// The step threads beyond the calling one, parked between steps and
+    /// sized to the placement's thread count at each step; held for the
+    /// step like the packs.
+    gang: Mutex<Gang>,
+}
+
+/// The elements a step packs for `layers`: `W` and `W^T` of each, the
+/// first layer's `W` only.
+fn pack_elements(layers: &[Dense]) -> usize {
+    (layers.iter().enumerate())
+        .map(|(l, layer)| layer.in_dim() * layer.out_dim() * (1 + usize::from(l > 0)))
+        .sum()
+}
+
+/// How long a worker polls its inbox before its bounded wait, when its
+/// step [`spins`].
+const RECV_SPIN: Duration = Duration::from_micros(30);
+
+/// Whether a step of `cfg` over `mb`-row micro-batches of `layers` is an
+/// *inline shape*, whose step threads spin before they sleep: every
+/// product (`⌈mb/r⌉ × in × out` multiply-adds) and the pack are below the
+/// kernels' parallel gate, and no parameter tensor is larger than one
+/// optimizer band, so nothing in or between its steps posts to the worker
+/// pool. Elsewhere a spinning step thread would hold the core that a
+/// pool helper needs.
+fn spins(cfg: &EngineConfig, layers: &[Dense], mb: usize) -> bool {
+    let mut stages = cfg.stage_bounds.iter().zip(&cfg.replication);
+    let inline = |l: &Dense, r: usize| mb.div_ceil(r) * l.w.data.len() < PAR_MIN_MULS;
+    pack_elements(layers) < PAR_MIN_MULS
+        && layers.iter().all(|l| l.w.data.len() <= BAND)
+        && stages.all(|(bounds, &r)| layers[bounds.clone()].iter().all(|l| inline(l, r)))
 }
 
 /// Multiply-adds per row of each of `model`'s layers.
@@ -606,6 +659,7 @@ impl PipelineTrainer {
             packs_made: Default::default(),
             grad_home,
             placement,
+            gang: Mutex::new(Gang::new(1)),
         })
     }
 
@@ -686,9 +740,7 @@ impl PipelineTrainer {
     /// several, the lowest layer's.
     fn pack(&self, packs: &mut [LayerPacks]) -> Result<u64> {
         let layers = &self.model.layers;
-        let elements: usize = (layers.iter().enumerate())
-            .map(|(l, layer)| layer.in_dim() * layer.out_dim() * (1 + usize::from(l > 0)))
-            .sum();
+        let elements = pack_elements(layers);
         let band = if elements >= PAR_MIN_MULS {
             1
         } else {
@@ -740,13 +792,13 @@ impl PipelineTrainer {
 
     /// The pipeline step: full-batch gradients under a fault-injection
     /// plan, without updating weights. It packs every layer's weights
-    /// (the prelude) before it starts any step thread. With faults it
+    /// (the prelude) before it starts the round. With faults it
     /// returns the structured error of the root cause; the model is
     /// borrowed shared, so the trainer remains usable after a failed step.
     ///
     /// The measured trace sits outside the `Result` so a *failed* step
     /// still yields its partial timeline: each thread hands its workers'
-    /// span logs back at the join, whatever became of them. With
+    /// span logs back at the round's end, whatever became of them. With
     /// [`EngineConfig::tracing`] off the trace is always `None`.
     pub fn step_with_trace(
         &self,
@@ -801,6 +853,7 @@ impl PipelineTrainer {
         }
         let s = self.cfg.stage_bounds.len();
         let rows = |stage: usize, rep: usize| rows_of(mb, self.cfg.replication[stage], rep);
+        let spin = spins(&self.cfg, &self.model.layers, mb);
 
         // One inbox per worker, in spawn order. The coordinator keeps every
         // sender for the step, so an inbox never disconnects: a failed op's
@@ -860,6 +913,7 @@ impl PipelineTrainer {
                     my_rows,
                     faults: faults.for_worker(i, p),
                     recv_timeout: self.cfg.recv_timeout,
+                    spin,
                     pool: &self.pools[workers.len()],
                     grad_slot: &stage_slots[p],
                     sync,
@@ -867,28 +921,24 @@ impl PipelineTrainer {
             }
         }
 
-        let mut reports: Vec<Report> = Vec::with_capacity(workers.len());
-        std::thread::scope(|scope| {
-            let (placement, outboxes) = (&self.placement, &outboxes);
-            let handles: Vec<_> = (0..placement.orders.len())
-                .map(|t| {
-                    let mine = (workers.iter_mut().zip(&placement.thread_of))
-                        .map(|(w, &on)| if on == t { w.take() } else { None })
-                        .collect();
-                    scope.spawn(move || run_thread(t, mine, placement, outboxes, tracing, epoch))
-                })
+        // One round of the gang, the calling thread as thread 0. Every op
+        // is caught and every wait inside one is bounded, so the round is
+        // bounded and ends with a report per worker.
+        let reports: Mutex<Vec<Report>> = Mutex::new(Vec::with_capacity(workers.len()));
+        let (placement, workers) = (&self.placement, Mutex::new(workers));
+        lock(&self.gang).run(placement.orders.len(), spin, &|t| {
+            let mine = (lock(&workers).iter_mut().zip(&placement.thread_of))
+                .map(|(w, &on)| if on == t { w.take() } else { None })
                 .collect();
-            for h in handles {
-                // Every op is caught and every wait inside one is bounded,
-                // so the join is bounded and cannot fail.
-                reports.extend(h.join().expect("ops are caught"));
-            }
+            let done = run_thread(t, mine, placement, &outboxes, tracing, epoch);
+            lock(&reports).extend(done);
         });
 
+        let mut reports = reports.into_inner().unwrap_or_else(PoisonError::into_inner);
         reports.sort_unstable_by_key(|&(w, ..)| w);
         let mut results: Vec<Result<WorkerOut>> = Vec::with_capacity(reports.len());
         for (_, result, spans) in reports {
-            // The step ended at the join: whatever rows a worker that
+            // The step ended with the round: whatever rows a worker that
             // completed its script left unread were sent beyond the
             // schedule (e.g. an injected duplicate).
             results.push(result.and_then(WorkerOut::nothing_trailing));
@@ -1092,6 +1142,9 @@ struct Worker<'a> {
     /// Faults this worker must inject, keyed by step index.
     faults: HashMap<usize, FaultKind>,
     recv_timeout: Duration,
+    /// Poll the inbox for [`RECV_SPIN`] before the bounded wait
+    /// ([`spins`]).
+    spin: bool,
     /// This worker's persistent buffer pool (owned by the trainer so the
     /// free lists survive across steps). Each worker locks only its own
     /// pool for the duration of the step — uncontended by construction.
@@ -1176,7 +1229,7 @@ struct TensorPool {
 /// Every micro-batch's forward multiplies by the same `W` and its
 /// backward by the same `W^T`, and a step cannot change a weight
 /// (`step_with_trace` borrows the model shared), so the trainer packs
-/// each layer once per direction per step, before any step thread
+/// each layer once per direction per step, before the step's round
 /// starts, and every worker of the layer's stage — all its replicas, all
 /// `M` micro-batches, re-computed forwards included — streams the same
 /// panels. Nothing is trusted across steps but the storage: every step
@@ -1271,7 +1324,7 @@ fn rec(
 impl<'a> Worker<'a> {
     /// Starts the worker's step: takes its pool and gradient slot for the
     /// step and zeroes the accumulators (the trainer sized them before the
-    /// threads started).
+    /// round started).
     fn begin(self) -> Live<'a> {
         // A failed attempt may have stopped mid-step; the free lists are
         // always structurally valid, so nothing but the storage is trusted.
@@ -1454,10 +1507,17 @@ impl<'a> Worker<'a> {
         idx: usize,
         done: impl Fn(&Arrived) -> bool,
     ) -> Result<()> {
-        let deadline = Instant::now() + self.recv_timeout;
+        let start = Instant::now();
+        let deadline = start + self.recv_timeout;
         while !done(arrived) {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            match self.inbox.recv_timeout(remaining) {
+            let mail = match self.inbox.try_recv() {
+                Err(TryRecvError::Empty) if self.spin && start.elapsed() < RECV_SPIN => continue,
+                Err(TryRecvError::Empty) => {
+                    (self.inbox).recv_timeout(deadline.saturating_duration_since(Instant::now()))
+                }
+                got => got.map_err(|_| RecvTimeoutError::Disconnected),
+            };
+            match mail {
                 Ok(Some(mail)) => arrived.file(mail),
                 Err(RecvTimeoutError::Timeout) => {
                     return Err(DappleError::Stalled {
@@ -1684,7 +1744,7 @@ impl Live<'_> {
 
     /// Ends the worker's step: the gradient sync. What the script filed
     /// and never took, and whatever arrives after it, stays for the
-    /// coordinator to find after the join: a worker that has run its
+    /// calling thread to find after the round: a worker that has run its
     /// script waits for no neighbour.
     fn finish(mut self, log: &mut Option<SpanLog>) -> Result<WorkerOut> {
         // The sync waits only for this stage's own replicas, so it
@@ -2280,7 +2340,8 @@ mod tests {
     /// Loss and gradients are bit-identical at every thread count —
     /// straight, replicated and mixed pipelines, every schedule, with and
     /// without re-computation — on a trainer's first step and on its
-    /// second, which reuses every buffer.
+    /// second, which reuses every buffer and the first one's gang: a
+    /// thread per placement thread but the caller's, so none on one.
     #[test]
     fn bits_are_identical_at_every_thread_count() {
         let (x, t) = data::regression_batch(24, 5, 3, 9);
@@ -2308,6 +2369,7 @@ mod tests {
                         let grads = out.grads.iter().flat_map(|g| g.segments().concat());
                         bits.extend(std::iter::once(out.loss).chain(grads).map(f32::to_bits));
                     }
+                    assert_eq!(lock(&trainer.gang).threads(), threads);
                     bits
                 };
                 let one = bits(1);
@@ -2319,55 +2381,96 @@ mod tests {
         }
     }
 
+    /// The benchmark's four shapes as it writes them: name, dims (`input
+    /// -> width x hidden -> output`), config and micro-batch rows.
+    fn benchmark_shapes() -> [(&'static str, Vec<usize>, EngineConfig, usize); 4] {
+        // Dims, stages of equal depth, replicas per stage, batch, micro-batches.
+        let shapes = [
+            ("overhead_narrow", [32, 64, 7, 16], 4, 1, 128, 16),
+            ("compute_wide", [64, 512, 5, 32], 3, 1, 512, 8),
+            ("recovery_adam", [64, 768, 5, 32], 3, 1, 64, 4),
+            ("sync_hybrid", [64, 768, 5, 32], 2, 2, 64, 4),
+        ];
+        shapes.map(|(name, [input, width, hidden, output], s, r, batch, m)| {
+            let bounds = (0..s).map(|i| (hidden + 1) * i / s..(hidden + 1) * (i + 1) / s);
+            let mut cfg = EngineConfig::straight(bounds.collect(), m, 0.1);
+            cfg.replication = vec![r; s];
+            let dims = [vec![input], vec![width; hidden], vec![output]].concat();
+            (name, dims, cfg, batch / m)
+        })
+    }
+
     /// On two threads the benchmark's four shapes split as their stages'
     /// multiply-adds say: the heavier pair of the narrow stack's four
     /// stages together, the wide stacks' heavy middle stage alone, and
     /// each of the hybrid's replica pairs across both threads.
     #[test]
     fn two_threads_place_the_benchmark_shapes_by_cost() {
-        // `input -> width x hidden -> output`, as the benchmark writes it.
-        let macs = |input: usize, width: usize, hidden: usize, output: usize| -> Vec<usize> {
-            let dims: Vec<usize> = std::iter::once(input)
-                .chain(std::iter::repeat_n(width, hidden))
-                .chain([output])
-                .collect();
-            dims.windows(2).map(|d| d[0] * d[1]).collect()
-        };
-        let (straight3, hybrid) = (vec![0..2, 2..4, 4..6], vec![0..3, 3..6]);
         // Per shape, each worker's thread in spawn order.
-        for (name, macs, bounds, replication, threads) in [
-            (
-                "overhead_narrow",
-                macs(32, 64, 7, 16),
-                vec![0..2, 2..4, 4..6, 6..8],
-                vec![1; 4],
-                [0, 0, 1, 1].as_slice(),
-            ),
-            (
-                "compute_wide",
-                macs(64, 512, 5, 32),
-                straight3.clone(),
-                vec![1; 3],
-                &[1, 0, 1],
-            ),
-            (
-                "recovery_adam",
-                macs(64, 768, 5, 32),
-                straight3,
-                vec![1; 3],
-                &[1, 0, 1],
-            ),
-            (
-                "sync_hybrid",
-                macs(64, 768, 5, 32),
-                hybrid,
-                vec![2, 2],
-                &[0, 1, 0, 1],
-            ),
-        ] {
-            let mut cfg = EngineConfig::straight(bounds, 4, 0.1);
-            cfg.replication = replication;
+        let threads: [&[usize]; 4] = [&[0, 0, 1, 1], &[1, 0, 1], &[1, 0, 1], &[0, 1, 0, 1]];
+        for ((name, dims, cfg, _), threads) in benchmark_shapes().into_iter().zip(threads) {
+            let macs: Vec<usize> = dims.windows(2).map(|d| d[0] * d[1]).collect();
             assert_eq!(Placement::new(&cfg, &macs, 2).thread_of, threads, "{name}");
         }
+    }
+
+    /// Of the benchmark's four shapes only the narrow stack is inline —
+    /// every product below the kernels' gate and every weight one
+    /// optimizer band — so only its step threads spin.
+    #[test]
+    fn only_the_narrow_benchmark_shape_spins() {
+        let spinning = [true, false, false, false];
+        for ((name, dims, cfg, mb), spinning) in benchmark_shapes().into_iter().zip(spinning) {
+            let model = MlpModel::new(&dims, 1);
+            assert_eq!(spins(&cfg, &model.layers, mb), spinning, "{name}");
+        }
+    }
+
+    /// One clean step's loss and gradient bits.
+    fn step_bits(trainer: &PipelineTrainer, x: &Tensor, t: &Tensor) -> Vec<u32> {
+        let (loss, grads) = trainer.step_grads(x, t).unwrap();
+        let grads = grads.iter().flat_map(|g| g.segments().concat());
+        [loss].into_iter().chain(grads).map(f32::to_bits).collect()
+    }
+
+    /// A panic that escapes a round's task outside any op, on either
+    /// thread, is re-raised on the caller once the round is over; the
+    /// gang survives it, and the next step's bits are the first step's.
+    #[test]
+    fn a_panic_outside_an_op_is_re_raised_and_the_gang_survives() {
+        let (x, t) = data::regression_batch(24, 5, 3, 9);
+        let cfg = cfg_of(&[1, 2, 1], 4, Schedule::GPipe);
+        let trainer = PipelineTrainer::with_threads(model6(), cfg, 2);
+        let clean = step_bits(&trainer, &x, &t);
+        for on in [0, 1] {
+            let round = |thread| assert_ne!(thread, on, "escaped");
+            let escaped = std::panic::catch_unwind(|| lock(&trainer.gang).run(2, false, &round));
+            let payload = escaped.expect_err("re-raised");
+            assert!(payload
+                .downcast_ref::<String>()
+                .unwrap()
+                .contains("escaped"));
+            assert_eq!(step_bits(&trainer, &x, &t), clean, "after a panic on {on}");
+        }
+    }
+
+    /// A reconfiguration resizes the gang at the next step, down to the
+    /// caller alone and back, with the same bits.
+    #[test]
+    fn the_gang_follows_the_placement_thread_count() {
+        let (x, t) = data::regression_batch(24, 5, 3, 9);
+        let two = cfg_of(&[1, 1], 4, Schedule::GPipe);
+        let mut trainer = PipelineTrainer::with_threads(model6(), two.clone(), 2);
+        let clean = step_bits(&trainer, &x, &t);
+        assert_eq!(lock(&trainer.gang).threads(), 2);
+        trainer
+            .reconfigure(cfg_of(&[1], 4, Schedule::GPipe))
+            .unwrap();
+        trainer.step_grads(&x, &t).unwrap();
+        assert_eq!(lock(&trainer.gang).threads(), 1);
+        trainer.reconfigure(two).unwrap();
+        assert_eq!(step_bits(&trainer, &x, &t), clean);
+        // Two threads, unless the host has one core.
+        assert_eq!(lock(&trainer.gang).threads(), trainer.threads().len());
     }
 }

@@ -442,10 +442,11 @@ fn reconfigure_rebuilds_around_the_model_in_place() {
     lp.try_step(&clean).expect("step in the new shape");
 }
 
-/// What a trainer owns that scales with the model is three buffers per
-/// worker — gradient accumulators, packed `W`, packed `W^T` — and no
-/// per-micro-batch contribution buffer: the kernels add into the
-/// accumulators directly. Counted as the fewest bytes a trainer allocates
+/// What a straight pipeline's trainer owns that scales with the model is
+/// three parameter-sized buffers — the workers' gradient accumulators,
+/// and each layer's packed `W` and packed `W^T` (packs are per layer, not
+/// per worker) — and no per-micro-batch contribution buffer: the kernels
+/// add into the accumulators directly. Counted as the fewest bytes a trainer allocates
 /// from its construction through its first two steps, over three
 /// trainers: every persistent buffer it will ever own.
 #[test]

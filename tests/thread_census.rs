@@ -1,10 +1,13 @@
-//! No thread is born by a matmul after warm-up.
+//! No thread is born by a matmul after warm-up, nor by a pipeline step
+//! once its trainer has stepped.
 //!
 //! The kernels' parallel path runs on one process-wide pool of parked
 //! helper threads (vendor/rayon): the first parallel call starts the
 //! helpers, and from then on a parallel matmul — standalone or inside a
 //! pipeline stage worker — creates no thread at all. With a pool size of
-//! one there is no helper to start in the first place.
+//! one there is no helper to start in the first place. A trainer's step
+//! threads are the calling thread and a gang of parked threads that its
+//! first step starts and that the trainer joins when it is dropped.
 //!
 //! Counted from outside, as entries of `/proc/self/task`. The census is
 //! process-wide, so this binary holds exactly one test that runs by
@@ -52,9 +55,10 @@ fn parallel_matmul() {
 }
 
 /// 500 parallel calls, then 50 pipeline steps whose three stage workers
-/// (on up to three short-lived threads per step) each run above-gate
-/// matmuls.
-fn exercise() {
+/// (on the calling thread and up to two gang threads) each run above-gate
+/// matmuls, then the trainer is dropped. Returns the thread counts after
+/// the first step and after the last.
+fn exercise() -> (usize, usize) {
     for _ in 0..167 {
         parallel_matmul();
     }
@@ -63,13 +67,18 @@ fn exercise() {
     let mut trainer = PipelineTrainer::new(MlpModel::new(&dims, 3), cfg).unwrap();
     let (x, t) = data::regression_batch(128, 16, 8, 5);
     let mut sgd = Optimizer::sgd(0.05);
-    for _ in 0..50 {
+    let mut after_first = 0;
+    for step in 1..=50 {
         let out = trainer
             .step_with_trace(&x, &t, &FaultPlan::new())
             .0
             .unwrap();
         sgd.step(&mut trainer.model, &out.grads);
+        if step == 1 {
+            after_first = threads();
+        }
     }
+    (after_first, threads())
 }
 
 #[test]
@@ -77,11 +86,15 @@ fn no_thread_is_born_by_a_matmul_after_warm_up() {
     // Warm-up: the one call allowed to start threads.
     parallel_matmul();
     let before = threads();
-    exercise();
+    let (after_first, after_last) = exercise();
+    assert_eq!(
+        after_last, after_first,
+        "a step created a thread after the trainer's first"
+    );
     assert_eq!(
         settled_threads(before),
         before,
-        "threads were created after the pool's warm-up call"
+        "threads outlived the trainer or were created after the pool's warm-up call"
     );
 
     // Pool size 1, in a process of its own: never a helper, warm-up or not.
@@ -114,11 +127,12 @@ fn single_thread_pool_never_starts_a_thread() {
         return;
     }
     let before = threads();
-    exercise();
+    let (after_first, after_last) = exercise();
+    assert_eq!(after_last, after_first, "a step created a thread");
     assert_eq!(
         settled_threads(before),
         before,
-        "a pool of size 1 must not create threads"
+        "a pool of size 1 must not create threads, nor the gang outlive its trainer"
     );
     println!("{CHILD_RAN}");
 }
