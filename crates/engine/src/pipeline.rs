@@ -18,14 +18,15 @@
 //! per shape (at construction and on a reconfiguration;
 //! [`PipelineTrainer::threads`]) the trainer spreads its workers over
 //! `T = min(workers, available_parallelism)` threads, longest job first by
-//! multiply-adds. Each thread runs the order that
-//! [`dapple_sim::list::list_schedule`] gives it: its workers' script steps
-//! and, after a worker's last step, its sync op (leftover check, gradient
-//! sync). A step cannot deadlock: those orders interleave into one order
-//! in which every op follows what it waits for, and inboxes are
+//! multiply-adds. Each worker is a lane of
+//! [`dapple_sim::list::step_lanes`], the simulator's builder, on its
+//! thread: its script steps, then its sync op (leftover check, gradient
+//! sync). Each thread runs the order [`dapple_sim::list::list_schedule`]
+//! gives it. A step cannot deadlock: those orders interleave into one
+//! order in which every op follows what it waits for, and inboxes are
 //! unbounded, so the earliest op of it not yet run has its thread at it
-//! and its inputs in its inbox. With at least as many cores as
-//! workers, each thread holds one worker and runs its script.
+//! and its inputs in its inbox. With at least as many cores as workers,
+//! each thread holds one worker and runs its script.
 //!
 //! The calling thread runs thread 0's order; threads `1..T` are a gang
 //! the trainer owns, started at a placement's first step, parked between
@@ -132,7 +133,7 @@ use crate::optim::BAND;
 use crate::tensor::{PackedRhs, Tensor, PAR_MIN_MULS};
 use crate::trace::{CoordSpan, Span, SpanKind, SpanLog, StepTrace, WorkerTrace, NO_MICRO};
 use dapple_core::{DappleError, Plan, Result};
-use dapple_sim::list::{list_schedule, Lane, Op};
+use dapple_sim::list::{list_schedule, step_lanes, Lane};
 use dapple_sim::schedule::{stage_order, Step};
 use dapple_sim::Schedule;
 use rayon::prelude::*;
@@ -472,37 +473,16 @@ fn rows_of(mb: usize, r: usize, rep: usize) -> Range<usize> {
     start..start + w + usize::from(rep < rem)
 }
 
-/// Op `k` of worker `(i, p)`, whose script is `script`: its slot — `u` for
-/// `Fw(u)`, `m + u` for `Bw(u)`, `2m` for the sync — and the workers whose
-/// op in the same slot it may wait for: every replica of the neighbour it
-/// receives from (all of them: whose rows overlap depends on the batch),
-/// or a reducer's peers.
-fn inputs(
-    cfg: &EngineConfig,
-    script: &[Step],
-    (i, p): (usize, usize),
-    k: usize,
-) -> (usize, Range<usize>) {
-    let (s, m) = (cfg.stage_bounds.len(), cfg.micro_batches);
-    let first = |stage: usize| cfg.replication[..stage].iter().sum::<usize>();
-    match script.get(k) {
-        Some(&Step::Fw(u)) if i > 0 => (u, first(i - 1)..first(i)),
-        Some(&Step::Bw(u)) if i + 1 < s => (m + u, first(i + 1)..first(i + 2)),
-        Some(&Step::Fw(u)) => (u, 0..0),
-        Some(&Step::Bw(u)) => (m + u, 0..0),
-        None if p == 0 => (2 * m, first(i) + 1..first(i + 1)),
-        None => (2 * m, 0..0),
-    }
-}
-
 /// Which step thread runs which worker, and each thread's order of ops
 /// (module docs, "Placement"). An op is `(worker, k)`: a spawn index and
 /// a step of that worker's script, or the script's length for its sync.
 struct Placement {
-    /// Per worker, in spawn order: `(stage, replica)`, script and thread.
+    /// Per worker, in spawn order: `(stage, replica)`.
     workers: Vec<(usize, usize)>,
+    /// Per stage: its script.
     scripts: Vec<Vec<Step>>,
-    thread_of: Vec<usize>,
+    /// Per worker: its [`step_lanes`] lane, whose resource is its thread.
+    lanes: Vec<Lane>,
     /// Per thread: its ops in run order.
     orders: Vec<Vec<(usize, usize)>>,
 }
@@ -511,56 +491,45 @@ impl Placement {
     /// `cfg`'s workers on `min(workers, cores)` threads, for a model whose
     /// layer `l` costs `macs[l]` multiply-adds per row. A worker's forward
     /// costs its stage's multiply-adds over its replicas, a backward twice
-    /// that and a sync nothing; an op waits for what [`inputs`] names.
+    /// that and a sync nothing.
     fn new(cfg: &EngineConfig, macs: &[usize], cores: usize) -> Self {
         let (s, m) = (cfg.stage_bounds.len(), cfg.micro_batches);
         let stages = cfg.replication.iter().enumerate();
         let workers: Vec<(usize, usize)> = stages
             .flat_map(|(i, &r)| (0..r).map(move |p| (i, p)))
             .collect();
-        let scripts: Vec<Vec<Step>> = (workers.iter())
-            .map(|&(i, _)| stage_order(cfg.schedule, i, s, m, cfg.max_in_flight))
+        let scripts: Vec<Vec<Step>> = (0..s)
+            .map(|i| stage_order(cfg.schedule, i, s, m, cfg.max_in_flight))
             .collect();
-        let fw: Vec<f64> = (workers.iter())
-            .map(|&(i, _)| {
-                macs[cfg.stage_bounds[i].clone()].iter().sum::<usize>() as f64
-                    / cfg.replication[i] as f64
-            })
+        let stage_macs = |b: &Range<usize>| macs[b.clone()].iter().sum::<usize>() as f64;
+        let fw: Vec<f64> = (cfg.stage_bounds.iter().zip(&cfg.replication))
+            .map(|(b, &r)| stage_macs(b) / r as f64)
             .collect();
 
         // Longest job first, each onto the least-loaded thread; ties go to
         // the earlier worker and the lower thread.
         let threads = cores.clamp(1, workers.len());
         let mut by_cost: Vec<usize> = (0..workers.len()).collect();
-        by_cost.sort_by(|&a, &b| fw[b].total_cmp(&fw[a]));
+        by_cost.sort_by(|&a, &b| fw[workers[b].0].total_cmp(&fw[workers[a].0]));
         let (mut load, mut thread_of) = (vec![0.0f64; threads], vec![0; workers.len()]);
         for w in by_cost {
             thread_of[w] = (0..threads)
                 .min_by(|&a, &b| load[a].total_cmp(&load[b]))
                 .expect("a thread");
-            load[thread_of[w]] += fw[w];
+            load[thread_of[w]] += fw[workers[w].0];
         }
 
-        // Each worker is a lane on its thread: its script, then its sync.
-        let lane = |w: usize| {
-            let ops = (0..=scripts[w].len()).map(|k| {
-                let (slot, after) = inputs(cfg, &scripts[w], workers[w], k);
-                let cost = match scripts[w].get(k) {
-                    Some(Step::Fw(_)) => fw[w],
-                    Some(Step::Bw(_)) => 2.0 * fw[w],
-                    None => 0.0,
-                };
-                Op { slot, after, cost }
-            });
-            let (resource, ops) = (thread_of[w], ops.collect());
-            Lane { resource, ops }
+        let cost = |i: usize, step| match step {
+            Some(Step::Fw(_)) => fw[i],
+            Some(Step::Bw(_)) => 2.0 * fw[i],
+            None => 0.0,
         };
-        let lanes: Vec<Lane> = (0..workers.len()).map(lane).collect();
+        let lanes = step_lanes(&scripts, &cfg.replication, cost, |w| thread_of[w], None);
         let orders = list_schedule(&lanes).orders;
         Placement {
             workers,
             scripts,
-            thread_of,
+            lanes,
             orders,
         }
     }
@@ -694,8 +663,8 @@ impl PipelineTrainer {
     pub fn threads(&self) -> Vec<Vec<(usize, usize)>> {
         let p = &self.placement;
         let mut threads = vec![Vec::new(); p.orders.len()];
-        for (&t, &worker) in p.thread_of.iter().zip(&p.workers) {
-            threads[t].push(worker);
+        for (lane, &worker) in p.lanes.iter().zip(&p.workers) {
+            threads[lane.resource].push(worker);
         }
         threads
     }
@@ -899,7 +868,7 @@ impl PipelineTrainer {
                     loss: self.cfg.loss,
                     layers: &self.model.layers[self.cfg.stage_bounds[i].clone()],
                     packs: &packs[self.cfg.stage_bounds[i].clone()],
-                    script: &self.placement.scripts[workers.len()],
+                    script: &self.placement.scripts[i],
                     mb,
                     total_samples: n,
                     recompute: self.cfg.recompute,
@@ -927,8 +896,8 @@ impl PipelineTrainer {
         let reports: Mutex<Vec<Report>> = Mutex::new(Vec::with_capacity(workers.len()));
         let (placement, workers) = (&self.placement, Mutex::new(workers));
         lock(&self.gang).run(placement.orders.len(), spin, &|t| {
-            let mine = (lock(&workers).iter_mut().zip(&placement.thread_of))
-                .map(|(w, &on)| if on == t { w.take() } else { None })
+            let mine = (lock(&workers).iter_mut().zip(&placement.lanes))
+                .map(|(w, lane)| if lane.resource == t { w.take() } else { None })
                 .collect();
             let done = run_thread(t, mine, placement, &outboxes, tracing, epoch);
             lock(&reports).extend(done);
@@ -1060,9 +1029,10 @@ fn run_thread(
     // The span logs live out here, not in the workers, so a worker that
     // fails or panics still hands back what it recorded; sized from the
     // script (≤ 4 spans per scheduled step) so recording never allocates.
-    let mut logs: Vec<Option<SpanLog>> = (workers.iter().zip(&p.scripts))
-        .map(|(w, script)| {
-            (tracing && w.is_some()).then(|| SpanLog::new(4 * script.len() + 8, epoch))
+    let mut logs: Vec<Option<SpanLog>> = (workers.iter().zip(&p.workers))
+        .map(|(w, &(stage, _))| {
+            let script = p.scripts[stage].len();
+            (tracing && w.is_some()).then(|| SpanLog::new(4 * script + 8, epoch))
         })
         .collect();
     let mut live: Vec<Option<Live>> = workers.into_iter().map(|w| w.map(Worker::begin)).collect();
@@ -1070,7 +1040,7 @@ fn run_thread(
     let order = &p.orders[thread];
     for (at, &(w, k)) in order.iter().enumerate() {
         let ((stage, replica), log) = (p.workers[w], &mut logs[w]);
-        let done = if k < p.scripts[w].len() {
+        let done = if k < p.scripts[stage].len() {
             let live_w = live[w].as_mut().expect("a worker runs until its sync");
             caught(stage, replica, || live_w.step(k, log)).map(|()| None)
         } else {
@@ -1836,6 +1806,7 @@ mod tests {
     use super::*;
     use crate::data;
     use crate::optim::Optimizer;
+    use dapple_sim::list::Op;
     use dapple_sim::{KPolicy, Schedule};
 
     fn grads_close(a: &[DenseGrads], b: &[DenseGrads], tol: f32) {
@@ -2235,19 +2206,19 @@ mod tests {
             let Some(&(w, k)) = orders[t].get(at[t]) else {
                 return false;
             };
-            let (slot, senders) = inputs(cfg, &p.scripts[w], p.workers[w], k);
-            let sync = k == p.scripts[w].len();
+            let lane = &p.lanes[w];
+            let (Op { slot, after, .. }, sync) = (&lane.ops[k], k + 1 == lane.ops.len());
             let sends =
                 |q: &usize| sync || (rows(*q).start < rows(w).end && rows(w).start < rows(*q).end);
-            let ready =
-                (p.thread_of[w], done[w]) == (t, k) && senders.filter(sends).all(|q| ran[q][slot]);
+            let ready = (lane.resource, done[w]) == (t, k)
+                && after.clone().filter(sends).all(|q| ran[q][*slot]);
             if ready {
-                (ran[w][slot], done[w], at[t]) = (true, k + 1, at[t] + 1);
+                (ran[w][*slot], done[w], at[t]) = (true, k + 1, at[t] + 1);
             }
             ready
         };
         while (0..orders.len()).any(&mut run) {}
-        let all = |w: usize| done[w] == p.scripts[w].len() + 1;
+        let all = |w: usize| done[w] == p.lanes[w].ops.len();
         at.iter().zip(orders).all(|(&a, order)| a == order.len()) && (0..p.workers.len()).all(all)
     }
 
@@ -2302,8 +2273,8 @@ mod tests {
             let back_to_back: Vec<Vec<(usize, usize)>> = (0..threads)
                 .map(|t| {
                     (0..p.workers.len())
-                        .filter(|&w| p.thread_of[w] == t)
-                        .flat_map(|w| (0..=p.scripts[w].len()).map(move |k| (w, k)))
+                        .filter(|&w| p.lanes[w].resource == t)
+                        .flat_map(|w| (0..p.lanes[w].ops.len()).map(move |k| (w, k)))
                         .collect()
                 })
                 .collect();
@@ -2324,7 +2295,7 @@ mod tests {
         let mut words: Vec<u64> = Vec::new();
         placement_sweep(|_, _, _, p| {
             words.push(p.orders.len() as u64);
-            words.extend(p.thread_of.iter().map(|&t| t as u64));
+            words.extend(p.lanes.iter().map(|lane| lane.resource as u64));
             for order in &p.orders {
                 words.push(order.len() as u64);
                 words.extend(order.iter().flat_map(|&(w, k)| [w as u64, k as u64]));
@@ -2410,7 +2381,9 @@ mod tests {
         let threads: [&[usize]; 4] = [&[0, 0, 1, 1], &[1, 0, 1], &[1, 0, 1], &[0, 1, 0, 1]];
         for ((name, dims, cfg, _), threads) in benchmark_shapes().into_iter().zip(threads) {
             let macs: Vec<usize> = dims.windows(2).map(|d| d[0] * d[1]).collect();
-            assert_eq!(Placement::new(&cfg, &macs, 2).thread_of, threads, "{name}");
+            let lanes = Placement::new(&cfg, &macs, 2).lanes;
+            let thread_of: Vec<usize> = lanes.iter().map(|lane| lane.resource).collect();
+            assert_eq!(thread_of, threads, "{name}");
         }
     }
 

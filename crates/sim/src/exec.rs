@@ -1,7 +1,8 @@
-//! The discrete-event pipeline executor: a plan's stages and boundary
-//! channels as lanes of [`list_schedule`].
+//! The discrete-event pipeline executor: a plan's workers, one per stage
+//! replica on its own device, and its boundary channels, as the
+//! [`step_lanes`] of [`list_schedule`]. A stage is its replica 0.
 
-use crate::list::{list_schedule, Lane, Op};
+use crate::list::{list_schedule, step_lanes};
 use crate::memory::StageMemory;
 use crate::schedule::{stage_order, Schedule, Step};
 use dapple_core::{Bytes, Plan};
@@ -121,38 +122,31 @@ impl SimResult {
     /// own trace and re-predicting must reproduce the sim's makespan.
     pub fn observed_spans(&self, replication: &[usize]) -> Vec<dapple_profiler::ObservedSpan> {
         use dapple_profiler::ObservedSpan as O;
-        self.tasks
-            .iter()
-            .map(|t| {
-                let dur_us = t.end_us - t.start_us;
-                match t.kind {
-                    TaskKind::Fw => O::Fw {
-                        stage: t.stage,
-                        dur_us,
-                    },
-                    TaskKind::Bw => O::Bw {
-                        stage: t.stage,
-                        dur_us,
-                    },
-                    TaskKind::CommF => O::CommF {
-                        boundary: t.stage,
-                        bytes: t.bytes,
-                        dur_us,
-                    },
-                    TaskKind::CommB => O::CommB {
-                        boundary: t.stage,
-                        bytes: t.bytes,
-                        dur_us,
-                    },
-                    TaskKind::AllReduce => O::AllReduce {
-                        stage: t.stage,
-                        bytes: t.bytes,
-                        replicas: replication.get(t.stage).copied().unwrap_or(1),
-                        dur_us,
-                    },
-                }
-            })
-            .collect()
+        let spans = self.tasks.iter().map(|t| {
+            let (stage, bytes, dur_us) = (t.stage, t.bytes, t.end_us - t.start_us);
+            let replicas = replication.get(stage).copied().unwrap_or(1);
+            match t.kind {
+                TaskKind::Fw => O::Fw { stage, dur_us },
+                TaskKind::Bw => O::Bw { stage, dur_us },
+                TaskKind::CommF => O::CommF {
+                    boundary: stage,
+                    bytes,
+                    dur_us,
+                },
+                TaskKind::CommB => O::CommB {
+                    boundary: stage,
+                    bytes,
+                    dur_us,
+                },
+                TaskKind::AllReduce => O::AllReduce {
+                    stage,
+                    bytes,
+                    replicas,
+                    dur_us,
+                },
+            }
+        });
+        spans.collect()
     }
 
     /// Largest per-stage peak memory.
@@ -183,7 +177,7 @@ impl<'a> PipelineSim<'a> {
         PipelineSim { cost, plan }
     }
 
-    /// Runs one training iteration under `cfg`: every stage's step order
+    /// Runs one training iteration under `cfg`: every worker's step order
     /// and every boundary transfer, timed by [`list_schedule`], then each
     /// replicated stage's gradient AllReduce.
     pub fn run(&self, cfg: SimConfig) -> SimResult {
@@ -196,88 +190,62 @@ impl<'a> PipelineSim<'a> {
         let slice = |i: usize| mb_samples / self.plan.stages[i].replication() as f64;
 
         // Per-stage step orders. D (max in-flight micro-batches) comes from
-        // the memory model; GPipe ignores it by construction.
-        let orders: Vec<Vec<Step>> = (0..s)
+        // the memory model, clamped to every upstream stage's so that no
+        // stage warms up deeper than the one feeding it (which would wait
+        // for a backward its feeder cannot start); GPipe ignores it.
+        let mut d = usize::MAX;
+        let scripts: Vec<Vec<Step>> = (0..s)
             .map(|i| {
-                let d = self.cost.memory.max_live_microbatches(
+                d = d.min(self.cost.memory.max_live_microbatches(
                     self.cost.profile,
                     self.plan.stages[i].layers.clone(),
                     slice(i),
                     cfg.recompute,
                     device,
-                );
+                ));
                 stage_order(cfg.schedule, i, s, m, d.max(1))
             })
             .collect();
 
-        // Lane `i < s` is stage `i`'s step order on its device, closed by
-        // its AllReduce; lanes `cf + b` and `cb + b` are boundary `b`'s
-        // forward and backward channels, each carrying its sender's
-        // transfers in the order the sender emits them. Every lane holds a
-        // resource of its own. A micro-batch's forward and its transfer
-        // take slot `u`, its backward and its gradient's transfer `m + u`,
-        // an AllReduce `2m`.
-        let (cf, cb) = (s, (2 * s).saturating_sub(1));
-        let op = |slot, after, cost| Op { slot, after, cost };
-        let mut lanes: Vec<Vec<Op>> = Vec::with_capacity(3 * s);
-        for (i, order) in orders.iter().enumerate() {
-            let own = lat[2 * i];
-            // Re-computation re-materializes the discarded activations.
-            let refw = if cfg.recompute { own.fw_us } else { 0.0 };
-            let from_f = if i > 0 { cf + i - 1..cf + i } else { 0..0 };
-            let from_b = if i + 1 < s { cb + i..cb + i + 1 } else { 0..0 };
-            let steps = order.iter().map(|&step| match step {
-                Step::Fw(u) => op(u, from_f.clone(), own.fw_us),
-                Step::Bw(u) => op(m + u, from_b.clone(), own.bw_us + refw),
-            });
-            lanes.push(steps.chain([op(2 * m, 0..0, own.allreduce_us)]).collect());
-        }
-        for b in 0..s.saturating_sub(1) {
-            let sends = orders[b].iter().filter_map(|&step| match step {
-                Step::Fw(u) => Some(op(u, b..b + 1, lat[2 * b + 1].fw_us)),
-                Step::Bw(_) => None,
-            });
-            lanes.push(sends.collect());
-        }
-        for b in 0..s.saturating_sub(1) {
-            let sends = orders[b + 1].iter().filter_map(|&step| match step {
-                Step::Bw(u) => Some(op(m + u, b + 1..b + 2, lat[2 * b + 1].bw_us)),
-                Step::Fw(_) => None,
-            });
-            lanes.push(sends.collect());
-        }
-        let lanes: Vec<Lane> = (lanes.into_iter().enumerate())
-            .map(|(resource, ops)| Lane { resource, ops })
+        // A worker per replica, each on its own device, and a channel per
+        // boundary and direction. Replicas run their replica 0's times, so
+        // stage `i` is read from its replica 0, lane `first(i)`.
+        let replication: Vec<usize> = self.plan.stages.iter().map(|st| st.replication()).collect();
+        let first = |i: usize| replication[..i].iter().sum::<usize>();
+        let channels: Vec<(f64, f64)> = (1..s)
+            .map(|i| (lat[2 * i - 1].fw_us, lat[2 * i - 1].bw_us))
             .collect();
+        // Re-computation re-materializes the discarded activations.
+        let refw = |i: usize| if cfg.recompute { lat[2 * i].fw_us } else { 0.0 };
+        let cost = |i: usize, step| match step {
+            Some(Step::Fw(_)) => lat[2 * i].fw_us,
+            Some(Step::Bw(_)) => lat[2 * i].bw_us + refw(i),
+            None => lat[2 * i].allreduce_us,
+        };
+        let lanes = step_lanes(&scripts, &replication, cost, |w| w, Some(&channels));
         let times = list_schedule(&lanes).times;
 
         // Each op's task, in start order: its lane's stage or boundary, the
-        // kind and micro-batch its slot names; an AllReduce only where a
+        // kind and payload its slot names (a gradient crossing back has its
+        // activation's shape), the micro-batch; an AllReduce only where a
         // stage is replicated.
+        use TaskKind::{AllReduce, Bw, CommB, CommF, Fw};
+        let b = channels.len();
+        let read = (0..s).map(|i| {
+            let params = self.cost.param_bytes(self.plan.stages[i].layers.clone()).0;
+            (first(i), i, [(Fw, 0), (Bw, 0), (AllReduce, params)])
+        });
+        let read = read.chain((0..2 * b).map(|c| {
+            let end = self.plan.stages[c % b].layers.end;
+            let act = self.cost.profile.boundary_act(end, mb_samples).0;
+            let kinds = [(CommF, act), (CommB, act), (CommB, act)];
+            (first(s) + c, c % b, kinds)
+        }));
         let mut tasks = Vec::with_capacity(4 * s * m);
-        for (l, (lane, times)) in lanes.iter().zip(&times).enumerate() {
-            let (stage, kinds) = match l {
-                l if l < cf => (l, [TaskKind::Fw, TaskKind::Bw, TaskKind::AllReduce]),
-                l if l < cb => (l - cf, [TaskKind::CommF; 3]),
-                l => (l - cb, [TaskKind::CommB; 3]),
-            };
-            for (op, &(start_us, end_us)) in lane.ops.iter().zip(times) {
-                let kind = kinds[op.slot / m];
-                let bytes = match kind {
-                    TaskKind::Fw | TaskKind::Bw => 0,
-                    // The activation crossing the boundary forward; its
-                    // gradient crossing back has the same shape.
-                    TaskKind::CommF | TaskKind::CommB => {
-                        let end = self.plan.stages[stage].layers.end;
-                        self.cost.profile.boundary_act(end, mb_samples).0
-                    }
-                    TaskKind::AllReduce => {
-                        let layers = self.plan.stages[stage].layers.clone();
-                        self.cost.param_bytes(layers).0
-                    }
-                };
-                if kind != TaskKind::AllReduce || op.cost > 0.0 {
-                    let micro = op.slot % m;
+        for (l, stage, kinds) in read {
+            for (op, &(start_us, end_us)) in lanes[l].ops.iter().zip(&times[l]) {
+                let ((kind, bytes), micro) = (kinds[op.slot / m], op.slot % m);
+                if kind != AllReduce || op.cost > 0.0 {
                     tasks.push(TaskRecord {
                         stage,
                         kind,
@@ -300,9 +268,8 @@ impl<'a> PipelineSim<'a> {
                     cfg.recompute,
                 );
                 let mut busy = 0.0;
-                for ((step, op), &(start, end)) in
-                    orders[i].iter().zip(&lanes[i].ops).zip(&times[i])
-                {
+                let (ops, times) = (&lanes[first(i)].ops, &times[first(i)]);
+                for ((step, op), &(start, end)) in scripts[i].iter().zip(ops).zip(times) {
                     busy += op.cost;
                     match step {
                         Step::Fw(_) => memory.on_forward(start, end),
@@ -312,9 +279,7 @@ impl<'a> PipelineSim<'a> {
                 (busy, memory)
             })
             .unzip();
-        let makespan = (times[..s].iter())
-            .map(|stage| stage.last().expect("an AllReduce").1)
-            .fold(0.0, f64::max);
+        let makespan = times.iter().flatten().fold(0.0, |end, t| t.1.max(end));
 
         let peak_mem: Vec<Bytes> = memory.iter().map(StageMemory::peak).collect();
         let mem_series: Vec<Vec<(f64, Bytes)>> =
@@ -608,6 +573,43 @@ mod tests {
             sim.peak_memory_max(),
             sim.device_mem
         );
+    }
+
+    /// Regression: each stage's warm-up depth comes from its own memory
+    /// bound `D`, and a stage allowed deeper than the one feeding it waited
+    /// for a backward its feeder could not start ("pipeline deadlock", as
+    /// on AmoebaNet-36 / Config B). Here stage 1's activations are half
+    /// stage 0's, so its `D` is higher and PB would warm it up deeper.
+    #[test]
+    fn a_memory_bound_rising_downstream_does_not_deadlock() {
+        let cluster = Cluster::config_b(3);
+        let g = synthetic::from_triples(&[
+            (100.0, 1.0, 3000.0),
+            (100.0, 1.0, 1500.0),
+            (100.0, 1.0, 10.0),
+        ]);
+        let profile = ModelProfile::profile(&g, &cluster.device);
+        let cm = CostModel::new(&profile, &cluster, MemoryModel::new(OptimizerKind::Adam), 8);
+        let plan = straight_plan(3, 3);
+        let d: Vec<usize> = (0..3)
+            .map(|i| {
+                let layers = plan.stages[i].layers.clone();
+                cm.memory
+                    .max_live_microbatches(&profile, layers, 1.0, false, &cluster.device)
+            })
+            .collect();
+        let pb = |i: usize| KPolicy::PB.warmup(i, 3, d[i], 8);
+        assert!(pb(1) > pb(0), "the fixture's raw warm-up rises: {d:?}");
+        let sim = run(&cm, &plan, 8, Schedule::Dapple(KPolicy::PB), false);
+        let warmup: Vec<usize> = (0..3)
+            .map(|i| {
+                let mine = sim.tasks.iter().filter(|t| t.stage == i);
+                let mine = mine.filter(|t| matches!(t.kind, TaskKind::Fw | TaskKind::Bw));
+                mine.take_while(|t| t.kind == TaskKind::Fw).count()
+            })
+            .collect();
+        assert_eq!(warmup, [pb(0), pb(0), pb(2)]);
+        assert!(warmup.windows(2).all(|k| k[1] <= k[0]), "{warmup:?}");
     }
 
     use dapple_core::Bytes;

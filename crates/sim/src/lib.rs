@@ -18,9 +18,9 @@
 //! time (Fig. 3c), peak memory, utilization, bubbles and throughput.
 //!
 //! Cross-stage transfers serialize on a per-boundary, per-direction
-//! channel. Stages and channels are lanes of one
-//! [`list::list_schedule`] pass, the pass that also orders the engine's
-//! workers on its threads; per-task costs come from the planner's
+//! channel. Workers (stage replicas) and channels are the lanes that
+//! [`list::step_lanes`] builds for the engine's threads too, timed by one
+//! [`list::list_schedule`] pass; per-task costs come from the planner's
 //! [`CostModel`](dapple_planner::CostModel) so the simulator and the
 //! planner's closed-form objective are mutually consistent (tested).
 
