@@ -4,7 +4,8 @@
 //! reference, known answers and the corruption classes it must catch are
 //! fixed here. A change that moves any of these is a new format version.
 
-use dapple::engine::checkpoint::checksum;
+use dapple::engine::checkpoint::{checksum, from_bytes, to_bytes, TrainState};
+use dapple::engine::{data, MlpModel, Optimizer, Partition};
 
 const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -123,5 +124,52 @@ fn every_flip_and_every_reordering_changes_the_sum() {
                 assert_ne!(swapped(wi, wj, 8), sum, "block {a}, lanes {i} and {j}");
             }
         }
+    }
+}
+
+/// A seeded state after three updates of each optimizer, saved: the
+/// bytes a save writes for that state, pinned by their length and sum.
+/// The model mixes ragged and 32-aligned widths, and one tensor (192 x
+/// 200) larger than an optimizer band, so the update runs both inline
+/// and on the worker pool. However weights are stored in memory, the
+/// same state must save to the same format-5 bytes, and read back to a
+/// state that saves them again.
+#[test]
+fn saved_states_match_their_golden_digest() {
+    const GOLDEN: [(usize, u64); 3] = [
+        (162_336, 0x4e3e_2614_3011_2d00),
+        (324_528, 0x4114_8d37_29b1_2d14),
+        (486_732, 0x450c_2ff9_0554_3bd5),
+    ];
+    let dims = [6, 192, 200, 3];
+    let (x, t) = data::regression_batch(16, 6, 3, 5);
+    let partition = Partition {
+        stage_bounds: vec![0..1, 1..3],
+        replication: vec![2, 1],
+    };
+    let optimizers: [fn(&MlpModel) -> Optimizer; 3] = [
+        |_| Optimizer::sgd(0.05),
+        |m| Optimizer::momentum(0.05, 0.9, m),
+        |m| Optimizer::adam(0.01, m),
+    ];
+    for (make, (len, sum)) in optimizers.into_iter().zip(GOLDEN) {
+        let mut model = MlpModel::new(&dims, 21);
+        let mut optimizer = make(&model);
+        for _ in 0..3 {
+            let (_, grads) = model.reference_grads(&x, &t, 2);
+            optimizer.step(&mut model, &grads);
+        }
+        let state = TrainState {
+            model,
+            optimizer,
+            step: 3,
+            data_seed: 5,
+            data_cursor: 3,
+            batch_samples: 16,
+        };
+        let bytes = to_bytes(state.view(), &partition);
+        assert_eq!((bytes.len(), checksum(&bytes)), (len, sum));
+        let (restored, _) = from_bytes(&bytes).expect("a save reads back");
+        assert_eq!(to_bytes(restored.view(), &partition), bytes);
     }
 }
