@@ -231,7 +231,8 @@ fn matmul_shape_benches(smoke: bool, out: &mut Vec<Record>) {
 /// the pipeline runs. Around the products at the same shape: `tanh_64x512`
 /// is the activation alone over a 64 x 512 slice (`ns_per_elem`),
 /// `dense_forward_packed_64x512x512` the whole forward the pipeline runs
-/// (packed product, then bias and `tanh` as its epilogue), and
+/// (the product against the layer's stored panels, then bias and `tanh`
+/// as its epilogue), and
 /// `regression_batch_512x64x32` one `compute_wide` batch from the data
 /// generator. `matmul_nn_packed_16x768x768` is the forward
 /// product at `sync_hybrid`/`recovery_adam`'s shape. The `pack_panels_*`
@@ -319,14 +320,11 @@ fn dispatch_benches(smoke: bool, out: &mut Vec<Record>) {
         },
         &|ns| ("ns_per_elem", (ns / (rows * width) as f64).into()),
     );
-    let layer = Dense {
-        w: w.clone(),
-        b: filled(1, width, 10).data,
-        act: Activation::Tanh,
-    };
+    let layer = Dense::from_weights(w.clone(), filled(1, width, 10).data, Activation::Tanh)
+        .expect("a well-formed layer");
     push(
         &format!("dense_forward_packed_{shape}"),
-        &mut || layer.forward_packed_into(&packed, &x, black_box(&mut y)),
+        &mut || layer.forward_into(&x, black_box(&mut y)),
         &gflops,
     );
     let (samples, inputs, outputs) = (512, 64, 32);

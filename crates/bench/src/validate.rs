@@ -134,7 +134,7 @@ impl Scenario {
 /// numbers systematically under-predict in-pipeline behaviour — that gap
 /// is what [`calibrate_validation`] corrects from real traces.
 pub fn calibrate_graph(model: &MlpModel, rows: usize, reps: usize) -> ModelGraph {
-    let (x, _) = data::regression_batch(rows, model.layers[0].w.rows, 1, 5);
+    let (x, _) = data::regression_batch(rows, model.layers[0].in_dim(), 1, 5);
     let ys = model.forward(&x);
     let mut triples = Vec::with_capacity(model.num_layers());
     let mut bw_ratios = Vec::with_capacity(model.num_layers());
@@ -339,14 +339,12 @@ pub fn observed_from_trace(trace: &StepTrace) -> Vec<ObservedSpan> {
 
     for c in &trace.coord {
         if c.span.kind == SpanKind::AllReduce {
-            if let Some(stage) = c.stage {
-                out.push(ObservedSpan::AllReduce {
-                    stage,
-                    bytes: c.span.bytes,
-                    replicas: trace.replication.get(stage).copied().unwrap_or(1),
-                    dur_us: c.span.dur_ns() as f64 / 1e3,
-                });
-            }
+            out.push(ObservedSpan::AllReduce {
+                stage: c.stage,
+                bytes: c.span.bytes,
+                replicas: trace.replication.get(c.stage).copied().unwrap_or(1),
+                dur_us: c.span.dur_ns() as f64 / 1e3,
+            });
         }
     }
     out

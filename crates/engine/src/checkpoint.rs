@@ -244,7 +244,7 @@ pub fn write_into(out: &mut Vec<u8>, state: StateView<'_>, partition: &Partition
     for (i, layer) in layers.iter().enumerate() {
         let record_start = out.len();
         out.extend_from_slice(&(i as u32).to_le_bytes());
-        append_f32s(out, &layer.w.data);
+        layer.w.row_runs().for_each(|run| append_f32s(out, run));
         append_f32s(out, &layer.b);
         match state.optimizer {
             Optimizer::Sgd { .. } => {}
@@ -438,11 +438,11 @@ pub fn from_bytes(bytes: &[u8]) -> Result<(TrainState, Partition)> {
                 "shard checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
             )));
         }
-        layers.push(Dense {
-            w: Tensor::from_vec(in_dim, out_dim, w),
+        layers.push(Dense::from_weights(
+            Tensor::from_vec(in_dim, out_dim, w),
             b,
             act,
-        });
+        )?);
     }
     if cur.pos != bytes.len() {
         return Err(DappleError::InvalidConfig(format!(

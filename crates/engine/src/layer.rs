@@ -1,11 +1,12 @@
 //! Dense layers with exact backward passes, and the activations they
 //! apply.
 //!
-//! A layer's forward is its product followed by bias and activation as
-//! the product's per-band epilogue; its backward scales `dy` by the
-//! activation's derivative and runs the two gradient products. Each
-//! element pass matches on the activation once, outside the loop, so
-//! every arm is a plain slice map the compiler vectorizes.
+//! A layer stores its weights in the layout its products stream (see
+//! [`Dense`]). Its forward is its product followed by bias and
+//! activation as the product's per-band epilogue; its backward scales
+//! `dy` by the activation's derivative and runs the two gradient
+//! products. Each element pass matches on the activation once, outside
+//! the loop, so every arm is a plain slice map the compiler vectorizes.
 //!
 //! The hyperbolic tangent is [`tanh`], defined here as a fixed sequence
 //! of IEEE-754 operations rather than taken from the host's libm: its
@@ -13,6 +14,7 @@
 //! are the same on every host, build and vector width.
 
 use crate::tensor::{PackedRhs, Rhs, Tensor};
+use dapple_core::{DappleError, Result};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -119,10 +121,21 @@ fn scale(dy: &mut [f32], y: &[f32], f: impl Fn(f32) -> f32) {
 }
 
 /// A dense layer: `y = act(x W + b)`.
+///
+/// `W` is stored as the column panels the `nn` tiles stream
+/// ([`PackedRhs`]), its only copy, and `W^T` beside it in the same
+/// layout for the input gradient `dz W^T`, so no product of the layer
+/// packs. The two are one value: they are built together by
+/// [`Dense::new`] and [`Dense::from_weights`], and the optimizer's
+/// driver writes `W^T` in the pass that updates `W`. Row-major copies
+/// for the edges — tests, checkpoints, reports — come from
+/// [`Dense::weights`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dense {
-    /// Weights, `in_dim x out_dim`.
-    pub w: Tensor,
+    /// `W`, `in_dim x out_dim`, panel-major.
+    pub(crate) w: PackedRhs,
+    /// `W^T`, `out_dim x in_dim`, panel-major.
+    pub(crate) wt: PackedRhs,
     /// Bias, `out_dim`.
     pub b: Vec<f32>,
     /// Activation.
@@ -142,7 +155,7 @@ impl DenseGrads {
     /// Zero gradients shaped like `layer`.
     pub fn zeros_like(layer: &Dense) -> Self {
         DenseGrads {
-            dw: Tensor::zeros(layer.w.rows, layer.w.cols),
+            dw: Tensor::zeros(layer.in_dim(), layer.out_dim()),
             db: vec![0.0; layer.b.len()],
         }
     }
@@ -169,7 +182,8 @@ impl DenseGrads {
 
     /// Whether these gradients have `layer`'s shape.
     pub(crate) fn fits(&self, layer: &Dense) -> bool {
-        (self.dw.rows, self.dw.cols, self.db.len()) == (layer.w.rows, layer.w.cols, layer.b.len())
+        let shape = (layer.in_dim(), layer.out_dim(), layer.b.len());
+        (self.dw.rows, self.dw.cols, self.db.len()) == shape
     }
 
     /// Resets every value to zero, keeping the storage.
@@ -180,28 +194,61 @@ impl DenseGrads {
 }
 
 impl Dense {
-    /// Xavier-style deterministic initialization.
+    /// Xavier-style deterministic initialization: `W`'s values drawn in
+    /// row-major order, then stored as panels.
     pub fn new(in_dim: usize, out_dim: usize, act: Activation, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let scale = (2.0 / (in_dim + out_dim) as f32).sqrt();
         let data = (0..in_dim * out_dim)
             .map(|_| (rng.random::<f32>() * 2.0 - 1.0) * scale)
             .collect();
-        Dense {
-            w: Tensor::from_vec(in_dim, out_dim, data),
-            b: vec![0.0; out_dim],
-            act,
+        let w = Tensor::from_vec(in_dim, out_dim, data);
+        Dense::from_weights(w, vec![0.0; out_dim], act).expect("shapes agree by construction")
+    }
+
+    /// A layer with row-major weights `w` (`in_dim x out_dim`) and bias
+    /// `b` (`out_dim`). A tensor whose storage is not `rows * cols` long,
+    /// or a bias of another width, is rejected here, so a step never
+    /// sees a malformed weight.
+    pub fn from_weights(w: Tensor, b: Vec<f32>, act: Activation) -> Result<Self> {
+        if w.data.len() != w.rows * w.cols || b.len() != w.cols {
+            return Err(DappleError::InvalidConfig(format!(
+                "a {} x {} weight tensor holding {} values, with {} biases",
+                w.rows,
+                w.cols,
+                w.data.len(),
+                b.len()
+            )));
         }
+        let (mut packed, mut packed_t) = (PackedRhs::new(), PackedRhs::new());
+        packed.pack(&w);
+        packed_t.pack_transposed(&w);
+        Ok(Dense {
+            w: packed,
+            wt: packed_t,
+            b,
+            act,
+        })
+    }
+
+    /// `W` as a row-major tensor (a copy).
+    pub fn weights(&self) -> Tensor {
+        self.w.to_tensor()
+    }
+
+    /// `W` as stored: the panels the forward product streams.
+    pub fn packed_weights(&self) -> &PackedRhs {
+        &self.w
     }
 
     /// Input dimension.
     pub fn in_dim(&self) -> usize {
-        self.w.rows
+        self.w.dims().0
     }
 
     /// Output dimension.
     pub fn out_dim(&self) -> usize {
-        self.w.cols
+        self.w.dims().1
     }
 
     /// Forward pass: `y = act(x W + b)`.
@@ -218,26 +265,14 @@ impl Dense {
 
     /// [`Dense::forward`] into a caller-provided buffer (recycled contents
     /// allowed). Bit-identical to `forward`, without the allocation.
+    ///
+    /// Bias and activation are the product's epilogue, applied to each
+    /// band of rows by the thread that has just computed it — `v + b`
+    /// rounded, then the activation, as two passes would.
     pub fn forward_into(&self, x: &Tensor, y: &mut Tensor) {
-        self.forward_rhs(Rhs::RowMajor(&self.w), x, y);
-    }
-
-    /// [`Dense::forward_into`] against weights packed beforehand: `w`
-    /// filled by `w.pack(&self.w)` since the weights last changed.
-    /// Bit-identical — packing is layout — and faster wherever a column
-    /// panel of `W` does not already sit in L1.
-    pub fn forward_packed_into(&self, w: &PackedRhs, x: &Tensor, y: &mut Tensor) {
-        assert_eq!(w.dims(), (self.w.rows, self.w.cols), "packed weights shape");
-        self.forward_rhs(Rhs::Packed(w), x, y);
-    }
-
-    /// `y = act(x w + b)`: bias and activation are the product's epilogue,
-    /// applied to each band of rows by the thread that has just computed
-    /// it — `v + b` rounded, then the activation, as two passes would.
-    fn forward_rhs(&self, w: Rhs<'_>, x: &Tensor, y: &mut Tensor) {
-        assert_eq!(self.b.len(), self.w.cols, "bias length");
+        assert_eq!(self.b.len(), self.out_dim(), "bias length");
         let b = &self.b[..];
-        x.matmul_with_into(w, y, |rows| match self.act {
+        x.matmul_with_into(Rhs::Packed(&self.w), y, |rows| match self.act {
             Activation::Identity => map_rows(rows, b, |z| z),
             Activation::Relu => map_rows(rows, b, |z| z.max(0.0)),
             Activation::Tanh => map_rows(rows, b, tanh),
@@ -250,11 +285,12 @@ impl Dense {
     /// used as in-place scratch: on return it holds `dz = dy * act'(y)`,
     /// its original contents are destroyed — but the caller keeps the
     /// buffer, so the boundary-message storage it arrived in can be
-    /// recycled. The matmuls run transpose-free (`matmul_tn`/`matmul_nt`),
-    /// eliminating the two explicit `transpose()` copies per call.
+    /// recycled. The products run transpose-free: `dW = x^T dz` by
+    /// `matmul_tn`, `dx = dz W^T` against the stored `W^T`.
     pub fn backward(&self, x: &Tensor, y: &Tensor, dy: &mut Tensor) -> (Tensor, DenseGrads) {
-        let g = self.backward_params(x, y, dy);
-        let dx = dy.matmul_nt(&self.w);
+        let mut g = DenseGrads::zeros_like(self);
+        let mut dx = Tensor::zeros(dy.rows, self.in_dim());
+        self.backward_grads_into(x, y, dy, &mut dx, &mut g);
         (dx, g)
     }
 
@@ -262,9 +298,6 @@ impl Dense {
     /// land in caller-provided storage (`g` shaped by
     /// [`DenseGrads::zeros_like`]; recycled contents allowed — every
     /// kernel stores, never accumulates). Bit-identical to `backward`.
-    /// This closes the last per-micro-batch allocations of the hot
-    /// backward path: `dW`/`db` previously came back as fresh tensors on
-    /// every call.
     pub fn backward_grads_into(
         &self,
         x: &Tensor,
@@ -273,58 +306,41 @@ impl Dense {
         dx: &mut Tensor,
         g: &mut DenseGrads,
     ) {
-        self.backward_params_into(x, y, dy, g);
-        dy.matmul_nt_into(&self.w, dx);
+        self.scale_by_act_grad(y, dy);
+        assert_eq!(x.rows, y.rows, "cache batch mismatch");
+        x.matmul_tn_into(dy, &mut g.dw);
+        dy.col_sums_into(&mut g.db);
+        self.input_grad_into(dy, dx);
     }
 
     /// The pipeline's backward: this call's `dW`/`db` are *added* into
     /// `acc` by the kernels' epilogues ([`Tensor::matmul_tn_add_into`]),
     /// bit for bit what [`Dense::backward_grads_into`] followed by
-    /// [`DenseGrads::accumulate`] leaves there, and with `dx = Some((wt,
-    /// dx))` the input gradient lands in `dx`, computed against `wt` —
-    /// `W^T` packed by `wt.pack_transposed(&self.w)` since the weights
-    /// last changed, the pack `matmul_nt` would redo on every call. A
-    /// caller with no use for the input gradient (the first layer of a
-    /// pipeline) passes `None` and skips that product. Every gradient
-    /// value is tested on the way: a non-finite one is added as `+0.0`,
-    /// and the number of those is returned.
-    pub fn backward_packed_into(
+    /// [`DenseGrads::accumulate`] leaves there, and with `Some(dx)` the
+    /// input gradient lands in `dx`. A caller with no use for the input
+    /// gradient (the first layer of a pipeline) passes `None` and skips
+    /// that product. Every gradient value is tested on the way: a
+    /// non-finite one is added as `+0.0`, and the number of those is
+    /// returned.
+    pub fn backward_add_into(
         &self,
         x: &Tensor,
         y: &Tensor,
         dy: &mut Tensor,
         acc: &mut DenseGrads,
-        dx: Option<(&PackedRhs, &mut Tensor)>,
+        dx: Option<&mut Tensor>,
     ) -> usize {
-        if let Some((wt, _)) = &dx {
-            assert_eq!(
-                wt.dims(),
-                (self.w.cols, self.w.rows),
-                "packed weights shape"
-            );
-        }
         self.scale_by_act_grad(y, dy);
         let zeroed = x.matmul_tn_add_into(dy, &mut acc.dw) + dy.col_sums_add_into(&mut acc.db);
-        if let Some((wt, dx)) = dx {
-            dy.matmul_with_into(Rhs::Packed(wt), dx, |_| {});
+        if let Some(dx) = dx {
+            self.input_grad_into(dy, dx);
         }
         zeroed
     }
 
-    /// Shared head of the backward pass: turns `dy` into `dz` in place and
-    /// produces the parameter gradients.
-    fn backward_params(&self, x: &Tensor, y: &Tensor, dy: &mut Tensor) -> DenseGrads {
-        let mut g = DenseGrads::zeros_like(self);
-        self.backward_params_into(x, y, dy, &mut g);
-        g
-    }
-
-    /// [`Dense::backward_params`] into caller-provided gradients.
-    fn backward_params_into(&self, x: &Tensor, y: &Tensor, dy: &mut Tensor, g: &mut DenseGrads) {
-        self.scale_by_act_grad(y, dy);
-        assert_eq!(x.rows, y.rows, "cache batch mismatch");
-        x.matmul_tn_into(dy, &mut g.dw);
-        dy.col_sums_into(&mut g.db);
+    /// `dx = dz W^T`, the `nn` product against the stored `W^T`.
+    fn input_grad_into(&self, dz: &Tensor, dx: &mut Tensor) {
+        dz.matmul_with_into(Rhs::Packed(&self.wt), dx, |_| {});
     }
 
     /// `dz = dy * act'(y)`, in place, the derivative expressed through the
@@ -341,19 +357,9 @@ impl Dense {
         }
     }
 
-    /// SGD update: `p -= lr * g`.
-    pub fn apply_sgd(&mut self, grads: &DenseGrads, lr: f32) {
-        for (w, g) in self.w.data.iter_mut().zip(&grads.dw.data) {
-            *w -= lr * g;
-        }
-        for (b, g) in self.b.iter_mut().zip(&grads.db) {
-            *b -= lr * g;
-        }
-    }
-
     /// Parameter count (weights + biases).
     pub fn num_params(&self) -> usize {
-        self.w.data.len() + self.b.len()
+        self.in_dim() * self.out_dim() + self.b.len()
     }
 }
 
@@ -377,11 +383,13 @@ mod tests {
 
             let eps = 1e-3f32;
             // Check dW numerically at a few coordinates.
+            let nudged = |delta: f32, at: usize| {
+                let mut w = layer.weights();
+                w.data[at] += delta;
+                Dense::from_weights(w, layer.b.clone(), act).unwrap()
+            };
             for &(r, c) in &[(0usize, 0usize), (2, 1), (1, 0)] {
-                let mut lp = layer.clone();
-                lp.w.data[r * 2 + c] += eps;
-                let mut lm = layer.clone();
-                lm.w.data[r * 2 + c] -= eps;
+                let (lp, lm) = (nudged(eps, r * 2 + c), nudged(-eps, r * 2 + c));
                 let num = (loss(&lp, &x) - loss(&lm, &x)) / (2.0 * eps);
                 let ana = grads.dw.at(r, c);
                 assert!(
@@ -407,9 +415,8 @@ mod tests {
 
     #[test]
     fn relu_masks_gradients() {
-        let mut layer = Dense::new(1, 2, Activation::Relu, 7);
-        layer.w = Tensor::from_vec(1, 2, vec![1.0, -1.0]);
-        layer.b = vec![0.0, 0.0];
+        let w = Tensor::from_vec(1, 2, vec![1.0, -1.0]);
+        let layer = Dense::from_weights(w, vec![0.0, 0.0], Activation::Relu).unwrap();
         let x = Tensor::from_vec(1, 1, vec![2.0]); // y = [2, 0(-2 clipped)]
         let y = layer.forward(&x);
         assert_eq!(y.data, vec![2.0, 0.0]);
@@ -436,24 +443,25 @@ mod tests {
     }
 
     #[test]
-    fn sgd_moves_against_gradient() {
-        let mut layer = Dense::new(1, 1, Activation::Identity, 9);
-        let w0 = layer.w.data[0];
-        let grads = DenseGrads {
-            dw: Tensor::from_vec(1, 1, vec![2.0]),
-            db: vec![1.0],
-        };
-        layer.apply_sgd(&grads, 0.1);
-        assert!((layer.w.data[0] - (w0 - 0.2)).abs() < 1e-7);
-        assert!((layer.b[0] + 0.1).abs() < 1e-7);
-    }
-
-    #[test]
     fn deterministic_init() {
         let a = Dense::new(4, 3, Activation::Tanh, 123);
         let b = Dense::new(4, 3, Activation::Tanh, 123);
         assert_eq!(a, b);
         let c = Dense::new(4, 3, Activation::Tanh, 124);
         assert_ne!(a, c);
+    }
+
+    /// The layer stores `W` and `W^T` from the row-major values it is
+    /// given, and hands the same values back.
+    #[test]
+    fn weights_round_trip_through_both_layouts() {
+        let w = Tensor::from_vec(3, 37, (0..111).map(|v| v as f32 - 50.0).collect());
+        let layer = Dense::from_weights(w.clone(), vec![0.5; 37], Activation::Tanh).unwrap();
+        assert_eq!(layer.weights(), w);
+        assert_eq!(layer.wt.to_tensor(), w.transpose());
+        assert_eq!(
+            (layer.in_dim(), layer.out_dim(), layer.num_params()),
+            (3, 37, 148)
+        );
     }
 }

@@ -115,7 +115,8 @@ impl MlpModel {
 
     /// Reference single-device training step over the whole batch, with
     /// gradient accumulation across `micro_batches` (equivalent results
-    /// for any `micro_batches` that divides the batch).
+    /// for any `micro_batches` that divides the batch), then one plain
+    /// [`Optimizer::sgd`](crate::Optimizer::sgd) update.
     pub fn reference_step(
         &mut self,
         x: &Tensor,
@@ -124,9 +125,7 @@ impl MlpModel {
         lr: f32,
     ) -> StepStats {
         let (loss, grads) = self.reference_grads(x, target, micro_batches);
-        for (layer, g) in self.layers.iter_mut().zip(&grads) {
-            layer.apply_sgd(g, lr);
-        }
+        crate::optim::Optimizer::sgd(lr).step(self, &grads);
         StepStats {
             loss,
             samples: x.rows,

@@ -4,9 +4,17 @@
 //! (VGG) and RMSProp (AmoebaNet) — and its memory model charges 16 bytes
 //! per parameter for Adam state (Table VIII). These optimizers make the
 //! engine exercise the same state footprint for real.
+//!
+//! Every rule is element-wise over a layer's parameters, its gradient
+//! and its state, and runs through one band driver (`update`). The
+//! gradient and the state buffers are row-major; the layer's weights are
+//! stored as `W`'s panels with `W^T` beside them (`crate::layer::Dense`),
+//! and the driver writes each new weight into both layouts in the pass
+//! that computes it.
 
-use crate::layer::DenseGrads;
+use crate::layer::{Dense, DenseGrads};
 use crate::model::MlpModel;
+use crate::tensor::{panels, transpose_into};
 use rayon::prelude::*;
 
 /// Optimizer state and update rule, applied model-wide.
@@ -86,9 +94,9 @@ impl Optimizer {
     /// Applies one update step to `model` from accumulated `grads`.
     ///
     /// State and weights are updated in one pass that reads the gradient
-    /// tensors where they lie and allocates nothing parameter-sized; every
-    /// rule runs through `banded`, so a tensor longer than one band is
-    /// shared with the worker pool.
+    /// tensors where they lie and allocates nothing parameter-sized;
+    /// every rule runs through `update`, which writes each new weight
+    /// into both of the layer's layouts.
     pub fn step(&mut self, model: &mut MlpModel, grads: &[DenseGrads]) {
         assert_eq!(grads.len(), model.layers.len(), "grad/layer mismatch");
         match self {
@@ -100,9 +108,7 @@ impl Optimizer {
                     }
                 };
                 for (layer, g) in model.layers.iter_mut().zip(grads) {
-                    let [gw, gb] = g.segments();
-                    banded(&mut layer.w.data, gw, [], &rule);
-                    banded(&mut layer.b, gb, [], &rule);
+                    update(layer, g, [], &rule);
                 }
             }
             Optimizer::Momentum { lr, beta, velocity } => {
@@ -114,10 +120,7 @@ impl Optimizer {
                     }
                 };
                 for ((layer, g), vel) in model.layers.iter_mut().zip(grads).zip(velocity) {
-                    let (vel_w, vel_b) = vel.split_at_mut(layer.w.data.len());
-                    let [gw, gb] = g.segments();
-                    banded(&mut layer.w.data, gw, [vel_w], &rule);
-                    banded(&mut layer.b, gb, [vel_b], &rule);
+                    update(layer, g, [vel], &rule);
                 }
             }
             Optimizer::Adam {
@@ -143,48 +146,123 @@ impl Optimizer {
                     }
                 };
                 for (((layer, g), m), v) in model.layers.iter_mut().zip(grads).zip(m).zip(v) {
-                    let nw = layer.w.data.len();
-                    let (mw, mb) = m.split_at_mut(nw);
-                    let (vw, vb) = v.split_at_mut(nw);
-                    let [gw, gb] = g.segments();
-                    banded(&mut layer.w.data, gw, [mw, vw], &rule);
-                    banded(&mut layer.b, gb, [mb, vb], &rule);
+                    update(layer, g, [m, v], &rule);
                 }
             }
         }
     }
 }
 
-/// Elements per band of an element-wise update: 128 KiB of each slice, so
-/// handing a band to the pool is noise beside updating it, and the 768 x
-/// 768 tensors of the benchmark's large models are 18 bands apiece.
+/// The most weight values an update runs inline (128 KiB): a larger
+/// tensor hands its bands — 32 rows of `W` each, one `W^T` panel — to the
+/// worker pool, so the 768 x 768 tensors of the benchmark's large models
+/// are 24 bands apiece.
 pub(crate) const BAND: usize = 32 * 1024;
 
-/// The element-wise driver every update rule runs through: `rule` sees
-/// the same `BAND`-element bands of one tensor's parameters, its gradient
-/// and each of its `S` state buffers, handed out across the worker pool.
-/// A tensor of one band or fewer is updated inline and never touches the
-/// pool. Bands are disjoint and a rule is element-wise, so the result
-/// does not depend on the pool size or on who ran which band.
-fn banded<const S: usize>(
-    p: &mut [f32],
-    g: &[f32],
+thread_local! {
+    /// A band's rows of `W` while `update` runs its rule over them: reused
+    /// across bands and steps, so updates on one thread allocate it once.
+    static BAND_ROWS: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Cuts the first `n` values off `rest`.
+fn cut_front<'a>(rest: &mut &'a mut [f32], n: usize) -> &'a mut [f32] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(n);
+    *rest = tail;
+    head
+}
+
+/// One band of a weight tensor's update: its tile of every `W` panel,
+/// its rows of the gradient, its `W^T` panel and its rows of each state
+/// buffer.
+type Band<'a, const S: usize> = (
+    &'a mut [&'a mut [f32]],
+    &'a [f32],
+    &'a mut [f32],
+    [&'a mut [f32]; S],
+);
+
+/// The element-wise driver every update rule runs through, for one
+/// layer whose gradient is `g` and whose `S` state buffers each hold its
+/// weights then its bias, row-major like the gradient. The bias is one
+/// call of `rule`. `W` (`k x m`, panel-major) goes by bands of rows, each
+/// band the rows of one `W^T` panel, so its rows of the gradient and of
+/// every state buffer are contiguous, as is that panel. A band copies its
+/// tile of every `W` panel into a row-major scratch, runs `rule` over the
+/// whole band at once beside the gradient and state rows, and writes the
+/// new values back into the tiles and, transposed, into the `W^T` panel
+/// while they are cache-hot. So `W^T` holds exactly the new `W`, and no
+/// step reads a weight to lay it out. (A rule called on one 32-wide
+/// panel row at a time runs several times slower: its loops are too
+/// short for the vectorized body.)
+///
+/// A weight tensor of [`BAND`] values or fewer is updated inline and
+/// never touches the pool; a larger one hands its bands across the pool.
+/// Bands are disjoint and a rule is element-wise, so the result does not
+/// depend on the pool size or on who ran which band.
+fn update<const S: usize>(
+    layer: &mut Dense,
+    g: &DenseGrads,
     state: [&mut [f32]; S],
     rule: &(impl Fn(&mut [f32], &[f32], [&mut [f32]; S]) + Sync),
 ) {
-    if p.len() <= BAND {
-        return rule(p, g, state);
+    assert!(g.fits(layer), "gradients shaped like the layer");
+    let (k, m) = layer.w.dims();
+    let [gw, gb] = g.segments();
+    let mut state = state;
+    let mut state_w = state.each_mut().map(|s| cut_front(s, k * m));
+    rule(&mut layer.b, gb, state);
+    if k * m == 0 {
+        return;
     }
-    let mut state = state.map(|s| s.chunks_mut(BAND));
-    let mut next_state = || {
-        let band = state.each_mut().map(|s| s.next());
-        band.map(|s| s.expect("state shaped like the parameters"))
+    // `W`'s panels, and each panel's tile of every band, band by band.
+    let mut left = &mut layer.w.data[..];
+    let mut panels_left: Vec<_> = panels(m)
+        .map(|(_, w)| cut_front(&mut left, k * w))
+        .collect();
+    let mut tiles = Vec::with_capacity(panels_left.len() * panels(k).count());
+    for (_, h) in panels(k) {
+        for (panel, (_, w)) in panels_left.iter_mut().zip(panels(m)) {
+            tiles.push(cut_front(panel, h * w));
+        }
+    }
+    let (mut groups, mut wt_left) = (panels(k), &mut layer.wt.data[..]);
+    let bands = tiles.chunks_mut(panels_left.len()).map(|tiles| {
+        let (i0, h) = groups.next().expect("one band per row group");
+        let band_state = state_w.each_mut().map(|s| cut_front(s, h * m));
+        (
+            tiles,
+            &gw[i0 * m..(i0 + h) * m],
+            cut_front(&mut wt_left, h * m),
+            band_state,
+        )
+    });
+    let run = |(tiles, g, wt, s): Band<'_, S>| {
+        let h = g.len() / m;
+        BAND_ROWS.with(|rows| {
+            // Row by row, so the reads of every tile advance together.
+            let rows = &mut *rows.borrow_mut();
+            rows.resize(h * m, 0.0);
+            let rows = &mut rows[..h * m];
+            for (r, row) in rows.chunks_exact_mut(m).enumerate() {
+                for (tile, (j, w)) in tiles.iter().zip(panels(m)) {
+                    row[j..j + w].copy_from_slice(&tile[r * w..(r + 1) * w]);
+                }
+            }
+            rule(rows, g, s);
+            for (r, row) in rows.chunks_exact(m).enumerate() {
+                for (tile, (j, w)) in tiles.iter_mut().zip(panels(m)) {
+                    tile[r * w..(r + 1) * w].copy_from_slice(&row[j..j + w]);
+                }
+            }
+            transpose_into(rows, wt, h, m);
+        });
     };
-    p.chunks_mut(BAND)
-        .zip(g.chunks(BAND))
-        .map(|(p, g)| (p, g, next_state()))
-        .par_bridge()
-        .for_each(|(p, g, s)| rule(p, g, s));
+    if k * m <= BAND {
+        bands.for_each(run);
+    } else {
+        bands.par_bridge().for_each(run);
+    }
 }
 
 /// Flat zero buffers shaped like each layer's `(weights, bias)`.
@@ -236,14 +314,14 @@ mod tests {
     #[test]
     fn adam_first_step_is_lr_scaled() {
         let mut model = MlpModel::new(&[2, 1], 3);
-        let before = model.layers[0].w.data.clone();
+        let before = model.layers[0].weights().data;
         let grads = vec![DenseGrads {
             dw: crate::tensor::Tensor::from_vec(2, 1, vec![1000.0, -0.001]),
             db: vec![5.0],
         }];
         let mut adam = Optimizer::adam(0.01, &model);
         adam.step(&mut model, &grads);
-        for (w0, w1) in before.iter().zip(&model.layers[0].w.data) {
+        for (w0, w1) in before.iter().zip(&model.layers[0].weights().data) {
             let step = (w0 - w1).abs();
             assert!((step - 0.01).abs() < 1e-3, "step {step}");
         }
@@ -267,7 +345,75 @@ mod tests {
         let mut mom = Optimizer::momentum(0.1, 0.9, &heavy);
         mom.step(&mut heavy, &grads);
         mom.step(&mut heavy, &grads);
-        assert!(heavy.layers[0].w.data[0] < plain.layers[0].w.data[0]);
+        assert!(heavy.layers[0].weights().data[0] < plain.layers[0].weights().data[0]);
+    }
+
+    /// `W^T` holds the transpose of `W`, bit for bit, after every update
+    /// of every rule — on tensors updated inline (one band or less) and
+    /// on the pool (the 200 x 192 one, ragged in both directions) —
+    /// after a checkpoint restore, and after a reconfiguration.
+    #[test]
+    fn w_transpose_is_the_transpose_of_w_after_every_update() {
+        use crate::checkpoint::{from_bytes, to_bytes, Partition, TrainState};
+        use crate::pipeline::EngineConfig;
+        use crate::recovery::{DataStream, TrainLoop};
+        use crate::FaultPlan;
+
+        let check = |model: &MlpModel, ctx: &str| {
+            for (l, layer) in model.layers.iter().enumerate() {
+                let (want, got) = (layer.weights().transpose(), layer.wt.to_tensor());
+                let same =
+                    (want.data.iter().zip(&got.data)).all(|(a, b)| a.to_bits() == b.to_bits());
+                let shape = (got.rows, got.cols) == (want.rows, want.cols);
+                assert!(shape && same, "{ctx}: layer {l}");
+            }
+        };
+        let dims = [6, 200, 192, 37, 3];
+        assert!(dims.windows(2).any(|d| d[0] * d[1] > BAND));
+        assert!(dims.windows(2).any(|d| d[0] * d[1] <= BAND));
+        let (x, t) = data::regression_batch(8, 6, 3, 2);
+        let rules: [fn(&MlpModel) -> Optimizer; 3] = [
+            |_| Optimizer::sgd(0.1),
+            |m| Optimizer::momentum(0.1, 0.9, m),
+            |m| Optimizer::adam(0.01, m),
+        ];
+        for rule in rules {
+            let mut model = MlpModel::new(&dims, 4);
+            let mut opt = rule(&model);
+            let name = opt.bytes_per_param();
+            for step in 0..3 {
+                let (_, grads) = model.reference_grads(&x, &t, 2);
+                opt.step(&mut model, &grads);
+                check(&model, &format!("{name} B/param, step {step}"));
+            }
+            let partition = Partition {
+                stage_bounds: vec![0..2, 2..4],
+                replication: vec![1, 1],
+            };
+            let state = TrainState {
+                model,
+                optimizer: opt,
+                step: 3,
+                data_seed: 2,
+                data_cursor: 3,
+                batch_samples: 8,
+            };
+            let (restored, _) = from_bytes(&to_bytes(state.view(), &partition)).unwrap();
+            check(&restored.model, &format!("{name} B/param, restored"));
+
+            let cfg = EngineConfig::straight(partition.stage_bounds, 2, 0.1);
+            let stream = DataStream::new(2, 8, 6, 3);
+            let mut lp = TrainLoop::new(restored.model, cfg, restored.optimizer, stream).unwrap();
+            lp.try_step(&FaultPlan::new()).unwrap();
+            lp.reconfigure(EngineConfig::straight(vec![0..1, 1..4], 2, 0.1))
+                .unwrap();
+            check(lp.model(), &format!("{name} B/param, reconfigured"));
+            lp.try_step(&FaultPlan::new()).unwrap();
+            check(
+                lp.model(),
+                &format!("{name} B/param, stepped after reconfiguring"),
+            );
+        }
     }
 
     #[test]

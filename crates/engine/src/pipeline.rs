@@ -50,18 +50,18 @@
 //!
 //! Per micro-batch a `Dense` layer is `x W`, `x^T dz` and `dz W^T`, and
 //! every other pass over something weight- or activation-sized rides in
-//! one of them. Before the step's round starts, the trainer packs each
-//! model layer panel-major once per direction ([`PackedRhs`]; the private
-//! `LayerPacks`) on the calling thread and the worker pool, and every
-//! worker streams its stage's packs read-only — a replicated stage's
-//! replicas share one — so the `nn` tiles stream panels instead of
-//! striding through rows; bias and
-//! activation are the forward product's per-band epilogue; and the `dW`
-//! kernel's epilogue adds each finished chain straight into the step's
-//! accumulator, testing it for finiteness in its register on the way —
-//! no contribution buffer, no counting pass, no merging pass. All of it
-//! is layout and scheduling: no chain and no rounding differs from the
-//! allocate-per-tensor reference in `tests/determinism.rs`.
+//! one of them. A layer stores `W` and `W^T` as the panels the `nn` tiles
+//! stream ([`crate::tensor::PackedRhs`]), and the optimizer writes both
+//! in the pass that updates them, so a step reads its weights only to
+//! multiply by them: there is no prelude, and every worker — a
+//! replicated stage's replicas alike — streams the model's own panels
+//! read-only. Bias and activation are the forward product's per-band
+//! epilogue; and the `dW` kernel's epilogue adds each finished chain
+//! straight into the step's accumulator, testing it for finiteness in
+//! its register on the way — no contribution buffer, no counting pass,
+//! no merging pass. All of it is layout and scheduling: no chain and no
+//! rounding differs from the allocate-per-tensor reference in
+//! `tests/determinism.rs`.
 //!
 //! # Gradient sync
 //!
@@ -84,12 +84,12 @@
 //! Workers return `Result` instead of unwinding into the coordinator —
 //! the calling thread, which runs thread 0 and then gathers every
 //! thread's reports: a panic in any op is caught and reported as
-//! [`DappleError::WorkerPanicked`] (a pack's, before the round starts, as
-//! its stage's replica 0's), and non-finite gradient values are counted
-//! per micro-batch as the kernels add them (as zeros): a micro-batch
-//! whose loss or count is not clean fails the step as
+//! [`DappleError::WorkerPanicked`], and non-finite gradient values are
+//! counted per micro-batch as the kernels add them (as zeros): a
+//! micro-batch whose loss or count is not clean fails the step as
 //! [`DappleError::NonFinite`], so a step that succeeds carries exactly
-//! the batch's gradient.
+//! the batch's gradient. A malformed weight never reaches a step: a layer
+//! is built only from a well-formed one ([`Dense::from_weights`]).
 //!
 //! Each worker has one inbox, created with the step. It carries boundary
 //! rows keyed by `(backward, micro)`, a peer's accumulators to its
@@ -130,13 +130,12 @@ use crate::layer::{Dense, DenseGrads};
 use crate::loss::{loss_grad_into, LossKind};
 use crate::model::MlpModel;
 use crate::optim::BAND;
-use crate::tensor::{PackedRhs, Tensor, PAR_MIN_MULS};
+use crate::tensor::{Tensor, PAR_MIN_MULS};
 use crate::trace::{CoordSpan, Span, SpanKind, SpanLog, StepTrace, WorkerTrace, NO_MICRO};
 use dapple_core::{DappleError, Plan, Result};
 use dapple_sim::list::{list_schedule, step_lanes, Lane};
 use dapple_sim::schedule::{stage_order, Step};
 use dapple_sim::Schedule;
-use rayon::prelude::*;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
@@ -545,14 +544,6 @@ pub struct PipelineTrainer {
     /// lists survive across steps: after the first step every boundary
     /// take is a hit and steps allocate no boundary buffers.
     pools: Vec<Mutex<TensorPool>>,
-    /// Both packs of every model layer, refilled at each step's start
-    /// and read by every worker of the layer's stage (see
-    /// [`LayerPacks`]). Kept here so steps allocate no packing space; the
-    /// lock is held for the step, so concurrent steps take turns.
-    packs: Mutex<Vec<LayerPacks>>,
-    /// Packs made since the trainer was built.
-    #[cfg(test)]
-    packs_made: std::sync::atomic::AtomicUsize,
     /// Per-worker gradient accumulators, in the same order. A worker
     /// holds its slot for the step and works on the buffers in place; a
     /// stage's synchronized accumulators leave in
@@ -565,17 +556,9 @@ pub struct PipelineTrainer {
     /// Which thread runs which worker, and in what order.
     placement: Placement,
     /// The step threads beyond the calling one, parked between steps and
-    /// sized to the placement's thread count at each step; held for the
-    /// step like the packs.
+    /// sized to the placement's thread count at each step. The lock is
+    /// held for the step, so concurrent steps take turns.
     gang: Mutex<Gang>,
-}
-
-/// The elements a step packs for `layers`: `W` and `W^T` of each, the
-/// first layer's `W` only.
-fn pack_elements(layers: &[Dense]) -> usize {
-    (layers.iter().enumerate())
-        .map(|(l, layer)| layer.in_dim() * layer.out_dim() * (1 + usize::from(l > 0)))
-        .sum()
 }
 
 /// How long a worker polls its inbox before its bounded wait, when its
@@ -584,16 +567,16 @@ const RECV_SPIN: Duration = Duration::from_micros(30);
 
 /// Whether a step of `cfg` over `mb`-row micro-batches of `layers` is an
 /// *inline shape*, whose step threads spin before they sleep: every
-/// product (`⌈mb/r⌉ × in × out` multiply-adds) and the pack are below the
-/// kernels' parallel gate, and no parameter tensor is larger than one
-/// optimizer band, so nothing in or between its steps posts to the worker
-/// pool. Elsewhere a spinning step thread would hold the core that a
-/// pool helper needs.
+/// product (`⌈mb/r⌉ × in × out` multiply-adds) is below the kernels'
+/// parallel gate, and no weight tensor is larger than one optimizer
+/// band, so nothing in or between its steps posts to the worker pool.
+/// Elsewhere a spinning step thread would hold the core that a pool
+/// helper needs.
 fn spins(cfg: &EngineConfig, layers: &[Dense], mb: usize) -> bool {
     let mut stages = cfg.stage_bounds.iter().zip(&cfg.replication);
-    let inline = |l: &Dense, r: usize| mb.div_ceil(r) * l.w.data.len() < PAR_MIN_MULS;
-    pack_elements(layers) < PAR_MIN_MULS
-        && layers.iter().all(|l| l.w.data.len() <= BAND)
+    let weights = |l: &Dense| l.in_dim() * l.out_dim();
+    let inline = |l: &Dense, r: usize| mb.div_ceil(r) * weights(l) < PAR_MIN_MULS;
+    layers.iter().all(|l| weights(l) <= BAND)
         && stages.all(|(bounds, &r)| layers[bounds.clone()].iter().all(|l| inline(l, r)))
 }
 
@@ -623,9 +606,6 @@ impl PipelineTrainer {
             model,
             cfg,
             pools,
-            packs: Mutex::default(),
-            #[cfg(test)]
-            packs_made: Default::default(),
             grad_home,
             placement,
             gang: Mutex::new(Gang::new(1)),
@@ -642,8 +622,7 @@ impl PipelineTrainer {
 
     /// Re-shapes the trainer to `cfg` around the model where it lies: only
     /// the per-worker pools, the gradient slots and the placement are
-    /// rebuilt (the packs are per layer, whatever the stages). A rejected
-    /// config changes nothing.
+    /// rebuilt. A rejected config changes nothing.
     pub(crate) fn reconfigure(&mut self, cfg: EngineConfig) -> Result<()> {
         cfg.check(self.model.num_layers())?;
         (self.pools, self.grad_home) = worker_state(&cfg);
@@ -669,24 +648,15 @@ impl PipelineTrainer {
         threads
     }
 
-    /// Sizes the trainer's persistent buffers — both packs of every layer
-    /// and each worker's gradient accumulators — on the calling thread,
+    /// Sizes each worker's gradient accumulators — the trainer's
+    /// persistent parameter-sized buffers — on the calling thread,
     /// wherever one is empty or mis-shaped (the first step, after
     /// [`StepGrads::into_vec`] or a failed step, after a
-    /// reconfiguration). The packing and the step threads only reuse
-    /// them, so no parameter-sized buffer is allocated in another
-    /// thread's malloc arena.
-    fn provision(&self, packs: &mut Vec<LayerPacks>) {
+    /// reconfiguration). The step threads only reuse them, so no
+    /// parameter-sized buffer is allocated in another thread's malloc
+    /// arena.
+    fn provision(&self) {
         let layers = &self.model.layers;
-        packs.resize_with(layers.len(), LayerPacks::default);
-        for (l, (layer, packs)) in layers.iter().zip(packs.iter_mut()).enumerate() {
-            let (k, n) = (layer.in_dim(), layer.out_dim());
-            packs.w.resize(k, n);
-            // The model's first layer has no `W^T` (see `LayerPacks`).
-            if l > 0 {
-                packs.wt.resize(n, k);
-            }
-        }
         let stages = self.cfg.stage_bounds.iter().zip(&self.cfg.replication);
         let workers = stages.flat_map(|(bounds, &r)| std::iter::repeat_n(bounds, r));
         for (w, bounds) in workers.enumerate() {
@@ -700,57 +670,6 @@ impl PipelineTrainer {
         }
     }
 
-    /// Packs every layer's `W` and `W^T` (the first layer's `W` only) into
-    /// `packs`, sized by [`Self::provision`]: a layer per band on the
-    /// calling thread and the worker pool's helpers, or all of it inline
-    /// when the copy is below the kernels' parallel gate. Returns the
-    /// bytes packed. A pack that panics (a malformed weight) is reported
-    /// as its stage's replica 0's [`DappleError::WorkerPanicked`]; of
-    /// several, the lowest layer's.
-    fn pack(&self, packs: &mut [LayerPacks]) -> Result<u64> {
-        let layers = &self.model.layers;
-        let elements = pack_elements(layers);
-        let band = if elements >= PAR_MIN_MULS {
-            1
-        } else {
-            packs.len()
-        };
-        let failed: Mutex<Option<(usize, DappleError)>> = Mutex::new(None);
-        let pack_layer = |l: usize, packs: &mut LayerPacks| {
-            let stage = (self.cfg.stage_bounds.iter())
-                .position(|bounds| bounds.contains(&l))
-                .expect("the stages cover the model");
-            let packed = caught(stage, 0, || {
-                packs.w.pack(&layers[l].w);
-                if l > 0 {
-                    packs.wt.pack_transposed(&layers[l].w);
-                }
-                #[cfg(test)]
-                self.packs_made
-                    .fetch_add(1 + usize::from(l > 0), std::sync::atomic::Ordering::Relaxed);
-                Ok(())
-            });
-            if let Err(e) = packed {
-                let mut first = lock(&failed);
-                if first.as_ref().is_none_or(|&(f, _)| l < f) {
-                    *first = Some((l, e));
-                }
-            }
-        };
-        packs
-            .par_chunks_mut(band)
-            .enumerate()
-            .for_each(|(b, chunk)| {
-                (b * band..)
-                    .zip(chunk)
-                    .for_each(|(l, packs)| pack_layer(l, packs));
-            });
-        match failed.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            Some((_, e)) => Err(e),
-            None => Ok((elements * std::mem::size_of::<f32>()) as u64),
-        }
-    }
-
     /// A clean [`Self::step_with_trace`] whose gradients are the caller's
     /// to keep ([`StepGrads::into_vec`]): `(loss, per-layer grads)`,
     /// directly comparable with [`MlpModel::reference_grads`].
@@ -760,10 +679,9 @@ impl PipelineTrainer {
     }
 
     /// The pipeline step: full-batch gradients under a fault-injection
-    /// plan, without updating weights. It packs every layer's weights
-    /// (the prelude) before it starts the round. With faults it
-    /// returns the structured error of the root cause; the model is
-    /// borrowed shared, so the trainer remains usable after a failed step.
+    /// plan, without updating weights. With faults it returns the
+    /// structured error of the root cause; the model is borrowed shared,
+    /// so the trainer remains usable after a failed step.
     ///
     /// The measured trace sits outside the `Result` so a *failed* step
     /// still yields its partial timeline: each thread hands its workers'
@@ -799,27 +717,11 @@ impl PipelineTrainer {
         if let Err(e) = faults.validate(&self.cfg) {
             return (Err(e), None);
         }
-        // The prelude: every layer packed for this step before any thread
-        // starts, timed on the step clock as one whole-model span.
-        let mut packs = lock(&self.packs);
+        let mut gang = lock(&self.gang);
         let epoch = Instant::now();
         let tracing = self.cfg.tracing;
         let mut trace = tracing.then(|| StepTrace::new(self.cfg.replication.clone()));
-        self.provision(&mut packs);
-        let packed = self.pack(&mut packs);
-        if let Some(tr) = trace.as_mut() {
-            let span = Span {
-                kind: SpanKind::Pack,
-                micro: NO_MICRO,
-                bytes: *packed.as_ref().unwrap_or(&0),
-                start_ns: 0,
-                end_ns: epoch.elapsed().as_nanos() as u64,
-            };
-            tr.coord.push(CoordSpan { stage: None, span });
-        }
-        if let Err(e) = packed {
-            return (Err(e), trace);
-        }
+        self.provision();
         let s = self.cfg.stage_bounds.len();
         let rows = |stage: usize, rep: usize| rows_of(mb, self.cfg.replication[stage], rep);
         let spin = spins(&self.cfg, &self.model.layers, mb);
@@ -867,7 +769,6 @@ impl PipelineTrainer {
                     replica: p,
                     loss: self.cfg.loss,
                     layers: &self.model.layers[self.cfg.stage_bounds[i].clone()],
-                    packs: &packs[self.cfg.stage_bounds[i].clone()],
                     script: &self.placement.scripts[i],
                     mb,
                     total_samples: n,
@@ -895,7 +796,7 @@ impl PipelineTrainer {
         // bounded and ends with a report per worker.
         let reports: Mutex<Vec<Report>> = Mutex::new(Vec::with_capacity(workers.len()));
         let (placement, workers) = (&self.placement, Mutex::new(workers));
-        lock(&self.gang).run(placement.orders.len(), spin, &|t| {
+        gang.run(placement.orders.len(), spin, &|t| {
             let mine = (lock(&workers).iter_mut().zip(&placement.lanes))
                 .map(|(w, lane)| if lane.resource == t { w.take() } else { None })
                 .collect();
@@ -937,7 +838,7 @@ impl PipelineTrainer {
             grads.extend(out.grads);
             if let (Some(span), Some(tr)) = (out.sync, trace.as_mut()) {
                 tr.coord.push(CoordSpan {
-                    stage: Some(out.stage),
+                    stage: out.stage,
                     span,
                 });
             }
@@ -1091,9 +992,6 @@ struct Worker<'a> {
     replica: usize,
     loss: LossKind,
     layers: &'a [Dense],
-    /// This step's packs of `layers`, shared with the stage's other
-    /// replicas.
-    packs: &'a [LayerPacks],
     script: &'a [Step],
     /// Micro-batch-local rows this replica owns.
     my_rows: Range<usize>,
@@ -1190,25 +1088,6 @@ struct TensorPool {
     free: Vec<((usize, usize), Vec<Tensor>)>,
     hits: usize,
     misses: usize,
-}
-
-/// One model layer's weights as the kernels stream them: `W` for the
-/// forward and `W^T` for the input gradient (the model's first layer has
-/// no `W^T`: nothing reads its input gradient).
-///
-/// Every micro-batch's forward multiplies by the same `W` and its
-/// backward by the same `W^T`, and a step cannot change a weight
-/// (`step_with_trace` borrows the model shared), so the trainer packs
-/// each layer once per direction per step, before the step's round
-/// starts, and every worker of the layer's stage — all its replicas, all
-/// `M` micro-batches, re-computed forwards included — streams the same
-/// panels. Nothing is trusted across steps but the storage: every step
-/// repacks, so an optimizer update, a restored checkpoint or a failed
-/// attempt cannot leave a stale pack behind.
-#[derive(Default)]
-struct LayerPacks {
-    w: PackedRhs,
-    wt: PackedRhs,
 }
 
 impl TensorPool {
@@ -1569,7 +1448,7 @@ impl Live<'_> {
                     rec(log, SpanKind::CommRecvWait, u, tensor_bytes(&input), t0, t1);
                 }
                 let mut ys = self.chain_spares.pop().unwrap_or_default();
-                forward_stage(w.layers, w.packs, &input, &mut ys, pool);
+                forward_stage(w.layers, &input, &mut ys, pool);
                 // The first stage folds its input-slice copy into the
                 // forward span; downstream stages start at receipt.
                 rec(
@@ -1627,7 +1506,7 @@ impl Live<'_> {
                         Flight::Cached { input, ys } => (input, ys, false),
                         Flight::InputOnly(input) => {
                             let mut ys = self.chain_spares.pop().unwrap_or_default();
-                            forward_stage(w.layers, w.packs, &input, &mut ys, pool);
+                            forward_stage(w.layers, &input, &mut ys, pool);
                             (input, ys, true)
                         }
                     };
@@ -1661,16 +1540,8 @@ impl Live<'_> {
                 }
                 // The kernels add this micro-batch's `dW`/`db` into the
                 // accumulator and count what was not finite.
-                let (dx, non_finite) = backward_stage(
-                    w.layers,
-                    w.packs,
-                    &input,
-                    &ys,
-                    dy,
-                    &mut self.slot,
-                    pool,
-                    !w.is_first,
-                );
+                let (dx, non_finite) =
+                    backward_stage(w.layers, &input, &ys, dy, &mut self.slot, pool, !w.is_first);
                 // The last stage folds its loss computation into the
                 // backward span; upstream stages start at receipt.
                 rec(
@@ -1736,16 +1607,10 @@ impl Live<'_> {
     }
 }
 
-/// Forward through a stage's layers, against their packed `W`; fills
-/// `ys` (an empty, possibly recycled Vec — even the chain's spine
-/// allocates only during warmup) with the per-layer output chain.
-fn forward_stage(
-    layers: &[Dense],
-    packed: &[LayerPacks],
-    input: &Tensor,
-    ys: &mut Vec<Tensor>,
-    pool: &mut TensorPool,
-) {
+/// Forward through a stage's layers; fills `ys` (an empty, possibly
+/// recycled Vec — even the chain's spine allocates only during warmup)
+/// with the per-layer output chain.
+fn forward_stage(layers: &[Dense], input: &Tensor, ys: &mut Vec<Tensor>, pool: &mut TensorPool) {
     debug_assert!(ys.is_empty(), "recycled chain must be drained");
     ys.reserve(layers.len());
     for (i, layer) in layers.iter().enumerate() {
@@ -1753,12 +1618,12 @@ fn forward_stage(
         // The backward pass retires the whole chain into the pool, so
         // steady-state forwards allocate nothing.
         let mut y = pool.take(x.rows, layer.out_dim());
-        layer.forward_packed_into(&packed[i].w, x, &mut y);
+        layer.forward_into(x, &mut y);
         ys.push(y);
     }
 }
 
-/// Backward through a stage's layers, against their packed `W^T`.
+/// Backward through a stage's layers.
 ///
 /// Per-layer parameter gradients are added into `acc` by the kernels
 /// (`dW`/`db` allocate nothing and pass through no scratch). Returns
@@ -1772,7 +1637,6 @@ fn forward_stage(
 #[allow(clippy::too_many_arguments)]
 fn backward_stage(
     layers: &[Dense],
-    packed: &[LayerPacks],
     input: &Tensor,
     ys: &[Tensor],
     gy: Tensor,
@@ -1788,8 +1652,7 @@ fn backward_stage(
         let x = if i == 0 { input } else { &ys[i - 1] };
         // Not zeroed: the kernel overwrites every element.
         let mut dx = (i > 0 || input_grad).then(|| pool.take(cur.rows, layers[i].in_dim()));
-        let into = dx.as_mut().map(|dx| (&packed[i].wt, dx));
-        non_finite += layers[i].backward_packed_into(x, &ys[i], &mut cur, &mut acc[i], into);
+        non_finite += layers[i].backward_add_into(x, &ys[i], &mut cur, &mut acc[i], dx.as_mut());
         match dx {
             Some(dx) => pool.put(std::mem::replace(&mut cur, dx)),
             None => {
@@ -2019,48 +1882,6 @@ mod tests {
         assert!(adam_last < sgd_last, "adam {adam_last} vs sgd {sgd_last}");
     }
 
-    /// `W` and `W^T` are each packed once per layer per step: `2·layers −
-    /// 1` packs (the model's first layer computes no input gradient and so
-    /// needs no `W^T`), on a straight pipeline and on replicated stages
-    /// alike — a stage's replicas share its packs — whatever the
-    /// micro-batch count, with and without re-computation (whose extra
-    /// forwards reuse the step's `W` packs), and whether the pack runs
-    /// inline or, above the kernels' parallel gate, split over the pool.
-    #[test]
-    fn weights_are_packed_once_per_layer_per_step() {
-        let shapes: [(Vec<Range<usize>>, Vec<usize>); 2] = [
-            (vec![0..2, 2..4, 4..6], vec![1, 1, 1]),
-            (vec![0..3, 3..6], vec![2, 2]),
-        ];
-        // Six layers each; the second's `1024 x 1024` weights put the
-        // pack above the gate (at one micro-batch count and 4 rows: an
-        // unoptimized build multiplies them slowly).
-        let wide = MlpModel::new(&[5, 1024, 1024, 8, 8, 4, 3], 77);
-        for (model, batch, ms) in [(model6(), 48, &[2, 8][..]), (wide, 4, &[2])] {
-            let (x, t) = data::regression_batch(batch, 5, 3, 9);
-            let per_step = 2 * model.num_layers() - 1;
-            for ((stage_bounds, replication), micro_batches, recompute) in (shapes.iter())
-                .flat_map(|shape| ms.iter().map(move |&m| (shape, m)))
-                .flat_map(|(shape, m)| [false, true].map(|rc| (shape, m, rc)))
-            {
-                let mut cfg = EngineConfig::straight(stage_bounds.clone(), micro_batches, 0.1);
-                cfg.replication = replication.clone();
-                cfg.recompute = recompute;
-                let trainer = PipelineTrainer::new(model.clone(), cfg).unwrap();
-                for step in 1..=3 {
-                    trainer.step_grads(&x, &t).unwrap();
-                    let packs = (trainer.packs_made).load(std::sync::atomic::Ordering::Relaxed);
-                    assert_eq!(
-                        packs,
-                        step * per_step,
-                        "{batch} rows, {replication:?} m={micro_batches} rc={recompute} \
-                         after step {step}"
-                    );
-                }
-            }
-        }
-    }
-
     /// A genuine worker bug (here: a shape fault in the loss computation)
     /// must surface as a structured `WorkerPanicked` error — not a panic
     /// in the coordinator, and never a hang.
@@ -2136,7 +1957,10 @@ mod tests {
         // Poison one weight in stage 1. With an all-zero input batch,
         // every activation entering stage 1 is exactly 0.0, so the only
         // way the poison can surface is through 0 * NaN = NaN.
-        model.layers[2].w.data[0] = f32::NAN;
+        let layer = &model.layers[2];
+        let mut w = layer.weights();
+        w.data[0] = f32::NAN;
+        model.layers[2] = Dense::from_weights(w, layer.b.clone(), layer.act).unwrap();
         let cfg = EngineConfig::straight(vec![0..2, 2..4, 4..6], 4, 0.1);
         let trainer = PipelineTrainer::new(model, cfg).unwrap();
         let x = Tensor::zeros(24, 5);

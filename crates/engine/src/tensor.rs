@@ -38,9 +38,10 @@
 //! of a wide matrix spans a handful of pages instead of one per row. The
 //! tiles take a panel's base and row stride ([`Rhs`]) and run the same
 //! chain on either layout; `matmul_nt` is [`PackedRhs::pack_transposed`]
-//! into a thread-local pack followed by that product. A caller that
-//! multiplies by one matrix many times packs once and keeps the bits; no
-//! size heuristic packs on a caller's behalf.
+//! into a thread-local pack followed by that product. A `Dense` layer
+//! stores its panels: `W`, and `W^T` beside it, are kept in this layout
+//! and updated there, so no product of a layer packs; no size heuristic
+//! packs on a caller's behalf.
 //!
 //! What becomes of a finished chain is outside it too. The `nn` product
 //! hands each band's finished rows to an epilogue on the thread that
@@ -110,8 +111,6 @@ const COL_TILE: usize = 32;
 /// `k == 1` product does not. What it amortises is posting a job and
 /// waking a parked helper (microseconds), not a thread spawn; below it
 /// the single-threaded kernel finishes before a helper would have woken.
-/// The pipeline's per-step weight packing applies the same gate to the
-/// elements it copies.
 pub(crate) const PAR_MIN_MULS: usize = 2 * 1024 * 1024;
 
 /// Whether `n x k x m` of multiply-adds is worth waking a helper.
@@ -122,7 +121,7 @@ fn par_worth_it(n: usize, k: usize, m: usize) -> bool {
 
 /// The column panels `(first column, width)` of an `m`-wide matrix:
 /// always the widest of 32, 16, 8, 1 that still fits.
-fn panels(m: usize) -> impl Iterator<Item = (usize, usize)> {
+pub(crate) fn panels(m: usize) -> impl Iterator<Item = (usize, usize)> {
     let mut j = 0;
     std::iter::from_fn(move || {
         let w = [COL_TILE, 16, 8, 1].into_iter().find(|w| j + w <= m)?;
@@ -136,12 +135,12 @@ fn panels(m: usize) -> impl Iterator<Item = (usize, usize)> {
 /// `[k][w]` block, so the tiles stream a panel instead of striding
 /// through `m`-wide rows. Packing is data movement, never arithmetic.
 /// The storage is kept across packs; every pack overwrites all of it.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct PackedRhs {
     rows: usize,
     cols: usize,
     /// `rows * cols` values; the panel at column `j` starts at `rows * j`.
-    data: Vec<f32>,
+    pub(crate) data: Vec<f32>,
 }
 
 impl PackedRhs {
@@ -159,6 +158,25 @@ impl PackedRhs {
         (self.rows, self.cols)
     }
 
+    /// The stored values, panel after panel.
+    pub fn values(&self) -> &[f32] {
+        &self.data
+    }
+
+    /// The matrix in row-major order, as runs: row by row, that row's
+    /// piece of every panel from left to right.
+    pub(crate) fn row_runs(&self) -> impl Iterator<Item = &[f32]> + '_ {
+        let (k, m) = (self.rows, self.cols);
+        (0..k).flat_map(move |i| panels(m).map(move |(j, w)| &self.data[k * j + i * w..][..w]))
+    }
+
+    /// The matrix as a row-major tensor (a copy).
+    pub fn to_tensor(&self) -> Tensor {
+        let mut data = Vec::with_capacity(self.data.len());
+        self.row_runs().for_each(|run| data.extend_from_slice(run));
+        Tensor::from_vec(self.rows, self.cols, data)
+    }
+
     /// Takes the shape `rows x cols` for a pack of `src`, whose storage
     /// must be what its own shape says: the copies below index on it.
     fn reshape(&mut self, src: &Tensor, rows: usize, cols: usize) {
@@ -170,12 +188,6 @@ impl PackedRhs {
             src.cols,
             src.data.len()
         );
-        self.resize(rows, cols);
-    }
-
-    /// Takes the shape `rows x cols`, storage included, so that a pack of
-    /// that shape into this one allocates nothing.
-    pub(crate) fn resize(&mut self, rows: usize, cols: usize) {
         (self.rows, self.cols) = (rows, cols);
         self.data.resize(rows * cols, 0.0);
     }
@@ -200,18 +212,22 @@ impl PackedRhs {
         self.reshape(src, k, m);
         for (j, w) in panels(m) {
             let slab = &src.data[j * k..(j + w) * k];
-            let panel = &mut self.data[k * j..k * (j + w)];
-            // Whole 16 x 16 blocks in registers where the build has them,
-            // the ragged rest (or everything) one element at a time.
-            #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
-            let done = simd::transpose_blocks(slab, panel, w, k);
-            #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
-            let done = 0;
-            for (i, dst) in panel.chunks_exact_mut(w).enumerate().skip(done) {
-                for (l, d) in dst.iter_mut().enumerate() {
-                    *d = slab[l * k + i];
-                }
-            }
+            transpose_into(slab, &mut self.data[k * j..k * (j + w)], w, k);
+        }
+    }
+}
+
+/// Stores the transpose of the `w x k` row-major `slab` into the `k x w`
+/// `panel`: whole 16 x 16 blocks in registers where the build has them,
+/// the ragged rest (or everything) one element at a time.
+pub(crate) fn transpose_into(slab: &[f32], panel: &mut [f32], w: usize, k: usize) {
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    let done = simd::transpose_blocks(slab, panel, w, k);
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+    let done = 0;
+    for (i, dst) in panel.chunks_exact_mut(w).enumerate().skip(done) {
+        for (l, d) in dst.iter_mut().enumerate() {
+            *d = slab[l * k + i];
         }
     }
 }
@@ -924,9 +940,9 @@ impl Tensor {
     /// all of `rhs` for every pair of output rows, which is memory-bound
     /// ~4x slower than packing once. The pack is O(m·k) against the
     /// O(n·m·k) multiply, which is still most of the call when `n` is
-    /// small — a caller multiplying by one `rhs` repeatedly (the
-    /// `dx = dz W^T` of every micro-batch of a step) should keep its own
-    /// pack and call [`Tensor::matmul_with_into`].
+    /// small — a caller multiplying by one `rhs` repeatedly should keep
+    /// its own pack and call [`Tensor::matmul_with_into`], as a `Dense`
+    /// layer does with the `W^T` it stores.
     pub fn matmul_nt(&self, rhs: &Tensor) -> Tensor {
         let mut out = Tensor::zeros(self.rows, rhs.rows);
         self.matmul_nt_into(rhs, &mut out);

@@ -16,9 +16,8 @@
 //! worker's idle time includes the compute of its co-located neighbours.
 //!
 //! Timestamps are monotonic nanoseconds relative to a per-step epoch
-//! (`Instant` taken before the step packs its weights, ahead of the
-//! workers; [`SpanKind::Pack`]), so spans from different
-//! threads share one clock and predicted-vs-actual comparisons can align
+//! (`Instant` taken as the step starts, ahead of the workers), so spans
+//! from different threads share one clock and predicted-vs-actual comparisons can align
 //! the measured timeline with the simulator's.
 
 use dapple_core::chrome::{chrome_trace_json, ChromeArg, ChromeEvent};
@@ -44,11 +43,6 @@ pub enum SpanKind {
     /// The reduce of a replicated stage's gradients across its replicas
     /// (the arithmetic only, not the wait for the replicas to arrive).
     AllReduce,
-    /// The step's prelude: every layer's weights packed for the kernels
-    /// before any worker starts (one whole-model span per step; `bytes`
-    /// is the bytes packed). It precedes the pipeline, so it counts
-    /// toward neither the makespan nor a phase.
-    Pack,
 }
 
 impl SpanKind {
@@ -60,7 +54,6 @@ impl SpanKind {
             SpanKind::Recompute => "recompute",
             SpanKind::CommSend | SpanKind::CommRecvWait => "comm",
             SpanKind::AllReduce => "allreduce",
-            SpanKind::Pack => "pack",
         }
     }
 
@@ -163,12 +156,12 @@ pub struct WorkerTrace {
     pub dropped: usize,
 }
 
-/// A stage-level span (a stage's gradient AllReduce, timed by its
-/// reducing worker) or a whole-model one (the step's [`SpanKind::Pack`]).
+/// A stage-level span: a stage's gradient AllReduce, timed by its
+/// reducing worker.
 #[derive(Debug, Clone, Copy)]
 pub struct CoordSpan {
-    /// Stage the span belongs to; `None` for whole-model spans.
-    pub stage: Option<usize>,
+    /// Stage the span belongs to.
+    pub stage: usize,
     /// The span itself.
     pub span: Span,
 }
@@ -178,8 +171,8 @@ pub struct CoordSpan {
 pub struct StepTrace {
     /// Per-worker spans, in spawn order (stage-major, replica-minor).
     pub workers: Vec<WorkerTrace>,
-    /// The step's pack, then the stage-level spans (one AllReduce per
-    /// replicated stage, in stage order).
+    /// The stage-level spans: one AllReduce per replicated stage, in
+    /// stage order.
     pub coord: Vec<CoordSpan>,
     /// Replication factor per stage (fixes the Chrome `tid` layout).
     pub replication: Vec<usize>,
@@ -194,14 +187,12 @@ impl StepTrace {
         }
     }
 
-    /// The pipeline's spans with their stage attribution: all but the
-    /// pack that precedes it.
-    fn all_spans(&self) -> impl Iterator<Item = (Option<usize>, Span)> + '_ {
+    /// Every span with its stage.
+    fn all_spans(&self) -> impl Iterator<Item = (usize, Span)> + '_ {
         self.workers
             .iter()
-            .flat_map(|w| w.spans.iter().map(move |s| (Some(w.stage), *s)))
+            .flat_map(|w| w.spans.iter().map(move |s| (w.stage, *s)))
             .chain(self.coord.iter().map(|c| (c.stage, c.span)))
-            .filter(|(_, s)| s.kind != SpanKind::Pack)
     }
 
     /// Total spans that did not fit their logs, across all workers.
@@ -211,29 +202,22 @@ impl StepTrace {
 
     /// Renders the measured timeline as Chrome Trace Event JSON.
     ///
-    /// Layout: `pid` = stage (coordinator spans without a stage go on
-    /// `pid` = number of stages), and within a stage each replica owns two
+    /// Layout: `pid` = stage, and within a stage each replica owns two
     /// `tid` rows — `2r` for compute, `2r + 1` for communication — so
     /// multi-replica stages don't overdraw one row. Stage-level AllReduce
     /// spans take the row after the last replica pair. A worker's events
     /// carry the thread that ran it in `args.thread`.
     pub fn to_chrome_trace(&self) -> String {
-        let num_stages = self.replication.len();
         let mut events: Vec<ChromeEvent> = Vec::new();
         for w in &self.workers {
             for s in &w.spans {
-                events.push(self.event_for(Some(w.stage), w.replica, Some(w.thread), *s));
+                events.push(self.event_for(w.stage, w.replica, Some(w.thread), *s));
             }
         }
         for c in &self.coord {
             let mut e = self.event_for(c.stage, 0, None, c.span);
-            e.pid = c.stage.unwrap_or(num_stages);
-            // Stage-level coordinator spans take the row after the last
-            // replica pair; whole-model spans own row 0 of their pid.
-            e.tid = match c.stage {
-                Some(stage) => 2 * self.replication.get(stage).copied().unwrap_or(1),
-                None => 0,
-            };
+            // The row after the stage's last replica pair.
+            e.tid = 2 * self.replication.get(c.stage).copied().unwrap_or(1);
             events.push(e);
         }
         chrome_trace_json(events)
@@ -241,7 +225,7 @@ impl StepTrace {
 
     fn event_for(
         &self,
-        stage: Option<usize>,
+        stage: usize,
         replica: usize,
         thread: Option<usize>,
         s: Span,
@@ -258,7 +242,6 @@ impl StepTrace {
             SpanKind::CommSend => (format!("send{micro_name}"), true),
             SpanKind::CommRecvWait => (format!("recv-wait{micro_name}"), true),
             SpanKind::AllReduce => ("AllReduce".to_string(), false),
-            SpanKind::Pack => ("pack".to_string(), false),
         };
         let mut args = vec![("replica", ChromeArg::Int(replica as u64))];
         args.extend(thread.map(|t| ("thread", ChromeArg::Int(t as u64))));
@@ -273,7 +256,7 @@ impl StepTrace {
             cat: s.kind.category(),
             ts_us: s.start_ns as f64 / 1e3,
             dur_us: s.dur_ns() as f64 / 1e3,
-            pid: stage.unwrap_or(self.replication.len()),
+            pid: stage,
             tid: 2 * replica + usize::from(comm_row),
             args,
         }
@@ -305,14 +288,12 @@ impl StepTrace {
         for (stage, s) in self.all_spans() {
             t0 = t0.min(s.start_ns);
             t_end = t_end.max(s.end_ns);
-            let Some(stage) = stage else { continue };
             let m = &mut stages[stage];
             match s.kind {
                 SpanKind::Fw | SpanKind::Bw | SpanKind::Recompute => m.busy_ns += s.dur_ns(),
                 SpanKind::CommRecvWait => m.comm_wait_ns += s.dur_ns(),
                 SpanKind::CommSend => m.send_ns += s.dur_ns(),
                 SpanKind::AllReduce => m.allreduce_ns += s.dur_ns(),
-                SpanKind::Pack => {}
             }
         }
         let makespan_ns = t_end.saturating_sub(if t0 == u64::MAX { 0 } else { t0 });
@@ -365,8 +346,7 @@ pub struct StageMetrics {
 /// Metrics of one measured step.
 #[derive(Debug, Clone)]
 pub struct StepMetrics {
-    /// Timeline length (last span end − first span start), ns: the
-    /// pipeline's, from its first op, so the step's pack is not in it.
+    /// Timeline length (last span end − first span start), ns.
     pub makespan_ns: u64,
     /// Mean per-stage bubble ratio.
     pub bubble_ratio: f64,
@@ -554,8 +534,7 @@ mod tests {
             start_ns: 0,
             end_ns: 0,
         };
-        let stage = Some(1);
-        t.coord.push(CoordSpan { stage, span });
+        t.coord.push(CoordSpan { stage: 1, span });
         let json = t.to_chrome_trace();
         assert!(json.contains(r#""name":"F0""#));
         assert!(json.contains(r#""name":"recv-wait0""#));
@@ -565,27 +544,5 @@ mod tests {
         assert!(json.contains(r#""args":{"replica":0,"thread":0,"micro":0}"#));
         assert!(json.contains(r#""bytes":4096"#));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    /// The step's pack is exported on the whole-model row, but it is no
-    /// part of the pipeline's timeline: neither the makespan nor a phase.
-    #[test]
-    fn the_pack_is_exported_but_outside_the_makespan() {
-        let mut t = trace_fixture();
-        let (makespan, phases) = (t.metrics().makespan_ns, t.phase_split().total_us());
-        let span = Span {
-            kind: SpanKind::Pack,
-            micro: NO_MICRO,
-            bytes: 1 << 20,
-            start_ns: 0,
-            end_ns: 2_000,
-        };
-        t.coord.push(CoordSpan { stage: None, span });
-        assert_eq!(t.metrics().makespan_ns, makespan);
-        assert_eq!(t.phase_split().total_us(), phases);
-        let json = t.to_chrome_trace();
-        assert!(json.contains(r#""name":"pack","cat":"pack","ph":"X""#));
-        assert!(json.contains(r#""pid":2,"tid":0"#));
-        assert!(json.contains(r#""bytes":1048576"#));
     }
 }

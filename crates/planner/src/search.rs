@@ -25,7 +25,7 @@ use dapple_cluster::{Allocation, Cluster, PlacementPolicy, ALL_POLICIES};
 use dapple_core::{DappleError, Plan, Result, StagePlan};
 use dapple_profiler::{MemoryModel, ModelProfile};
 use rayon::prelude::*;
-use std::collections::HashMap;
+use std::collections::{btree_map, BTreeMap};
 
 /// Maximum states kept per search level. Far above what 16-device
 /// clusters produce (no effect on Table V); it bounds the blow-up on 32+
@@ -190,9 +190,11 @@ impl<'a> DapplePlanner<'a> {
         // be part of the key: a straight prefix (one device per stage) and
         // a replicated prefix can use the same devices, and mid-search
         // estimates — where the suffix is still one big replicated stage —
-        // systematically undervalue the straight one.
+        // systematically undervalue the straight one. The maps are ordered,
+        // so the best-plan update and the beam break exact ties in key
+        // order, the same way on every call.
         type Key = (usize, usize, Vec<(usize, usize)>);
-        let mut level: HashMap<Key, StateEntry> = HashMap::new();
+        let mut level: BTreeMap<Key, StateEntry> = BTreeMap::new();
         level.insert((0, 0, root.alloc.canonical_key(cluster)), root);
 
         for _depth in 0..g {
@@ -203,17 +205,17 @@ impl<'a> DapplePlanner<'a> {
             // Expand every state in parallel.
             let expansions: Vec<Vec<StateEntry>> =
                 states.par_iter().map(|st| self.expand(st)).collect();
-            let mut next: HashMap<Key, StateEntry> = HashMap::new();
+            let mut next: BTreeMap<Key, StateEntry> = BTreeMap::new();
             for entry in expansions.into_iter().flatten() {
                 let j = entry.stages.last().map_or(0, |s| s.layers.end);
                 let key = (j, entry.stages.len(), entry.alloc.canonical_key(cluster));
                 match next.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(mut o) => {
+                    btree_map::Entry::Occupied(mut o) => {
                         if entry.completed_us < o.get().completed_us {
                             o.insert(entry);
                         }
                     }
-                    std::collections::hash_map::Entry::Vacant(v) => {
+                    btree_map::Entry::Vacant(v) => {
                         v.insert(entry);
                     }
                 }
@@ -481,6 +483,23 @@ mod tests {
         let single = planner.cost_model().single_device_us();
         let sp = s.speedup(single);
         assert!(sp > 1.0 && sp <= 8.5, "speedup {sp}");
+    }
+
+    /// One planner returns one plan: on a model of identical layers over
+    /// identical devices, where many partitions tie exactly, every call
+    /// in one process picks the same plan, latency and micro-batch count.
+    #[test]
+    fn exact_ties_give_the_same_plan_on_every_call() {
+        let cluster = Cluster::config_c(8);
+        let g = synthetic::uniform(16, 300.0, Bytes::mb(150.0), Bytes::mb(2.0));
+        let p = ModelProfile::profile(&g, &cluster.device);
+        let planner = planner_for(&p, &cluster, 64);
+        let describe =
+            |s: PlannedStrategy| (s.plan.to_string(), s.latency_us.to_bits(), s.micro_batches);
+        let first = describe(planner.plan().unwrap());
+        for call in 1..12 {
+            assert_eq!(describe(planner.plan().unwrap()), first, "call {call}");
+        }
     }
 
     /// Uneven beats even on a 2-device pipeline when the natural split is

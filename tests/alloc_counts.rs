@@ -342,12 +342,11 @@ fn train_step_bytes(width: usize, hybrid: bool, adam: bool) -> usize {
     } else {
         Optimizer::sgd(0.05)
     };
-    // The packed `W` and `W^T` buffers are parameter-sized and persistent:
-    // the first step allocates them, the warm-up steps below absorb that,
-    // and every later step repacks into the same storage. (4 rows per
-    // micro-batch keeps every matmul under the kernels' parallel gate at
-    // both widths, so the worker pool's per-job allocation does not enter
-    // the comparison either.)
+    // The gradient accumulators are parameter-sized and persistent: the
+    // first step allocates them, and the warm-up steps below absorb that.
+    // (4 rows per micro-batch keeps every matmul under the kernels'
+    // parallel gate at both widths, so the worker pool's per-job
+    // allocation does not enter the comparison either.)
     let mut lp = TrainLoop::new(model, cfg, optimizer, DataStream::new(5, 16, 8, 4)).unwrap();
     let clean = FaultPlan::new();
     for _ in 0..3 {
@@ -384,7 +383,7 @@ fn a_parallel_matmul_allocates_a_small_constant() {
 /// replicated stages — requests the same number of bytes for a model
 /// with 16x the parameters, up to a fixed slack for the nondeterministic
 /// small allocations of thread wake-ups. One parameter-sized buffer of
-/// the wide model — a set of gradients, or of packed weights — would be
+/// the wide model — a set of gradients, or of weights — would be
 /// 500 KiB.
 #[test]
 fn train_step_bytes_do_not_scale_with_parameters() {
@@ -418,7 +417,7 @@ fn reconfigure_rebuilds_around_the_model_in_place() {
     let mut lp = TrainLoop::new(model, cfg.clone(), Optimizer::sgd(0.05), stream).unwrap();
     let clean = FaultPlan::new();
     lp.try_step(&clean).expect("first step");
-    let weights_at = lp.model().layers[1].w.data.as_ptr();
+    let weights_at = lp.model().layers[1].packed_weights().values().as_ptr();
 
     let mut uncovered = cfg.clone();
     uncovered.stage_bounds.pop();
@@ -438,19 +437,20 @@ fn reconfigure_rebuilds_around_the_model_in_place() {
         bytes < params / 10,
         "a reconfiguration allocated {bytes} bytes beside {params} bytes of parameters"
     );
-    assert_eq!(lp.model().layers[1].w.data.as_ptr(), weights_at);
+    let weights = lp.model().layers[1].packed_weights();
+    assert_eq!(weights.values().as_ptr(), weights_at);
     lp.try_step(&clean).expect("step in the new shape");
 }
 
 /// What a straight pipeline's trainer owns that scales with the model is
-/// three parameter-sized buffers — the workers' gradient accumulators,
-/// and each layer's packed `W` and packed `W^T` (packs are per layer, not
-/// per worker) — and no per-micro-batch contribution buffer: the kernels
-/// add into the accumulators directly. Counted as the fewest bytes a trainer allocates
-/// from its construction through its first two steps, over three
-/// trainers: every persistent buffer it will ever own.
+/// one parameter-sized buffer, the workers' gradient accumulators: the
+/// layers hold their weights in the kernels' layout, so a step packs
+/// nothing, and no per-micro-batch contribution buffer exists, because
+/// the kernels add into the accumulators directly. Counted as the fewest
+/// bytes a trainer allocates from its construction through its first two
+/// steps, over three trainers: every persistent buffer it will ever own.
 #[test]
-fn a_trainer_owns_three_parameter_sized_buffers_per_worker() {
+fn a_trainer_owns_one_parameter_sized_buffer_per_worker() {
     use dapple::engine::{data, EngineConfig, FaultPlan, MlpModel, PipelineTrainer};
     let _guard = measure();
     let width = 256;
@@ -471,9 +471,9 @@ fn a_trainer_owns_three_parameter_sized_buffers_per_worker() {
         }
     });
     // Half a parameter set of slack covers the activation pools, channels
-    // and thread bookkeeping; a fourth parameter-sized buffer does not fit.
+    // and thread bookkeeping; a second parameter-sized buffer does not fit.
     assert!(
-        bytes < 3 * params + params / 2,
+        bytes < params + params / 2,
         "a trainer allocates {bytes} bytes for {params} bytes of parameters"
     );
 }

@@ -16,7 +16,7 @@ use dapple::collectives::{allreduce_sum, reduce_sum_in_place};
 use dapple::engine::layer::DenseGrads;
 use dapple::engine::loss::loss_grad_into;
 use dapple::engine::{
-    data, EngineConfig, FaultPlan, MlpModel, Optimizer, PipelineTrainer, StepOutcome, Tensor,
+    data, Dense, EngineConfig, FaultPlan, MlpModel, Optimizer, PipelineTrainer, StepOutcome, Tensor,
 };
 use dapple::sim::{KPolicy, Schedule};
 use proptest::prelude::*;
@@ -210,8 +210,8 @@ fn rows_of(t: &Tensor, rows: std::ops::Range<usize>) -> Tensor {
     )
 }
 
-/// The reference the engine's pooled buffers, packed weights, kernel
-/// epilogues and in-worker reduce are pinned against: a step from public
+/// The reference the engine's pooled buffers, kernel epilogues and
+/// in-worker reduce are pinned against: a step from public
 /// layer ops only, with a fresh allocation for every tensor. Every replica
 /// accumulates its row share of each micro-batch (and, on the last
 /// stage, of the loss) in the order the schedule retires backwards: GPipe
@@ -358,15 +358,15 @@ fn replicated_gradients_match_the_ring_assembly() {
     }
 }
 
-/// The workers pack each layer's `W` and `W^T` once per step and reuse
-/// them for the step's other micro-batches (the forward packs also for
-/// re-computed forwards); the reference above multiplies by the weights
-/// where they lie and packs `W^T` on every `backward_grads_into` call.
-/// Stepping both with the same optimizer for four steps — SGD and Adam, a
-/// straight pipeline and replicated stages, with and without
-/// re-computation — must leave bit-identical models after every step: a
-/// pack of either kind that survived an optimizer update would run step
-/// 2 on step 1's weights and part the two trajectories there.
+/// A layer stores `W` and `W^T`, and the optimizer writes both in the
+/// pass that updates them; the workers multiply by the stored panels.
+/// The reference above is rebuilt from its row-major weights after each
+/// update, so its `W^T` is laid out afresh every step. Stepping both
+/// with the same optimizer for four steps — SGD and Adam, a straight
+/// pipeline and replicated stages, with and without re-computation —
+/// must leave bit-identical models after every step: a `W^T` that missed
+/// an update would run step 2's backward on step 1's weights and part the
+/// two trajectories there.
 #[test]
 fn packed_weights_never_outlive_an_optimizer_update() {
     let shapes: [(Vec<std::ops::Range<usize>>, Vec<usize>); 2] = [
@@ -392,6 +392,10 @@ fn packed_weights_never_outlive_an_optimizer_update() {
             for step in 0..4 {
                 let (_, grads) = flatten_ring_unflatten(&reference, &x, &t, &cfg);
                 ref_opt.step(&mut reference, &grads);
+                for layer in &mut reference.layers {
+                    *layer = Dense::from_weights(layer.weights(), layer.b.clone(), layer.act)
+                        .expect("the layer's own shape");
+                }
                 let out = clean_step(&trainer, &x, &t);
                 opt.step(&mut trainer.model, &out.grads);
                 for (l, (got, want)) in trainer
@@ -402,8 +406,8 @@ fn packed_weights_never_outlive_an_optimizer_update() {
                     .enumerate()
                 {
                     assert_eq!(
-                        (bits(&got.w.data), bits(&got.b)),
-                        (bits(&want.w.data), bits(&want.b)),
+                        (bits(&got.weights().data), bits(&got.b)),
+                        (bits(&want.weights().data), bits(&want.b)),
                         "replication {replication:?}, adam {adam}, recompute {recompute}, \
                          step {step}, layer {l}"
                     );
@@ -415,18 +419,20 @@ fn packed_weights_never_outlive_an_optimizer_update() {
 
 /// One optimizer step as a serial scalar loop over each layer's flat
 /// parameter index: the update expressions, and nothing else, in common
-/// with `Optimizer::step`.
+/// with `Optimizer::step`. It updates a row-major copy of each layer's
+/// weights and builds the layer anew from it.
 fn serial_scalar_step(opt: &mut Optimizer, model: &mut MlpModel, grads: &[DenseGrads]) {
     if let Optimizer::Adam { t, .. } = opt {
         *t += 1;
     }
     for (i, layer) in model.layers.iter_mut().enumerate() {
-        let nw = layer.w.data.len();
-        for j in 0..layer.num_params() {
+        let (mut w, mut b) = (layer.weights(), layer.b.clone());
+        let nw = w.data.len();
+        for j in 0..nw + b.len() {
             let (p, g) = if j < nw {
-                (&mut layer.w.data[j], grads[i].dw.data[j])
+                (&mut w.data[j], grads[i].dw.data[j])
             } else {
-                (&mut layer.b[j - nw], grads[i].db[j - nw])
+                (&mut b[j - nw], grads[i].db[j - nw])
             };
             match opt {
                 Optimizer::Sgd { lr } => *p -= *lr * g,
@@ -453,32 +459,32 @@ fn serial_scalar_step(opt: &mut Optimizer, model: &mut MlpModel, grads: &[DenseG
                 }
             }
         }
+        *layer = Dense::from_weights(w, b, layer.act).expect("the layer's own shape");
     }
 }
 
 /// Parameters, then every optimizer state buffer, as bits.
 fn training_bits(model: &MlpModel, opt: &Optimizer) -> Vec<u32> {
-    let params = model
-        .layers
-        .iter()
-        .flat_map(|l| l.w.data.iter().chain(&l.b));
+    let params: Vec<f32> = (model.layers.iter())
+        .flat_map(|l| l.weights().data.into_iter().chain(l.b.iter().copied()))
+        .collect();
     let state: Vec<&Vec<f32>> = match opt {
         Optimizer::Sgd { .. } => Vec::new(),
         Optimizer::Momentum { velocity, .. } => velocity.iter().collect(),
         Optimizer::Adam { m, v, .. } => m.iter().chain(v).collect(),
     };
-    params
-        .chain(state.into_iter().flatten())
+    (params.iter().chain(state.into_iter().flatten()))
         .map(|v| v.to_bits())
         .collect()
 }
 
 /// The banded update is the serial update, bit for bit, under every rule:
-/// three steps over tensors of several 32 Ki-element bands and a ragged
-/// tail (300 x 333), one band and a tail (333 x 128), exactly one band
-/// (128 x 256), far less than one (256 x 4) and the biases. Bands past
-/// the first are shared with the worker pool, so CI's pool-size matrix
-/// running this proves the sizes agree with each other.
+/// three steps over weight tensors larger than one 32 Ki-value band
+/// (300 x 333, ragged in both directions, and 333 x 128), of exactly one
+/// (128 x 256) and of far less (256 x 4), and over the biases. The
+/// larger tensors' bands (32 rows of `W` each) are shared with the
+/// worker pool, so CI's pool-size matrix running this proves the sizes
+/// agree with each other.
 #[test]
 fn banded_update_is_the_serial_update_bit_for_bit() {
     const BANDED: [usize; 5] = [300, 333, 128, 256, 4];
@@ -533,7 +539,7 @@ proptest! {
 
     /// Every buffer the engine recycles — boundary messages, forward
     /// chains, input gradients, accumulators — is fully overwritten before
-    /// use, and pooling, packing and the in-worker reduce change no
+    /// use, and pooling and the in-worker reduce change no
     /// numerics: across random partitions, schedules and replication, two
     /// consecutive steps (the second on dirty buffers) produce the loss
     /// and gradient bits of the allocate-per-tensor reference.

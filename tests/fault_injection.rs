@@ -349,12 +349,15 @@ fn repeated_injection_reproduces_the_same_error() {
 fn in_chain_overflow_fails_the_step() {
     use dapple::engine::layer::DenseGrads;
     use dapple::engine::loss::loss_grad_into;
-    use dapple::engine::LossKind;
+    use dapple::engine::{Dense, LossKind};
 
     const LANES: [usize; 3] = [0, 5, 33];
     let (rows, mb, poisoned_row) = (8, 4, 5);
     let mut model = MlpModel::new(&[40, 36], 13);
-    model.layers[0].w.data[..36].fill(0.0);
+    let seeded = &model.layers[0];
+    let mut w = seeded.weights();
+    w.data[..36].fill(0.0);
+    model.layers[0] = Dense::from_weights(w, seeded.b.clone(), seeded.act).unwrap();
     let layer = model.layers[0].clone();
     let (mut x, mut t) = data::regression_batch(rows, 40, 36, 21);
     x.data[poisoned_row * 40] = 3e38;
@@ -505,12 +508,11 @@ fn faults_before_the_gradient_rendezvous_are_structured_and_leave_nothing_behind
     }
 }
 
-/// A step packs every layer's `W` and `W^T` before its workers start,
-/// and a stage first reads its `W^T` packs at its first backward. A
-/// fault injected exactly there — a panic, or a poisoned gradient that
+/// A stage first reads its layers' stored `W^T` at its first backward.
+/// A fault injected exactly there — a panic, or a poisoned gradient that
 /// aborts the step — on a straight pipeline and on replicated stages,
-/// leaves nothing a later step could mistake for a valid pack: the next
-/// clean step is bit-identical to a never-faulted trainer's.
+/// leaves nothing behind: the next clean step is bit-identical to a
+/// never-faulted trainer's.
 #[test]
 fn faults_at_the_packing_backward_leave_nothing_behind() {
     let schedule = Schedule::Dapple(KPolicy::PA);
@@ -554,87 +556,106 @@ fn faults_at_the_packing_backward_leave_nothing_behind() {
     }
 }
 
-/// A weight tensor whose storage is shorter than its shape claims is
-/// read first by the step's pack of its layer, before any worker starts,
-/// and it is the pack's shape assertion — the numbers, not a bare
-/// slice-index panic — that reaches the user as the `WorkerPanicked` of
-/// its stage's replica 0. The trainer survives it:
-/// with the weights repaired, the next step is bit-identical to a
-/// never-faulted trainer's.
+/// A step never sees a malformed weight: a layer is built only from a
+/// weight tensor whose storage is what its shape says and a bias of its
+/// width, and anything else is a structured error where the layer is
+/// built, with the numbers in its text. A model of valid layers then
+/// trains like any other.
 #[test]
-fn a_malformed_weight_is_a_structured_error_from_the_pack() {
-    let dims = [16usize, 256, 256, 8];
-    let mut config = EngineConfig::straight(vec![0..1, 1..3], 2, 0.1);
-    config.recv_timeout = Duration::from_secs(2);
-    let (x, t) = data::regression_batch(128, 16, 8, 5);
-    let never_faulted = clean_step_bits(
-        &PipelineTrainer::new(MlpModel::new(&dims, 3), config.clone()).unwrap(),
-        &x,
-        &t,
-    );
-
-    let mut trainer = PipelineTrainer::new(MlpModel::new(&dims, 3), config).unwrap();
-    let intact = trainer.model.layers[1].w.clone();
-    trainer.model.layers[1].w.data.truncate(256 * 255);
-    match trainer.step_grads(&x, &t) {
-        Err(DappleError::WorkerPanicked {
-            stage,
-            replica,
-            message,
-        }) => {
-            assert_eq!((stage, replica), (1, 0));
-            assert!(
-                message.contains("pack of a 256 x 256 tensor holding 65280 values"),
-                "the pack's text must survive: {message}"
-            );
-        }
-        other => panic!("expected WorkerPanicked from stage 1, got {other:?}"),
-    }
-    trainer.model.layers[1].w = intact;
-    assert_eq!(clean_step_bits(&trainer, &x, &t), never_faulted);
-}
-
-/// On replicated stages too, a malformed weight is named by its pack:
-/// stage 1 of replication `[1, 2]` reports it as replica 0's
-/// `WorkerPanicked`, and with two layers malformed the lower layer's
-/// error is the step's. The layers are wide enough for the pack to be
-/// split over the worker pool, so which pool thread packed which layer
-/// does not decide the error. The trainer survives it bit for bit.
-#[test]
-fn a_malformed_weight_in_a_replicated_stage_is_its_replica_0s_error() {
-    let dims = [16usize, 1024, 1024, 8];
-    let mut config = EngineConfig::straight(vec![0..1, 1..3], 2, 0.1);
-    config.replication = vec![1, 2];
-    config.recv_timeout = Duration::from_secs(2);
-    let (x, t) = data::regression_batch(8, 16, 8, 5);
-    let mut trainer = PipelineTrainer::new(MlpModel::new(&dims, 3), config).unwrap();
-    let never_faulted = clean_step_bits(&trainer, &x, &t);
-    let intact = trainer.model.clone();
-    for (malformed, text) in [
-        (&[2][..], "pack of a 1024 x 8 tensor holding 7168 values"),
+fn a_malformed_weight_is_rejected_where_a_layer_is_built() {
+    use dapple::engine::{Activation, Dense};
+    let malformed = |rows: usize, cols: usize, len: usize| Tensor {
+        rows,
+        cols,
+        data: vec![0.5; len],
+    };
+    for (w, biases, text) in [
         (
-            &[1, 2],
-            "pack of a 1024 x 1024 tensor holding 1047552 values",
+            malformed(256, 256, 256 * 255),
+            256,
+            "a 256 x 256 weight tensor holding 65280 values, with 256 biases",
+        ),
+        (
+            malformed(1024, 8, 1024 * 8 + 1),
+            8,
+            "a 1024 x 8 weight tensor holding 8193 values, with 8 biases",
+        ),
+        (
+            malformed(4, 3, 12),
+            4,
+            "a 4 x 3 weight tensor holding 12 values, with 4 biases",
         ),
     ] {
-        for &layer in malformed {
-            let w = &mut trainer.model.layers[layer].w;
-            w.data.truncate(w.rows * (w.cols - 1));
-        }
-        match trainer.step_grads(&x, &t) {
-            Err(DappleError::WorkerPanicked {
-                stage,
-                replica,
-                message,
-            }) => {
-                assert_eq!((stage, replica), (1, 0), "{malformed:?}");
-                assert!(message.contains(text), "{malformed:?}: {message}");
+        match Dense::from_weights(w, vec![0.0; biases], Activation::Tanh) {
+            Err(DappleError::InvalidConfig(message)) => {
+                assert!(message.contains(text), "{message}")
             }
-            other => panic!("expected WorkerPanicked from stage 1, got {other:?}"),
+            other => panic!("expected InvalidConfig, got {other:?}"),
         }
-        trainer.model = intact.clone();
-        assert_eq!(clean_step_bits(&trainer, &x, &t), never_faulted);
     }
+    let layers = [(16, 256), (256, 8)].map(|(k, m)| {
+        let w = malformed(k, m, k * m);
+        Dense::from_weights(w, vec![0.0; m], Activation::Tanh).unwrap()
+    });
+    let model = MlpModel {
+        layers: layers.to_vec(),
+    };
+    let config = EngineConfig::straight(vec![0..1, 1..2], 2, 0.1);
+    let trainer = PipelineTrainer::new(model, config).unwrap();
+    let (x, t) = data::regression_batch(8, 16, 8, 5);
+    trainer
+        .step_grads(&x, &t)
+        .expect("a step of well-formed layers");
+}
+
+/// A model is also built where a checkpoint is restored: a save cut
+/// short inside any of its shards is rejected as that shard's
+/// `ShardCorrupt`, before a layer is built from it, directly and through
+/// a resume.
+#[test]
+fn a_truncated_checkpoint_shard_is_rejected_where_a_model_is_restored() {
+    use dapple::engine::checkpoint::{from_bytes, to_bytes, TrainState};
+    use dapple::engine::{Partition, TrainLoop};
+    let model = MlpModel::new(&[16, 64, 8], 3);
+    let layer_bytes: Vec<usize> = (model.layers.iter())
+        .map(|l| 4 + 4 * 3 * l.num_params() + 8)
+        .collect();
+    let state = TrainState {
+        optimizer: Optimizer::adam(0.01, &model),
+        model,
+        step: 4,
+        data_seed: 5,
+        data_cursor: 4,
+        batch_samples: 8,
+    };
+    let partition = Partition {
+        stage_bounds: vec![0..1, 1..2],
+        replication: vec![1, 1],
+    };
+    let bytes = to_bytes(state.view(), &partition);
+    let shards_start = bytes.len() - layer_bytes.iter().sum::<usize>();
+    let mut start = shards_start;
+    for (shard, len) in layer_bytes.into_iter().enumerate() {
+        for cut in [start + 4, start + len / 2, start + len - 1] {
+            let short = &bytes[..cut];
+            match from_bytes(short) {
+                Err(DappleError::ShardCorrupt {
+                    shard: s, layer, ..
+                }) => {
+                    assert_eq!((s, layer), (shard, shard), "cut at {cut}")
+                }
+                other => panic!("cut at {cut}: expected ShardCorrupt, got {other:?}"),
+            }
+            let config = EngineConfig::straight(vec![0..1, 1..2], 2, 0.1);
+            let resumed = TrainLoop::resume_bytes(short, config);
+            assert!(
+                matches!(resumed, Err(DappleError::ShardCorrupt { .. })),
+                "cut at {cut}"
+            );
+        }
+        start += len;
+    }
+    assert!(from_bytes(&bytes).is_ok());
 }
 
 /// A kernel assertion that fires inside a band of a parallel matmul, on

@@ -265,19 +265,17 @@ fn band_epilogue_touches_every_element_once() {
 
 /// `Dense::forward`, whose bias and activation ride in that epilogue, is
 /// the product followed by two separate passes — `v + b` rounded, then
-/// the activation of the rounded sum — against `W` where it lies and
-/// against its pack, serial and banded.
+/// the activation of the rounded sum — against the layer's stored
+/// panels, serial and banded, into a fresh or a recycled buffer. The
+/// backward's input gradient, against the stored `W^T`, is `dz W^T`.
 #[test]
 fn dense_forward_is_product_then_bias_then_activation() {
     for (n, k, m) in [(5, 9, 33), (70, 64, 480)] {
         for act in [Activation::Identity, Activation::Relu, Activation::Tanh] {
-            let layer = Dense {
-                w: Tensor::from_vec(k, m, fill(2, 17, k * m)),
-                b: fill(3, 17, m),
-                act,
-            };
+            let w = Tensor::from_vec(k, m, fill(2, 17, k * m));
+            let layer = Dense::from_weights(w.clone(), fill(3, 17, m), act).unwrap();
             let x = Tensor::from_vec(n, k, fill(1, 17, n * k));
-            let mut want = ref_matmul(&x, &layer.w);
+            let mut want = ref_matmul(&x, &w);
             for row in want.data.chunks_mut(m) {
                 row.iter_mut().zip(&layer.b).for_each(|(v, b)| *v += *b);
             }
@@ -289,11 +287,17 @@ fn dense_forward_is_product_then_bias_then_activation() {
                 };
             }
             assert_bits_eq(&layer.forward(&x), &want, "forward");
-            let mut packed = PackedRhs::new();
-            packed.pack(&layer.w);
             let mut y = Tensor::from_vec(n, m, vec![f32::NAN; n * m]);
-            layer.forward_packed_into(&packed, &x, &mut y);
-            assert_bits_eq(&y, &want, "forward_packed_into");
+            layer.forward_into(&x, &mut y);
+            assert_bits_eq(&y, &want, "forward_into");
+            // Identity keeps `dz = dy`, so the input gradient is the bare
+            // product against `W^T`.
+            if act == Activation::Identity {
+                let mut dy = Tensor::from_vec(n, m, fill(4, 17, n * m));
+                let want = ref_matmul(&dy, &w.transpose());
+                let (dx, _) = layer.backward(&x, &layer.forward(&x), &mut dy);
+                assert_bits_eq(&dx, &want, "backward dx");
+            }
         }
     }
 }
@@ -408,12 +412,9 @@ fn vectorized_tanh_equals_the_scalar_function() {
         // Three rows, the values scaled by 1, -1 and 0.5 in the product
         // (k = 1); a `-0.0` bias keeps every sum the product's value.
         let x = Tensor::from_vec(3, 1, vec![1.0, -1.0, 0.5]);
-        let layer = Dense {
-            w: Tensor::from_vec(1, m, (0..m).map(value).collect()),
-            b: vec![-0.0; m],
-            act: Activation::Tanh,
-        };
-        let mut want = ref_matmul(&x, &layer.w);
+        let w = Tensor::from_vec(1, m, (0..m).map(value).collect());
+        let layer = Dense::from_weights(w.clone(), vec![-0.0; m], Activation::Tanh).unwrap();
+        let mut want = ref_matmul(&x, &w);
         for row in want.data.chunks_mut(m.max(1)) {
             for (v, b) in row.iter_mut().zip(&layer.b) {
                 *v = scalar(*v + *b);

@@ -42,7 +42,7 @@ fn state_bits(lp: &TrainLoop) -> (Vec<u32>, u64, u64) {
     let mut bits = Vec::new();
     let mut push = |values: &[f32]| bits.extend(values.iter().map(|v| v.to_bits()));
     for layer in &lp.model().layers {
-        push(&layer.w.data);
+        push(&layer.weights().data);
         push(&layer.b);
     }
     match lp.optimizer() {

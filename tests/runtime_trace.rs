@@ -25,23 +25,15 @@ fn traced_cfg(stage_bounds: Vec<std::ops::Range<usize>>, micro_batches: usize) -
     cfg
 }
 
-/// The trace of one clean step on a tracing trainer. Every traced step
-/// packs its weights once, before the pipeline: exactly one whole-model
-/// `Pack` span, of every layer's `W` and all but the first's `W^T`.
+/// The trace of one clean step on a tracing trainer. A step has no
+/// prelude — the layers hold their weights in the kernels' layout — so
+/// the coordinator's spans are the replica reduces and nothing else.
 fn traced_step(trainer: &PipelineTrainer, x: &Tensor, t: &Tensor) -> StepTrace {
     let (result, trace) = trainer.step_with_trace(x, t, &FaultPlan::new());
     result.expect("clean step");
     let trace = trace.expect("tracing on");
-    let packs: Vec<_> = (trace.coord.iter())
-        .filter(|c| c.span.kind == SpanKind::Pack)
-        .collect();
-    assert_eq!(packs.len(), 1, "one pack per step: {packs:?}");
-    let layers = &trainer.model.layers;
-    let packed: usize = (layers.iter().enumerate())
-        .map(|(l, layer)| layer.w.data.len() * (1 + usize::from(l > 0)))
-        .sum();
-    assert_eq!(packs[0].stage, None);
-    assert_eq!(packs[0].span.bytes, 4 * packed as u64);
+    let reduces = (trace.coord.iter()).filter(|c| c.span.kind == SpanKind::AllReduce);
+    assert_eq!(reduces.count(), trace.coord.len(), "{:?}", trace.coord);
     trace
 }
 
@@ -158,7 +150,7 @@ fn replicated_traced_step_records_allreduce() {
         .filter(|c| c.span.kind == SpanKind::AllReduce)
         .collect();
     assert_eq!(ar.len(), 1, "one replicated stage, one AllReduce");
-    assert_eq!(ar[0].stage, Some(0));
+    assert_eq!(ar[0].stage, 0);
     assert!(ar[0].span.bytes > 0);
     let json = trace.to_chrome_trace();
     parse_json(&json).unwrap_or_else(|e| panic!("invalid JSON: {e}"));
@@ -181,7 +173,7 @@ fn replica_reduce_overlaps_the_backward_tail() {
     let stage_bounds = vec![0..4, 4..5];
     let model = MlpModel::new(&dims, 7);
     let (x, t) = data::regression_batch(64, dims[0], *dims.last().unwrap(), 9);
-    let all_reduces = |trace: &dapple::engine::StepTrace| -> Vec<(Option<usize>, u64, u64)> {
+    let all_reduces = |trace: &dapple::engine::StepTrace| -> Vec<(usize, u64, u64)> {
         trace
             .coord
             .iter()
@@ -210,7 +202,7 @@ fn replica_reduce_overlaps_the_backward_tail() {
         for (stage, layers) in stage_bounds.iter().enumerate() {
             assert_eq!(
                 (ar[stage].0, ar[stage].1),
-                (Some(stage), param_bytes(layers.clone()))
+                (stage, param_bytes(layers.clone()))
             );
         }
         let stage0_last_bw_end = trace
