@@ -2,8 +2,8 @@
 //! paths below the step: the engine's in-place replica reduce beside the
 //! ring AllReduce it is pinned against, the matmul variants used by
 //! `Dense` backward, and what a matmul pays around its kernel inside the
-//! pipeline (worker-pool dispatch, the weight packs, the activation
-//! epilogue, the data generator). What a whole step
+//! pipeline (worker-pool dispatch, the activation epilogue, the data
+//! generator). What a whole step
 //! costs, supervised or not, is `benchmark/`'s to measure.
 //!
 //! ```text
@@ -217,28 +217,26 @@ fn matmul_shape_benches(smoke: bool, out: &mut Vec<Record>) {
 }
 
 /// What a matmul inside the pipeline pays around its kernel: the cost of
-/// handing bands to the worker pool, and of packing the weights.
+/// handing bands to the worker pool, and the products a layer runs.
 ///
 /// `par_for_each_2_bands_noop` is one empty two-band parallel call — post
 /// the job, wake a helper, drain — i.e. pure dispatch. The `matmul_*`
-/// records are the three products of one dense layer's forward/backward
-/// at `compute_wide`'s shape, 64 rows through a 512 x 512 layer (each
-/// 64·512·512 multiply-adds, all above the parallel gate): `nn` is
-/// `x W` against the row-major weights, `tn` is `x^T dz` stored, `nt` is
-/// `dz W^T` packing per call; `nn_packed` and `nt_packed` are the two
-/// `nn` products against a [`PackedRhs`] filled beforehand and `tn_add`
-/// is `x^T dz` added into an accumulator with the finiteness check — what
-/// the pipeline runs. Around the products at the same shape: `tanh_64x512`
-/// is the activation alone over a 64 x 512 slice (`ns_per_elem`),
-/// `dense_forward_packed_64x512x512` the whole forward the pipeline runs
-/// (the product against the layer's stored panels, then bias and `tanh`
-/// as its epilogue), and
+/// records are the products of one dense layer's forward/backward at
+/// `compute_wide`'s shape, 64 rows through a 512 x 512 layer (each
+/// 64·512·512 multiply-adds, all above the parallel gate): `nn_packed`
+/// and `nt_packed` are the two `nn` products against a [`PackedRhs`]
+/// (`x W` and `dz W^T`), `tn` is `x^T dz` stored row-major, and
+/// `tn_packed` / `tn_packed_add` the same product stored into, and added
+/// with the finiteness check into, a panel-major `dW` — what the layer
+/// and the pipeline run. Around the products at the same shape:
+/// `tanh_64x512` is the activation alone over a 64 x 512 slice
+/// (`ns_per_elem`), `dense_forward_packed_64x512x512` the whole forward
+/// the pipeline runs (the product against the layer's stored panels,
+/// then bias and `tanh` as its epilogue), and
 /// `regression_batch_512x64x32` one `compute_wide` batch from the data
-/// generator. `matmul_nn_packed_16x768x768` is the forward
-/// product at `sync_hybrid`/`recovery_adam`'s shape. The `pack_panels_*`
-/// and `pack_transpose_*` records are the two packs alone, in GB/s of
-/// matrix packed. Minimum over iterations (a helper thread is involved,
-/// see [`time_ns_min`]).
+/// generator. `matmul_nn_packed_16x768x768` is the forward product at
+/// `sync_hybrid`/`recovery_adam`'s shape. Minimum over iterations (a
+/// helper thread is involved, see [`time_ns_min`]).
 fn dispatch_benches(smoke: bool, out: &mut Vec<Record>) {
     use rayon::prelude::*;
     let iters: u32 = if smoke { 30 } else { 300 };
@@ -274,15 +272,11 @@ fn dispatch_benches(smoke: bool, out: &mut Vec<Record>) {
     packed_t.pack_transposed(&w);
     let mut y = Tensor::zeros(rows, width);
     let mut dw = Tensor::zeros(width, width);
+    let mut dw_packed = PackedRhs::zeros(width, width);
     let gflops_of =
         |muls: usize| move |ns: f64| ("gflops", (2.0 * muls as f64 / ns.max(1.0)).into());
     let gflops = gflops_of(rows * width * width);
     let shape = format!("{rows}x{width}x{width}");
-    push(
-        &format!("matmul_nn_{shape}"),
-        &mut || x.matmul_into(&w, black_box(&mut y)),
-        &gflops,
-    );
     push(
         &format!("matmul_nn_packed_{shape}"),
         &mut || x.matmul_with_into(Rhs::Packed(&packed), black_box(&mut y), |_| {}),
@@ -294,15 +288,15 @@ fn dispatch_benches(smoke: bool, out: &mut Vec<Record>) {
         &gflops,
     );
     push(
-        &format!("matmul_tn_add_{shape}"),
-        &mut || {
-            black_box(x.matmul_tn_add_into(&dz, &mut dw));
-        },
+        &format!("matmul_tn_packed_{shape}"),
+        &mut || x.matmul_tn_packed_into(&dz, black_box(&mut dw_packed)),
         &gflops,
     );
     push(
-        &format!("matmul_nt_{shape}"),
-        &mut || dz.matmul_nt_into(&w, black_box(&mut y)),
+        &format!("matmul_tn_packed_add_{shape}"),
+        &mut || {
+            black_box(x.matmul_tn_packed_add_into(&dz, &mut dw_packed));
+        },
         &gflops,
     );
     push(
@@ -341,21 +335,6 @@ fn dispatch_benches(smoke: bool, out: &mut Vec<Record>) {
         &mut || x.matmul_with_into(Rhs::Packed(&packed), black_box(&mut y), |_| {}),
         &gflops_of(16 * 768 * 768),
     );
-    for n in [512usize, 768] {
-        let w = filled(n, n, 8);
-        let bytes = (n * n * std::mem::size_of::<f32>()) as f64;
-        let gb_per_s = |ns: f64| ("gb_per_s", (bytes / ns.max(1.0)).into());
-        push(
-            &format!("pack_panels_{n}x{n}"),
-            &mut || black_box(&mut packed).pack(&w),
-            &gb_per_s,
-        );
-        push(
-            &format!("pack_transpose_{n}x{n}"),
-            &mut || black_box(&mut packed_t).pack_transposed(&w),
-            &gb_per_s,
-        );
-    }
 }
 
 /// Recovery costs nothing else covers: checkpoint save/load latency and
@@ -500,9 +479,11 @@ fn recovery_benches(smoke: bool, out: &mut Vec<Record>, recovery_log: Option<&st
 
 /// The two state-proportional passes between pipeline steps, at sizes the
 /// smoke run's 13 KB checkpoints cannot show: the checkpoint checksum over
-/// 4 MiB (a byte-serial sum reads a tenth of this) and an Adam step over
-/// ~1 M parameters — as one 1024 x 1024 tensor (32 bands, shared with the
-/// pool) and as 32 layers of 180 x 180 (each under one band: inline).
+/// 4 MiB (a byte-serial sum reads a tenth of this), and an Adam step and
+/// an SGD step over ~1 M parameters — as one 1024 x 1024 tensor (32
+/// chunks, then 32 `W^T` panels, shared with the pool) and as 32 layers
+/// of 180 x 180 (each under one band: inline). SGD's rule costs almost
+/// nothing, so its record is the memory streams and the `W^T` pass.
 fn state_pass_benches(out: &mut Vec<Record>) {
     let iters = 20;
     let mut push = |name: &str, ns: f64, rate: &'static str, value: f64| {
@@ -523,11 +504,15 @@ fn state_pass_benches(out: &mut Vec<Record>) {
     for (label, dims) in [("pool", vec![1024, 1024]), ("inline", vec![180; 33])] {
         let mut model = MlpModel::new(&dims, 9);
         let (_, grads) = model.reference_grads(&filled(2, dims[0], 3), &filled(2, dims[0], 4), 1);
-        let mut adam = Optimizer::adam(1e-3, &model);
-        let ns = time_ns_min(iters, || adam.step(black_box(&mut model), &grads));
         let params: usize = model.layers.iter().map(|l| l.num_params()).sum();
-        let name = format!("adam_step_1m_{label}");
-        push(&name, ns, "ns_per_param", ns / params as f64);
+        for (rule, mut opt) in [
+            ("adam", Optimizer::adam(1e-3, &model)),
+            ("sgd", Optimizer::sgd(1e-3)),
+        ] {
+            let ns = time_ns_min(iters, || opt.step(black_box(&mut model), &grads));
+            let name = format!("{rule}_step_1m_{label}");
+            push(&name, ns, "ns_per_param", ns / params as f64);
+        }
     }
 }
 
@@ -676,7 +661,7 @@ fn main() {
     ring_benches(smoke, &mut records);
     eprintln!("[dapple-bench] matmul variants ({mode})...");
     matmul_benches(smoke, &mut records);
-    eprintln!("[dapple-bench] dispatch and packing ({mode})...");
+    eprintln!("[dapple-bench] dispatch and layer products ({mode})...");
     dispatch_benches(smoke, &mut records);
     eprintln!("[dapple-bench] fault recovery ({mode})...");
     recovery_benches(smoke, &mut records, o.recovery_log);

@@ -12,7 +12,8 @@
 //! n_shards u32 (= n_layers) | header checksum u64 over every preceding byte |
 //! per shard, in layer order: layer u32 |
 //!   payload f32*: weights, bias, then one optimizer buffer per
-//!     moment (velocity, or Adam m then v), each `num_params` long |
+//!     moment (velocity, or Adam m then v), each `num_params` long
+//!     and, like the weights, row-major whatever its layout in memory |
 //!   shard checksum u64 over the record (layer through payload)
 //! ```
 //!
@@ -62,7 +63,7 @@
 use crate::layer::{Activation, Dense};
 use crate::model::MlpModel;
 use crate::optim::Optimizer;
-use crate::tensor::Tensor;
+use crate::tensor::{row_runs, PackedRhs, Tensor};
 use dapple_core::{DappleError, Result};
 use std::ops::Range;
 
@@ -244,15 +245,22 @@ pub fn write_into(out: &mut Vec<u8>, state: StateView<'_>, partition: &Partition
     for (i, layer) in layers.iter().enumerate() {
         let record_start = out.len();
         out.extend_from_slice(&(i as u32).to_le_bytes());
-        layer.w.row_runs().for_each(|run| append_f32s(out, run));
-        append_f32s(out, &layer.b);
-        match state.optimizer {
-            Optimizer::Sgd { .. } => {}
-            Optimizer::Momentum { velocity, .. } => append_f32s(out, &velocity[i]),
-            Optimizer::Adam { m, v, .. } => {
-                append_f32s(out, &m[i]);
-                append_f32s(out, &v[i]);
-            }
+        let (k, m) = layer.w.dims();
+        // Weights, then bias: a layer's `W`, or the weight part of a state
+        // buffer, is panel-major and written row-major.
+        let mut append_params = |w: &[f32], b: &[f32]| {
+            row_runs(w, k, m).for_each(|run| append_f32s(out, run));
+            append_f32s(out, b);
+        };
+        append_params(&layer.w.data, &layer.b);
+        let moments: &[&Vec<Vec<f32>>] = match state.optimizer {
+            Optimizer::Sgd { .. } => &[],
+            Optimizer::Momentum { velocity, .. } => &[velocity],
+            Optimizer::Adam { m, v, .. } => &[m, v],
+        };
+        for moment in moments {
+            let (w, b) = moment[i].split_at(k * m);
+            append_params(w, b);
         }
         let shard_sum = checksum(&out[record_start..]);
         out.extend_from_slice(&shard_sum.to_le_bytes());
@@ -428,7 +436,16 @@ pub fn from_bytes(bytes: &[u8]) -> Result<(TrainState, Partition)> {
         let w = cur.f32s(n_params - out_dim)?;
         let b = cur.f32s(out_dim)?;
         for buf in &mut moments {
-            buf.push(cur.f32s(n_params)?);
+            // Row-major on file, panel-major in memory, like `W`.
+            let mut state = PackedRhs::new();
+            state.data.reserve_exact(n_params);
+            state.pack(&Tensor::from_vec(
+                in_dim,
+                out_dim,
+                cur.f32s(n_params - out_dim)?,
+            ));
+            state.data.extend(cur.f32s(out_dim)?);
+            buf.push(state.data);
         }
         let record_end = cur.pos;
         let stored = cur.u64()?;

@@ -126,9 +126,11 @@ fn scale(dy: &mut [f32], y: &[f32], f: impl Fn(f32) -> f32) {
 /// ([`PackedRhs`]), its only copy, and `W^T` beside it in the same
 /// layout for the input gradient `dz W^T`, so no product of the layer
 /// packs. The two are one value: they are built together by
-/// [`Dense::new`] and [`Dense::from_weights`], and the optimizer's
-/// driver writes `W^T` in the pass that updates `W`. Row-major copies
-/// for the edges — tests, checkpoints, reports — come from
+/// [`Dense::new`] and [`Dense::from_weights`], and the optimizer
+/// rebuilds `W^T` from `W` after every update. The gradient `dW`
+/// ([`DenseGrads`]) and the optimizer's state are kept in `W`'s order,
+/// so an update runs over the panels as they lie. Row-major copies for
+/// the edges — tests, checkpoints, reports — come from
 /// [`Dense::weights`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dense {
@@ -145,8 +147,11 @@ pub struct Dense {
 /// Parameter gradients of one layer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DenseGrads {
-    /// `dL/dW`.
-    pub dw: Tensor,
+    /// `dL/dW`, `in_dim x out_dim`, panel-major like the layer's `W`, so
+    /// the optimizer's element-wise rules pair each value with its
+    /// weight where both lie. [`PackedRhs::to_tensor`] gives it
+    /// row-major.
+    pub dw: PackedRhs,
     /// `dL/db`.
     pub db: Vec<f32>,
 }
@@ -155,22 +160,23 @@ impl DenseGrads {
     /// Zero gradients shaped like `layer`.
     pub fn zeros_like(layer: &Dense) -> Self {
         DenseGrads {
-            dw: Tensor::zeros(layer.in_dim(), layer.out_dim()),
+            dw: PackedRhs::zeros(layer.in_dim(), layer.out_dim()),
             db: vec![0.0; layer.b.len()],
         }
     }
 
     /// Accumulates `other` into `self`.
     pub fn accumulate(&mut self, other: &DenseGrads) {
-        self.dw.add_assign(&other.dw);
-        for (a, b) in self.db.iter_mut().zip(&other.db) {
-            *a += *b;
+        for (a, b) in self.segments_mut().into_iter().zip(other.segments()) {
+            for (a, b) in a.iter_mut().zip(b) {
+                *a += *b;
+            }
         }
     }
 
-    /// The gradient values as `[dW, db]` — the one place that fixes the
-    /// flat order (weights, then bias) shared by the optimizer's moment
-    /// buffers, the checkpoint shards and the replica reduce.
+    /// The gradient values as `[dW, db]`, `dW` panel-major — the one
+    /// place that fixes the flat order (weights, then bias) shared by the
+    /// optimizer's moment buffers and the replica reduce.
     pub fn segments(&self) -> [&[f32]; 2] {
         [&self.dw.data, &self.db]
     }
@@ -182,8 +188,8 @@ impl DenseGrads {
 
     /// Whether these gradients have `layer`'s shape.
     pub(crate) fn fits(&self, layer: &Dense) -> bool {
-        let shape = (layer.in_dim(), layer.out_dim(), layer.b.len());
-        (self.dw.rows, self.dw.cols, self.db.len()) == shape
+        let (k, m) = layer.w.dims();
+        (self.dw.dims(), self.dw.data.len(), self.db.len()) == ((k, m), k * m, layer.b.len())
     }
 
     /// Resets every value to zero, keeping the storage.
@@ -286,7 +292,8 @@ impl Dense {
     /// its original contents are destroyed — but the caller keeps the
     /// buffer, so the boundary-message storage it arrived in can be
     /// recycled. The products run transpose-free: `dW = x^T dz` by
-    /// `matmul_tn`, `dx = dz W^T` against the stored `W^T`.
+    /// `matmul_tn` into `W`'s panel layout, `dx = dz W^T` against the
+    /// stored `W^T`.
     pub fn backward(&self, x: &Tensor, y: &Tensor, dy: &mut Tensor) -> (Tensor, DenseGrads) {
         let mut g = DenseGrads::zeros_like(self);
         let mut dx = Tensor::zeros(dy.rows, self.in_dim());
@@ -308,13 +315,14 @@ impl Dense {
     ) {
         self.scale_by_act_grad(y, dy);
         assert_eq!(x.rows, y.rows, "cache batch mismatch");
-        x.matmul_tn_into(dy, &mut g.dw);
+        x.matmul_tn_packed_into(dy, &mut g.dw);
         dy.col_sums_into(&mut g.db);
         self.input_grad_into(dy, dx);
     }
 
     /// The pipeline's backward: this call's `dW`/`db` are *added* into
-    /// `acc` by the kernels' epilogues ([`Tensor::matmul_tn_add_into`]),
+    /// `acc` by the kernels' epilogues
+    /// ([`Tensor::matmul_tn_packed_add_into`]),
     /// bit for bit what [`Dense::backward_grads_into`] followed by
     /// [`DenseGrads::accumulate`] leaves there, and with `Some(dx)` the
     /// input gradient lands in `dx`. A caller with no use for the input
@@ -331,7 +339,8 @@ impl Dense {
         dx: Option<&mut Tensor>,
     ) -> usize {
         self.scale_by_act_grad(y, dy);
-        let zeroed = x.matmul_tn_add_into(dy, &mut acc.dw) + dy.col_sums_add_into(&mut acc.db);
+        let zeroed =
+            x.matmul_tn_packed_add_into(dy, &mut acc.dw) + dy.col_sums_add_into(&mut acc.db);
         if let Some(dx) = dx {
             self.input_grad_into(dy, dx);
         }
@@ -391,7 +400,7 @@ mod tests {
             for &(r, c) in &[(0usize, 0usize), (2, 1), (1, 0)] {
                 let (lp, lm) = (nudged(eps, r * 2 + c), nudged(-eps, r * 2 + c));
                 let num = (loss(&lp, &x) - loss(&lm, &x)) / (2.0 * eps);
-                let ana = grads.dw.at(r, c);
+                let ana = grads.dw.to_tensor().at(r, c);
                 assert!(
                     (num - ana).abs() < 2e-2 * ana.abs().max(1.0),
                     "{act:?} dW[{r},{c}]: {num} vs {ana}"
@@ -423,7 +432,7 @@ mod tests {
         let mut dy = Tensor::from_vec(1, 2, vec![1.0, 1.0]);
         let (_, grads) = layer.backward(&x, &y, &mut dy);
         // The clipped unit contributes no gradient.
-        assert_eq!(grads.dw.data, vec![2.0, 0.0]);
+        assert_eq!(grads.dw.to_tensor().data, vec![2.0, 0.0]);
         assert_eq!(grads.db, vec![1.0, 0.0]);
     }
 

@@ -6,11 +6,11 @@
 //! engine exercise the same state footprint for real.
 //!
 //! Every rule is element-wise over a layer's parameters, its gradient
-//! and its state, and runs through one band driver (`update`). The
-//! gradient and the state buffers are row-major; the layer's weights are
-//! stored as `W`'s panels with `W^T` beside them (`crate::layer::Dense`),
-//! and the driver writes each new weight into both layouts in the pass
-//! that computes it.
+//! and its state, and runs through one function (`update`). The layer
+//! stores `W` as panels with `W^T` beside them (`crate::layer::Dense`),
+//! and the gradient and every state buffer keep `W`'s panel order, so a
+//! rule streams the four buffers as they lie; `update` then rebuilds
+//! `W^T` from the new `W`, panel by panel.
 
 use crate::layer::{Dense, DenseGrads};
 use crate::model::MlpModel;
@@ -31,7 +31,8 @@ pub enum Optimizer {
         lr: f32,
         /// Momentum coefficient.
         beta: f32,
-        /// Per-layer velocity buffers (flat: weights then biases).
+        /// Per-layer velocity buffers (flat: weights in `W`'s panel
+        /// order, then biases).
         velocity: Vec<Vec<f32>>,
     },
     /// Adam with bias correction.
@@ -46,9 +47,9 @@ pub enum Optimizer {
         eps: f32,
         /// Step counter.
         t: u64,
-        /// Per-layer first moments.
+        /// Per-layer first moments, ordered like `velocity`.
         m: Vec<Vec<f32>>,
-        /// Per-layer second moments.
+        /// Per-layer second moments, ordered like `velocity`.
         v: Vec<Vec<f32>>,
     },
 }
@@ -94,9 +95,8 @@ impl Optimizer {
     /// Applies one update step to `model` from accumulated `grads`.
     ///
     /// State and weights are updated in one pass that reads the gradient
-    /// tensors where they lie and allocates nothing parameter-sized;
-    /// every rule runs through `update`, which writes each new weight
-    /// into both of the layer's layouts.
+    /// tensors where they lie and allocates nothing; every rule runs
+    /// through `update`, which then rebuilds each layer's `W^T`.
     pub fn step(&mut self, model: &mut MlpModel, grads: &[DenseGrads]) {
         assert_eq!(grads.len(), model.layers.len(), "grad/layer mismatch");
         match self {
@@ -154,16 +154,10 @@ impl Optimizer {
 }
 
 /// The most weight values an update runs inline (128 KiB): a larger
-/// tensor hands its bands — 32 rows of `W` each, one `W^T` panel — to the
-/// worker pool, so the 768 x 768 tensors of the benchmark's large models
-/// are 24 bands apiece.
+/// tensor hands its chunks of this many values, and its `W^T` panels, to
+/// the worker pool, so the 768 x 768 tensors of the benchmark's large
+/// models are 18 chunks and 24 panels apiece.
 pub(crate) const BAND: usize = 32 * 1024;
-
-thread_local! {
-    /// A band's rows of `W` while `update` runs its rule over them: reused
-    /// across bands and steps, so updates on one thread allocate it once.
-    static BAND_ROWS: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
-}
 
 /// Cuts the first `n` values off `rest`.
 fn cut_front<'a>(rest: &mut &'a mut [f32], n: usize) -> &'a mut [f32] {
@@ -172,34 +166,38 @@ fn cut_front<'a>(rest: &mut &'a mut [f32], n: usize) -> &'a mut [f32] {
     head
 }
 
-/// One band of a weight tensor's update: its tile of every `W` panel,
-/// its rows of the gradient, its `W^T` panel and its rows of each state
-/// buffer.
-type Band<'a, const S: usize> = (
-    &'a mut [&'a mut [f32]],
-    &'a [f32],
-    &'a mut [f32],
-    [&'a mut [f32]; S],
-);
+/// Runs `run` over every item of `items`: inline for a tensor of
+/// `values` at most [`BAND`], across the worker pool otherwise.
+fn spread<I: ExactSizeIterator<Item: Send> + Send>(
+    values: usize,
+    items: I,
+    run: impl Fn(I::Item) + Sync,
+) {
+    if values <= BAND {
+        items.for_each(run);
+    } else {
+        items.par_bridge().for_each(run);
+    }
+}
 
 /// The element-wise driver every update rule runs through, for one
 /// layer whose gradient is `g` and whose `S` state buffers each hold its
-/// weights then its bias, row-major like the gradient. The bias is one
-/// call of `rule`. `W` (`k x m`, panel-major) goes by bands of rows, each
-/// band the rows of one `W^T` panel, so its rows of the gradient and of
-/// every state buffer are contiguous, as is that panel. A band copies its
-/// tile of every `W` panel into a row-major scratch, runs `rule` over the
-/// whole band at once beside the gradient and state rows, and writes the
-/// new values back into the tiles and, transposed, into the `W^T` panel
-/// while they are cache-hot. So `W^T` holds exactly the new `W`, and no
-/// step reads a weight to lay it out. (A rule called on one 32-wide
-/// panel row at a time runs several times slower: its loops are too
-/// short for the vectorized body.)
+/// weights, in `W`'s panel order like the gradient, then its bias. The
+/// bias is one call of `rule`. Then two passes over `W` (`k x m`):
+///
+/// 1. `rule` over `W`, the gradient and the state in storage order,
+///    [`BAND`] values at a time, so every stream it reads and writes is
+///    contiguous;
+/// 2. every `W^T` panel — the transpose of one group of up to 32 rows
+///    of `W`, whose piece of each `W` panel is a contiguous tile — built
+///    from those tiles, so `W^T` holds exactly the new `W` and no step
+///    reads a weight to lay it out.
 ///
 /// A weight tensor of [`BAND`] values or fewer is updated inline and
-/// never touches the pool; a larger one hands its bands across the pool.
-/// Bands are disjoint and a rule is element-wise, so the result does not
-/// depend on the pool size or on who ran which band.
+/// never touches the pool; a larger one hands its chunks, then its
+/// panels, across the pool. Chunks and panels are disjoint and a rule is
+/// element-wise, so the result does not depend on the pool size or on
+/// who ran which.
 fn update<const S: usize>(
     layer: &mut Dense,
     g: &DenseGrads,
@@ -212,57 +210,29 @@ fn update<const S: usize>(
     let mut state = state;
     let mut state_w = state.each_mut().map(|s| cut_front(s, k * m));
     rule(&mut layer.b, gb, state);
-    if k * m == 0 {
-        return;
-    }
-    // `W`'s panels, and each panel's tile of every band, band by band.
-    let mut left = &mut layer.w.data[..];
-    let mut panels_left: Vec<_> = panels(m)
-        .map(|(_, w)| cut_front(&mut left, k * w))
-        .collect();
-    let mut tiles = Vec::with_capacity(panels_left.len() * panels(k).count());
-    for (_, h) in panels(k) {
-        for (panel, (_, w)) in panels_left.iter_mut().zip(panels(m)) {
-            tiles.push(cut_front(panel, h * w));
-        }
-    }
-    let (mut groups, mut wt_left) = (panels(k), &mut layer.wt.data[..]);
-    let bands = tiles.chunks_mut(panels_left.len()).map(|tiles| {
-        let (i0, h) = groups.next().expect("one band per row group");
-        let band_state = state_w.each_mut().map(|s| cut_front(s, h * m));
-        (
-            tiles,
-            &gw[i0 * m..(i0 + h) * m],
-            cut_front(&mut wt_left, h * m),
-            band_state,
-        )
+
+    let (mut w_left, mut g_left) = (&mut layer.w.data[..], gw);
+    let chunks = (0..(k * m).div_ceil(BAND)).map(|_| {
+        let n = BAND.min(g_left.len());
+        let (g, rest) = g_left.split_at(n);
+        g_left = rest;
+        let s = state_w.each_mut().map(|s| cut_front(s, n));
+        (cut_front(&mut w_left, n), g, s)
     });
-    let run = |(tiles, g, wt, s): Band<'_, S>| {
-        let h = g.len() / m;
-        BAND_ROWS.with(|rows| {
-            // Row by row, so the reads of every tile advance together.
-            let rows = &mut *rows.borrow_mut();
-            rows.resize(h * m, 0.0);
-            let rows = &mut rows[..h * m];
-            for (r, row) in rows.chunks_exact_mut(m).enumerate() {
-                for (tile, (j, w)) in tiles.iter().zip(panels(m)) {
-                    row[j..j + w].copy_from_slice(&tile[r * w..(r + 1) * w]);
-                }
-            }
-            rule(rows, g, s);
-            for (r, row) in rows.chunks_exact(m).enumerate() {
-                for (tile, (j, w)) in tiles.iter_mut().zip(panels(m)) {
-                    tile[r * w..(r + 1) * w].copy_from_slice(&row[j..j + w]);
-                }
-            }
-            transpose_into(rows, wt, h, m);
-        });
-    };
-    if k * m <= BAND {
-        bands.for_each(run);
-    } else {
-        bands.par_bridge().for_each(run);
-    }
+    spread(k * m, chunks, |(w, g, s)| rule(w, g, s));
+
+    let w = &layer.w.data[..];
+    let (mut groups, mut wt_left) = (panels(k), &mut layer.wt.data[..]);
+    let wt_panels = (0..panels(k).count()).map(|_| {
+        let (i0, h) = groups.next().expect("one W^T panel per row group");
+        (i0, h, cut_front(&mut wt_left, h * m))
+    });
+    spread(k * m, wt_panels, |(i0, h, wt)| {
+        for (j, wd) in panels(m) {
+            let tile = &w[k * j + i0 * wd..k * j + (i0 + h) * wd];
+            transpose_into(tile, &mut wt[j * h..(j + wd) * h], h, wd);
+        }
+    });
 }
 
 /// Flat zero buffers shaped like each layer's `(weights, bias)`.
@@ -278,6 +248,13 @@ fn zeros_like(model: &MlpModel) -> Vec<Vec<f32>> {
 mod tests {
     use super::*;
     use crate::data;
+
+    /// A weight gradient from its row-major values.
+    fn grad_w(rows: usize, cols: usize, data: Vec<f32>) -> crate::tensor::PackedRhs {
+        let mut dw = crate::tensor::PackedRhs::new();
+        dw.pack(&crate::tensor::Tensor::from_vec(rows, cols, data));
+        dw
+    }
 
     fn train(optimizer: &mut Optimizer, steps: usize, seed: u64) -> (f32, f32) {
         let mut model = MlpModel::new(&[4, 16, 2], seed);
@@ -316,7 +293,7 @@ mod tests {
         let mut model = MlpModel::new(&[2, 1], 3);
         let before = model.layers[0].weights().data;
         let grads = vec![DenseGrads {
-            dw: crate::tensor::Tensor::from_vec(2, 1, vec![1000.0, -0.001]),
+            dw: grad_w(2, 1, vec![1000.0, -0.001]),
             db: vec![5.0],
         }];
         let mut adam = Optimizer::adam(0.01, &model);
@@ -333,7 +310,7 @@ mod tests {
     fn momentum_accumulates_velocity() {
         let mk = || MlpModel::new(&[1, 1], 9);
         let grads = vec![DenseGrads {
-            dw: crate::tensor::Tensor::from_vec(1, 1, vec![1.0]),
+            dw: grad_w(1, 1, vec![1.0]),
             db: vec![0.0],
         }];
         let mut plain = mk();

@@ -51,15 +51,15 @@
 //! Per micro-batch a `Dense` layer is `x W`, `x^T dz` and `dz W^T`, and
 //! every other pass over something weight- or activation-sized rides in
 //! one of them. A layer stores `W` and `W^T` as the panels the `nn` tiles
-//! stream ([`crate::tensor::PackedRhs`]), and the optimizer writes both
-//! in the pass that updates them, so a step reads its weights only to
+//! stream ([`crate::tensor::PackedRhs`]), and the optimizer rebuilds
+//! `W^T` right after it updates `W`, so a step reads its weights only to
 //! multiply by them: there is no prelude, and every worker — a
 //! replicated stage's replicas alike — streams the model's own panels
 //! read-only. Bias and activation are the forward product's per-band
 //! epilogue; and the `dW` kernel's epilogue adds each finished chain
-//! straight into the step's accumulator, testing it for finiteness in
-//! its register on the way — no contribution buffer, no counting pass,
-//! no merging pass. All of it is layout and scheduling: no chain and no
+//! straight into the step's accumulator, in `W`'s panel layout, testing
+//! it for finiteness in its register on the way — no contribution
+//! buffer, no counting pass, no merging pass. All of it is layout and scheduling: no chain and no
 //! rounding differs from the allocate-per-tensor reference in
 //! `tests/determinism.rs`.
 //!

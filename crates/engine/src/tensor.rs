@@ -38,25 +38,29 @@
 //! of a wide matrix spans a handful of pages instead of one per row. The
 //! tiles take a panel's base and row stride ([`Rhs`]) and run the same
 //! chain on either layout; `matmul_nt` is [`PackedRhs::pack_transposed`]
-//! into a thread-local pack followed by that product. A `Dense` layer
-//! stores its panels: `W`, and `W^T` beside it, are kept in this layout
-//! and updated there, so no product of a layer packs; no size heuristic
-//! packs on a caller's behalf.
+//! into a thread-local pack followed by that product. The `tn` tiles
+//! take their output's base and row stride the same way, so `matmul_tn`
+//! stores a row-major tensor or a panel-major one
+//! ([`Tensor::matmul_tn_packed_into`]) with the same chains. A `Dense`
+//! layer keeps `W`, `W^T` beside it, and its gradient `dW` in this
+//! layout and updates them there, so no product of a layer packs; no
+//! size heuristic packs on a caller's behalf.
 //!
 //! What becomes of a finished chain is outside it too. The `nn` product
 //! hands each band's finished rows to an epilogue on the thread that
 //! computed them (a `Dense` layer applies bias and activation there), and
-//! [`Tensor::matmul_tn_add_into`] adds every finished chain into its
-//! destination with one separately rounded `+` — a store followed by
-//! `add_assign`, bit for bit. The accumulators are never seeded from the
-//! destination and the add is never fused into the chain: either would
-//! round differently.
+//! [`Tensor::matmul_tn_packed_add_into`] adds every finished chain into
+//! its destination with one separately rounded `+` — a store followed by
+//! an element-wise add, bit for bit. The accumulators are never seeded
+//! from the destination and the add is never fused into the chain:
+//! either would round differently.
 //!
-//! Parallelism splits rows into contiguous bands; each output element is
-//! computed by exactly one thread with the order above, so banding (and
-//! thus `RAYON_NUM_THREADS`) cannot change results. Tile and panel
-//! grouping inside a band are equally irrelevant to bits: every
-//! element's chain is independent.
+//! Parallelism splits the output into contiguous chunks — bands of rows,
+//! or for a panel-major `tn` output runs of whole panels; each output
+//! element is computed by exactly one thread with the order above, so
+//! the chunking (and thus `RAYON_NUM_THREADS`) cannot change results.
+//! Tile and panel grouping inside a chunk are equally irrelevant to
+//! bits: every element's chain is independent.
 //!
 //! # The activation is part of the contract
 //!
@@ -130,17 +134,20 @@ pub(crate) fn panels(m: usize) -> impl Iterator<Item = (usize, usize)> {
     })
 }
 
-/// A `k x m` right-hand side stored panel-major: its column panels (32,
-/// then 16, 8, 1 wide) one after another, each a contiguous row-major
-/// `[k][w]` block, so the tiles stream a panel instead of striding
-/// through `m`-wide rows. Packing is data movement, never arithmetic.
-/// The storage is kept across packs; every pack overwrites all of it.
+/// A `k x m` matrix stored panel-major: its column panels (32, then 16,
+/// 8, 1 wide) one after another, each a contiguous row-major `[k][w]`
+/// block, so the tiles stream a panel instead of striding through
+/// `m`-wide rows. A `Dense` layer keeps `W`, `W^T` and `dW` this way.
+/// Packing is data movement, never arithmetic. The storage is kept
+/// across packs; every pack overwrites all of it.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct PackedRhs {
     rows: usize,
     cols: usize,
     /// `rows * cols` values; the panel at column `j` starts at `rows * j`.
-    pub(crate) data: Vec<f32>,
+    /// Element-wise work (an optimizer rule, a sum of two packs of one
+    /// shape) can run over it as it lies.
+    pub data: Vec<f32>,
 }
 
 impl PackedRhs {
@@ -153,28 +160,26 @@ impl PackedRhs {
         }
     }
 
-    /// `(rows, cols)` of the matrix last packed.
+    /// A `rows x cols` matrix of zeros.
+    pub fn zeros(rows: usize, cols: usize) -> Self {
+        PackedRhs {
+            rows,
+            cols,
+            data: vec![0.0; rows * cols],
+        }
+    }
+
+    /// `(rows, cols)` of the matrix held.
     pub fn dims(&self) -> (usize, usize) {
         (self.rows, self.cols)
     }
 
-    /// The stored values, panel after panel.
-    pub fn values(&self) -> &[f32] {
-        &self.data
-    }
-
-    /// The matrix in row-major order, as runs: row by row, that row's
-    /// piece of every panel from left to right.
-    pub(crate) fn row_runs(&self) -> impl Iterator<Item = &[f32]> + '_ {
-        let (k, m) = (self.rows, self.cols);
-        (0..k).flat_map(move |i| panels(m).map(move |(j, w)| &self.data[k * j + i * w..][..w]))
-    }
-
     /// The matrix as a row-major tensor (a copy).
     pub fn to_tensor(&self) -> Tensor {
-        let mut data = Vec::with_capacity(self.data.len());
-        self.row_runs().for_each(|run| data.extend_from_slice(run));
-        Tensor::from_vec(self.rows, self.cols, data)
+        let (k, m) = self.dims();
+        let mut data = Vec::with_capacity(k * m);
+        row_runs(&self.data, k, m).for_each(|run| data.extend_from_slice(run));
+        Tensor::from_vec(k, m, data)
     }
 
     /// Takes the shape `rows x cols` for a pack of `src`, whose storage
@@ -193,13 +198,15 @@ impl PackedRhs {
     }
 
     /// Packs `src` itself: every panel row is a chunk of a `src` row.
+    /// Row by row, so `src` is read once in order (a panel at a time
+    /// re-strides through all of it, and measured slower).
     pub fn pack(&mut self, src: &Tensor) {
         let (k, m) = (src.rows, src.cols);
         self.reshape(src, k, m);
-        for (j, w) in panels(m) {
-            let panel = self.data[k * j..k * (j + w)].chunks_exact_mut(w);
-            for (dst, row) in panel.zip(src.data.chunks_exact(m)) {
-                dst.copy_from_slice(&row[j..j + w]);
+        for i in 0..k {
+            let row = &src.data[i * m..(i + 1) * m];
+            for (j, w) in panels(m) {
+                self.data[k * j + i * w..][..w].copy_from_slice(&row[j..j + w]);
             }
         }
     }
@@ -215,6 +222,14 @@ impl PackedRhs {
             transpose_into(slab, &mut self.data[k * j..k * (j + w)], w, k);
         }
     }
+}
+
+/// The `k x m` matrix `vals`, stored panel-major ([`PackedRhs`]), in
+/// row-major order, as runs: row by row, that row's piece of every panel
+/// from left to right. (Gathering 32 rows at a time into their row
+/// slots instead measured slower on the reference host.)
+pub(crate) fn row_runs(vals: &[f32], k: usize, m: usize) -> impl Iterator<Item = &[f32]> {
+    (0..k).flat_map(move |i| panels(m).map(move |(j, w)| &vals[k * j + i * w..][..w]))
 }
 
 /// Stores the transpose of the `w x k` row-major `slab` into the `k x w`
@@ -404,7 +419,7 @@ fn nn_band(a: &[f32], rhs: Rhs<'_>, out: &mut [f32], k: usize, m: usize) {
 
 /// Adds one finished gradient value into its accumulator, a non-finite
 /// one as `+0.0`; returns how many it zeroed. The scalar form of the
-/// `add` epilogue ([`Tensor::matmul_tn_add_into`]).
+/// `add` epilogue ([`Tensor::matmul_tn_packed_add_into`]).
 #[inline]
 fn add_checked(dst: &mut f32, c: f32) -> usize {
     let finite = c.is_finite();
@@ -414,25 +429,24 @@ fn add_checked(dst: &mut f32, c: f32) -> usize {
 
 /// [`nn_tile`] for the TN product: output row `i0 + r` reads column
 /// `i0 + r` of `a` (`k x n`, so stride-`n` scalar loads), everything
-/// else identical — same ascending-order fused chains. The finished
-/// chains are stored, or with `add` go through [`add_checked`]; returns
-/// the values zeroed.
+/// else identical — same ascending-order fused chains. `b` is the
+/// column panel's base and row stride, `out` the tile's first output
+/// element and the output's row stride, so one tile serves a row-major
+/// output and a panel-major one. The finished chains are stored, or with
+/// `add` go through [`add_checked`]; returns the values zeroed.
 #[inline]
-#[allow(clippy::too_many_arguments)]
 fn tn_tile<const RT: usize, const W: usize>(
     a: &[f32],
     n: usize,
     i0: usize,
-    b: &[f32],
-    out: &mut [f32],
+    (b, ldb): (&[f32], usize),
+    (out, ldo): (&mut [f32], usize),
     k: usize,
-    m: usize,
-    j: usize,
     add: bool,
 ) -> usize {
     let mut acc = [[0.0f32; W]; RT];
     for t in 0..k {
-        let bb: &[f32; W] = b[t * m + j..t * m + j + W].try_into().expect("tile width");
+        let bb: &[f32; W] = b[t * ldb..t * ldb + W].try_into().expect("tile width");
         let arow = &a[t * n + i0..t * n + i0 + RT];
         for r in 0..RT {
             let av = arow[r];
@@ -443,7 +457,7 @@ fn tn_tile<const RT: usize, const W: usize>(
     }
     let mut zeroed = 0;
     for r in 0..RT {
-        let dst = &mut out[r * m + j..r * m + j + W];
+        let dst = &mut out[r * ldo..r * ldo + W];
         if add {
             for (d, c) in dst.iter_mut().zip(acc[r]) {
                 zeroed += add_checked(d, c);
@@ -457,28 +471,25 @@ fn tn_tile<const RT: usize, const W: usize>(
 
 /// Single-column tail of [`tn_tile`].
 #[inline]
-#[allow(clippy::too_many_arguments)]
 fn tn_col<const RT: usize>(
     a: &[f32],
     n: usize,
     i0: usize,
-    b: &[f32],
-    out: &mut [f32],
+    (b, ldb): (&[f32], usize),
+    (out, ldo): (&mut [f32], usize),
     k: usize,
-    m: usize,
-    j: usize,
     add: bool,
 ) -> usize {
     let mut zeroed = 0;
     for r in 0..RT {
         let mut acc = 0.0f32;
         for t in 0..k {
-            acc = a[t * n + i0 + r].mul_add(b[t * m + j], acc);
+            acc = a[t * n + i0 + r].mul_add(b[t * ldb], acc);
         }
         if add {
-            zeroed += add_checked(&mut out[r * m + j], acc);
+            zeroed += add_checked(&mut out[r * ldo], acc);
         } else {
-            out[r * m + j] = acc;
+            out[r * ldo] = acc;
         }
     }
     zeroed
@@ -491,19 +502,17 @@ fn tn_panel<const RT: usize>(
     a: &[f32],
     n: usize,
     i0: usize,
-    b: &[f32],
-    out: &mut [f32],
+    b: (&[f32], usize),
+    out: (&mut [f32], usize),
     k: usize,
-    m: usize,
-    j: usize,
     w: usize,
     add: bool,
 ) -> usize {
     match w {
-        COL_TILE => tn_tile::<RT, COL_TILE>(a, n, i0, b, out, k, m, j, add),
-        16 => tn_tile::<RT, 16>(a, n, i0, b, out, k, m, j, add),
-        8 => tn_tile::<RT, 8>(a, n, i0, b, out, k, m, j, add),
-        _ => tn_col::<RT>(a, n, i0, b, out, k, m, j, add),
+        COL_TILE => tn_tile::<RT, COL_TILE>(a, n, i0, b, out, k, add),
+        16 => tn_tile::<RT, 16>(a, n, i0, b, out, k, add),
+        8 => tn_tile::<RT, 8>(a, n, i0, b, out, k, add),
+        _ => tn_col::<RT>(a, n, i0, b, out, k, add),
     }
 }
 
@@ -515,67 +524,118 @@ fn tn_row_tile(
     a: &[f32],
     n: usize,
     i0: usize,
-    b: &[f32],
-    out: &mut [f32],
+    b: (&[f32], usize),
+    out: (&mut [f32], usize),
     k: usize,
-    m: usize,
-    j: usize,
     w: usize,
     add: bool,
 ) -> usize {
     #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
     if w == COL_TILE {
-        // SAFETY: tn_band only calls with `i0 + ROW_TILE <= n`,
-        // ROW_TILE full output rows left, and `j + COL_TILE <= m`.
-        return unsafe { simd::tn_8x32(a, n, i0, b, out, k, m, j, add) };
+        // SAFETY: tn_rows only calls with `i0 + ROW_TILE <= n`, ROW_TILE
+        // full 32-wide output rows left at stride `ldo`, and `b` a 32-wide
+        // column panel of `k` rows at stride `ldb` (tn_store has checked
+        // that `a` and `b` hold their shapes).
+        return unsafe { simd::tn_8x32(a, n, i0, b, out, k, add) };
     }
-    tn_panel::<ROW_TILE>(a, n, i0, b, out, k, m, j, w, add)
+    tn_panel::<ROW_TILE>(a, n, i0, b, out, k, w, add)
 }
 
-/// One band of `matmul_tn`: output rows `i0..i0 + out.len() / m`, same
-/// panel-outer structure as [`nn_band`]; returns the values the `add`
-/// epilogue zeroed.
+/// Rows `i0..i0 + rows` of one TN column panel (`w` wide, `b` its base
+/// and row stride): row tiles 8 → 4 → 2 → 1, row `i0 + r` stored from
+/// `out[r * ldo]`. Returns the values the `add` epilogue zeroed.
 #[allow(clippy::too_many_arguments)]
-fn tn_band(
+fn tn_rows(
     a: &[f32],
     n: usize,
-    i0: usize,
-    b: &[f32],
-    out: &mut [f32],
+    (i0, rows): (usize, usize),
+    b: (&[f32], usize),
+    (out, ldo): (&mut [f32], usize),
     k: usize,
-    m: usize,
+    w: usize,
     add: bool,
 ) -> usize {
-    let rows = out.len() / m;
-    assert!(
-        i0 + rows <= n && a.len() >= k * n && b.len() >= k * m,
-        "matmul_tn band of rows {i0}..{}: lhs holds {} values ({k} x {n} needed), \
-         rhs holds {} ({k} x {m} needed)",
-        i0 + rows,
-        a.len(),
-        b.len()
-    );
-    let mut zeroed = 0;
-    for (j, w) in panels(m) {
-        let mut r = 0;
-        while rows - r >= ROW_TILE {
-            zeroed += tn_row_tile(a, n, i0 + r, b, &mut out[r * m..], k, m, j, w, add);
-            r += ROW_TILE;
-        }
-        while rows - r >= 4 {
-            zeroed += tn_panel::<4>(a, n, i0 + r, b, &mut out[r * m..], k, m, j, w, add);
-            r += 4;
-        }
-        while rows - r >= 2 {
-            zeroed += tn_panel::<2>(a, n, i0 + r, b, &mut out[r * m..], k, m, j, w, add);
-            r += 2;
-        }
-        while r < rows {
-            zeroed += tn_panel::<1>(a, n, i0 + r, b, &mut out[r * m..], k, m, j, w, add);
-            r += 1;
-        }
+    let (mut r, mut zeroed) = (0, 0);
+    while rows - r >= ROW_TILE {
+        zeroed += tn_row_tile(a, n, i0 + r, b, (&mut out[r * ldo..], ldo), k, w, add);
+        r += ROW_TILE;
+    }
+    while rows - r >= 4 {
+        zeroed += tn_panel::<4>(a, n, i0 + r, b, (&mut out[r * ldo..], ldo), k, w, add);
+        r += 4;
+    }
+    while rows - r >= 2 {
+        zeroed += tn_panel::<2>(a, n, i0 + r, b, (&mut out[r * ldo..], ldo), k, w, add);
+        r += 2;
+    }
+    while r < rows {
+        zeroed += tn_panel::<1>(a, n, i0 + r, b, (&mut out[r * ldo..], ldo), k, w, add);
+        r += 1;
     }
     zeroed
+}
+
+/// `a^T b` (`a` is `k x n`, `b` is `k x m`, both row-major) into the
+/// `n x m` `out`: row-major, or with `packed` panel-major
+/// ([`PackedRhs`]). Every element is stored, or with `add` added to
+/// through [`add_checked`]; returns how many it zeroed. A row-major
+/// output goes to the pool in bands of rows, a panel-major one in runs
+/// of 32-wide panels — contiguous either way — and each column panel of
+/// `b` stays cache-resident across its rows. `k = 0` is the empty chain,
+/// exact `0.0`.
+fn tn_store(
+    a: &[f32],
+    b: &[f32],
+    (k, n, m): (usize, usize, usize),
+    out: &mut [f32],
+    packed: bool,
+    add: bool,
+) -> usize {
+    assert!(
+        a.len() >= k * n && b.len() >= k * m && out.len() >= n * m,
+        "matmul_tn of {k} x {n} by {k} x {m}: lhs holds {} values, rhs {}, out {}",
+        a.len(),
+        b.len(),
+        out.len()
+    );
+    let out = &mut out[..n * m];
+    if out.is_empty() {
+        return 0;
+    }
+    if k == 0 {
+        out.iter_mut()
+            .for_each(|v| *v = if add { *v + 0.0 } else { 0.0 });
+        return 0;
+    }
+    let chunk = if packed { n * COL_TILE } else { BAND_ROWS * m };
+    let run = |c: usize, out: &mut [f32]| -> usize {
+        if packed {
+            // Whole panels from column `c * COL_TILE`, every row of each.
+            let j0 = c * COL_TILE;
+            (panels(out.len() / n))
+                .map(|(j, w)| {
+                    let panel = &mut out[n * j..n * (j + w)];
+                    tn_rows(a, n, (0, n), (&b[j0 + j..], m), (panel, w), k, w, add)
+                })
+                .sum()
+        } else {
+            // Whole rows from row `c * BAND_ROWS`, every panel of each.
+            let rows = (c * BAND_ROWS, out.len() / m);
+            (panels(m))
+                .map(|(j, w)| tn_rows(a, n, rows, (&b[j..], m), (&mut out[j..], m), k, w, add))
+                .sum()
+        }
+    };
+    if par_worth_it(n, k, m) {
+        // Relaxed: a tally, read after the pool has joined the chunks.
+        let zeroed = AtomicUsize::new(0);
+        out.par_chunks_mut(chunk).enumerate().for_each(|(c, out)| {
+            zeroed.fetch_add(run(c, out), Ordering::Relaxed);
+        });
+        zeroed.into_inner()
+    } else {
+        run(0, out)
+    }
 }
 
 thread_local! {
@@ -643,36 +703,34 @@ mod simd {
     }
 
     /// [`nn_8x32`] for `matmul_tn`: output rows are columns `i0..i0 + 8`
-    /// of `a` (`k x n` row-major), same chains. With `add` the finished
-    /// chains are not stored but added into `out`, each lane tested in
-    /// its register (`|c| < ∞`, false for NaN) and a non-finite one added
-    /// as `+0.0` — [`super::add_checked`] sixteen at a time; returns how
-    /// many were.
+    /// of `a` (`k x n` row-major), same chains; `b` is a 32-wide column
+    /// panel (row stride `ldb`) and output row `r` starts at `out[r *
+    /// ldo]`. With `add` the finished chains are not stored but added
+    /// into `out`, each lane tested in its register (`|c| < ∞`, false for
+    /// NaN) and a non-finite one added as `+0.0` — [`super::add_checked`]
+    /// sixteen at a time; returns how many were.
     ///
     /// # Safety
     /// Caller guarantees `a.len() >= k * n`, `i0 + 8 <= n`,
-    /// `b.len() >= k * m`, `out.len() >= 7 * m + j + 32`, `j + 32 <= m`.
-    #[allow(clippy::too_many_arguments)]
+    /// `b.len() >= (k - 1) * ldb + 32` and `out.len() >= 7 * ldo + 32`.
     pub(super) unsafe fn tn_8x32(
         a: &[f32],
         n: usize,
         i0: usize,
-        b: &[f32],
-        out: &mut [f32],
+        (b, ldb): (&[f32], usize),
+        (out, ldo): (&mut [f32], usize),
         k: usize,
-        m: usize,
-        j: usize,
         add: bool,
     ) -> usize {
         unsafe {
             let ap = a.as_ptr().add(i0);
-            let bp = b.as_ptr().add(j);
-            let op = out.as_mut_ptr().add(j);
+            let bp = b.as_ptr();
+            let op = out.as_mut_ptr();
             let mut acc0 = [_mm512_setzero_ps(); 8];
             let mut acc1 = [_mm512_setzero_ps(); 8];
             for t in 0..k {
-                let b0 = _mm512_loadu_ps(bp.add(t * m));
-                let b1 = _mm512_loadu_ps(bp.add(t * m + 16));
+                let b0 = _mm512_loadu_ps(bp.add(t * ldb));
+                let b1 = _mm512_loadu_ps(bp.add(t * ldb + 16));
                 for r in 0..8 {
                     let av = _mm512_set1_ps(*ap.add(t * n + r));
                     acc0[r] = _mm512_fmadd_ps(av, b0, acc0[r]);
@@ -681,7 +739,7 @@ mod simd {
             }
             let mut zeroed = 0;
             for r in 0..8 {
-                for (c, p) in [(acc0[r], op.add(r * m)), (acc1[r], op.add(r * m + 16))] {
+                for (c, p) in [(acc0[r], op.add(r * ldo)), (acc1[r], op.add(r * ldo + 16))] {
                     if add {
                         let finite = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(
                             _mm512_abs_ps(c),
@@ -885,48 +943,36 @@ impl Tensor {
     /// stores (never accumulates), so recycled contents need no zeroing.
     /// Bit-identical to `matmul_tn`.
     pub fn matmul_tn_into(&self, rhs: &Tensor, out: &mut Tensor) {
-        self.matmul_tn_store(rhs, out, false);
+        let dims = self.tn_dims(rhs, (out.rows, out.cols));
+        tn_store(&self.data, &rhs.data, dims, &mut out.data, false, false);
     }
 
-    /// [`Tensor::matmul_tn_into`] followed by `dst.add_assign(..)`, bit
-    /// for bit, without the buffer in between: each chain is computed
-    /// exactly as `matmul_tn_into` computes it and then added to its
-    /// `dst` element with one separately rounded `+`. Every finished
-    /// chain is tested for finiteness on the way; a NaN or ±∞ is added
-    /// as `+0.0` instead, and the number of those is returned.
-    pub fn matmul_tn_add_into(&self, rhs: &Tensor, dst: &mut Tensor) -> usize {
-        self.matmul_tn_store(rhs, dst, true)
+    /// [`Tensor::matmul_tn_into`] into an output kept panel-major, as a
+    /// `Dense` layer keeps `dW`: the same tiles, the same chains, each
+    /// stored where [`PackedRhs::pack`] would have put it. `out` must
+    /// already be `self.cols x rhs.cols` ([`PackedRhs::zeros`]).
+    pub fn matmul_tn_packed_into(&self, rhs: &Tensor, out: &mut PackedRhs) {
+        let dims = self.tn_dims(rhs, out.dims());
+        tn_store(&self.data, &rhs.data, dims, &mut out.data, true, false);
     }
 
-    /// Kernel shared by the `matmul_tn` variants: every element of `out`
-    /// is overwritten, or with `add` added to.
-    fn matmul_tn_store(&self, rhs: &Tensor, out: &mut Tensor, add: bool) -> usize {
+    /// [`Tensor::matmul_tn_packed_into`] followed by an element-wise
+    /// `dst += ..`, bit for bit, without the buffer in between: each
+    /// chain is computed exactly as there and then added to its `dst`
+    /// element with one separately rounded `+`. Every finished chain is
+    /// tested for finiteness on the way; a NaN or ±∞ is added as `+0.0`
+    /// instead, and the number of those is returned.
+    pub fn matmul_tn_packed_add_into(&self, rhs: &Tensor, dst: &mut PackedRhs) -> usize {
+        let dims = self.tn_dims(rhs, dst.dims());
+        tn_store(&self.data, &rhs.data, dims, &mut dst.data, true, true)
+    }
+
+    /// `(k, n, m)` of `self^T rhs` into an output of shape `out`.
+    fn tn_dims(&self, rhs: &Tensor, out: (usize, usize)) -> (usize, usize, usize) {
         assert_eq!(self.rows, rhs.rows, "matmul_tn outer dims");
-        assert_eq!(out.rows, self.cols, "matmul_tn_into out rows");
-        assert_eq!(out.cols, rhs.cols, "matmul_tn_into out cols");
-        let (k, n, m) = (self.rows, self.cols, rhs.cols);
-        let out = &mut out.data[..];
-        if out.is_empty() {
-            0
-        } else if k == 0 {
-            // The empty chain is exact `0.0`, stored or added.
-            out.iter_mut()
-                .for_each(|v| *v = if add { *v + 0.0 } else { 0.0 });
-            0
-        } else if par_worth_it(n, k, m) {
-            // Relaxed: a tally, read after the pool has joined the bands.
-            let zeroed = AtomicUsize::new(0);
-            out.par_chunks_mut(BAND_ROWS * m)
-                .enumerate()
-                .for_each(|(band, band_out)| {
-                    let i0 = band * BAND_ROWS;
-                    let z = tn_band(&self.data, n, i0, &rhs.data, band_out, k, m, add);
-                    zeroed.fetch_add(z, Ordering::Relaxed);
-                });
-            zeroed.into_inner()
-        } else {
-            tn_band(&self.data, n, 0, &rhs.data, out, k, m, add)
-        }
+        assert_eq!(out.0, self.cols, "matmul_tn_into out rows");
+        assert_eq!(out.1, rhs.cols, "matmul_tn_into out cols");
+        (self.rows, self.cols, rhs.cols)
     }
 
     /// Transpose-free product `self (n x k) * rhs^T (k x m) -> (n x m)`
@@ -995,7 +1041,7 @@ impl Tensor {
     }
 
     /// [`Tensor::col_sums_into`] followed by `dst[c] += sum[c]`, with the
-    /// finiteness treatment of [`Tensor::matmul_tn_add_into`]: each
+    /// finiteness treatment of [`Tensor::matmul_tn_packed_add_into`]: each
     /// column's sum is formed exactly as there (ascending rows from
     /// `0.0`, a few columns at a time on the stack), a non-finite one is
     /// added as `+0.0`, and the number of those is returned.

@@ -417,7 +417,7 @@ fn reconfigure_rebuilds_around_the_model_in_place() {
     let mut lp = TrainLoop::new(model, cfg.clone(), Optimizer::sgd(0.05), stream).unwrap();
     let clean = FaultPlan::new();
     lp.try_step(&clean).expect("first step");
-    let weights_at = lp.model().layers[1].packed_weights().values().as_ptr();
+    let weights_at = lp.model().layers[1].packed_weights().data.as_ptr();
 
     let mut uncovered = cfg.clone();
     uncovered.stage_bounds.pop();
@@ -438,7 +438,7 @@ fn reconfigure_rebuilds_around_the_model_in_place() {
         "a reconfiguration allocated {bytes} bytes beside {params} bytes of parameters"
     );
     let weights = lp.model().layers[1].packed_weights();
-    assert_eq!(weights.values().as_ptr(), weights_at);
+    assert_eq!(weights.data.as_ptr(), weights_at);
     lp.try_step(&clean).expect("step in the new shape");
 }
 

@@ -358,8 +358,8 @@ fn replicated_gradients_match_the_ring_assembly() {
     }
 }
 
-/// A layer stores `W` and `W^T`, and the optimizer writes both in the
-/// pass that updates them; the workers multiply by the stored panels.
+/// A layer stores `W` and `W^T`, and the optimizer rebuilds `W^T` after
+/// it updates `W`; the workers multiply by the stored panels.
 /// The reference above is rebuilt from its row-major weights after each
 /// update, so its `W^T` is laid out afresh every step. Stepping both
 /// with the same optimizer for four steps — SGD and Adam, a straight
@@ -418,15 +418,17 @@ fn packed_weights_never_outlive_an_optimizer_update() {
 }
 
 /// One optimizer step as a serial scalar loop over each layer's flat
-/// parameter index: the update expressions, and nothing else, in common
-/// with `Optimizer::step`. It updates a row-major copy of each layer's
-/// weights and builds the layer anew from it.
+/// parameter index — `W` in its stored panel order, which the gradient
+/// and every state buffer share, then the bias: the update expressions,
+/// and nothing else, in common with `Optimizer::step`. It updates a copy
+/// of each layer's panels and builds the layer anew from it, row-major
+/// at that edge.
 fn serial_scalar_step(opt: &mut Optimizer, model: &mut MlpModel, grads: &[DenseGrads]) {
     if let Optimizer::Adam { t, .. } = opt {
         *t += 1;
     }
     for (i, layer) in model.layers.iter_mut().enumerate() {
-        let (mut w, mut b) = (layer.weights(), layer.b.clone());
+        let (mut w, mut b) = (layer.packed_weights().clone(), layer.b.clone());
         let nw = w.data.len();
         for j in 0..nw + b.len() {
             let (p, g) = if j < nw {
@@ -459,11 +461,12 @@ fn serial_scalar_step(opt: &mut Optimizer, model: &mut MlpModel, grads: &[DenseG
                 }
             }
         }
-        *layer = Dense::from_weights(w, b, layer.act).expect("the layer's own shape");
+        *layer = Dense::from_weights(w.to_tensor(), b, layer.act).expect("the layer's own shape");
     }
 }
 
-/// Parameters, then every optimizer state buffer, as bits.
+/// Parameters (weights row-major), then every optimizer state buffer as
+/// stored, as bits.
 fn training_bits(model: &MlpModel, opt: &Optimizer) -> Vec<u32> {
     let params: Vec<f32> = (model.layers.iter())
         .flat_map(|l| l.weights().data.into_iter().chain(l.b.iter().copied()))
@@ -482,9 +485,9 @@ fn training_bits(model: &MlpModel, opt: &Optimizer) -> Vec<u32> {
 /// three steps over weight tensors larger than one 32 Ki-value band
 /// (300 x 333, ragged in both directions, and 333 x 128), of exactly one
 /// (128 x 256) and of far less (256 x 4), and over the biases. The
-/// larger tensors' bands (32 rows of `W` each) are shared with the
-/// worker pool, so CI's pool-size matrix running this proves the sizes
-/// agree with each other.
+/// larger tensors' chunks and `W^T` panels are shared with the worker
+/// pool, so CI's pool-size matrix running this proves the sizes agree
+/// with each other.
 #[test]
 fn banded_update_is_the_serial_update_bit_for_bit() {
     const BANDED: [usize; 5] = [300, 333, 128, 256, 4];

@@ -386,8 +386,9 @@ fn in_chain_overflow_fails_the_step() {
             g
         })
         .collect();
+    // Row-major `dW`, then `db`.
     let non_finite = |g: &DenseGrads| -> Vec<usize> {
-        let flat = g.segments().concat();
+        let flat = [g.dw.to_tensor().data, g.db.clone()].concat();
         (0..flat.len()).filter(|&i| !flat[i].is_finite()).collect()
     };
     assert!(non_finite(&parts[0]).is_empty());

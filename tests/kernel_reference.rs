@@ -2,8 +2,9 @@
 //! (crates/engine/src/tensor.rs module docs, determinism contract v2).
 //!
 //! Every variant — `matmul`, `matmul_tn`, `matmul_nt`, their `_into`
-//! forms, and the product against a right-hand side packed beforehand
-//! (`PackedRhs::pack` / `pack_transposed`, then `matmul_with_into`) —
+//! forms, the product against a right-hand side packed beforehand
+//! (`PackedRhs::pack` / `pack_transposed`, then `matmul_with_into`), and
+//! `matmul_tn` into a panel-major output (`matmul_tn_packed_into`) —
 //! must be *bit-identical* to an independent scalar reference
 //! implementing the documented order: one ascending fused
 //! (`f32::mul_add`) chain per output element, starting from `0.0`.
@@ -11,7 +12,8 @@
 //! the panel-major layout and the worker pool's row-banding are all
 //! implementation details that may never change a single bit — and
 //! neither may what follows a chain: the band epilogue sees every element
-//! once, and `matmul_tn_add_into` is a store followed by `add_assign`.
+//! once, and `matmul_tn_packed_add_into` is a store followed by an
+//! element-wise add.
 //!
 //! Thread-count invariance is pinned the same way from two sides: the
 //! properties here cover shapes below and above the parallel work
@@ -30,6 +32,7 @@
 //! uses both the product and `tanh`, is pinned against a scalar model of
 //! its documented order.
 
+use dapple::engine::layer::DenseGrads;
 use dapple::engine::{data, tanh, Activation, Dense, PackedRhs, Rhs, Tensor};
 use proptest::prelude::*;
 
@@ -86,6 +89,10 @@ fn check_shape(n: usize, k: usize, m: usize, seed: u64) {
     dirty.data.fill(f32::INFINITY);
     at.matmul_tn_into(&b, &mut dirty);
     assert_bits_eq(&dirty, &want, "matmul_tn_into");
+    let mut panels = PackedRhs::zeros(n, m);
+    panels.data.fill(f32::NAN);
+    at.matmul_tn_packed_into(&b, &mut panels);
+    assert_bits_eq(&panels.to_tensor(), &want, "matmul_tn_packed_into");
     dirty.data.fill(-1e30);
     a.matmul_nt_into(&bt, &mut dirty);
     assert_bits_eq(&dirty, &want, "matmul_nt_into");
@@ -488,7 +495,7 @@ fn a_nan_input_row_ends_the_step_non_finite() {
     }
 }
 
-/// What `matmul_tn_add_into` must equal: the stored product, its
+/// What `matmul_tn_packed_add_into` must equal: the stored product, its
 /// non-finite values counted and zeroed, then `add_assign`.
 fn store_check_add(at: &Tensor, b: &Tensor, dst: &Tensor) -> (Tensor, usize) {
     let mut contribution = at.matmul_tn(b);
@@ -502,11 +509,19 @@ fn store_check_add(at: &Tensor, b: &Tensor, dst: &Tensor) -> (Tensor, usize) {
     (want, bad)
 }
 
-/// `matmul_tn_add_into` is `matmul_tn_into` + `add_assign` bit for bit —
-/// on clean inputs, and on contributions holding NaN, both infinities
-/// and an overflow to infinity from finite operands in a single lane,
-/// each added as `+0.0` and counted — into a destination that holds
-/// `-0.0`; serial and banded, every tile shape, `k = 0` included.
+/// `t` panel-major.
+fn packed(t: &Tensor) -> PackedRhs {
+    let mut p = PackedRhs::new();
+    p.pack(t);
+    p
+}
+
+/// `matmul_tn_packed_add_into` is `matmul_tn_into` + `add_assign` bit
+/// for bit — on clean inputs, and on contributions holding NaN, both
+/// infinities and an overflow to infinity from finite operands in a
+/// single lane, each added as `+0.0` and counted — into a destination
+/// that holds `-0.0`; serial and banded, every tile shape, `k = 0`
+/// included.
 #[test]
 fn tn_add_is_store_then_add_assign_bitwise() {
     for (k, n, m) in [
@@ -523,9 +538,9 @@ fn tn_add_is_store_then_add_assign_bitwise() {
 
         let (want, bad) = store_check_add(&at, &b, &dst);
         assert_eq!(bad, 0, "the clean contribution is finite");
-        let mut got = dst.clone();
-        assert_eq!(at.matmul_tn_add_into(&b, &mut got), 0);
-        assert_bits_eq(&got, &want, "clean matmul_tn_add_into");
+        let mut got = packed(&dst);
+        assert_eq!(at.matmul_tn_packed_add_into(&b, &mut got), 0);
+        assert_bits_eq(&got.to_tensor(), &want, "clean matmul_tn_packed_add_into");
         if k == 0 {
             continue;
         }
@@ -547,9 +562,51 @@ fn tn_add_is_store_then_add_assign_bitwise() {
             bad >= n + overflow_only,
             "{k} x {n} x {m}: {bad} poisoned values"
         );
-        let mut got = dst.clone();
-        assert_eq!(at.matmul_tn_add_into(&b, &mut got), bad, "{k} x {n} x {m}");
-        assert_bits_eq(&got, &want, "poisoned matmul_tn_add_into");
+        let mut got = packed(&dst);
+        assert_eq!(
+            at.matmul_tn_packed_add_into(&b, &mut got),
+            bad,
+            "{k} x {n} x {m}"
+        );
+        assert_bits_eq(
+            &got.to_tensor(),
+            &want,
+            "poisoned matmul_tn_packed_add_into",
+        );
+    }
+}
+
+/// A layer's `dW` is kept in `W`'s panel layout and holds the scalar
+/// `x^T dz` bit for bit: `Dense::backward_grads_into` stores it over
+/// recycled contents, and the pipeline's `Dense::backward_add_into` adds
+/// it, twice, onto an accumulator — for widths that are not multiples
+/// of 32 on either side, below and above the parallel gate.
+#[test]
+fn dense_weight_gradient_is_x_t_dz_in_the_weights_layout() {
+    for (rows, in_dim, out_dim) in [(5, 37, 45), (3, 1, 33), (64, 200, 170)] {
+        let layer = Dense::new(in_dim, out_dim, Activation::Identity, 7);
+        let x = Tensor::from_vec(rows, in_dim, fill(1, 5, rows * in_dim));
+        let y = layer.forward(&x);
+        // The identity's derivative is 1: `dz` is `dy`.
+        let dy = Tensor::from_vec(rows, out_dim, fill(2, 5, rows * out_dim));
+        let want = ref_matmul(&x.transpose(), &dy);
+        let shape = format!("{rows} x {in_dim} x {out_dim}");
+
+        let mut g = DenseGrads::zeros_like(&layer);
+        g.dw.data.fill(f32::NAN);
+        let mut dx = Tensor::zeros(rows, in_dim);
+        layer.backward_grads_into(&x, &y, &mut dy.clone(), &mut dx, &mut g);
+        assert_eq!(g.dw.dims(), layer.packed_weights().dims());
+        assert_bits_eq(&g.dw.to_tensor(), &want, &format!("{shape} stored"));
+
+        let mut acc = DenseGrads::zeros_like(&layer);
+        let mut twice = Tensor::zeros(in_dim, out_dim);
+        for _ in 0..2 {
+            let zeroed = layer.backward_add_into(&x, &y, &mut dy.clone(), &mut acc, None);
+            assert_eq!(zeroed, 0);
+            twice.add_assign(&want);
+        }
+        assert_bits_eq(&acc.dw.to_tensor(), &twice, &format!("{shape} added"));
     }
 }
 
