@@ -1,9 +1,10 @@
 //! `dapple-bench` — machine-readable baseline for the per-iteration hot
-//! paths below the step: the engine's in-place replica reduce beside the
-//! ring AllReduce it is pinned against, the matmul variants used by
-//! `Dense` backward, and what a matmul pays around its kernel inside the
-//! pipeline (worker-pool dispatch, the activation epilogue, the data
-//! generator). What a whole step
+//! paths below the step that `benchmark/` cannot see, each timing a
+//! function a step calls: the engine's in-place replica reduce, the
+//! packed forward product around the parallel gate, what a matmul pays
+//! around its kernel inside the pipeline (worker-pool dispatch, the
+//! layer's products, the activation epilogue, the data generator), and
+//! the state passes and elastic ladder of recovery. What a whole step
 //! costs, supervised or not, is `benchmark/`'s to measure.
 //!
 //! ```text
@@ -24,21 +25,21 @@
 //! steady-phase error exceeds `T`; `--commit`/`--timestamp` stamp the
 //! report so `diff` can label its endpoints. `--smoke` shrinks every
 //! shape to a couple of seconds — for CI, not for comparing numbers.
-//! README.md has the groups ("Benchmark harness") and the rules of the
+//! README.md has the groups ("Benchmark harness") and the rule of the
 //! `diff` subcommand ("Barometer"; [`dapple_bench::diff`]).
 
 use dapple_bench::flags::{number, value};
 use dapple_bench::report::{render, Field, Record};
-use dapple_bench::timing::{time_ns, time_ns_min};
+use dapple_bench::timing::time_ns_min;
 use dapple_bench::validate::{
     calibrate_validation, replan_from_measured, Scenario, MAX_CALIBRATION_ROUNDS, MEASURE_ITERS,
 };
 use dapple_core::{DeviceId, Plan, StagePlan};
-use dapple_engine::checkpoint::{checksum, from_bytes, to_bytes};
+use dapple_engine::checkpoint::checksum;
 use dapple_engine::data::regression_batch;
 use dapple_engine::{
     tanh, Activation, DataStream, Dense, EngineConfig, FaultKind, FaultPlan, MlpModel, Optimizer,
-    PackedRhs, Partition, RetryPolicy, Rhs, Supervisor, Tensor, TrainLoop, TrainState,
+    PackedRhs, RetryPolicy, Rhs, Supervisor, Tensor, TrainLoop,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -57,66 +58,41 @@ fn filled(rows: usize, cols: usize, seed: u32) -> Tensor {
     Tensor::from_vec(rows, cols, data)
 }
 
-fn ring_benches(smoke: bool, out: &mut Vec<Record>) {
-    let (configs, iters): (&[(usize, usize)], u32) = if smoke {
-        (&[(2, 1024), (4, 1024)], 3)
+/// The engine's gradient sync, `reduce_sum_in_place`: every rank's
+/// buffer summed into the first in the ring's order. `gib_per_s` is the
+/// payload over time; one thread reads every rank's buffer, so
+/// `input_gib_per_s` (all bytes summed over time) is the number that
+/// should hold steady as ranks are added. A pass is microseconds at most:
+/// enough of them that the minimum is interference-free even in smoke
+/// mode.
+fn inplace_reduce_benches(smoke: bool, out: &mut Vec<Record>) {
+    let configs: &[(usize, usize)] = if smoke {
+        &[(2, 1024), (4, 1024)]
     } else {
-        (
-            &[
-                (2, 4096),
-                (4, 4096),
-                (8, 4096),
-                (2, 65536),
-                (4, 65536),
-                (8, 65536),
-                (8, 1 << 20),
-            ],
-            // Generous iteration count: with min-of-iters reporting,
-            // more iterations mean more chances to observe an
-            // interference-free pass of a microsecond-scale ring.
-            40,
-        )
+        &[
+            (2, 4096),
+            (4, 4096),
+            (8, 4096),
+            (2, 65536),
+            (4, 65536),
+            (8, 65536),
+            (8, 1 << 20),
+        ]
     };
+    let iters = 200;
     for &(ranks, len) in configs {
         let proto: Vec<Vec<f32>> = (0..ranks)
             .map(|r| (0..len).map(|i| (r * 31 + i) as f32 * 0.25).collect())
             .collect();
-        let ns = time_ns_min(iters, || {
-            let mut bufs = proto.clone();
-            dapple_collectives::allreduce_sum(&mut bufs);
-            black_box(bufs[0][0]);
-        });
-        let bytes = (len * 4) as f64;
-        let gib_per_s =
-            |bytes: f64, ns: f64| Field::Fixed(bytes / ns * 1e9 / (1u64 << 30) as f64, 4);
-        out.push(Record {
-            group: "ring_allreduce",
-            name: format!("ranks{ranks}_len{len}"),
-            iters,
-            ns_per_iter: ns,
-            extra: vec![
-                ("ranks", ranks.into()),
-                ("elems", len.into()),
-                ("gib_per_s", gib_per_s(bytes, ns)),
-                ("method", Field::Str("min_of_iters".into())),
-            ],
-        });
-
-        // The same payload through the engine's gradient sync: the
-        // in-place reduce in the ring's order. `gib_per_s` is defined as
-        // for the ring (payload over time) so the two series compare;
-        // one thread reads every rank's buffer, so `input_gib_per_s`
-        // (all bytes summed over time) is the number that should hold
-        // steady as ranks are added.
-        // A pass is microseconds at most: enough of them that the
-        // minimum is interference-free even in smoke mode.
-        let iters = iters.max(200);
         let mut first = proto[0].clone();
         let ns = time_ns_min(iters, || {
             let rest: Vec<Vec<&[f32]>> = proto[1..].iter().map(|b| vec![b.as_slice()]).collect();
             dapple_collectives::reduce_sum_in_place(&mut [first.as_mut_slice()], &rest);
             black_box(first[0]);
         });
+        let bytes = (len * 4) as f64;
+        let gib_per_s =
+            |bytes: f64, ns: f64| Field::Fixed(bytes / ns * 1e9 / (1u64 << 30) as f64, 4);
         out.push(Record {
             group: "inplace_reduce",
             name: format!("ranks{ranks}_len{len}"),
@@ -133,58 +109,18 @@ fn ring_benches(smoke: bool, out: &mut Vec<Record>) {
     }
 }
 
+/// The forward product a step runs, `matmul_with_into` against a
+/// [`PackedRhs`] into a reused output, at shapes straddling the kernels'
+/// FLOP-based parallel gate (`n·k·m >= 2M` multiply-adds). `skinny_deep`
+/// is the shape class an output-element threshold misjudges: a small
+/// `n×m` output over a deep inner dimension carries real work and
+/// parallelizes. `flat_wide` is the inverse — a large output over
+/// `k = 1` is trivial per element and must stay serial (thread dispatch
+/// would dominate). `row_activation` is the single-row inference shape,
+/// which can only run serial because row-banding has one band; the gate
+/// keeps it from paying dispatch for nothing. Minimum over iterations
+/// (a helper thread may be involved, see [`time_ns_min`]).
 fn matmul_benches(smoke: bool, out: &mut Vec<Record>) {
-    let (dims, iters): (&[usize], u32) = if smoke { (&[32], 5) } else { (&[128, 256], 40) };
-    for &d in dims {
-        let a = filled(d, d, 1);
-        let b = filled(d, d, 2);
-        // Useful FLOPs of the product itself (2·n·k·m); the transpose
-        // helpers inside a variant are overhead, not extra work, so the
-        // same numerator applies to every run and gflops stays
-        // comparable across variants.
-        let flops = 2.0 * (d as f64).powi(3);
-        let runs = [
-            ("matmul", time_ns(iters, || drop(black_box(a.matmul(&b))))),
-            (
-                "transpose_then_matmul",
-                time_ns(iters, || drop(black_box(a.transpose().matmul(&b)))),
-            ),
-            (
-                "matmul_tn",
-                time_ns(iters, || drop(black_box(a.matmul_tn(&b)))),
-            ),
-            (
-                "matmul_then_transpose_rhs",
-                time_ns(iters, || drop(black_box(a.matmul(&b.transpose())))),
-            ),
-            (
-                "matmul_nt",
-                time_ns(iters, || drop(black_box(a.matmul_nt(&b)))),
-            ),
-        ];
-        for (name, ns) in runs {
-            out.push(Record {
-                group: "matmul",
-                name: format!("{name}_{d}x{d}"),
-                iters,
-                ns_per_iter: ns,
-                extra: vec![("dim", d.into()), ("gflops", (flops / ns.max(1.0)).into())],
-            });
-        }
-    }
-    matmul_shape_benches(smoke, out);
-}
-
-/// Non-square shapes straddling the kernels' FLOP-based parallel gate
-/// (`n·k·m >= 2M` multiply-adds). `skinny_deep` is the shape class the
-/// old output-element threshold misjudged: a small `n×m` output over a
-/// deep inner dimension carries real work and now parallelizes.
-/// `flat_wide` is the inverse — a large output over `k = 1` is trivial
-/// per element and must stay serial (thread dispatch would dominate).
-/// `row_activation` is the single-row inference shape, which can only
-/// run serial because row-banding has one band; the gate keeps it from
-/// paying dispatch for nothing.
-fn matmul_shape_benches(smoke: bool, out: &mut Vec<Record>) {
     let (shapes, iters): (&[(&str, usize, usize, usize)], u32) = if smoke {
         (&[("skinny_deep", 8, 512, 8), ("flat_wide", 64, 1, 64)], 3)
     } else {
@@ -199,18 +135,23 @@ fn matmul_shape_benches(smoke: bool, out: &mut Vec<Record>) {
     };
     for &(label, n, k, m) in shapes {
         let a = filled(n, k, 3);
-        let b = filled(k, m, 4);
+        let mut packed = PackedRhs::new();
+        packed.pack(&filled(k, m, 4));
+        let mut y = Tensor::zeros(n, m);
         let muls = n * k * m;
         let flops = 2.0 * muls as f64;
-        let ns = time_ns(iters, || drop(black_box(a.matmul(&b))));
+        let ns = time_ns_min(iters, || {
+            a.matmul_with_into(Rhs::Packed(&packed), black_box(&mut y), |_| {})
+        });
         out.push(Record {
-            group: "matmul_shapes",
+            group: "matmul",
             name: format!("{label}_{n}x{k}x{m}"),
             iters,
             ns_per_iter: ns,
             extra: vec![
                 ("muls", muls.into()),
                 ("gflops", (flops / ns.max(1.0)).into()),
+                ("method", Field::Str("min_of_iters".into())),
             ],
         });
     }
@@ -225,10 +166,9 @@ fn matmul_shape_benches(smoke: bool, out: &mut Vec<Record>) {
 /// `compute_wide`'s shape, 64 rows through a 512 x 512 layer (each
 /// 64·512·512 multiply-adds, all above the parallel gate): `nn_packed`
 /// and `nt_packed` are the two `nn` products against a [`PackedRhs`]
-/// (`x W` and `dz W^T`), `tn` is `x^T dz` stored row-major, and
-/// `tn_packed` / `tn_packed_add` the same product stored into, and added
-/// with the finiteness check into, a panel-major `dW` — what the layer
-/// and the pipeline run. Around the products at the same shape:
+/// (`x W` and `dz W^T`), and `tn_packed` / `tn_packed_add` the product
+/// `x^T dz` stored into, and added with the finiteness check into, a
+/// panel-major `dW` — what the layer and the pipeline run. Around the products at the same shape:
 /// `tanh_64x512` is the activation alone over a 64 x 512 slice
 /// (`ns_per_elem`), `dense_forward_packed_64x512x512` the whole forward
 /// the pipeline runs (the product against the layer's stored panels,
@@ -271,7 +211,6 @@ fn dispatch_benches(smoke: bool, out: &mut Vec<Record>) {
     packed.pack(&w);
     packed_t.pack_transposed(&w);
     let mut y = Tensor::zeros(rows, width);
-    let mut dw = Tensor::zeros(width, width);
     let mut dw_packed = PackedRhs::zeros(width, width);
     let gflops_of =
         |muls: usize| move |ns: f64| ("gflops", (2.0 * muls as f64 / ns.max(1.0)).into());
@@ -280,11 +219,6 @@ fn dispatch_benches(smoke: bool, out: &mut Vec<Record>) {
     push(
         &format!("matmul_nn_packed_{shape}"),
         &mut || x.matmul_with_into(Rhs::Packed(&packed), black_box(&mut y), |_| {}),
-        &gflops,
-    );
-    push(
-        &format!("matmul_tn_{shape}"),
-        &mut || x.matmul_tn_into(&dz, black_box(&mut dw)),
         &gflops,
     );
     push(
@@ -337,62 +271,17 @@ fn dispatch_benches(smoke: bool, out: &mut Vec<Record>) {
     );
 }
 
-/// Recovery costs nothing else covers: checkpoint save/load latency and
-/// the elastic-migration ladder. (What a supervised step costs, clean or
-/// retried, is `benchmark/`'s to measure, with a probe-normalised clock.)
+/// Recovery costs `benchmark/` does not time at these sizes: the
+/// state-proportional passes between steps and the elastic-migration
+/// ladder. (What a supervised step costs, clean or retried, and what a
+/// save or resume of a real state costs, is `benchmark/`'s to measure,
+/// with a probe-normalised clock.)
 fn recovery_benches(smoke: bool, out: &mut Vec<Record>, recovery_log: Option<&str>) {
-    let (dims, batch, iters): (Vec<usize>, usize, u32) = if smoke {
-        (vec![5, 12, 10, 8, 8, 4, 3], 24, 5)
+    let (dims, batch): (Vec<usize>, usize) = if smoke {
+        (vec![5, 12, 10, 8, 8, 4, 3], 24)
     } else {
-        (vec![64, 256, 256, 256, 256, 128, 32], 128, 20)
+        (vec![64, 256, 256, 256, 256, 128, 32], 128)
     };
-
-    // Checkpoints: one save and one resume of the same 16-layer Adam
-    // state (every shard carries two moment buffers).
-    let deep_dims: Vec<usize> = if smoke {
-        let mut d = vec![5];
-        d.extend(std::iter::repeat_n(8, 15));
-        d.push(3);
-        d
-    } else {
-        let mut d = vec![64];
-        d.extend(std::iter::repeat_n(192, 15));
-        d.push(32);
-        d
-    };
-    let n_shards = deep_dims.len() - 1;
-    let deep_model = MlpModel::new(&deep_dims, 7);
-    let deep_state = TrainState {
-        optimizer: Optimizer::adam(0.01, &deep_model),
-        model: deep_model,
-        step: 3,
-        data_seed: 11,
-        data_cursor: 3,
-        batch_samples: batch as u32,
-    };
-    let partition = Partition {
-        stage_bounds: vec![0..n_shards / 2, n_shards / 2..n_shards],
-        replication: vec![1, 1],
-    };
-    let file = to_bytes(deep_state.view(), &partition);
-    let save_ns = time_ns_min(iters, || {
-        black_box(to_bytes(deep_state.view(), &partition).len());
-    });
-    let resume_ns = time_ns_min(iters, || {
-        black_box(from_bytes(&file).unwrap().0.step);
-    });
-    for (name, ns_per_iter) in [
-        ("checkpoint_save", save_ns),
-        ("checkpoint_resume", resume_ns),
-    ] {
-        out.push(Record {
-            group: "recovery",
-            name: name.into(),
-            iters,
-            ns_per_iter,
-            extra: vec![("bytes", file.len().into())],
-        });
-    }
     state_pass_benches(out);
 
     // The full escalation ladder, timed end to end: a transient fault is
@@ -552,8 +441,8 @@ fn validation_benches(smoke: bool, out: &mut Vec<Record>, trace_path: Option<&st
                 ),
                 ("predicted_makespan_us", v.predicted_makespan_us.into()),
                 ("measured_makespan_us", v.measured_makespan_us.into()),
-                ("measured_min_us", v.measured_spread_us.0.into()),
-                ("measured_max_us", v.measured_spread_us.1.into()),
+                ("measured_min_us", v.measured_range_us.0.into()),
+                ("measured_max_us", v.measured_range_us.1.into()),
                 ("predicted_bubble_ratio", v.predicted_bubble.into()),
                 ("measured_bubble_ratio", v.measured_bubble.into()),
                 (
@@ -657,9 +546,9 @@ fn main() {
 
     let mode = if smoke { "smoke" } else { "full" };
     let mut records = Vec::new();
-    eprintln!("[dapple-bench] ring allreduce and in-place reduce ({mode})...");
-    ring_benches(smoke, &mut records);
-    eprintln!("[dapple-bench] matmul variants ({mode})...");
+    eprintln!("[dapple-bench] in-place reduce ({mode})...");
+    inplace_reduce_benches(smoke, &mut records);
+    eprintln!("[dapple-bench] matmul around the parallel gate ({mode})...");
     matmul_benches(smoke, &mut records);
     eprintln!("[dapple-bench] dispatch and layer products ({mode})...");
     dispatch_benches(smoke, &mut records);

@@ -1,21 +1,13 @@
 //! The performance barometer: `dapple-bench diff <old.json> <new.json>`.
 //!
 //! Reads two bench reports ([`crate::report`]), matches series by
-//! `(group, name)`, computes per-series deltas under noise-aware
-//! thresholds, renders a markdown comparison table, and produces a
-//! structured verdict. A run that slows a named hot path
-//! ([`HOT_PATH_GROUPS`]) beyond threshold is a *regression* and the CLI
-//! exits non-zero.
+//! `(group, name)`, computes per-series deltas, renders a markdown
+//! comparison table, and produces a structured verdict. A run that slows
+//! a named hot path ([`HOT_PATH_GROUPS`]) beyond threshold is a
+//! *regression* and the CLI exits non-zero.
 //!
-//! Noise rules, in priority order per series:
-//!
-//! 1. **Spread intervals** — when both sides record
-//!    `measured_min_us`/`measured_max_us` (the calibration loop's N-run
-//!    spread), the series is within noise unless the two intervals are
-//!    disjoint: a delta you cannot reproduce inside either run's own
-//!    min..max spread is not a finding.
-//! 2. **Relative threshold** — otherwise `|new - old| / old` must exceed
-//!    `--threshold` (default 0.10) to leave the within-noise band.
+//! One noise rule judges every series: `|new - old| / old` must exceed
+//! `--threshold` (default 0.10) to leave the within-noise band.
 //!
 //! What tracing costs a step is not measured here: `benchmark/` reports
 //! `trace.overhead_pct` on every workload against a probe-normalised clock.
@@ -29,22 +21,14 @@ use dapple_core::json::Object;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Groups whose slowdown fails the diff (the per-iteration hot paths the
-/// planner's cost model and the runtime's step loop are judged by, plus
-/// the recovery path — checkpoint saves run inside the training loop, so
-/// a regression there taxes every step — and `dispatch`: what every
-/// in-pipeline matmul pays around its kernel). The step itself is timed
-/// by `benchmark/`, not here.
-pub const HOT_PATH_GROUPS: [&str; 5] = [
-    "matmul",
-    "dispatch",
-    "ring_allreduce",
-    "inplace_reduce",
-    "recovery",
-];
+/// Groups whose slowdown fails the diff: functions a step calls — the
+/// packed forward product, what every in-pipeline matmul pays around its
+/// kernel (`dispatch`), the replica gradient sync, and the passes between
+/// steps that recovery adds. The step itself is timed by `benchmark/`,
+/// not here.
+pub const HOT_PATH_GROUPS: [&str; 4] = ["matmul", "dispatch", "inplace_reduce", "recovery"];
 
-/// Default relative threshold separating signal from timer noise when no
-/// recorded spread is available.
+/// Default relative threshold separating signal from timer noise.
 pub const DEFAULT_REL_THRESHOLD: f64 = 0.10;
 
 /// The report parser lives in `dapple_core::json`; re-exported because
@@ -54,8 +38,6 @@ pub use dapple_core::json::{parse_json, Json};
 /// Which noise rule decided a series' verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NoiseRule {
-    /// Recorded min/max spread intervals on both sides.
-    Spread,
     /// Relative threshold on `ns_per_iter`.
     Relative,
     /// Series present on only one side — no comparison made.
@@ -65,7 +47,6 @@ pub enum NoiseRule {
 impl NoiseRule {
     fn label(self) -> &'static str {
         match self {
-            NoiseRule::Spread => "spread",
             NoiseRule::Relative => "relative",
             NoiseRule::None => "-",
         }
@@ -117,7 +98,7 @@ pub struct SeriesDelta {
 /// Thresholds for [`diff_reports`].
 #[derive(Debug, Clone, Copy)]
 pub struct DiffOptions {
-    /// Relative `ns_per_iter` threshold when no spread is recorded.
+    /// Relative `ns_per_iter` threshold.
     pub rel_threshold: f64,
 }
 
@@ -163,7 +144,7 @@ impl DiffReport {
         let _ = writeln!(s, "- new: `{}` (mode {})", self.new_label, self.new_mode);
         let _ = writeln!(
             s,
-            "- thresholds: spread-disjoint where recorded; otherwise {:.1}% relative",
+            "- threshold: {:.1}% relative",
             self.options.rel_threshold * 100.0
         );
         if self.old_mode != self.new_mode {
@@ -312,24 +293,11 @@ pub fn diff_reports(old: &BenchReport, new: &BenchReport, options: DiffOptions) 
 
 fn compare_series(old: &Series, new: &Series, options: DiffOptions) -> SeriesDelta {
     let mut row = SeriesDelta::new(Some(old), Some(new));
-    let (rule, slower, faster) = match (old.spread_us(), new.spread_us()) {
-        // Rule 1: recorded spreads on both sides — within noise unless
-        // the intervals are disjoint.
-        (Some((old_lo, old_hi)), Some((new_lo, new_hi))) => {
-            (NoiseRule::Spread, new_lo > old_hi, new_hi < old_lo)
-        }
-        // Rule 2: relative threshold.
-        _ => (
-            NoiseRule::Relative,
-            row.rel_delta.is_some_and(|d| d > options.rel_threshold),
-            row.rel_delta.is_some_and(|d| d < -options.rel_threshold),
-        ),
-    };
-    row.rule = rule;
-    if slower {
-        row.verdict = Verdict::Regression;
-    } else if faster {
-        row.verdict = Verdict::Improvement;
+    row.rule = NoiseRule::Relative;
+    match row.rel_delta {
+        Some(d) if d > options.rel_threshold => row.verdict = Verdict::Regression,
+        Some(d) if d < -options.rel_threshold => row.verdict = Verdict::Improvement,
+        _ => {}
     }
     row
 }
@@ -448,18 +416,6 @@ mod tests {
         assert!(d.gate_failed());
     }
 
-    #[test]
-    fn spread_rule_overrides_relative() {
-        // +25% slower but the min/max intervals overlap: noise.
-        let extras_old: &[(&str, f64)] = &[("measured_min_us", 90.0), ("measured_max_us", 130.0)];
-        let extras_new: &[(&str, f64)] = &[("measured_min_us", 120.0), ("measured_max_us", 140.0)];
-        let old = report(&[("validation", "v", 100_000.0, extras_old)]);
-        let new = report(&[("validation", "v", 125_000.0, extras_new)]);
-        let d = diff_reports(&old, &new, DiffOptions::default());
-        assert_eq!(d.rows[0].rule, NoiseRule::Spread);
-        assert_eq!(d.rows[0].verdict, Verdict::WithinNoise);
-    }
-
     /// What `render` writes `parse` reads — typed extras, a non-finite
     /// value as `null` — and labels, which come from the compared files,
     /// are escaped: a quote or a backslash in a commit must not break the
@@ -530,6 +486,25 @@ mod tests {
         let d = diff_reports(&old, &new, DiffOptions::default());
         assert_eq!(d.rows[0].verdict, Verdict::Regression);
         assert!(d.gate_failed());
+    }
+
+    /// A threshold no delta can exceed (`nan`, `inf`) or that every delta
+    /// exceeds (a negative one) is a usage error, not a silent gate. The
+    /// flags are parsed before the files are read; the committed baseline
+    /// diffed against itself shows that a valid threshold gets past them.
+    #[test]
+    fn malformed_thresholds_exit_2() {
+        let baseline = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../baselines/bench-smoke.json"
+        );
+        let cli = |threshold: &str| {
+            run_diff_cli(&[baseline, baseline, "--threshold", threshold].map(String::from))
+        };
+        assert_eq!(cli("2.0"), 0);
+        for bad in ["nan", "inf", "-0.5"] {
+            assert_eq!(cli(bad), 2, "--threshold {bad}");
+        }
     }
 
     #[test]

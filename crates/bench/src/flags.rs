@@ -12,9 +12,14 @@ pub fn value<'a>(
     Ok(v)
 }
 
-/// The number following `flag`.
+/// The threshold following `flag`: a finite, non-negative number. Every
+/// caller compares a measurement against it with `>`, which a NaN would
+/// never satisfy, so `nan`, `inf` and negative values are rejected here.
 pub fn number<'a>(args: &mut impl Iterator<Item = &'a String>, flag: &str) -> Result<f64, String> {
     let raw = value(args, flag, "a number")?;
-    raw.parse()
-        .map_err(|_| format!("{flag}: not a number: {raw}"))
+    match raw.parse::<f64>() {
+        Ok(v) if v.is_finite() && v >= 0.0 => Ok(v),
+        Ok(_) => Err(format!("{flag}: not a finite, non-negative number: {raw}")),
+        Err(_) => Err(format!("{flag}: not a number: {raw}")),
+    }
 }

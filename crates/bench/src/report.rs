@@ -134,20 +134,6 @@ pub struct Series {
     pub extra: Vec<(String, Json)>,
 }
 
-impl Series {
-    fn extra_f64(&self, key: &str) -> Option<f64> {
-        let (_, v) = self.extra.iter().find(|(k, _)| k == key)?;
-        v.as_f64()
-    }
-
-    /// The recorded min/max spread in microseconds, when present.
-    pub fn spread_us(&self) -> Option<(f64, f64)> {
-        let lo = self.extra_f64("measured_min_us")?;
-        let hi = self.extra_f64("measured_max_us")?;
-        (lo.is_finite() && hi.is_finite() && lo <= hi).then_some((lo, hi))
-    }
-}
-
 /// A parsed bench report.
 #[derive(Debug, Clone)]
 pub struct BenchReport {

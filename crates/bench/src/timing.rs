@@ -4,17 +4,6 @@
 
 use std::time::Instant;
 
-/// Mean ns per call of `f` over `iters` calls, after one untimed warm-up
-/// call. For single-threaded work long enough to average noise out.
-pub fn time_ns<F: FnMut()>(iters: u32, mut f: F) -> f64 {
-    f();
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_nanos() as f64 / f64::from(iters)
-}
-
 /// Fastest of `iters` calls of `f`, ns, after one untimed warm-up call:
 /// the best estimate of intrinsic cost, and the one to use for
 /// multi-threaded measurements, whose mean a single stolen time slice can

@@ -66,7 +66,7 @@ pub struct Validation {
     /// Measured end-to-end step makespan (median step), µs.
     pub measured_makespan_us: f64,
     /// (min, max) measured step makespan over the repeated steps, µs.
-    pub measured_spread_us: (f64, f64),
+    pub measured_range_us: (f64, f64),
     /// Number of traced steps the measurement aggregates.
     pub measured_iters: usize,
     /// Simulated mean bubble ratio.
@@ -358,7 +358,7 @@ pub struct Measurement {
     /// Median-step makespan, µs.
     pub makespan_us: f64,
     /// (min, max) step makespan, µs.
-    pub spread_us: (f64, f64),
+    pub range_us: (f64, f64),
     /// Phase decomposition of the median step.
     pub phases: PhaseSplit,
     /// Mean bubble ratio of the median step.
@@ -400,7 +400,7 @@ pub fn measure(scenario: &Scenario, iters: usize) -> Measurement {
     let mut order: Vec<usize> = (0..iters).collect();
     order.sort_by(|&a, &b| makespans_us[a].total_cmp(&makespans_us[b]));
     let median = order[iters / 2];
-    let spread_us = (makespans_us[order[0]], makespans_us[order[iters - 1]]);
+    let range_us = (makespans_us[order[0]], makespans_us[order[iters - 1]]);
     let metrics = traces[median].metrics();
     let spans = traces.iter().flat_map(observed_from_trace).collect();
     Measurement {
@@ -409,7 +409,7 @@ pub fn measure(scenario: &Scenario, iters: usize) -> Measurement {
         bubble: metrics.bubble_ratio,
         stage_busy_fraction: metrics.stages.iter().map(|s| s.busy_fraction).collect(),
         makespans_us,
-        spread_us,
+        range_us,
         spans,
         trace: traces.swap_remove(median),
     }
@@ -421,7 +421,7 @@ fn compare(sim: &SimResult, meas: &Measurement) -> Validation {
     Validation {
         predicted_makespan_us: sim.makespan_us,
         measured_makespan_us: meas.makespan_us,
-        measured_spread_us: meas.spread_us,
+        measured_range_us: meas.range_us,
         measured_iters: meas.makespans_us.len(),
         predicted_bubble: sim.bubble_ratio(),
         measured_bubble: meas.bubble,
@@ -463,7 +463,7 @@ impl CalibrationOutcome {
 /// makespan spread, whichever is larger: a bar tighter than the machine's
 /// own step-to-step noise can never be met, only gotten lucky on.
 fn within_tolerance(v: &Validation) -> bool {
-    let spread = v.measured_spread_us.1 - v.measured_spread_us.0;
+    let spread = v.measured_range_us.1 - v.measured_range_us.0;
     let slack = (0.02 * v.measured_makespan_us).max(0.5 * spread);
     let phase_ok = |p: f64, m: f64, e: f64| e < CALIBRATION_TOLERANCE || (p - m).abs() < slack;
     v.makespan_error < CALIBRATION_TOLERANCE
@@ -757,7 +757,7 @@ pub fn validation() -> Report {
             ));
             csv.push_str(&format!(
                 "{round},{name},{p:.3},{m:.3},{:.3},{:.3},{e:.4}\n",
-                v.measured_spread_us.0, v.measured_spread_us.1
+                v.measured_range_us.0, v.measured_range_us.1
             ));
         }
     }
@@ -767,8 +767,8 @@ pub fn validation() -> Report {
          bubble ratio: predicted {:.3}, measured {:.3}; stage busy fractions: {}\n",
         outcome.converged,
         outcome.rounds.len(),
-        last.measured_spread_us.0,
-        last.measured_spread_us.1,
+        last.measured_range_us.0,
+        last.measured_range_us.1,
         last.measured_iters,
         last.predicted_bubble,
         last.measured_bubble,
@@ -835,7 +835,7 @@ mod tests {
         // The measurement really ran MEASURE_ITERS steps and the median
         // sits inside the recorded spread.
         assert_eq!(v.measured_iters, MEASURE_ITERS);
-        let (lo, hi) = v.measured_spread_us;
+        let (lo, hi) = v.measured_range_us;
         assert!(lo <= v.measured_makespan_us && v.measured_makespan_us <= hi);
     }
 

@@ -242,27 +242,33 @@ pub fn write_into(out: &mut Vec<u8>, state: StateView<'_>, partition: &Partition
         .sum();
     out.reserve_exact(shards_len);
     let end = out.len() + shards_len;
+    let moments: &[&Vec<Vec<f32>>] = match state.optimizer {
+        Optimizer::Sgd { .. } => &[],
+        Optimizer::Momentum { velocity, .. } => &[velocity],
+        Optimizer::Adam { m, v, .. } => &[m, v],
+    };
     for (i, layer) in layers.iter().enumerate() {
         let record_start = out.len();
         out.extend_from_slice(&(i as u32).to_le_bytes());
-        let (k, m) = layer.w.dims();
+        // The shard's sum is taken as the record is written, each 4 KiB
+        // folded while it is still in cache, not read back at the end.
+        let mut sum = Sum::new();
+        let mut append = |out: &mut Vec<u8>, vals: &[f32]| {
+            append_f32s(out, vals);
+            let record = &out[record_start..];
+            if record.len() - sum.folded >= FOLD_BYTES {
+                sum.fold_blocks(record);
+            }
+        };
         // Weights, then bias: a layer's `W`, or the weight part of a state
         // buffer, is panel-major and written row-major.
-        let mut append_params = |w: &[f32], b: &[f32]| {
-            row_runs(w, k, m).for_each(|run| append_f32s(out, run));
-            append_f32s(out, b);
-        };
-        append_params(&layer.w.data, &layer.b);
-        let moments: &[&Vec<Vec<f32>>] = match state.optimizer {
-            Optimizer::Sgd { .. } => &[],
-            Optimizer::Momentum { velocity, .. } => &[velocity],
-            Optimizer::Adam { m, v, .. } => &[m, v],
-        };
-        for moment in moments {
-            let (w, b) = moment[i].split_at(k * m);
-            append_params(w, b);
+        let (k, m) = layer.w.dims();
+        let params = moments.iter().map(|moment| moment[i].split_at(k * m));
+        for (w, b) in std::iter::once((&layer.w.data[..], &layer.b[..])).chain(params) {
+            row_runs(w, k, m).for_each(|run| append(out, run));
+            append(out, b);
         }
-        let shard_sum = checksum(&out[record_start..]);
+        let shard_sum = sum.finish(&out[record_start..]);
         out.extend_from_slice(&shard_sum.to_le_bytes());
     }
     debug_assert_eq!(out.len(), end, "shard sizing must be exact");
@@ -478,28 +484,61 @@ pub fn from_bytes(bytes: &[u8]) -> Result<(TrainState, Partition)> {
     Ok((state, partition))
 }
 
+/// How many appended bytes [`write_into`] lets wait before folding them
+/// into a shard's sum: few enough to be read back from L1.
+const FOLD_BYTES: usize = 4096;
+
 const SUM_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const SUM_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// The format's integrity sum over headers and shard records, defined in
 /// the module docs.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut lanes: [u64; 8] = std::array::from_fn(|i| SUM_BASIS ^ i as u64);
-    let mut blocks = bytes.chunks_exact(64);
-    for block in &mut blocks {
-        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
-            let word = u64::from_le_bytes(word.try_into().expect("8 bytes"));
-            *lane = (*lane ^ word).wrapping_mul(SUM_PRIME);
+    Sum::new().finish(bytes)
+}
+
+/// [`checksum`] taken while its input grows: the eight lanes over the
+/// whole 64-byte blocks folded so far.
+struct Sum {
+    lanes: [u64; 8],
+    /// Bytes of the input already folded: a whole number of blocks.
+    folded: usize,
+}
+
+impl Sum {
+    fn new() -> Self {
+        Sum {
+            lanes: std::array::from_fn(|i| SUM_BASIS ^ i as u64),
+            folded: 0,
         }
     }
-    let mut h = SUM_BASIS ^ bytes.len() as u64;
-    for lane in lanes {
-        h = (h ^ lane).wrapping_mul(SUM_PRIME);
+
+    /// Folds the whole blocks of `bytes` past those already folded;
+    /// `bytes` is every byte seen so far, the same prefix at each call.
+    fn fold_blocks(&mut self, bytes: &[u8]) {
+        let blocks = bytes[self.folded..].chunks_exact(64);
+        self.folded = bytes.len() - blocks.remainder().len();
+        for block in blocks {
+            for (lane, word) in self.lanes.iter_mut().zip(block.chunks_exact(8)) {
+                let word = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+                *lane = (*lane ^ word).wrapping_mul(SUM_PRIME);
+            }
+        }
     }
-    for &b in blocks.remainder() {
-        h = (h ^ u64::from(b)).wrapping_mul(SUM_PRIME);
+
+    /// The sum of `bytes`, the whole input: the blocks not yet folded,
+    /// then the lanes, then the tail.
+    fn finish(mut self, bytes: &[u8]) -> u64 {
+        self.fold_blocks(bytes);
+        let mut h = SUM_BASIS ^ bytes.len() as u64;
+        for lane in self.lanes {
+            h = (h ^ lane).wrapping_mul(SUM_PRIME);
+        }
+        for &b in &bytes[self.folded..] {
+            h = (h ^ u64::from(b)).wrapping_mul(SUM_PRIME);
+        }
+        h
     }
-    h
 }
 
 struct Cursor<'a> {
