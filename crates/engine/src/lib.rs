@@ -5,9 +5,9 @@
 //! of the DAPPLE runtime (§V).
 //!
 //! Where [`dapple-sim`](dapple_sim) *models* schedules analytically, this
-//! crate *runs* them: stage workers are OS threads connected by `mpsc`
-//! channels, micro-batch activations and gradients really flow across
-//! stage boundaries (with split/concat for replicated stages, Fig. 9),
+//! crate *runs* them: stage workers run on OS threads and post to each
+//! other's inboxes, micro-batch activations and gradients really flow
+//! across stage boundaries (with split/concat for replicated stages, Fig. 9),
 //! per-stage gradients really accumulate across micro-batches (Fig. 10),
 //! and replicas really synchronize: their gradients are summed in place,
 //! in the ring AllReduce's order, by
@@ -21,15 +21,13 @@
 //! re-computation setting (see `pipeline::tests` and the workspace
 //! integration tests).
 
-// `unsafe` is allowed at three sites: the SIMD tiles of [`tensor`], the
-// `f32`-slice-as-bytes view in `checkpoint::append_f32s`, and the lifetime
-// erasure of a step's borrowed task in `gang::Gang::run`.
+// `unsafe` is allowed at two sites: the SIMD tiles of [`tensor`] and the
+// `f32`-slice-as-bytes view in `checkpoint::append_f32s`.
 #![deny(unsafe_code)]
 
 pub mod checkpoint;
 pub mod data;
 pub mod fault;
-mod gang;
 pub mod layer;
 pub mod loss;
 pub mod model;

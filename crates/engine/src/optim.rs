@@ -157,7 +157,7 @@ impl Optimizer {
 /// tensor hands its chunks of this many values, and its `W^T` panels, to
 /// the worker pool, so the 768 x 768 tensors of the benchmark's large
 /// models are 18 chunks and 24 panels apiece.
-pub(crate) const BAND: usize = 32 * 1024;
+const BAND: usize = 32 * 1024;
 
 /// Cuts the first `n` values off `rest`.
 fn cut_front<'a>(rest: &mut &'a mut [f32], n: usize) -> &'a mut [f32] {

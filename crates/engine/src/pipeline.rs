@@ -1,8 +1,8 @@
 //! The multi-threaded pipeline trainer.
 //!
 //! Each stage replica is a *worker*, and the workers run on the host's
-//! cores, on `min(workers, cores)` step threads that outlive the step,
-//! each worker with one `std::sync::mpsc` inbox per step. Each worker
+//! cores, on the kernels' pool threads (see "Placement"), each worker
+//! with one inbox per step. Each worker
 //! executes exactly the deterministic step order that the simulator models
 //! ([`dapple_sim::schedule::stage_order`]): warmup forwards, strict 1F1B
 //! interleaving (or GPipe's all-forwards-first), then the backward drain.
@@ -17,7 +17,8 @@
 //! DAPPLE places stages on devices (§IV); here a device is a core. Once
 //! per shape (at construction and on a reconfiguration;
 //! [`PipelineTrainer::threads`]) the trainer spreads its workers over
-//! `T = min(workers, available_parallelism)` threads, longest job first by
+//! `T = min(workers, rayon::current_num_threads())` threads — the kernel
+//! pool's size, the one reading of the host — longest job first by
 //! multiply-adds. Each worker is a lane of
 //! [`dapple_sim::list::step_lanes`], the simulator's builder, on its
 //! thread: its script steps, then its sync op (leftover check, gradient
@@ -28,17 +29,16 @@
 //! and its inputs in its inbox. With at least as many cores as workers,
 //! each thread holds one worker and runs its script.
 //!
-//! The calling thread runs thread 0's order; threads `1..T` are a gang
-//! the trainer owns, started at a placement's first step, parked between
-//! steps, rebuilt at the next step when a reconfiguration changes `T` and
-//! joined when the trainer is dropped, so a step creates no thread and
-//! `T = 1` none at all. On an *inline shape* (`spins`: every product
-//! below the kernels' parallel gate and every parameter tensor one
-//! optimizer band, so nothing in or between steps posts to the worker
-//! pool) waits spin before they sleep: a gang thread watches for the
-//! next step for ~100 µs and a worker polls its inbox for ~30 µs before
-//! its bounded wait. Elsewhere they sleep at once, since a spinning step
-//! thread would hold the core that a pool helper needs.
+//! A step is one [`rayon::round`]: the calling thread runs thread 0's
+//! order, and threads `1..T` are idle helpers of the kernels' pool, each
+//! handed its thread's order. So the step threads and the kernel helpers
+//! are one set of threads, at most one per core, and a step starts no
+//! thread once the pool has its helpers (`T = 1` uses none). A worker
+//! whose inbox lacks what its op needs waits as every pool thread does
+//! ([`rayon::wait_until`]): it runs bands of any posted kernel job — of
+//! any stage — then spins briefly, then parks until mail for it, a new
+//! job or its deadline wakes it. A message that arrives while its thread
+//! is inside a band waits for that band to end.
 //!
 //! A step has one entry point, [`PipelineTrainer::step_with_trace`]
 //! ([`PipelineTrainer::step_grads`] is its clean-plan convenience). It
@@ -97,7 +97,7 @@
 //! before its script asks for it. Its one wait, on the inbox, is bounded
 //! by [`EngineConfig::recv_timeout`]: a stall surfaces as
 //! [`DappleError::Stalled`], never a hang. The coordinator keeps every
-//! inbox's sender for the whole step, and the thread of a failed op posts
+//! inbox for the whole step, and the thread of a failed op posts
 //! the stop to every inbox, so a worker waiting anywhere leaves at once
 //! as [`DappleError::ChannelClosed`] at its op; the thread's other
 //! workers are reported closed at the op they did not reach. Of several
@@ -113,11 +113,11 @@
 //! [`DappleError::ChannelProtocol`]'s "trailing message", wherever they
 //! are found: at a receive that holds more rows than it takes, or after
 //! the round, when the coordinator drains the inbox of a worker that
-//! completed its script (`try_recv`) and reports the lowest `(backward,
+//! completed its script (`Inbox::take`) and reports the lowest `(backward,
 //! micro)` left, so arrival order does not decide the error. A panic
 //! outside any op (a bug in the step's own bookkeeping) is re-raised on
-//! the calling thread once every thread has finished; the gang survives
-//! it.
+//! the calling thread once every thread has finished; the pool's threads
+//! survive it.
 //!
 //! A [`FaultKind::Stall`] delays its whole thread: every worker placed
 //! there waits with it, a worker on another thread observes it as
@@ -125,22 +125,20 @@
 //! stall is just a slow step.
 
 use crate::fault::{FaultKind, FaultPlan};
-use crate::gang::Gang;
 use crate::layer::{Dense, DenseGrads};
 use crate::loss::{loss_grad_into, LossKind};
 use crate::model::MlpModel;
-use crate::optim::BAND;
-use crate::tensor::{Tensor, PAR_MIN_MULS};
+use crate::tensor::Tensor;
 use crate::trace::{CoordSpan, Span, SpanKind, SpanLog, StepTrace, WorkerTrace, NO_MICRO};
 use dapple_core::{DappleError, Plan, Result};
 use dapple_sim::list::{list_schedule, step_lanes, Lane};
 use dapple_sim::schedule::{stage_order, Step};
 use dapple_sim::Schedule;
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::Range;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 /// Configuration of a pipeline training run.
@@ -274,8 +272,27 @@ enum Mail {
     Grads(usize, Vec<DenseGrads>),
 }
 
-/// The sending end of a worker's inbox.
-type Outbox = Sender<Option<Mail>>;
+/// A worker's inbox: its mail in arrival order (`None` is the stop), and
+/// the thread that reads it, which every post unparks.
+#[derive(Default)]
+struct Inbox(Mutex<(VecDeque<Option<Mail>>, Option<Thread>)>);
+
+impl Inbox {
+    fn post(&self, mail: Option<Mail>) {
+        let mut inbox = lock(&self.0);
+        inbox.0.push_back(mail);
+        if let Some(reader) = &inbox.1 {
+            reader.unpark();
+        }
+    }
+
+    /// The oldest mail, if any; the calling thread becomes the reader.
+    fn take(&self) -> Option<Option<Mail>> {
+        let mut inbox = lock(&self.0);
+        inbox.1.get_or_insert_with(std::thread::current);
+        inbox.0.pop_front()
+    }
+}
 
 /// Mail a worker's inbox delivered before its script asked for it.
 #[derive(Default)]
@@ -314,7 +331,7 @@ struct WorkerOut {
     replica: usize,
     /// The worker's inbox and what it filed but never took, for the
     /// calling thread to check once every thread has run its order.
-    inbox: Receiver<Option<Mail>>,
+    inbox: Arc<Inbox>,
     arrived: Arrived,
     /// The stage's synchronized gradients on replica 0 (moved out of its
     /// slot); empty on every other replica.
@@ -335,8 +352,8 @@ impl WorkerOut {
     /// nothing can arrive later and nothing is waited for: what is there
     /// was sent beyond the schedule (e.g. an injected duplicate).
     fn nothing_trailing(mut self) -> Result<WorkerOut> {
-        for mail in self.inbox.try_iter().flatten() {
-            self.arrived.file(mail);
+        while let Some(mail) = self.inbox.take() {
+            mail.into_iter().for_each(|mail| self.arrived.file(mail));
         }
         match self.arrived.rows.keys().min() {
             Some(&key) => Err(trailing(self.stage, self.replica, key)),
@@ -555,29 +572,8 @@ pub struct PipelineTrainer {
     grad_home: Arc<GradHome>,
     /// Which thread runs which worker, and in what order.
     placement: Placement,
-    /// The step threads beyond the calling one, parked between steps and
-    /// sized to the placement's thread count at each step. The lock is
-    /// held for the step, so concurrent steps take turns.
-    gang: Mutex<Gang>,
-}
-
-/// How long a worker polls its inbox before its bounded wait, when its
-/// step [`spins`].
-const RECV_SPIN: Duration = Duration::from_micros(30);
-
-/// Whether a step of `cfg` over `mb`-row micro-batches of `layers` is an
-/// *inline shape*, whose step threads spin before they sleep: every
-/// product (`⌈mb/r⌉ × in × out` multiply-adds) is below the kernels'
-/// parallel gate, and no weight tensor is larger than one optimizer
-/// band, so nothing in or between its steps posts to the worker pool.
-/// Elsewhere a spinning step thread would hold the core that a pool
-/// helper needs.
-fn spins(cfg: &EngineConfig, layers: &[Dense], mb: usize) -> bool {
-    let mut stages = cfg.stage_bounds.iter().zip(&cfg.replication);
-    let weights = |l: &Dense| l.in_dim() * l.out_dim();
-    let inline = |l: &Dense, r: usize| mb.div_ceil(r) * weights(l) < PAR_MIN_MULS;
-    layers.iter().all(|l| weights(l) <= BAND)
-        && stages.all(|(bounds, &r)| layers[bounds.clone()].iter().all(|l| inline(l, r)))
+    /// Held for a step, so concurrent steps take turns.
+    step: Mutex<()>,
 }
 
 /// Multiply-adds per row of each of `model`'s layers.
@@ -589,26 +585,20 @@ fn layer_macs(model: &MlpModel) -> Vec<usize> {
         .collect()
 }
 
-/// The cores this process may run on: the one reading of the host that
-/// the runtime makes. It honours the affinity mask.
-fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, usize::from)
-}
-
 impl PipelineTrainer {
     /// Validates the configuration against the model and places its
     /// workers on the host's cores.
     pub fn new(model: MlpModel, cfg: EngineConfig) -> Result<Self> {
         cfg.check(model.num_layers())?;
         let (pools, grad_home) = worker_state(&cfg);
-        let placement = Placement::new(&cfg, &layer_macs(&model), host_cores());
+        let placement = Placement::new(&cfg, &layer_macs(&model), rayon::current_num_threads());
         Ok(PipelineTrainer {
             model,
             cfg,
             pools,
             grad_home,
             placement,
-            gang: Mutex::new(Gang::new(1)),
+            step: Mutex::new(()),
         })
     }
 
@@ -626,7 +616,8 @@ impl PipelineTrainer {
     pub(crate) fn reconfigure(&mut self, cfg: EngineConfig) -> Result<()> {
         cfg.check(self.model.num_layers())?;
         (self.pools, self.grad_home) = worker_state(&cfg);
-        self.placement = Placement::new(&cfg, &layer_macs(&self.model), host_cores());
+        self.placement =
+            Placement::new(&cfg, &layer_macs(&self.model), rayon::current_num_threads());
         self.cfg = cfg;
         Ok(())
     }
@@ -638,7 +629,7 @@ impl PipelineTrainer {
 
     /// The placement: per step thread, the workers it runs as `(stage,
     /// replica)`, in spawn order. Read-only: it follows from the config,
-    /// the model and the host's cores.
+    /// the model and the kernel pool's size.
     pub fn threads(&self) -> Vec<Vec<(usize, usize)>> {
         let p = &self.placement;
         let mut threads = vec![Vec::new(); p.orders.len()];
@@ -717,21 +708,17 @@ impl PipelineTrainer {
         if let Err(e) = faults.validate(&self.cfg) {
             return (Err(e), None);
         }
-        let mut gang = lock(&self.gang);
+        let _turn = lock(&self.step);
         let epoch = Instant::now();
         let tracing = self.cfg.tracing;
         let mut trace = tracing.then(|| StepTrace::new(self.cfg.replication.clone()));
         self.provision();
         let s = self.cfg.stage_bounds.len();
         let rows = |stage: usize, rep: usize| rows_of(mb, self.cfg.replication[stage], rep);
-        let spin = spins(&self.cfg, &self.model.layers, mb);
 
-        // One inbox per worker, in spawn order. The coordinator keeps every
-        // sender for the step, so an inbox never disconnects: a failed op's
-        // thread posts the stop (`None`) to all of them.
-        let (outboxes, inboxes): (Vec<Outbox>, Vec<_>) =
-            (0..self.pools.len()).map(|_| channel()).unzip();
-        let mut inboxes = inboxes.into_iter();
+        // One inbox per worker, in spawn order, kept by the coordinator for
+        // the step: a failed op's thread posts the stop (`None`) to all.
+        let inboxes: Vec<Arc<Inbox>> = (0..self.pools.len()).map(|_| Arc::default()).collect();
         let first = |stage: usize| self.grad_home.stages[stage].0;
         // Who a worker sends to is fixed before the first micro-batch: the
         // replicas of the neighbouring stage whose rows overlap its own.
@@ -740,7 +727,7 @@ impl PipelineTrainer {
                 let peer = rows(peer_stage, q);
                 let (lo, hi) = (my_rows.start.max(peer.start), my_rows.end.min(peer.end));
                 (lo < hi).then(|| Route {
-                    tx: outboxes[first(peer_stage) + q].clone(),
+                    to: Arc::clone(&inboxes[first(peer_stage) + q]),
                     backward,
                     local: lo - my_rows.start..hi - my_rows.start,
                     row0: lo,
@@ -760,7 +747,7 @@ impl PipelineTrainer {
                 let sync = match (self.cfg.replication[i], p) {
                     (1, _) => GradSync::Solo,
                     (r, 0) => GradSync::Reducer(&stage_slots[..r]),
-                    _ => GradSync::Peer(outboxes[first(i)].clone()),
+                    _ => GradSync::Peer(Arc::clone(&inboxes[first(i)])),
                 };
                 let (prev, next) = (i.checked_sub(1), Some(i + 1).filter(|&b| b < s));
                 let my_rows = rows(i, p);
@@ -777,13 +764,12 @@ impl PipelineTrainer {
                     is_last: i + 1 == s,
                     x,
                     target,
-                    inbox: inboxes.next().expect("one inbox per worker"),
+                    inbox: Arc::clone(&inboxes[workers.len()]),
                     to_next: next.map(|b| routes(&my_rows, b, false)).unwrap_or_default(),
                     to_prev: prev.map(|b| routes(&my_rows, b, true)).unwrap_or_default(),
                     my_rows,
                     faults: faults.for_worker(i, p),
                     recv_timeout: self.cfg.recv_timeout,
-                    spin,
                     pool: &self.pools[workers.len()],
                     grad_slot: &stage_slots[p],
                     sync,
@@ -791,16 +777,16 @@ impl PipelineTrainer {
             }
         }
 
-        // One round of the gang, the calling thread as thread 0. Every op
+        // One round of the pool, the calling thread as thread 0. Every op
         // is caught and every wait inside one is bounded, so the round is
         // bounded and ends with a report per worker.
         let reports: Mutex<Vec<Report>> = Mutex::new(Vec::with_capacity(workers.len()));
         let (placement, workers) = (&self.placement, Mutex::new(workers));
-        gang.run(placement.orders.len(), spin, &|t| {
+        rayon::round(placement.orders.len(), &|t| {
             let mine = (lock(&workers).iter_mut().zip(&placement.lanes))
                 .map(|(w, lane)| if lane.resource == t { w.take() } else { None })
                 .collect();
-            let done = run_thread(t, mine, placement, &outboxes, tracing, epoch);
+            let done = run_thread(t, mine, placement, &inboxes, tracing, epoch);
             lock(&reports).extend(done);
         });
 
@@ -917,13 +903,13 @@ fn caught<T>(stage: usize, replica: usize, op: impl FnOnce() -> Result<T>) -> Re
 /// Step thread `thread` of placement `p`: runs its order over its
 /// workers (indexed by spawn index, `None` where a worker runs elsewhere).
 /// It stops at the first op that fails, posts the stop to every inbox in
-/// `outboxes` and drops the workers it still holds; each is reported as
+/// `inboxes` and drops the workers it still holds; each is reported as
 /// closed at the op it did not reach (module docs, "Failure semantics").
 fn run_thread(
     thread: usize,
     workers: Vec<Option<Worker<'_>>>,
     p: &Placement,
-    outboxes: &[Outbox],
+    inboxes: &[Arc<Inbox>],
     tracing: bool,
     epoch: Instant,
 ) -> Vec<Report> {
@@ -952,9 +938,8 @@ fn run_thread(
             Ok(None) => {}
             Ok(Some(out)) => results[w] = Some(Ok(out)),
             Err(e) => {
-                for tx in outboxes {
-                    // An inbox already dropped needs no stop.
-                    let _ = tx.send(None);
+                for inbox in inboxes {
+                    inbox.post(None);
                 }
                 (live[w], results[w]) = (None, Some(Err(e)));
                 for (v, dropped) in live.iter_mut().enumerate() {
@@ -1002,7 +987,7 @@ struct Worker<'a> {
     is_last: bool,
     x: &'a Tensor,
     target: &'a Tensor,
-    inbox: Receiver<Option<Mail>>,
+    inbox: Arc<Inbox>,
     /// Where forward outputs go (empty on the last stage) and where
     /// input gradients go (empty on the first).
     to_next: Vec<Route>,
@@ -1010,9 +995,6 @@ struct Worker<'a> {
     /// Faults this worker must inject, keyed by step index.
     faults: HashMap<usize, FaultKind>,
     recv_timeout: Duration,
-    /// Poll the inbox for [`RECV_SPIN`] before the bounded wait
-    /// ([`spins`]).
-    spin: bool,
     /// This worker's persistent buffer pool (owned by the trainer so the
     /// free lists survive across steps). Each worker locks only its own
     /// pool for the duration of the step — uncontended by construction.
@@ -1028,7 +1010,7 @@ struct Worker<'a> {
 /// the two replicas share. The routes of one direction partition the
 /// worker's rows, so a single route covers all of them.
 struct Route {
-    tx: Outbox,
+    to: Arc<Inbox>,
     /// Whether the rows are input gradients ([`Msg::backward`]).
     backward: bool,
     /// The shared rows, as rows of the worker's own tensor.
@@ -1046,7 +1028,7 @@ enum GradSync<'a> {
     /// stage's slots, given by replica.
     Reducer(&'a [Mutex<Vec<DenseGrads>>]),
     /// Replicas `1..r`: post `(replica, accumulator)` to replica 0.
-    Peer(Outbox),
+    Peer(Arc<Inbox>),
 }
 
 /// Stored state per in-flight micro-batch.
@@ -1215,9 +1197,8 @@ impl<'a> Worker<'a> {
         let idx = self.script.len();
         match std::mem::replace(&mut self.sync, GradSync::Solo) {
             GradSync::Solo => Ok((acc, None)),
-            GradSync::Peer(tx) => {
-                let mail = Mail::Grads(self.replica, acc);
-                tx.send(Some(mail)).map_err(|_| self.closed(idx))?;
+            GradSync::Peer(to) => {
+                to.post(Some(Mail::Grads(self.replica, acc)));
                 Ok((Vec::new(), None))
             }
             GradSync::Reducer(peer_slots) => {
@@ -1269,18 +1250,17 @@ impl<'a> Worker<'a> {
         routes: &[Route],
         micro: usize,
         data: Cow<'_, Tensor>,
-        idx: usize,
         pool: &mut TensorPool,
-    ) -> Result<()> {
+    ) {
         match fault {
             Some(FaultKind::DropMessage) => {
                 if let Cow::Owned(t) = data {
                     pool.put(t);
                 }
-                return Ok(());
+                return;
             }
             Some(FaultKind::DuplicateMessage) => {
-                self.send(None, routes, micro, Cow::Borrowed(&*data), idx, pool)?;
+                self.send(None, routes, micro, Cow::Borrowed(&*data), pool);
             }
             _ => {}
         }
@@ -1292,7 +1272,7 @@ impl<'a> Worker<'a> {
                 row0,
                 data,
             });
-            route.tx.send(Some(mail)).map_err(|_| self.closed(idx))
+            route.to.post(Some(mail));
         };
         if let (Cow::Owned(_), [only]) = (&data, routes) {
             return post(only, data.into_owned());
@@ -1300,12 +1280,11 @@ impl<'a> Worker<'a> {
         for route in routes {
             let mut part = pool.take(route.local.len(), data.cols);
             copy_rows_into(&data, route.local.clone(), &mut part);
-            post(route, part)?;
+            post(route, part);
         }
         if let Cow::Owned(t) = data {
             pool.put(t);
         }
-        Ok(())
     }
 
     /// Takes the parts of rows `my_rows` of micro-batch `micro`, forward
@@ -1347,38 +1326,37 @@ impl<'a> Worker<'a> {
         Ok(out)
     }
 
-    /// The worker's one wait: files mail from its inbox into `arrived`
-    /// until `done` holds of it, for at most `recv_timeout`. The stop
-    /// ends it at once, as closed at op `idx`.
+    /// The worker's one wait, the pool's ([`rayon::wait_until`]): files
+    /// mail from its inbox into `arrived` until `done` holds of it, for
+    /// at most `recv_timeout`. The stop ends it at once, as closed at op
+    /// `idx`.
     fn wait(
         &self,
         arrived: &mut Arrived,
         idx: usize,
         done: impl Fn(&Arrived) -> bool,
     ) -> Result<()> {
-        let start = Instant::now();
-        let deadline = start + self.recv_timeout;
-        while !done(arrived) {
-            let mail = match self.inbox.try_recv() {
-                Err(TryRecvError::Empty) if self.spin && start.elapsed() < RECV_SPIN => continue,
-                Err(TryRecvError::Empty) => {
-                    (self.inbox).recv_timeout(deadline.saturating_duration_since(Instant::now()))
+        let mut stop = false;
+        let ready = rayon::wait_until(Some(self.recv_timeout), || {
+            while !stop && !done(arrived) {
+                match self.inbox.take() {
+                    Some(Some(mail)) => arrived.file(mail),
+                    Some(None) => stop = true,
+                    None => return false,
                 }
-                got => got.map_err(|_| RecvTimeoutError::Disconnected),
-            };
-            match mail {
-                Ok(Some(mail)) => arrived.file(mail),
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(DappleError::Stalled {
-                        stage: self.stage,
-                        replica: self.replica,
-                        step: idx,
-                    });
-                }
-                Ok(None) | Err(RecvTimeoutError::Disconnected) => return Err(self.closed(idx)),
             }
+            true
+        });
+        let (stage, replica, step) = (self.stage, self.replica, idx);
+        match (stop, ready) {
+            (true, _) => Err(self.closed(idx)),
+            (false, false) => Err(DappleError::Stalled {
+                stage,
+                replica,
+                step,
+            }),
+            (false, true) => Ok(()),
         }
-        Ok(())
     }
 
     /// This worker's [`DappleError::ChannelClosed`] at op `idx`.
@@ -1479,7 +1457,7 @@ impl Live<'_> {
                     } else {
                         Cow::Borrowed(ys.last().expect("non-empty stage"))
                     };
-                    w.send(fault, &w.to_next, u, out, idx, pool)?;
+                    w.send(fault, &w.to_next, u, out, pool);
                     rec(log, SpanKind::CommSend, u, out_bytes, ts, now_ns(log));
                 }
                 self.flights.insert(
@@ -1575,7 +1553,7 @@ impl Live<'_> {
                 if let Some(dx) = dx {
                     let dx_bytes = tensor_bytes(&dx);
                     let ts = now_ns(log);
-                    w.send(fault, &w.to_prev, u, Cow::Owned(dx), idx, pool)?;
+                    w.send(fault, &w.to_prev, u, Cow::Owned(dx), pool);
                     rec(log, SpanKind::CommSend, u, dx_bytes, ts, now_ns(log));
                 }
             }
@@ -2135,8 +2113,7 @@ mod tests {
     /// Loss and gradients are bit-identical at every thread count —
     /// straight, replicated and mixed pipelines, every schedule, with and
     /// without re-computation — on a trainer's first step and on its
-    /// second, which reuses every buffer and the first one's gang: a
-    /// thread per placement thread but the caller's, so none on one.
+    /// second, which reuses every buffer.
     #[test]
     fn bits_are_identical_at_every_thread_count() {
         let (x, t) = data::regression_batch(24, 5, 3, 9);
@@ -2164,7 +2141,6 @@ mod tests {
                         let grads = out.grads.iter().flat_map(|g| g.segments().concat());
                         bits.extend(std::iter::once(out.loss).chain(grads).map(f32::to_bits));
                     }
-                    assert_eq!(lock(&trainer.gang).threads(), threads);
                     bits
                 };
                 let one = bits(1);
@@ -2211,18 +2187,6 @@ mod tests {
         }
     }
 
-    /// Of the benchmark's four shapes only the narrow stack is inline —
-    /// every product below the kernels' gate and every weight one
-    /// optimizer band — so only its step threads spin.
-    #[test]
-    fn only_the_narrow_benchmark_shape_spins() {
-        let spinning = [true, false, false, false];
-        for ((name, dims, cfg, mb), spinning) in benchmark_shapes().into_iter().zip(spinning) {
-            let model = MlpModel::new(&dims, 1);
-            assert_eq!(spins(&cfg, &model.layers, mb), spinning, "{name}");
-        }
-    }
-
     /// One clean step's loss and gradient bits.
     fn step_bits(trainer: &PipelineTrainer, x: &Tensor, t: &Tensor) -> Vec<u32> {
         let (loss, grads) = trainer.step_grads(x, t).unwrap();
@@ -2232,16 +2196,16 @@ mod tests {
 
     /// A panic that escapes a round's task outside any op, on either
     /// thread, is re-raised on the caller once the round is over; the
-    /// gang survives it, and the next step's bits are the first step's.
+    /// pool survives it, and the next step's bits are the first step's.
     #[test]
-    fn a_panic_outside_an_op_is_re_raised_and_the_gang_survives() {
+    fn a_panic_outside_an_op_is_re_raised_and_the_pool_survives() {
         let (x, t) = data::regression_batch(24, 5, 3, 9);
         let cfg = cfg_of(&[1, 2, 1], 4, Schedule::GPipe);
         let trainer = PipelineTrainer::with_threads(model6(), cfg, 2);
         let clean = step_bits(&trainer, &x, &t);
         for on in [0, 1] {
             let round = |thread| assert_ne!(thread, on, "escaped");
-            let escaped = std::panic::catch_unwind(|| lock(&trainer.gang).run(2, false, &round));
+            let escaped = std::panic::catch_unwind(|| rayon::round(2, &round));
             let payload = escaped.expect_err("re-raised");
             assert!(payload
                 .downcast_ref::<String>()
@@ -2251,23 +2215,24 @@ mod tests {
         }
     }
 
-    /// A reconfiguration resizes the gang at the next step, down to the
-    /// caller alone and back, with the same bits.
+    /// Trainers on two and three threads step at once from as many
+    /// threads, so their rounds borrow more helpers than the pool holds;
+    /// each finishes with its own one-thread bits.
     #[test]
-    fn the_gang_follows_the_placement_thread_count() {
+    fn concurrent_trainers_each_keep_their_bits() {
         let (x, t) = data::regression_batch(24, 5, 3, 9);
-        let two = cfg_of(&[1, 1], 4, Schedule::GPipe);
-        let mut trainer = PipelineTrainer::with_threads(model6(), two.clone(), 2);
-        let clean = step_bits(&trainer, &x, &t);
-        assert_eq!(lock(&trainer.gang).threads(), 2);
-        trainer
-            .reconfigure(cfg_of(&[1], 4, Schedule::GPipe))
-            .unwrap();
-        trainer.step_grads(&x, &t).unwrap();
-        assert_eq!(lock(&trainer.gang).threads(), 1);
-        trainer.reconfigure(two).unwrap();
-        assert_eq!(step_bits(&trainer, &x, &t), clean);
-        // Two threads, unless the host has one core.
-        assert_eq!(lock(&trainer.gang).threads(), trainer.threads().len());
+        let shapes = [(vec![1, 1, 1, 1], 2), (vec![1, 2, 1], 3), (vec![2, 2], 3)];
+        let trainers = shapes.map(|(replication, threads)| {
+            let cfg = cfg_of(&replication, 4, Schedule::Dapple(KPolicy::PA));
+            let many = PipelineTrainer::with_threads(model6(), cfg.clone(), threads);
+            let one = PipelineTrainer::with_threads(model6(), cfg, 1);
+            (many, step_bits(&one, &x, &t))
+        });
+        std::thread::scope(|s| {
+            for (trainer, one) in &trainers {
+                let (x, t) = (&x, &t);
+                s.spawn(move || (0..100).for_each(|_| assert_eq!(&step_bits(trainer, x, t), one)));
+            }
+        });
     }
 }

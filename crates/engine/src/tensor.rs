@@ -115,7 +115,7 @@ const COL_TILE: usize = 32;
 /// `k == 1` product does not. What it amortises is posting a job and
 /// waking a parked helper (microseconds), not a thread spawn; below it
 /// the single-threaded kernel finishes before a helper would have woken.
-pub(crate) const PAR_MIN_MULS: usize = 2 * 1024 * 1024;
+const PAR_MIN_MULS: usize = 2 * 1024 * 1024;
 
 /// Whether `n x k x m` of multiply-adds is worth waking a helper.
 #[inline]
